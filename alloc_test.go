@@ -6,6 +6,7 @@ package repro
 // arbitration scratch) is recycled, so steady-state stepping must not allocate.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/network"
@@ -16,7 +17,9 @@ import (
 // TestStepZeroAllocs pins the steady-state cost of Network.Step at zero
 // allocations per cycle. It mirrors BenchmarkSimulationCycle: an 8x8 torus
 // under moderate load, held in warmup so traffic keeps flowing, warmed long
-// enough that every free list and scratch buffer has reached capacity.
+// enough that every free list and scratch buffer has reached capacity. The
+// CWG scan is switched off here, so this pins the scan-off path only;
+// TestStepZeroAllocsWithScan pins the configuration users actually run.
 func TestStepZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping allocation measurement in -short mode")
@@ -40,7 +43,7 @@ func TestStepZeroAllocs(t *testing.T) {
 // probe detector attached but idle: at this load endpoints never cross the
 // local-blocking threshold, so no probe launches, and an idle engine must
 // cost the hot path nothing — its Step is gated out entirely while no probes
-// are in flight.
+// are in flight. Like TestStepZeroAllocs it runs with the CWG scan off.
 func TestStepZeroAllocsProbeIdle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping allocation measurement in -short mode")
@@ -65,6 +68,43 @@ func TestStepZeroAllocsProbeIdle(t *testing.T) {
 			n.Probe.Launched, n.Probe.InFlight())
 	}
 	measureSteadyState(t, n)
+}
+
+// TestStepZeroAllocsWithScan re-pins the budget with DefaultConfig's CWG scan
+// (every 50 cycles) left on, as every CLI run and served spec has it: the
+// scan works out of detector-owned scratch, so once that has grown to the
+// largest blocked set the load produces, stepping through scans allocates
+// nothing either — at the sparse rate, at the saturation knee, and under SA.
+func TestStepZeroAllocsWithScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping allocation measurement in -short mode")
+	}
+	for _, c := range []struct {
+		scheme schemes.Kind
+		vcs    int
+		rate   float64
+	}{
+		{schemes.PR, 4, 0.001},
+		{schemes.PR, 4, 0.012},
+		{schemes.SA, 8, 0.012},
+	} {
+		t.Run(fmt.Sprintf("%v@%dVC/rate%g", c.scheme, c.vcs, c.rate), func(t *testing.T) {
+			cfg := network.DefaultConfig()
+			cfg.Scheme, cfg.VCs, cfg.Rate = c.scheme, c.vcs, c.rate
+			cfg.Pattern = protocol.PAT271
+			cfg.Warmup, cfg.Measure, cfg.MaxDrain = 1<<30, 1, 0 // stay in warmup
+			n, err := network.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.RunCycles(4000) // reach steady occupancy and saturate pools
+			scans := n.Detector.Scans
+			measureSteadyState(t, n)
+			if n.Detector.Scans-scans < 40 {
+				t.Fatalf("only %d scans ran during the measurement; the pin needs the scan on", n.Detector.Scans-scans)
+			}
+		})
+	}
 }
 
 func measureSteadyState(t *testing.T, n *network.Network) {

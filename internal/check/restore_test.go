@@ -69,3 +69,64 @@ func TestRestoredNetworkPassesCheckNow(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreAcrossKnotBoundary rewinds the CWG detector across a change of
+// verdict, the way the model checker's Snapshot/Restore backtracking does.
+// The scan keeps derived state between calls — the previous deadlocked set as
+// a bitset and as a vertex list, whose emptiness gates flag publication — and
+// Detector.RestoreState must rebuild all of it from the snapshot. Restoring a
+// knotted snapshot into a detector whose last live scan was clean, the next
+// scan must still clear the VC flags the snapshot carries; restoring a clean
+// snapshot into a detector that last saw a knot, the re-forming knot must
+// count as fresh again. Either way the replayed scan must repeat the
+// original verdict and pass the independent knot audit.
+func TestRestoreAcrossKnotBoundary(t *testing.T) {
+	type verdict struct {
+		locked    int
+		deadlocks int64
+	}
+	for _, tc := range []struct {
+		name     string
+		boundary func(prev, cur verdict) bool
+	}{
+		{"knot-to-clean", func(prev, cur verdict) bool { return prev.locked > 0 && cur.locked == 0 }},
+		{"clean-to-knot", func(prev, cur verdict) bool { return prev.locked == 0 && cur.locked > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCfg(schemes.PR, protocol.PAT721, 2, 0.03)
+			cfg.QueueCap = 2
+			cfg.Warmup, cfg.Measure, cfg.MaxDrain = 0, 1<<30, 0
+			n := mustNet(t, cfg)
+			iv := cfg.CWGInterval
+			last := func() verdict { return verdict{n.Detector.LastDeadlocked, n.Detector.Deadlocks} }
+
+			// Stop one cycle after each scan, snapshotting there, until two
+			// consecutive scans straddle the wanted boundary.
+			n.RunCycles(iv + 1)
+			var snap *network.Snapshot
+			var prev, cur verdict
+			for i := 0; ; i++ {
+				if i == 400 {
+					t.Fatal("run never crossed the boundary; make resources scarcer")
+				}
+				snap, prev = n.Snapshot(), last()
+				n.RunCycles(iv)
+				if cur = last(); tc.boundary(prev, cur) {
+					break
+				}
+			}
+
+			// The live detector now holds cur's verdict; rewind it to prev's.
+			n.Restore(snap)
+			c := check.Attach(n, check.Options{})
+			n.RunCycles(iv)
+			if got := last(); got != cur {
+				t.Fatalf("replayed scan found %+v, original %+v", got, cur)
+			}
+			c.VerifyKnots(n.Clock.Now() - 1)
+			if err := c.Err(); err != nil {
+				t.Fatalf("replayed scan fails the knot audit: %v", err)
+			}
+		})
+	}
+}

@@ -1,12 +1,15 @@
 package deadlock
 
+import "fmt"
+
 // Snapshot/restore support for the model-checking explorer. The detector's
-// only state that influences future behavior is prevLock (fresh-knot
-// accounting compares each scan's locked set against it) and the counters;
-// the vertex layout is derived from the immutable host shape. The
-// detection-latency accounting (prevScanAt/prevKnotted and the sums) is pure
-// bookkeeping but must rewind too, or a restored path would charge latency
-// against another path's scan history.
+// only state that influences future behavior is the previous scan's
+// deadlocked set (fresh-knot accounting compares each scan's set against it,
+// and the next scan clears the VC flags it published) and the counters; the
+// vertex layout is derived from the immutable host shape and everything else
+// is per-scan scratch. The detection-latency accounting (prevScanAt/prevKnotted
+// and the sums) is pure bookkeeping but must rewind too, or a restored path
+// would charge latency against another path's scan history.
 
 // DetectorState is the detector's mutable state.
 type DetectorState struct {
@@ -24,8 +27,12 @@ type DetectorState struct {
 
 // CaptureState snapshots the detector.
 func (d *Detector) CaptureState() DetectorState {
+	prevLock := make([]bool, d.layout.Total)
+	for _, v := range d.lockedList {
+		prevLock[v] = true
+	}
 	return DetectorState{
-		PrevLock:       append([]bool(nil), d.prevLock...),
+		PrevLock:       prevLock,
 		Scans:          d.Scans,
 		Deadlocks:      d.Deadlocks,
 		LastDeadlocked: d.LastDeadlocked,
@@ -38,9 +45,22 @@ func (d *Detector) CaptureState() DetectorState {
 	}
 }
 
-// RestoreState writes a captured state back.
+// RestoreState writes a captured state back, rebuilding both forms of the
+// previous deadlocked set from PrevLock. A snapshot of a differently shaped
+// network is a caller bug and panics rather than restoring a truncated set.
 func (d *Detector) RestoreState(s DetectorState) {
-	copy(d.prevLock, s.PrevLock)
+	if len(s.PrevLock) != d.layout.Total {
+		panic(fmt.Sprintf("deadlock: RestoreState with %d PrevLock entries into a %d-vertex layout",
+			len(s.PrevLock), d.layout.Total))
+	}
+	clear(d.locked)
+	d.lockedList = d.lockedList[:0]
+	for v, locked := range s.PrevLock {
+		if locked {
+			d.locked.set(int32(v))
+			d.lockedList = append(d.lockedList, int32(v))
+		}
+	}
 	d.Scans = s.Scans
 	d.Deadlocks = s.Deadlocks
 	d.LastDeadlocked = s.LastDeadlocked

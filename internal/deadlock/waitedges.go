@@ -1,6 +1,8 @@
 package deadlock
 
 import (
+	"math/bits"
+
 	"repro/internal/netiface"
 	"repro/internal/router"
 	"repro/internal/topology"
@@ -48,6 +50,11 @@ func LayoutOf(h Host) Layout {
 
 // VCVertex returns a virtual channel's vertex ID.
 func (l Layout) VCVertex(vc *router.VC) int { return vc.Ch.ID*l.VCsPer + vc.Index }
+
+// vcAt maps a VC vertex back to its virtual channel.
+func (l Layout) vcAt(h Host, v int) *router.VC {
+	return h.AllChannels()[v/l.VCsPer].VCs[v%l.VCsPer]
+}
 
 // InVertex returns the vertex ID of endpoint ep's input queue q.
 func (l Layout) InVertex(ep, q int) int { return l.InBase + ep*l.Queues + q }
@@ -173,8 +180,7 @@ func (l Layout) ClassifyOut(h Host, ni *netiface.NI, ep, q int, edges []int) (bo
 func (l Layout) ClassifyVertex(h Host, v int, edges []int) (bool, []int) {
 	switch {
 	case v < l.NumVC:
-		ch := h.AllChannels()[v/l.VCsPer]
-		return l.ClassifyVC(h, ch.VCs[v%l.VCsPer], edges)
+		return l.ClassifyVC(h, l.vcAt(h, v), edges)
 	case v < l.OutBase:
 		ep, q, _ := l.InQueueOf(v)
 		return l.ClassifyIn(h, h.AllNIs()[ep], ep, q, edges)
@@ -190,29 +196,46 @@ func (l Layout) ClassifyVertex(h Host, v int, edges []int) (bool, []int) {
 // l.Total entries. Resources left unmarked can progress (or are empty) — a
 // knot is a set of blocked resources with no wait path to any unmarked one.
 func WaitEdges(h Host, l Layout, blocked []bool, addEdge func(u, v int)) {
-	var edges []int
-	emit := func(u int, b bool, es []int) {
-		if b {
-			blocked[u] = true
-			for _, v := range es {
-				addEdge(u, v)
+	forEachBlocked(h, l, nil, func(u int, waits []int) {
+		blocked[u] = true
+		for _, v := range waits {
+			addEdge(u, v)
+		}
+	})
+}
+
+// forEachBlocked is the walk behind WaitEdges and the scan: it classifies
+// every occupied resource and calls visit(u, waits) for each blocked vertex
+// u with the vertices it waits on, in ascending vertex order (VCs, then
+// input queues, then output queues — the scan ranks vertices by that order).
+// Only VCs whose bit is set in their channel's committed-occupancy mask are
+// classified: an empty VC is never blocked. waits aliases edges, the
+// classifier scratch, and is valid only during the call; the (possibly
+// grown) scratch is returned for reuse.
+func forEachBlocked(h Host, l Layout, edges []int, visit func(u int, waits []int)) []int {
+	var b bool
+	for _, ch := range h.AllChannels() {
+		for w := ch.OccMask(); w != 0; w &= w - 1 {
+			vc := ch.VCs[bits.TrailingZeros64(w)]
+			if b, edges = l.ClassifyVC(h, vc, edges[:0]); b {
+				visit(l.VCVertex(vc), edges)
 			}
 		}
 	}
-	for _, ch := range h.AllChannels() {
-		for _, vc := range ch.VCs {
-			var b bool
-			b, edges = l.ClassifyVC(h, vc, edges[:0])
-			emit(l.VCVertex(vc), b, edges)
-		}
-	}
-	for ep, ni := range h.AllNIs() {
+	nis := h.AllNIs()
+	for ep, ni := range nis {
 		for q := 0; q < l.Queues; q++ {
-			var b bool
-			b, edges = l.ClassifyIn(h, ni, ep, q, edges[:0])
-			emit(l.InVertex(ep, q), b, edges)
-			b, edges = l.ClassifyOut(h, ni, ep, q, edges[:0])
-			emit(l.OutVertex(ep, q), b, edges)
+			if b, edges = l.ClassifyIn(h, ni, ep, q, edges[:0]); b {
+				visit(l.InVertex(ep, q), edges)
+			}
 		}
 	}
+	for ep, ni := range nis {
+		for q := 0; q < l.Queues; q++ {
+			if b, edges = l.ClassifyOut(h, ni, ep, q, edges[:0]); b {
+				visit(l.OutVertex(ep, q), edges)
+			}
+		}
+	}
+	return edges
 }

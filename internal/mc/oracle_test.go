@@ -43,6 +43,9 @@ func implantKnot(t *testing.T, n *network.Network) {
 			st.Flits = append(st.Flits, message.Flit{Pkt: pkt, Idx: f + 1})
 		}
 		vc.RestoreState(st, ident)
+		// As network.Restore does: the wait-edge walk reads the channel's
+		// occupancy mask, which is derived from the restored buffers.
+		vc.Ch.ResetDerived()
 	}
 }
 

@@ -5,6 +5,12 @@
 # with PERF_BASELINE). CI runners are noisy, so the 15% default catches
 # real regressions (a new branch or allocation on the hot path) without
 # flaking on scheduler jitter.
+#
+# Blind spot: benchjson steps with the CWG scan off (CWGInterval = 0), so
+# this gate cannot see the deadlock-scan layer that every default run pays
+# for every 50 cycles. That layer is pinned by TestStepZeroAllocsWithScan,
+# TestScanAtZeroAllocs and BenchmarkScanAt (CI step "Allocation pins") and
+# measured end to end by bench/run.sh (deadlock.scan_us).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
