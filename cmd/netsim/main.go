@@ -86,7 +86,7 @@ func main() {
 
 		faultPlan = flag.String("fault-plan", "", "inject faults from this JSON plan file (see internal/fault)")
 
-		skipAhead = flag.Bool("skip-ahead", true, "active-set sweep with quiescence skip-ahead (results are byte-identical; disable to force dense stepping)")
+		skipAhead = flag.Bool("skip-ahead", true, "step only active routers and NIs and skip quiescent cycles (results are byte-identical; false steps every component and commits every channel every cycle)")
 
 		profile       = flag.Bool("profile", false, "attribute wall time to simulation pipeline phases and print the breakdown")
 		profileJSON   = flag.String("profile-json", "", "write the phase breakdown as JSON to this file (implies -profile)")

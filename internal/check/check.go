@@ -328,8 +328,13 @@ func (c *Checker) CheckNow(now int64) {
 	pktFlits := make(map[*message.Packet][]int)
 	var scan int64
 	for _, ch := range n.Channels {
-		for _, vc := range ch.VCs {
+		occ := ch.OccMask()
+		for v, vc := range ch.VCs {
 			scan += int64(vc.Len())
+			if occ>>uint(v)&1 == 1 != (vc.Len() > 0) {
+				c.report(now, "occ-mask-drift",
+					fmt.Sprintf("%v: occ bit %d=%d but the VC holds %d flits", ch, v, occ>>uint(v)&1, vc.Len()))
+			}
 			if vc.StagedLen() != 0 {
 				c.report(now, "staged-at-boundary",
 					fmt.Sprintf("%v holds %d uncommitted flits after Commit", vc, vc.StagedLen()))
@@ -373,35 +378,24 @@ func (c *Checker) CheckNow(now int64) {
 			fmt.Sprintf("incremental counter %d != channel scan %d", got, scan))
 	}
 
-	// --- active-set state: the occupancy/routing/credit bitmask words and
-	// hoisted route mirrors must agree with the canonical VC fields (they are
-	// maintained incrementally on every mutation), and a router or NI outside
-	// the active sweep set must genuinely have nothing to do ---
+	// --- active-set state: the routing/credit bitmask words must agree with
+	// the canonical VC fields (they are maintained incrementally on every
+	// mutation; the occupancy word is checked per channel above), and a
+	// router or NI outside the active sweep set must genuinely have nothing
+	// to do ---
 	for id, r := range n.Routers {
 		if !r.ActiveStateReady() {
 			continue // router never stepped; masks not built yet
 		}
-		allEmpty := true
 		for i, in := range r.Inputs {
 			if in == nil {
 				continue
 			}
-			occ, routed, ready := r.InputOccWord(i), r.InputRoutedWord(i), r.InputReadyWord(i)
-			if occ != 0 {
-				allEmpty = false
-			}
+			occ, routed, ready := in.OccMask(), r.InputRoutedWord(i), r.InputReadyWord(i)
 			for v, vc := range in.VCs {
-				if occ>>uint(v)&1 == 1 != (vc.Len() > 0) {
-					c.report(now, "occ-mask-drift",
-						fmt.Sprintf("router %d input %d: occ bit %d=%d but %v holds %d flits", id, i, v, occ>>uint(v)&1, vc, vc.Len()))
-				}
 				if routed>>uint(v)&1 == 1 != (vc.Route != nil) {
 					c.report(now, "routed-mask-drift",
 						fmt.Sprintf("router %d input %d: routed bit %d=%d but %v route=%v", id, i, v, routed>>uint(v)&1, vc, vc.Route))
-				}
-				if mr, mp := r.MirroredRoute(i, v); mr != vc.Route || (vc.Route != nil && mp != vc.RoutePort) {
-					c.report(now, "route-mirror-drift",
-						fmt.Sprintf("router %d input %d vc %d: mirror (%v,%d) != canonical (%v,%d)", id, i, v, mr, mp, vc.Route, vc.RoutePort))
 				}
 				wantReady := vc.Route != nil && vc.Route.SpaceFor()
 				if ready>>uint(v)&1 == 1 != wantReady {
@@ -413,10 +407,6 @@ func (c *Checker) CheckNow(now int64) {
 				c.report(now, "inactive-router-occupied",
 					fmt.Sprintf("router %d outside the active set but input %d has occ word %#x", id, i, occ))
 			}
-		}
-		if r.InputsIdle() != allEmpty {
-			c.report(now, "occ-count-drift",
-				fmt.Sprintf("router %d: InputsIdle()=%v but occ-word scan empty=%v", id, r.InputsIdle(), allEmpty))
 		}
 	}
 	for _, ni := range n.NIs {

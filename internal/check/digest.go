@@ -9,14 +9,9 @@ package check
 import (
 	"fmt"
 
+	"repro/internal/fnv1a"
 	"repro/internal/message"
 	"repro/internal/network"
-)
-
-// FNV-1a 64-bit parameters.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
 )
 
 // Digest accumulates an order-sensitive FNV-1a hash over every delivery in a
@@ -30,7 +25,7 @@ type Digest struct {
 // AttachDigest installs a delivery digest on a built network by wrapping the
 // NI delivery hooks. Attach before stepping so the log is complete.
 func AttachDigest(n *network.Network) *Digest {
-	d := &Digest{hash: fnvOffset}
+	d := &Digest{hash: fnv1a.Offset}
 	for _, ni := range n.NIs {
 		h := &ni.Cfg.Hooks
 		prev := h.Delivered
@@ -68,17 +63,7 @@ func (d *Digest) observe(m *message.Message, now int64) {
 	for _, v := range [...]int64{now, int64(m.Txn), int64(m.Hop), int64(m.Branch),
 		int64(m.Type), flags, int64(m.Retries), int64(m.Src), int64(m.Dst),
 		int64(m.Flits), m.Created} {
-		d.mix(v)
-	}
-}
-
-// mix folds one little-endian int64 into the FNV-1a state.
-func (d *Digest) mix(v int64) {
-	x := uint64(v)
-	for i := 0; i < 8; i++ {
-		d.hash ^= x & 0xff
-		d.hash *= fnvPrime
-		x >>= 8
+		d.hash = fnv1a.Uint64(d.hash, uint64(v))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
@@ -505,11 +504,7 @@ func (c *Coordinator) submit(ctx context.Context, hash string, body []byte, reqI
 // capped at RetryMax — a 30s hint belongs to the degraded queue's clock,
 // not a client-facing request). Returns false if ctx expired first.
 func (c *Coordinator) sleepBackoff(ctx context.Context, pass int, retryAfterSec int) bool {
-	d := c.cfg.RetryBase << uint(pass)
-	if d > c.cfg.RetryMax || d <= 0 {
-		d = c.cfg.RetryMax
-	}
-	d += time.Duration(rand.Int63n(int64(d)/2 + 1))
+	d := simsvc.RetryDelay(c.cfg.RetryBase, c.cfg.RetryMax, pass)
 	if ra := time.Duration(retryAfterSec) * time.Second; ra > d {
 		d = ra
 		if d > c.cfg.RetryMax {

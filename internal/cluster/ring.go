@@ -11,21 +11,9 @@ package cluster
 import (
 	"fmt"
 	"sort"
-)
 
-// fnv1a64 is the same fingerprint family the spec hashes themselves use.
-func fnv1a64(s string) uint64 {
-	const (
-		offset uint64 = 14695981039346656037
-		prime  uint64 = 1099511628211
-	)
-	h := offset
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
+	"repro/internal/fnv1a"
+)
 
 // ringVNodes is the virtual-node count per backend. 64 points per backend
 // keeps the expected load imbalance across a handful of shards in the few-
@@ -68,7 +56,7 @@ func NewRing(names []string) (*Ring, error) {
 		seen[name] = true
 		for v := 0; v < ringVNodes; v++ {
 			r.points = append(r.points, ringPoint{
-				hash:    fnv1a64(fmt.Sprintf("%s#%d", name, v)),
+				hash:    fnv1a.String(fnv1a.Offset, fmt.Sprintf("%s#%d", name, v)),
 				backend: i,
 			})
 		}
@@ -87,7 +75,7 @@ func (r *Ring) Backends() int { return r.backends }
 
 // Owner returns the backend index owning key.
 func (r *Ring) Owner(key string) int {
-	return r.points[r.search(fnv1a64(key))].backend
+	return r.points[r.search(fnv1a.String(fnv1a.Offset, key))].backend
 }
 
 // Successors returns up to n distinct backends for key in ring order: the
@@ -101,7 +89,7 @@ func (r *Ring) Successors(key string, n int) []int {
 	}
 	out := make([]int, 0, n)
 	seen := make(map[int]bool, n)
-	idx := r.search(fnv1a64(key))
+	idx := r.search(fnv1a.String(fnv1a.Offset, key))
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
 		b := r.points[(idx+i)%len(r.points)].backend
 		if !seen[b] {

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/message"
 	"repro/internal/network"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/schemes"
 )
 
@@ -331,5 +333,123 @@ func TestDropAccountedAsPartialDelivery(t *testing.T) {
 	}
 	if rep.Events[0].Dropped != rep.LostMsgs {
 		t.Fatalf("per-event attribution %d != total %d", rep.Events[0].Dropped, rep.LostMsgs)
+	}
+}
+
+// TestLinkDownReroutesBlockedHeader: a header already blocked at a router
+// when one of its candidate links dies must see the new candidate set on its
+// very next allocation attempt — the network's candidate table is the only
+// cache, and InvalidateRouting drops it in the cycle the health mask changes.
+// Pass 1 finds such a header in a fault-free run (same plan shape, event never
+// due, so both passes route through an identical health mask until the kill);
+// pass 2 kills that link at that cycle and checks that the dead port left the
+// header's candidates at once, that no route is ever allocated across the
+// link afterwards, and that the run still delivers everything.
+func TestLinkDownReroutesBlockedHeader(t *testing.T) {
+	cfg := smokeConfig()
+	cfg.Rate = 0.012
+
+	type spot struct {
+		at            int64
+		router, input int
+		vc, dir       int
+		pkt           message.PacketID
+	}
+	// blockedAt returns the header blocked at (router, input, vc), if any.
+	blockedAt := func(n *network.Network, r, i, v int, now int64) *message.Packet {
+		vc := n.Routers[r].Inputs[i].VCs[v]
+		f, ok := vc.Front()
+		if !ok || !f.Head() || f.Pkt.BeingRescued || vc.Route != nil || !vc.Blocked(now, 2) {
+			return nil
+		}
+		return f.Pkt
+	}
+
+	var found *spot
+	n1, err := network.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1.OnCycle = func(now int64) {
+		if found != nil || now < cfg.Warmup {
+			return
+		}
+		for r, rt := range n1.Routers {
+			for i, in := range rt.Inputs {
+				if in == nil {
+					continue
+				}
+				for v := range in.VCs {
+					pkt := blockedAt(n1, r, i, v, now)
+					if pkt == nil {
+						continue
+					}
+					for _, c := range n1.Candidates(rt.ID, pkt) {
+						if c.Port < n1.Torus.Directions() {
+							found = &spot{now, r, i, v, c.Port, pkt.ID}
+							return
+						}
+					}
+				}
+			}
+		}
+	}
+	if _, err := Attach(n1, &Plan{Events: []Event{{Kind: LinkDown, At: 1 << 40, Router: 0, Dir: 0}}}); err != nil {
+		t.Fatal(err)
+	}
+	n1.Run()
+	if found == nil {
+		t.Fatal("no header blocked on a link candidate in the fault-free pass; raise the load")
+	}
+
+	n2, err := network.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := n2.Routers[found.router]
+	draining := map[*router.VC]*message.Packet{} // worms allocated across the link before it died
+	n2.OnCycle = func(now int64) {               // chained under checker and injector: runs after the kill
+		if now < found.at {
+			return
+		}
+		if now == found.at {
+			pkt := blockedAt(n2, found.router, found.input, found.vc, now)
+			if pkt == nil || pkt.ID != found.pkt {
+				t.Fatalf("pass 2 diverged from pass 1 before the fault: header %v at the spot, want pkt %d", pkt, found.pkt)
+			}
+			for _, c := range n2.Candidates(rt.ID, pkt) {
+				if c.Port == found.dir {
+					t.Errorf("blocked pkt %d still has dead port %d among its candidates in the kill cycle", pkt.ID, found.dir)
+				}
+			}
+		}
+		for _, in := range rt.Inputs {
+			if in == nil {
+				continue
+			}
+			for _, vc := range in.VCs {
+				if vc.Route == nil || vc.RoutePort != found.dir {
+					continue
+				}
+				if now == found.at {
+					draining[vc] = vc.Owner
+				} else if draining[vc] != vc.Owner {
+					t.Fatalf("cycle %d: %v allocated a route across the dead link for pkt %d", now, vc, vc.Owner.ID)
+				}
+			}
+		}
+	}
+	checker := check.Attach(n2, check.Options{})
+	plan := &Plan{Events: []Event{{Kind: LinkDown, At: found.at, Router: found.router, Dir: found.dir}}}
+	inj, err := Attach(n2, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2.Run()
+	for _, v := range checker.Violations() {
+		t.Errorf("invariant violation: %s", v.Format())
+	}
+	if rep := inj.Report(); !n2.Quiescent() || rep.DeliveredFrac != 1 || rep.LostMsgs != 0 {
+		t.Fatalf("traffic lost or stuck after the mid-run link-down: quiescent=%v %+v", n2.Quiescent(), rep)
 	}
 }

@@ -94,7 +94,7 @@ func (e *Explorer) contended() bool {
 		occ := 0
 		for i := range r.Inputs {
 			if r.Inputs[i] != nil {
-				occ += bits.OnesCount64(r.InputOccWord(i))
+				occ += bits.OnesCount64(r.Inputs[i].OccMask())
 			}
 		}
 		if occ >= 2 {

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"repro/internal/fnv1a"
 	"repro/internal/message"
 	"repro/internal/network"
 	"repro/internal/router"
@@ -31,22 +32,12 @@ import (
 // 64-bit collision, which would wrongly prune a path; with the state counts
 // involved (well under 2^20) the risk is negligible.
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-	// sentinel tags keep nil markers disjoint from real encodings.
-	tagNil = -1 << 40
-)
+// tagNil is the sentinel that keeps nil markers disjoint from real encodings.
+const tagNil = -1 << 40
 
 type hasher struct{ h uint64 }
 
-func (z *hasher) w(v int64) {
-	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		z.h = (z.h ^ (u & 0xff)) * fnvPrime
-		u >>= 8
-	}
-}
+func (z *hasher) w(v int64) { z.h = fnv1a.Uint64(z.h, uint64(v)) }
 
 func (z *hasher) wb(b bool) {
 	if b {
@@ -75,7 +66,7 @@ func (e *Explorer) vcIndex(vc *router.VC) int64 {
 
 // stateHash folds a snapshot into a canonical 64-bit hash.
 func (e *Explorer) stateHash(s *network.Snapshot) uint64 {
-	z := &hasher{h: fnvOffset}
+	z := &hasher{h: fnv1a.Offset}
 	now := s.ClockNow
 	if e.opt.Net.CWGInterval > 0 {
 		z.w(now % e.opt.Net.CWGInterval)

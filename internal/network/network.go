@@ -73,8 +73,9 @@ type Network struct {
 	// candMemo holds precomputed routing candidates keyed by (routing
 	// combo, destination endpoint, router): candidate lists are pure
 	// functions of those plus link health, so each is computed once and
-	// the returned slice stays valid until InvalidateRouting drops the
-	// table after a health change. candCombo maps (type, backoff) to its
+	// InvalidateRouting drops the table after a health change. It is the
+	// only candidate cache: the router allocator calls Candidates for every
+	// blocked header every cycle. candCombo maps (type, backoff) to its
 	// deduplicated (mode, VC set) combo index. Built by fillCandMemo on
 	// first use.
 	candMemo  [][]routing.PortVC
@@ -124,14 +125,11 @@ type Network struct {
 	dirtyCh []*router.Channel
 	chEP    []int
 
-	// skipAhead enables the idle fast path (on by default; netsim
-	// -skip-ahead=false and SetDense both force dense stepping).
-	// forceDense restores the classic full sweep: set under fault
+	// forceDense selects the dense regime (see Step): set under fault
 	// injection, whose freeze/stall faults suppress round-robin rotation in
-	// ways SkipIdle cannot replay, and available to tests/tools for
-	// differential runs. An attached profiler also forces dense so phase
-	// accounting stays exact.
-	skipAhead  bool
+	// ways SkipIdle cannot replay, and by netsim -skip-ahead=false, tests
+	// and tools for differential runs. An attached profiler also forces
+	// dense so phase accounting stays exact.
 	forceDense bool
 
 	// rescueDefer suppresses the recovery engine's step for that many
@@ -337,8 +335,7 @@ func (n *Network) newPacketID() message.PacketID {
 
 // Candidates implements router.Policy: the routing function candidates for
 // pkt positioned at router r, under the scheme's VC partition for its type.
-// Results come from the pre-built memo table; the returned slice stays valid
-// until InvalidateRouting (satisfying the router.Policy aliasing contract).
+// Results come from the pre-built memo table, an O(1) lookup.
 func (n *Network) Candidates(r topology.NodeID, pkt *message.Packet) []routing.PortVC {
 	if n.candMemo == nil {
 		n.fillCandMemo()
@@ -591,12 +588,12 @@ func (n *Network) initActive() {
 	n.activeNIW = make([]uint64, (len(n.NIs)+63)/64)
 	n.lastR = make([]int64, len(n.Routers))
 	n.lastNI = make([]int64, len(n.NIs))
+	setAll(n.activeRW, len(n.Routers))
+	setAll(n.activeNIW, len(n.NIs))
 	for i := range n.lastR {
-		n.activeRW[i>>6] |= 1 << uint(i&63)
 		n.lastR[i] = -1
 	}
 	for i := range n.lastNI {
-		n.activeNIW[i>>6] |= 1 << uint(i&63)
 		n.lastNI[i] = -1
 	}
 	n.dirtyCh = make([]*router.Channel, 0, len(n.Channels))
@@ -612,7 +609,6 @@ func (n *Network) initActive() {
 	for _, ch := range n.Channels {
 		ch.SetStageHook(n.noteDirty)
 	}
-	n.skipAhead = true
 }
 
 func (n *Network) noteDirty(ch *router.Channel) {
@@ -637,14 +633,21 @@ func maskEmpty(ws []uint64) bool {
 	return true
 }
 
-// SetSkipAhead toggles the idle fast path; the active-set sweep itself stays
-// on. Results are byte-identical either way.
-func (n *Network) SetSkipAhead(on bool) { n.skipAhead = on }
+// setAll sets the first count bits of an active-set mask and clears the rest.
+func setAll(ws []uint64, count int) {
+	for i := range ws {
+		ws[i] = ^uint64(0)
+	}
+	if rem := count & 63; rem != 0 {
+		ws[len(ws)-1] = 1<<uint(rem) - 1
+	}
+}
 
-// SetDense forces the classic dense sweep: every component stepped every
-// cycle, every channel committed. Required under fault injection (freeze and
-// stall faults suppress round-robin rotation in ways idle catch-up cannot
-// replay) and useful for differential testing against the active-set engine.
+// SetDense forces the dense regime: every component stepped every cycle,
+// every channel committed. Required under fault injection (freeze and stall
+// faults suppress round-robin rotation in ways idle catch-up cannot replay)
+// and useful for differential testing against the active-set engine. It may
+// be toggled between any two cycles.
 func (n *Network) SetDense(on bool) { n.forceDense = on }
 
 // RouterActive reports whether router id is in the active sweep set (for the
@@ -655,15 +658,10 @@ func (n *Network) RouterActive(id int) bool { return n.activeRW[id>>6]>>uint(id&
 // the invariant checker: an inactive NI must be Idle).
 func (n *Network) NIActive(ep int) bool { return n.activeNIW[ep>>6]>>uint(ep&63)&1 == 1 }
 
-// InvalidateRouting flushes every router's memoized candidate lists. Fault
-// injectors must call it after mutating the link-health mask so blocked
-// headers immediately re-derive their candidates against the new topology.
-func (n *Network) InvalidateRouting() {
-	n.candMemo = nil
-	for _, r := range n.Routers {
-		r.InvalidateCandidates()
-	}
-}
+// InvalidateRouting drops the candidate table. Fault injectors must call it
+// after mutating the link-health mask so blocked headers re-derive their
+// candidates against the new topology on their next allocation attempt.
+func (n *Network) InvalidateRouting() { n.candMemo = nil }
 
 // generate runs the traffic source for every endpoint. It must run every
 // cycle outside the drain phase — including fast-path cycles — because each
@@ -682,29 +680,30 @@ func (n *Network) scanDue(now int64) bool {
 	return n.scan != nil && n.Cfg.CWGInterval > 0 && now > 0 && now%n.Cfg.CWGInterval == 0
 }
 
-// Step advances the system one cycle. Three regimes share identical
-// semantics:
+// Step advances the system one cycle. Two regimes run the same sweep
+// (below) with identical semantics:
 //
-//   - dense (profiler attached or SetDense): the classic full sweep — every
-//     NI and router steps, every channel commits.
-//   - active sweep: only components in the active sets step, after an O(1)
+//   - dense (profiler attached or SetDense): every NI and router steps and
+//     every channel commits, whatever the wake hooks and the dirty list say,
+//     which makes a dense run an independent reference for the other regime.
+//   - active: only components in the active sets step, after an O(1)
 //     SkipIdle catch-up replaying the round-robin rotations of the cycles
 //     they slept through; only dirty channels commit, and each commit wakes
-//     the consumer for the next cycle.
-//   - fast path (skipAhead, no active component, no dirty channel, no scan
-//     due): per-cycle housekeeping only — traffic generation (RNG streams
-//     advance every cycle), the rescue token walk, sampler/OnCycle, clock.
+//     the consumer for the next cycle. When nothing is active, no channel is
+//     dirty and no scan is due, the sweep is skipped altogether and only the
+//     per-cycle housekeeping runs — traffic generation (RNG streams advance
+//     every cycle), the rescue token walk, sampler/OnCycle, clock.
 //
 // The phase-profiler marks sit on the pipeline boundaries that already exist
 // (routing and arbitration mark themselves inside Router.Step); since an
 // attached profiler forces the dense regime, its phase accounting is exact.
 func (n *Network) Step() {
+	now := n.Clock.Now()
 	if n.prof != nil || n.forceDense {
-		n.stepDense()
+		n.sweep(now, true, true)
 		return
 	}
-	now := n.Clock.Now()
-	if n.skipAhead && maskEmpty(n.activeRW) && maskEmpty(n.activeNIW) &&
+	if maskEmpty(n.activeRW) && maskEmpty(n.activeNIW) &&
 		len(n.dirtyCh) == 0 && !n.scanDue(now) &&
 		(n.Probe == nil || n.Probe.Idle()) {
 		n.generate(now)
@@ -722,21 +721,41 @@ func (n *Network) Step() {
 			return
 		}
 		// Generation woke an NI: fall into the sweep without re-drawing.
-		n.stepActive(now, false)
+		n.sweep(now, false, false)
 		return
 	}
-	n.stepActive(now, true)
+	n.sweep(now, true, false)
 }
 
-// stepActive runs one cycle of the active-set sweep. Each mask word is
-// snapshotted and its set bits visited ascending — the dense ID order. A
-// component woken mid-sweep (only self-steps and the post-sweep rescue and
-// commit phases wake anyone) steps next cycle instead; it would have
-// performed a pure rotation step this cycle anyway (the wake cause is
-// invisible until channel commit), which its catch-up replays exactly.
-func (n *Network) stepActive(now int64, gen bool) {
+// mark charges the time since the previous mark to ph when a profiler is
+// attached.
+func (n *Network) mark(ph telemetry.Phase) {
+	if n.prof != nil {
+		n.prof.Mark(ph)
+	}
+}
+
+// sweep runs one cycle. Each active-mask word is snapshotted and its set
+// bits visited ascending — the dense ID order. A component woken mid-sweep
+// (only self-steps and the post-sweep rescue and commit phases wake anyone)
+// steps next cycle instead; it would have performed a pure rotation step this
+// cycle anyway (the wake cause is invisible until channel commit), which its
+// catch-up replays exactly. Under dense the masks are first overwritten with
+// every component and every channel is committed, so nothing the hooks
+// recorded decides what runs; the catch-up then only matters on the first
+// dense cycle after a regime switch, and the activity flags and wakes are
+// maintained all the same so a switch back resumes from exact state.
+func (n *Network) sweep(now int64, gen, dense bool) {
+	if n.prof != nil {
+		n.prof.BeginCycle()
+	}
 	if gen {
 		n.generate(now)
+	}
+	n.mark(telemetry.PhaseSource)
+	if dense {
+		setAll(n.activeNIW, len(n.NIs))
+		setAll(n.activeRW, len(n.Routers))
 	}
 	for wi, w := range n.activeNIW {
 		for w != 0 {
@@ -754,6 +773,7 @@ func (n *Network) stepActive(now int64, gen bool) {
 			}
 		}
 	}
+	n.mark(telemetry.PhaseProtocol)
 	for wi, w := range n.activeRW {
 		for w != 0 {
 			b := w & (-w)
@@ -773,10 +793,17 @@ func (n *Network) stepActive(now int64, gen bool) {
 	if n.Rescue != nil {
 		n.stepRescue(now)
 	}
-	// Commit only the channels that staged flits this cycle; committed
-	// flits become visible next cycle, so wake each consumer. Cross-channel
-	// commit order is immaterial: commits touch disjoint VC state and a
-	// shared counter.
+	n.mark(telemetry.PhaseRescue)
+	// Committed flits become visible next cycle, so each channel that staged
+	// flits this cycle wakes its consumer. Cross-channel commit order is
+	// immaterial: commits touch disjoint VC state and a shared counter.
+	// Under dense every channel commits first, which leaves the dirty list
+	// nothing to commit and only its wakes to deliver.
+	if dense {
+		for _, ch := range n.Channels {
+			ch.Commit(now)
+		}
+	}
 	dirty := n.dirtyCh
 	n.dirtyCh = n.dirtyCh[:0]
 	for _, ch := range dirty {
@@ -787,95 +814,14 @@ func (n *Network) stepActive(now int64, gen bool) {
 			n.wakeRouter(int(ch.Dst))
 		}
 	}
+	n.mark(telemetry.PhaseCredit)
 	if n.Probe != nil {
 		n.Probe.Step(now)
 	}
 	if n.scanDue(now) {
 		n.scan(now)
 	}
-	if n.sampler != nil {
-		n.sampler.Tick(now)
-	}
-	if n.OnCycle != nil {
-		n.OnCycle(now)
-	}
-	n.Clock.Tick()
-}
-
-// stepDense runs the classic full sweep. The inline catch-up handles the
-// transition from the active regimes (a profiler attached mid-run finds some
-// components asleep); at dense steady state every k is zero. Activity flags
-// are maintained here too, so a later switch back to the active sweep
-// resumes from exact state.
-func (n *Network) stepDense() {
-	if n.prof != nil {
-		n.prof.BeginCycle()
-	}
-	now := n.Clock.Now()
-	n.generate(now)
-	if n.prof != nil {
-		n.prof.Mark(telemetry.PhaseSource)
-	}
-	for ep, ni := range n.NIs {
-		if k := now - 1 - n.lastNI[ep]; k > 0 {
-			ni.SkipIdle(k)
-		}
-		n.lastNI[ep] = now
-		ni.Step(now)
-		if ni.Idle() {
-			n.activeNIW[ep>>6] &^= 1 << uint(ep&63)
-		} else {
-			n.activeNIW[ep>>6] |= 1 << uint(ep&63)
-		}
-	}
-	if n.prof != nil {
-		n.prof.Mark(telemetry.PhaseProtocol)
-	}
-	for id, r := range n.Routers {
-		if k := now - 1 - n.lastR[id]; k > 0 {
-			r.SkipIdle(k)
-		}
-		n.lastR[id] = now
-		r.Step(now)
-		if r.InputsIdle() {
-			n.activeRW[id>>6] &^= 1 << uint(id&63)
-		} else {
-			n.activeRW[id>>6] |= 1 << uint(id&63)
-		}
-	}
-	if n.Rescue != nil {
-		n.stepRescue(now)
-	}
-	if n.prof != nil {
-		n.prof.Mark(telemetry.PhaseRescue)
-	}
-	for _, c := range n.Channels {
-		c.Commit(now)
-	}
-	// Commits above already cleared every stage-pending flag; replay the
-	// dirty list purely for its consumer wakes so the active sets stay
-	// exact across regime switches.
-	dirty := n.dirtyCh
-	n.dirtyCh = n.dirtyCh[:0]
-	for _, ch := range dirty {
-		if ch.Kind == router.KindEject {
-			n.wakeNI(n.chEP[ch.ID])
-		} else {
-			n.wakeRouter(int(ch.Dst))
-		}
-	}
-	if n.prof != nil {
-		n.prof.Mark(telemetry.PhaseCredit)
-	}
-	if n.Probe != nil {
-		n.Probe.Step(now)
-	}
-	if n.scanDue(now) {
-		n.scan(now)
-	}
-	if n.prof != nil {
-		n.prof.Mark(telemetry.PhaseDeadlock)
-	}
+	n.mark(telemetry.PhaseDeadlock)
 	if n.sampler != nil {
 		n.sampler.Tick(now)
 	}

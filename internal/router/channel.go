@@ -91,16 +91,13 @@ type VC struct {
 	// channel. It counts committed (buf) flits only, matching Occupied.
 	occ *int64
 
-	// host, word and flat tie this VC into the occupancy bitmasks of the
-	// router consuming its channel as an input: host.words[word].occ carries
-	// one bit per VC (bit Index = committed flits present), and flat indexes the
-	// router's struct-of-arrays route mirrors. Set by Router.initState on
-	// the router's first Step; nil/zero for VCs that are no router's input
-	// (ejection channels) and for bare VCs in unit tests, which then skip
-	// all mask bookkeeping.
+	// host and word tie this VC into the routed/ready bitmasks of the router
+	// consuming its channel as an input: host.words[word] carries one bit per
+	// VC at position Index. Set by Router.initState on the router's first
+	// Step; nil/zero for VCs that are no router's input (ejection channels),
+	// which then skip the routed/ready bookkeeping.
 	host *Router
 	word int32
-	flat int32
 
 	// feeder, on a VC that is some router's allocated route target, points
 	// back at the (unique — ownership is exclusive) input VC routed into
@@ -194,15 +191,7 @@ func (v *VC) Commit(now int64) {
 		v.buf = append(v.buf, v.staged...)
 	}
 	v.staged = v.staged[:0]
-	if v.host != nil {
-		if v.host.words[v.word].occ>>uint(v.Index)&1 == 0 {
-			v.host.occCount++
-		}
-		v.host.words[v.word].occ |= 1 << uint(v.Index)
-	}
-	if v.Ch != nil {
-		v.Ch.occMask |= 1 << uint(v.Index)
-	}
+	*v.Ch.occ |= 1 << uint(v.Index)
 }
 
 // Dequeue removes and returns the head flit, updating wormhole state: on
@@ -218,13 +207,7 @@ func (v *VC) Dequeue(now int64) message.Flit {
 		*v.occ--
 	}
 	if len(v.buf) == 0 {
-		if v.host != nil {
-			v.host.words[v.word].occ &^= 1 << uint(v.Index)
-			v.host.occCount--
-		}
-		if v.Ch != nil {
-			v.Ch.occMask &^= 1 << uint(v.Index)
-		}
+		*v.Ch.occ &^= 1 << uint(v.Index)
 	}
 	if v.feeder != nil {
 		// A dequeue always leaves space, so the feeder becomes ready.
@@ -239,8 +222,7 @@ func (v *VC) Dequeue(now int64) message.Flit {
 	return f
 }
 
-// clearRoute resets the allocated route and its router-side mirrors, and
-// drops any memoized candidates for the departing header.
+// clearRoute resets the allocated route and its router-side words.
 func (v *VC) clearRoute() {
 	if v.Route != nil {
 		v.Route.feeder = nil
@@ -250,9 +232,6 @@ func (v *VC) clearRoute() {
 	if v.host != nil {
 		v.host.words[v.word].routed &^= 1 << uint(v.Index)
 		v.host.words[v.word].ready &^= 1 << uint(v.Index)
-		v.host.mirror[v.flat].route = nil
-		v.host.mirror[v.flat].port = 0
-		v.host.candPkt[v.flat] = nil
 	}
 }
 
@@ -277,15 +256,7 @@ func (v *VC) Evacuate(pkt *message.Packet, now int64) int {
 	}
 	v.Owner = nil
 	v.clearRoute()
-	if v.host != nil {
-		if v.host.words[v.word].occ>>uint(v.Index)&1 != 0 {
-			v.host.occCount--
-		}
-		v.host.words[v.word].occ &^= 1 << uint(v.Index)
-	}
-	if v.Ch != nil {
-		v.Ch.occMask &^= 1 << uint(v.Index)
-	}
+	*v.Ch.occ &^= 1 << uint(v.Index)
 	v.LastMove = now
 	v.stallNoted = false
 	return n
@@ -331,15 +302,21 @@ type Channel struct {
 	stagedMask   uint64
 	onStage      func(*Channel)
 
-	// occMask carries one bit per VC, set while that VC holds committed
-	// flits; Commit/Dequeue/Evacuate maintain it. Ejection drains and NI
-	// idleness checks test the word instead of walking every VC buffer.
-	occMask uint64
+	// occ points at the channel's one committed-occupancy word: bit v is set
+	// while VCs[v] holds committed flits; VC.Commit/Dequeue/Evacuate maintain
+	// it. Once the consuming router has built its state the word is that
+	// router's words[i].occ (Router.initState re-points it), so the
+	// allocator's scan stays on contiguous memory while the NI ejection
+	// drain and the deadlock scan read the same bits through OccMask. A
+	// channel no router hosts — an ejection channel, or any channel before
+	// its router's first Step — uses ownOcc.
+	occ    *uint64
+	ownOcc uint64
 }
 
 // OccMask returns the committed-occupancy bitmask: bit v is set iff VCs[v]
 // buffers at least one committed flit.
-func (c *Channel) OccMask() uint64 { return c.occMask }
+func (c *Channel) OccMask() uint64 { return *c.occ }
 
 // SetStageHook installs fn to run once per cycle when the channel first
 // receives a staged flit. The network uses it to maintain its dirty-channel
@@ -367,6 +344,7 @@ func NewChannel(kind ChannelKind, src, dst topology.NodeID, dir topology.Directi
 		panic(fmt.Sprintf("router: %d VCs exceed the 64-bit channel bitmask", vcs))
 	}
 	ch := &Channel{Kind: kind, Src: src, Dst: dst, Dir: dir, Local: local, ID: id}
+	ch.occ = &ch.ownOcc
 	ch.VCs = make([]*VC, vcs)
 	for i := range ch.VCs {
 		vc := &VC{Ch: ch, Index: i, cap: flitBuf}

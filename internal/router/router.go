@@ -15,10 +15,8 @@ import (
 type Policy interface {
 	// Candidates returns the ordered (port, VC) candidates for pkt at
 	// router r. Ports follow the routing package encoding: link directions
-	// first, then ejection ports. The returned slice must stay valid and
-	// unmodified at least until the router's InvalidateCandidates is next
-	// called — the allocator memoizes it for blocked headers instead of
-	// copying.
+	// first, then ejection ports. The allocator calls it every cycle for
+	// every blocked header, so it must be cheap and must not allocate.
 	Candidates(r topology.NodeID, pkt *message.Packet) []routing.PortVC
 }
 
@@ -95,31 +93,22 @@ type Router struct {
 	//
 	// words holds one occ/routed/ready word triple per input channel,
 	// packed so a scan touches contiguous cache lines: bit v of words[i].occ
-	// is set iff Inputs[i].VCs[v] holds committed flits, bit v of
-	// words[i].routed iff that VC has an allocated Route, and bit v of
-	// words[i].ready iff that Route currently has buffer space (maintained
-	// from the target side through the VC feeder back-pointer — the credit
-	// signal). The VC methods (Commit/Dequeue/Evacuate/Stage/ReduceCap) and
-	// setRoute maintain the bits at exactly the points the corresponding
-	// state changes, so allocate and arbitrate iterate set bits instead of
-	// walking every VC, and occ∧routed∧ready enumerates exactly the
-	// movable worms.
+	// is set iff Inputs[i].VCs[v] holds committed flits (it is the channel's
+	// one occupancy word — see Channel.occ), bit v of words[i].routed iff
+	// that VC has an allocated Route, and bit v of words[i].ready iff that
+	// Route currently has buffer space (maintained from the target side
+	// through the VC feeder back-pointer — the credit signal). The VC
+	// methods (Commit/Dequeue/Evacuate/Stage/ReduceCap) and setRoute
+	// maintain the bits at exactly the points the corresponding state
+	// changes, so allocate and arbitrate iterate set bits instead of walking
+	// every VC, and occ∧routed∧ready enumerates exactly the movable worms.
 	words []inWords
 
-	// occCount tracks the number of input VCs with committed flits (the
-	// number of set bits across words[*].occ), maintained on the same
-	// empty↔non-empty transitions as the occ bits, so the network's
-	// deactivation check (InputsIdle) is O(1) instead of a word scan.
-	occCount int32
-
 	// base maps input channel index -> flat VC offset (-1 for nil inputs);
-	// mirror is a flat array over all input VCs in (input, vc) order
-	// packing the VC pointer with its route mirror, so one cache line
-	// serves the whole arbitration visit. The *VC fields stay the source of
-	// truth for check/obs/fault consumers; mirrors are updated in lockstep
-	// by setRoute/clearRoute.
+	// flatVC indexes all input VCs in (input, vc) order, so a set bit
+	// resolves to its VC without walking Inputs[i].VCs.
 	base   []int32
-	mirror []vcMirror
+	flatVC []*VC
 
 	// reqBucket buckets arbitration requesters by output port in one pass
 	// over the live (occupied ∧ routed ∧ ready) bits, replacing a rescan of
@@ -127,27 +116,6 @@ type Router struct {
 	// (input index << 16 | flat VC index) in ascending (input, vc) order,
 	// matching the dense gather order exactly.
 	reqBucket [][]int32
-
-	// candCache/candPkt memoize the routing candidates of the header
-	// fronting each input VC (indexed by flat offset): a blocked header
-	// retries allocation with an identical candidate list every cycle, so
-	// the policy runs once per (VC, packet) instead of once per cycle.
-	// Entries alias the slice the policy returned (its contract keeps it
-	// valid until InvalidateCandidates). They invalidate on allocation
-	// success and on route clear (the only exits for an unallocated
-	// header), and InvalidateCandidates flushes everything when link health
-	// changes under fault injection.
-	candCache [][]routing.PortVC
-	candPkt   []*message.Packet
-}
-
-// vcMirror is the hoisted per-input-VC scan state: the VC itself plus
-// mirrors of its Route and RoutePort, packed so arbitration touches one
-// cache line per live VC.
-type vcMirror struct {
-	vc    *VC
-	route *VC
-	port  int16
 }
 
 // inWords is one input channel's occupancy/routing/credit bit triple.
@@ -168,16 +136,15 @@ func New(id topology.NodeID, policy Policy, numIn, numOut int) *Router {
 	}
 }
 
-// initState builds the occupancy bitmasks and struct-of-arrays mirrors from
-// the current channel state. It runs once, lazily, on the first Step or
-// input scan: by then the network (or a test harness) has wired Inputs, and
-// any pre-filled buffers are folded into the masks here. From this point on
-// the VC mutation methods keep masks and mirrors in sync incrementally.
+// initState builds the bitmask words and the flat VC index from the current
+// channel state. It runs once, lazily, on the first Step or input scan: by
+// then the network (or a test harness) has wired Inputs, and any pre-filled
+// buffers are folded into the masks here. From this point on the VC mutation
+// methods keep the words in sync incrementally.
 func (r *Router) initState() {
 	nIn := len(r.Inputs)
 	r.words = make([]inWords, nIn)
 	r.base = make([]int32, nIn)
-	r.occCount = 0
 	total := 0
 	for i, in := range r.Inputs {
 		if in == nil {
@@ -190,24 +157,21 @@ func (r *Router) initState() {
 		r.base[i] = int32(total)
 		total += len(in.VCs)
 	}
-	r.mirror = make([]vcMirror, total)
+	r.flatVC = make([]*VC, total)
 	r.reqBucket = make([][]int32, len(r.Outputs))
 	for o := range r.reqBucket {
 		r.reqBucket[o] = make([]int32, 0, 8)
 	}
-	r.candCache = make([][]routing.PortVC, total)
-	r.candPkt = make([]*message.Packet, total)
 	for i, in := range r.Inputs {
 		if in == nil {
 			continue
 		}
+		in.occ = &r.words[i].occ
 		for v, vc := range in.VCs {
-			flat := r.base[i] + int32(v)
-			vc.host, vc.word, vc.flat = r, int32(i), flat
-			r.mirror[flat] = vcMirror{vc: vc, route: vc.Route, port: int16(vc.RoutePort)}
+			vc.host, vc.word = r, int32(i)
+			r.flatVC[r.base[i]+int32(v)] = vc
 			if vc.Len() > 0 {
 				r.words[i].occ |= 1 << uint(v)
-				r.occCount++
 			}
 			if vc.Route != nil {
 				r.words[i].routed |= 1 << uint(v)
@@ -220,7 +184,7 @@ func (r *Router) initState() {
 	}
 }
 
-// setRoute records an allocated route on an input VC and its mirrors.
+// setRoute records an allocated route on an input VC and its words.
 func (r *Router) setRoute(vc *VC, out *VC, port int) {
 	vc.Route = out
 	vc.RoutePort = port
@@ -229,29 +193,11 @@ func (r *Router) setRoute(vc *VC, out *VC, port int) {
 	if out.SpaceFor() {
 		r.words[vc.word].ready |= 1 << uint(vc.Index)
 	}
-	r.mirror[vc.flat].route = out
-	r.mirror[vc.flat].port = int16(port)
-	r.candPkt[vc.flat] = nil
-}
-
-// InvalidateCandidates flushes the per-VC candidate memo. The network calls
-// this whenever the link-health mask changes (fault injection), since dead
-// links must drop out of blocked headers' candidate sets immediately.
-func (r *Router) InvalidateCandidates() {
-	if r.candPkt == nil {
-		return
-	}
-	for f := range r.candPkt {
-		r.candPkt[f] = nil
-	}
 }
 
 // ActiveStateReady reports whether initState has run; the invariant checker
 // skips mask cross-checks on routers that have never stepped.
-func (r *Router) ActiveStateReady() bool { return r.mirror != nil }
-
-// InputOccWord returns the occupancy bitmask word for input channel i.
-func (r *Router) InputOccWord(i int) uint64 { return r.words[i].occ }
+func (r *Router) ActiveStateReady() bool { return r.flatVC != nil }
 
 // InputRoutedWord returns the routed bitmask word for input channel i.
 func (r *Router) InputRoutedWord(i int) uint64 { return r.words[i].routed }
@@ -259,22 +205,19 @@ func (r *Router) InputRoutedWord(i int) uint64 { return r.words[i].routed }
 // InputReadyWord returns the credit-ready bitmask word for input channel i.
 func (r *Router) InputReadyWord(i int) uint64 { return r.words[i].ready }
 
-// MirroredRoute returns the hoisted route mirror for input VC (i, v), for
-// cross-checking against the canonical VC fields.
-func (r *Router) MirroredRoute(i, v int) (*VC, int) {
-	m := &r.mirror[r.base[i]+int32(v)]
-	return m.route, int(m.port)
-}
-
 // InputsIdle reports whether every input VC is empty of committed flits —
 // the router's deactivation condition for the network's active-set sweep.
 // A router with buffered-but-blocked worms stays active; only truly empty
 // routers are skipped, so no credit-wakeup plumbing is needed.
 func (r *Router) InputsIdle() bool {
-	if r.mirror == nil {
+	if r.flatVC == nil {
 		r.initState()
 	}
-	return r.occCount == 0
+	var occ uint64
+	for i := range r.words {
+		occ |= r.words[i].occ
+	}
+	return occ == 0
 }
 
 // SkipIdle advances round-robin state by k cycles' worth of idle steps in
@@ -369,19 +312,12 @@ func (r *Router) allocate(now int64) (live, lastW uint64, tot, lastI int) {
 		for w != 0 {
 			v := bits.TrailingZeros64(w)
 			w &= w - 1
-			flat := r.base[i] + int32(v)
-			vc := r.mirror[flat].vc
+			vc := r.flatVC[r.base[i]+int32(v)]
 			f := vc.buf[0] // occ bit set ⇒ committed flit present
 			if !f.Head() || f.Pkt.BeingRescued {
 				continue
 			}
-			cands := r.candCache[flat]
-			if r.candPkt[flat] != f.Pkt {
-				cands = r.policy.Candidates(r.ID, f.Pkt)
-				r.candCache[flat] = cands
-				r.candPkt[flat] = f.Pkt
-			}
-			if pick, ok := r.pickCandidate(cands); ok {
+			if pick, ok := r.pickCandidate(r.policy.Candidates(r.ID, f.Pkt)); ok {
 				out := r.outputVC(pick)
 				out.Owner = f.Pkt
 				r.setRoute(vc, out, pick.Port)
@@ -420,14 +356,14 @@ func (r *Router) arbitrate(now int64, live, lastW uint64, tot, lastI int) {
 	if tot == 1 {
 		// One requester: it wins its output unopposed, and no other output
 		// has a bucket, so no other saRR counter would advance.
-		m := &r.mirror[r.base[lastI]+int32(bits.TrailingZeros64(lastW))]
-		o := m.port
+		vc := r.flatVC[r.base[lastI]+int32(bits.TrailingZeros64(lastW))]
+		o := vc.RoutePort
 		if r.Outputs[o].Stalled {
 			return
 		}
 		r.saRR[o]++
-		target := m.vc.Route
-		target.Stage(m.vc.Dequeue(now))
+		target := vc.Route
+		target.Stage(vc.Dequeue(now))
 		return
 	}
 	// One pass over the live (occupied ∧ routed ∧ ready) bits buckets
@@ -449,7 +385,7 @@ func (r *Router) arbitrate(now int64, live, lastW uint64, tot, lastI int) {
 			v := bits.TrailingZeros64(w)
 			w &= w - 1
 			flat := r.base[i] + int32(v)
-			o := r.mirror[flat].port
+			o := r.flatVC[flat].RoutePort
 			r.reqBucket[o] = append(r.reqBucket[o], int32(i)<<16|flat)
 			used |= 1 << uint(o)
 		}
@@ -486,7 +422,7 @@ func (r *Router) arbitrate(now int64, live, lastW uint64, tot, lastI int) {
 		code := reqs[k]
 		r.saRR[o]++
 		moved |= 1 << uint(code>>16) // charge the winner's input bandwidth
-		winner := r.mirror[code&0xffff].vc
+		winner := r.flatVC[code&0xffff]
 		// Capture the target before Dequeue, which clears Route when the
 		// tail flit departs.
 		target := winner.Route
@@ -498,7 +434,7 @@ func (r *Router) arbitrate(now int64, live, lastW uint64, tot, lastI int) {
 // arbitration and link traversal. Staged arrivals are committed by the
 // network after every component has stepped.
 func (r *Router) Step(now int64) {
-	if r.mirror == nil {
+	if r.flatVC == nil {
 		r.initState()
 	}
 	if now < r.FrozenUntil {
@@ -543,7 +479,7 @@ func (r *Router) RescuablePackets(now int64, timeout int64) []*message.Packet {
 // the detection scans imply committed flits are present, so the walk
 // follows the occupancy bitmask instead of visiting every VC.
 func (r *Router) scanInputs(pred func(*VC) bool) []*message.Packet {
-	if r.mirror == nil {
+	if r.flatVC == nil {
 		r.initState()
 	}
 	out := r.scanBuf[:0]
@@ -552,7 +488,7 @@ func (r *Router) scanInputs(pred func(*VC) bool) []*message.Packet {
 		for w != 0 {
 			v := bits.TrailingZeros64(w)
 			w &= w - 1
-			vc := r.mirror[r.base[i]+int32(v)].vc
+			vc := r.flatVC[r.base[i]+int32(v)]
 			if !pred(vc) {
 				continue
 			}

@@ -12,8 +12,7 @@ import (
 // snapshot never clones them, it captures their *canonical* mutable state
 // (buffered flits, wormhole ownership, allocated routes, timestamps) and a
 // restore writes that state back into the same live objects. All derived
-// acceleration state — the occupancy/routed/ready words, the SoA route
-// mirrors, occCount, candidate memos, channel occupancy masks and feeder
+// acceleration state — the occupancy/routed/ready words and feeder
 // back-pointers — is rebuilt from the canonical state afterwards via
 // RebuildState/ResetDerived, exactly the way Router.initState folds
 // pre-filled buffers in on a router's first Step. That keeps the snapshot
@@ -99,13 +98,13 @@ func (c *Channel) ResetDerived() {
 	if c.stagePending || c.stagedMask != 0 {
 		panic(fmt.Sprintf("router: restore into %v with staged flits pending", c))
 	}
-	c.occMask = 0
+	*c.occ = 0
 	for i, vc := range c.VCs {
 		if len(vc.staged) != 0 {
 			panic(fmt.Sprintf("router: restore into %v with staged flits", vc))
 		}
 		if len(vc.buf) > 0 {
-			c.occMask |= 1 << uint(i)
+			*c.occ |= 1 << uint(i)
 		}
 	}
 }
@@ -140,14 +139,13 @@ func (r *Router) RestoreSched(s RouterSched) {
 	r.FrozenUntil = s.FrozenUntil
 }
 
-// RebuildState drops every piece of derived acceleration state (occupancy
-// words, occCount, route mirrors, candidate memos, feeder pointers) and
-// rebuilds it from the canonical VC state, exactly as initState does on a
-// router's first Step. Callers must have cleared stale feeder pointers on
-// all VCs first (RestoreState does) so targets that lost their route source
-// in the restored state do not keep phantom credit links.
+// RebuildState drops every piece of derived acceleration state (the
+// occ/routed/ready words, feeder pointers) and rebuilds it from the
+// canonical VC state, exactly as initState does on a router's first Step.
+// Callers must have cleared stale feeder pointers on all VCs first
+// (RestoreState does) so targets that lost their route source in the
+// restored state do not keep phantom credit links.
 func (r *Router) RebuildState() {
-	r.mirror = nil
 	r.initState()
 }
 

@@ -95,6 +95,27 @@ func (e *transientError) Unwrap() error { return e.err }
 // degrades into steady polling instead of hour-long sleeps.
 const maxRetryBackoff = 5 * time.Second
 
+// RetryDelay is the capped exponential backoff with jitter that every retry
+// loop in the serving stack sleeps on (the scheduler's transient-failure
+// retries, the cluster coordinator's placement passes): base doubled per
+// attempt (attempt 0 = base) up to limit, plus uniform jitter of up to half
+// that, so callers that failed together spread out instead of stampeding
+// back in lockstep.
+func RetryDelay(base, limit time.Duration, attempt int) time.Duration {
+	d := base << uint(attempt)
+	if d > limit || d <= 0 {
+		d = limit
+	}
+	return d + time.Duration(rand.Int63n(int64(d)/2+1))
+}
+
+// jobTableCap bounds the job table. Past it the oldest finished jobs are
+// forgotten (their IDs answer 404; the result still answers by spec hash from
+// the cache); queued and running jobs are never evicted. The number is the
+// cluster coordinator's JobTableCap default, which applies the same rule one
+// hop up, so a shard remembers a job as long as its coordinator does.
+const jobTableCap = 16384
+
 // job is the scheduler-internal record; all fields below mu-guarded ones
 // are written only before enqueue.
 type job struct {
@@ -152,6 +173,7 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
+	retired  []string // IDs of finished jobs, oldest first: the eviction order
 	seq      int64
 	draining bool
 	running  int
@@ -219,6 +241,7 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 		j.cached = true
 		j.payload = payload
 		j.finished = time.Now()
+		s.retired = append(s.retired, j.id)
 		v := j.view()
 		s.mu.Unlock()
 		s.emitJob(obs.KindJobDone, j, "cache-hit")
@@ -246,12 +269,17 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 	return v, nil
 }
 
-// register assigns an ID and indexes the job; callers hold s.mu.
+// register assigns an ID and indexes the job, evicting the oldest finished
+// jobs while the table is over jobTableCap; callers hold s.mu.
 func (s *Scheduler) register(j *job) {
 	s.seq++
 	s.accepted++
 	j.id = fmt.Sprintf("j-%06d", s.seq)
 	s.jobs[j.id] = j
+	for len(s.jobs) > jobTableCap && len(s.retired) > 0 {
+		delete(s.jobs, s.retired[0])
+		s.retired = s.retired[1:]
+	}
 }
 
 // Ready reports whether the scheduler can usefully accept new work right
@@ -353,6 +381,7 @@ func (s *Scheduler) safeRun(j *job) {
 			j.status = StatusFailed
 			j.errMsg = fmt.Sprintf("simsvc: worker panic: %v", r)
 			j.finished = time.Now()
+			s.retired = append(s.retired, j.id)
 			s.failed++
 			s.mu.Unlock()
 		}
@@ -467,14 +496,7 @@ func (s *Scheduler) execWithRetry(ctx context.Context, j *job) ([]byte, error) {
 		if base <= 0 {
 			base = 50 * time.Millisecond
 		}
-		d := base << uint(attempt)
-		if d > maxRetryBackoff || d <= 0 {
-			d = maxRetryBackoff
-		}
-		// Full jitter up to half the deterministic delay, so retries of
-		// jobs that failed together (e.g. on shared disk pressure) spread
-		// out instead of stampeding back in lockstep.
-		d += time.Duration(rand.Int63n(int64(d)/2 + 1))
+		d := RetryDelay(base, maxRetryBackoff, attempt)
 		s.emitJob(obs.KindJobStart, j, fmt.Sprintf("retry %d in %v: %v", attempt+1, d, err))
 		select {
 		case <-time.After(d):
@@ -488,6 +510,7 @@ func (s *Scheduler) execWithRetry(ctx context.Context, j *job) ([]byte, error) {
 func (s *Scheduler) finish(j *job, payload []byte, cached bool, err error) {
 	s.mu.Lock()
 	j.finished = time.Now()
+	s.retired = append(s.retired, j.id)
 	s.running--
 	if err != nil {
 		j.status = StatusFailed

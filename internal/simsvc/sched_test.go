@@ -426,3 +426,72 @@ func TestTransientMarking(t *testing.T) {
 		t.Fatal("transient mark lost through wrapping")
 	}
 }
+
+// TestJobTableEvictsOldestFinished: the job table is bounded. Three times
+// jobTableCap submissions (cache hits, the cheapest way a long-lived server
+// accumulates jobs) retain at most the cap; a running and a queued job
+// admitted first, the oldest entries in the table, survive every eviction;
+// an evicted ID is forgotten while its result still answers by spec hash.
+func TestJobTableEvictsOldestFinished(t *testing.T) {
+	store, _ := NewStore(8, "")
+	release := make(chan struct{})
+	sched := NewScheduler(SchedConfig{Workers: 1, QueueDepth: 2, Store: store,
+		Exec: func(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
+			<-release
+			return []byte(`{}`), nil
+		}})
+	defer sched.Drain(context.Background())
+
+	running, err := sched.Submit(context.Background(), slowSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, sched, running.ID)
+	queued, err := sched.Submit(context.Background(), slowSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := tinySpec().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(warm.Hash(), []byte(`{"warm":true}`))
+	var first, last JobView
+	for i := 0; i < 3*jobTableCap; i++ {
+		v, err := sched.Submit(context.Background(), tinySpec())
+		if err != nil || v.Status != StatusDone || !v.Cached {
+			t.Fatalf("cached submit %d: %+v, %v", i, v, err)
+		}
+		if i == 0 {
+			first = v
+		}
+		last = v
+	}
+
+	sched.mu.Lock()
+	retained := len(sched.jobs)
+	sched.mu.Unlock()
+	if retained > jobTableCap {
+		t.Errorf("job table holds %d jobs, cap %d", retained, jobTableCap)
+	}
+	if v, ok := sched.Job(running.ID); !ok || v.Status != StatusRunning {
+		t.Errorf("running job evicted or disturbed: %+v, present=%v", v, ok)
+	}
+	if v, ok := sched.Job(queued.ID); !ok || v.Status != StatusQueued {
+		t.Errorf("queued job evicted or disturbed: %+v, present=%v", v, ok)
+	}
+	if _, ok := sched.Job(first.ID); ok {
+		t.Errorf("oldest finished job %s still retained", first.ID)
+	}
+	if _, ok := sched.Job(last.ID); !ok {
+		t.Errorf("newest finished job %s already evicted", last.ID)
+	}
+	if p, ok := sched.CachedResult(first.SpecHash); !ok || string(p) != `{"warm":true}` {
+		t.Errorf("evicted job's result no longer answers by hash: %q, %v", p, ok)
+	}
+
+	close(release)
+	waitDone(t, sched, running.ID)
+	waitDone(t, sched, queued.ID)
+}

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/fault"
+	"repro/internal/fnv1a"
 	"repro/internal/netiface"
 	"repro/internal/network"
 	"repro/internal/protocol"
@@ -356,20 +357,8 @@ func (s RunSpec) Canonical() string {
 	return b.String()
 }
 
-// FNV-1a 64-bit parameters (the same fingerprint family as the delivery
-// digests in internal/check).
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
 // Hash returns the 16-hex-digit content hash of a normalized spec — the
 // cache key and the /v1/runs spec_hash.
 func (s RunSpec) Hash() string {
-	h := fnvOffset
-	for _, c := range []byte(s.Canonical()) {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", fnv1a.String(fnv1a.Offset, s.Canonical()))
 }
