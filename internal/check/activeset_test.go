@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/check"
@@ -201,4 +202,147 @@ func TestEjectionOccMaskDriftCaught(t *testing.T) {
 	if !hasRule(c.Violations(), "occ-mask-drift") {
 		t.Fatalf("stale ejection occupancy bit not caught; rules seen: %v", rules(c.Violations()))
 	}
+}
+
+// parkingRun is one run of cfg with the digest and the checker attached. With
+// retry set, an OnCycle hook unparks every router at every cycle boundary, so
+// each blocked header is re-attempted every cycle: the allocator as it was
+// before headers were parked.
+type parkingRun struct {
+	digest             *check.Digest
+	clock              int64
+	counters           [5]int64 // delivered flits, detect events, deflections, rescues, CWG deadlocks
+	attempts, grants   int64
+	parkedAtSomeSample bool
+}
+
+func runParking(t *testing.T, cfg network.Config, retry bool) parkingRun {
+	t.Helper()
+	n := mustNet(t, cfg)
+	d := check.AttachDigest(n)
+	c := check.Attach(n, check.Options{Interval: 64})
+	var out parkingRun
+	prev := n.OnCycle
+	n.OnCycle = func(now int64) {
+		prev(now) // the checker sees the parked words before they are wiped
+		for _, r := range n.Routers {
+			if retry {
+				r.Unpark()
+				continue
+			}
+			for i := range r.Inputs {
+				if r.InputParkedWord(i) != 0 {
+					out.parkedAtSomeSample = true
+				}
+			}
+		}
+	}
+	n.Run()
+	if err := c.Err(); err != nil {
+		t.Fatalf("retry=%v: %v", retry, err)
+	}
+	st := n.Stats
+	out.digest, out.clock = d, n.Clock.Now()
+	out.counters = [5]int64{st.DeliveredFlits, st.DetectEvents, st.Deflections, st.Rescues, st.CWGDeadlocks}
+	out.attempts, out.grants = n.VACounts()
+	return out
+}
+
+// TestParkingEquivalence is the byte-identity statement for event-driven VC
+// allocation: parking a header until an output VC of its router is released
+// must be indistinguishable from re-attempting it every cycle. The reference
+// run wipes every parked word at every cycle boundary, which is exactly the
+// retry-every-cycle allocator; digest, delivery count, final clock and the
+// exact counters (grants included — only failed attempts may disappear) must
+// match on the three benchmark schemes at the 8x8 knee and on scarce 4x4
+// PAT721 where recovery actually runs.
+//
+// Mutation-checked: with the Unpark call removed from VC.release this test
+// fails on tail Dequeue alone (worms stop at the first contended hop) and, with
+// only Evacuate's call removed, on PR-scarce (and parked-mask-drift fires);
+// removing the unpark loop from Network.InvalidateRouting fails
+// fault.TestLinkDownReroutesBlockedHeader.
+func TestParkingEquivalence(t *testing.T) {
+	knee := func(kind schemes.Kind, pat *protocol.Pattern, vcs int) network.Config {
+		cfg := network.DefaultConfig() // 8x8 torus
+		cfg.Scheme, cfg.Pattern, cfg.VCs, cfg.Rate = kind, pat, vcs, 0.012
+		cfg.Warmup, cfg.Measure, cfg.MaxDrain = 500, 2500, 8000
+		return cfg
+	}
+	scarce := func(kind schemes.Kind, vcs int, rate float64) network.Config {
+		cfg := smallCfg(kind, protocol.PAT721, vcs, rate)
+		cfg.QueueCap = 2
+		return cfg
+	}
+	cases := []struct {
+		name                      string
+		cfg                       network.Config
+		wantRescues, wantDeflects bool
+	}{
+		{"PR-4VC-knee", knee(schemes.PR, protocol.PAT721, 4), false, false},
+		{"DR-4VC-knee", knee(schemes.DR, protocol.PAT271, 4), false, false},
+		{"SA-8VC-knee", knee(schemes.SA, protocol.PAT271, 8), false, false},
+		{"PR-scarce", scarce(schemes.PR, 2, 0.03), true, false},
+		{"DR-scarce", scarce(schemes.DR, 4, 0.03), false, true},
+	}
+	for i, tc := range cases {
+		tc, seed := tc, uint64(3+2*i)
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Seed = seed
+			ref := runParking(t, tc.cfg, true)
+			got := runParking(t, tc.cfg, false)
+			if ref.digest.Sum() != got.digest.Sum() || ref.digest.Count() != got.digest.Count() {
+				t.Fatalf("digest diverged: retry-every-cycle %v (%d deliveries) vs parked %v (%d)",
+					ref.digest, ref.digest.Count(), got.digest, got.digest.Count())
+			}
+			if ref.clock != got.clock || ref.counters != got.counters {
+				t.Fatalf("counters diverged: retry-every-cycle clock %d %v vs parked clock %d %v",
+					ref.clock, ref.counters, got.clock, got.counters)
+			}
+			if ref.grants != got.grants {
+				t.Fatalf("grants diverged: retry-every-cycle %d vs parked %d", ref.grants, got.grants)
+			}
+			if got.digest.Count() == 0 || !got.parkedAtSomeSample || got.attempts >= ref.attempts {
+				t.Fatalf("equivalence vacuous: %d deliveries, parked seen=%v, attempts %d parked vs %d retrying",
+					got.digest.Count(), got.parkedAtSomeSample, got.attempts, ref.attempts)
+			}
+			t.Logf("clock %d counters %v; attempts %d -> %d for %d grants", got.clock, got.counters, ref.attempts, got.attempts, got.grants)
+			if tc.wantRescues && got.counters[3] == 0 {
+				t.Fatal("no rescue happened: Evacuate's unpark went untested")
+			}
+			if tc.wantDeflects && got.counters[2] == 0 {
+				t.Fatal("no deflection happened")
+			}
+		})
+	}
+}
+
+// TestParkedMaskDriftCaught forges the corruption parking is exposed to: an
+// output VC loses its owner without going through VC.release, so a header
+// parked on it is never woken. parked-mask-drift must name it.
+func TestParkedMaskDriftCaught(t *testing.T) {
+	n := mustNet(t, smallCfg(schemes.PR, protocol.PAT721, 2, 0.03))
+	c := check.Attach(n, check.Options{})
+	for cycle := 0; cycle < 3000; cycle++ {
+		n.RunCycles(1) // the first sweep steps every router, so the words exist
+		for _, r := range n.Routers {
+			for i, in := range r.Inputs {
+				if in == nil || r.InputParkedWord(i) == 0 {
+					continue
+				}
+				if err := c.Err(); err != nil {
+					t.Fatalf("violations before the forgery: %v", err)
+				}
+				f, _ := in.VCs[bits.TrailingZeros64(r.InputParkedWord(i))].Front()
+				cand := n.Candidates(r.ID, f.Pkt)[0]
+				r.Outputs[cand.Port].VCs[cand.VC].Owner = nil // bypasses release
+				c.CheckNow(n.Clock.Now())
+				if !hasRule(c.Violations(), "parked-mask-drift") {
+					t.Fatalf("stale parked bit not caught; rules seen: %v", rules(c.Violations()))
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no header was parked within 3000 cycles")
 }

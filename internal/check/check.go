@@ -31,6 +31,9 @@
 //   - token-rescue-coherence / rescue-service-uniqueness: the Disha token is
 //     held exactly while a rescue is active, and at most one memory
 //     controller services the rescue at a time.
+//   - occ- / routed- / ready- / parked-mask-drift: the routers' bitmask words
+//     agree with the canonical VC state they cache; a parked header really
+//     has no free candidate output VC.
 //   - knot-soundness / knot-count: every knot the CWG detector declares is
 //     re-verified against a from-scratch wait-graph rebuild (knot.go).
 //
@@ -49,6 +52,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/router"
 )
 
 // Violation is one detected invariant breach.
@@ -392,7 +396,14 @@ func (c *Checker) CheckNow(now int64) {
 				continue
 			}
 			occ, routed, ready := in.OccMask(), r.InputRoutedWord(i), r.InputReadyWord(i)
+			parked := r.InputParkedWord(i)
 			for v, vc := range in.VCs {
+				if parked>>uint(v)&1 == 1 {
+					if why := c.parkedWrongly(r, vc); why != "" {
+						c.report(now, "parked-mask-drift",
+							fmt.Sprintf("router %d input %d: parked bit %d set but %v %s", id, i, v, vc, why))
+					}
+				}
 				if routed>>uint(v)&1 == 1 != (vc.Route != nil) {
 					c.report(now, "routed-mask-drift",
 						fmt.Sprintf("router %d input %d: routed bit %d=%d but %v route=%v", id, i, v, routed>>uint(v)&1, vc, vc.Route))
@@ -546,6 +557,28 @@ func (c *Checker) CheckNow(now int64) {
 			c.report(now, "completed-txn-in-table", fmt.Sprintf("txn %d done but not removed", t.ID))
 		}
 	})
+}
+
+// parkedWrongly says why input VC vc of router r must not carry a parked bit,
+// or "" when it may: the bit claims an unrouted header sits at the front and
+// every candidate output VC is owned, so nothing but a release at r — which
+// clears the bit — can let the allocator succeed.
+func (c *Checker) parkedWrongly(r *router.Router, vc *router.VC) string {
+	f, ok := vc.Front()
+	switch {
+	case !ok:
+		return "is empty"
+	case vc.Route != nil:
+		return "is routed"
+	case !f.Head():
+		return "has no header at the front"
+	}
+	for _, cand := range c.n.Candidates(r.ID, f.Pkt) {
+		if out := r.Outputs[cand.Port].VCs[cand.VC]; out.Owner == nil {
+			return fmt.Sprintf("has the free candidate %v", out)
+		}
+	}
+	return ""
 }
 
 // snapshot renders a bounded dump of the system state: global tallies, the

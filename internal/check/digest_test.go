@@ -124,9 +124,12 @@ func TestDigestDeterminism(t *testing.T) {
 // actually declaring (congested PAT280), repeated runs at a fixed seed are
 // byte-identical — same delivery digest AND same probe traffic. Probes share
 // the fabric's bandwidth accounting, so any nondeterminism in the engine
-// would leak into delivery order and show up in the digest.
+// would leak into delivery order and show up in the digest. The second run
+// carries the invariant checker, whose probe cross-check audits every
+// declaration against the independent knot rebuild: it must stay clean and
+// must not move the digest either.
 func TestProbeDigestDeterminism(t *testing.T) {
-	run := func() (*check.Digest, [4]int64) {
+	run := func(checked bool) (*check.Digest, [4]int64) {
 		cfg := smallCfg(schemes.PR, protocol.PAT280, 2, 0.08)
 		cfg.FlitBuf = 1
 		cfg.QueueCap = 2
@@ -135,11 +138,21 @@ func TestProbeDigestDeterminism(t *testing.T) {
 		cfg.Measure = 1500
 		n := mustNet(t, cfg)
 		d := check.AttachDigest(n)
+		var c *check.Checker
+		if checked {
+			c = check.Attach(n, check.Options{Interval: 32})
+		}
 		n.Run()
+		if checked {
+			if err := c.Err(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("checker: %d sweeps, %d stale probe declarations", c.Checks(), c.ProbeStaleDeclares)
+		}
 		return d, [4]int64{n.Probe.Launched, n.Probe.Issued, n.Probe.Declared, n.Probe.FlitsCharged}
 	}
-	a, pa := run()
-	b, pb := run()
+	a, pa := run(false)
+	b, pb := run(true)
 	if a.Sum() != b.Sum() || a.Count() != b.Count() {
 		t.Fatalf("same configuration, different digests: %v (%d) vs %v (%d)", a, a.Count(), b, b.Count())
 	}

@@ -340,11 +340,16 @@ func TestDropAccountedAsPartialDelivery(t *testing.T) {
 // when one of its candidate links dies must see the new candidate set on its
 // very next allocation attempt — the network's candidate table is the only
 // cache, and InvalidateRouting drops it in the cycle the health mask changes.
+// The header is parked (its last attempt found every candidate owned, and no
+// output VC of its router has been released since), so nothing but
+// InvalidateRouting's unpark can make the allocator look at it again.
 // Pass 1 finds such a header in a fault-free run (same plan shape, event never
 // due, so both passes route through an identical health mask until the kill);
 // pass 2 kills that link at that cycle and checks that the dead port left the
-// header's candidates at once, that no route is ever allocated across the
-// link afterwards, and that the run still delivers everything.
+// header's candidates and the header the parked set at once, that the next
+// cycle's allocation pass attempts it (it ends routed or parked again), that
+// no route is ever allocated across the link afterwards, and that the run
+// still delivers everything.
 func TestLinkDownReroutesBlockedHeader(t *testing.T) {
 	cfg := smokeConfig()
 	cfg.Rate = 0.012
@@ -354,6 +359,9 @@ func TestLinkDownReroutesBlockedHeader(t *testing.T) {
 		router, input int
 		vc, dir       int
 		pkt           message.PacketID
+	}
+	parked := func(n *network.Network, r, i, v int) bool {
+		return n.Routers[r].InputParkedWord(i)>>uint(v)&1 == 1
 	}
 	// blockedAt returns the header blocked at (router, input, vc), if any.
 	blockedAt := func(n *network.Network, r, i, v int, now int64) *message.Packet {
@@ -381,7 +389,7 @@ func TestLinkDownReroutesBlockedHeader(t *testing.T) {
 				}
 				for v := range in.VCs {
 					pkt := blockedAt(n1, r, i, v, now)
-					if pkt == nil {
+					if pkt == nil || !parked(n1, r, i, v) {
 						continue
 					}
 					for _, c := range n1.Candidates(rt.ID, pkt) {
@@ -421,6 +429,18 @@ func TestLinkDownReroutesBlockedHeader(t *testing.T) {
 				if c.Port == found.dir {
 					t.Errorf("blocked pkt %d still has dead port %d among its candidates in the kill cycle", pkt.ID, found.dir)
 				}
+			}
+			if parked(n2, found.router, found.input, found.vc) {
+				t.Errorf("pkt %d is still parked after the kill: it would wait for a release, not for the new candidates", pkt.ID)
+			}
+		}
+		if now == found.at+1 {
+			// The header was parked in pass 1 at this point in time (same run
+			// up to the kill), so only the kill can have woken it.
+			vc := rt.Inputs[found.input].VCs[found.vc]
+			if f, ok := vc.Front(); ok && f.Pkt.ID == found.pkt && vc.Route == nil &&
+				!parked(n2, found.router, found.input, found.vc) {
+				t.Errorf("pkt %d was not re-attempted in the cycle after the kill: neither routed nor parked again", found.pkt)
 			}
 		}
 		for _, in := range rt.Inputs {

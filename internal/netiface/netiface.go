@@ -580,7 +580,6 @@ func (n *NI) drainSource(now int64) {
 		n.sourceQ[len(n.sourceQ)-1] = nil
 		n.sourceQ = n.sourceQ[:len(n.sourceQ)-1]
 	}
-	_ = now
 }
 
 // inject streams flits of output-queue heads into the injection channel: a

@@ -74,10 +74,10 @@ type Network struct {
 	// combo, destination endpoint, router): candidate lists are pure
 	// functions of those plus link health, so each is computed once and
 	// InvalidateRouting drops the table after a health change. It is the
-	// only candidate cache: the router allocator calls Candidates for every
-	// blocked header every cycle. candCombo maps (type, backoff) to its
-	// deduplicated (mode, VC set) combo index. Built by fillCandMemo on
-	// first use.
+	// only candidate cache: the router allocator calls Candidates once per
+	// header, and once more per release event while it is blocked. candCombo
+	// maps (type, backoff) to its deduplicated (mode, VC set) combo index.
+	// Built by fillCandMemo on first use.
 	candMemo  [][]routing.PortVC
 	candCombo [int(message.NumTypes) * 2]int8
 
@@ -658,10 +658,26 @@ func (n *Network) RouterActive(id int) bool { return n.activeRW[id>>6]>>uint(id&
 // the invariant checker: an inactive NI must be Idle).
 func (n *Network) NIActive(ep int) bool { return n.activeNIW[ep>>6]>>uint(ep&63)&1 == 1 }
 
-// InvalidateRouting drops the candidate table. Fault injectors must call it
-// after mutating the link-health mask so blocked headers re-derive their
-// candidates against the new topology on their next allocation attempt.
-func (n *Network) InvalidateRouting() { n.candMemo = nil }
+// InvalidateRouting drops the candidate table and unparks every blocked
+// header. Fault injectors must call it after mutating the link-health mask so
+// blocked headers re-derive their candidates against the new topology on the
+// next cycle's allocation attempt.
+func (n *Network) InvalidateRouting() {
+	n.candMemo = nil
+	for _, r := range n.Routers {
+		r.Unpark()
+	}
+}
+
+// VACounts sums the routers' header allocation attempts and grants: exact
+// work counters, identical across hosts for a given configuration and seed.
+func (n *Network) VACounts() (attempts, grants int64) {
+	for _, r := range n.Routers {
+		a, g := r.VACounts()
+		attempts, grants = attempts+a, grants+g
+	}
+	return
+}
 
 // generate runs the traffic source for every endpoint. It must run every
 // cycle outside the drain phase — including fast-path cycles — because each

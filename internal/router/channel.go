@@ -48,16 +48,18 @@ type VC struct {
 	Ch    *Channel
 	Index int
 
-	cap    int
-	buf    []message.Flit
-	staged []message.Flit
+	cap int
 
-	// bufArr/stagedArr back buf and staged for shallow VCs (cap small
-	// enough to fit), keeping a worm's flits on the VC's own cache lines
-	// instead of separate heap blocks; NewChannel points the slices here.
-	// Deeper VCs (e.g. recovery lanes) fall back to heap-backed slices.
-	bufArr    [4]message.Flit
-	stagedArr [4]message.Flit
+	// ring is the one flit buffer, a power-of-two circle of at least cap
+	// slots: the n committed flits start at head and the ns flits staged
+	// this cycle follow them, so Stage writes a flit once and Commit only
+	// moves the watermark. Shallow VCs (the paper's 2-flit buffers) keep
+	// the slots inline, on the VC's own cache lines; deeper ones get a heap
+	// ring from NewChannel.
+	ring       []message.Flit
+	head, mask int32
+	n, ns      int32
+	inline     [4]message.Flit
 
 	// Owner is the packet whose worm currently holds this VC, nil if free.
 	Owner *message.Packet
@@ -88,7 +90,7 @@ type VC struct {
 
 	// occ, when non-nil, points at a network-wide committed-flit counter
 	// maintained incrementally so quiescence checks need not scan every
-	// channel. It counts committed (buf) flits only, matching Occupied.
+	// channel. It counts committed flits only, matching Occupied.
 	occ *int64
 
 	// host and word tie this VC into the routed/ready bitmasks of the router
@@ -98,6 +100,11 @@ type VC struct {
 	// which then skip the routed/ready bookkeeping.
 	host *Router
 	word int32
+
+	// up is the router this VC is an output of (set by its initState; nil
+	// for injection channels, which the NI allocates): losing Owner here is
+	// the event that wakes the headers parked there.
+	up *Router
 
 	// feeder, on a VC that is some router's allocated route target, points
 	// back at the (unique — ownership is exclusive) input VC routed into
@@ -116,42 +123,42 @@ func (v *VC) Cap() int { return v.cap }
 // on a later cycle) while every slot is occupied, or when only one slot
 // remains: a zero-capacity VC could never drain the flits it owes.
 func (v *VC) ReduceCap() bool {
-	if v.cap <= 1 || len(v.buf)+len(v.staged) >= v.cap {
+	if v.cap <= 1 || !v.SpaceFor() {
 		return false
 	}
 	v.cap--
-	if v.feeder != nil && len(v.buf)+len(v.staged) >= v.cap {
+	if v.feeder != nil && !v.SpaceFor() {
 		v.feeder.host.words[v.feeder.word].ready &^= 1 << uint(v.feeder.Index)
 	}
 	return true
 }
 
 // Len returns the number of committed flits buffered.
-func (v *VC) Len() int { return len(v.buf) }
+func (v *VC) Len() int { return int(v.n) }
 
 // SpaceFor reports whether a new flit may be staged into this VC this cycle
 // (committed plus staged occupancy below capacity).
-func (v *VC) SpaceFor() bool { return len(v.buf)+len(v.staged) < v.cap }
+func (v *VC) SpaceFor() bool { return int(v.n+v.ns) < v.cap }
 
 // StagedLen returns the number of staged (uncommitted) flits. At every cycle
 // boundary — after Channel.Commit has run — it must be zero; the runtime
 // invariant checker asserts this.
-func (v *VC) StagedLen() int { return len(v.staged) }
+func (v *VC) StagedLen() int { return int(v.ns) }
 
 // ForEachFlit visits every committed flit in buffer order, head first. The
 // callback must not mutate the VC.
 func (v *VC) ForEachFlit(f func(message.Flit)) {
-	for _, fl := range v.buf {
-		f(fl)
+	for i := int32(0); i < v.n; i++ {
+		f(v.ring[(v.head+i)&v.mask])
 	}
 }
 
 // Front returns the flit at the head of the buffer.
 func (v *VC) Front() (message.Flit, bool) {
-	if len(v.buf) == 0 {
+	if v.n == 0 {
 		return message.Flit{}, false
 	}
-	return v.buf[0], true
+	return v.ring[v.head], true
 }
 
 // Stage appends a flit to arrive at the end of this cycle.
@@ -159,54 +166,47 @@ func (v *VC) Stage(f message.Flit) {
 	if !v.SpaceFor() {
 		panic(fmt.Sprintf("router: staging into full VC %v", v))
 	}
-	v.staged = append(v.staged, f)
+	v.ring[(v.head+v.n+v.ns)&v.mask] = f
+	v.ns++
 	if v.Ch != nil {
 		v.Ch.noteStaged(v.Index)
 	}
-	if v.feeder != nil && len(v.buf)+len(v.staged) >= v.cap {
+	if v.feeder != nil && !v.SpaceFor() {
 		v.feeder.host.words[v.feeder.word].ready &^= 1 << uint(v.feeder.Index)
 	}
 }
 
-// Commit merges staged arrivals into the visible buffer; the network calls
-// this once per cycle after all routers and NIs have acted, so that a flit
-// traverses at most one hop per cycle.
+// Commit makes staged arrivals visible by moving the watermark past them;
+// the network calls this once per cycle after all routers and NIs have
+// acted, so that a flit traverses at most one hop per cycle.
 func (v *VC) Commit(now int64) {
-	ns := len(v.staged)
-	if ns == 0 {
+	if v.ns == 0 {
 		return
 	}
-	if len(v.buf) == 0 {
+	if v.n == 0 {
 		v.LastMove = now
 	}
 	if v.occ != nil {
-		*v.occ += int64(ns)
+		*v.occ += int64(v.ns)
 	}
-	if ns == 1 {
-		// The common case — link bandwidth admits one flit per cycle — is
-		// a plain append; the bulk copy below only serves multi-flit
-		// staging (e.g. rescue drains).
-		v.buf = append(v.buf, v.staged[0])
-	} else {
-		v.buf = append(v.buf, v.staged...)
-	}
-	v.staged = v.staged[:0]
+	v.n += v.ns
+	v.ns = 0
 	*v.Ch.occ |= 1 << uint(v.Index)
 }
 
 // Dequeue removes and returns the head flit, updating wormhole state: on
 // tail departure the VC is freed (ownership and route cleared).
 func (v *VC) Dequeue(now int64) message.Flit {
-	if len(v.buf) == 0 {
+	if v.n == 0 {
 		panic("router: dequeue from empty VC")
 	}
-	f := v.buf[0]
-	copy(v.buf, v.buf[1:])
-	v.buf = v.buf[:len(v.buf)-1]
+	f := v.ring[v.head]
+	v.head = (v.head + 1) & v.mask
+	v.n--
 	if v.occ != nil {
 		*v.occ--
 	}
-	if len(v.buf) == 0 {
+	if v.n == 0 {
 		*v.Ch.occ &^= 1 << uint(v.Index)
 	}
 	if v.feeder != nil {
@@ -215,23 +215,30 @@ func (v *VC) Dequeue(now int64) message.Flit {
 	}
 	v.LastMove = now
 	if f.Tail() {
-		v.Owner = nil
-		v.clearRoute()
-		v.stallNoted = false
+		v.release()
 	}
 	return f
 }
 
-// clearRoute resets the allocated route and its router-side words.
-func (v *VC) clearRoute() {
+// release frees the VC (ownership, route, router-side words) and wakes the
+// headers parked at the router it is an output of: one of their candidates
+// may just have become free.
+func (v *VC) release() {
+	v.Owner = nil
 	if v.Route != nil {
 		v.Route.feeder = nil
 	}
 	v.Route = nil
 	v.RoutePort = 0
 	if v.host != nil {
-		v.host.words[v.word].routed &^= 1 << uint(v.Index)
-		v.host.words[v.word].ready &^= 1 << uint(v.Index)
+		w := &v.host.words[v.word]
+		w.routed &^= 1 << uint(v.Index)
+		w.ready &^= 1 << uint(v.Index)
+		w.parked &^= 1 << uint(v.Index)
+	}
+	v.stallNoted = false
+	if v.up != nil {
+		v.up.Unpark()
 	}
 }
 
@@ -243,22 +250,19 @@ func (v *VC) Evacuate(pkt *message.Packet, now int64) int {
 	if v.Owner != pkt {
 		return 0
 	}
-	n := len(v.buf) + len(v.staged)
+	n := int(v.n + v.ns)
 	if v.occ != nil {
 		// Staged flits were never counted (Commit has not run on them),
 		// so only the committed ones leave the tally.
-		*v.occ -= int64(len(v.buf))
+		*v.occ -= int64(v.n)
 	}
-	v.buf = v.buf[:0]
-	v.staged = v.staged[:0]
+	v.n, v.ns = 0, 0
 	if v.feeder != nil {
 		v.feeder.host.words[v.feeder.word].ready |= 1 << uint(v.feeder.Index)
 	}
-	v.Owner = nil
-	v.clearRoute()
+	v.release()
 	*v.Ch.occ &^= 1 << uint(v.Index)
 	v.LastMove = now
-	v.stallNoted = false
 	return n
 }
 
@@ -266,7 +270,7 @@ func (v *VC) Evacuate(pkt *message.Packet, now int64) int {
 // more than threshold cycles, the trigger for router-level timeout
 // detection under true fully adaptive routing.
 func (v *VC) Blocked(now int64, threshold int64) bool {
-	return len(v.buf) > 0 && now-v.LastMove > threshold
+	return v.n > 0 && now-v.LastMove > threshold
 }
 
 func (v *VC) String() string {
@@ -348,10 +352,16 @@ func NewChannel(kind ChannelKind, src, dst topology.NodeID, dir topology.Directi
 	ch.VCs = make([]*VC, vcs)
 	for i := range ch.VCs {
 		vc := &VC{Ch: ch, Index: i, cap: flitBuf}
-		if flitBuf <= len(vc.bufArr) {
-			vc.buf = vc.bufArr[:0]
-			vc.staged = vc.stagedArr[:0]
+		size := 1
+		for size < flitBuf {
+			size <<= 1
 		}
+		if size <= len(vc.inline) {
+			vc.ring = vc.inline[:size]
+		} else {
+			vc.ring = make([]message.Flit, size)
+		}
+		vc.mask = int32(size - 1)
 		ch.VCs[i] = vc
 	}
 	return ch

@@ -15,8 +15,9 @@ import (
 type Policy interface {
 	// Candidates returns the ordered (port, VC) candidates for pkt at
 	// router r. Ports follow the routing package encoding: link directions
-	// first, then ejection ports. The allocator calls it every cycle for
-	// every blocked header, so it must be cheap and must not allocate.
+	// first, then ejection ports. The allocator calls it once per header
+	// and, for a blocked one, once more per release event at the router,
+	// so it must be cheap and must not allocate.
 	Candidates(r topology.NodeID, pkt *message.Packet) []routing.PortVC
 }
 
@@ -91,7 +92,7 @@ type Router struct {
 	// Active-set state (built lazily by initState on the first Step or
 	// input scan, so tests may wire Inputs and pre-fill buffers first).
 	//
-	// words holds one occ/routed/ready word triple per input channel,
+	// words holds one occ/routed/ready/parked word group per input channel,
 	// packed so a scan touches contiguous cache lines: bit v of words[i].occ
 	// is set iff Inputs[i].VCs[v] holds committed flits (it is the channel's
 	// one occupancy word — see Channel.occ), bit v of words[i].routed iff
@@ -102,7 +103,16 @@ type Router struct {
 	// maintain the bits at exactly the points the corresponding state
 	// changes, so allocate and arbitrate iterate set bits instead of walking
 	// every VC, and occ∧routed∧ready enumerates exactly the movable worms.
+	//
+	// Bit v of words[i].parked marks a header whose last allocation attempt
+	// found every candidate output VC owned. allocate skips it until the
+	// answer can change: one of this router's output VCs is released
+	// (VC.release, through VC.up) or the candidate sets change (Unpark).
 	words []inWords
+
+	// vaAttempts/vaGrants count header allocation attempts and the grants
+	// among them: exact work counters, the same on every host.
+	vaAttempts, vaGrants int64
 
 	// base maps input channel index -> flat VC offset (-1 for nil inputs);
 	// flatVC indexes all input VCs in (input, vc) order, so a set bit
@@ -118,11 +128,12 @@ type Router struct {
 	reqBucket [][]int32
 }
 
-// inWords is one input channel's occupancy/routing/credit bit triple.
+// inWords is one input channel's occupancy/routing/credit/parking bit words.
 type inWords struct {
 	occ    uint64
 	routed uint64
 	ready  uint64
+	parked uint64
 }
 
 // New builds a router shell; the network wires Inputs/Outputs afterwards.
@@ -161,6 +172,14 @@ func (r *Router) initState() {
 	r.reqBucket = make([][]int32, len(r.Outputs))
 	for o := range r.reqBucket {
 		r.reqBucket[o] = make([]int32, 0, 8)
+	}
+	for _, out := range r.Outputs {
+		if out == nil {
+			continue
+		}
+		for _, vc := range out.VCs {
+			vc.up = r
+		}
 	}
 	for i, in := range r.Inputs {
 		if in == nil {
@@ -204,6 +223,21 @@ func (r *Router) InputRoutedWord(i int) uint64 { return r.words[i].routed }
 
 // InputReadyWord returns the credit-ready bitmask word for input channel i.
 func (r *Router) InputReadyWord(i int) uint64 { return r.words[i].ready }
+
+// InputParkedWord returns the parked-header bitmask word for input channel i.
+func (r *Router) InputParkedWord(i int) uint64 { return r.words[i].parked }
+
+// Unpark makes every parked header eligible for allocation again. Releasing
+// one of this router's output VCs calls it; so must whatever else can turn a
+// failed attempt into a success (a change of the candidate sets).
+func (r *Router) Unpark() {
+	for i := range r.words {
+		r.words[i].parked = 0
+	}
+}
+
+// VACounts returns the header allocation attempts so far and their grants.
+func (r *Router) VACounts() (attempts, grants int64) { return r.vaAttempts, r.vaGrants }
 
 // InputsIdle reports whether every input VC is empty of committed flits —
 // the router's deactivation condition for the network's active-set sweep.
@@ -280,9 +314,12 @@ func (r *Router) pickCandidate(cands []routing.PortVC) (routing.PortVC, bool) {
 // allocate performs virtual-channel allocation for every input VC whose
 // front flit is an unrouted header: the first candidate VC not owned by
 // another packet is claimed. Candidate order encodes policy preference
-// (adaptive first, escape last). Only occupied-and-unrouted VCs are
-// visited — occ &^ routed — in ascending bit order, which is exactly the
-// VC order the dense scan used, so arbitration outcomes are unchanged.
+// (adaptive first, escape last). Only occupied, unrouted, unparked VCs are
+// visited — occ &^ routed &^ parked — in ascending bit order, which is
+// exactly the VC order the dense scan used, so arbitration outcomes are
+// unchanged. A failed attempt changes nothing (pickCandidate advances its
+// cursor only on success, the stall event fires once per blockage), so
+// skipping the attempts that must fail again is invisible.
 //
 // Since allocate already touches every input's word triple, it folds in the
 // live (occupied ∧ routed ∧ ready) summary that arbitrate needs, sparing
@@ -299,7 +336,7 @@ func (r *Router) allocate(now int64) (live, lastW uint64, tot, lastI int) {
 		if i == n {
 			i = 0
 		}
-		w := r.words[i].occ &^ r.words[i].routed
+		w := r.words[i].occ &^ r.words[i].routed &^ r.words[i].parked
 		if w == 0 {
 			if lw := r.words[i].occ & r.words[i].routed & r.words[i].ready; lw != 0 {
 				live |= lw
@@ -313,11 +350,13 @@ func (r *Router) allocate(now int64) (live, lastW uint64, tot, lastI int) {
 			v := bits.TrailingZeros64(w)
 			w &= w - 1
 			vc := r.flatVC[r.base[i]+int32(v)]
-			f := vc.buf[0] // occ bit set ⇒ committed flit present
+			f := vc.ring[vc.head] // occ bit set ⇒ committed flit present
 			if !f.Head() || f.Pkt.BeingRescued {
 				continue
 			}
+			r.vaAttempts++
 			if pick, ok := r.pickCandidate(r.policy.Candidates(r.ID, f.Pkt)); ok {
+				r.vaGrants++
 				out := r.outputVC(pick)
 				out.Owner = f.Pkt
 				r.setRoute(vc, out, pick.Port)
@@ -325,7 +364,10 @@ func (r *Router) allocate(now int64) (live, lastW uint64, tot, lastI int) {
 					r.Obs.VCAllocated(now, r.ID, f.Pkt, out.Ch.ID, out.Index)
 				}
 				vc.stallNoted = false
-			} else if r.Obs != nil && !vc.stallNoted {
+				continue
+			}
+			r.words[i].parked |= 1 << uint(v)
+			if r.Obs != nil && !vc.stallNoted {
 				vc.stallNoted = true
 				r.Obs.VCStalled(now, r.ID, f.Pkt, r.Inputs[i].ID, vc.Index)
 			}
@@ -492,7 +534,7 @@ func (r *Router) scanInputs(pred func(*VC) bool) []*message.Packet {
 			if !pred(vc) {
 				continue
 			}
-			f := vc.buf[0]
+			f := vc.ring[vc.head]
 			if !f.Head() || f.Pkt.BeingRescued {
 				continue
 			}

@@ -12,7 +12,7 @@ import (
 // snapshot never clones them, it captures their *canonical* mutable state
 // (buffered flits, wormhole ownership, allocated routes, timestamps) and a
 // restore writes that state back into the same live objects. All derived
-// acceleration state — the occupancy/routed/ready words and feeder
+// acceleration state — the occupancy/routed/ready/parked words and feeder
 // back-pointers — is rebuilt from the canonical state afterwards via
 // RebuildState/ResetDerived, exactly the way Router.initState folds
 // pre-filled buffers in on a router's first Step. That keeps the snapshot
@@ -50,8 +50,8 @@ type VCState struct {
 // defined for every packet with flits or ownership here). It panics if the
 // VC holds staged (uncommitted) flits — snapshots are cycle-boundary only.
 func (v *VC) CaptureState(remapPkt func(*message.Packet) *message.Packet) VCState {
-	if len(v.staged) != 0 {
-		panic(fmt.Sprintf("router: snapshot of %v with %d staged flits (not at a cycle boundary)", v, len(v.staged)))
+	if v.ns != 0 {
+		panic(fmt.Sprintf("router: snapshot of %v with %d staged flits (not at a cycle boundary)", v, v.ns))
 	}
 	s := VCState{
 		Owner:      remapPkt(v.Owner),
@@ -61,9 +61,10 @@ func (v *VC) CaptureState(remapPkt func(*message.Packet) *message.Packet) VCStat
 		Knotted:    v.Knotted,
 		StallNoted: v.stallNoted,
 	}
-	if len(v.buf) > 0 {
-		s.Flits = make([]message.Flit, len(v.buf))
-		for i, f := range v.buf {
+	if v.n > 0 {
+		s.Flits = make([]message.Flit, v.n)
+		for i := range s.Flits {
+			f := v.ring[(v.head+int32(i))&v.mask]
 			s.Flits[i] = message.Flit{Pkt: remapPkt(f.Pkt), Idx: f.Idx}
 		}
 	}
@@ -76,11 +77,10 @@ func (v *VC) CaptureState(remapPkt func(*message.Packet) *message.Packet) VCStat
 // state (channel masks, router words, the shared occupancy counter) with
 // Channel.ResetDerived and Router.RebuildState afterwards.
 func (v *VC) RestoreState(s VCState, remapPkt func(*message.Packet) *message.Packet) {
-	v.buf = v.buf[:0]
-	for _, f := range s.Flits {
-		v.buf = append(v.buf, message.Flit{Pkt: remapPkt(f.Pkt), Idx: f.Idx})
+	v.head, v.n, v.ns = 0, int32(len(s.Flits)), 0
+	for i, f := range s.Flits {
+		v.ring[i] = message.Flit{Pkt: remapPkt(f.Pkt), Idx: f.Idx}
 	}
-	v.staged = v.staged[:0]
 	v.Owner = remapPkt(s.Owner)
 	v.Route = s.Route
 	v.RoutePort = s.RoutePort
@@ -100,10 +100,10 @@ func (c *Channel) ResetDerived() {
 	}
 	*c.occ = 0
 	for i, vc := range c.VCs {
-		if len(vc.staged) != 0 {
+		if vc.ns != 0 {
 			panic(fmt.Sprintf("router: restore into %v with staged flits", vc))
 		}
-		if len(vc.buf) > 0 {
+		if vc.n > 0 {
 			*c.occ |= 1 << uint(i)
 		}
 	}
@@ -141,7 +141,9 @@ func (r *Router) RestoreSched(s RouterSched) {
 
 // RebuildState drops every piece of derived acceleration state (the
 // occ/routed/ready words, feeder pointers) and rebuilds it from the
-// canonical VC state, exactly as initState does on a router's first Step.
+// canonical VC state, exactly as initState does on a router's first Step;
+// the parked words start from zero, so every blocked header is re-attempted
+// once.
 // Callers must have cleared stale feeder pointers on all VCs first
 // (RestoreState does) so targets that lost their route source in the
 // restored state do not keep phantom credit links.
