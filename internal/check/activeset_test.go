@@ -48,6 +48,7 @@ func TestSkipAheadDenseEquivalence(t *testing.T) {
 		{"PR-PAT280-fanout", schemes.PR, protocol.PAT280, 4, 0.01, 3},
 		{"DR-PAT721-mid", schemes.DR, protocol.PAT721, 8, 0.012, 5},
 		{"SA-PAT721-mid", schemes.SA, protocol.PAT721, 8, 0.012, 11},
+		{"PR-PAT721-16vc", schemes.PR, protocol.PAT721, 16, 0.015, 13}, // two words per router
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,6 +285,7 @@ func TestParkingEquivalence(t *testing.T) {
 		{"SA-8VC-knee", knee(schemes.SA, protocol.PAT271, 8), false, false},
 		{"PR-scarce", scarce(schemes.PR, 2, 0.03), true, false},
 		{"DR-scarce", scarce(schemes.DR, 4, 0.03), false, true},
+		{"PR-16VC", scarce(schemes.PR, 16, 0.05), false, false}, // two words per router
 	}
 	for i, tc := range cases {
 		tc, seed := tc, uint64(3+2*i)

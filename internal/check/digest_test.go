@@ -22,7 +22,10 @@ type goldenEntry struct {
 
 // goldenConfigs is the pinned configuration matrix: one run per
 // deadlock-handling family, short enough for CI, long enough to exercise
-// warmup, measurement, and drain.
+// warmup, measurement, and drain. The wide-channel entries were recorded
+// before the router packed all its inputs into shared words: five inputs of
+// 16 VCs fill two words, of 13 VCs 65 bits (the last group is padded into a
+// second word), of 24 VCs three words.
 func goldenConfigs() map[string]network.Config {
 	mk := func(kind schemes.Kind, pat *protocol.Pattern, vcs int, rate float64) network.Config {
 		cfg := network.DefaultConfig()
@@ -40,6 +43,10 @@ func goldenConfigs() map[string]network.Config {
 		"sa-pat271": mk(schemes.SA, protocol.PAT271, 8, 0.008),
 		"dr-pat271": mk(schemes.DR, protocol.PAT271, 4, 0.012),
 		"pr-pat271": mk(schemes.PR, protocol.PAT271, 4, 0.02),
+
+		"pr-pat271-16vc": mk(schemes.PR, protocol.PAT271, 16, 0.02),
+		"dr-pat721-13vc": mk(schemes.DR, protocol.PAT721, 13, 0.012),
+		"sa-pat271-24vc": mk(schemes.SA, protocol.PAT271, 24, 0.008),
 	}
 }
 
