@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
 
 func TestParseRadix(t *testing.T) {
 	cases := []struct {
@@ -35,5 +41,32 @@ func TestParseRadix(t *testing.T) {
 				t.Errorf("parseRadix(%q) = %v, want %v", c.in, got, c.want)
 			}
 		}
+	}
+}
+
+// TestMain lets a test run the test binary as netsim itself: with
+// NETSIM_TEST_MAIN set it calls main on the given arguments and never returns
+// to the test runner.
+func TestMain(m *testing.M) {
+	if os.Getenv("NETSIM_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestTooManyVCsIsAFlagError: -vcs beyond the router's 64-VC limit used to die
+// with a stack trace out of router.NewChannel; it must be an ordinary flag
+// error: one netsim:-prefixed line naming the limit, exit status 1.
+func TestTooManyVCsIsAFlagError(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-vcs", "65", "-radix", "4x4")
+	cmd.Env = append(os.Environ(), "NETSIM_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("netsim -vcs 65: %v, want exit status 1\n%s", err, out)
+	}
+	if s := string(out); !strings.HasPrefix(s, "netsim: ") || !strings.Contains(s, "limit of 64") || strings.Count(s, "\n") != 1 {
+		t.Fatalf("netsim -vcs 65 printed %q, want one netsim: line naming the limit", s)
 	}
 }

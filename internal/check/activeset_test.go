@@ -127,40 +127,68 @@ func TestRegimeSwitchEquivalence(t *testing.T) {
 	}
 }
 
+// secondWordInput is the input of a secondWordCfg router whose VCs lie in the
+// router's second word, and not at its start: four link inputs of 16 VCs fill
+// the first word, the two injection channels take bits 0..15 and 16..31 of the
+// second. The mask-drift tests forge a VC there too, so the checker is also
+// held to reading a group through the accessors' word index, shift and mask.
+const secondWordInput = 5
+
+func secondWordCfg(kind schemes.Kind, pat *protocol.Pattern, rate float64) network.Config {
+	cfg := smallCfg(kind, pat, 16, rate)
+	cfg.Bristling = 2
+	return cfg
+}
+
 // TestRoutedMaskDriftCaught forges the exact corruption the bitmask sweep is
 // exposed to: clearing a VC's canonical Route field without going through
-// clearRoute, so the router's routed and ready words go stale. The
-// active-state cross-check must flag both within one CheckNow.
+// release, so the router's routed and ready bits go stale. The active-state
+// cross-check must flag both, and nothing else, within one CheckNow.
 func TestRoutedMaskDriftCaught(t *testing.T) {
-	n := mustNet(t, smallCfg(schemes.PR, protocol.PAT271, 8, 0.01))
-	c := check.Attach(n, check.Options{})
+	for _, tc := range []struct {
+		name  string
+		cfg   network.Config
+		input int // -1: any
+	}{
+		{"8vc", smallCfg(schemes.PR, protocol.PAT271, 8, 0.01), -1},
+		{"16vc-second-word", secondWordCfg(schemes.PR, protocol.PAT271, 0.01), secondWordInput},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := mustNet(t, tc.cfg)
+			c := check.Attach(n, check.Options{})
 
-	var target *router.VC
-	for i := 0; i < 3000 && target == nil; i++ {
-		n.RunCycles(1)
-		for _, ch := range n.Channels {
-			for _, vc := range ch.VCs {
-				if vc.Route != nil && vc.Route.SpaceFor() {
-					target = vc
-					break
+			var target *router.VC
+			for i := 0; i < 3000 && target == nil; i++ {
+				n.RunCycles(1)
+				for _, r := range n.Routers {
+					for i, in := range r.Inputs {
+						if in == nil || (tc.input >= 0 && i != tc.input) {
+							continue
+						}
+						for _, vc := range in.VCs {
+							if vc.Route != nil && vc.Route.SpaceFor() {
+								target = vc
+							}
+						}
+					}
 				}
 			}
-			if target != nil {
-				break
+			if target == nil {
+				t.Fatal("no routed VC appeared within 3000 cycles")
 			}
-		}
-	}
-	if target == nil {
-		t.Fatal("no routed VC appeared within 3000 cycles")
-	}
 
-	// Bypass clearRoute, on a VC whose ready bit is set so both words go stale.
-	target.Route = nil
-	c.CheckNow(n.Clock.Now())
-	for _, rule := range []string{"routed-mask-drift", "ready-mask-drift"} {
-		if !hasRule(c.Violations(), rule) {
-			t.Errorf("%s not caught; rules seen: %v", rule, rules(c.Violations()))
-		}
+			// Bypass release, on a VC whose ready bit is set so both words go stale.
+			target.Route = nil
+			c.CheckNow(n.Clock.Now())
+			for _, rule := range []string{"routed-mask-drift", "ready-mask-drift"} {
+				if !hasRule(c.Violations(), rule) {
+					t.Errorf("%s not caught; rules seen: %v", rule, rules(c.Violations()))
+				}
+			}
+			if len(c.Violations()) != 2 {
+				t.Errorf("one forged VC raised %v", rules(c.Violations()))
+			}
+		})
 	}
 }
 
@@ -323,28 +351,39 @@ func TestParkingEquivalence(t *testing.T) {
 // output VC loses its owner without going through VC.release, so a header
 // parked on it is never woken. parked-mask-drift must name it.
 func TestParkedMaskDriftCaught(t *testing.T) {
-	n := mustNet(t, smallCfg(schemes.PR, protocol.PAT721, 2, 0.03))
-	c := check.Attach(n, check.Options{})
-	for cycle := 0; cycle < 3000; cycle++ {
-		n.RunCycles(1) // the first sweep steps every router, so the words exist
-		for _, r := range n.Routers {
-			for i, in := range r.Inputs {
-				if in == nil || r.InputParkedWord(i) == 0 {
-					continue
+	for _, tc := range []struct {
+		name  string
+		cfg   network.Config
+		input int // -1: any
+	}{
+		{"2vc", smallCfg(schemes.PR, protocol.PAT721, 2, 0.03), -1},
+		{"16vc-second-word", secondWordCfg(schemes.SA, protocol.PAT721, 0.03), secondWordInput},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := mustNet(t, tc.cfg)
+			c := check.Attach(n, check.Options{})
+			for cycle := 0; cycle < 3000; cycle++ {
+				n.RunCycles(1) // the first sweep steps every router, so the words exist
+				for _, r := range n.Routers {
+					for i, in := range r.Inputs {
+						if in == nil || r.InputParkedWord(i) == 0 || (tc.input >= 0 && i != tc.input) {
+							continue
+						}
+						if err := c.Err(); err != nil {
+							t.Fatalf("violations before the forgery: %v", err)
+						}
+						f, _ := in.VCs[bits.TrailingZeros64(r.InputParkedWord(i))].Front()
+						cand := n.Candidates(r.ID, f.Pkt)[0]
+						r.Outputs[cand.Port].VCs[cand.VC].Owner = nil // bypasses release
+						c.CheckNow(n.Clock.Now())
+						if !hasRule(c.Violations(), "parked-mask-drift") {
+							t.Fatalf("stale parked bit not caught; rules seen: %v", rules(c.Violations()))
+						}
+						return
+					}
 				}
-				if err := c.Err(); err != nil {
-					t.Fatalf("violations before the forgery: %v", err)
-				}
-				f, _ := in.VCs[bits.TrailingZeros64(r.InputParkedWord(i))].Front()
-				cand := n.Candidates(r.ID, f.Pkt)[0]
-				r.Outputs[cand.Port].VCs[cand.VC].Owner = nil // bypasses release
-				c.CheckNow(n.Clock.Now())
-				if !hasRule(c.Violations(), "parked-mask-drift") {
-					t.Fatalf("stale parked bit not caught; rules seen: %v", rules(c.Violations()))
-				}
-				return
 			}
-		}
+			t.Fatal("no header was parked within 3000 cycles")
+		})
 	}
-	t.Fatal("no header was parked within 3000 cycles")
 }

@@ -156,6 +156,8 @@ type NI struct {
 	rescueReq *message.Message
 
 	streak []int64
+	// detectFill is Cfg.DetectFill as a slot count, fixed at construction.
+	detectFill int
 
 	// inFullNoted/outFullNoted dedupe QueueFull events: one per blockage,
 	// re-armed when the queue sheds an entry.
@@ -206,6 +208,7 @@ func New(cfg Config) *NI {
 	ni.inQ = make([][]*message.Message, cfg.Queues)
 	ni.inAlloc = make([]int, cfg.Queues)
 	ni.streak = make([]int64, cfg.Queues)
+	ni.detectFill = detectFillSlots(cfg)
 	ni.inFullNoted = make([]bool, cfg.Queues)
 	ni.outFullNoted = make([]bool, cfg.Queues)
 	return ni
@@ -667,17 +670,17 @@ func (n *NI) OutHead(q int) (*message.Message, *message.Packet, *router.VC, bool
 }
 
 // detectFillSlots converts the DetectFill fraction into a slot count.
-func (n *NI) detectFillSlots() int {
-	f := n.Cfg.DetectFill
+func detectFillSlots(cfg Config) int {
+	f := cfg.DetectFill
 	if f <= 0 {
 		f = 0.75
 	}
-	slots := int(f * float64(n.Cfg.QueueCap))
+	slots := int(f * float64(cfg.QueueCap))
 	if slots < 1 {
 		slots = 1
 	}
-	if slots > n.Cfg.QueueCap {
-		slots = n.Cfg.QueueCap
+	if slots > cfg.QueueCap {
+		slots = cfg.QueueCap
 	}
 	return slots
 }
@@ -691,7 +694,7 @@ func (n *NI) detectFillSlots() int {
 // threshold cycles (the paper's "minimum recovery action" resolves one
 // message per detection).
 func (n *NI) detect(now int64) {
-	fill := n.detectFillSlots()
+	fill := n.detectFill
 	for q := 0; q < n.Cfg.Queues; q++ {
 		fire := false
 		if len(n.inQ[q])+n.inAlloc[q] >= fill && len(n.inQ[q]) > 0 {

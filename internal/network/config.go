@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/netiface"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/schemes"
 )
 
@@ -140,6 +141,9 @@ func (c *Config) Validate() error {
 	}
 	if c.VCs < 1 || c.FlitBuf < 1 || c.QueueCap < 1 || c.ServiceTime < 1 {
 		return fmt.Errorf("network: non-positive resource parameter")
+	}
+	if c.VCs > router.MaxVCs {
+		return fmt.Errorf("network: %d virtual channels per link exceed the limit of %d", c.VCs, router.MaxVCs)
 	}
 	if c.DetectThreshold < 1 || c.RouterTimeout < 1 || c.TokenHopCycles < 1 {
 		return fmt.Errorf("network: non-positive threshold parameter")

@@ -1,10 +1,13 @@
 package network
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/netiface"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/schemes"
 )
 
@@ -98,6 +101,24 @@ func TestSchemeValidityMatchesPaperGaps(t *testing.T) {
 	cfg := smallConfig(schemes.PR, protocol.PAT271, 1, 0.001)
 	if _, err := New(cfg); err != nil {
 		t.Errorf("PR with 1 VC should be valid: %v", err)
+	}
+}
+
+// TestTooManyVCsIsAnError pins the per-link limit as a configuration error:
+// 65 VCs used to pass Validate and panic in router.NewChannel, which netsim
+// showed as a stack trace and the service as a job that "panicked".
+func TestTooManyVCsIsAnError(t *testing.T) {
+	cfg := smallConfig(schemes.PR, protocol.PAT271, router.MaxVCs, 0.001)
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d VCs rejected: %v", cfg.VCs, err)
+	}
+	cfg.VCs++
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(router.MaxVCs)) {
+		t.Fatalf("Validate with %d VCs = %v, want an error naming the limit %d", cfg.VCs, err, router.MaxVCs)
+	}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New built a network the router cannot hold")
 	}
 }
 

@@ -88,18 +88,24 @@ type VC struct {
 	// success or when the buffer drains.
 	stallNoted bool
 
+	// input and wi are the index of the VC's channel among host.Inputs and
+	// of the host word holding bit; they share the flags' eight bytes so the
+	// VC stays at 208.
+	input, wi int16
+
 	// occ, when non-nil, points at a network-wide committed-flit counter
 	// maintained incrementally so quiescence checks need not scan every
 	// channel. It counts committed flits only, matching Occupied.
 	occ *int64
 
-	// host and word tie this VC into the routed/ready bitmasks of the router
-	// consuming its channel as an input: host.words[word] carries one bit per
-	// VC at position Index. Set by Router.initState on the router's first
-	// Step; nil/zero for VCs that are no router's input (ejection channels),
-	// which then skip the routed/ready bookkeeping.
+	// host and bit tie this VC into the words of the router consuming its
+	// channel as an input: bit is this VC's one bit of host.words[wi] and of
+	// *Ch.occ. Router.initState assigns them on the router's first Step;
+	// until then, and for good on VCs that are no router's input (ejection
+	// channels), host is nil, the routed/ready bookkeeping is skipped and
+	// bit is 1<<Index in the channel's own occupancy word.
 	host *Router
-	word int32
+	bit  uint64
 
 	// up is the router this VC is an output of (set by its initState; nil
 	// for injection channels, which the NI allocates): losing Owner here is
@@ -128,7 +134,7 @@ func (v *VC) ReduceCap() bool {
 	}
 	v.cap--
 	if v.feeder != nil && !v.SpaceFor() {
-		v.feeder.host.words[v.feeder.word].ready &^= 1 << uint(v.feeder.Index)
+		v.feeder.host.words[v.feeder.wi].ready &^= v.feeder.bit
 	}
 	return true
 }
@@ -172,7 +178,7 @@ func (v *VC) Stage(f message.Flit) {
 		v.Ch.noteStaged(v.Index)
 	}
 	if v.feeder != nil && !v.SpaceFor() {
-		v.feeder.host.words[v.feeder.word].ready &^= 1 << uint(v.feeder.Index)
+		v.feeder.host.words[v.feeder.wi].ready &^= v.feeder.bit
 	}
 }
 
@@ -191,7 +197,7 @@ func (v *VC) Commit(now int64) {
 	}
 	v.n += v.ns
 	v.ns = 0
-	*v.Ch.occ |= 1 << uint(v.Index)
+	*v.Ch.occ |= v.bit
 }
 
 // Dequeue removes and returns the head flit, updating wormhole state: on
@@ -207,11 +213,11 @@ func (v *VC) Dequeue(now int64) message.Flit {
 		*v.occ--
 	}
 	if v.n == 0 {
-		*v.Ch.occ &^= 1 << uint(v.Index)
+		*v.Ch.occ &^= v.bit
 	}
 	if v.feeder != nil {
 		// A dequeue always leaves space, so the feeder becomes ready.
-		v.feeder.host.words[v.feeder.word].ready |= 1 << uint(v.feeder.Index)
+		v.feeder.host.words[v.feeder.wi].ready |= v.feeder.bit
 	}
 	v.LastMove = now
 	if f.Tail() {
@@ -231,10 +237,10 @@ func (v *VC) release() {
 	v.Route = nil
 	v.RoutePort = 0
 	if v.host != nil {
-		w := &v.host.words[v.word]
-		w.routed &^= 1 << uint(v.Index)
-		w.ready &^= 1 << uint(v.Index)
-		w.parked &^= 1 << uint(v.Index)
+		w := &v.host.words[v.wi]
+		w.routed &^= v.bit
+		w.ready &^= v.bit
+		w.parked &^= v.bit
 	}
 	v.stallNoted = false
 	if v.up != nil {
@@ -258,10 +264,10 @@ func (v *VC) Evacuate(pkt *message.Packet, now int64) int {
 	}
 	v.n, v.ns = 0, 0
 	if v.feeder != nil {
-		v.feeder.host.words[v.feeder.word].ready |= 1 << uint(v.feeder.Index)
+		v.feeder.host.words[v.feeder.wi].ready |= v.feeder.bit
 	}
 	v.release()
-	*v.Ch.occ &^= 1 << uint(v.Index)
+	*v.Ch.occ &^= v.bit
 	v.LastMove = now
 	return n
 }
@@ -306,21 +312,24 @@ type Channel struct {
 	stagedMask   uint64
 	onStage      func(*Channel)
 
-	// occ points at the channel's one committed-occupancy word: bit v is set
-	// while VCs[v] holds committed flits; VC.Commit/Dequeue/Evacuate maintain
-	// it. Once the consuming router has built its state the word is that
-	// router's words[i].occ (Router.initState re-points it), so the
-	// allocator's scan stays on contiguous memory while the NI ejection
-	// drain and the deadlock scan read the same bits through OccMask. A
-	// channel no router hosts — an ejection channel, or any channel before
-	// its router's first Step — uses ownOcc.
+	// occ points at the word holding the channel's committed-occupancy bits:
+	// bit shift+v is set while VCs[v] holds committed flits;
+	// VC.Commit/Dequeue/Evacuate maintain it through VC.bit. Once the
+	// consuming router has built its state the word is one of that router's
+	// words[w].occ, shared with its other inputs (Router.initState re-points
+	// it and sets shift), so the allocator tests every input in one load
+	// while the NI ejection drain and the deadlock scan read the same bits
+	// through OccMask. A channel no router hosts — an ejection channel, or
+	// any channel before its router's first Step — uses ownOcc at shift 0.
 	occ    *uint64
 	ownOcc uint64
+	vmask  uint64 // len(VCs) low bits
+	shift  uint8
 }
 
 // OccMask returns the committed-occupancy bitmask: bit v is set iff VCs[v]
 // buffers at least one committed flit.
-func (c *Channel) OccMask() uint64 { return *c.occ }
+func (c *Channel) OccMask() uint64 { return *c.occ >> c.shift & c.vmask }
 
 // SetStageHook installs fn to run once per cycle when the channel first
 // receives a staged flit. The network uses it to maintain its dirty-channel
@@ -341,17 +350,21 @@ func (c *Channel) noteStaged(idx int) {
 	}
 }
 
+// MaxVCs is the most virtual channels one physical channel may carry: its
+// occupancy, staging and router-word bits must fit one 64-bit word.
+const MaxVCs = 64
+
 // NewChannel builds a channel with vcs virtual channels of depth flitBuf.
-// At most 64 VCs fit the per-channel occupancy and staging bitmask words.
 func NewChannel(kind ChannelKind, src, dst topology.NodeID, dir topology.Direction, local, id, vcs, flitBuf int) *Channel {
-	if vcs > 64 {
-		panic(fmt.Sprintf("router: %d VCs exceed the 64-bit channel bitmask", vcs))
+	if vcs > MaxVCs {
+		panic(fmt.Sprintf("router: %d VCs exceed the %d-bit channel bitmask", vcs, MaxVCs))
 	}
 	ch := &Channel{Kind: kind, Src: src, Dst: dst, Dir: dir, Local: local, ID: id}
 	ch.occ = &ch.ownOcc
+	ch.vmask = ^uint64(0) >> uint(64-vcs)
 	ch.VCs = make([]*VC, vcs)
 	for i := range ch.VCs {
-		vc := &VC{Ch: ch, Index: i, cap: flitBuf}
+		vc := &VC{Ch: ch, Index: i, cap: flitBuf, bit: 1 << uint(i)}
 		size := 1
 		for size < flitBuf {
 			size <<= 1

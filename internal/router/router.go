@@ -92,48 +92,55 @@ type Router struct {
 	// Active-set state (built lazily by initState on the first Step or
 	// input scan, so tests may wire Inputs and pre-fill buffers first).
 	//
-	// words holds one occ/routed/ready/parked word group per input channel,
-	// packed so a scan touches contiguous cache lines: bit v of words[i].occ
-	// is set iff Inputs[i].VCs[v] holds committed flits (it is the channel's
-	// one occupancy word — see Channel.occ), bit v of words[i].routed iff
-	// that VC has an allocated Route, and bit v of words[i].ready iff that
-	// Route currently has buffer space (maintained from the target side
-	// through the VC feeder back-pointer — the credit signal). The VC
-	// methods (Commit/Dequeue/Evacuate/Stage/ReduceCap) and setRoute
-	// maintain the bits at exactly the points the corresponding state
-	// changes, so allocate and arbitrate iterate set bits instead of walking
-	// every VC, and occ∧routed∧ready enumerates exactly the movable worms.
+	// words holds every input VC's four control bits, all inputs packed into
+	// as few words as fit: input i owns the bit group groups[i] of one word
+	// (five inputs of up to 12 VCs share a single word, so one load tests the
+	// whole router). At a VC's bit (VC.bit in words[VC.wi]), occ is set iff the
+	// VC holds committed flits (the same word Channel.occ points at), routed
+	// iff it has an allocated Route, and ready iff that Route currently has
+	// buffer space (maintained from the target side through the VC feeder
+	// back-pointer — the credit signal). The VC methods
+	// (Commit/Dequeue/Evacuate/Stage/ReduceCap/release) and setRoute maintain
+	// the bits at exactly the points the corresponding state changes, so
+	// allocate and arbitrate iterate set bits instead of walking every VC, and
+	// occ∧routed∧ready enumerates exactly the movable worms.
 	//
-	// Bit v of words[i].parked marks a header whose last allocation attempt
-	// found every candidate output VC owned. allocate skips it until the
-	// answer can change: one of this router's output VCs is released
-	// (VC.release, through VC.up) or the candidate sets change (Unpark).
-	words []inWords
+	// A parked bit marks a header whose last allocation attempt found every
+	// candidate output VC owned. allocate skips it until the answer can
+	// change: one of this router's output VCs is released (VC.release,
+	// through VC.up) or the candidate sets change (Unpark).
+	words  []inWords
+	groups []group
 
 	// vaAttempts/vaGrants count header allocation attempts and the grants
 	// among them: exact work counters, the same on every host.
 	vaAttempts, vaGrants int64
 
-	// base maps input channel index -> flat VC offset (-1 for nil inputs);
-	// flatVC indexes all input VCs in (input, vc) order, so a set bit
-	// resolves to its VC without walking Inputs[i].VCs.
-	base   []int32
+	// flatVC resolves a bit to its VC: bit b of words[w] is flatVC[w<<6|b]
+	// (nil at padding bits, which are never set). Bit order is (input, vc)
+	// order, the order of the dense scan over Inputs[i].VCs.
 	flatVC []*VC
 
-	// reqBucket buckets arbitration requesters by output port in one pass
-	// over the live (occupied ∧ routed ∧ ready) bits, replacing a rescan of
-	// every input word per output. Entries are packed codes
-	// (input index << 16 | flat VC index) in ascending (input, vc) order,
-	// matching the dense gather order exactly.
-	reqBucket [][]int32
+	// req is arbitrate's scratch, zero between calls: len(words) request
+	// words per output port (the live VCs routed to it), then len(words)
+	// words of inputs already charged this cycle.
+	req []uint64
 }
 
-// inWords is one input channel's occupancy/routing/credit/parking bit words.
+// inWords is one word of occupancy/routing/credit/parking bits.
 type inWords struct {
 	occ    uint64
 	routed uint64
 	ready  uint64
 	parked uint64
+}
+
+// group locates one input channel's bits: mask within words[w], VC 0 at bit
+// shift. A nil input keeps the zero group, which selects nothing.
+type group struct {
+	mask  uint64
+	w     int
+	shift uint8
 }
 
 // New builds a router shell; the network wires Inputs/Outputs afterwards.
@@ -147,32 +154,32 @@ func New(id topology.NodeID, policy Policy, numIn, numOut int) *Router {
 	}
 }
 
-// initState builds the bitmask words and the flat VC index from the current
-// channel state. It runs once, lazily, on the first Step or input scan: by
-// then the network (or a test harness) has wired Inputs, and any pre-filled
-// buffers are folded into the masks here. From this point on the VC mutation
-// methods keep the words in sync incrementally.
+// initState lays the inputs' bit groups out, builds the words and the flat VC
+// index from the current channel state, and points every input channel and
+// VC at its bits. It runs lazily on the first Step or input scan: by then the
+// network (or a test harness) has wired Inputs, and any pre-filled buffers are
+// folded into the words here. From this point on the VC mutation methods keep
+// the words in sync incrementally.
 func (r *Router) initState() {
-	nIn := len(r.Inputs)
-	r.words = make([]inWords, nIn)
-	r.base = make([]int32, nIn)
-	total := 0
+	r.groups = make([]group, len(r.Inputs))
+	pos := 0
 	for i, in := range r.Inputs {
 		if in == nil {
-			r.base[i] = -1
 			continue
 		}
-		if len(in.VCs) > 64 {
-			panic(fmt.Sprintf("router: %d VCs on input %d exceed the 64-bit occupancy word", len(in.VCs), i))
+		n := len(in.VCs)
+		if n > MaxVCs {
+			panic(fmt.Sprintf("router: %d VCs on input %d exceed the %d-bit word", n, i, MaxVCs))
 		}
-		r.base[i] = int32(total)
-		total += len(in.VCs)
+		if pos&63+n > 64 {
+			pos = (pos | 63) + 1 // a group never straddles two words
+		}
+		r.groups[i] = group{mask: in.vmask << uint(pos&63), w: pos >> 6, shift: uint8(pos & 63)}
+		pos += n
 	}
-	r.flatVC = make([]*VC, total)
-	r.reqBucket = make([][]int32, len(r.Outputs))
-	for o := range r.reqBucket {
-		r.reqBucket[o] = make([]int32, 0, 8)
-	}
+	r.flatVC = make([]*VC, pos)
+	r.words = make([]inWords, (pos+63)>>6)
+	r.req = make([]uint64, (len(r.Outputs)+1)*len(r.words))
 	for _, out := range r.Outputs {
 		if out == nil {
 			continue
@@ -185,18 +192,20 @@ func (r *Router) initState() {
 		if in == nil {
 			continue
 		}
-		in.occ = &r.words[i].occ
+		g := r.groups[i]
+		w := &r.words[g.w]
+		in.occ, in.shift = &w.occ, g.shift
 		for v, vc := range in.VCs {
-			vc.host, vc.word = r, int32(i)
-			r.flatVC[r.base[i]+int32(v)] = vc
+			vc.host, vc.input, vc.wi, vc.bit = r, int16(i), int16(g.w), 1<<(uint(g.shift)+uint(v))
+			r.flatVC[g.w<<6|int(g.shift)+v] = vc
 			if vc.Len() > 0 {
-				r.words[i].occ |= 1 << uint(v)
+				w.occ |= vc.bit
 			}
 			if vc.Route != nil {
-				r.words[i].routed |= 1 << uint(v)
+				w.routed |= vc.bit
 				vc.Route.feeder = vc
 				if vc.Route.SpaceFor() {
-					r.words[i].ready |= 1 << uint(v)
+					w.ready |= vc.bit
 				}
 			}
 		}
@@ -208,9 +217,10 @@ func (r *Router) setRoute(vc *VC, out *VC, port int) {
 	vc.Route = out
 	vc.RoutePort = port
 	out.feeder = vc
-	r.words[vc.word].routed |= 1 << uint(vc.Index)
+	w := &r.words[vc.wi]
+	w.routed |= vc.bit
 	if out.SpaceFor() {
-		r.words[vc.word].ready |= 1 << uint(vc.Index)
+		w.ready |= vc.bit
 	}
 }
 
@@ -218,14 +228,24 @@ func (r *Router) setRoute(vc *VC, out *VC, port int) {
 // skips mask cross-checks on routers that have never stepped.
 func (r *Router) ActiveStateReady() bool { return r.flatVC != nil }
 
-// InputRoutedWord returns the routed bitmask word for input channel i.
-func (r *Router) InputRoutedWord(i int) uint64 { return r.words[i].routed }
+// InputRoutedWord returns the routed bitmask of input channel i, bit v for
+// VCs[v] (as do the two below: the group is shifted down out of its word).
+func (r *Router) InputRoutedWord(i int) uint64 {
+	g := r.groups[i]
+	return r.words[g.w].routed & g.mask >> g.shift
+}
 
-// InputReadyWord returns the credit-ready bitmask word for input channel i.
-func (r *Router) InputReadyWord(i int) uint64 { return r.words[i].ready }
+// InputReadyWord returns the credit-ready bitmask of input channel i.
+func (r *Router) InputReadyWord(i int) uint64 {
+	g := r.groups[i]
+	return r.words[g.w].ready & g.mask >> g.shift
+}
 
-// InputParkedWord returns the parked-header bitmask word for input channel i.
-func (r *Router) InputParkedWord(i int) uint64 { return r.words[i].parked }
+// InputParkedWord returns the parked-header bitmask of input channel i.
+func (r *Router) InputParkedWord(i int) uint64 {
+	g := r.groups[i]
+	return r.words[g.w].parked & g.mask >> g.shift
+}
 
 // Unpark makes every parked header eligible for allocation again. Releasing
 // one of this router's output VCs calls it; so must whatever else can turn a
@@ -315,41 +335,37 @@ func (r *Router) pickCandidate(cands []routing.PortVC) (routing.PortVC, bool) {
 // front flit is an unrouted header: the first candidate VC not owned by
 // another packet is claimed. Candidate order encodes policy preference
 // (adaptive first, escape last). Only occupied, unrouted, unparked VCs are
-// visited — occ &^ routed &^ parked — in ascending bit order, which is
-// exactly the VC order the dense scan used, so arbitration outcomes are
-// unchanged. A failed attempt changes nothing (pickCandidate advances its
-// cursor only on success, the stall event fires once per blockage), so
-// skipping the attempts that must fail again is invisible.
-//
-// Since allocate already touches every input's word triple, it folds in the
-// live (occupied ∧ routed ∧ ready) summary that arbitrate needs, sparing
-// arbitrate a second scan. The summary for input i is read after the input
-// has been processed: setRoute only mutates the words of the VC being
-// routed, which belongs to i, so the accumulated view equals the
-// post-allocation state arbitrate would recompute. Accumulation order does
-// not matter — lastI/lastW are consumed only when tot == 1, in which case a
-// single input holds the one live bit.
-func (r *Router) allocate(now int64) (live, lastW uint64, tot, lastI int) {
+// visited — occ &^ routed &^ parked — input by input from the rotating
+// cursor and in ascending bit order within an input, which is exactly the
+// VC order the dense scan used, so arbitration outcomes are unchanged. A
+// failed attempt changes nothing (pickCandidate advances its cursor only on
+// success, the stall event fires once per blockage), so skipping the attempts
+// that must fail again is invisible; most steps have no such VC at all and
+// end after one test per word.
+func (r *Router) allocate(now int64) {
+	va := r.vaRR
+	r.vaRR++
+	var pend uint64
+	for wi := range r.words {
+		w := &r.words[wi]
+		pend |= w.occ &^ w.routed &^ w.parked
+	}
+	if pend == 0 {
+		return
+	}
 	n := len(r.Inputs)
-	i := r.vaRR % n
+	i := va % n
 	for k := 0; k < n; k++ {
 		if i == n {
 			i = 0
 		}
-		w := r.words[i].occ &^ r.words[i].routed &^ r.words[i].parked
-		if w == 0 {
-			if lw := r.words[i].occ & r.words[i].routed & r.words[i].ready; lw != 0 {
-				live |= lw
-				tot += bits.OnesCount64(lw)
-				lastI, lastW = i, lw
-			}
-			i++
-			continue
-		}
-		for w != 0 {
-			v := bits.TrailingZeros64(w)
-			w &= w - 1
-			vc := r.flatVC[r.base[i]+int32(v)]
+		g := &r.groups[i]
+		wd := &r.words[g.w]
+		// Read when input i is reached: a grant only changes the granted
+		// VC's own bits, which lie in its own input's group.
+		w := wd.occ &^ wd.routed &^ wd.parked & g.mask
+		for ; w != 0; w &= w - 1 {
+			vc := r.flatVC[g.w<<6|bits.TrailingZeros64(w)]
 			f := vc.ring[vc.head] // occ bit set ⇒ committed flit present
 			if !f.Head() || f.Pkt.BeingRescued {
 				continue
@@ -366,39 +382,40 @@ func (r *Router) allocate(now int64) (live, lastW uint64, tot, lastI int) {
 				vc.stallNoted = false
 				continue
 			}
-			r.words[i].parked |= 1 << uint(v)
+			wd.parked |= vc.bit
 			if r.Obs != nil && !vc.stallNoted {
 				vc.stallNoted = true
-				r.Obs.VCStalled(now, r.ID, f.Pkt, r.Inputs[i].ID, vc.Index)
+				r.Obs.VCStalled(now, r.ID, f.Pkt, vc.Ch.ID, vc.Index)
 			}
-		}
-		if lw := r.words[i].occ & r.words[i].routed & r.words[i].ready; lw != 0 {
-			live |= lw
-			tot += bits.OnesCount64(lw)
-			lastI, lastW = i, lw
 		}
 		i++
 	}
-	r.vaRR++
-	return
 }
 
 // arbitrate moves at most one flit per output physical channel and at most
-// one flit per input physical channel, round-robin fair across both. The
-// live/tot/lastI/lastW summary of the post-allocation words comes from
-// allocate's scan (see there).
-func (r *Router) arbitrate(now int64, live, lastW uint64, tot, lastI int) {
-	// Fast exit when no VC is occupied, routed and credit-ready: no output
-	// can have a requester, so no saRR counter would advance in the dense
-	// scan either. The requester count routes the single-worm case —
-	// dominant at light load — past the bucket machinery.
-	if live == 0 {
+// one flit per input physical channel, round-robin fair across both.
+func (r *Router) arbitrate(now int64) {
+	// The requesters are the live VCs: occupied (flit present), routed and
+	// credit-ready (downstream space, pre-computed by the credit updates, so
+	// worms blocked on a full target cost nothing here). With none, no output
+	// can have a requester and no saRR counter would advance in the dense
+	// scan either.
+	tot, lastW, lastWi := 0, uint64(0), 0
+	for wi := range r.words {
+		w := &r.words[wi]
+		if lw := w.occ & w.routed & w.ready; lw != 0 {
+			tot += bits.OnesCount64(lw)
+			lastW, lastWi = lw, wi
+		}
+	}
+	if tot == 0 {
 		return
 	}
 	if tot == 1 {
-		// One requester: it wins its output unopposed, and no other output
-		// has a bucket, so no other saRR counter would advance.
-		vc := r.flatVC[r.base[lastI]+int32(bits.TrailingZeros64(lastW))]
+		// One requester — the dominant case at light load: it wins its
+		// output unopposed, and no other output has a request, so no other
+		// saRR counter would advance.
+		vc := r.flatVC[lastWi<<6|bits.TrailingZeros64(lastW)]
 		o := vc.RoutePort
 		if r.Outputs[o].Stalled {
 			return
@@ -408,68 +425,64 @@ func (r *Router) arbitrate(now int64, live, lastW uint64, tot, lastI int) {
 		target.Stage(vc.Dequeue(now))
 		return
 	}
-	// One pass over the live (occupied ∧ routed ∧ ready) bits buckets
-	// requesters by output port: flit present and downstream space, with
-	// the space predicate pre-computed by the credit updates, so worms
-	// blocked on a full target cost nothing here. The predicate is
-	// invariant across this cycle's moves — targets are distinct (exclusive
-	// VC ownership) and a move only flips the mover's own ready bit. No
-	// BeingRescued test is needed: Rescue.evacuate and the fault injector's
-	// worm drop both set the flag and strip the worm from every VC in the
-	// same call, so a committed flit of a rescued packet never exists when
-	// arbitration runs (the flag only matters to detection-level scans).
-	// Buckets hold packed codes (input index << 16 | flat VC index) rather
-	// than pointers, keeping the append loop free of GC write barriers.
-	var used uint32 // outputs with a non-empty bucket
-	for i := range r.words {
-		w := r.words[i].occ & r.words[i].routed & r.words[i].ready
-		for w != 0 {
-			v := bits.TrailingZeros64(w)
-			w &= w - 1
-			flat := r.base[i] + int32(v)
-			o := r.flatVC[flat].RoutePort
-			r.reqBucket[o] = append(r.reqBucket[o], int32(i)<<16|flat)
+	// One pass over the live bits builds each output port's request words.
+	// They stay valid through this cycle's moves — targets are distinct
+	// (exclusive VC ownership) and a move only flips bits of the mover's own
+	// input group, which is charged. No BeingRescued test is needed:
+	// Rescue.evacuate and the fault injector's worm drop both set the flag
+	// and strip the worm from every VC in the same call, so a committed flit
+	// of a rescued packet never exists when arbitration runs (the flag only
+	// matters to detection-level scans).
+	nw := len(r.words)
+	var used uint32 // outputs with a request
+	for wi := range r.words {
+		w := &r.words[wi]
+		for lw := w.occ & w.routed & w.ready; lw != 0; lw &= lw - 1 {
+			o := r.flatVC[wi<<6|bits.TrailingZeros64(lw)].RoutePort
+			r.req[o*nw+wi] |= lw & -lw
 			used |= 1 << uint(o)
 		}
 	}
-	// Visit only bucketed outputs, ascending — the dense output order.
-	// Buckets are reset after use, so untouched outputs cost nothing.
-	var moved uint64 // input channels already charged this cycle
-	for used != 0 {
+	// Requesting outputs ascending — the dense output order. Within one,
+	// ascending bits are the dense (input, vc) request order; bits of inputs
+	// an earlier output charged are dropped first, as the dense scan dropped
+	// them at gather time.
+	charged := r.req[len(r.Outputs)*nw:]
+	for ; used != 0; used &= used - 1 {
 		o := bits.TrailingZeros32(used)
-		used &= used - 1
-		reqs := r.reqBucket[o]
-		r.reqBucket[o] = reqs[:0]
-		if r.Outputs[o].Stalled {
-			continue
-		}
-		// Drop requesters whose input channel was charged by an earlier
-		// output — the cross-output dependency the dense scan applied at
-		// gather time. Bucket order is (input, vc) ascending, so the
-		// compacted list matches the dense request list exactly.
+		req := r.req[o*nw:][:nw]
 		m := 0
-		for _, code := range reqs {
-			if moved>>uint(code>>16)&1 == 0 {
-				reqs[m] = code
-				m++
+		if !r.Outputs[o].Stalled {
+			for wi, c := range charged {
+				req[wi] &^= c
+				m += bits.OnesCount64(req[wi])
 			}
 		}
-		if m == 0 {
-			continue
+		if m > 0 {
+			k := 0
+			if m > 1 {
+				k = r.saRR[o] % m
+			}
+			r.saRR[o]++
+			wi := 0
+			for c := bits.OnesCount64(req[0]); k >= c; c = bits.OnesCount64(req[wi]) {
+				k -= c
+				wi++
+			}
+			q := req[wi]
+			for ; k > 0; k-- {
+				q &= q - 1
+			}
+			winner := r.flatVC[wi<<6|bits.TrailingZeros64(q)]
+			charged[wi] |= r.groups[winner.input].mask // the whole input's bandwidth
+			// Capture the target before Dequeue, which clears Route when the
+			// tail flit departs.
+			target := winner.Route
+			target.Stage(winner.Dequeue(now))
 		}
-		k := 0
-		if m > 1 {
-			k = r.saRR[o] % m
-		}
-		code := reqs[k]
-		r.saRR[o]++
-		moved |= 1 << uint(code>>16) // charge the winner's input bandwidth
-		winner := r.flatVC[code&0xffff]
-		// Capture the target before Dequeue, which clears Route when the
-		// tail flit departs.
-		target := winner.Route
-		target.Stage(winner.Dequeue(now))
+		clear(req)
 	}
+	clear(charged)
 }
 
 // Step runs one cycle of the router pipeline: VC allocation then switch
@@ -482,15 +495,14 @@ func (r *Router) Step(now int64) {
 	if now < r.FrozenUntil {
 		return
 	}
-	if r.Prof == nil {
-		live, lastW, tot, lastI := r.allocate(now)
-		r.arbitrate(now, live, lastW, tot, lastI)
-		return
+	r.allocate(now)
+	if r.Prof != nil {
+		r.Prof.MarkRouting()
 	}
-	live, lastW, tot, lastI := r.allocate(now)
-	r.Prof.MarkRouting()
-	r.arbitrate(now, live, lastW, tot, lastI)
-	r.Prof.MarkArbitration()
+	r.arbitrate(now)
+	if r.Prof != nil {
+		r.Prof.MarkArbitration()
+	}
 }
 
 // BlockedPackets returns the distinct packets whose header flit sits
@@ -525,12 +537,9 @@ func (r *Router) scanInputs(pred func(*VC) bool) []*message.Packet {
 		r.initState()
 	}
 	out := r.scanBuf[:0]
-	for i := range r.Inputs {
-		w := r.words[i].occ
-		for w != 0 {
-			v := bits.TrailingZeros64(w)
-			w &= w - 1
-			vc := r.flatVC[r.base[i]+int32(v)]
+	for wi := range r.words {
+		for w := r.words[wi].occ; w != 0; w &= w - 1 {
+			vc := r.flatVC[wi<<6|bits.TrailingZeros64(w)]
 			if !pred(vc) {
 				continue
 			}

@@ -91,20 +91,21 @@ func (v *VC) RestoreState(s VCState, remapPkt func(*message.Packet) *message.Pac
 }
 
 // ResetDerived recomputes the channel-level derived state from the restored
-// canonical VC state: the committed-occupancy mask, and the staging state
-// (asserted clean — restores happen at cycle boundaries). The router-level
-// words are rebuilt separately by Router.RebuildState.
+// canonical VC state: the channel's own bits of the committed-occupancy word,
+// and the staging state (asserted clean — restores happen at cycle
+// boundaries). The router-level words are rebuilt separately by
+// Router.RebuildState.
 func (c *Channel) ResetDerived() {
 	if c.stagePending || c.stagedMask != 0 {
 		panic(fmt.Sprintf("router: restore into %v with staged flits pending", c))
 	}
-	*c.occ = 0
-	for i, vc := range c.VCs {
+	*c.occ &^= c.vmask << c.shift // sibling inputs share the word
+	for _, vc := range c.VCs {
 		if vc.ns != 0 {
 			panic(fmt.Sprintf("router: restore into %v with staged flits", vc))
 		}
 		if vc.n > 0 {
-			*c.occ |= 1 << uint(i)
+			*c.occ |= vc.bit
 		}
 	}
 }
@@ -141,9 +142,11 @@ func (r *Router) RestoreSched(s RouterSched) {
 
 // RebuildState drops every piece of derived acceleration state (the
 // occ/routed/ready words, feeder pointers) and rebuilds it from the
-// canonical VC state, exactly as initState does on a router's first Step;
-// the parked words start from zero, so every blocked header is re-attempted
-// once.
+// canonical VC state, exactly as initState does on a router's first Step:
+// fresh zero words, every input channel and VC pointed at its bits again
+// (one that was used before this router ever stepped still has them in the
+// channel's own word). The parked bits start from zero, so every blocked
+// header is re-attempted once.
 // Callers must have cleared stale feeder pointers on all VCs first
 // (RestoreState does) so targets that lost their route source in the
 // restored state do not keep phantom credit links.

@@ -124,6 +124,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		"unknown field":  `{"scheme":"PR","frobnicate":1}`,
 		"invalid spec":   `{"scheme":"bogus"}`,
 		"bad rate":       `{"rate":2.0}`,
+		"too many vcs":   `{"vcs":65}`, // was 202, then "job panicked" in router.NewChannel
 	} {
 		resp, b := postJSON(t, srv.URL+"/v1/runs", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -132,6 +133,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		var e apiError
 		if err := json.Unmarshal(b, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: no error body: %s", name, b)
+		}
+		if name == "too many vcs" && !strings.Contains(e.Error, "limit of 64") {
+			t.Errorf("%s: error %q does not name the limit", name, e.Error)
 		}
 	}
 
