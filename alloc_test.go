@@ -15,10 +15,10 @@ import (
 )
 
 // TestStepZeroAllocs pins the steady-state cost of Network.Step at zero
-// allocations per cycle. It mirrors BenchmarkSimulationCycle: an 8x8 torus
-// under moderate load, held in warmup so traffic keeps flowing, warmed long
-// enough that every free list and scratch buffer has reached capacity. The
-// CWG scan is switched off here, so this pins the scan-off path only;
+// allocations per cycle: an 8x8 torus under moderate load (PR, PAT271, rate
+// 0.01), held in warmup so traffic keeps flowing, warmed long enough that
+// every free list and scratch buffer has reached capacity. The CWG scan is
+// switched off here, so this pins the scan-off path only;
 // TestStepZeroAllocsWithScan pins the configuration users actually run.
 func TestStepZeroAllocs(t *testing.T) {
 	if testing.Short() {

@@ -3,14 +3,15 @@ package repro
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation, each running a reduced-scale version of the corresponding
 // experiment and reporting the figure's headline quantity as a custom
-// metric, plus microbenchmarks of the hot simulator paths. Regenerating the
-// figures at paper scale is `go run ./cmd/experiments -scale full all`;
-// these benches exist so `go test -bench=.` exercises every experiment path
-// and tracks simulator performance.
+// metric, plus microbenchmarks of paths the benchmark in bench/ does not
+// time. Regenerating the figures at paper scale is
+// `go run ./cmd/experiments -scale full all`; these benches exist so
+// `go test -bench=.` exercises every experiment path. The engine itself is
+// timed by bench/run.sh; the one cycle benchmark left here only compares
+// tracing on against tracing off.
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"testing"
 
@@ -192,102 +193,36 @@ func BenchmarkDeadlockFrequency(b *testing.B) {
 	b.ReportMetric(normalized, "norm_deadlocks")
 }
 
-// --- microbenchmarks of hot paths ---
+// --- microbenchmarks ---
 
-// BenchmarkSimulationCycle measures one full-system cycle of an 8x8 torus
-// under moderate load.
-func BenchmarkSimulationCycle(b *testing.B) {
-	cfg := network.DefaultConfig()
-	cfg.Scheme = schemes.PR
-	cfg.Pattern = protocol.PAT271
-	cfg.Rate = 0.01
-	cfg.Warmup, cfg.Measure, cfg.MaxDrain = 1<<30, 1, 0 // stay in warmup
-	cfg.CWGInterval = 0
-	n, err := network.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.RunCycles(2000) // reach steady occupancy
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Step()
-	}
-}
-
-// BenchmarkSimulationCycleLowLoad measures cycles at light injection rates,
-// where the active-set sweep pays off: most routers and NIs are quiescent,
-// so a cycle touches only the dirty few (and, at 0.001, usually nothing but
-// the traffic sources). The rate-0.01 entry matches BenchmarkSimulationCycle
-// for continuity with older BENCH records.
-func BenchmarkSimulationCycleLowLoad(b *testing.B) {
-	for _, rate := range []float64{0.001, 0.01} {
-		b.Run(fmt.Sprintf("rate=%g", rate), func(b *testing.B) {
+// BenchmarkSimulationCycleTraced bounds the cost of event tracing: one
+// full-system cycle of an 8x8 torus under moderate load, plain and with the
+// full observability stack attached (ring-buffer trace sink). The benchmark
+// in bench/ has no metric for this yet; the cost of a plain cycle is its
+// network.step_ns, and of a scan its deadlock.scan_us.
+func BenchmarkSimulationCycleTraced(b *testing.B) {
+	for _, mode := range []string{"plain", "traced"} {
+		b.Run(mode, func(b *testing.B) {
 			cfg := network.DefaultConfig()
 			cfg.Scheme = schemes.PR
 			cfg.Pattern = protocol.PAT271
-			cfg.Rate = rate
-			cfg.Warmup, cfg.Measure, cfg.MaxDrain = 1<<30, 1, 0
+			cfg.Rate = 0.01
+			cfg.Warmup, cfg.Measure, cfg.MaxDrain = 1<<30, 1, 0 // stay in warmup
 			cfg.CWGInterval = 0
 			n, err := network.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			n.RunCycles(2000)
+			if mode == "traced" {
+				n.AttachObs(obs.NewBus(obs.NewRingSink(1 << 16)))
+			}
+			n.RunCycles(2000) // reach steady occupancy
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n.Step()
 			}
 		})
-	}
-}
-
-// BenchmarkSimulationCycleTraced is BenchmarkSimulationCycle with the full
-// observability stack attached (ring-buffer trace sink). Comparing the two
-// bounds the tracing cost; comparing BenchmarkSimulationCycle against the
-// pre-observability baseline bounds the disabled-path cost, which must stay
-// under 2%: every instrumentation site is a single nil check.
-func BenchmarkSimulationCycleTraced(b *testing.B) {
-	cfg := network.DefaultConfig()
-	cfg.Scheme = schemes.PR
-	cfg.Pattern = protocol.PAT271
-	cfg.Rate = 0.01
-	cfg.Warmup, cfg.Measure, cfg.MaxDrain = 1<<30, 1, 0
-	cfg.CWGInterval = 0
-	n, err := network.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.AttachObs(obs.NewBus(obs.NewRingSink(1 << 16)))
-	n.RunCycles(2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Step()
-	}
-}
-
-// BenchmarkCWGScan measures one channel-wait-for-graph scan on a loaded
-// network.
-func BenchmarkCWGScan(b *testing.B) {
-	cfg := network.DefaultConfig()
-	cfg.Scheme = schemes.PR
-	cfg.Pattern = protocol.PAT271
-	cfg.Rate = 0.015
-	cfg.Warmup, cfg.Measure, cfg.MaxDrain = 1<<30, 1, 0
-	// Keep the detector installed but never scheduled; the loop below
-	// drives it directly.
-	cfg.CWGInterval = 1 << 40
-	n, err := network.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.RunCycles(3000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Detector.Scan()
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -73,12 +72,9 @@ func main() {
 	if *backendList == "" {
 		fatal(errors.New("-backends is required (comma-separated simserve URLs)"))
 	}
-	backends := strings.Split(*backendList, ",")
-	for i := range backends {
-		backends[i] = strings.TrimRight(strings.TrimSpace(backends[i]), "/")
-		if backends[i] == "" {
-			fatal(errors.New("-backends contains an empty entry"))
-		}
+	backends, err := cluster.ParseURLList(*backendList)
+	if err != nil {
+		fatal(fmt.Errorf("-backends: %w", err))
 	}
 
 	coord, err := cluster.New(cluster.Config{

@@ -40,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -58,7 +57,6 @@ func main() {
 		cacheEntries = flag.Int("cache", 256, "in-memory result-cache entries (LRU)")
 		cacheDir     = flag.String("cache-dir", "", "on-disk result store directory (empty = memory only)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job simulation wall-time limit (0 = unbounded)")
-		jobRetries   = flag.Int("job-retries", 2, "re-executions of a job failing with a transient error")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget for accepted jobs")
 		tracePath    = flag.String("trace", "", "append job lifecycle and simulation events as JSONL to this file")
 		peerList     = flag.String("peers", "", "comma-separated peer simserve base URLs consulted for cached results before simulating")
@@ -76,9 +74,6 @@ func main() {
 	}
 	if *queueDepth < 1 {
 		fatal(fmt.Errorf("-queue must be at least 1, got %d", *queueDepth))
-	}
-	if *jobRetries < 0 {
-		fatal(fmt.Errorf("-job-retries must be >= 0, got %d", *jobRetries))
 	}
 
 	store, err := simsvc.NewStore(*cacheEntries, *cacheDir)
@@ -101,9 +96,9 @@ func main() {
 	// hold the (byte-identical) result, saving a simulation.
 	var peerFill func(context.Context, string) ([]byte, bool)
 	if *peerList != "" {
-		peers := strings.Split(*peerList, ",")
-		for i := range peers {
-			peers[i] = strings.TrimRight(strings.TrimSpace(peers[i]), "/")
+		peers, err := cluster.ParseURLList(*peerList)
+		if err != nil {
+			fatal(fmt.Errorf("-peers: %w", err))
 		}
 		peerFill = cluster.PeerFiller(peers, *peerTimeout)
 		log.Printf("simserve: cache fill-over from peers %v", peers)
@@ -113,7 +108,6 @@ func main() {
 		Workers:    *workers,
 		QueueDepth: *queueDepth,
 		JobTimeout: *jobTimeout,
-		MaxRetries: *jobRetries,
 		Store:      store,
 		Bus:        bus,
 		PeerFill:   peerFill,

@@ -11,6 +11,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/fnv1a"
 )
@@ -34,6 +35,22 @@ type Ring struct {
 type ringPoint struct {
 	hash    uint64
 	backend int
+}
+
+// ParseURLList splits a comma-separated list of base URLs, as simring
+// -backends and simserve -peers take it: surrounding spaces and trailing
+// slashes are stripped, and an empty entry (a stray comma) is an error — it
+// would otherwise become a backend or peer with no host that every request
+// routed to it fails against.
+func ParseURLList(list string) ([]string, error) {
+	urls := strings.Split(list, ",")
+	for i := range urls {
+		urls[i] = strings.TrimRight(strings.TrimSpace(urls[i]), "/")
+		if urls[i] == "" {
+			return nil, fmt.Errorf("empty entry in URL list %q", list)
+		}
+	}
+	return urls, nil
 }
 
 // NewRing hashes each backend name onto the circle ringVNodes times.

@@ -2,8 +2,31 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
+
+func TestParseURLList(t *testing.T) {
+	for _, c := range []struct {
+		name, in string
+		want     []string // nil: an error
+	}{
+		{"one", "http://a:1", []string{"http://a:1"}},
+		{"two", "http://a:1,http://b:2", []string{"http://a:1", "http://b:2"}},
+		{"trailing slashes", "http://a:1/,http://b:2//", []string{"http://a:1", "http://b:2"}},
+		{"surrounding spaces", " http://a:1 ,\thttp://b:2/ ", []string{"http://a:1", "http://b:2"}},
+		{"trailing comma", "http://a:1,", nil},
+		{"leading comma", ",http://a:1", nil},
+		{"inner blank", "http://a:1, ,http://b:2", nil},
+		{"only a slash", "http://a:1,/", nil},
+		{"empty", "", nil},
+	} {
+		got, err := ParseURLList(c.in)
+		if (err == nil) != (c.want != nil) || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: ParseURLList(%q) = %q, %v; want %q", c.name, c.in, got, err, c.want)
+		}
+	}
+}
 
 func TestRingErrors(t *testing.T) {
 	if _, err := NewRing(nil); err == nil {

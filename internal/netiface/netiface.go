@@ -258,9 +258,6 @@ func (n *NI) OutSpace(q, k int) bool {
 	return len(n.outQ[q])+n.outRes[q]+k <= n.Cfg.QueueCap
 }
 
-// OutFull reports whether output queue q is full (no free unreserved slot).
-func (n *NI) OutFull(q int) bool { return !n.OutSpace(q, 1) }
-
 // InSpace reports whether input queue q has a free slot (counting slots
 // already promised to in-flight ejections).
 func (n *NI) InSpace(q int) bool {
@@ -322,11 +319,6 @@ func (n *NI) EnqueueOut(m *message.Message) {
 	if n.wake != nil {
 		n.wake()
 	}
-}
-
-// CtrlIdle reports whether the memory controller is idle this cycle.
-func (n *NI) CtrlIdle(now int64) bool {
-	return n.ctrlMsg == nil && now >= n.ctrlBusyUntil
 }
 
 // RequestRescueService asks the controller to service m with priority on

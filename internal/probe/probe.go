@@ -24,7 +24,6 @@ package probe
 import (
 	"repro/internal/deadlock"
 	"repro/internal/message"
-	"repro/internal/telemetry"
 )
 
 // launch tracks one detection attempt: the probes still in flight for it and
@@ -81,8 +80,6 @@ type Engine struct {
 	// (Born, stamped by the launcher) to the declaring probe's return.
 	DeclareLatencySum  int64
 	LastDeclareLatency int64
-
-	latHist *telemetry.Histogram
 
 	scratch []int
 }
@@ -246,9 +243,6 @@ func (e *Engine) deliver(pr *message.Probe, now int64) {
 			e.Declared++
 			e.LastDeclareLatency = now - pr.Born
 			e.DeclareLatencySum += e.LastDeclareLatency
-			if e.latHist != nil {
-				e.latHist.Observe(float64(e.LastDeclareLatency))
-			}
 			origin := pr.Origin
 			e.retire(pr, ln)
 			if e.OnDeclare != nil {
@@ -282,26 +276,4 @@ func (e *Engine) AvgDeclareLatency() float64 {
 		return 0
 	}
 	return float64(e.DeclareLatencySum) / float64(e.Declared)
-}
-
-// RegisterMetrics exposes the engine's counters and a declare-latency
-// histogram on a telemetry registry.
-func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
-	reg.CounterFunc("probe_launches_total", "Detection attempts started at blocked endpoints.",
-		func() float64 { return float64(e.Launched) })
-	reg.CounterFunc("probe_issued_total", "Probe copies placed on channels.",
-		func() float64 { return float64(e.Issued) })
-	reg.CounterFunc("probe_retired_total", "Probe copies that died without declaring.",
-		func() float64 { return float64(e.Retired) })
-	reg.CounterFunc("probe_declared_total", "Probes returned to a blocked origin (deadlocks declared).",
-		func() float64 { return float64(e.Declared) })
-	reg.CounterFunc("probe_dropped_total", "Probe copies discarded for want of a carrier channel.",
-		func() float64 { return float64(e.Dropped) })
-	reg.CounterFunc("probe_flits_total", "Control flits charged to probe traffic.",
-		func() float64 { return float64(e.FlitsCharged) })
-	reg.GaugeFunc("probe_in_flight", "Probe copies currently queued on channels.",
-		func() float64 { return float64(e.active) })
-	e.latHist = reg.Histogram("probe_declare_latency_cycles",
-		"Blocking onset to deadlock declaration, cycles.",
-		16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 }

@@ -140,17 +140,13 @@ func New(kind Kind, pattern *protocol.Pattern, vcs int, queueMode netiface.Queue
 	return NewWithOptions(kind, pattern, vcs, queueMode, false, torusEscapeVCs)
 }
 
-// NewWithVariant is New with the sharedAdaptive flag controlling the SA
-// channel-sharing variant of reference [21]: per-type escape channels plus a
-// pool of adaptive channels shared by all message types. It is only
-// meaningful for SA and requires C >= E_m = 2 x (used types).
-func NewWithVariant(kind Kind, pattern *protocol.Pattern, vcs int, queueMode netiface.QueueMode, sharedAdaptive bool) (*Scheme, error) {
-	return NewWithOptions(kind, pattern, vcs, queueMode, sharedAdaptive, torusEscapeVCs)
-}
-
-// NewWithOptions additionally parameterizes the escape-channel requirement
-// E_r (2 for tori, 1 for meshes), which scales every scheme's validity
-// envelope: on a mesh SA can partition 4 VCs among 4 message types.
+// NewWithOptions is New with two more parameters. sharedAdaptive selects the
+// SA channel-sharing variant of reference [21]: per-type escape channels plus
+// a pool of adaptive channels shared by all message types; it is only
+// meaningful for SA and requires C >= E_m = 2 x (used types). er is the
+// escape-channel requirement E_r (2 for tori, 1 for meshes), which scales
+// every scheme's validity envelope: on a mesh SA can partition 4 VCs among 4
+// message types.
 func NewWithOptions(kind Kind, pattern *protocol.Pattern, vcs int, queueMode netiface.QueueMode, sharedAdaptive bool, er int) (*Scheme, error) {
 	if sharedAdaptive && kind != SA {
 		return nil, fmt.Errorf("schemes: shared-adaptive variant applies to SA only")
@@ -395,9 +391,6 @@ func (s *Scheme) Availability() int {
 		return 1 + (len(p) - s.er)
 	}
 }
-
-// SharedAdaptive reports whether the [21] channel-sharing variant is active.
-func (s *Scheme) SharedAdaptive() bool { return s.sharedAdaptive }
 
 // PartitionSummary renders the resolved resource policy as one line, e.g.
 // "SA C=4 Q=per-type [M1:{0,1} M2:{2,3}]" — recorded as trace metadata so a

@@ -57,8 +57,6 @@ func newMetricsRegistry(sched *Scheduler) (*telemetry.Registry, *httpMetrics) {
 		read(func(m Metrics) float64 { return float64(m.JobsDone) }))
 	reg.CounterFunc("simsvc_jobs_failed_total", "Jobs finished in failure.",
 		read(func(m Metrics) float64 { return float64(m.JobsFailed) }))
-	reg.CounterFunc("simsvc_jobs_retried_total", "Transient-failure re-executions.",
-		read(func(m Metrics) float64 { return float64(m.JobsRetried) }))
 
 	reg.CounterFunc("simsvc_cache_hits_total", "Submissions answered from the result cache.",
 		read(func(m Metrics) float64 { return float64(m.Cache.Hits) }))

@@ -51,15 +51,8 @@ type SchedConfig struct {
 	// workers, so wrap them with obs.Locked.
 	Bus *obs.Bus
 	// Exec overrides the job executor (nil = Execute). Tests use it to
-	// exercise the panic-recovery and retry paths without a simulation.
+	// exercise the panic-recovery and failure paths without a simulation.
 	Exec func(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error)
-	// MaxRetries is how many times a job failing with a transient error
-	// (see MarkTransient) is re-executed before the failure is published
-	// (default 0: no retries).
-	MaxRetries int
-	// RetryBase is the first retry's backoff; successive retries double it
-	// up to a cap, each with random jitter (default 50ms).
-	RetryBase time.Duration
 	// PeerFill, when non-nil, is consulted on a cache miss before
 	// simulating: given a spec hash it may return the marshalled Result a
 	// peer shard already computed (results are content-addressed and
@@ -68,39 +61,10 @@ type SchedConfig struct {
 	PeerFill func(ctx context.Context, hash string) ([]byte, bool)
 }
 
-// MarkTransient wraps err so the scheduler's retry policy recognizes it as
-// worth re-executing: the failure came from the environment (disk pressure,
-// a cancelled sibling, resource exhaustion), not from the spec itself, whose
-// failures are deterministic and would only fail again.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// maxRetryBackoff caps the exponential retry delay so a long retry ladder
-// degrades into steady polling instead of hour-long sleeps.
-const maxRetryBackoff = 5 * time.Second
-
-// RetryDelay is the capped exponential backoff with jitter that every retry
-// loop in the serving stack sleeps on (the scheduler's transient-failure
-// retries, the cluster coordinator's placement passes): base doubled per
-// attempt (attempt 0 = base) up to limit, plus uniform jitter of up to half
-// that, so callers that failed together spread out instead of stampeding
-// back in lockstep.
+// RetryDelay is the capped exponential backoff with jitter that the cluster
+// coordinator's placement passes sleep on: base doubled per attempt (attempt
+// 0 = base) up to limit, plus uniform jitter of up to half that, so callers
+// that failed together spread out instead of stampeding back in lockstep.
 func RetryDelay(base, limit time.Duration, attempt int) time.Duration {
 	d := base << uint(attempt)
 	if d > limit || d <= 0 {
@@ -184,7 +148,6 @@ type Scheduler struct {
 	misses   int64
 	coalesce int64
 	executed int64
-	retried  int64
 	peerFill int64
 	latency  *stats.LatencyHist
 }
@@ -437,7 +400,7 @@ func (s *Scheduler) runJob(j *job) {
 			s.executed++
 			s.mu.Unlock()
 			execStart := time.Now()
-			p, err := s.execWithRetry(ctx, j)
+			p, err := s.execSafe(ctx, j.spec)
 			j.spans.Add("execute", time.Since(execStart))
 			if err != nil {
 				return nil, err
@@ -478,32 +441,6 @@ func (s *Scheduler) execSafe(ctx context.Context, spec RunSpec) (payload []byte,
 		exec = Execute
 	}
 	return exec(ctx, spec, s.cfg.Bus)
-}
-
-// execWithRetry executes a job, re-running transient failures (and only
-// those — deterministic spec failures would fail identically every time)
-// with capped exponential backoff plus jitter, up to MaxRetries retries.
-func (s *Scheduler) execWithRetry(ctx context.Context, j *job) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		p, err := s.execSafe(ctx, j.spec)
-		if err == nil || !IsTransient(err) || attempt >= s.cfg.MaxRetries || ctx.Err() != nil {
-			return p, err
-		}
-		s.mu.Lock()
-		s.retried++
-		s.mu.Unlock()
-		base := s.cfg.RetryBase
-		if base <= 0 {
-			base = 50 * time.Millisecond
-		}
-		d := RetryDelay(base, maxRetryBackoff, attempt)
-		s.emitJob(obs.KindJobStart, j, fmt.Sprintf("retry %d in %v: %v", attempt+1, d, err))
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // finish publishes a job outcome and records its latency.
@@ -610,9 +547,6 @@ type Metrics struct {
 	JobsAccepted int64 `json:"jobs_accepted"`
 	JobsDone     int64 `json:"jobs_done"`
 	JobsFailed   int64 `json:"jobs_failed"`
-	// JobsRetried counts transient-failure re-executions (not jobs: one
-	// job retried twice contributes 2).
-	JobsRetried int64 `json:"jobs_retried"`
 
 	Cache struct {
 		Hits      int64 `json:"hits"`
@@ -649,7 +583,6 @@ func (s *Scheduler) Metrics() Metrics {
 	m.JobsAccepted = s.accepted
 	m.JobsDone = s.done
 	m.JobsFailed = s.failed
-	m.JobsRetried = s.retried
 	m.Cache.Hits = s.hits
 	m.Cache.Misses = s.misses
 	m.Cache.Coalesced = s.coalesce

@@ -311,50 +311,15 @@ func TestPanickingJobFailsWorkerSurvives(t *testing.T) {
 	}
 }
 
-// TestTransientFailureRetried: a transient failure is re-executed with
-// backoff until it succeeds, within the retry budget.
-func TestTransientFailureRetried(t *testing.T) {
-	store, _ := NewStore(8, "")
-	var mu sync.Mutex
-	attempts := 0
-	sched := NewScheduler(SchedConfig{
-		Workers: 1, QueueDepth: 8, Store: store,
-		MaxRetries: 3, RetryBase: time.Millisecond,
-		Exec: func(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			attempts++
-			if attempts <= 2 {
-				return nil, MarkTransient(errors.New("disk pressure"))
-			}
-			return []byte(`{}`), nil
-		},
-	})
-	defer sched.Drain(context.Background())
-
-	v, err := sched.Submit(context.Background(), tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitSettled(t, sched, v.ID)
-	if got.Status != StatusDone {
-		t.Fatalf("retried job: status %s, error %q", got.Status, got.Error)
-	}
-	m := sched.Metrics()
-	if m.JobsRetried != 2 {
-		t.Fatalf("jobs_retried = %d, want 2", m.JobsRetried)
-	}
-}
-
-// TestDeterministicFailureNotRetried: an unmarked error is a property of the
-// spec — retrying would fail identically, so the scheduler must not.
+// TestDeterministicFailureNotRetried: a job's error is a property of its
+// spec — retrying would fail identically, so a failing job executes once and
+// is published failed.
 func TestDeterministicFailureNotRetried(t *testing.T) {
 	store, _ := NewStore(8, "")
 	var mu sync.Mutex
 	attempts := 0
 	sched := NewScheduler(SchedConfig{
 		Workers: 1, QueueDepth: 8, Store: store,
-		MaxRetries: 3, RetryBase: time.Millisecond,
 		Exec: func(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
 			mu.Lock()
 			attempts++
@@ -377,53 +342,6 @@ func TestDeterministicFailureNotRetried(t *testing.T) {
 	mu.Unlock()
 	if n != 1 {
 		t.Fatalf("deterministic failure executed %d times, want 1", n)
-	}
-	if m := sched.Metrics(); m.JobsRetried != 0 {
-		t.Fatalf("jobs_retried = %d, want 0", m.JobsRetried)
-	}
-}
-
-// TestRetriesExhausted: a persistently transient failure fails the job after
-// MaxRetries re-executions.
-func TestRetriesExhausted(t *testing.T) {
-	store, _ := NewStore(8, "")
-	sched := NewScheduler(SchedConfig{
-		Workers: 1, QueueDepth: 8, Store: store,
-		MaxRetries: 2, RetryBase: time.Millisecond,
-		Exec: func(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
-			return nil, MarkTransient(errors.New("still broken"))
-		},
-	})
-	defer sched.Drain(context.Background())
-
-	v, err := sched.Submit(context.Background(), tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitSettled(t, sched, v.ID)
-	if got.Status != StatusFailed || !strings.Contains(got.Error, "still broken") {
-		t.Fatalf("exhausted job: status %s, error %q", got.Status, got.Error)
-	}
-	if m := sched.Metrics(); m.JobsRetried != 2 {
-		t.Fatalf("jobs_retried = %d, want 2", m.JobsRetried)
-	}
-}
-
-// TestTransientMarking covers the error-classification helpers.
-func TestTransientMarking(t *testing.T) {
-	if MarkTransient(nil) != nil {
-		t.Fatal("MarkTransient(nil) != nil")
-	}
-	base := errors.New("io stall")
-	wrapped := MarkTransient(base)
-	if !IsTransient(wrapped) || IsTransient(base) {
-		t.Fatal("transient classification wrong")
-	}
-	if !errors.Is(wrapped, base) {
-		t.Fatal("transient wrapper broke errors.Is")
-	}
-	if !IsTransient(fmt.Errorf("layered: %w", wrapped)) {
-		t.Fatal("transient mark lost through wrapping")
 	}
 }
 
