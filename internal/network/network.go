@@ -118,6 +118,10 @@ type Network struct {
 	lastR     []int64
 	lastNI    []int64
 
+	// routerSteps, niSteps and idleCycles are the sweep's exact work counters
+	// (see StepCounts).
+	routerSteps, niSteps, idleCycles int64
+
 	// dirtyCh lists channels that received staged flits this cycle (fed by
 	// the channel stage hooks); only these are committed in the active
 	// sweep, and committing one wakes its consumer. chEP maps an ejection
@@ -679,6 +683,14 @@ func (n *Network) VACounts() (attempts, grants int64) {
 	return
 }
 
+// StepCounts returns the sweep's exact work counters: router steps executed,
+// NI steps executed, and cycles on which the sweep was skipped because
+// nothing was active. Like VACounts they are identical across hosts for a
+// given configuration and seed.
+func (n *Network) StepCounts() (routerSteps, niSteps, idleCycles int64) {
+	return n.routerSteps, n.niSteps, n.idleCycles
+}
+
 // generate runs the traffic source for every endpoint. It must run every
 // cycle outside the drain phase — including fast-path cycles — because each
 // endpoint's Bernoulli stream draws once per cycle and skipping a draw would
@@ -733,6 +745,7 @@ func (n *Network) Step() {
 			if n.OnCycle != nil {
 				n.OnCycle(now)
 			}
+			n.idleCycles++
 			n.Clock.Tick()
 			return
 		}
@@ -784,6 +797,7 @@ func (n *Network) sweep(now int64, gen, dense bool) {
 			}
 			n.lastNI[ep] = now
 			ni.Step(now)
+			n.niSteps++
 			if ni.Idle() {
 				n.activeNIW[wi] &^= b
 			}
@@ -801,6 +815,7 @@ func (n *Network) sweep(now int64, gen, dense bool) {
 			}
 			n.lastR[id] = now
 			r.Step(now)
+			n.routerSteps++
 			if r.InputsIdle() {
 				n.activeRW[wi] &^= b
 			}

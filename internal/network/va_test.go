@@ -89,6 +89,7 @@ func TestVAAttemptsPerGrant(t *testing.T) {
 // byte-identical and only the work is wasted, so nothing else catches it.
 func TestActiveSetWorkShare(t *testing.T) {
 	var cycles, routers, nis, idle, routerSlots, niSlots int64
+	var routerSteps, niSteps, skipped int64
 	for _, cfg := range benchConfigs(0.001, 32) {
 		n := mustNet(t, cfg)
 		var c, r, e int64
@@ -111,17 +112,32 @@ func TestActiveSetWorkShare(t *testing.T) {
 		}
 		n.Run()
 		rs, es := c*int64(len(n.Routers)), c*int64(len(n.NIs))
-		t.Logf("%v %s: %d of %d router-cycles active (%.4f), %d of %d NI-cycles (%.4f), %d cycles",
-			cfg.Scheme, cfg.Pattern.Name, r, rs, float64(r)/float64(rs), e, es, float64(e)/float64(es), c)
+		sr, sn, sk := n.StepCounts()
+		t.Logf("%v %s: %d of %d router-cycles active (%.4f), %d of %d NI-cycles (%.4f), %d cycles; executed %d router steps, %d NI steps, %d cycles skipped the sweep",
+			cfg.Scheme, cfg.Pattern.Name, r, rs, float64(r)/float64(rs), e, es, float64(e)/float64(es), c, sr, sn, sk)
 		cycles, routers, nis, routerSlots, niSlots = cycles+c, routers+r, nis+e, routerSlots+rs, niSlots+es
+		routerSteps, niSteps, skipped = routerSteps+sr, niSteps+sn, skipped+sk
 	}
 	routerShare, niShare := float64(routers)/float64(routerSlots), float64(nis)/float64(niSlots)
 	t.Logf("all six: %d of %d router-cycles active (%.4f), %d of %d NI-cycles (%.4f), %d of %d cycles fully idle",
 		routers, routerSlots, routerShare, nis, niSlots, niShare, idle, cycles)
+	t.Logf("all six, executed: %d router steps, %d NI steps, %d cycles skipped the sweep", routerSteps, niSteps, skipped)
 	if routers == 0 || nis == 0 {
 		t.Fatal("nothing was ever active: the runs carried no traffic")
 	}
 	if routerShare > 0.20 || niShare > 0.20 {
 		t.Fatalf("active share at rate 0.001: routers %.4f, NIs %.4f, want <= 0.20 each", routerShare, niShare)
 	}
+	if routers != 208067 || nis != parentNIActive || routerSteps != 208406 || niSteps != parentNISteps || skipped != 112 {
+		t.Fatalf("exact counts moved: %d router-cycles, %d NI-cycles active; %d router steps, %d NI steps, %d cycles skipped",
+			routers, nis, routerSteps, niSteps, skipped)
+	}
 }
+
+// The NI side of TestActiveSetWorkShare as recorded at f47e428, where an NI
+// waiting out its memory controller stays in the active set: NI-cycles in the
+// set at OnCycle, and NI steps executed (Network.StepCounts).
+const (
+	parentNIActive = 167940
+	parentNISteps  = 169657
+)
