@@ -131,7 +131,7 @@ func main() {
 	if *bristling < 1 {
 		fatal(fmt.Errorf("-bristling must be at least 1, got %d", *bristling))
 	}
-	if *rate < 0 || *rate > 1 {
+	if !(*rate >= 0 && *rate <= 1) { // written so that NaN fails it
 		fatal(fmt.Errorf("-rate must be a probability in [0,1], got %g", *rate))
 	}
 	switch *detector {

@@ -70,3 +70,21 @@ func TestTooManyVCsIsAFlagError(t *testing.T) {
 		t.Fatalf("netsim -vcs 65 printed %q, want one netsim: line naming the limit", s)
 	}
 }
+
+// TestNaNRateIsAFlagError: flag.Float64 parses "NaN", and NaN is neither below
+// 0 nor above 1, so it used to pass the range test, print rate=NaN, simulate
+// nothing and exit 0. It must be a flag error like any other rate outside
+// [0,1]. (The service cannot be handed one: JSON has no NaN literal, so
+// POST /v1/runs fails to decode the body.)
+func TestNaNRateIsAFlagError(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-rate", "NaN", "-measure", "200", "-radix", "4x4")
+	cmd.Env = append(os.Environ(), "NETSIM_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("netsim -rate NaN: %v, want exit status 1\n%s", err, out)
+	}
+	if s := string(out); !strings.HasPrefix(s, "netsim: ") || !strings.Contains(s, "-rate") || strings.Count(s, "\n") != 1 {
+		t.Fatalf("netsim -rate NaN printed %q, want one netsim: line naming the flag", s)
+	}
+}

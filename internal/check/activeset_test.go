@@ -20,11 +20,48 @@ func runMode(t *testing.T, cfg network.Config, dense bool) (*check.Digest, int64
 	n.SetDense(dense)
 	d := check.AttachDigest(n)
 	c := check.Attach(n, check.Options{Interval: 64})
+	shortTimers := countShortTimers(t, n)
 	n.Run()
 	if err := c.Err(); err != nil {
 		t.Fatalf("dense=%v: %v", dense, err)
 	}
+	if !dense && (cfg.ServiceTime > 63) != (*shortTimers > 0) {
+		t.Fatalf("service time %d but %d NI-cycles asleep on a timer short of their wake: the re-arm path is tested iff the service outlasts the ring",
+			cfg.ServiceTime, *shortTimers)
+	}
 	return d, n.Clock.Now()
+}
+
+// countShortTimers counts, at the end of every cycle, the sleeping NIs whose
+// wake lies further ahead than the wake ring reaches, so that their timer
+// fires early and they must re-arm. It also holds every timer to the ring's
+// own invariant: it lies in the 63 cycles after the current one, never in the
+// current cycle's slot, which has been consumed and would fire 64 cycles on.
+//
+// Mutation check: arming at until&63 without the now+63 clamp changes no
+// result (the slot still fires by the wake) and fails here on the first
+// 64-cycle service: an NI that falls asleep in the cycle its service starts
+// lands in the slot just consumed.
+func countShortTimers(t *testing.T, n *network.Network) *int {
+	count := new(int)
+	prev := n.OnCycle
+	n.OnCycle = func(now int64) {
+		prev(now)
+		for ep := range n.NIs {
+			until, ok := asleepOnTimer(n, ep)
+			if !ok {
+				continue
+			}
+			at := n.NIWakeAt(ep)
+			if at <= now || at > now+63 {
+				t.Errorf("cycle %d: ni%d asleep until %d with its timer at %d, outside the next 63 cycles", now, ep, until, at)
+			}
+			if at < until {
+				*count++
+			}
+		}
+	}
+	return count
 }
 
 // TestSkipAheadDenseEquivalence is the byte-identity statement for the
@@ -33,27 +70,38 @@ func runMode(t *testing.T, cfg network.Config, dense bool) (*check.Digest, int64
 // stream — same digest, same count — and finish at the exact same cycle as
 // dense stepping, with the invariant checker clean in both modes. Low rates
 // exercise the skip-ahead fast path hardest (most cycles touch almost
-// nothing); moderate rates exercise mid-sweep wake ordering.
+// nothing); moderate rates exercise mid-sweep wake ordering. The service
+// times walk an NI waiting out its controller across the 64-slot wake ring:
+// 1 never sleeps, 63 is the furthest wake the ring holds, 64 and 200 must be
+// re-armed on the way.
 func TestSkipAheadDenseEquivalence(t *testing.T) {
 	cases := []struct {
-		name string
-		kind schemes.Kind
-		pat  *protocol.Pattern
-		vcs  int
-		rate float64
-		seed uint64
+		name    string
+		kind    schemes.Kind
+		pat     *protocol.Pattern
+		vcs     int
+		rate    float64
+		seed    uint64
+		service int // 0: the default 40
 	}{
-		{"PR-PAT721-low", schemes.PR, protocol.PAT721, 4, 0.002, 1},
-		{"PR-PAT721-mid", schemes.PR, protocol.PAT721, 4, 0.015, 7},
-		{"PR-PAT280-fanout", schemes.PR, protocol.PAT280, 4, 0.01, 3},
-		{"DR-PAT721-mid", schemes.DR, protocol.PAT721, 8, 0.012, 5},
-		{"SA-PAT721-mid", schemes.SA, protocol.PAT721, 8, 0.012, 11},
-		{"PR-PAT721-16vc", schemes.PR, protocol.PAT721, 16, 0.015, 13}, // two words per router
+		{"PR-PAT721-low", schemes.PR, protocol.PAT721, 4, 0.002, 1, 0},
+		{"PR-PAT721-mid", schemes.PR, protocol.PAT721, 4, 0.015, 7, 0},
+		{"PR-PAT280-fanout", schemes.PR, protocol.PAT280, 4, 0.01, 3, 0},
+		{"DR-PAT721-mid", schemes.DR, protocol.PAT721, 8, 0.012, 5, 0},
+		{"SA-PAT721-mid", schemes.SA, protocol.PAT721, 8, 0.012, 11, 0},
+		{"PR-PAT721-16vc", schemes.PR, protocol.PAT721, 16, 0.015, 13, 0}, // two words per router
+		{"PR-service-1", schemes.PR, protocol.PAT721, 4, 0.015, 15, 1},
+		{"DR-service-63", schemes.DR, protocol.PAT721, 4, 0.008, 17, 63},
+		{"SA-service-64", schemes.SA, protocol.PAT721, 8, 0.008, 19, 64},
+		{"PR-service-200", schemes.PR, protocol.PAT721, 4, 0.003, 21, 200},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(tc.kind, tc.pat, tc.vcs, tc.rate)
 			cfg.Seed = tc.seed
+			if tc.service != 0 {
+				cfg.ServiceTime = tc.service
+			}
 			dDense, clkDense := runMode(t, cfg, true)
 			dSkip, clkSkip := runMode(t, cfg, false)
 			if dDense.Sum() != dSkip.Sum() || dDense.Count() != dSkip.Count() {
@@ -78,24 +126,33 @@ func TestSkipAheadDenseEquivalence(t *testing.T) {
 // clock, with the checker clean throughout.
 func TestRegimeSwitchEquivalence(t *testing.T) {
 	cases := []struct {
-		name string
-		kind schemes.Kind
-		rate float64
-		seed uint64
+		name    string
+		kind    schemes.Kind
+		rate    float64
+		seed    uint64
+		service int // 0: the default 40; the others as in TestSkipAheadDenseEquivalence
 	}{
-		{"PR-low", schemes.PR, 0.002, 2},
-		{"PR-mid", schemes.PR, 0.015, 4},
-		{"DR-mid", schemes.DR, 0.012, 6},
+		{"PR-low", schemes.PR, 0.002, 2, 0},
+		{"PR-mid", schemes.PR, 0.015, 4, 0},
+		{"DR-mid", schemes.DR, 0.012, 6, 0},
+		{"DR-service-1", schemes.DR, 0.012, 8, 1},
+		{"PR-service-63", schemes.PR, 0.008, 10, 63},
+		{"PR-service-64", schemes.PR, 0.008, 12, 64},
+		{"DR-service-200", schemes.DR, 0.003, 14, 200},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(tc.kind, protocol.PAT721, 4, tc.rate)
 			cfg.Seed = tc.seed
+			if tc.service != 0 {
+				cfg.ServiceTime = tc.service
+			}
 			dDense, clkDense := runMode(t, cfg, true)
 
 			n := mustNet(t, cfg)
 			d := check.AttachDigest(n)
 			c := check.Attach(n, check.Options{Interval: 64})
+			shortTimers := countShortTimers(t, n)
 			dense, flips := false, 0
 			prev := n.OnCycle
 			n.OnCycle = func(now int64) {
@@ -112,6 +169,9 @@ func TestRegimeSwitchEquivalence(t *testing.T) {
 			}
 			if flips < 8 {
 				t.Fatalf("only %d regime switches; the run is too short to test them", flips)
+			}
+			if cfg.ServiceTime > 63 && *shortTimers == 0 {
+				t.Fatalf("service time %d but no NI ever slept on a timer short of its wake", cfg.ServiceTime)
 			}
 			if d.Sum() != dDense.Sum() || d.Count() != dDense.Count() {
 				t.Fatalf("digest diverged: dense %v (%d deliveries) vs switching %v (%d)",

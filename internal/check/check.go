@@ -49,6 +49,7 @@ import (
 	"strings"
 
 	"repro/internal/message"
+	"repro/internal/netiface"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -420,10 +421,25 @@ func (c *Checker) CheckNow(now int64) {
 			}
 		}
 	}
+	// An NI outside the active set must be one whose steps are pure rotation
+	// until a known cycle, and if that cycle is finite a timer must be set to
+	// bring it back by then: a lost timer hangs the run instead of changing a
+	// digest, so nothing else would notice it early.
 	for _, ni := range n.NIs {
-		if ep := ni.Cfg.Endpoint; !n.NIActive(ep) && !ni.Idle() {
+		ep := ni.Cfg.Endpoint
+		if n.NIActive(ep) {
+			continue
+		}
+		until, ok := ni.Dormant()
+		if !ok {
 			c.report(now, "inactive-ni-busy",
-				fmt.Sprintf("ni%d outside the active set but not idle", ep))
+				fmt.Sprintf("ni%d outside the active set but not dormant", ep))
+		} else if at := n.NIWakeAt(ep); at == netiface.Never && until != netiface.Never {
+			c.report(now, "inactive-ni-busy",
+				fmt.Sprintf("ni%d asleep until cycle %d with no timer set", ep, until))
+		} else if at > until {
+			c.report(now, "inactive-ni-busy",
+				fmt.Sprintf("ni%d asleep until cycle %d but its timer fires at %d", ep, until, at))
 		}
 	}
 

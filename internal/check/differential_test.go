@@ -153,16 +153,16 @@ type scriptedSource struct {
 	txnEvent map[message.TxnID]int
 }
 
-func (s *scriptedSource) Generate(now int64, ep int, ni *netiface.NI) {
+func (s *scriptedSource) Generate(now int64, nis []*netiface.NI) {
 	for i := range s.events {
 		e := &s.events[i]
-		if e.cycle != now || e.req != ep {
+		if e.cycle != now {
 			continue
 		}
 		txn := s.eng.NewTransaction(s.eng.PickTemplate(e.u), e.req, e.home, e.thirds, now)
 		s.tab.Add(txn)
 		s.txnEvent[txn.ID] = i
-		ni.EnqueueSource(s.eng.FirstMessage(txn, now))
+		nis[e.req].EnqueueSource(s.eng.FirstMessage(txn, now))
 	}
 }
 

@@ -1,12 +1,14 @@
 package check_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/schemes"
+	"repro/internal/traffic"
 )
 
 // TestRestoredNetworkPassesCheckNow is the active-set statement for
@@ -80,6 +82,15 @@ func TestRestoredNetworkPassesCheckNow(t *testing.T) {
 // snapshot into a detector that last saw a knot, the re-forming knot must
 // count as fresh again. Either way the replayed scan must repeat the
 // original verdict and pass the independent knot audit.
+//
+// The snapshot that is restored is also one taken while the source holds an
+// arrival it has drawn but not reached (canonical state: it must come back)
+// and, where the snapshot is the clean one — nothing sleeps in a knotted
+// network this scarce — while an NI sleeps on the wake ring (derived state:
+// Restore rebuilds it as everything awake). And because Snapshot settles the
+// rotation catch-up sleeping components are owed on the live network, the live
+// run, snapshotted after every scan, is held to an undisturbed run of the same
+// configuration.
 func TestRestoreAcrossKnotBoundary(t *testing.T) {
 	type verdict struct {
 		locked    int
@@ -88,32 +99,55 @@ func TestRestoreAcrossKnotBoundary(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		boundary func(prev, cur verdict) bool
+		asleep   bool // the snapshot must catch an NI asleep on the wake ring
 	}{
-		{"knot-to-clean", func(prev, cur verdict) bool { return prev.locked > 0 && cur.locked == 0 }},
-		{"clean-to-knot", func(prev, cur verdict) bool { return prev.locked == 0 && cur.locked > 0 }},
+		{"knot-to-clean", func(prev, cur verdict) bool { return prev.locked > 0 && cur.locked == 0 }, false},
+		{"clean-to-knot", func(prev, cur verdict) bool { return prev.locked == 0 && cur.locked > 0 }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(schemes.PR, protocol.PAT721, 2, 0.03)
 			cfg.QueueCap = 2
 			cfg.Warmup, cfg.Measure, cfg.MaxDrain = 0, 1<<30, 0
 			n := mustNet(t, cfg)
+			live := check.AttachDigest(n)
 			iv := cfg.CWGInterval
 			last := func() verdict { return verdict{n.Detector.LastDeadlocked, n.Detector.Deadlocks} }
+			// sleeper: an NI out of the active set with a timer on the ring.
+			sleeper := func() bool {
+				for ep := range n.NIs {
+					if until, ok := asleepOnTimer(n, ep); ok && n.NIWakeAt(ep) <= until {
+						return true
+					}
+				}
+				return false
+			}
 
 			// Stop one cycle after each scan, snapshotting there, until two
-			// consecutive scans straddle the wanted boundary.
+			// consecutive scans straddle the wanted boundary and the snapshot
+			// between them caught a drawn-ahead arrival and, if wanted, a sleeper.
 			n.RunCycles(iv + 1)
 			var snap *network.Snapshot
 			var prev, cur verdict
 			for i := 0; ; i++ {
 				if i == 400 {
-					t.Fatal("run never crossed the boundary; make resources scarcer")
+					t.Fatal("run never crossed the boundary from such a snapshot; make resources scarcer")
 				}
+				asleep := sleeper()
 				snap, prev = n.Snapshot(), last()
+				drawnAhead := slices.Contains(snap.Source.(traffic.SyntheticState).Hit, true)
 				n.RunCycles(iv)
-				if cur = last(); tc.boundary(prev, cur) {
+				if cur = last(); tc.boundary(prev, cur) && drawnAhead && (asleep || !tc.asleep) {
 					break
 				}
+			}
+
+			// Snapshot may show on the live run in no way at all.
+			u := mustNet(t, cfg)
+			undisturbed := check.AttachDigest(u)
+			u.RunCycles(n.Clock.Now())
+			if live.Sum() != undisturbed.Sum() || live.Count() != undisturbed.Count() || live.Count() == 0 {
+				t.Fatalf("the snapshotted run delivered %v (%d), an undisturbed one %v (%d)",
+					live, live.Count(), undisturbed, undisturbed.Count())
 			}
 
 			// The live detector now holds cur's verdict; rewind it to prev's.

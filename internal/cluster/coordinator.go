@@ -167,10 +167,14 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*coordJob
-	order    []string // insertion order, for bounded eviction
+	order    []string // insertion order of the ids in jobs, for bounded eviction
 	pending  []string // degraded-queue job IDs, FIFO
 	seq      int64
 	draining bool
+
+	// evictVisited counts the order entries evictLocked has examined: the
+	// exact cost TestEvictionAmortised bounds.
+	evictVisited int64
 }
 
 // New builds a coordinator and starts its health probers and the
@@ -543,26 +547,31 @@ func (c *Coordinator) register(hash string, body []byte, reqID string, bIdx int,
 }
 
 // evictLocked bounds the job table: completed entries go first, oldest
-// first; live entries are only evicted once no completed ones remain.
-// Callers hold c.mu.
+// first; live entries are only evicted once no completed ones remain. A
+// table over its cap is cut back to a sixteenth below it, as far as completed
+// entries allow, so the walk over the insertion order is paid once per cap/16
+// submissions instead of on every one past the cap. Callers hold c.mu.
 func (c *Coordinator) evictLocked() {
-	if len(c.jobs) <= c.cfg.JobTableCap {
+	limit := c.cfg.JobTableCap
+	if len(c.jobs) <= limit {
 		return
 	}
+	low := limit - limit/16
 	kept := c.order[:0]
-	for _, id := range c.order {
-		j, ok := c.jobs[id]
-		if !ok {
-			continue
+	for i, id := range c.order {
+		if len(c.jobs) <= low {
+			kept = append(kept, c.order[i:]...)
+			break
 		}
-		if len(c.jobs) > c.cfg.JobTableCap && j.done {
+		c.evictVisited++
+		if c.jobs[id].done {
 			delete(c.jobs, id)
 			continue
 		}
 		kept = append(kept, id)
 	}
 	c.order = kept
-	for len(c.jobs) > c.cfg.JobTableCap && len(c.order) > 0 {
+	for len(c.jobs) > limit && len(c.order) > 0 {
 		delete(c.jobs, c.order[0])
 		c.order = c.order[1:]
 	}

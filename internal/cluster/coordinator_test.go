@@ -109,17 +109,17 @@ func testCluster(t *testing.T, n int, execDelay time.Duration, mod func(*Config)
 		urls[i] = backends[i].srv.URL
 	}
 	cfg := Config{
-		Backends:      urls,
-		ProbeInterval: 25 * time.Millisecond,
-		ProbeTimeout:  200 * time.Millisecond,
+		Backends:       urls,
+		ProbeInterval:  25 * time.Millisecond,
+		ProbeTimeout:   200 * time.Millisecond,
 		BreakerOpenFor: 50 * time.Millisecond,
-		RetryBase:     5 * time.Millisecond,
-		RetryMax:      100 * time.Millisecond,
-		HedgeMin:      5 * time.Millisecond,
-		HedgeMax:      100 * time.Millisecond,
-		QueueDepth:    8,
-		Client:        &http.Client{Timeout: 2 * time.Second},
-		Logger:        log.New(io.Discard, "", 0),
+		RetryBase:      5 * time.Millisecond,
+		RetryMax:       100 * time.Millisecond,
+		HedgeMin:       5 * time.Millisecond,
+		HedgeMax:       100 * time.Millisecond,
+		QueueDepth:     8,
+		Client:         &http.Client{Timeout: 2 * time.Second},
+		Logger:         log.New(io.Discard, "", 0),
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -568,5 +568,67 @@ func TestBadSpecPassthrough(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "error") {
 		t.Fatalf("bad spec body: %s", body)
+	}
+}
+
+// TestEvictionAmortised pins the cost of the job-table cap as an exact count.
+// evictLocked used to walk the whole insertion-order list on every submission
+// once the table was full (about cap entries each: a long-lived simring fell
+// from 1,066 to 470 requests/s); cutting back to a low-water mark cap/16 below
+// the cap pays for one walk with cap/16 submissions. Over cap + 4*(cap/16)
+// submissions the walks may visit at most 6*cap entries, the table may never
+// exceed its cap, completed entries must go before live ones, and oldest first.
+func TestEvictionAmortised(t *testing.T) {
+	const limit, step = 64, 64 / 16
+	c := &Coordinator{cfg: Config{JobTableCap: limit}, jobs: map[string]*coordJob{}}
+	var live, done []string // ids in submission order
+	submit := func(finished bool) {
+		j := c.register("h", nil, "", 0, "j")
+		j.done = finished
+		if finished {
+			done = append(done, j.id)
+		} else {
+			live = append(live, j.id)
+		}
+		if len(c.jobs) > limit || len(c.order) != len(c.jobs) {
+			t.Fatalf("after %s: %d jobs, %d ids in order, cap %d", j.id, len(c.jobs), len(c.order), limit)
+		}
+	}
+	for i := 0; i < limit+4*step; i++ {
+		submit(i%4 != 0) // every fourth submission is still running
+	}
+	if c.evictVisited == 0 || c.evictVisited > 6*limit {
+		t.Fatalf("eviction visited %d entries over %d submissions, want 1..%d", c.evictVisited, limit+4*step, 6*limit)
+	}
+	t.Logf("visited %d entries over %d submissions past a cap of %d", c.evictVisited, limit+4*step, limit)
+	for _, id := range live {
+		if c.jobs[id] == nil {
+			t.Fatalf("live job %s evicted while completed ones remained", id)
+		}
+	}
+	evicted := 0
+	for i, id := range done {
+		if c.jobs[id] != nil {
+			continue
+		}
+		if evicted++; i > 0 && c.jobs[done[i-1]] != nil {
+			t.Fatalf("completed job %s evicted before the older %s", id, done[i-1])
+		}
+	}
+	if evicted < 4*step || evicted > 5*step {
+		t.Fatalf("%d completed jobs evicted for %d submissions past the cap, want within one low-water step of it", evicted, 4*step)
+	}
+
+	// With nothing completed left, live entries go, oldest first, and only as
+	// many as the cap requires.
+	c = &Coordinator{cfg: Config{JobTableCap: limit}, jobs: map[string]*coordJob{}}
+	live, done = nil, nil
+	for i := 0; i < limit+3; i++ {
+		submit(false)
+	}
+	for i, id := range live {
+		if gone := c.jobs[id] == nil; gone != (i < 3) {
+			t.Fatalf("live job %d of %d: evicted=%v", i, len(live), gone)
+		}
 	}
 }

@@ -35,19 +35,22 @@ func (s *script) factory() func(e *protocol.Engine, t *protocol.Table, rng *sim.
 	}
 }
 
-// Generate implements traffic.Source: released, not-yet-injected specs for
-// this endpoint enter the source queue.
-func (s *script) Generate(now int64, endpoint int, ni *netiface.NI) {
-	for i := range s.specs {
-		sp := &s.specs[i]
-		if !s.released[i] || s.injected[i] || sp.Requester != endpoint {
-			continue
+// Generate implements traffic.Source: released, not-yet-injected specs enter
+// their requester's source queue, endpoint by endpoint and in spec order
+// within one, which fixes the transaction IDs.
+func (s *script) Generate(now int64, nis []*netiface.NI) {
+	for endpoint, ni := range nis {
+		for i := range s.specs {
+			sp := &s.specs[i]
+			if !s.released[i] || s.injected[i] || sp.Requester != endpoint {
+				continue
+			}
+			tmpl := s.engine.Pattern.Templates[sp.Template]
+			txn := s.engine.NewTransaction(tmpl, sp.Requester, sp.Home, sp.Thirds, now)
+			s.table.Add(txn)
+			ni.EnqueueSource(s.engine.FirstMessage(txn, now))
+			s.injected[i] = true
 		}
-		tmpl := s.engine.Pattern.Templates[sp.Template]
-		txn := s.engine.NewTransaction(tmpl, sp.Requester, sp.Home, sp.Thirds, now)
-		s.table.Add(txn)
-		ni.EnqueueSource(s.engine.FirstMessage(txn, now))
-		s.injected[i] = true
 	}
 }
 

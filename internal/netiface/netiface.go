@@ -10,6 +10,7 @@ package netiface
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/message"
 	"repro/internal/protocol"
@@ -281,6 +282,9 @@ func (n *NI) Head(q int) (*message.Message, bool) {
 // PopHead removes and returns the head of input queue q. Recovery actions
 // (deflection, rescue initiation) use this; it panics on an empty queue.
 func (n *NI) PopHead(q int) *message.Message {
+	if n.wake != nil {
+		n.wake()
+	}
 	return n.popInQ(q)
 }
 
@@ -686,24 +690,8 @@ func detectFillSlots(cfg Config) int {
 // threshold cycles (the paper's "minimum recovery action" resolves one
 // message per detection).
 func (n *NI) detect(now int64) {
-	fill := n.detectFill
 	for q := 0; q < n.Cfg.Queues; q++ {
-		fire := false
-		if len(n.inQ[q])+n.inAlloc[q] >= fill && len(n.inQ[q]) > 0 {
-			m := n.inQ[q][0]
-			txn := n.Cfg.Table.Get(m.Txn)
-			typ, count, subTerm, ok := n.Cfg.Engine.NextStepInfo(txn, m)
-			if ok && !subTerm {
-				subQ := n.Cfg.QueueIndex(typ, false)
-				// "Sufficient amount of free space for the subordinate
-				// message(s)": a fanout wider than the remaining space
-				// blocks the head just as a full queue does.
-				if !n.OutSpace(subQ, count) {
-					fire = true
-				}
-			}
-		}
-		if !fire {
+		if !n.detectArmed(q) {
 			n.streak[q] = 0
 			continue
 		}
@@ -715,6 +703,21 @@ func (n *NI) detect(now int64) {
 			}
 		}
 	}
+}
+
+// detectArmed reports whether conditions (1) and (2) hold on input queue q
+// right now, so that a step would extend its streak.
+func (n *NI) detectArmed(q int) bool {
+	if len(n.inQ[q])+n.inAlloc[q] < n.detectFill || len(n.inQ[q]) == 0 {
+		return false
+	}
+	m := n.inQ[q][0]
+	txn := n.Cfg.Table.Get(m.Txn)
+	typ, count, subTerm, ok := n.Cfg.Engine.NextStepInfo(txn, m)
+	// "Sufficient amount of free space for the subordinate message(s)": a
+	// fanout wider than the remaining space blocks the head just as a full
+	// queue does.
+	return ok && !subTerm && !n.OutSpace(n.Cfg.QueueIndex(typ, false), count)
 }
 
 // PendingGenLen reports the number of MSHR completions awaiting output
@@ -778,41 +781,59 @@ func (n *NI) Quiescent() bool {
 	return true
 }
 
-// Idle reports whether stepping this NI would be a pure round-robin
-// rotation — the network's deactivation condition. Beyond Quiescent it
-// requires (a) every detector streak already reset: a dense step zeroes a
-// stale streak, and skipping that reset would let a later refill resume an
-// old count and fire detection early; and (b) no committed ejection flits:
-// drainEjection would otherwise do real work. In-flight ejection
-// reservations (inAlloc) do not block idleness: the detector needs a
-// non-empty input queue to arm, and the worm's next flit dirties the
-// ejection channel, which re-wakes the NI.
-func (n *NI) Idle() bool {
-	if !n.Quiescent() {
-		return false
-	}
-	for q := range n.streak {
-		if n.streak[q] != 0 {
-			return false
-		}
+// Never is the wake cycle Dormant reports for an NI that nothing but an
+// outside event will give work to.
+const Never = math.MaxInt64
+
+// Dormant reports whether every Step of this NI before cycle until would be a
+// pure round-robin rotation, so that the network may stop stepping it and let
+// SkipIdle account for the cycles it sleeps through — the deactivation
+// condition. Nothing may be waiting on the sending side (source queue, MSHR
+// completions, output queues), no committed ejection flit (drainEjection
+// would do real work) and no rescue request; every detector streak must
+// already be reset (a dense step zeroes a stale streak, and skipping that
+// reset would let a later refill resume an old count and fire early) and no
+// input queue may be extending one — with a small QueueCap and a wide fanout
+// the controller's own output reservation can arm the detector over empty
+// output queues. Then either the controller is free and every input queue is
+// empty, which only an outside event ends (until is Never), or it is
+// occupied, and the NI has nothing to do until the service completes at
+// until, whatever waits in its input queues. In-flight ejection reservations
+// (inAlloc) do not prevent sleep: the worm's next flit dirties the ejection
+// channel, which wakes the NI. Every outside mutation of a dormant NI wakes it.
+func (n *NI) Dormant() (until int64, ok bool) {
+	if len(n.sourceQ) > 0 || len(n.pendingGen) > 0 || n.rescueReq != nil {
+		return 0, false
 	}
 	if n.Eject != nil && n.Eject.OccMask() != 0 {
-		return false
+		return 0, false
 	}
-	return true
+	for q := 0; q < n.Cfg.Queues; q++ {
+		if len(n.outQ[q]) > 0 || n.streak[q] != 0 || (n.ctrlMsg == nil && len(n.inQ[q]) > 0) || n.detectArmed(q) {
+			return 0, false
+		}
+	}
+	if n.ctrlMsg != nil {
+		return n.ctrlBusyUntil, true
+	}
+	return Never, true
 }
 
-// SkipIdle advances round-robin state by k cycles' worth of idle steps in
-// O(1). A Step with Idle() true mutates exactly the three rotation cursors
-// (ejection, controller, injection), each by one: every queue scan falls
-// through and every detector arm sees an empty queue. The network calls
-// this to catch a sleeping NI up before it re-enters the sweep, keeping
-// arbitration byte-identical to dense stepping.
+// SkipIdle advances round-robin state by k cycles' worth of dormant steps in
+// O(1). A Step of a Dormant NI mutates exactly the rotation cursors, each by
+// one: every queue scan falls through and no detector arm holds. The
+// controller returns before its rotation while it is occupied, so its cursor
+// moves only when it is free; the state it is read from is the state the NI
+// slept in, because nothing that wakes an NI touches the controller. The
+// network calls this to catch a sleeping NI up before it re-enters the sweep,
+// keeping arbitration byte-identical to dense stepping.
 func (n *NI) SkipIdle(k int64) {
 	if n.Eject != nil {
 		n.ejRR += int(k)
 	}
-	n.ctrlRR += int(k)
+	if n.ctrlMsg == nil {
+		n.ctrlRR += int(k)
+	}
 	if n.Inject != nil {
 		n.injRR += int(k)
 	}

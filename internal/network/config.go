@@ -169,7 +169,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("network: SQ needs QueueCap >= endpoints x outstanding = %d, got %d", need, c.QueueCap)
 		}
 	}
-	if c.Rate < 0 || c.Rate > 1 {
+	if !(c.Rate >= 0 && c.Rate <= 1) { // written so that NaN fails it
 		return fmt.Errorf("network: rate %v out of [0,1]", c.Rate)
 	}
 	switch c.Detector {

@@ -118,6 +118,19 @@ type Network struct {
 	lastR     []int64
 	lastNI    []int64
 
+	// wakeRing is the calendar for NIs that sleep until a known cycle (see
+	// netiface.NI.Dormant): slot c&63, as wide as activeNIW, holds the NIs to
+	// put back into the active set at cycle c, for the wakeSlots-1 cycles
+	// after the current one. It is always wakeSlots slots, whatever the
+	// service time: a wake further out is armed as far ahead as the ring
+	// reaches, where the NI takes one more rotation step and re-arms. (Arming
+	// at until&63 regardless would wake it in time too, but could write the
+	// current cycle's slot, already consumed, and NIWakeAt could no longer
+	// tell when a bit fires.) Derived state: a slot may hold stale bits (a
+	// spurious wake is safe at every wake site), so nothing about it is
+	// captured in a snapshot.
+	wakeRing []uint64
+
 	// routerSteps, niSteps and idleCycles are the sweep's exact work counters
 	// (see StepCounts).
 	routerSteps, niSteps, idleCycles int64
@@ -590,6 +603,7 @@ func (n *Network) onRescueServiced(ni *netiface.NI, m *message.Message, subs []*
 func (n *Network) initActive() {
 	n.activeRW = make([]uint64, (len(n.Routers)+63)/64)
 	n.activeNIW = make([]uint64, (len(n.NIs)+63)/64)
+	n.wakeRing = make([]uint64, wakeSlots*len(n.activeNIW))
 	n.lastR = make([]int64, len(n.Routers))
 	n.lastNI = make([]int64, len(n.NIs))
 	setAll(n.activeRW, len(n.Routers))
@@ -627,6 +641,9 @@ func (n *Network) wakeRouter(id int) {
 	n.activeRW[id>>6] |= 1 << uint(id&63)
 }
 
+// wakeSlots is the length of the NI wake ring in cycles; a power of two.
+const wakeSlots = 64
+
 // maskEmpty reports whether every word of an active-set mask is zero.
 func maskEmpty(ws []uint64) bool {
 	for _, w := range ws {
@@ -659,8 +676,22 @@ func (n *Network) SetDense(on bool) { n.forceDense = on }
 func (n *Network) RouterActive(id int) bool { return n.activeRW[id>>6]>>uint(id&63)&1 == 1 }
 
 // NIActive reports whether endpoint ep's NI is in the active sweep set (for
-// the invariant checker: an inactive NI must be Idle).
+// the invariant checker: an inactive NI must be Dormant).
 func (n *Network) NIActive(ep int) bool { return n.activeNIW[ep>>6]>>uint(ep&63)&1 == 1 }
+
+// NIWakeAt returns the first cycle from the current one on at which the wake
+// ring puts endpoint ep's NI back into the active set, or netiface.Never if
+// no slot holds it (for the invariant checker: an inactive NI with a finite
+// Dormant wake must have a timer that fires no later).
+func (n *Network) NIWakeAt(ep int) int64 {
+	now := n.Clock.Now()
+	for at := now; at < now+wakeSlots; at++ {
+		if n.wakeRing[int(at&(wakeSlots-1))*len(n.activeNIW)+ep>>6]>>uint(ep&63)&1 == 1 {
+			return at
+		}
+	}
+	return netiface.Never
+}
 
 // InvalidateRouting drops the candidate table and unparks every blocked
 // header. Fault injectors must call it after mutating the link-health mask so
@@ -691,15 +722,12 @@ func (n *Network) StepCounts() (routerSteps, niSteps, idleCycles int64) {
 	return n.routerSteps, n.niSteps, n.idleCycles
 }
 
-// generate runs the traffic source for every endpoint. It must run every
-// cycle outside the drain phase — including fast-path cycles — because each
-// endpoint's Bernoulli stream draws once per cycle and skipping a draw would
-// desynchronize the RNG from the dense engine.
+// generate runs the traffic source. It must run every cycle outside the drain
+// phase — including fast-path cycles — because a source may hold arrivals it
+// drew ahead for exactly this cycle (traffic.Source.Generate's contract).
 func (n *Network) generate(now int64) {
 	if n.Clock.Phase() != sim.PhaseDrain && n.Source != nil {
-		for ep, ni := range n.NIs {
-			n.Source.Generate(now, ep, ni)
-		}
+		n.Source.Generate(now, n.NIs)
 	}
 }
 
@@ -719,14 +747,22 @@ func (n *Network) scanDue(now int64) bool {
 //     they slept through; only dirty channels commit, and each commit wakes
 //     the consumer for the next cycle. When nothing is active, no channel is
 //     dirty and no scan is due, the sweep is skipped altogether and only the
-//     per-cycle housekeeping runs — traffic generation (RNG streams advance
-//     every cycle), the rescue token walk, sampler/OnCycle, clock.
+//     per-cycle housekeeping runs — traffic generation (the source is told
+//     of every cycle), the rescue token walk, sampler/OnCycle, clock.
+//
+// Either way the cycle starts by moving the NIs whose timer expires now from
+// the wake ring into the active set.
 //
 // The phase-profiler marks sit on the pipeline boundaries that already exist
 // (routing and arbitration mark themselves inside Router.Step); since an
 // attached profiler forces the dense regime, its phase accounting is exact.
 func (n *Network) Step() {
 	now := n.Clock.Now()
+	slot := n.wakeRing[int(now&(wakeSlots-1))*len(n.activeNIW):][:len(n.activeNIW)]
+	for wi, w := range slot {
+		n.activeNIW[wi] |= w
+		slot[wi] = 0
+	}
 	if n.prof != nil || n.forceDense {
 		n.sweep(now, true, true)
 		return
@@ -798,8 +834,12 @@ func (n *Network) sweep(now int64, gen, dense bool) {
 			n.lastNI[ep] = now
 			ni.Step(now)
 			n.niSteps++
-			if ni.Idle() {
+			if until, ok := ni.Dormant(); ok && until > now+1 {
 				n.activeNIW[wi] &^= b
+				if until != netiface.Never {
+					at := min(until, now+wakeSlots-1)
+					n.wakeRing[int(at&(wakeSlots-1))*len(n.activeNIW)+wi] |= b
+				}
 			}
 		}
 	}
@@ -863,6 +903,23 @@ func (n *Network) sweep(now int64, gen, dense bool) {
 		n.prof.EndCycle()
 	}
 	n.Clock.Tick()
+}
+
+// settleSkipped applies to every sleeping component the SkipIdle catch-up it
+// is owed for the cycles before now, as the sweep would at its next wake.
+func (n *Network) settleSkipped(now int64) {
+	for id, r := range n.Routers {
+		if k := now - 1 - n.lastR[id]; k > 0 {
+			r.SkipIdle(k)
+			n.lastR[id] = now - 1
+		}
+	}
+	for ep, ni := range n.NIs {
+		if k := now - 1 - n.lastNI[ep]; k > 0 {
+			ni.SkipIdle(k)
+			n.lastNI[ep] = now - 1
+		}
+	}
 }
 
 // Quiescent reports whether no work remains anywhere in the system. Channel

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -122,6 +124,30 @@ func TestTooManyVCsIsAnError(t *testing.T) {
 	}
 }
 
+// TestNaNRateIsAnError: NaN is neither below 0 nor above 1, so a range test
+// written with those two comparisons lets it through; the run then simulated
+// nothing, and converting it to the source's integer threshold would be
+// implementation-defined. Only the library and the command line can carry a
+// NaN this far: encoding/json refuses the literal, so POST /v1/runs answers
+// 400 before a spec exists (netsim's side is TestNaNRateIsAFlagError).
+func TestNaNRateIsAnError(t *testing.T) {
+	for _, rate := range []float64{0, 1} {
+		cfg := smallConfig(schemes.PR, protocol.PAT271, 4, rate)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("rate %v rejected: %v", rate, err)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), -0.001, 1.001} {
+		cfg := smallConfig(schemes.PR, protocol.PAT271, 4, rate)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "rate") {
+			t.Fatalf("Validate with rate %v = %v, want an error naming the rate", rate, err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Fatalf("New built a network at rate %v", rate)
+		}
+	}
+}
+
 func TestSANeverDeadlocks(t *testing.T) {
 	// Drive SA hard; the CWG observer must find no knots and no recovery
 	// actions may occur.
@@ -209,5 +235,35 @@ func TestZeroRateStaysQuiescent(t *testing.T) {
 	n.RunCycles(1000)
 	if n.Stats.DeliveredMsgs != 0 || !n.Quiescent() {
 		t.Fatal("idle network did something")
+	}
+}
+
+// TestNewDoesNotScaleWithServiceTime: service_time can be set to 2,000,000,000
+// over HTTP and by netsim -service, so nothing may be sized by it. The NI wake
+// ring in particular is 64 slots whatever the service time; a controller that
+// stays busy longer re-arms on the way.
+func TestNewDoesNotScaleWithServiceTime(t *testing.T) {
+	newBytes := func(service int) uint64 {
+		cfg := smallConfig(schemes.PR, protocol.PAT271, 4, 0.01)
+		cfg.ServiceTime = service
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		n, err := New(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.RunCycles(300) // and it runs: sleepers re-arm every 63 cycles
+		if _, steps, _ := n.StepCounts(); steps == 0 {
+			t.Fatal("no NI ever stepped")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	newBytes(40) // warm up whatever the first New in the process pays once
+	short, long := newBytes(40), newBytes(2_000_000_000)
+	t.Logf("network.New allocates %d bytes at service time 40, %d at 2e9", short, long)
+	if long > short+1024 {
+		t.Fatalf("network.New allocates %d bytes at service time 2e9 against %d at 40", long, short)
 	}
 }

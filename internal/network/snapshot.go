@@ -31,15 +31,16 @@ import (
 //
 // Derived acceleration state is deliberately absent from the snapshot: the
 // router occupancy words, route mirrors and candidate memos, the channel
-// occupancy masks, the shared committed-flit counter, and the active-set
-// sweep masks are all rebuilt from canonical state during Restore. After a
-// restore every component is marked active with its catch-up timestamp at
-// now-1; spurious activity is byte-identical safe (stepping an idle
-// component is a pure round-robin rotation, the same equivalence that makes
-// the sparse engine match dense stepping), and the RR-cursor catch-up that
-// sleeping components were owed at capture time is folded into the captured
-// cursors, so a restored run and an uninterrupted run produce identical
-// delivery digests.
+// occupancy masks, the shared committed-flit counter, the active-set sweep
+// masks and the NI wake ring are all rebuilt from canonical state during
+// Restore. After a restore every component is marked active with its catch-up
+// timestamp at now-1; spurious activity is byte-identical safe (stepping a
+// dormant component is a pure round-robin rotation, the same equivalence
+// that makes the sparse engine match dense stepping, and a sleeper goes back
+// on the ring when it next leaves the set), and the RR-cursor catch-up that
+// sleeping components were owed at capture time is applied to the live
+// components before they are captured, so a restored run and an
+// uninterrupted run produce identical delivery digests.
 //
 // Snapshots happen only at cycle boundaries (between Step calls): every
 // staged flit has been committed and the dirty-channel list is empty.
@@ -70,8 +71,8 @@ type Snapshot struct {
 	Txns []*protocol.Transaction
 	// VCs holds one state per VC, flattened in (channel ID, VC index) order.
 	VCs []router.VCState
-	// Routers holds per-router scheduling state with the SkipIdle catch-up
-	// owed at capture time already applied.
+	// Routers holds per-router scheduling state, with no SkipIdle catch-up
+	// owed (Snapshot settles it first).
 	Routers []router.RouterSched
 	// NIs holds per-endpoint NI state, likewise caught up.
 	NIs []netiface.NIState
@@ -147,8 +148,9 @@ func cloneTxn(t *protocol.Transaction) *protocol.Transaction {
 }
 
 // Snapshot captures the complete network state at the current cycle
-// boundary. The live network is not perturbed: a run that snapshots and
-// keeps going is byte-identical to one that never snapshotted.
+// boundary. A run that snapshots and keeps going is byte-identical to one
+// that never snapshotted: the only thing Snapshot does to the live network is
+// apply, early, the rotation catch-up its sleeping components were owed.
 func (n *Network) Snapshot() *Snapshot {
 	if len(n.dirtyCh) != 0 {
 		panic("network: Snapshot with uncommitted staged flits (call between Steps)")
@@ -177,28 +179,18 @@ func (n *Network) Snapshot() *Snapshot {
 			s.VCs = append(s.VCs, vc.CaptureState(c.pkt))
 		}
 	}
+	// Settle the idle catch-up sleeping components are owed before capturing
+	// them: the restored run marks everything active at now with no history
+	// to catch up on, and catch-up is additive, so the live run continues
+	// exactly as if it had not been snapshotted.
+	n.settleSkipped(now)
 	s.Routers = make([]router.RouterSched, len(n.Routers))
 	for id, r := range n.Routers {
 		s.Routers[id] = r.CaptureSched()
-		// Fold in the idle catch-up this router is owed: the live run will
-		// apply it via SkipIdle at its next wake, and the restored run marks
-		// everything active at now with no history to catch up on.
-		if k := now - 1 - n.lastR[id]; k > 0 {
-			s.Routers[id].VaRR += int(k)
-		}
 	}
 	s.NIs = make([]netiface.NIState, len(n.NIs))
 	for ep, ni := range n.NIs {
 		s.NIs[ep] = ni.CaptureState(c.msg, c.pkt)
-		if k := now - 1 - n.lastNI[ep]; k > 0 {
-			if ni.Eject != nil {
-				s.NIs[ep].EjRR += int(k)
-			}
-			s.NIs[ep].CtrlRR += int(k)
-			if ni.Inject != nil {
-				s.NIs[ep].InjRR += int(k)
-			}
-		}
 	}
 	if n.Token != nil {
 		st := n.Token.CaptureState()

@@ -75,18 +75,22 @@ func TestVAAttemptsPerGrant(t *testing.T) {
 // TestActiveSetWorkShare pins what the active-set sweep is for, as exact
 // counts: over the six engine_sparse configurations of the benchmark (rate
 // 0.001, where applications spend over 90% of their run) at most a fifth of
-// the routers and of the NIs may still be in the active sets at the end of a
-// cycle, counted at every OnCycle through RouterActive/NIActive exactly as
-// bench/layers.go computes network.active_router_share. It replaces a CI step
-// that timed sparse against forced-dense stepping and asserted a 2x ratio,
-// which every speedup of the router step itself eroded (11.7x at PR 7, 2.86x
-// by PR 17) with no bug anywhere.
+// the routers and 7% of the NIs may still be in the active sets at the end of
+// a cycle, counted at every OnCycle through RouterActive/NIActive exactly as
+// bench/layers.go computes network.active_router_share, and the NI steps
+// actually executed (Network.StepCounts) may be at most half of what they
+// were while an NI waiting out its memory controller stayed in the set. It
+// replaces a CI step that timed sparse against forced-dense stepping and
+// asserted a 2x ratio, which every speedup of the router step itself eroded
+// (11.7x at PR 7, 2.86x by PR 17) with no bug anywhere.
 //
-// Mutation check: with the `if r.InputsIdle() { n.activeRW[wi] &^= b }` clear
+// Mutation checks: with the `if r.InputsIdle() { n.activeRW[wi] &^= b }` clear
 // dropped from Network.sweep, no router ever leaves the active set, the
-// router share reads 1.0000 and this test fails, while
-// check.TestSkipAheadDenseEquivalence still passes: the results stay
-// byte-identical and only the work is wasted, so nothing else catches it.
+// router share reads 1.0000 and this test fails; with NI.Dormant never
+// reporting a finite wake the NI share reads 0.1093 and it fails. In both the
+// digests of check.TestSkipAheadDenseEquivalence and TestGoldenDigests still
+// match: the results stay byte-identical and only the work is wasted, so no
+// comparison of results catches it.
 func TestActiveSetWorkShare(t *testing.T) {
 	var cycles, routers, nis, idle, routerSlots, niSlots int64
 	var routerSteps, niSteps, skipped int64
@@ -125,19 +129,19 @@ func TestActiveSetWorkShare(t *testing.T) {
 	if routers == 0 || nis == 0 {
 		t.Fatal("nothing was ever active: the runs carried no traffic")
 	}
-	if routerShare > 0.20 || niShare > 0.20 {
-		t.Fatalf("active share at rate 0.001: routers %.4f, NIs %.4f, want <= 0.20 each", routerShare, niShare)
+	if routerShare > 0.20 || niShare > 0.07 {
+		t.Fatalf("active share at rate 0.001: routers %.4f, want <= 0.20; NIs %.4f, want <= 0.07", routerShare, niShare)
 	}
-	if routers != 208067 || nis != parentNIActive || routerSteps != 208406 || niSteps != parentNISteps || skipped != 112 {
-		t.Fatalf("exact counts moved: %d router-cycles, %d NI-cycles active; %d router steps, %d NI steps, %d cycles skipped",
-			routers, nis, routerSteps, niSteps, skipped)
+	if niSteps > parentNISteps/2 {
+		t.Fatalf("%d NI steps executed, want at most half of the %d executed with the endpoints on the clock", niSteps, parentNISteps)
+	}
+	if routers != 208067 || routerSteps != 208406 {
+		t.Fatalf("the router side moved: %d router-cycles active, %d router steps; want 208067, 208406", routers, routerSteps)
 	}
 }
 
-// The NI side of TestActiveSetWorkShare as recorded at f47e428, where an NI
-// waiting out its memory controller stays in the active set: NI-cycles in the
-// set at OnCycle, and NI steps executed (Network.StepCounts).
-const (
-	parentNIActive = 167940
-	parentNISteps  = 169657
-)
+// parentNISteps is the NI steps TestActiveSetWorkShare's runs executed at
+// f47e428 (recorded there through StepCounts, with 167,940 NI-cycles in the
+// active set at OnCycle and 112 cycles skipping the sweep), when an NI
+// waiting out its memory controller was stepped every cycle.
+const parentNISteps = 169657

@@ -10,7 +10,10 @@
 // of randomness flows through RNG.
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256**). It is deliberately not backed by math/rand so that the
@@ -24,18 +27,20 @@ type RNG struct {
 // guarantees a well-mixed non-zero internal state for any seed value.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	sm := seed
-	next := func() uint64 {
+	r.seed(seed)
+	return r
+}
+
+// seed is NewRNG's body, apart so that NewRNG inlines and a caller that stores
+// the value (a slab of per-endpoint streams) allocates nothing.
+func (r *RNG) seed(sm uint64) {
+	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
+		r.s[i] = z ^ (z >> 31)
 	}
-	for i := range r.s {
-		r.s[i] = next()
-	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -84,6 +89,47 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// threshold53 is the integer t for which x < t exactly when
+// float64(x)/(1<<53) < p, for every 53-bit x and 0 < p < 1: scaling by a power
+// of two is exact, so the float comparison is x < p*2^53, and an integer is
+// below a real exactly when it is below its ceiling.
+func threshold53(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// FirstBelow makes up to max Bernoulli(p) draws and stops at the first
+// success: it returns that draw's index and true, or max and false when all
+// max fail. The stream ends exactly where that many Bernoulli calls would
+// leave it — none for p <= 0 (never) and p >= 1 (at once), like Bernoulli —
+// but the generator runs with its state in registers and compares integers,
+// which is what lets a traffic source draw an endpoint's arrivals ahead
+// instead of once per cycle. A NaN p never succeeds and draws nothing.
+func (r *RNG) FirstBelow(p float64, max int) (int, bool) {
+	if !(p > 0) {
+		return max, false
+	}
+	if p >= 1 {
+		return 0, max > 0
+	}
+	t := threshold53(p)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	i, hit := 0, false
+	for ; i < max; i++ {
+		u := rotl(s1*5, 7) * 9
+		x := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= x
+		s3 = rotl(s3, 45)
+		if u>>11 < t {
+			hit = true
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return i, hit
 }
 
 // Pick selects an index from a discrete distribution given by weights.

@@ -203,3 +203,68 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 	_ = r
 }
+
+// TestThreshold53 holds the integer comparison FirstBelow makes to the float
+// comparison Bernoulli makes, at the only place they could part: either side
+// of the threshold. p = 2^-53 is the smallest rate at which anything but a
+// zero draw fails, 1-2^-53 the largest below certainty, 1/3 is not a dyadic
+// rational, and 0.001 and 0.012 are the rates the benchmark runs at.
+func TestThreshold53(t *testing.T) {
+	for _, p := range []float64{0x1p-53, 1e-300, 1e-9, 0.001, 0.012, 1.0 / 3, 0.5, 1 - 0x1p-53} {
+		th := threshold53(p)
+		if th == 0 || th > 1<<53 {
+			t.Fatalf("threshold53(%g) = %d, outside (0, 2^53]", p, th)
+		}
+		for _, x := range []uint64{th - 1, th, th + 1} {
+			if x >= 1<<53 {
+				continue // not a value u>>11 can take
+			}
+			if got, want := x < th, float64(x)/(1<<53) < p; got != want {
+				t.Errorf("p=%g x=%d: integer test %v, float test %v (threshold %d)", p, x, got, want, th)
+			}
+		}
+	}
+}
+
+// FuzzFirstBelow holds the register-resident draw loop to the obvious one: up
+// to max calls of Bernoulli(p) on a copy of the stream, stopping at the first
+// success, must find the same index and leave the same state behind — for any
+// seed, any p (the no-draw cases p <= 0 and p >= 1 included) and any max.
+func FuzzFirstBelow(f *testing.F) {
+	f.Add(uint64(1), 0.001, uint16(1024))
+	f.Add(uint64(2), 0.012, uint16(1024))
+	f.Add(uint64(3), 0.5, uint16(3))
+	f.Add(uint64(4), 1e-9, uint16(1024))  // no success within the look-ahead
+	f.Add(uint64(5), 0.0, uint16(1024))   // never, and no draws
+	f.Add(uint64(6), 1.0, uint16(1024))   // at once, and no draws
+	f.Add(uint64(7), -0.25, uint16(7))    // below the range
+	f.Add(uint64(8), 1.5, uint16(7))      // above it
+	f.Add(uint64(9), 0x1p-53, uint16(64)) // only a zero draw succeeds
+	f.Add(uint64(10), 1-0x1p-53, uint16(64))
+	f.Add(uint64(11), 1.0/3, uint16(0)) // no draws allowed
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, max uint16) {
+		if math.IsNaN(p) {
+			return // Config.Validate rejects NaN; Bernoulli draws for it, FirstBelow does not
+		}
+		got, ref := NewRNG(seed), NewRNG(seed)
+		// Some way into the stream, so the state is not the seeding's.
+		for i := 0; i < int(seed%5); i++ {
+			got.Uint64()
+			ref.Uint64()
+		}
+		want, wantHit := 0, false
+		for ; want < int(max); want++ {
+			if ref.Bernoulli(p) {
+				wantHit = true
+				break
+			}
+		}
+		idx, hit := got.FirstBelow(p, int(max))
+		if idx != want || hit != wantHit {
+			t.Fatalf("FirstBelow(%g, %d) = %d, %v; %d Bernoulli calls say %d, %v", p, max, idx, hit, max, want, wantHit)
+		}
+		if got.State() != ref.State() {
+			t.Fatalf("FirstBelow(%g, %d) left the stream at %x, Bernoulli calls at %x", p, max, got.State(), ref.State())
+		}
+	})
+}

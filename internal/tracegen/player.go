@@ -60,7 +60,14 @@ func NewPlayer(tr *Trace, engine *protocol.Engine, table *protocol.Table, rng *s
 }
 
 // Generate implements traffic.Source.
-func (p *Player) Generate(now int64, endpoint int, ni *netiface.NI) {
+func (p *Player) Generate(now int64, nis []*netiface.NI) {
+	for endpoint, ni := range nis {
+		p.replay(now, endpoint, ni)
+	}
+}
+
+// replay advances one cpu's cursor through the records due by now.
+func (p *Player) replay(now int64, endpoint int, ni *netiface.NI) {
 	recs := p.perCPU[endpoint]
 	done := 0
 	for p.idx[endpoint] < len(recs) && done < p.MaxPerCycle {

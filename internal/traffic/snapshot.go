@@ -8,12 +8,18 @@ import "fmt"
 // orchestrator captures any source implementing the two methods below
 // (custom finite sources implement the same pair).
 
-// SyntheticState is the synthetic source's mutable state.
+// SyntheticState is the synthetic source's mutable state. The streams have
+// been drawn past the present, so where each endpoint's look-ahead stopped
+// (NextAt, Hit) and the cycle the source expects next are as canonical as the
+// streams themselves: a restore without them would replay different arrivals.
 type SyntheticState struct {
 	Generated   int64
 	Throttled   int64
 	Outstanding []int
 	RNGStates   [][4]uint64
+	NextAt      []int64
+	Hit         []bool
+	Next        int64
 }
 
 // CaptureSourceState snapshots the source, including every per-endpoint RNG
@@ -24,9 +30,12 @@ func (s *Synthetic) CaptureSourceState() any {
 		Throttled:   s.Throttled,
 		Outstanding: append([]int(nil), s.outstanding...),
 		RNGStates:   make([][4]uint64, len(s.rngs)),
+		NextAt:      append([]int64(nil), s.nextAt...),
+		Hit:         append([]bool(nil), s.hit...),
+		Next:        s.next,
 	}
-	for i, r := range s.rngs {
-		st.RNGStates[i] = r.State()
+	for i := range s.rngs {
+		st.RNGStates[i] = s.rngs[i].State()
 	}
 	return st
 }
@@ -40,7 +49,11 @@ func (s *Synthetic) RestoreSourceState(state any) {
 	s.Generated = st.Generated
 	s.Throttled = st.Throttled
 	copy(s.outstanding, st.Outstanding)
-	for i, r := range s.rngs {
-		r.SetState(st.RNGStates[i])
+	for i := range s.rngs {
+		s.rngs[i].SetState(st.RNGStates[i])
 	}
+	copy(s.nextAt, st.NextAt)
+	copy(s.hit, st.Hit)
+	s.next = st.Next
+	s.soonest = st.Next // the next Generate recomputes it
 }

@@ -8,6 +8,9 @@
 package traffic
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/netiface"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -15,9 +18,14 @@ import (
 
 // Source produces new transactions for endpoints each cycle.
 type Source interface {
-	// Generate is called once per endpoint per cycle; implementations
-	// enqueue any new requests on the endpoint's NI.
-	Generate(now int64, endpoint int, ni *netiface.NI)
+	// Generate is called once per cycle with every endpoint's NI, indexed by
+	// endpoint; implementations enqueue any new requests on the requester's
+	// NI, visiting endpoints in ascending order (transaction IDs follow that
+	// order). Calls must be consecutive — each now is the previous one plus
+	// one, from whatever cycle the first call (or a restored state) names —
+	// until generation stops for good: a source may know its arrivals ahead
+	// of time, and one that does panics on a gap rather than lose them.
+	Generate(now int64, nis []*netiface.NI)
 	// TxnCompleted notifies the source that one of the requester's
 	// transactions finished, releasing its preallocated MSHR.
 	TxnCompleted(requester int)
@@ -48,35 +56,94 @@ type Synthetic struct {
 	Throttled int64
 
 	outstanding []int
-	rngs        []*sim.RNG
+	rngs        []sim.RNG
 	thirdsBuf   []int // scratch for NewTransaction (the engine copies it)
+
+	// Each endpoint's Bernoulli draws are made ahead, from its own stream,
+	// up to its next success or lookAhead failures, whichever comes first:
+	// nextAt[ep] is the cycle that run of draws ends at and hit[ep] whether
+	// it ends in an arrival. Every draw for a cycle before nextAt[ep] has
+	// been made and failed; none for a later cycle has been made. soonest is
+	// the minimum of nextAt, so a cycle on which nothing arrives costs one
+	// comparison. next is the cycle Generate must be called with, -1 before
+	// the first call (which starts the look-ahead at its own now).
+	nextAt  []int64
+	hit     []bool
+	soonest int64
+	next    int64
 }
+
+// lookAhead bounds how far ahead of the present an endpoint's stream is
+// drawn, so that a vanishing rate costs one call per endpoint per lookAhead
+// cycles and not an unbounded loop.
+const lookAhead = 1024
 
 // NewSynthetic builds a synthetic source with one RNG stream per endpoint so
 // endpoint behaviour is independent of stepping order.
 func NewSynthetic(rate float64, endpoints int, engine *protocol.Engine, table *protocol.Table, rng *sim.RNG) *Synthetic {
-	s := &Synthetic{Rate: rate, Endpoints: endpoints, Engine: engine, Table: table}
-	s.rngs = make([]*sim.RNG, endpoints)
+	s := &Synthetic{Rate: rate, Endpoints: endpoints, Engine: engine, Table: table, next: -1}
+	s.rngs = make([]sim.RNG, endpoints)
 	for i := range s.rngs {
-		s.rngs[i] = rng.Split()
+		s.rngs[i] = *sim.NewRNG(rng.Uint64()) // rng.Split(), stored by value
 	}
 	s.outstanding = make([]int, endpoints)
+	s.nextAt = make([]int64, endpoints)
+	s.hit = make([]bool, endpoints)
 	return s
 }
 
-// Generate implements Source.
-func (s *Synthetic) Generate(now int64, endpoint int, ni *netiface.NI) {
-	rng := s.rngs[endpoint]
-	if !rng.Bernoulli(s.Rate) {
+// Generate implements Source. Each endpoint's stream yields the same values
+// in the same order as one Bernoulli draw per cycle would: failures, the
+// success, that transaction's own draws (made here, at the arrival cycle,
+// because whether it is throttled is only known now), then the next run of
+// failures.
+func (s *Synthetic) Generate(now int64, nis []*netiface.NI) {
+	if now != s.next {
+		if s.next >= 0 {
+			panic(fmt.Sprintf("traffic: Generate(%d) after cycle %d: arrivals drawn ahead would be lost", now, s.next-1))
+		}
+		for ep := range s.nextAt {
+			s.draw(ep, now)
+		}
+		s.soonest = now
+	}
+	s.next = now + 1
+	if now < s.soonest {
 		return
 	}
-	if s.MaxOutstanding > 0 && s.outstanding[endpoint] >= s.MaxOutstanding {
+	soonest := int64(math.MaxInt64)
+	for ep, at := range s.nextAt {
+		if at == now {
+			if s.hit[ep] {
+				s.arrive(now, ep, nis[ep])
+			}
+			at = s.draw(ep, now+1)
+		}
+		soonest = min(soonest, at)
+	}
+	s.soonest = soonest
+}
+
+// draw runs endpoint ep's stream forward from cycle from, the first cycle it
+// has not drawn for, and returns the cycle it stopped at.
+func (s *Synthetic) draw(ep int, from int64) int64 {
+	k, hit := s.rngs[ep].FirstBelow(s.Rate, lookAhead)
+	if !hit {
+		k-- // the last cycle drawn for; the look-ahead resumes after it
+	}
+	s.nextAt[ep], s.hit[ep] = from+int64(k), hit
+	return from + int64(k)
+}
+
+// arrive handles a Bernoulli success at endpoint ep.
+func (s *Synthetic) arrive(now int64, ep int, ni *netiface.NI) {
+	if s.MaxOutstanding > 0 && s.outstanding[ep] >= s.MaxOutstanding {
 		s.Throttled++
 		return
 	}
-	txn := s.NewTransaction(endpoint, rng, now)
+	txn := s.NewTransaction(ep, &s.rngs[ep], now)
 	ni.EnqueueSource(s.Engine.FirstMessage(txn, now))
-	s.outstanding[endpoint]++
+	s.outstanding[ep]++
 	s.Generated++
 }
 

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/message"
@@ -11,11 +12,11 @@ import (
 	"repro/internal/sim"
 )
 
-func testNI(t *testing.T, eng *protocol.Engine, table *protocol.Table) *netiface.NI {
+func testNI(t *testing.T, eng *protocol.Engine, table *protocol.Table, ep int) *netiface.NI {
 	t.Helper()
 	var pktID message.PacketID
 	ni := netiface.New(netiface.Config{
-		Endpoint:        0,
+		Endpoint:        ep,
 		Queues:          1,
 		QueueIndex:      func(message.Type, bool) int { return 0 },
 		QueueCap:        16,
@@ -31,7 +32,8 @@ func testNI(t *testing.T, eng *protocol.Engine, table *protocol.Table) *netiface
 	return ni
 }
 
-func newSynthetic(t *testing.T, rate float64) (*Synthetic, *netiface.NI) {
+// newSynthetic builds a 16-endpoint source and one NI per endpoint.
+func newSynthetic(t *testing.T, rate float64) (*Synthetic, []*netiface.NI) {
 	t.Helper()
 	eng, err := protocol.NewEngine(protocol.PAT271, protocol.DefaultLengths)
 	if err != nil {
@@ -39,21 +41,27 @@ func newSynthetic(t *testing.T, rate float64) (*Synthetic, *netiface.NI) {
 	}
 	table := protocol.NewTable()
 	s := NewSynthetic(rate, 16, eng, table, sim.NewRNG(7))
-	return s, testNI(t, eng, table)
+	nis := make([]*netiface.NI, s.Endpoints)
+	for ep := range nis {
+		nis[ep] = testNI(t, eng, table, ep)
+	}
+	return s, nis
 }
 
 func TestGenerationRate(t *testing.T) {
-	s, ni := newSynthetic(t, 0.1)
+	s, nis := newSynthetic(t, 0.1)
 	const cycles = 20000
 	for now := int64(0); now < cycles; now++ {
-		s.Generate(now, 3, ni)
+		s.Generate(now, nis)
 	}
-	got := float64(s.Generated) / cycles
+	got := float64(s.Generated) / (cycles * float64(len(nis)))
 	if math.Abs(got-0.1) > 0.01 {
 		t.Fatalf("generation rate = %v, want ~0.1", got)
 	}
-	if ni.SourceBacklog() == 0 {
-		t.Fatal("nothing enqueued")
+	for ep, ni := range nis {
+		if got := float64(ni.SourceBacklog()) / cycles; math.Abs(got-0.1) > 0.02 {
+			t.Fatalf("endpoint %d generation rate = %v, want ~0.1", ep, got)
+		}
 	}
 }
 
@@ -91,24 +99,24 @@ func TestTemplateMixMatchesWeights(t *testing.T) {
 }
 
 func TestOutstandingLimitThrottles(t *testing.T) {
-	s, ni := newSynthetic(t, 1) // generate every cycle
+	s, nis := newSynthetic(t, 1) // every endpoint generates every cycle
 	s.MaxOutstanding = 4
 	for now := int64(0); now < 100; now++ {
-		s.Generate(now, 2, ni)
+		s.Generate(now, nis)
 	}
-	if s.Generated != 4 {
-		t.Fatalf("generated %d, want 4 (limit)", s.Generated)
+	if want := int64(4 * len(nis)); s.Generated != want {
+		t.Fatalf("generated %d, want %d (limit)", s.Generated, want)
 	}
-	if s.Throttled != 96 {
-		t.Fatalf("throttled %d, want 96", s.Throttled)
+	if want := int64(96 * len(nis)); s.Throttled != want {
+		t.Fatalf("throttled %d, want %d", s.Throttled, want)
 	}
-	if s.Outstanding(2) != 4 {
-		t.Fatalf("outstanding = %d", s.Outstanding(2))
+	if s.Outstanding(2) != 4 || nis[2].SourceBacklog() != 4 {
+		t.Fatalf("outstanding = %d, backlog = %d", s.Outstanding(2), nis[2].SourceBacklog())
 	}
-	// Completion frees a slot.
+	// Completion frees a slot, at that endpoint only.
 	s.TxnCompleted(2)
-	s.Generate(200, 2, ni)
-	if s.Generated != 5 {
+	s.Generate(100, nis)
+	if s.Generated != int64(4*len(nis))+1 || nis[2].SourceBacklog() != 5 {
 		t.Fatal("completion did not free an MSHR")
 	}
 }
@@ -129,40 +137,42 @@ func TestSyntheticAlwaysActive(t *testing.T) {
 }
 
 func TestPerEndpointStreamsIndependent(t *testing.T) {
-	// Generation at endpoint k must not depend on how many other
-	// endpoints were polled before it.
-	mk := func(poll []int) int64 {
+	// What arrives at endpoint k must not depend on what the other endpoints
+	// draw from their streams: in one run their transactions complete at
+	// once, so they keep rolling new ones; in the other they never complete,
+	// so after the first they are throttled and roll nothing.
+	arrivals := func(othersComplete bool) []int64 {
 		eng, _ := protocol.NewEngine(protocol.PAT100, protocol.DefaultLengths)
 		table := protocol.NewTable()
 		s := NewSynthetic(0.5, 4, eng, table, sim.NewRNG(11))
-		ni := testNIquiet(eng, table)
+		s.MaxOutstanding = 1
+		nis := make([]*netiface.NI, 4)
+		for ep := range nis {
+			nis[ep] = testNIquiet(eng, table)
+		}
+		var at []int64
 		for now := int64(0); now < 200; now++ {
-			for _, ep := range poll {
-				s.Generate(now, ep, ni)
+			before := nis[3].SourceBacklog()
+			s.Generate(now, nis)
+			if nis[3].SourceBacklog() != before {
+				at = append(at, now)
+			}
+			s.TxnCompleted(3)
+			for ep := 0; othersComplete && ep < 3; ep++ {
+				s.TxnCompleted(ep)
 			}
 		}
-		return s.Generated
+		if othersComplete == (s.Throttled > 0) {
+			t.Fatalf("othersComplete=%v but throttled %d", othersComplete, s.Throttled)
+		}
+		return at
 	}
-	full := mk([]int{0, 1, 2, 3})
-	if full == 0 {
+	busy, quiet := arrivals(true), arrivals(false)
+	if len(busy) == 0 {
 		t.Fatal("nothing generated")
 	}
-	// Endpoint 3 alone should generate the same count as within the group.
-	aloneEng, _ := protocol.NewEngine(protocol.PAT100, protocol.DefaultLengths)
-	tab := protocol.NewTable()
-	sAll := NewSynthetic(0.5, 4, aloneEng, tab, sim.NewRNG(11))
-	sOne := NewSynthetic(0.5, 4, aloneEng, tab, sim.NewRNG(11))
-	ni := testNIquiet(aloneEng, tab)
-	for now := int64(0); now < 200; now++ {
-		for ep := 0; ep < 4; ep++ {
-			sAll.Generate(now, ep, ni)
-		}
-		sOne.Generate(now, 3, ni)
-	}
-	// Compare per-endpoint outstanding counts for endpoint 3.
-	if sAll.Outstanding(3) != sOne.Outstanding(3) {
-		t.Fatalf("endpoint 3 stream depends on other endpoints: %d vs %d",
-			sAll.Outstanding(3), sOne.Outstanding(3))
+	if !slices.Equal(busy, quiet) {
+		t.Fatalf("endpoint 3 stream depends on other endpoints:\n%v\n%v", busy, quiet)
 	}
 }
 
