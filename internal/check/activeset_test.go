@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/ckpt"
 	"repro/internal/message"
 	"repro/internal/network"
 	"repro/internal/protocol"
@@ -277,6 +278,8 @@ func TestEjectionOccMaskDriftCaught(t *testing.T) {
 	if target == nil {
 		t.Fatal("no free ejection VC after 50 cycles")
 	}
+	empty := ckpt.NewWriter(0, 0)
+	target.Checkpoint(empty, n.Channels)
 	m := n.Pool.NewMessage(0, message.M1, 0, 0, 1, 1, now)
 	pkt := n.Pool.NewPacket(message.PacketID(1<<30), m)
 	target.Owner = pkt
@@ -285,7 +288,7 @@ func TestEjectionOccMaskDriftCaught(t *testing.T) {
 	if target.Ch.OccMask()>>uint(target.Index)&1 != 1 {
 		t.Fatal("commit did not set the ejection channel's occupancy bit")
 	}
-	target.RestoreState(router.VCState{}, func(p *message.Packet) *message.Packet { return p })
+	target.Checkpoint(empty.Replay(), n.Channels) // and no ResetDerived
 
 	c.CheckNow(now)
 	if !hasRule(c.Violations(), "occ-mask-drift") {

@@ -1,23 +1,21 @@
 package check_test
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/schemes"
-	"repro/internal/traffic"
 )
 
 // TestRestoredNetworkPassesCheckNow is the active-set statement for
 // snapshot/restore: a network restored mid-run must satisfy every
 // mask/mirror/credit invariant immediately — before stepping a single cycle
 // — because Restore rebuilds all derived acceleration state (occupancy
-// words, route mirrors, occupancy counters, active sets) from the canonical
-// fields it just wrote. The run then continues to completion under the
-// periodic sweep and the CWG knot audit, both of which must stay clean.
+// words, occupancy counters, active sets) from the canonical fields it just
+// wrote. The run then continues to completion under the periodic sweep and
+// the CWG knot audit, both of which must stay clean.
 func TestRestoredNetworkPassesCheckNow(t *testing.T) {
 	cases := []struct {
 		kind schemes.Kind
@@ -76,11 +74,11 @@ func TestRestoredNetworkPassesCheckNow(t *testing.T) {
 // verdict, the way the model checker's Snapshot/Restore backtracking does.
 // The scan keeps derived state between calls — the previous deadlocked set as
 // a bitset and as a vertex list, whose emptiness gates flag publication — and
-// Detector.RestoreState must rebuild all of it from the snapshot. Restoring a
-// knotted snapshot into a detector whose last live scan was clean, the next
-// scan must still clear the VC flags the snapshot carries; restoring a clean
-// snapshot into a detector that last saw a knot, the re-forming knot must
-// count as fresh again. Either way the replayed scan must repeat the
+// a restoring Detector.Checkpoint must rebuild all of it from the snapshot.
+// Restoring a knotted snapshot into a detector whose last live scan was clean,
+// the next scan must still clear the VC flags the snapshot carries; restoring
+// a clean snapshot into a detector that last saw a knot, the re-forming knot
+// must count as fresh again. Either way the replayed scan must repeat the
 // original verdict and pass the independent knot audit.
 //
 // The snapshot that is restored is also one taken while the source holds an
@@ -134,7 +132,10 @@ func TestRestoreAcrossKnotBoundary(t *testing.T) {
 				}
 				asleep := sleeper()
 				snap, prev = n.Snapshot(), last()
-				drawnAhead := slices.Contains(snap.Source.(traffic.SyntheticState).Hit, true)
+				drawnAhead := false
+				for hit, ep := peek(n.Source, "hit"), 0; ep < hit.Len(); ep++ {
+					drawnAhead = drawnAhead || hit.Index(ep).Bool()
+				}
 				n.RunCycles(iv)
 				if cur = last(); tc.boundary(prev, cur) && drawnAhead && (asleep || !tc.asleep) {
 					break

@@ -154,21 +154,3 @@ func TestScanCountsAccumulate(t *testing.T) {
 		t.Fatalf("scan counter = %d", n.Detector.Scans)
 	}
 }
-
-// TestRestoreStateRejectsWrongShape: a snapshot of a differently shaped
-// network used to be truncated silently by copy(); it must be refused.
-func TestRestoreStateRejectsWrongShape(t *testing.T) {
-	n := net(t, schemes.PR, protocol.PAT271, 4, 0, 16, 1)
-	s := n.Detector.CaptureState()
-	if len(s.PrevLock) != n.Detector.Layout().Total {
-		t.Fatalf("captured %d PrevLock entries for %d vertices", len(s.PrevLock), n.Detector.Layout().Total)
-	}
-	n.Detector.RestoreState(s) // the right shape restores
-	s.PrevLock = s.PrevLock[:len(s.PrevLock)-1]
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RestoreState accepted a PrevLock of the wrong length")
-		}
-	}()
-	n.Detector.RestoreState(s)
-}

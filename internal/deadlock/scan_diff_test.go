@@ -319,8 +319,11 @@ func (s *scanDiff) compare(now int64, locked, fresh int) {
 			t.Fatalf("%s: VC vertex %d Knotted=%v, reference %v", at, v, k, ref.prevLock[v])
 		}
 	}
-	st := det.CaptureState()
-	if !reflect.DeepEqual(st.PrevLock, ref.prevLock) {
+	lockedSet := make([]bool, l.Total)
+	for _, v := range det.LockedVertices() {
+		lockedSet[v] = true
+	}
+	if !reflect.DeepEqual(lockedSet, ref.prevLock) {
 		t.Fatalf("%s: locked sets differ", at)
 	}
 	for ep := range n.NIs {
@@ -330,12 +333,13 @@ func (s *scanDiff) compare(now int64, locked, fresh int) {
 			}
 		}
 	}
-	got := [...]int64{st.Scans, st.Deadlocks, int64(st.LastDeadlocked),
-		st.DetectLatencySum, st.DetectLatencyCount, st.LastDetectLatency, st.PrevScanAt}
+	prevScanAt, prevKnotted := det.PrevScan()
+	got := [...]int64{det.Scans, det.Deadlocks, int64(det.LastDeadlocked),
+		det.DetectLatencySum, det.DetectLatencyCount, det.LastDetectLatency, prevScanAt}
 	want := [...]int64{ref.Scans, ref.Deadlocks, int64(ref.LastDeadlocked),
 		ref.DetectLatencySum, ref.DetectLatencyCount, ref.LastDetectLatency, ref.prevScanAt}
-	if got != want || st.PrevKnotted != ref.prevKnotted {
-		t.Fatalf("%s: counters %v/%v, reference %v/%v", at, got, st.PrevKnotted, want, ref.prevKnotted)
+	if got != want || prevKnotted != ref.prevKnotted {
+		t.Fatalf("%s: counters %v/%v, reference %v/%v", at, got, prevKnotted, want, ref.prevKnotted)
 	}
 	if !reflect.DeepEqual(det.KnotChain(), ref.lastChain) {
 		t.Fatalf("%s: KnotChain differs:\n got %+v\nwant %+v", at, det.KnotChain(), ref.lastChain)

@@ -131,7 +131,7 @@ func (e *Explorer) Run() *Result {
 	e.result = Result{Complete: true}
 
 	rootSnap := e.n.Snapshot()
-	e.visited[e.stateHash(rootSnap)] = struct{}{}
+	e.visited[e.stateHash()] = struct{}{}
 	e.result.States++
 	stack := []frame{{snap: rootSnap, choices: e.enumerate(), root: true, pm: pathMeta{knotCycle: -1}}}
 
@@ -179,8 +179,7 @@ func (e *Explorer) Run() *Result {
 			}
 			cs := e.enumerate()
 			if len(cs) > 1 {
-				snap := e.n.Snapshot()
-				h := e.stateHash(snap)
+				h := e.stateHash()
 				if _, seen := e.visited[h]; seen {
 					break // merged into an explored state
 				}
@@ -190,7 +189,7 @@ func (e *Explorer) Run() *Result {
 				}
 				e.visited[h] = struct{}{}
 				e.result.States++
-				stack = append(stack, frame{snap: snap, choices: cs, pm: pm, via: c})
+				stack = append(stack, frame{snap: e.n.Snapshot(), choices: cs, pm: pm, via: c})
 				break
 			}
 			v = e.stepOnce(cs[0], &pm)

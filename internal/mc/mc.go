@@ -47,7 +47,6 @@ import (
 
 	"repro/internal/netiface"
 	"repro/internal/network"
-	"repro/internal/protocol"
 	"repro/internal/schemes"
 )
 
@@ -166,7 +165,6 @@ type Explorer struct {
 	n   *network.Network
 	src *script
 
-	vcsPer      int
 	detectFired bool
 	visited     map[uint64]struct{}
 	result      Result
@@ -221,7 +219,6 @@ func New(opt Options) (*Explorer, error) {
 	}
 	e.n = n
 	e.src = src
-	e.vcsPer = n.VCsPerChannel()
 	endpoints := n.Torus.Endpoints()
 	for i, t := range opt.Txns {
 		if t.Template < 0 || t.Template >= len(cfg.Pattern.Templates) {
@@ -282,14 +279,3 @@ func (e *Explorer) Network() *network.Network { return e.n }
 
 // Kind returns the scheme under test.
 func (e *Explorer) Kind() schemes.Kind { return e.opt.Net.Scheme }
-
-// templateIndex maps a transaction's template pointer back to its pattern
-// index for canonical hashing.
-func (e *Explorer) templateIndex(t *protocol.Template) int {
-	for i, tm := range e.opt.Net.Pattern.Templates {
-		if tm == t {
-			return i
-		}
-	}
-	return -1
-}

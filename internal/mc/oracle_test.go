@@ -10,9 +10,10 @@ import (
 	"repro/internal/schemes"
 )
 
-// implantKnot writes a minimal true deadlock into a live network through the
-// snapshot-layer state seam: two allocated worms on link virtual channels,
-// each routed into the other's full buffer. The wait cycle has no escape, so
+// implantKnot writes a minimal true deadlock into a network that has not
+// stepped yet (its routers fold pre-filled buffers and routes in on their
+// first Step): two allocated worms on link virtual channels, each routed into
+// the other's full buffer. The wait cycle has no escape, so
 // the independent CWG rebuild must classify both VCs as knotted. The honest
 // dynamics of the tiny spaces never reach a knot (the exhaustion tests prove
 // it), so this is how the property-1 classifiers are exercised.
@@ -30,22 +31,18 @@ func implantKnot(t *testing.T, n *network.Network) {
 	if len(vcs) < 2 {
 		t.Fatal("network has fewer than two link channels")
 	}
-	ident := func(p *message.Packet) *message.Packet { return p }
 	for i, vc := range vcs {
-		other := vcs[1-i]
 		msg := &message.Message{
 			Txn: message.TxnID(1000 + i), Type: message.M1,
 			Src: 0, Dst: 3, Flits: vc.Cap() + 1,
 		}
 		pkt := &message.Packet{ID: message.PacketID(1000 + i), Msg: msg, SentFlits: vc.Cap()}
-		st := router.VCState{Owner: pkt, Route: other, RoutePort: 0}
+		vc.Owner, vc.Route, vc.RoutePort = pkt, vcs[1-i], 0
 		for f := 0; f < vc.Cap(); f++ {
-			st.Flits = append(st.Flits, message.Flit{Pkt: pkt, Idx: f + 1})
+			vc.Stage(message.Flit{Pkt: pkt, Idx: f + 1})
 		}
-		vc.RestoreState(st, ident)
-		// As network.Restore does: the wait-edge walk reads the channel's
-		// occupancy mask, which is derived from the restored buffers.
-		vc.Ch.ResetDerived()
+		// The wait-edge walk reads the channel's occupancy mask.
+		vc.Ch.Commit(0)
 	}
 }
 
@@ -93,7 +90,9 @@ func TestMissedDeadlockAfterBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	implantKnot(t, e.Network())
-	e.Network().Clock.SetNow(51)
+	for e.Network().Clock.Now() < 51 {
+		e.Network().Clock.Tick()
+	}
 	pm := pathMeta{knotCycle: 0}
 	v := e.stepOnce(Choice{}, &pm)
 	if v == nil || v.Kind != "missed-deadlock" {

@@ -1,8 +1,7 @@
 package mc
 
 import (
-	"fmt"
-
+	"repro/internal/ckpt"
 	"repro/internal/netiface"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -69,26 +68,11 @@ func (s *script) done() bool {
 	return true
 }
 
-// scriptState is the source's snapshot payload.
-type scriptState struct {
-	released []bool
-	injected []bool
-}
-
-// CaptureSourceState implements network.SnapshottableSource.
-func (s *script) CaptureSourceState() any {
-	return scriptState{
-		released: append([]bool(nil), s.released...),
-		injected: append([]bool(nil), s.injected...),
+// Checkpoint names the script's state, the release and injection gates, for
+// the network's checkpoint walk (see package ckpt).
+func (s *script) Checkpoint(c *ckpt.C) {
+	for i := range s.specs {
+		c.Bool(&s.released[i])
+		c.Bool(&s.injected[i])
 	}
-}
-
-// RestoreSourceState implements network.SnapshottableSource.
-func (s *script) RestoreSourceState(state any) {
-	st, ok := state.(scriptState)
-	if !ok {
-		panic(fmt.Sprintf("mc: foreign source state %T", state))
-	}
-	copy(s.released, st.released)
-	copy(s.injected, st.injected)
 }

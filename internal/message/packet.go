@@ -1,5 +1,7 @@
 package message
 
+import "repro/internal/ckpt"
+
 // PacketID identifies a packet for the lifetime of a run.
 type PacketID int64
 
@@ -46,3 +48,15 @@ func (f Flit) Head() bool { return f.Idx == 0 }
 // Tail reports whether this is the packet's tail flit. A single-flit packet
 // is both head and tail.
 func (f Flit) Tail() bool { return f.Idx == f.Pkt.Msg.Flits-1 }
+
+// Checkpoint names the packet's canonical fields (see package ckpt).
+func (p *Packet) Checkpoint(c *ckpt.C) {
+	ckpt.Int(c, &p.ID)
+	ckpt.Int(c, &p.SentFlits)
+	ckpt.Int(c, &p.ArrivedFlits)
+	c.Bool(&p.BeingRescued)
+	ckpt.Ref(c, &p.Msg)
+	if c.Unhashed() {
+		ckpt.Int(c, &p.Misroutes)
+	}
+}

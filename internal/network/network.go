@@ -155,6 +155,11 @@ type Network struct {
 	// a cycle explores detection/recovery interleavings the deterministic
 	// schedule would never produce on its own.
 	rescueDefer int64
+
+	// shape caches shapeOf; snapWords and snapObjects are the size of the last
+	// snapshot taken, which the next one's writer starts at.
+	shape                  string
+	snapWords, snapObjects int
 }
 
 // New builds a network with the built-in synthetic uniform-random source at

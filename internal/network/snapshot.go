@@ -2,17 +2,8 @@ package network
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/core"
-	"repro/internal/deadlock"
-	"repro/internal/message"
-	"repro/internal/netiface"
-	"repro/internal/probe"
-	"repro/internal/protocol"
-	"repro/internal/router"
-	"repro/internal/stats"
-	"repro/internal/token"
+	"repro/internal/ckpt"
 )
 
 // Snapshot/restore of a fully wired network, the foundation of the bounded
@@ -20,20 +11,20 @@ import (
 //
 // Design: the network's infrastructure — routers, channels, VCs, NIs, the
 // rescue engine, the token manager, the detector — has stable identity. A
-// snapshot never clones those objects; it captures their canonical mutable
-// state and Restore writes that state back into the same live instances, so
-// every hook and closure wired at build time stays valid. Only the payload
-// object graph (messages, packets, transactions) is deep-cloned — once at
-// Snapshot time (so the live run can keep mutating its own objects) and
-// again at Restore time (so one snapshot can be restored arbitrarily many
-// times, as BFS exploration requires, without the restored runs aliasing
-// each other).
+// snapshot never clones those objects: Checkpoint runs every component's own
+// Checkpoint method (see package ckpt), which names its canonical mutable
+// state once, and that one walk writes the state out as bytes, reads it back
+// into the live instances — so every hook and closure wired at build time
+// stays valid — or folds it into the model checker's state hash. The payload
+// objects (messages, packets, transactions) are written by value, so the live
+// run keeps mutating its own, every Restore makes fresh ones, and one snapshot
+// can be restored arbitrarily many times, as exploration requires, into the
+// network it came from or any other of the same shape.
 //
 // Derived acceleration state is deliberately absent from the snapshot: the
-// router occupancy words, route mirrors and candidate memos, the channel
-// occupancy masks, the shared committed-flit counter, the active-set sweep
-// masks and the NI wake ring are all rebuilt from canonical state during
-// Restore. After a restore every component is marked active with its catch-up
+// router occupancy words, the channel occupancy masks, the shared
+// committed-flit counter, the active-set sweep masks and the NI wake ring are
+// all rebuilt from canonical state during Restore. After a restore every component is marked active with its catch-up
 // timestamp at now-1; spurious activity is byte-identical safe (stepping a
 // dormant component is a pure round-robin rotation, the same equivalence
 // that makes the sparse engine match dense stepping, and a sleeper goes back
@@ -49,39 +40,22 @@ import (
 // state owned by the injector); Snapshot panics if a health mask is
 // installed.
 
-// SnapshottableSource is implemented by traffic sources whose run state must
-// rewind with the network (traffic.Synthetic and the model checker's
-// scripted source both do).
-type SnapshottableSource interface {
-	CaptureSourceState() any
-	RestoreSourceState(any)
+// Snapshot is a complete captured network state: immutable, in memory only,
+// and restorable into any network of the same shape.
+type Snapshot struct {
+	shape string
+	data  []uint64
 }
 
-// Snapshot is a complete captured network state. Fields are exported so the
-// model checker can derive canonical state hashes from the same structure;
-// treat it as immutable once captured.
-type Snapshot struct {
-	ClockNow  int64
-	RNGState  [4]uint64
-	NextPktID message.PacketID
-	NextTxnID message.TxnID
-	Stats     stats.Collector
-
-	// Txns are cloned in-flight transactions, sorted by ID.
-	Txns []*protocol.Transaction
-	// VCs holds one state per VC, flattened in (channel ID, VC index) order.
-	VCs []router.VCState
-	// Routers holds per-router scheduling state, with no SkipIdle catch-up
-	// owed (Snapshot settles it first).
-	Routers []router.RouterSched
-	// NIs holds per-endpoint NI state, likewise caught up.
-	NIs []netiface.NIState
-
-	Token    *token.ManagerState
-	Rescue   *core.RescueState
-	Detector *deadlock.DetectorState
-	Probe    *probe.EngineState
-	Source   any
+// shapeOf describes everything that decides which fields a Checkpoint walk
+// names and what the indices among them mean.
+func (n *Network) shapeOf() string {
+	if n.shape == "" {
+		c := &n.Cfg
+		n.shape = fmt.Sprintf("radix %v mesh %v bristling %d, %d VCs of %d flits, %v with %d queues, pattern %s, detector %q scanning every %d, source %T",
+			c.Radix, c.Mesh, c.Bristling, c.VCs, c.FlitBuf, c.Scheme, n.Scheme.NumQueues(), c.Pattern.Name, c.Detector, c.CWGInterval, n.Source)
+	}
+	return n.shape
 }
 
 // DeferRescue suppresses the recovery engine for the next k cycles. The
@@ -99,178 +73,99 @@ func (n *Network) stepRescue(now int64) {
 	n.Rescue.Step(now)
 }
 
-// cloneMaps memoizes payload-object clones so shared pointers stay shared on
-// the other side of the boundary.
-type cloneMaps struct {
-	msgs map[*message.Message]*message.Message
-	pkts map[*message.Packet]*message.Packet
-}
-
-func newCloneMaps() *cloneMaps {
-	return &cloneMaps{
-		msgs: make(map[*message.Message]*message.Message),
-		pkts: make(map[*message.Packet]*message.Packet),
-	}
-}
-
-func (c *cloneMaps) msg(m *message.Message) *message.Message {
-	if m == nil {
-		return nil
-	}
-	if cp, ok := c.msgs[m]; ok {
-		return cp
-	}
-	cp := new(message.Message)
-	*cp = *m
-	c.msgs[m] = cp
-	return cp
-}
-
-func (c *cloneMaps) pkt(p *message.Packet) *message.Packet {
-	if p == nil {
-		return nil
-	}
-	if cp, ok := c.pkts[p]; ok {
-		return cp
-	}
-	cp := new(message.Packet)
-	*cp = *p
-	cp.Msg = c.msg(p.Msg)
-	c.pkts[p] = cp
-	return cp
-}
-
-func cloneTxn(t *protocol.Transaction) *protocol.Transaction {
-	cp := new(protocol.Transaction)
-	*cp = *t
-	cp.Thirds = append([]int(nil), t.Thirds...)
-	return cp
-}
-
 // Snapshot captures the complete network state at the current cycle
 // boundary. A run that snapshots and keeps going is byte-identical to one
 // that never snapshotted: the only thing Snapshot does to the live network is
 // apply, early, the rotation catch-up its sleeping components were owed.
 func (n *Network) Snapshot() *Snapshot {
-	if len(n.dirtyCh) != 0 {
-		panic("network: Snapshot with uncommitted staged flits (call between Steps)")
-	}
-	if n.Health != nil {
-		panic("network: Snapshot under fault injection is not supported")
-	}
-	if n.rescueDefer != 0 {
-		panic("network: Snapshot with an unconsumed rescue defer")
-	}
-	now := n.Clock.Now()
-	c := newCloneMaps()
-	s := &Snapshot{
-		ClockNow:  now,
-		RNGState:  n.RNG.State(),
-		NextPktID: n.nextPktID,
-		NextTxnID: n.Engine.NextTxnID(),
-		Stats:     n.Stats.CaptureState(),
-	}
-	n.Table.ForEach(func(t *protocol.Transaction) {
-		s.Txns = append(s.Txns, cloneTxn(t))
-	})
-	sort.Slice(s.Txns, func(i, j int) bool { return s.Txns[i].ID < s.Txns[j].ID })
-	for _, ch := range n.Channels {
-		for _, vc := range ch.VCs {
-			s.VCs = append(s.VCs, vc.CaptureState(c.pkt))
-		}
-	}
-	// Settle the idle catch-up sleeping components are owed before capturing
-	// them: the restored run marks everything active at now with no history
-	// to catch up on, and catch-up is additive, so the live run continues
-	// exactly as if it had not been snapshotted.
-	n.settleSkipped(now)
-	s.Routers = make([]router.RouterSched, len(n.Routers))
-	for id, r := range n.Routers {
-		s.Routers[id] = r.CaptureSched()
-	}
-	s.NIs = make([]netiface.NIState, len(n.NIs))
-	for ep, ni := range n.NIs {
-		s.NIs[ep] = ni.CaptureState(c.msg, c.pkt)
-	}
-	if n.Token != nil {
-		st := n.Token.CaptureState()
-		s.Token = &st
-	}
-	if n.Rescue != nil {
-		st := n.Rescue.CaptureState(c.msg)
-		s.Rescue = &st
-	}
-	if n.Detector != nil {
-		st := n.Detector.CaptureState()
-		s.Detector = &st
-	}
-	if n.Probe != nil {
-		st := n.Probe.CaptureState()
-		s.Probe = &st
-	}
-	if n.Source != nil {
-		src, ok := n.Source.(SnapshottableSource)
-		if !ok {
-			panic(fmt.Sprintf("network: source %T does not support snapshots", n.Source))
-		}
-		s.Source = src.CaptureSourceState()
-	}
-	return s
+	c := ckpt.NewWriter(n.snapWords, n.snapObjects)
+	n.Checkpoint(c)
+	n.snapWords, n.snapObjects = c.Size()
+	return &Snapshot{shape: n.shapeOf(), data: c.Words()}
 }
 
 // Restore rewinds the network to a captured state. The snapshot itself stays
-// untouched (payload objects are cloned again), so it may be restored any
-// number of times. Must be called at a cycle boundary of the live network.
+// untouched, so it may be restored any number of times. Must be called at a
+// cycle boundary of the live network, which must have the shape of the one
+// the snapshot was taken from.
 func (n *Network) Restore(s *Snapshot) {
+	if s.shape != n.shapeOf() {
+		panic(fmt.Sprintf("network: Restore of a snapshot of [%s] into [%s]", s.shape, n.shapeOf()))
+	}
+	c := ckpt.NewReader(s.data)
+	n.Checkpoint(c)
+	c.Done()
+}
+
+// Checkpoint names the network's complete canonical state by running every
+// component's Checkpoint in a fixed order. Writing or hashing, it first
+// settles the idle catch-up sleeping components are owed, so a hash taken on
+// its own sees the cursors a snapshot would; reading, it then rebuilds all
+// derived state.
+func (n *Network) Checkpoint(c *ckpt.C) {
 	if len(n.dirtyCh) != 0 {
-		panic("network: Restore with uncommitted staged flits (call between Steps)")
+		panic("network: checkpoint with uncommitted staged flits (call between Steps)")
 	}
 	if n.Health != nil {
-		panic("network: Restore under fault injection is not supported")
+		panic("network: checkpoint under fault injection is not supported")
 	}
-	now := s.ClockNow
-	c := newCloneMaps()
-
-	n.Clock.SetNow(now)
-	n.RNG.SetState(s.RNGState)
-	n.nextPktID = s.NextPktID
-	n.Engine.SetNextTxnID(s.NextTxnID)
-	n.Stats.RestoreState(s.Stats)
-
-	n.Table.Reset()
-	for _, t := range s.Txns {
-		n.Table.Add(cloneTxn(t))
+	if n.rescueDefer != 0 && !c.Reading() {
+		panic("network: checkpoint with an unconsumed rescue defer")
 	}
-
-	i := 0
+	n.Clock.Checkpoint(c)
+	now := n.Clock.Now()
+	n.RNG.Checkpoint(c)
+	if c.Unhashed() {
+		ckpt.Int(c, &n.nextPktID)
+	}
+	n.Engine.Checkpoint(c)
+	n.Stats.Checkpoint(c)
+	n.Table.Checkpoint(c, n.Cfg.Pattern)
 	for _, ch := range n.Channels {
 		for _, vc := range ch.VCs {
-			vc.RestoreState(s.VCs[i], c.pkt)
-			i++
+			vc.Checkpoint(c, n.Channels)
 		}
-		ch.ResetDerived()
+		if c.Reading() {
+			ch.ResetDerived()
+		}
 	}
-	for id, r := range n.Routers {
-		r.RestoreSched(s.Routers[id])
-		r.RebuildState()
+	if !c.Reading() {
+		// Settle the idle catch-up sleeping components are owed before naming
+		// their cursors: the restored run marks everything active at now with
+		// no history to catch up on, and catch-up is additive, so the live run
+		// continues exactly as if it had not been snapshotted.
+		n.settleSkipped(now)
 	}
-	for ep, ni := range n.NIs {
-		ni.RestoreState(s.NIs[ep], c.msg, c.pkt)
+	for _, r := range n.Routers {
+		r.Checkpoint(c)
+		if c.Reading() {
+			r.RebuildState()
+		}
+	}
+	for _, ni := range n.NIs {
+		ni.Checkpoint(c, n.Channels)
 	}
 	if n.Token != nil {
-		n.Token.RestoreState(*s.Token)
+		n.Token.Checkpoint(c)
 	}
 	if n.Rescue != nil {
-		n.Rescue.RestoreState(*s.Rescue, c.msg)
+		n.Rescue.Checkpoint(c)
 	}
 	if n.Detector != nil {
-		n.Detector.RestoreState(*s.Detector)
+		n.Detector.Checkpoint(c)
 	}
 	if n.Probe != nil {
-		n.Probe.RestoreState(*s.Probe)
+		n.Probe.Checkpoint(c)
 	}
 	if n.Source != nil {
-		n.Source.(SnapshottableSource).RestoreSourceState(s.Source)
+		src, ok := n.Source.(interface{ Checkpoint(*ckpt.C) })
+		if !ok {
+			panic(fmt.Sprintf("network: source %T does not support snapshots", n.Source))
+		}
+		src.Checkpoint(c)
+	}
+	if !c.Reading() {
+		return
 	}
 
 	// Recompute the shared committed-flit counter from the restored buffers.
@@ -282,19 +177,12 @@ func (n *Network) Restore(s *Snapshot) {
 	// Mark everything active with no catch-up owed: the captured cursors
 	// already include any rotation the live run had deferred, and spurious
 	// activity decays back out of the sets on the first sweep.
-	for i := range n.activeRW {
-		n.activeRW[i] = 0
-	}
-	for i := range n.activeNIW {
-		n.activeNIW[i] = 0
-	}
+	setAll(n.activeRW, len(n.Routers))
+	setAll(n.activeNIW, len(n.NIs))
 	for id := range n.Routers {
-		n.activeRW[id>>6] |= 1 << uint(id&63)
 		n.lastR[id] = now - 1
 	}
 	for ep := range n.NIs {
-		n.activeNIW[ep>>6] |= 1 << uint(ep&63)
 		n.lastNI[ep] = now - 1
 	}
-	n.dirtyCh = n.dirtyCh[:0]
 }

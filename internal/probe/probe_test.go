@@ -110,7 +110,7 @@ func TestEngineDeterministic(t *testing.T) {
 
 // TestEngineSnapshotRoundTrip snapshots mid-flight probe state, keeps
 // running, restores, and reruns: the continuation must be identical, which
-// exercises CaptureState/RestoreState with live probes queued on channels.
+// exercises Engine.Checkpoint with live probes queued on channels.
 func TestEngineSnapshotRoundTrip(t *testing.T) {
 	n, err := network.New(congested())
 	if err != nil {

@@ -2,7 +2,9 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/ckpt"
 	"repro/internal/message"
 )
 
@@ -57,6 +59,28 @@ type Transaction struct {
 	released bool
 }
 
+// Checkpoint names the transaction's canonical state (see package ckpt); the
+// template is written as its index in p. Only in-flight transactions are
+// reachable, so the release guard is not state.
+func (t *Transaction) Checkpoint(c *ckpt.C, p *Pattern) {
+	ckpt.Int(c, &t.ID)
+	tmpl := slices.Index(p.Templates, t.Tmpl)
+	ckpt.Int(c, &tmpl)
+	if c.Reading() {
+		t.Tmpl = p.Templates[tmpl]
+	}
+	ckpt.Int(c, &t.Requester)
+	ckpt.Int(c, &t.Home)
+	ckpt.Slice(c, &t.Thirds, func(third *int) { ckpt.Int(c, third) })
+	ckpt.Int(c, &t.Completed)
+	ckpt.Int(c, &t.Deflections)
+	if c.Unhashed() {
+		ckpt.Int(c, &t.Created)
+		ckpt.Int(c, &t.Messages)
+		ckpt.Int(c, &t.FinishedAt)
+	}
+}
+
 // Released reports whether the transaction currently sits on the engine's
 // free list. A released transaction reachable from the table (or from any
 // live message) is a use-after-release; the runtime invariant checker looks
@@ -85,6 +109,18 @@ type Engine struct {
 	// freeTxns recycles completed Transaction objects, including their
 	// Thirds backing arrays.
 	freeTxns []*Transaction
+}
+
+// NextTxnID returns the last transaction ID the engine handed out.
+func (e *Engine) NextTxnID() message.TxnID { return e.nextTxn }
+
+// Checkpoint names the engine's state beyond its immutable pattern and
+// lengths (see package ckpt): the transaction ID counter. The free list holds
+// no observable state (NewTransaction fully resets recycled objects).
+func (e *Engine) Checkpoint(c *ckpt.C) {
+	if c.Unhashed() {
+		ckpt.Int(c, &e.nextTxn)
+	}
 }
 
 // SetPool installs a message free list; subsequently built messages are

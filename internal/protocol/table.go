@@ -1,6 +1,11 @@
 package protocol
 
-import "repro/internal/message"
+import (
+	"slices"
+
+	"repro/internal/ckpt"
+	"repro/internal/message"
+)
 
 // Table is the global registry of in-flight transactions, shared by every
 // network interface so that servicing a message can resolve its transaction
@@ -49,3 +54,27 @@ func (t *Table) Remove(id message.TxnID) { delete(t.txns, id) }
 
 // Len returns the number of registered (in-flight) transactions.
 func (t *Table) Len() int { return len(t.txns) }
+
+// Checkpoint names the in-flight transactions (see package ckpt), ascending
+// by ID; p resolves their templates. A restore empties the table and fills it
+// with fresh transactions.
+func (t *Table) Checkpoint(c *ckpt.C, p *Pattern) {
+	if c.Reading() {
+		clear(t.txns)
+		for n := c.Len(0); n > 0; n-- {
+			txn := new(Transaction)
+			txn.Checkpoint(c, p)
+			t.txns[txn.ID] = txn
+		}
+		return
+	}
+	ids := make([]message.TxnID, 0, len(t.txns))
+	for id := range t.txns {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	c.Len(len(ids))
+	for _, id := range ids {
+		t.txns[id].Checkpoint(c, p)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/message"
 )
 
@@ -106,24 +107,22 @@ func (v *refVC) Evacuate(pkt *message.Packet, now int64) int {
 	return n
 }
 
-func (v *refVC) CaptureState() VCState {
+// capture returns a copy of the reference to restore from later. Like the
+// real VC's checkpoint, it panics on staged flits.
+func (v *refVC) capture() *refVC {
 	if len(v.staged) != 0 {
-		panic("router: snapshot with staged flits (not at a cycle boundary)")
+		panic("router: checkpoint with staged flits (not at a cycle boundary)")
 	}
-	s := VCState{Owner: v.owner, LastMove: v.last}
-	if len(v.buf) > 0 {
-		s.Flits = append([]message.Flit(nil), v.buf...)
-	}
-	return s
+	return &refVC{buf: slices.Clone(v.buf), owner: v.owner, last: v.last}
 }
 
-// RestoreState also redoes what Channel.ResetDerived and Network.Restore do
-// for a real VC: the occupancy bit and the flit counter.
-func (v *refVC) RestoreState(s VCState) {
+// restore also redoes what Channel.ResetDerived and Network.Restore do for a
+// real VC: the occupancy bit and the flit counter.
+func (v *refVC) restore(s *refVC) {
 	*v.occ -= int64(len(v.buf))
-	v.buf = append(v.buf[:0], s.Flits...)
+	v.buf = append(v.buf[:0], s.buf...)
 	v.staged = v.staged[:0]
-	v.owner, v.last = s.Owner, s.LastMove
+	v.owner, v.last = s.owner, s.last
 	*v.occ += int64(len(v.buf))
 	*v.occWord &^= 1 << uint(v.index)
 	if len(v.buf) > 0 {
@@ -139,8 +138,9 @@ func panics(f func()) (p bool) {
 }
 
 // FuzzVCRing drives one VC and the reference through the same random
-// Stage/Commit/Dequeue/Evacuate/ReduceCap/CaptureState/RestoreState sequence
-// and compares everything observable after every op. data[0] picks the
+// Stage/Commit/Dequeue/Evacuate/ReduceCap/checkpoint/restore sequence and
+// compares everything observable after every op — so a checkpoint that wrote
+// the wrong thing shows once it is restored. data[0] picks the
 // capacity (1–6: the inline ring up to 4, the heap ring above), each further
 // byte one op; several flits may be staged between commits, as a rescue drain
 // does, and long sequences wrap the ring many times over. Illegal ops (stage
@@ -163,14 +163,14 @@ func FuzzVCRing(f *testing.F) {
 		ch.SetOccupancyCounter(&occ)
 		vc := ch.VCs[1]
 		ref := &refVC{index: 1, cap: capacity, occ: &refOcc, occWord: &refWord}
-		same := func(p *message.Packet) *message.Packet { return p }
 
 		// The worm being fed in: pkt's next flit to stage is sent; a new
 		// worm starts only once the VC has been released, as the allocator
 		// guarantees. saved* hold the last snapshot and the feed state then.
 		var pkt *message.Packet
 		sent, nextID := 0, 1
-		var saved, savedRef *VCState
+		var saved *ckpt.C // what the VC wrote, replayed over the live packets
+		var savedRef *refVC
 		var savedPkt *message.Packet
 		savedSent := 0
 
@@ -218,26 +218,26 @@ func FuzzVCRing(f *testing.F) {
 				if got, want := vc.ReduceCap(), ref.ReduceCap(); got != want {
 					t.Fatalf("step %d: ReduceCap = %v, reference %v", step, got, want)
 				}
-			case 5: // CaptureState
-				var s, rs VCState
-				p, rp := panics(func() { s = vc.CaptureState(same) }), panics(func() { rs = ref.CaptureState() })
+			case 5: // checkpoint
+				w := ckpt.NewWriter(0, 0)
+				var rs *refVC
+				p, rp := panics(func() { vc.Checkpoint(w, nil) }), panics(func() { rs = ref.capture() })
 				if p != rp {
-					t.Fatalf("step %d: CaptureState panicked=%v, reference %v", step, p, rp)
+					t.Fatalf("step %d: checkpoint panicked=%v, reference %v", step, p, rp)
 				}
 				if !p {
-					if !slices.Equal(s.Flits, rs.Flits) || s.Owner != rs.Owner || s.LastMove != rs.LastMove {
-						t.Fatalf("step %d: captured %+v, reference %+v", step, s, rs)
-					}
-					saved, savedRef, savedPkt, savedSent = &s, &rs, pkt, sent
+					saved, savedRef, savedPkt, savedSent = w, rs, pkt, sent
 				}
-			case 6: // RestoreState (cycle boundaries only, as ResetDerived insists)
+			case 6: // restore (cycle boundaries only, as ResetDerived insists)
 				if saved == nil || ch.StagePending() {
 					break
 				}
-				vc.RestoreState(*saved, same)
+				r := saved.Replay()
+				vc.Checkpoint(r, nil)
+				r.Done()
 				ch.ResetDerived()
 				occ = int64(ch.Occupied())
-				ref.RestoreState(*savedRef)
+				ref.restore(savedRef)
 				pkt, sent = savedPkt, savedSent
 			}
 

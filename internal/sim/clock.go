@@ -1,5 +1,7 @@
 package sim
 
+import "repro/internal/ckpt"
+
 // Phase identifies the stage of a simulation run. Statistics are only
 // accumulated during PhaseMeasure, matching the paper's methodology of
 // running "30,000 simulation cycles beyond steady state".
@@ -50,6 +52,15 @@ func (c *Clock) Now() int64 { return c.cycle }
 
 // Tick advances the clock by one cycle.
 func (c *Clock) Tick() { c.cycle++ }
+
+// Checkpoint names the clock's state (see package ckpt): the cycle, which is
+// unhashed because every hashed cycle is taken relative to it. Phase
+// boundaries derive from the configured lengths.
+func (c *Clock) Checkpoint(k *ckpt.C) {
+	if k.Unhashed() {
+		ckpt.Int(k, &c.cycle)
+	}
+}
 
 // Phase reports the phase of the current cycle.
 func (c *Clock) Phase() Phase {

@@ -13,6 +13,8 @@ package sim
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/ckpt"
 )
 
 // RNG is a small, fast, deterministic pseudo-random number generator
@@ -40,6 +42,17 @@ func (r *RNG) seed(sm uint64) {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
+	}
+}
+
+// Checkpoint names the generator's state (see package ckpt): the stream
+// position, unhashed because the model checker enumerates choices instead of
+// drawing them.
+func (r *RNG) Checkpoint(c *ckpt.C) {
+	if c.Unhashed() {
+		for i := range r.s {
+			ckpt.Int(c, &r.s[i])
+		}
 	}
 }
 

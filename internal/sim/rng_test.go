@@ -263,8 +263,8 @@ func FuzzFirstBelow(f *testing.F) {
 		if idx != want || hit != wantHit {
 			t.Fatalf("FirstBelow(%g, %d) = %d, %v; %d Bernoulli calls say %d, %v", p, max, idx, hit, max, want, wantHit)
 		}
-		if got.State() != ref.State() {
-			t.Fatalf("FirstBelow(%g, %d) left the stream at %x, Bernoulli calls at %x", p, max, got.State(), ref.State())
+		if got.s != ref.s {
+			t.Fatalf("FirstBelow(%g, %d) left the stream at %x, Bernoulli calls at %x", p, max, got.s, ref.s)
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/ckpt"
 	"repro/internal/message"
 )
 
@@ -68,6 +69,29 @@ type Collector struct {
 // count.
 func NewCollector(nodes int) *Collector {
 	return &Collector{Nodes: nodes}
+}
+
+// Checkpoint names the collector's state (see package ckpt). All of it is
+// accounting, so the canonical state hash skips it whole.
+func (c *Collector) Checkpoint(k *ckpt.C) {
+	if !k.Unhashed() {
+		return
+	}
+	ckpt.Int(k, &c.Nodes)
+	for _, p := range []*int64{&c.Cycles,
+		&c.InjectedFlits, &c.InjectedMsgs, &c.DeliveredFlits, &c.DeliveredMsgs,
+		&c.LatencySum, &c.LatencyMax, &c.LatencyCount, &c.QueueLatencySum,
+		&c.TxnCompleted, &c.TxnLatencySum, &c.GeneratedTxns,
+		&c.BackoffDelivered, &c.RescuedDelivered,
+		&c.DetectEvents, &c.Deflections, &c.Rescues, &c.TokenCaptures, &c.CWGDeadlocks, &c.CWGScans,
+		&c.DetectLatencySum, &c.DetectLatencyCount,
+		&c.Latencies.total, &c.Latencies.max} {
+		ckpt.Int(k, p)
+	}
+	for i := range c.PerTypeDelivered {
+		ckpt.Int(k, &c.PerTypeDelivered[i])
+	}
+	ckpt.Slice(k, &c.Latencies.counts, func(n *int64) { ckpt.Int(k, n) })
 }
 
 // OnInjected records a message entering the network.

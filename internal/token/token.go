@@ -15,6 +15,7 @@ package token
 import (
 	"fmt"
 
+	"repro/internal/ckpt"
 	"repro/internal/topology"
 )
 
@@ -219,4 +220,20 @@ func (m *Manager) String() string {
 		state = "held"
 	}
 	return fmt.Sprintf("token{%s at %d}", state, m.pos)
+}
+
+// Checkpoint names the manager's canonical state (see package ckpt).
+func (m *Manager) Checkpoint(c *ckpt.C) {
+	ckpt.Int(c, &m.pos)
+	c.Bool(&m.held)
+	ckpt.Int(c, &m.ctr)
+	c.Bool(&m.lost)
+	ckpt.Int(c, &m.epoch)
+	ckpt.Int(c, &m.lostCycles)
+	if c.Unhashed() {
+		for _, p := range []*int64{&m.Captures, &m.Releases, &m.Losses, &m.Regenerations,
+			&m.OutageCycles, &m.Resurfaces, &m.StaleDiscards} {
+			ckpt.Int(c, p)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/message"
 	"repro/internal/netiface"
 	"repro/internal/protocol"
@@ -83,8 +84,8 @@ func (r *sourceRig) note(now int64) {
 // the same template, home and third parties, and the same Generated and
 // Throttled counts — at rates from never to every cycle, with one MSHR per
 // endpoint so throttling decides which arrivals roll a transaction, and with
-// the draw-ahead side rewound twice along the way through
-// CaptureSourceState/RestoreSourceState: once while some endpoint holds a
+// the draw-ahead side rewound twice along the way through its Checkpoint
+// method: once while some endpoint holds a
 // success it has drawn but not yet reached, once while none does.
 func TestDrawAheadMatchesPerCycle(t *testing.T) {
 	const endpoints, cycles, detour = 4, 6000, 700
@@ -121,7 +122,8 @@ func TestDrawAheadMatchesPerCycle(t *testing.T) {
 			// that was not part of the state would replay different arrivals.
 			if p := pendingHit(); now >= 100 && now < cycles-detour && !rewound[p] {
 				rewound[p] = true
-				st := gs.CaptureSourceState()
+				st := ckpt.NewWriter(0, 0)
+				gs.Checkpoint(st)
 				mark, generated := len(got.log), gs.Generated
 				for d := now; d < now+detour; d++ {
 					stepGot(d)
@@ -129,7 +131,9 @@ func TestDrawAheadMatchesPerCycle(t *testing.T) {
 				if rate >= 0.012 && gs.Generated == generated {
 					t.Fatalf("rate %v: the detour after cycle %d generated nothing", rate, now)
 				}
-				gs.RestoreSourceState(st)
+				back := ckpt.NewReader(st.Words())
+				gs.Checkpoint(back)
+				back.Done()
 				got.log = got.log[:mark]
 			}
 			stepGot(now)
@@ -152,7 +156,7 @@ func TestDrawAheadMatchesPerCycle(t *testing.T) {
 			}
 			// Bernoulli draws nothing at rates 0 and 1, and neither may the
 			// look-ahead: the streams then hold the transactions' draws only.
-			if (rate == 0 || rate == 1) && rs.rngs[ep].State() != gs.rngs[ep].State() {
+			if (rate == 0 || rate == 1) && *rs.rngs[ep] != gs.rngs[ep] {
 				t.Fatalf("rate %v endpoint %d: the look-ahead drew from a stream Bernoulli leaves alone", rate, ep)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/ckpt"
 	"repro/internal/netiface"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -122,6 +123,28 @@ func (s *Synthetic) Generate(now int64, nis []*netiface.NI) {
 		soonest = min(soonest, at)
 	}
 	s.soonest = soonest
+}
+
+// Checkpoint names the source's run state (see package ckpt), which must
+// rewind with the rest of the network. The streams have been drawn past the
+// present, so where each endpoint's look-ahead stopped (nextAt, hit) and the
+// cycle the source expects next are as canonical as the streams themselves: a
+// restore without them would replay different arrivals.
+func (s *Synthetic) Checkpoint(c *ckpt.C) {
+	for ep := range s.rngs {
+		ckpt.Int(c, &s.outstanding[ep])
+		s.rngs[ep].Checkpoint(c)
+		c.Time(&s.nextAt[ep])
+		c.Bool(&s.hit[ep])
+	}
+	c.Time(&s.next)
+	if c.Reading() {
+		s.soonest = s.next // the next Generate recomputes it
+	}
+	if c.Unhashed() {
+		ckpt.Int(c, &s.Generated)
+		ckpt.Int(c, &s.Throttled)
+	}
 }
 
 // draw runs endpoint ep's stream forward from cycle from, the first cycle it
