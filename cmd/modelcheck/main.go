@@ -10,6 +10,7 @@
 //	modelcheck -scheme PR -workload entangled # detection/recovery-exercising space
 //	modelcheck -scheme DR -bug forge-detect   # injected bug: expect a counterexample
 //	modelcheck -progress -workload entangled  # live state/frontier counters
+//	modelcheck -workload gridlock             # true-deadlock space: DR and PR recover
 //
 // A violation writes its replayable counterexample schedule as JSON (see
 // -o) and exits with status 3; replay it with netsim -replay <file>. An
@@ -91,7 +92,8 @@ func main() {
 	}
 
 	var kinds []schemes.Kind
-	if strings.EqualFold(*schemeName, "all") {
+	all := strings.EqualFold(*schemeName, "all")
+	if all {
 		kinds = []schemes.Kind{schemes.SA, schemes.DR, schemes.PR}
 	} else {
 		k, err := schemes.KindByName(*schemeName)
@@ -127,6 +129,10 @@ func main() {
 	for _, kind := range kinds {
 		if *detector == "probe" && (kind == schemes.SA || kind == schemes.SQ) {
 			fmt.Printf("%s: skipped: the probe detector needs a recovery path to trigger, which avoidance schemes do not have\n", kind)
+			continue
+		}
+		if all && *workload == "gridlock" && kind == schemes.SA {
+			fmt.Printf("%s: skipped: the gridlock space is built to deadlock, with 4 VCs over 3 message types where strict avoidance needs 2 per type (-scheme SA shows the scheme's own error)\n", kind)
 			continue
 		}
 		opt := mc.Options{
