@@ -1,0 +1,255 @@
+package check_test
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/check"
+	"repro/internal/ckpt"
+	"repro/internal/fnv1a"
+	"repro/internal/message"
+	"repro/internal/network"
+	"repro/internal/obs"
+	"repro/internal/protocol"
+	"repro/internal/schemes"
+)
+
+// stateWords is the network's complete canonical state as a snapshot holds it.
+func stateWords(n *network.Network) []uint64 {
+	w := ckpt.NewWriter(0, 0)
+	n.Checkpoint(w)
+	return w.Words()
+}
+
+// ledger prints every exported integer, flag and counter array of the stateful
+// components and of the payload objects they hold, in a fixed order: state and
+// accounting as the public API shows them. It owes nothing to the Checkpoint
+// methods, so it sees a field one of them drops — which the state words, a
+// field short on both sides of the comparison, do not.
+func ledger(n *network.Network) string {
+	var b strings.Builder
+	note := func(obj any) {
+		v := reflect.ValueOf(obj)
+		if v.IsNil() {
+			return
+		}
+		v = v.Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() {
+				switch k := f.Type.Kind(); {
+				case k >= reflect.Bool && k <= reflect.Uint64, k == reflect.Array:
+					fmt.Fprintf(&b, "%s=%v ", f.Name, v.Field(i).Interface())
+				}
+			}
+		}
+		b.WriteByte('\n')
+	}
+	payload := func(m *message.Message, pkt *message.Packet) {
+		note(m)
+		note(pkt)
+	}
+	note(n.Stats)
+	fmt.Fprintln(&b, n.Stats.Latencies)
+	note(n.Token)
+	note(n.Rescue)
+	note(n.Detector)
+	note(n.Probe)
+	note(n.Source)
+	var txns []*protocol.Transaction
+	n.Table.ForEach(func(t *protocol.Transaction) { txns = append(txns, t) })
+	slices.SortFunc(txns, func(a, b *protocol.Transaction) int { return int(a.ID - b.ID) })
+	for _, t := range txns {
+		note(t)
+	}
+	for _, r := range n.Routers {
+		note(r)
+	}
+	for _, ch := range n.Channels {
+		for _, vc := range ch.VCs {
+			note(vc)
+			vc.ForEachFlit(func(f message.Flit) { payload(f.Pkt.Msg, f.Pkt) })
+		}
+	}
+	for _, ni := range n.NIs {
+		note(ni)
+		ni.ForEachMessage(payload)
+	}
+	if n.Rescue != nil {
+		n.Rescue.ForEachCustody(func(m *message.Message) { note(m) })
+	}
+	return b.String()
+}
+
+// traceTails folds every trace event into each of the digests started so far:
+// on the uninterrupted run one per snapshot, on a restored run one.
+type traceTails []uint64
+
+func (t *traceTails) Event(e obs.Event) {
+	for i, h := range *t {
+		for _, v := range [...]int64{e.Cycle, int64(e.Node), e.Arg, e.Aux, e.Pkt, e.Txn, int64(e.Src), int64(e.Dst)} {
+			h = fnv1a.Uint64(h, uint64(v))
+		}
+		(*t)[i] = fnv1a.String(h, string(e.Kind)+e.MsgType+e.Note)
+	}
+}
+
+// TestCheckpointContract is what every Checkpoint method owes: a snapshot
+// holds everything the future depends on and nothing of the instance it came
+// from. On a scarce 4x4 (2–8 VCs, 4-slot queues, rates past saturation) for
+// every valid scheme and detector pairing, a snapshot is taken every 97
+// cycles of a run; then each is restored into a freshly built network of the
+// same Config and, twice, into the original, and each of those runs to the
+// end, where its canonical state and the delivery digest of its tail must
+// equal the uninterrupted run's — as must the digest of every trace event of
+// the tail (every network is traced: the flags that dedupe queue-full and
+// VC-stall events are state only while someone listens) and the ledger of
+// what the public API shows, accounting included. The snapshots must be busy
+// ones: per scheme,
+// some taken mid-rescue (PR), with probes in flight (probe), with a live knot
+// on the detector's books (PR; DR and AB unless the threshold detector gets
+// there first) and after deflections or NACKs (DR, AB), and all with
+// transactions in flight.
+//
+// This is the sharp tool for a dropped field: TestSnapshotRoundTrip (same
+// instance, rate 0.004) passes with NI.ctrlRR, VC.LastMove or Rescue.timer
+// missing from their Checkpoint methods; this fails. Mutation checks, each a
+// field deleted from its Checkpoint method, seen failing here, and restored:
+// see CHANGES.md (PR 20) for the table, including the three fields this test
+// cannot see and what does.
+func TestCheckpointContract(t *testing.T) {
+	type tc struct {
+		kind     schemes.Kind
+		pat      *protocol.Pattern
+		vcs      int
+		rate     float64
+		detector string
+	}
+	var cases []tc
+	for _, det := range []string{network.DetectorThreshold, network.DetectorCWG, network.DetectorProbe} {
+		if det != network.DetectorProbe { // avoidance has nothing for a probe to trigger
+			cases = append(cases, tc{schemes.SA, protocol.PAT721, 8, 0.05, det})
+		}
+		cases = append(cases,
+			tc{schemes.DR, protocol.PAT280, 4, 0.04, det},
+			tc{schemes.AB, protocol.PAT280, 4, 0.04, det},
+			tc{schemes.PR, protocol.PAT721, 2, 0.03, det})
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%v-%s", tc.kind, tc.detector), func(t *testing.T) {
+			cfg := smallCfg(tc.kind, tc.pat, tc.vcs, tc.rate)
+			cfg.QueueCap = 4
+			cfg.Detector = tc.detector
+			cfg.Warmup, cfg.Measure, cfg.MaxDrain = 0, 1000, 200
+			run := func(n *network.Network, each func(now int64)) {
+				for !n.Clock.Done() {
+					each(n.Clock.Now())
+					n.Step()
+				}
+			}
+
+			traced := func() (*network.Network, *traceTails) {
+				n, tails := mustNet(t, cfg), new(traceTails)
+				n.AttachObs(obs.NewBus(tails))
+				return n, tails
+			}
+
+			type point struct {
+				snap  *network.Snapshot
+				tail  *check.Digest // on the original: frozen into sum and count below
+				sum   uint64
+				n     int64
+				trace uint64
+			}
+			var points []point
+			var midRescue, probing, knotted, idle int
+			ref, refTails := traced()
+			run(ref, func(now int64) {
+				if now == 0 || now%97 != 0 {
+					return
+				}
+				points = append(points, point{snap: ref.Snapshot(), tail: check.AttachDigest(ref)})
+				*refTails = append(*refTails, fnv1a.Offset)
+				if ref.Rescue != nil && ref.Rescue.Active() {
+					midRescue++
+				}
+				if ref.Probe != nil && ref.Probe.InFlight() > 0 {
+					probing++
+				}
+				if ref.Detector.LastDeadlocked > 0 {
+					knotted++
+				}
+				if ref.Table.Len() == 0 {
+					idle++
+				}
+			})
+			want, wantLedger := stateWords(ref), ledger(ref)
+			for i := range points {
+				points[i].sum, points[i].n, points[i].trace = points[i].tail.Sum(), points[i].tail.Count(), (*refTails)[i]
+			}
+			t.Logf("%d snapshots: %d mid-rescue, %d with probes in flight, %d with a live knot; %d deflections, %d deliveries after the first",
+				len(points), midRescue, probing, knotted, ref.Stats.Deflections, points[0].n)
+			deflects := tc.kind == schemes.DR || tc.kind == schemes.AB
+			for _, must := range []struct {
+				wanted bool
+				seen   int
+				what   string
+			}{
+				{true, len(points) - idle, "with transactions in flight"},
+				{true, int(points[len(points)-1].n), "followed by deliveries"},
+				{tc.kind == schemes.PR, midRescue, "mid-rescue"},
+				{tc.detector == network.DetectorProbe, probing, "with probes in flight"},
+				// The threshold detector has DR and AB deflect before a knot closes.
+				{tc.kind == schemes.PR || deflects && tc.detector != network.DetectorThreshold, knotted, "with a live knot"},
+				{deflects, int(ref.Stats.Deflections), "after deflections"},
+			} {
+				if must.wanted && must.seen == 0 {
+					t.Fatalf("no snapshot %s: make resources scarcer", must.what)
+				}
+			}
+			if len(points) != 12 || idle > 0 {
+				t.Fatalf("%d snapshots, %d of an idle network", len(points), idle)
+			}
+
+			for i, p := range points {
+				fresh, freshTails := traced()
+				for pass, n := range []*network.Network{fresh, ref, ref} {
+					at := fmt.Sprintf("snapshot %d (cycle %d) pass %d", i, 97*(i+1), pass)
+					tails := refTails
+					if n == fresh {
+						tails = freshTails
+					}
+					n.Restore(p.snap)
+					tail := check.AttachDigest(n)
+					*tails = traceTails{fnv1a.Offset}
+					run(n, func(int64) {})
+					if tail.Sum() != p.sum || tail.Count() != p.n {
+						t.Fatalf("%s: the restored run delivered %v (%d), the uninterrupted one %#x (%d)", at, tail, tail.Count(), p.sum, p.n)
+					}
+					if (*tails)[0] != p.trace {
+						t.Fatalf("%s: the restored run's trace differs from the uninterrupted one's", at)
+					}
+					if got := stateWords(n); !slices.Equal(got, want) {
+						t.Fatalf("%s: the restored run ended in another state than the uninterrupted one", at)
+					}
+					if got := ledger(n); got != wantLedger {
+						t.Fatalf("%s: the restored run's ledger differs from the uninterrupted one's:\n%s", at, firstDifference(got, wantLedger))
+					}
+				}
+			}
+		})
+	}
+}
+
+// firstDifference returns the first line on which two ledgers differ.
+func firstDifference(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range g {
+		if i >= len(w) || g[i] != w[i] {
+			return fmt.Sprintf("line %d: got  %s\n         want %s", i, g[i], append(w, "")[min(i, len(w))])
+		}
+	}
+	return "the uninterrupted run's is longer"
+}

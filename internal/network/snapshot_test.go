@@ -1,8 +1,10 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/protocol"
@@ -132,5 +134,40 @@ func TestSnapshotImmutableAcrossRestore(t *testing.T) {
 	second := n.Snapshot()
 	if !slices.Equal(first.data, second.data) {
 		t.Fatal("snapshot state changed after a restored run mutated its clones")
+	}
+}
+
+// TestRestoreRejectsWrongShape: a snapshot restores only into a network of the
+// shape it was taken from. Anything else — another radix, another detector,
+// and so another set of fields behind the same words — must panic naming both
+// shapes before a single field is written, not restore a truncated or shifted
+// state (the detector alone used to check, and only the length of its own
+// part).
+func TestRestoreRejectsWrongShape(t *testing.T) {
+	base := smallConfig(schemes.PR, protocol.PAT271, 4, 0.01)
+	narrow, cwg := base, base
+	narrow.Radix = []int{4, 2}
+	cwg.Detector = DetectorCWG
+	src := mustNet(t, base)
+	src.RunCycles(300)
+	snap := src.Snapshot()
+	mustNet(t, base).Restore(snap) // the same shape in another instance restores
+
+	for name, cfg := range map[string]Config{"4x4 into 4x2": narrow, "threshold into cwg": cwg} {
+		dst := mustNet(t, cfg)
+		dst.RunCycles(100)
+		before := dst.Snapshot()
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, snap.shape) || !strings.Contains(msg, before.shape) || snap.shape == before.shape {
+					t.Fatalf("%s: Restore panicked with %q, want both shapes named", name, msg)
+				}
+			}()
+			dst.Restore(snap)
+		}()
+		if after := dst.Snapshot(); !slices.Equal(after.data, before.data) {
+			t.Fatalf("%s: the refused Restore wrote to the network", name)
+		}
 	}
 }
