@@ -131,10 +131,6 @@ func main() {
 			fmt.Printf("%s: skipped: the probe detector needs a recovery path to trigger, which avoidance schemes do not have\n", kind)
 			continue
 		}
-		if all && *workload == "gridlock" && kind == schemes.SA {
-			fmt.Printf("%s: skipped: the gridlock space is built to deadlock, with 4 VCs over 3 message types where strict avoidance needs 2 per type (-scheme SA shows the scheme's own error)\n", kind)
-			continue
-		}
 		opt := mc.Options{
 			MaxCycles:    *maxCycles,
 			MaxStates:    *maxStates,
@@ -170,6 +166,12 @@ func main() {
 		}
 
 		e, err := mc.New(opt)
+		if err != nil && all && *workload == "gridlock" && kind == schemes.SA {
+			// The gridlock space is built to deadlock, outside strict
+			// avoidance's validity envelope; asked for by name it is an error.
+			fmt.Printf("%s: skipped: %v\n", kind, err)
+			continue
+		}
 		fatal(err)
 		start := time.Now()
 		r := e.Run()

@@ -115,10 +115,11 @@ func (t *traceTails) Event(e obs.Event) {
 //
 // This is the sharp tool for a dropped field: TestSnapshotRoundTrip (same
 // instance, rate 0.004) passes with NI.ctrlRR, VC.LastMove or Rescue.timer
-// missing from their Checkpoint methods; this fails. Mutation checks, each a
-// field deleted from its Checkpoint method, seen failing here, and restored:
-// see CHANGES.md (PR 20) for the table, including the three fields this test
-// cannot see and what does.
+// missing from their Checkpoint methods; this fails. Mutation checks: every
+// field-naming line of every Checkpoint method was deleted in turn, this test
+// run and the line restored. CHANGES.md (PR 20) has the table, and the list of
+// what this test cannot see — fault state, fanout-only fields, a pending
+// rescue request — with the test that does, where one does.
 func TestCheckpointContract(t *testing.T) {
 	type tc struct {
 		kind     schemes.Kind
@@ -214,13 +215,14 @@ func TestCheckpointContract(t *testing.T) {
 			}
 
 			for i, p := range points {
+				type target struct {
+					n     *network.Network
+					tails *traceTails
+				}
 				fresh, freshTails := traced()
-				for pass, n := range []*network.Network{fresh, ref, ref} {
+				for pass, tg := range []target{{fresh, freshTails}, {ref, refTails}, {ref, refTails}} {
 					at := fmt.Sprintf("snapshot %d (cycle %d) pass %d", i, 97*(i+1), pass)
-					tails := refTails
-					if n == fresh {
-						tails = freshTails
-					}
+					n, tails := tg.n, tg.tails
 					n.Restore(p.snap)
 					tail := check.AttachDigest(n)
 					*tails = traceTails{fnv1a.Offset}

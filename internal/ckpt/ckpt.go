@@ -123,18 +123,9 @@ func (c *C) Reading() bool { return c.mode == reading }
 // canonical state hash.
 func (c *C) Unhashed() bool { return c.mode != hashing }
 
-// get reads the next word. It advances an index and does not reslice, because
-// storing a slice header into c costs a write barrier whenever the collector
-// is running, which a loop of restores keeps it doing. Reading more than was
-// written is an index panic.
-func (c *C) get() uint64 {
-	v := c.buf[c.pos]
-	c.pos++
-	return v
-}
-
-// put writes or folds one word. Inlining it into Int would push Int itself
-// over the inliner's budget, and the read with it.
+// put writes or folds one word. It must not be inlined: a function with one
+// call in it is as much as the inliner's budget allows, so the functions below
+// keep the read on their inlined path and leave everything else to a call.
 //
 //go:noinline
 func (c *C) put(v uint64) {
@@ -154,8 +145,12 @@ type Integer interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
 }
 
-// Int names one integer of state. (The read is inlined at every call site, at
-// the compiler's budget to the unit: a restore is mostly this.)
+// Int names one integer of state. A restore is mostly this function's read,
+// which is why it is spelled out (here and in Bool and Time) to inline at
+// every call site, and why it advances an index and does not reslice: storing
+// a slice header into c costs a write barrier whenever the collector is
+// running, which a loop of restores keeps it doing. Reading more than was
+// written is an index panic.
 func Int[T Integer](c *C, p *T) {
 	if c.mode == reading {
 		*p = T(c.buf[c.pos])
@@ -168,8 +163,16 @@ func Int[T Integer](c *C, p *T) {
 // Bool names one flag of state.
 func (c *C) Bool(p *bool) {
 	if c.mode == reading {
-		*p = c.get() != 0
-	} else if *p {
+		*p = c.buf[c.pos] != 0
+		c.pos++
+	} else {
+		c.putBool(*p)
+	}
+}
+
+//go:noinline
+func (c *C) putBool(b bool) {
+	if b {
 		c.put(1)
 	} else {
 		c.put(0)
@@ -178,14 +181,26 @@ func (c *C) Bool(p *bool) {
 
 // Time names one absolute cycle.
 func (c *C) Time(p *int64) {
+	if c.mode == reading {
+		*p = int64(c.buf[c.pos])
+		c.pos++
+	} else {
+		c.putTime(*p)
+	}
+}
+
+// putTime writes a cycle as it is and folds it as its distance from now.
+//
+//go:noinline
+func (c *C) putTime(t int64) {
 	switch {
 	case c.mode != hashing:
-		Int(c, p)
-	case *p < 0:
-		c.put(uint64(sentinel + *p))
+	case t < 0:
+		t += sentinel
 	default:
-		c.put(uint64(*p - c.now))
+		t -= c.now
 	}
+	c.put(uint64(t))
 }
 
 // Len names the length of variable-length state: n when writing or hashing,
@@ -226,7 +241,7 @@ func Ref[T any, P interface {
 		case k <= len(c.objs):
 			*pp = c.objs[k-1].(P)
 		case k == len(c.objs)+1:
-			p := P(new(T))
+			var p P = new(T)
 			if c.shared != nil {
 				p = c.shared[k-1].(P)
 			}

@@ -13,7 +13,7 @@ import (
 // rescue engine, the token manager, the detector — has stable identity. A
 // snapshot never clones those objects: Checkpoint runs every component's own
 // Checkpoint method (see package ckpt), which names its canonical mutable
-// state once, and that one walk writes the state out as bytes, reads it back
+// state once, and that one walk writes the state out as words, reads it back
 // into the live instances — so every hook and closure wired at build time
 // stays valid — or folds it into the model checker's state hash. The payload
 // objects (messages, packets, transactions) are written by value, so the live
@@ -24,20 +24,21 @@ import (
 // Derived acceleration state is deliberately absent from the snapshot: the
 // router occupancy words, the channel occupancy masks, the shared
 // committed-flit counter, the active-set sweep masks and the NI wake ring are
-// all rebuilt from canonical state during Restore. After a restore every component is marked active with its catch-up
-// timestamp at now-1; spurious activity is byte-identical safe (stepping a
-// dormant component is a pure round-robin rotation, the same equivalence
-// that makes the sparse engine match dense stepping, and a sleeper goes back
-// on the ring when it next leaves the set), and the RR-cursor catch-up that
-// sleeping components were owed at capture time is applied to the live
-// components before they are captured, so a restored run and an
-// uninterrupted run produce identical delivery digests.
+// all rebuilt from canonical state during Restore. After a restore every
+// component is marked active with its catch-up timestamp at now-1; spurious
+// activity is byte-identical safe (stepping a dormant component is a pure
+// round-robin rotation, the same equivalence that makes the sparse engine
+// match dense stepping, and a sleeper goes back on the ring when it next
+// leaves the set), and the RR-cursor catch-up that sleeping components were
+// owed at capture time is applied to the live components before they are
+// captured, so a restored run and an uninterrupted run produce identical
+// delivery digests.
 //
 // Snapshots happen only at cycle boundaries (between Step calls): every
 // staged flit has been committed and the dirty-channel list is empty.
-// Snapshot panics otherwise. Fault injection is not supported across a
+// Checkpoint panics otherwise. Fault injection is not supported across a
 // snapshot (Health masks, frozen routers and stalled channels are fault
-// state owned by the injector); Snapshot panics if a health mask is
+// state owned by the injector); Checkpoint panics if a health mask is
 // installed.
 
 // Snapshot is a complete captured network state: immutable, in memory only,
