@@ -17,7 +17,7 @@ func ablationRow(ctx context.Context, w io.Writer, label string, cfg network.Con
 	if err != nil {
 		return err
 	}
-	if err := RunNetwork(ctx, n); err != nil {
+	if err := n.RunContext(ctx); err != nil {
 		return err
 	}
 	s := n.Stats
@@ -304,7 +304,7 @@ func AblateMesh(ctx context.Context, w io.Writer, s Scale) error {
 				fmt.Fprintf(w, "%-28s omitted (%v)\n", label, err)
 				continue
 			}
-			if err := RunNetwork(ctx, n); err != nil {
+			if err := n.RunContext(ctx); err != nil {
 				return err
 			}
 			st := n.Stats

@@ -76,7 +76,7 @@ func runDetectorPoint(ctx context.Context, cfg network.Config) (detectorPoint, e
 			}
 		}
 	}
-	if err := RunNetwork(ctx, n); err != nil {
+	if err := n.RunContext(ctx); err != nil {
 		return detectorPoint{}, err
 	}
 	st := n.Stats

@@ -103,23 +103,10 @@ func runPoint(ctx context.Context, cfg network.Config) (stats.Point, error) {
 	if err != nil {
 		return stats.Point{}, err
 	}
-	if err := RunNetwork(ctx, n); err != nil {
+	if err := n.RunContext(ctx); err != nil {
 		return stats.Point{}, err
 	}
-	s := n.Stats
-	return stats.Point{
-		Applied:     cfg.Rate,
-		Throughput:  s.Throughput(),
-		Latency:     s.AvgLatency(),
-		LatencyP50:  float64(s.LatencyP50()),
-		LatencyP95:  float64(s.LatencyP95()),
-		LatencyP99:  float64(s.LatencyP99()),
-		TxnLatency:  s.AvgTxnLatency(),
-		Deflections: s.Deflections,
-		Rescues:     s.Rescues,
-		Deadlocks:   s.CWGDeadlocks,
-		Delivered:   s.DeliveredMsgs,
-	}, nil
+	return stats.Point{Applied: cfg.Rate, Summary: n.Stats.Summary(n.Quiescent())}, nil
 }
 
 // Sweep produces one BNF series for a scheme configuration, walking the
@@ -345,7 +332,7 @@ func DeadlockFrequency(ctx context.Context, w io.Writer, s Scale) error {
 		if err != nil {
 			return "", err
 		}
-		if err := RunNetwork(ctx, n); err != nil {
+		if err := n.RunContext(ctx); err != nil {
 			return "", err
 		}
 		st := n.Stats

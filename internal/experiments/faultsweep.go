@@ -64,7 +64,7 @@ func FaultSweep(ctx context.Context, w io.Writer, s Scale) error {
 		if err != nil {
 			return "", err
 		}
-		if err := RunNetwork(ctx, n); err != nil {
+		if err := n.RunContext(ctx); err != nil {
 			return "", err
 		}
 		rep := inj.Report()

@@ -5,9 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/network"
-	"repro/internal/sim"
 )
 
 // parallelism is the worker count experiment fan-out uses. Simulation points
@@ -36,7 +33,7 @@ func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
 // If any calls fail, the error of the smallest failing index is returned —
 // exactly the error a serial loop would have surfaced first. A cancelled ctx
 // stops the fan-out before the next unstarted index; in-flight calls observe
-// ctx themselves (RunNetwork checks it between cycle batches).
+// ctx themselves (Network.RunContext checks it between cycle batches).
 func mapOrdered[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if workers > n {
@@ -82,32 +79,4 @@ func mapOrdered[T any](ctx context.Context, workers, n int, fn func(i int) (T, e
 		}
 	}
 	return results, nil
-}
-
-// ctxCheckCycles is how many cycles RunNetwork steps between context polls:
-// coarse enough to keep the poll invisible in the hot path (one atomic load
-// per batch), fine enough that cancellation lands within microseconds of
-// real time.
-const ctxCheckCycles = 1024
-
-// RunNetwork steps a built network through its configured warmup, measure,
-// and drain phases like (*network.Network).Run, but polls ctx between cycle
-// batches so a cancelled or timed-out caller stops the simulation mid-run
-// instead of waiting for completion. Experiment points and served jobs both
-// execute through here; the CLI passes context.Background(), which reduces
-// to the uninterruptible loop.
-func RunNetwork(ctx context.Context, n *network.Network) error {
-	done := ctx.Done()
-	for i := int64(1); !n.Clock.Done(); i++ {
-		n.Step()
-		if n.Clock.Phase() == sim.PhaseDrain && n.Quiescent() {
-			break
-		}
-		if done != nil && i%ctxCheckCycles == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -78,7 +78,7 @@ func TestTruncateAtSaturation(t *testing.T) {
 	mk := func(tp ...float64) []stats.Point {
 		pts := make([]stats.Point, len(tp))
 		for i, v := range tp {
-			pts[i] = stats.Point{Throughput: v}
+			pts[i] = stats.Point{Summary: stats.Summary{Throughput: v}}
 		}
 		return pts
 	}

@@ -110,7 +110,7 @@ func runTrace(ctx context.Context, app tracegen.App, s Scale, radix []int, brist
 		lastFlits = cur
 		hist.Add(load)
 	}
-	if err := RunNetwork(ctx, n); err != nil {
+	if err := n.RunContext(ctx); err != nil {
 		return nil, nil, err
 	}
 	_ = player

@@ -31,7 +31,7 @@ func Utilization(ctx context.Context, w io.Writer, s Scale) error {
 			return err
 		}
 		util := attachUtilization(n)
-		if err := RunNetwork(ctx, n); err != nil {
+		if err := n.RunContext(ctx); err != nil {
 			return err
 		}
 		fmt.Fprint(w, util.Format(kind.String()))

@@ -17,10 +17,6 @@ type Packet struct {
 	// ArrivedFlits counts flits that reached the destination NI.
 	ArrivedFlits int
 
-	// Misroutes counts non-minimal hops taken (always 0 for the minimal
-	// routing functions used here; kept for invariant checking).
-	Misroutes int
-
 	// BeingRescued is set while the packet travels the Disha recovery lane;
 	// its normal-network resources are drained/released by the rescue
 	// machinery.
@@ -56,7 +52,4 @@ func (p *Packet) Checkpoint(c *ckpt.C) {
 	ckpt.Int(c, &p.ArrivedFlits)
 	c.Bool(&p.BeingRescued)
 	ckpt.Ref(c, &p.Msg)
-	if c.Unhashed() {
-		ckpt.Int(c, &p.Misroutes)
-	}
 }

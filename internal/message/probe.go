@@ -4,16 +4,14 @@ package message
 // detection message the distributed detector (internal/probe) injects at
 // blocked endpoints and forwards along channel-wait-for edges. It is a
 // control message one flit long — it carries no payload and no transaction,
-// only the (origin, sender, receiver) triple of the edge-chasing algorithm,
-// expressed as CWG vertex IDs (see deadlock.Layout), plus launch bookkeeping.
+// only the origin and receiver of the edge-chasing algorithm's triple (the
+// forwarding vertex is read by nothing, so it is not carried), expressed as
+// CWG vertex IDs (see deadlock.Layout), plus launch bookkeeping.
 type Probe struct {
 	// Origin is the vertex whose blocking launched the detection attempt; a
 	// probe arriving back at Origin declares deadlock.
 	Origin int
-	// Sender is the vertex that forwarded this copy.
-	Sender int
-	// Target is the vertex the probe is travelling to (the receiver of the
-	// CMH triple).
+	// Target is the vertex the probe is travelling to.
 	Target int
 	// Seq identifies the launch this copy belongs to (monotonic per
 	// engine); duplicate suppression keys on (Seq, Target), bounding each
@@ -31,13 +29,13 @@ type Probe struct {
 func (p *Probe) Pooled() bool { return p.pooled }
 
 // NewProbe returns a reset probe, recycled when available.
-func (p *Pool) NewProbe(origin, sender, target int, seq, born int64) *Probe {
+func (p *Pool) NewProbe(origin, target int, seq, born int64) *Probe {
 	if p == nil || len(p.probes) == 0 {
-		return &Probe{Origin: origin, Sender: sender, Target: target, Seq: seq, Born: born}
+		return &Probe{Origin: origin, Target: target, Seq: seq, Born: born}
 	}
 	pr := p.probes[len(p.probes)-1]
 	p.probes = p.probes[:len(p.probes)-1]
-	*pr = Probe{Origin: origin, Sender: sender, Target: target, Seq: seq, Born: born}
+	*pr = Probe{Origin: origin, Target: target, Seq: seq, Born: born}
 	return pr
 }
 

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -948,15 +949,35 @@ func (n *Network) Quiescent() bool {
 // flits buffered across every channel (tests assert it against a full scan).
 func (n *Network) OccupiedFlits() int64 { return n.occupied }
 
-// Run executes the configured phases: warmup, measurement, and drain (which
-// ends early once the system is quiescent). It returns the collector.
-func (n *Network) Run() *stats.Collector {
-	for !n.Clock.Done() {
+// ctxCheckCycles is how many cycles RunContext steps between context polls:
+// coarse enough to keep the poll invisible in the hot path (one atomic load
+// per batch), fine enough that cancellation lands within microseconds of
+// real time.
+const ctxCheckCycles = 1024
+
+// RunContext executes the configured phases: warmup, measurement, and drain
+// (which ends early once the system is quiescent). It polls ctx between cycle
+// batches, so a cancelled or timed-out caller stops the simulation mid-run
+// with ctx's error; a context that can never be cancelled costs nothing.
+func (n *Network) RunContext(ctx context.Context) error {
+	done := ctx.Done()
+	for i := int64(1); !n.Clock.Done(); i++ {
 		n.Step()
 		if n.Clock.Phase() == sim.PhaseDrain && n.Quiescent() {
 			break
 		}
+		if done != nil && i%ctxCheckCycles == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
+}
+
+// Run is RunContext without cancellation. It returns the collector.
+func (n *Network) Run() *stats.Collector {
+	_ = n.RunContext(context.Background()) // cannot be cancelled
 	return n.Stats
 }
 

@@ -68,12 +68,11 @@ func (e *Engine) Checkpoint(c *ckpt.C) {
 		}
 		ckpt.Slice(c, &e.chq[i], func(pp **message.Probe) {
 			if c.Reading() {
-				*pp = e.pool.NewProbe(0, 0, 0, 0, 0)
+				*pp = e.pool.NewProbe(0, 0, 0, 0)
 				e.active++
 			}
 			pr := *pp
 			ckpt.Int(c, &pr.Origin)
-			ckpt.Int(c, &pr.Sender)
 			ckpt.Int(c, &pr.Target)
 			seq(&pr.Seq)
 			c.Time(&pr.Born)

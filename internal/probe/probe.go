@@ -3,7 +3,7 @@
 // (internal/deadlock), which pauses the world every N cycles and inspects
 // global state for free, this detector pays for detection with real traffic:
 // when an endpoint's local-blocking threshold fires, the engine injects a
-// probe carrying the (origin, sender, receiver) triple and forwards copies
+// probe naming its origin and the resource it is chasing, and forwards copies
 // along channel-wait-for edges, one hop per cycle, riding the credit
 // turnaround of the channel that owns each waited-on resource. A probe that
 // chases the wait chain all the way back to its origin has traversed a cycle
@@ -134,7 +134,7 @@ func (e *Engine) channelOf(v int) (int, bool) {
 // send issues one probe copy toward target. Copies to any vertex other than
 // the origin are duplicate-suppressed per launch; the return leg to the
 // origin is never suppressed — it is the declaration.
-func (e *Engine) send(ln *launch, seq int64, origin, sender, target int, born int64) {
+func (e *Engine) send(ln *launch, seq int64, origin, target int, born int64) {
 	if target != origin {
 		if _, dup := ln.seen[int32(target)]; dup {
 			return
@@ -146,7 +146,7 @@ func (e *Engine) send(ln *launch, seq int64, origin, sender, target int, born in
 		e.Dropped++
 		return
 	}
-	e.chq[chID] = append(e.chq[chID], e.pool.NewProbe(origin, sender, target, seq, born))
+	e.chq[chID] = append(e.chq[chID], e.pool.NewProbe(origin, target, seq, born))
 	ln.outstanding++
 	e.active++
 	e.Issued++
@@ -172,7 +172,7 @@ func (e *Engine) Launch(origin int, born, now int64) {
 	e.seq++
 	ln := &launch{origin: origin, seen: make(map[int32]struct{}, len(edges))}
 	for _, t := range edges {
-		e.send(ln, seq, origin, origin, t, born)
+		e.send(ln, seq, origin, t, born)
 	}
 	if ln.outstanding == 0 {
 		return // every first-wave copy was dropped; nothing to track
@@ -260,7 +260,7 @@ func (e *Engine) deliver(pr *message.Probe, now int64) {
 		// Forward a copy along every wait edge before retiring this one, so
 		// outstanding never transits zero mid-launch.
 		for _, t := range edges {
-			e.send(ln, pr.Seq, pr.Origin, pr.Target, t, pr.Born)
+			e.send(ln, pr.Seq, pr.Origin, t, pr.Born)
 		}
 	}
 	// A non-blocked target breaks the chain here: some resource ahead is

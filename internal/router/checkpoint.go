@@ -88,7 +88,6 @@ func (r *Router) Checkpoint(c *ckpt.C) {
 	for o := range r.saRR {
 		ckpt.Int(c, &r.saRR[o])
 	}
-	c.Bool(&r.DBBusy)
 	c.Time(&r.FrozenUntil)
 }
 

@@ -69,11 +69,6 @@ type Router struct {
 
 	policy Policy
 
-	// DBBusy marks the router's Disha deadlock buffer as holding a flit of
-	// the packet currently being rescued. Only the token holder's packet
-	// may occupy it, so a single flag suffices.
-	DBBusy bool
-
 	// FrozenUntil stalls the VA and SA stages while now < FrozenUntil —
 	// the router-freeze fault. Buffered flits stay put (upstream staging
 	// into this router's inputs is unaffected, bounded by credits), and the

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/check"
-	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/obs"
@@ -24,21 +23,7 @@ import (
 // payloads cacheable byte-for-byte. Wall-clock timings deliberately live
 // on the job record, not here.
 type Summary struct {
-	Throughput          float64 `json:"throughput"`
-	AvgLatency          float64 `json:"avg_latency"`
-	LatencyP50          int64   `json:"latency_p50"`
-	LatencyP95          int64   `json:"latency_p95"`
-	LatencyP99          int64   `json:"latency_p99"`
-	AvgTxnLatency       float64 `json:"avg_txn_latency"`
-	DeliveredMessages   int64   `json:"delivered_messages"`
-	DeliveredFlits      int64   `json:"delivered_flits"`
-	Transactions        int64   `json:"transactions"`
-	DetectEvents        int64   `json:"detect_events"`
-	Deflections         int64   `json:"deflections"`
-	Rescues             int64   `json:"rescues"`
-	Deadlocks           int64   `json:"deadlocks"`
-	NormalizedDeadlocks float64 `json:"normalized_deadlocks"`
-	Drained             bool    `json:"drained"`
+	stats.Summary
 	// Digest is the FNV-1a fingerprint of the complete delivery log; equal
 	// digests mean behaviourally identical runs (internal/check).
 	Digest     string `json:"digest"`
@@ -85,7 +70,7 @@ func buildNetwork(spec RunSpec) (*network.Network, error) {
 }
 
 // Execute runs a normalized spec to completion and returns the marshalled
-// Result payload. The run is stepped through the experiments runner, so a
+// Result payload. The run is stepped through Network.RunContext, so a
 // cancelled or timed-out ctx aborts mid-simulation; aborted or
 // invariant-violating runs return an error and must not be cached. A
 // non-nil bus receives the run's trace events (the caller serializes sinks
@@ -110,7 +95,7 @@ func Execute(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
 		}
 	}
 	dig := check.AttachDigest(n)
-	if err := experiments.RunNetwork(ctx, n); err != nil {
+	if err := n.RunContext(ctx); err != nil {
 		return nil, err
 	}
 	if checker != nil {
@@ -121,7 +106,14 @@ func Execute(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
 	res := Result{
 		SpecHash: spec.Hash(),
 		Spec:     spec,
-		Summary:  summarize(n.Stats, n, dig, checker),
+		Summary: Summary{
+			Summary:    n.Stats.Summary(n.Quiescent()),
+			Digest:     dig.String(),
+			Deliveries: dig.Count(),
+		},
+	}
+	if checker != nil {
+		res.Summary.InvariantChecks = checker.Checks()
 	}
 	if injector != nil {
 		rep := injector.Report()
@@ -134,31 +126,4 @@ func Execute(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
-}
-
-// summarize converts collected statistics into the deterministic summary.
-func summarize(st *stats.Collector, n *network.Network, dig *check.Digest, checker *check.Checker) Summary {
-	s := Summary{
-		Throughput:          st.Throughput(),
-		AvgLatency:          st.AvgLatency(),
-		LatencyP50:          st.LatencyP50(),
-		LatencyP95:          st.LatencyP95(),
-		LatencyP99:          st.LatencyP99(),
-		AvgTxnLatency:       st.AvgTxnLatency(),
-		DeliveredMessages:   st.DeliveredMsgs,
-		DeliveredFlits:      st.DeliveredFlits,
-		Transactions:        st.TxnCompleted,
-		DetectEvents:        st.DetectEvents,
-		Deflections:         st.Deflections,
-		Rescues:             st.Rescues,
-		Deadlocks:           st.CWGDeadlocks,
-		NormalizedDeadlocks: st.NormalizedDeadlocks(),
-		Drained:             n.Quiescent(),
-		Digest:              dig.String(),
-		Deliveries:          dig.Count(),
-	}
-	if checker != nil {
-		s.InvariantChecks = checker.Checks()
-	}
-	return s
 }

@@ -124,7 +124,7 @@ type JobView struct {
 }
 
 // Scheduler owns the worker pool, the bounded FIFO queue, and the job
-// table. It layers on the experiments runner for execution and on Store +
+// table. It layers on Execute for running a spec and on Store +
 // flightGroup for deduplication.
 type Scheduler struct {
 	cfg    SchedConfig

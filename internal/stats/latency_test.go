@@ -108,9 +108,9 @@ func TestLatencyAtUnsortedSeries(t *testing.T) {
 	// A post-saturation dip makes Points unsorted by throughput; LatencyAt
 	// must still interpolate correctly and must not reorder the series.
 	s := Series{Points: []Point{
-		{Throughput: 0.1, Latency: 10},
-		{Throughput: 0.3, Latency: 30},
-		{Throughput: 0.2, Latency: 20},
+		{Summary: Summary{Throughput: 0.1, AvgLatency: 10}},
+		{Summary: Summary{Throughput: 0.3, AvgLatency: 30}},
+		{Summary: Summary{Throughput: 0.2, AvgLatency: 20}},
 	}}
 	lat, ok := s.LatencyAt(0.25)
 	if !ok || lat != 25 {

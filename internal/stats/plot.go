@@ -32,11 +32,11 @@ func PlotBNF(title string, series []Series, width, height int, latencyCap float6
 			if p.Throughput > maxThr {
 				maxThr = p.Throughput
 			}
-			if p.Latency < minLat && p.Latency > 0 {
-				minLat = p.Latency
+			if p.AvgLatency < minLat && p.AvgLatency > 0 {
+				minLat = p.AvgLatency
 			}
-			if p.Latency > maxLat {
-				maxLat = p.Latency
+			if p.AvgLatency > maxLat {
+				maxLat = p.AvgLatency
 			}
 		}
 	}
@@ -60,7 +60,7 @@ func PlotBNF(title string, series []Series, width, height int, latencyCap float6
 	for si, s := range series {
 		g := glyphs[si%len(glyphs)]
 		for _, p := range s.Points {
-			lat := p.Latency
+			lat := p.AvgLatency
 			if lat > latencyCap {
 				lat = latencyCap
 			}

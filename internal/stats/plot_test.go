@@ -8,14 +8,14 @@ import (
 func plotSeries() []Series {
 	return []Series{
 		{Name: "PR", Points: []Point{
-			{Throughput: 0.05, Latency: 20},
-			{Throughput: 0.20, Latency: 30},
-			{Throughput: 0.40, Latency: 120},
+			{Summary: Summary{Throughput: 0.05, AvgLatency: 20}},
+			{Summary: Summary{Throughput: 0.20, AvgLatency: 30}},
+			{Summary: Summary{Throughput: 0.40, AvgLatency: 120}},
 		}},
 		{Name: "DR", Points: []Point{
-			{Throughput: 0.05, Latency: 22},
-			{Throughput: 0.18, Latency: 60},
-			{Throughput: 0.22, Latency: 400},
+			{Summary: Summary{Throughput: 0.05, AvgLatency: 22}},
+			{Summary: Summary{Throughput: 0.18, AvgLatency: 60}},
+			{Summary: Summary{Throughput: 0.22, AvgLatency: 400}},
 		}},
 	}
 }

@@ -196,21 +196,77 @@ func (c *Collector) NormalizedDeadlocks() float64 {
 	return float64(c.CWGDeadlocks+c.Deflections+c.Rescues) / float64(c.DeliveredMsgs)
 }
 
+// Summary is what a finished run reports: the collector's derived quantities
+// under the names every front end uses. The JSON keys are simsvc's wire
+// format; detection latency is not served, so it stays off the wire.
+type Summary struct {
+	// Throughput is delivered traffic in flits/node/cycle over the
+	// measurement window.
+	Throughput float64 `json:"throughput"`
+	// AvgLatency is mean message latency in cycles, queue waiting
+	// included.
+	AvgLatency float64 `json:"avg_latency"`
+	// LatencyP50, LatencyP95 and LatencyP99 are message-latency percentiles
+	// in cycles (upper bucket-edge estimates, error below 1.6%). The mean
+	// alone hides the tail that deadlock episodes create.
+	LatencyP50 int64 `json:"latency_p50"`
+	LatencyP95 int64 `json:"latency_p95"`
+	LatencyP99 int64 `json:"latency_p99"`
+	// AvgTxnLatency is mean transaction completion time in cycles.
+	AvgTxnLatency float64 `json:"avg_txn_latency"`
+	// DeliveredMessages and DeliveredFlits count measured deliveries.
+	DeliveredMessages int64 `json:"delivered_messages"`
+	DeliveredFlits    int64 `json:"delivered_flits"`
+	// Transactions counts completed transactions.
+	Transactions int64 `json:"transactions"`
+	// DetectEvents, Deflections and Rescues count recovery activity.
+	DetectEvents int64 `json:"detect_events"`
+	Deflections  int64 `json:"deflections"`
+	Rescues      int64 `json:"rescues"`
+	// AvgDetectLatency is mean detection latency in cycles under the
+	// configured detector mode (blocking onset to recovery dispatch), with
+	// DetectLatencySamples the number of detections it averages.
+	AvgDetectLatency     float64 `json:"-"`
+	DetectLatencySamples int64   `json:"-"`
+	// Deadlocks is the CWG-observed knot count; NormalizedDeadlocks is the
+	// paper's deadlocks-per-delivered-message metric.
+	Deadlocks           int64   `json:"deadlocks"`
+	NormalizedDeadlocks float64 `json:"normalized_deadlocks"`
+	// Drained reports whether all work completed before the drain budget
+	// expired.
+	Drained bool `json:"drained"`
+}
+
+// Summary derives the run's report; drained is the network's quiescence at
+// the end of the run, which the collector cannot see.
+func (c *Collector) Summary(drained bool) Summary {
+	return Summary{
+		Throughput:           c.Throughput(),
+		AvgLatency:           c.AvgLatency(),
+		LatencyP50:           c.LatencyP50(),
+		LatencyP95:           c.LatencyP95(),
+		LatencyP99:           c.LatencyP99(),
+		AvgTxnLatency:        c.AvgTxnLatency(),
+		DeliveredMessages:    c.DeliveredMsgs,
+		DeliveredFlits:       c.DeliveredFlits,
+		Transactions:         c.TxnCompleted,
+		DetectEvents:         c.DetectEvents,
+		Deflections:          c.Deflections,
+		Rescues:              c.Rescues,
+		AvgDetectLatency:     c.AvgDetectLatency(),
+		DetectLatencySamples: c.DetectLatencyCount,
+		Deadlocks:            c.CWGDeadlocks,
+		NormalizedDeadlocks:  c.NormalizedDeadlocks(),
+		Drained:              drained,
+	}
+}
+
 // Point is one Burton-Normal-Form sample: the applied load (request
-// generation probability per node per cycle) and the measured throughput
-// (x) and latency (y), plus the recovery activity behind it.
+// generation probability per node per cycle) and the run's summary, whose
+// throughput (x) and average latency (y) are the plotted pair.
 type Point struct {
-	Applied     float64
-	Throughput  float64
-	Latency     float64
-	LatencyP50  float64
-	LatencyP95  float64
-	LatencyP99  float64
-	TxnLatency  float64
-	Deflections int64
-	Rescues     int64
-	Deadlocks   int64
-	Delivered   int64
+	Applied float64
+	Summary
 }
 
 // Series is one curve of a BNF plot (one scheme configuration).
@@ -250,10 +306,10 @@ func (s Series) LatencyAt(throughput float64) (float64, bool) {
 		if pts[i].Throughput >= throughput {
 			lo, hi := pts[i-1], pts[i]
 			if hi.Throughput == lo.Throughput {
-				return hi.Latency, true
+				return hi.AvgLatency, true
 			}
 			f := (throughput - lo.Throughput) / (hi.Throughput - lo.Throughput)
-			return lo.Latency + f*(hi.Latency-lo.Latency), true
+			return lo.AvgLatency + f*(hi.AvgLatency-lo.AvgLatency), true
 		}
 	}
 	return 0, false
@@ -269,8 +325,8 @@ func FormatBNF(title string, series []Series) string {
 		fmt.Fprintf(&b, "  %s (saturation %.4f flits/node/cycle)\n", s.Name, s.SaturationThroughput())
 		fmt.Fprintf(&b, "    %10s %12s %12s %8s %8s %10s %9s %9s\n", "applied", "throughput", "latency", "p50", "p99", "txn-lat", "deflect", "rescue")
 		for _, p := range s.Points {
-			fmt.Fprintf(&b, "    %10.5f %12.5f %12.1f %8.0f %8.0f %10.1f %9d %9d\n",
-				p.Applied, p.Throughput, p.Latency, p.LatencyP50, p.LatencyP99, p.TxnLatency, p.Deflections, p.Rescues)
+			fmt.Fprintf(&b, "    %10.5f %12.5f %12.1f %8d %8d %10.1f %9d %9d\n",
+				p.Applied, p.Throughput, p.AvgLatency, p.LatencyP50, p.LatencyP99, p.AvgTxnLatency, p.Deflections, p.Rescues)
 		}
 	}
 	return b.String()
@@ -282,8 +338,8 @@ func CSV(series []Series) string {
 	b.WriteString("series,applied,throughput,latency,latency_p50,latency_p95,latency_p99,txn_latency,deflections,rescues,deadlocks,delivered\n")
 	for _, s := range series {
 		for _, p := range s.Points {
-			fmt.Fprintf(&b, "%s,%g,%g,%g,%g,%g,%g,%g,%d,%d,%d,%d\n",
-				s.Name, p.Applied, p.Throughput, p.Latency, p.LatencyP50, p.LatencyP95, p.LatencyP99, p.TxnLatency, p.Deflections, p.Rescues, p.Deadlocks, p.Delivered)
+			fmt.Fprintf(&b, "%s,%g,%g,%g,%d,%d,%d,%g,%d,%d,%d,%d\n",
+				s.Name, p.Applied, p.Throughput, p.AvgLatency, p.LatencyP50, p.LatencyP95, p.LatencyP99, p.AvgTxnLatency, p.Deflections, p.Rescues, p.Deadlocks, p.DeliveredMessages)
 		}
 	}
 	return b.String()

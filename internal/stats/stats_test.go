@@ -99,9 +99,9 @@ func TestTxnStats(t *testing.T) {
 
 func TestSeriesSaturation(t *testing.T) {
 	s := Series{Name: "x", Points: []Point{
-		{Applied: 0.01, Throughput: 0.1, Latency: 20},
-		{Applied: 0.02, Throughput: 0.25, Latency: 40},
-		{Applied: 0.03, Throughput: 0.22, Latency: 300},
+		{Applied: 0.01, Summary: Summary{Throughput: 0.1, AvgLatency: 20}},
+		{Applied: 0.02, Summary: Summary{Throughput: 0.25, AvgLatency: 40}},
+		{Applied: 0.03, Summary: Summary{Throughput: 0.22, AvgLatency: 300}},
 	}}
 	if got := s.SaturationThroughput(); got != 0.25 {
 		t.Fatalf("saturation = %v", got)
@@ -110,8 +110,8 @@ func TestSeriesSaturation(t *testing.T) {
 
 func TestLatencyAtInterpolates(t *testing.T) {
 	s := Series{Points: []Point{
-		{Throughput: 0.1, Latency: 20},
-		{Throughput: 0.2, Latency: 40},
+		{Summary: Summary{Throughput: 0.1, AvgLatency: 20}},
+		{Summary: Summary{Throughput: 0.2, AvgLatency: 40}},
 	}}
 	got, ok := s.LatencyAt(0.15)
 	if !ok || math.Abs(got-30) > 1e-12 {
@@ -123,7 +123,7 @@ func TestLatencyAtInterpolates(t *testing.T) {
 }
 
 func TestFormatBNFAndCSV(t *testing.T) {
-	s := []Series{{Name: "PR", Points: []Point{{Applied: 0.01, Throughput: 0.1, Latency: 25}}}}
+	s := []Series{{Name: "PR", Points: []Point{{Applied: 0.01, Summary: Summary{Throughput: 0.1, AvgLatency: 25}}}}}
 	txt := FormatBNF("Figure 8(a)", s)
 	if !strings.Contains(txt, "Figure 8(a)") || !strings.Contains(txt, "PR") {
 		t.Fatal("format missing pieces")

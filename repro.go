@@ -99,66 +99,11 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 }
 
 // Results summarizes one run.
-type Results struct {
-	// Throughput is delivered traffic in flits/node/cycle over the
-	// measurement window.
-	Throughput float64
-	// AvgLatency is mean message latency in cycles, queue waiting
-	// included.
-	AvgLatency float64
-	// LatencyP50, LatencyP95 and LatencyP99 are message-latency percentiles
-	// in cycles (upper bucket-edge estimates, error below 1.6%). The mean
-	// alone hides the tail that deadlock episodes create.
-	LatencyP50 int64
-	LatencyP95 int64
-	LatencyP99 int64
-	// AvgTxnLatency is mean transaction completion time in cycles.
-	AvgTxnLatency float64
-	// DeliveredMessages and DeliveredFlits count measured deliveries.
-	DeliveredMessages int64
-	DeliveredFlits    int64
-	// Transactions counts completed transactions.
-	Transactions int64
-	// DetectEvents, Deflections and Rescues count recovery activity.
-	DetectEvents int64
-	Deflections  int64
-	Rescues      int64
-	// AvgDetectLatency is mean detection latency in cycles under the
-	// configured detector mode (blocking onset to recovery dispatch), with
-	// DetectLatencySamples the number of detections it averages.
-	AvgDetectLatency     float64
-	DetectLatencySamples int64
-	// Deadlocks is the CWG-observed knot count; NormalizedDeadlocks is the
-	// paper's deadlocks-per-delivered-message metric.
-	Deadlocks           int64
-	NormalizedDeadlocks float64
-	// Drained reports whether all work completed before the drain budget
-	// expired.
-	Drained bool
-}
+type Results = stats.Summary
 
 // Run executes warmup, measurement, and drain, and summarizes.
 func (s *Simulator) Run() Results {
-	st := s.net.Run()
-	return Results{
-		Throughput:           st.Throughput(),
-		AvgLatency:           st.AvgLatency(),
-		LatencyP50:           st.LatencyP50(),
-		LatencyP95:           st.LatencyP95(),
-		LatencyP99:           st.LatencyP99(),
-		AvgTxnLatency:        st.AvgTxnLatency(),
-		DeliveredMessages:    st.DeliveredMsgs,
-		DeliveredFlits:       st.DeliveredFlits,
-		Transactions:         st.TxnCompleted,
-		DetectEvents:         st.DetectEvents,
-		Deflections:          st.Deflections,
-		Rescues:              st.Rescues,
-		AvgDetectLatency:     st.AvgDetectLatency(),
-		DetectLatencySamples: st.DetectLatencyCount,
-		Deadlocks:            st.CWGDeadlocks,
-		NormalizedDeadlocks:  st.NormalizedDeadlocks(),
-		Drained:              s.net.Quiescent(),
-	}
+	return s.net.Run().Summary(s.net.Quiescent())
 }
 
 // Network exposes the underlying system for advanced inspection (router and
