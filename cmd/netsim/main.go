@@ -52,50 +52,52 @@ import (
 	"repro/internal/telemetry"
 )
 
+// The flags are package-level so the documentation test can list them.
+var (
+	schemeName  = flag.String("scheme", "PR", "handling scheme: SA, DR, PR, SQ, or AB")
+	patternName = flag.String("pattern", "PAT271", "transaction pattern: PAT100, PAT721, PAT451, PAT271, PAT280")
+	radix       = flag.String("radix", "8x8", "torus radix, e.g. 8x8 or 4x4x4")
+	mesh        = flag.Bool("mesh", false, "use a mesh (no wraparound links) instead of a torus")
+	bristling   = flag.Int("bristling", 1, "processors per router")
+	vcs         = flag.Int("vcs", 4, "virtual channels per link")
+	flitBuf     = flag.Int("flitbuf", 2, "flit buffers per virtual channel")
+	queueCap    = flag.Int("queue", 16, "message queue size")
+	queueMode   = flag.String("qmode", "default", "queue allocation: default, shared, class, type")
+	service     = flag.Int("service", 40, "message service time in cycles")
+	rate        = flag.Float64("rate", 0.01, "request generation probability per node per cycle")
+	outstanding = flag.Int("outstanding", 16, "max outstanding transactions per node (0 = unlimited)")
+	warmup      = flag.Int64("warmup", 5000, "warmup cycles")
+	measure     = flag.Int64("measure", 30000, "measured cycles")
+	drain       = flag.Int64("drain", 30000, "max drain cycles")
+	seed        = flag.Uint64("seed", 1, "random seed")
+	cwg         = flag.Int64("cwg", 50, "CWG scan interval (0 disables)")
+	detector    = flag.String("detector", "threshold", "recovery trigger: threshold (endpoint persistence counter), cwg (scan results), or probe (distributed edge chasing)")
+
+	tracePath    = flag.String("trace", "", "write a structured event trace to this file")
+	traceFormat  = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (chrome://tracing / Perfetto)")
+	metricsCSV   = flag.String("metrics-csv", "", "write windowed time-series metrics as CSV to this file")
+	metricsWin   = flag.Int64("metrics-window", 100, "metrics sampling window in cycles")
+	episodes     = flag.Bool("episodes", false, "record deadlock episodes (needs -cwg > 0) and print them")
+	episodesJSON = flag.String("episodes-json", "", "write deadlock episodes as JSONL to this file (implies -episodes)")
+
+	checkOn       = flag.Bool("check", false, "run the runtime invariant checker; violations exit with status 3")
+	checkInterval = flag.Int64("check-interval", 64, "cycles between invariant sweeps (with -check)")
+	digest        = flag.Bool("digest", false, "print a 64-bit digest of the full delivery log (regression fingerprint)")
+
+	faultPlan = flag.String("fault-plan", "", "inject faults from this JSON plan file (see internal/fault)")
+
+	skipAhead = flag.Bool("skip-ahead", true, "step only active routers and NIs and skip quiescent cycles (results are byte-identical; false steps every component and commits every channel every cycle)")
+
+	profile       = flag.Bool("profile", false, "attribute wall time to simulation pipeline phases and print the breakdown")
+	profileJSON   = flag.String("profile-json", "", "write the phase breakdown as JSON to this file (implies -profile)")
+	profileSample = flag.Int64("profile-sample", 1, "profile every Nth cycle (1 = every cycle)")
+
+	replayPath = flag.String("replay", "", "replay a model-checker counterexample schedule from this JSON file and verify it reproduces")
+
+	version = flag.Bool("version", false, "print version and exit")
+)
+
 func main() {
-	var (
-		schemeName  = flag.String("scheme", "PR", "handling scheme: SA, DR, PR, SQ, or AB")
-		patternName = flag.String("pattern", "PAT271", "transaction pattern: PAT100, PAT721, PAT451, PAT271, PAT280")
-		radix       = flag.String("radix", "8x8", "torus radix, e.g. 8x8 or 4x4x4")
-		mesh        = flag.Bool("mesh", false, "use a mesh (no wraparound links) instead of a torus")
-		bristling   = flag.Int("bristling", 1, "processors per router")
-		vcs         = flag.Int("vcs", 4, "virtual channels per link")
-		flitBuf     = flag.Int("flitbuf", 2, "flit buffers per virtual channel")
-		queueCap    = flag.Int("queue", 16, "message queue size")
-		queueMode   = flag.String("qmode", "default", "queue allocation: default, shared, class, type")
-		service     = flag.Int("service", 40, "message service time in cycles")
-		rate        = flag.Float64("rate", 0.01, "request generation probability per node per cycle")
-		outstanding = flag.Int("outstanding", 16, "max outstanding transactions per node (0 = unlimited)")
-		warmup      = flag.Int64("warmup", 5000, "warmup cycles")
-		measure     = flag.Int64("measure", 30000, "measured cycles")
-		drain       = flag.Int64("drain", 30000, "max drain cycles")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		cwg         = flag.Int64("cwg", 50, "CWG scan interval (0 disables)")
-		detector    = flag.String("detector", "threshold", "recovery trigger: threshold (endpoint persistence counter), cwg (scan results), or probe (distributed edge chasing)")
-
-		tracePath    = flag.String("trace", "", "write a structured event trace to this file")
-		traceFormat  = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (chrome://tracing / Perfetto)")
-		metricsCSV   = flag.String("metrics-csv", "", "write windowed time-series metrics as CSV to this file")
-		metricsWin   = flag.Int64("metrics-window", 100, "metrics sampling window in cycles")
-		episodes     = flag.Bool("episodes", false, "record deadlock episodes (needs -cwg > 0) and print them")
-		episodesJSON = flag.String("episodes-json", "", "write deadlock episodes as JSONL to this file (implies -episodes)")
-
-		checkOn       = flag.Bool("check", false, "run the runtime invariant checker; violations exit with status 3")
-		checkInterval = flag.Int64("check-interval", 64, "cycles between invariant sweeps (with -check)")
-		digest        = flag.Bool("digest", false, "print a 64-bit digest of the full delivery log (regression fingerprint)")
-
-		faultPlan = flag.String("fault-plan", "", "inject faults from this JSON plan file (see internal/fault)")
-
-		skipAhead = flag.Bool("skip-ahead", true, "step only active routers and NIs and skip quiescent cycles (results are byte-identical; false steps every component and commits every channel every cycle)")
-
-		profile       = flag.Bool("profile", false, "attribute wall time to simulation pipeline phases and print the breakdown")
-		profileJSON   = flag.String("profile-json", "", "write the phase breakdown as JSON to this file (implies -profile)")
-		profileSample = flag.Int64("profile-sample", 1, "profile every Nth cycle (1 = every cycle)")
-
-		replayPath = flag.String("replay", "", "replay a model-checker counterexample schedule from this JSON file and verify it reproduces")
-
-		version = flag.Bool("version", false, "print version and exit")
-	)
 	flag.Parse()
 	if *version {
 		fmt.Println(telemetry.VersionString("netsim"))
@@ -106,54 +108,26 @@ func main() {
 		return
 	}
 
-	// Validate run-phase and resource flags up front with per-flag messages;
-	// the config validator would reject most of these too, but its errors do
-	// not name the offending flag, and a few (e.g. a negative -cwg) used to
-	// slip through and silently disable behaviour instead of failing.
-	if *warmup < 0 {
-		fatal(fmt.Errorf("-warmup must be >= 0 cycles, got %d", *warmup))
-	}
-	if *measure < 1 {
-		fatal(fmt.Errorf("-measure must be at least 1 cycle, got %d", *measure))
-	}
-	if *drain < 0 {
-		fatal(fmt.Errorf("-drain must be >= 0 cycles, got %d", *drain))
-	}
-	if *cwg < 0 {
-		fatal(fmt.Errorf("-cwg must be >= 0 (0 disables scanning), got %d", *cwg))
-	}
+	// Only flags that are not Config fields are range-checked here; every
+	// other value is copied into the Config, whose Validate (reached through
+	// NewSimulator) is the one admission check and names the field at fault.
 	if *checkInterval < 1 {
 		fatal(fmt.Errorf("-check-interval must be at least 1 cycle, got %d", *checkInterval))
 	}
 	if *metricsWin < 1 {
 		fatal(fmt.Errorf("-metrics-window must be at least 1 cycle, got %d", *metricsWin))
 	}
-	if *bristling < 1 {
-		fatal(fmt.Errorf("-bristling must be at least 1, got %d", *bristling))
-	}
-	if !(*rate >= 0 && *rate <= 1) { // written so that NaN fails it
-		fatal(fmt.Errorf("-rate must be a probability in [0,1], got %g", *rate))
-	}
-	switch *detector {
-	case "threshold", "cwg", "probe":
-	default:
-		fatal(fmt.Errorf("-detector must be threshold, cwg, or probe, got %q", *detector))
-	}
-	if *detector == "cwg" && *cwg == 0 {
-		fatal(fmt.Errorf("-detector=cwg needs -cwg > 0: scan results are its only recovery trigger"))
-	}
 
 	cfg := repro.DefaultConfig()
 	kind, err := schemes.KindByName(*schemeName)
 	fatal(err)
 	cfg.Scheme = kind
-	if *detector == "probe" && (kind == schemes.SA || kind == schemes.SQ) {
-		fatal(fmt.Errorf("-detector=probe cannot be combined with -scheme=%s: avoidance schemes have no recovery path for a probe declaration to trigger", kind))
-	}
 	pat, err := protocol.PatternByName(*patternName)
 	fatal(err)
 	cfg.Pattern = pat
 	cfg.Radix, err = parseRadix(*radix)
+	fatal(err)
+	cfg.QueueMode, err = netiface.QueueModeByName(*queueMode)
 	fatal(err)
 	cfg.Mesh = *mesh
 	cfg.Bristling = *bristling
@@ -167,18 +141,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.CWGInterval = *cwg
 	cfg.Detector = *detector
-	switch *queueMode {
-	case "default":
-		cfg.QueueMode = -1
-	case "shared":
-		cfg.QueueMode = netiface.QueueShared
-	case "class":
-		cfg.QueueMode = netiface.QueuePerClass
-	case "type":
-		cfg.QueueMode = netiface.QueuePerType
-	default:
-		fatal(fmt.Errorf("unknown queue mode %q", *queueMode))
-	}
 
 	sim, err := repro.NewSimulator(cfg)
 	fatal(err)
@@ -343,7 +305,7 @@ func replay(path string) {
 	cx, err := mc.DecodeCounterexample(data)
 	fatal(err)
 	fmt.Printf("replay: %s %s, %d txns, %d scheduled choices, recorded %s at cycle %d\n",
-		cx.Cfg.Scheme, cx.Cfg.Pattern, len(cx.Txns), len(cx.Schedule),
+		cx.Net.Scheme, cx.Net.Pattern.Name, len(cx.Txns), len(cx.Schedule),
 		cx.Violation.Kind, cx.Violation.Cycle)
 	v, err := mc.Replay(cx)
 	fatal(err)
@@ -368,9 +330,6 @@ func parseRadix(s string) ([]int, error) {
 		v, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("bad radix %q: %w", s, err)
-		}
-		if v < 2 {
-			return nil, fmt.Errorf("bad radix %q: each dimension needs at least 2 routers", s)
 		}
 		out = append(out, v)
 	}

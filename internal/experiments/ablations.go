@@ -205,7 +205,7 @@ func AblateChainLength(ctx context.Context, w io.Writer, s Scale) error {
 			cfg.Rate = 0.010
 			cfg.Seed = 37
 			label := fmt.Sprintf("%s %s", pat.Name, kind)
-			if _, err := schemes.New(kind, pat, 8, -1); err != nil {
+			if err := cfg.Validate(); err != nil {
 				fmt.Fprintf(w, "%-28s omitted (%v)\n", label, err)
 				continue
 			}

@@ -228,16 +228,16 @@ func FigBNF(ctx context.Context, w io.Writer, s Scale, title string, vcs int, pa
 	for pi, pat := range pats {
 		groups[pi].start = len(jobs)
 		for _, kind := range []schemes.Kind{schemes.SA, schemes.DR, schemes.PR} {
-			if _, err := schemes.New(kind, pat, vcs, -1); err != nil {
-				groups[pi].omitted = append(groups[pi].omitted,
-					fmt.Sprintf("%s/%s: omitted (%v)\n", pat.Name, kind, err))
-				continue
-			}
 			cfg := baseConfig(s)
 			cfg.Scheme = kind
 			cfg.Pattern = pat
 			cfg.VCs = vcs
 			cfg.Seed = seed
+			if err := cfg.Validate(); err != nil {
+				groups[pi].omitted = append(groups[pi].omitted,
+					fmt.Sprintf("%s/%s: omitted (%v)\n", pat.Name, kind, err))
+				continue
+			}
 			jobs = append(jobs, sweepJob{cfg: cfg, name: fmt.Sprintf("%s/%s", pat.Name, kind)})
 		}
 		groups[pi].end = len(jobs)

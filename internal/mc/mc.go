@@ -86,44 +86,46 @@ type TxnSpec struct {
 	Earliest  int64 `json:"earliest"`
 }
 
-// Options configures an exploration.
+// Options configures an exploration. The JSON keys are those of a
+// counterexample file, which carries the options minus the bounds and
+// callbacks a replay has no use for.
 type Options struct {
 	// Net is the network under test. Warmup/Measure/MaxDrain and Rate are
 	// overridden (the explorer owns the clock and the workload).
-	Net network.Config
+	Net network.Config `json:"cfg"`
 	// Txns is the scripted workload.
-	Txns []TxnSpec
+	Txns []TxnSpec `json:"txns"`
 	// MaxCycles bounds every path's cycle count (default 2000); a path
 	// that exhausts it without quiescing is a violation.
-	MaxCycles int64
+	MaxCycles int64 `json:"max_cycles"`
 	// MaxStates bounds the visited set (default 500000). Hitting it stops
 	// the exploration with Result.Complete=false.
-	MaxStates int
+	MaxStates int `json:"-"`
 	// InjectWindow is how many cycles past Earliest a release may be
 	// deferred (default 4).
-	InjectWindow int64
+	InjectWindow int64 `json:"inject_window"`
 	// Rotations is the number of round-robin rotations branched at
 	// contended cycles (default 2; 1 disables arbitration branching).
-	Rotations int
+	Rotations int `json:"rotations"`
 	// DelayRescue branches on deferring the recovery engine by one cycle
 	// whenever an endpoint newly requests rescue service.
-	DelayRescue bool
+	DelayRescue bool `json:"delay_rescue,omitempty"`
 	// StrictDetect arms the false-detection check. It requires a
 	// configuration whose detector thresholds are tuned so honest runs
 	// never fire on mere congestion (the tiny-config defaults are).
-	StrictDetect bool
+	StrictDetect bool `json:"strict_detect,omitempty"`
 	// MissedBound is the detection deadline in cycles: a knot older than
 	// this with no detection is a missed deadlock (default derived from
 	// DetectThreshold and CWGInterval).
-	MissedBound int64
+	MissedBound int64 `json:"missed_bound"`
 	// Bug injects a detector defect.
-	Bug Bug
+	Bug Bug `json:"bug,omitempty"`
 	// ForgePeriod is BugForgeDetect's firing period (default 40).
-	ForgePeriod int64
+	ForgePeriod int64 `json:"forge_period,omitempty"`
 	// Progress, when set, receives a callback roughly every ProgressEvery
 	// transitions (default 5000).
-	Progress      func(ProgressInfo)
-	ProgressEvery int64
+	Progress      func(ProgressInfo) `json:"-"`
+	ProgressEvery int64              `json:"-"`
 }
 
 // ProgressInfo is a progress callback payload.
@@ -196,18 +198,22 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// New builds an explorer: a network driven by the scripted source, with the
-// endpoint-detection hooks wrapped for observation and bug injection.
-func New(opt Options) (*Explorer, error) {
-	opt.fillDefaults()
-	cfg := opt.Net
-	// The explorer owns the run: generation must never stop (no drain
-	// phase within the explored horizon) and the built-in source is
-	// replaced by the script.
+// ownRun returns cfg with the run phases and rate the explorer imposes: it
+// owns the run, so generation must never stop (no drain phase within the
+// explored horizon) and the built-in source is replaced by the script.
+func ownRun(cfg network.Config) network.Config {
 	cfg.Warmup = 0
 	cfg.Measure = 1 << 40
 	cfg.MaxDrain = 1 << 40
 	cfg.Rate = 0
+	return cfg
+}
+
+// New builds an explorer: a network driven by the scripted source, with the
+// endpoint-detection hooks wrapped for observation and bug injection.
+func New(opt Options) (*Explorer, error) {
+	opt.fillDefaults()
+	cfg := ownRun(opt.Net)
 	if len(opt.Txns) == 0 {
 		return nil, fmt.Errorf("mc: no scripted transactions")
 	}

@@ -2,8 +2,13 @@ package mc
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/network"
 	"repro/internal/schemes"
 )
 
@@ -214,6 +219,53 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeCounterexample([]byte(`{`)); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+
+	// The committed corpus predates network.Config carrying its own text
+	// form: each file must decode and re-encode to the same bytes.
+	for _, tc := range goldenCases {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cx, err := DecodeCounterexample(want)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, err := cx.Encode(); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s does not re-encode byte-identically (err %v):\n%s", tc.name, err, got)
+		}
+	}
+
+	// A field of Config is a field of the file: the token watchdog, which the
+	// hand-copied mirror had forgotten, survives the trip.
+	cx.Net.TokenRegenTimeout = 77
+	if b, err = cx.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := DecodeCounterexample(b); err != nil || back.Net.TokenRegenTimeout != 77 {
+		t.Fatalf("TokenRegenTimeout did not round-trip: %v, %+v", err, back)
+	}
+
+	// A file whose network the explorer could not build is refused at decode,
+	// naming the field.
+	for field, mutate := range map[string]func(*network.Config){
+		"CWGInterval":       func(c *network.Config) { c.CWGInterval = -5 },
+		"MaxOutstanding":    func(c *network.Config) { c.MaxOutstanding = -4 },
+		"QueueMode":         func(c *network.Config) { c.QueueMode = 7 },
+		"TokenRegenTimeout": func(c *network.Config) { c.TokenRegenTimeout = -1 },
+		"RetryBackoff":      func(c *network.Config) { c.RetryBackoff = -1 },
+		"Pattern":           func(c *network.Config) { c.Pattern = nil },
+	} {
+		bad := *cx
+		mutate(&bad.Net)
+		b, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCounterexample(b); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: decode error %v does not name the field", field, err)
+		}
 	}
 }
 

@@ -149,8 +149,8 @@ func TestSuppressProbeCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Cfg.Detector != network.DetectorProbe {
-		t.Fatalf("detector %q lost in the JSON round trip", decoded.Cfg.Detector)
+	if decoded.Net.Detector != network.DetectorProbe {
+		t.Fatalf("detector %q lost in the JSON round trip", decoded.Net.Detector)
 	}
 	v, err := Replay(decoded)
 	if err != nil {

@@ -43,7 +43,7 @@ func TinyConfig(kind schemes.Kind) network.Config {
 // exercised too).
 func CrossingTxns(cfg network.Config) []TxnSpec {
 	tmpl := 0
-	if cfg.Pattern == protocol.PAT280 {
+	if cfg.Pattern.Name == protocol.PAT280.Name {
 		tmpl = 1 // Chain3Origin: exercises third-party traffic too
 	}
 	// Every template takes exactly one third party (chain-2 carries it
@@ -57,7 +57,7 @@ func CrossingTxns(cfg network.Config) []TxnSpec {
 // SingleTxn scripts the one-transaction workload used by the CI smoke run.
 func SingleTxn(cfg network.Config) []TxnSpec {
 	tmpl := 0
-	if cfg.Pattern == protocol.PAT280 {
+	if cfg.Pattern.Name == protocol.PAT280.Name {
 		tmpl = 1
 	}
 	return []TxnSpec{{Template: tmpl, Requester: 0, Home: 3, Thirds: []int{1}, Earliest: 0}}

@@ -3,138 +3,26 @@ package mc
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/netiface"
-	"repro/internal/network"
-	"repro/internal/protocol"
-	"repro/internal/schemes"
 )
 
-// ReplayConfig is the JSON-stable subset of network.Config a counterexample
-// needs to rebuild its network: scheme and pattern go by canonical name so
-// the file stays readable and survives enum reordering.
-type ReplayConfig struct {
-	Radix            []int            `json:"radix"`
-	Mesh             bool             `json:"mesh,omitempty"`
-	Bristling        int              `json:"bristling"`
-	VCs              int              `json:"vcs"`
-	FlitBuf          int              `json:"flit_buf"`
-	QueueCap         int              `json:"queue_cap"`
-	ServiceTime      int              `json:"service_time"`
-	DetectThreshold  int              `json:"detect_threshold"`
-	RouterTimeout    int              `json:"router_timeout"`
-	TokenHopCycles   int              `json:"token_hop_cycles"`
-	RetryBackoff     int64            `json:"retry_backoff"`
-	Scheme           string           `json:"scheme"`
-	SASharedChannels bool             `json:"sa_shared_channels,omitempty"`
-	QueueMode        int              `json:"queue_mode"`
-	Pattern          string           `json:"pattern"`
-	Lengths          protocol.Lengths `json:"lengths"`
-	MaxOutstanding   int              `json:"max_outstanding"`
-	Seed             uint64           `json:"seed"`
-	CWGInterval      int64            `json:"cwg_interval"`
-	Detector         string           `json:"detector,omitempty"`
-}
-
-func replayConfig(c network.Config) ReplayConfig {
-	return ReplayConfig{
-		Radix:            c.Radix,
-		Mesh:             c.Mesh,
-		Bristling:        c.Bristling,
-		VCs:              c.VCs,
-		FlitBuf:          c.FlitBuf,
-		QueueCap:         c.QueueCap,
-		ServiceTime:      c.ServiceTime,
-		DetectThreshold:  c.DetectThreshold,
-		RouterTimeout:    c.RouterTimeout,
-		TokenHopCycles:   c.TokenHopCycles,
-		RetryBackoff:     c.RetryBackoff,
-		Scheme:           c.Scheme.String(),
-		SASharedChannels: c.SASharedChannels,
-		QueueMode:        int(c.QueueMode),
-		Pattern:          c.Pattern.Name,
-		Lengths:          c.Lengths,
-		MaxOutstanding:   c.MaxOutstanding,
-		Seed:             c.Seed,
-		CWGInterval:      c.CWGInterval,
-		Detector:         c.Detector,
-	}
-}
-
-// NetConfig resolves the replay config back into a live network.Config.
-func (rc *ReplayConfig) NetConfig() (network.Config, error) {
-	kind, err := schemes.KindByName(rc.Scheme)
-	if err != nil {
-		return network.Config{}, fmt.Errorf("mc: %w", err)
-	}
-	pat, err := protocol.PatternByName(rc.Pattern)
-	if err != nil {
-		return network.Config{}, fmt.Errorf("mc: %w", err)
-	}
-	return network.Config{
-		Radix:            rc.Radix,
-		Mesh:             rc.Mesh,
-		Bristling:        rc.Bristling,
-		VCs:              rc.VCs,
-		FlitBuf:          rc.FlitBuf,
-		QueueCap:         rc.QueueCap,
-		ServiceTime:      rc.ServiceTime,
-		DetectThreshold:  rc.DetectThreshold,
-		RouterTimeout:    rc.RouterTimeout,
-		TokenHopCycles:   rc.TokenHopCycles,
-		RetryBackoff:     rc.RetryBackoff,
-		Scheme:           kind,
-		SASharedChannels: rc.SASharedChannels,
-		QueueMode:        netiface.QueueMode(rc.QueueMode),
-		Pattern:          pat,
-		Lengths:          rc.Lengths,
-		MaxOutstanding:   rc.MaxOutstanding,
-		Seed:             rc.Seed,
-		CWGInterval:      rc.CWGInterval,
-		Detector:         rc.Detector,
-		// Run phases are owned by the explorer and overridden in New.
-		Measure: 1,
-	}, nil
-}
-
-// Counterexample is a complete, self-contained violating run: the network,
-// the scripted workload, the nondeterminism model, the branch schedule, and
-// the violation it leads to. Applying Schedule's choices at branch points
-// (all other cycles are forced) deterministically reproduces Violation.
+// Counterexample is a complete, self-contained violating run: the options the
+// exploration ran under (the network, the scripted workload, the
+// nondeterminism model), the branch schedule, and the violation it leads to.
+// Applying Schedule's choices at branch points (all other cycles are forced)
+// deterministically reproduces Violation. The file is this struct's JSON; the
+// "cfg" object is the network's own text form (network.Config), minus the run
+// phases and rate, which the explorer owns.
 type Counterexample struct {
-	Version int          `json:"version"`
-	Cfg     ReplayConfig `json:"cfg"`
-	Txns    []TxnSpec    `json:"txns"`
-
-	MaxCycles    int64 `json:"max_cycles"`
-	InjectWindow int64 `json:"inject_window"`
-	Rotations    int   `json:"rotations"`
-	DelayRescue  bool  `json:"delay_rescue,omitempty"`
-	StrictDetect bool  `json:"strict_detect,omitempty"`
-	MissedBound  int64 `json:"missed_bound"`
-	Bug          Bug   `json:"bug,omitempty"`
-	ForgePeriod  int64 `json:"forge_period,omitempty"`
-
+	Version int `json:"version"`
+	Options
 	Schedule  []Choice  `json:"schedule"`
 	Violation Violation `json:"violation"`
 }
 
 func (e *Explorer) buildCounterexample(sched []Choice, v Violation) *Counterexample {
-	return &Counterexample{
-		Version:      1,
-		Cfg:          replayConfig(e.opt.Net),
-		Txns:         e.opt.Txns,
-		MaxCycles:    e.opt.MaxCycles,
-		InjectWindow: e.opt.InjectWindow,
-		Rotations:    e.opt.Rotations,
-		DelayRescue:  e.opt.DelayRescue,
-		StrictDetect: e.opt.StrictDetect,
-		MissedBound:  e.opt.MissedBound,
-		Bug:          e.opt.Bug,
-		ForgePeriod:  e.opt.ForgePeriod,
-		Schedule:     sched,
-		Violation:    v,
-	}
+	opt := e.opt
+	opt.Net.Rate, opt.Net.Warmup, opt.Net.Measure, opt.Net.MaxDrain = 0, 0, 0, 0
+	return &Counterexample{Version: 1, Options: opt, Schedule: sched, Violation: v}
 }
 
 // Encode renders the counterexample as stable, human-diffable JSON.
@@ -146,7 +34,8 @@ func (cx *Counterexample) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeCounterexample parses a serialized counterexample.
+// DecodeCounterexample parses a serialized counterexample and refuses one
+// whose network the explorer could not build.
 func DecodeCounterexample(data []byte) (*Counterexample, error) {
 	var cx Counterexample
 	if err := json.Unmarshal(data, &cx); err != nil {
@@ -155,27 +44,11 @@ func DecodeCounterexample(data []byte) (*Counterexample, error) {
 	if cx.Version != 1 {
 		return nil, fmt.Errorf("mc: unsupported counterexample version %d", cx.Version)
 	}
-	return &cx, nil
-}
-
-// options rebuilds the explorer options a counterexample was produced under.
-func (cx *Counterexample) options() (Options, error) {
-	cfg, err := cx.Cfg.NetConfig()
-	if err != nil {
-		return Options{}, err
+	cfg := ownRun(cx.Net)
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("mc: bad counterexample: %w", err)
 	}
-	return Options{
-		Net:          cfg,
-		Txns:         cx.Txns,
-		MaxCycles:    cx.MaxCycles,
-		InjectWindow: cx.InjectWindow,
-		Rotations:    cx.Rotations,
-		DelayRescue:  cx.DelayRescue,
-		StrictDetect: cx.StrictDetect,
-		MissedBound:  cx.MissedBound,
-		Bug:          cx.Bug,
-		ForgePeriod:  cx.ForgePeriod,
-	}, nil
+	return &cx, nil
 }
 
 func choiceEq(a, b Choice) bool {
@@ -238,11 +111,7 @@ func (e *Explorer) ReplaySchedule(sched []Choice) (*Violation, error) {
 // returning the violation it reproduces. A nil violation or a kind mismatch
 // means the counterexample no longer reproduces against this build.
 func Replay(cx *Counterexample) (*Violation, error) {
-	opt, err := cx.options()
-	if err != nil {
-		return nil, err
-	}
-	e, err := New(opt)
+	e, err := New(cx.Options)
 	if err != nil {
 		return nil, err
 	}

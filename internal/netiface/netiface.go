@@ -11,6 +11,7 @@ package netiface
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/message"
 	"repro/internal/protocol"
@@ -43,6 +44,26 @@ func (m QueueMode) String() string {
 		return "per-type"
 	}
 }
+
+// QueueDefault asks for the handling scheme's canonical arrangement.
+const QueueDefault QueueMode = -1
+
+// queueModeNames is the one table of the names front ends accept (netsim
+// -qmode, RunSpec queue_mode), indexed by mode+1.
+var queueModeNames = [...]string{"default", "shared", "class", "type"}
+
+// QueueModeByName parses a front-end queue-mode name.
+func QueueModeByName(s string) (QueueMode, error) {
+	for i, name := range queueModeNames {
+		if s == name {
+			return QueueMode(i - 1), nil
+		}
+	}
+	return 0, fmt.Errorf("netiface: unknown queue mode %q (want %s)", s, strings.Join(queueModeNames[:], ", "))
+}
+
+// Valid reports whether m is QueueDefault or one of the three arrangements.
+func (m QueueMode) Valid() bool { return m >= QueueDefault && m <= QueuePerType }
 
 // Hooks are callbacks the network layer installs to observe NI events.
 type Hooks struct {

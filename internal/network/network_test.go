@@ -139,7 +139,7 @@ func TestNaNRateIsAnError(t *testing.T) {
 	}
 	for _, rate := range []float64{math.NaN(), math.Inf(1), -0.001, 1.001} {
 		cfg := smallConfig(schemes.PR, protocol.PAT271, 4, rate)
-		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "rate") {
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Rate") {
 			t.Fatalf("Validate with rate %v = %v, want an error naming the rate", rate, err)
 		}
 		if _, err := New(cfg); err == nil {

@@ -21,6 +21,14 @@ type Lengths struct {
 // replies) with 4-flit backoff replies.
 var DefaultLengths = Lengths{Request: 4, Reply: 20, Backoff: 4}
 
+// Validate checks that every packet has at least one flit.
+func (l Lengths) Validate() error {
+	if l.Request <= 0 || l.Reply <= 0 || l.Backoff <= 0 {
+		return fmt.Errorf("protocol: non-positive packet length in Lengths %+v", l)
+	}
+	return nil
+}
+
 // For returns the flit length of a message of the given type under a style.
 func (l Lengths) For(style Style, t message.Type) int {
 	if style.ClassOf(t) == message.ClassRequest {
@@ -132,8 +140,8 @@ func NewEngine(p *Pattern, l Lengths) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if l.Request <= 0 || l.Reply <= 0 || l.Backoff <= 0 {
-		return nil, fmt.Errorf("protocol: non-positive packet length %+v", l)
+	if err := l.Validate(); err != nil {
+		return nil, err
 	}
 	return &Engine{Pattern: p, Lengths: l}, nil
 }

@@ -201,12 +201,32 @@ var MSI = &Pattern{
 // Patterns lists the five canonical Table 3 patterns in paper order.
 var Patterns = []*Pattern{PAT100, PAT721, PAT451, PAT271, PAT280}
 
-// PatternByName returns the canonical pattern with the given name.
+// PatternByName returns the canonical pattern with the given name: one of
+// Patterns, or MSI.
 func PatternByName(name string) (*Pattern, error) {
+	if name == MSI.Name {
+		return MSI, nil
+	}
 	for _, p := range Patterns {
 		if p.Name == name {
 			return p, nil
 		}
 	}
 	return nil, fmt.Errorf("protocol: unknown pattern %q", name)
+}
+
+// MarshalText writes a pattern as its name, the text form configurations
+// carry (counterexample files); only canonical patterns round-trip.
+func (p *Pattern) MarshalText() ([]byte, error) { return []byte(p.Name), nil }
+
+// UnmarshalText resolves a canonical pattern name. The receiver becomes a
+// copy of the canonical pattern sharing its templates, so compare decoded
+// patterns by Name, not by pointer.
+func (p *Pattern) UnmarshalText(name []byte) error {
+	q, err := PatternByName(string(name))
+	if err != nil {
+		return err
+	}
+	*p = *q
+	return nil
 }

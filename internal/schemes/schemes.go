@@ -95,6 +95,15 @@ func KindByName(s string) (Kind, error) {
 	return 0, fmt.Errorf("schemes: unknown scheme %q", s)
 }
 
+// MarshalText and UnmarshalText give Kind its name as text form (the
+// "scheme" key of counterexample files), so files survive enum reordering.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *Kind) UnmarshalText(name []byte) (err error) {
+	*k, err = KindByName(string(name))
+	return err
+}
+
 // torusEscapeVCs is the minimum number of virtual channels per logical
 // network needed to escape routing-dependent deadlock in a torus (the
 // Dally-Seitz dateline pair), E_r in the paper's availability formula.
@@ -140,25 +149,70 @@ func New(kind Kind, pattern *protocol.Pattern, vcs int, queueMode netiface.Queue
 	return NewWithOptions(kind, pattern, vcs, queueMode, false, torusEscapeVCs)
 }
 
+// Check reports whether NewWithOptions can resolve the configuration, without
+// building it; each error names the parameter at fault as network.Config
+// spells it. It is the scheme's validity envelope: SA needs E_r escape VCs per
+// used message type and per-type queues, DR and AB need a chain longer than
+// two, E_r VCs per class and at least per-class queues, SQ needs E_r VCs.
+func Check(kind Kind, pattern *protocol.Pattern, vcs int, queueMode netiface.QueueMode, sharedAdaptive bool, er int) error {
+	if kind < SA || kind > AB {
+		return fmt.Errorf("schemes: unknown Scheme %d", kind)
+	}
+	if sharedAdaptive && kind != SA {
+		return fmt.Errorf("schemes: SASharedChannels applies to SA only, not Scheme %v", kind)
+	}
+	if er < 1 {
+		return fmt.Errorf("schemes: escape channel count must be >= 1")
+	}
+	if err := pattern.Validate(); err != nil {
+		return err
+	}
+	if vcs < 1 {
+		return fmt.Errorf("schemes: VCs must be at least 1, got %d", vcs)
+	}
+	if !queueMode.Valid() {
+		return fmt.Errorf("schemes: QueueMode %d is not -1 (the scheme's default), 0 (shared), 1 (per class) or 2 (per type)", int(queueMode))
+	}
+	if queueMode == netiface.QueueDefault {
+		queueMode = DefaultQueueMode(kind)
+	}
+	switch kind {
+	case SA:
+		n := len(pattern.UsedTypes())
+		if vcs/n < er {
+			return fmt.Errorf("schemes: SA needs >= %d VCs per message type; %d VCs over %d types is insufficient", er, vcs, n)
+		}
+		if queueMode != netiface.QueuePerType {
+			return fmt.Errorf("schemes: SA requires per-type queues, QueueMode %d", int(queueMode))
+		}
+	case DR, AB:
+		if pattern.MaxChainLength() <= 2 {
+			return fmt.Errorf("schemes: %v is not valid for chain lengths <= 2 (pattern %s)", kind, pattern.Name)
+		}
+		if vcs/int(message.NumClasses) < er {
+			return fmt.Errorf("schemes: %v needs >= %d VCs per class, got VCs %d", kind, er, vcs)
+		}
+		if queueMode == netiface.QueueShared {
+			return fmt.Errorf("schemes: %v requires at least per-class queues (reply preallocation), QueueMode %d", kind, int(queueMode))
+		}
+	case SQ:
+		if vcs < er {
+			return fmt.Errorf("schemes: SQ needs >= %d escape VCs, got VCs %d", er, vcs)
+		}
+	}
+	return nil
+}
+
 // NewWithOptions is New with two more parameters. sharedAdaptive selects the
 // SA channel-sharing variant of reference [21]: per-type escape channels plus
 // a pool of adaptive channels shared by all message types; it is only
 // meaningful for SA and requires C >= E_m = 2 x (used types). er is the
 // escape-channel requirement E_r (2 for tori, 1 for meshes), which scales
 // every scheme's validity envelope: on a mesh SA can partition 4 VCs among 4
-// message types.
+// message types. Check states what it accepts.
 func NewWithOptions(kind Kind, pattern *protocol.Pattern, vcs int, queueMode netiface.QueueMode, sharedAdaptive bool, er int) (*Scheme, error) {
-	if sharedAdaptive && kind != SA {
-		return nil, fmt.Errorf("schemes: shared-adaptive variant applies to SA only")
-	}
-	if er < 1 {
-		return nil, fmt.Errorf("schemes: escape channel count must be >= 1")
-	}
-	if err := pattern.Validate(); err != nil {
+	if err := Check(kind, pattern, vcs, queueMode, sharedAdaptive, er); err != nil {
 		return nil, err
-	}
-	if vcs < 1 {
-		return nil, fmt.Errorf("schemes: need at least one virtual channel")
 	}
 	s := &Scheme{Kind: kind, Pattern: pattern, VCs: vcs, QueueMode: queueMode, er: er}
 	if queueMode < 0 {
@@ -175,12 +229,6 @@ func NewWithOptions(kind Kind, pattern *protocol.Pattern, vcs int, queueMode net
 	switch kind {
 	case SA:
 		n := len(s.usedTypes)
-		if vcs/n < er {
-			return nil, fmt.Errorf("schemes: SA needs >= %d VCs per message type; %d VCs over %d types is insufficient", er, vcs, n)
-		}
-		if s.QueueMode != netiface.QueuePerType {
-			return nil, fmt.Errorf("schemes: SA requires per-type queues")
-		}
 		if sharedAdaptive {
 			// Per-type escape sets first, then one shared adaptive pool.
 			s.sharedAdaptive = true
@@ -200,37 +248,17 @@ func NewWithOptions(kind Kind, pattern *protocol.Pattern, vcs int, queueMode net
 			s.partOf[t] = i
 		}
 	case DR, AB:
-		if pattern.MaxChainLength() <= 2 {
-			return nil, fmt.Errorf("schemes: %v is not valid for chain lengths <= 2 (pattern %s)", kind, pattern.Name)
-		}
-		if vcs/int(message.NumClasses) < er {
-			return nil, fmt.Errorf("schemes: %v needs >= %d VCs per class, got %d total", kind, er*int(message.NumClasses), vcs)
-		}
-		if s.QueueMode == netiface.QueueShared {
-			return nil, fmt.Errorf("schemes: %v requires at least per-class queues (reply preallocation)", kind)
-		}
 		s.partitions = splitVCs(vcs, int(message.NumClasses))
 		for t := message.Type(0); t < message.NumTypes; t++ {
 			s.partOf[t] = int(pattern.Style.ClassOf(t))
 		}
-	case PR:
+	case PR, SQ:
+		// One partition; every type uses partition 0 (the zero value).
 		all := make([]int, vcs)
 		for i := range all {
 			all[i] = i
 		}
 		s.partitions = [][]int{all}
-		// every type uses partition 0 (the zero value) already.
-	case SQ:
-		if vcs < er {
-			return nil, fmt.Errorf("schemes: SQ needs >= %d escape VCs", er)
-		}
-		all := make([]int, vcs)
-		for i := range all {
-			all[i] = i
-		}
-		s.partitions = [][]int{all}
-	default:
-		return nil, fmt.Errorf("schemes: unknown kind %d", kind)
 	}
 	return s, nil
 }

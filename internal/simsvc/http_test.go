@@ -144,6 +144,39 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPHostileSizes: a spec asking for a system beyond network.MaxSystemSlots
+// (or whose router count overflows int) used to normalise, hash and queue, and
+// then take the whole server down with an out-of-memory fatal error in
+// Network.build, which no recover catches. Each must answer 400 naming the
+// field as network.Config spells it, and the server must go on serving.
+func TestHTTPHostileSizes(t *testing.T) {
+	srv, _ := newTestServer(t, SchedConfig{Workers: 1, QueueDepth: 4})
+	for body, field := range map[string]string{
+		`{"radix":[1048576,1048576]}`:       "Radix",
+		`{"radix":[4294967296,4294967296]}`: "Radix", // the product overflows int
+		`{"bristling":1000000}`:             "Bristling",
+		`{"queue_cap":2000000000}`:          "QueueCap",
+		`{"flitbuf":2000000000}`:            "FlitBuf",
+	} {
+		resp, b := postJSON(t, srv.URL+"/v1/runs", body)
+		var e apiError
+		if err := json.Unmarshal(b, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, field) {
+			t.Errorf("%s: status %d, body %s; want 400 naming %s", body, resp.StatusCode, b, field)
+		}
+	}
+	resp, b := postJSON(t, srv.URL+"/v1/runs", tinySpecJSON)
+	var v JobView
+	if err := json.Unmarshal(b, &v); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid spec after the hostile ones: status %d, body %s", resp.StatusCode, b)
+	}
+	for deadline := time.Now().Add(20 * time.Second); v.Status != StatusDone; time.Sleep(time.Millisecond) {
+		_, b := getJSON(t, srv.URL+"/v1/runs/"+v.ID)
+		if err := json.Unmarshal(b, &v); err != nil || v.Status == StatusFailed || time.Now().After(deadline) {
+			t.Fatalf("valid job did not complete: %v %s", err, b)
+		}
+	}
+}
+
 func TestHTTPQueueFull429(t *testing.T) {
 	srv, sched := newTestServer(t, SchedConfig{Workers: 1, QueueDepth: 1})
 

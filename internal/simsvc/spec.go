@@ -85,34 +85,30 @@ type RunSpec struct {
 	Faults *fault.Plan `json:"faults,omitempty"`
 }
 
-// resolveSentinel maps the 0-means-default / -1-means-zero convention.
-func resolveSentinel(v, def int64) (int64, error) {
-	switch {
-	case v == 0:
-		return def, nil
-	case v == -1:
-		return 0, nil
-	case v < 0:
-		return 0, fmt.Errorf("negative value %d (use -1 for an explicit zero)", v)
+// resolveSentinel maps the 0-means-default / -1-means-zero convention. Any
+// other negative value passes through for Config.Validate to refuse.
+func resolveSentinel(v, def int64) int64 {
+	switch v {
+	case 0:
+		return def
+	case -1:
+		return 0
 	}
-	return v, nil
+	return v
 }
 
 // Normalized resolves every default and validates the spec, returning the
 // fully explicit form that Canonical and Hash operate on. The returned
-// spec round-trips: normalizing it again is the identity.
+// spec round-trips: normalizing it again is the identity. What is decided
+// here is what only the wire format knows — defaults, the -1 sentinels, what
+// a trace run implies, canonical spellings for the hash, the fault plan;
+// every range and validity-envelope rule is network.Config.Validate's.
 func (s RunSpec) Normalized() (RunSpec, error) {
 	n := s
 
 	if n.Scheme == "" {
 		n.Scheme = "PR"
 	}
-	kind, err := schemes.KindByName(n.Scheme)
-	if err != nil {
-		return n, err
-	}
-	n.Scheme = kind.String()
-
 	if n.TraceApp != "" {
 		if s.Pattern != "" && s.Pattern != protocol.MSI.Name {
 			return n, fmt.Errorf("simsvc: trace run implies the MSI pattern, got %q", s.Pattern)
@@ -134,20 +130,10 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 		if n.Pattern == "" {
 			n.Pattern = protocol.PAT271.Name
 		}
-		pat, err := patternByName(n.Pattern)
-		if err != nil {
-			return n, err
-		}
-		n.Pattern = pat.Name
 		if n.Rate == 0 {
 			n.Rate = 0.01
 		}
-		if n.Rate < 0 || n.Rate > 1 {
-			return n, fmt.Errorf("simsvc: rate %g out of [0,1]", n.Rate)
-		}
-		if n.Warmup, err = resolveSentinel(n.Warmup, 2000); err != nil {
-			return n, fmt.Errorf("simsvc: warmup: %w", err)
-		}
+		n.Warmup = resolveSentinel(n.Warmup, 2000)
 	}
 
 	if len(n.Radix) == 0 {
@@ -157,16 +143,8 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 			n.Radix = []int{8, 8}
 		}
 	}
-	for _, r := range n.Radix {
-		if r < 2 {
-			return n, fmt.Errorf("simsvc: radix %v: each dimension needs at least 2 routers", n.Radix)
-		}
-	}
 	if n.Bristling == 0 {
 		n.Bristling = 1
-	}
-	if n.Bristling < 1 {
-		return n, fmt.Errorf("simsvc: bristling %d below 1", n.Bristling)
 	}
 	if n.VCs == 0 {
 		n.VCs = 4
@@ -183,51 +161,28 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 	if n.QueueMode == "" {
 		n.QueueMode = "default"
 	}
-	qmode, err := queueModeByName(n.QueueMode)
-	if err != nil {
-		return n, err
-	}
-	var mo int64
-	if mo, err = resolveSentinel(int64(n.MaxOutstanding), 16); err != nil {
-		return n, fmt.Errorf("simsvc: max_outstanding: %w", err)
-	}
-	n.MaxOutstanding = int(mo)
+	n.MaxOutstanding = int(resolveSentinel(int64(n.MaxOutstanding), 16))
 	if n.Seed == 0 {
 		n.Seed = 1
 	}
-	defMeasure := int64(8000)
-	if n.TraceApp != "" {
-		defMeasure = 50000
-	}
 	if n.Measure == 0 {
-		n.Measure = defMeasure
+		n.Measure = 8000
+		if n.TraceApp != "" {
+			n.Measure = 50000
+		}
 	}
-	if n.Measure < 1 {
-		return n, fmt.Errorf("simsvc: measure %d below 1 cycle", n.Measure)
-	}
-	if n.MaxDrain, err = resolveSentinel(n.MaxDrain, 10000); err != nil {
-		return n, fmt.Errorf("simsvc: max_drain: %w", err)
-	}
-	if n.CWGInterval, err = resolveSentinel(n.CWGInterval, 50); err != nil {
-		return n, fmt.Errorf("simsvc: cwg_interval: %w", err)
-	}
+	n.MaxDrain = resolveSentinel(n.MaxDrain, 10000)
+	n.CWGInterval = resolveSentinel(n.CWGInterval, 50)
 
-	// Full configuration validation, without building a network: the
-	// generic parameter checks plus the scheme's validity envelope at
-	// this VC count and pattern (SA needs enough channels for the chain
-	// length, DR rejects chain-2 patterns, SQ needs sufficient queues).
+	// Resolving the names is what rejects an unknown one; the scheme comes
+	// back in its canonical spelling (patterns and queue modes only match
+	// exactly). Then the one admission check, which builds nothing.
 	cfg, err := n.config()
 	if err != nil {
 		return n, err
 	}
+	n.Scheme = cfg.Scheme.String()
 	if err := cfg.Validate(); err != nil {
-		return n, err
-	}
-	escape := 2 // torus dateline pair
-	if n.Mesh {
-		escape = 1
-	}
-	if _, err := schemes.NewWithOptions(cfg.Scheme, cfg.Pattern, cfg.VCs, qmode, false, escape); err != nil {
 		return n, err
 	}
 
@@ -238,11 +193,8 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 		if n.Faults.Empty() {
 			n.Faults = nil
 		} else {
-			routers := 1
-			for _, r := range n.Radix {
-				routers *= r
-			}
-			if err := n.Faults.Validate(routers, 2*len(n.Radix), routers*n.Bristling); err != nil {
+			routers, endpoints := cfg.Size()
+			if err := n.Faults.Validate(routers, 2*len(n.Radix), endpoints); err != nil {
 				return n, err
 			}
 			n.Faults = n.Faults.Normalized()
@@ -251,54 +203,26 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 	return n, nil
 }
 
-// queueModeByName maps the wire names onto netiface queue modes.
-func queueModeByName(s string) (netiface.QueueMode, error) {
-	switch s {
-	case "default":
-		return -1, nil
-	case "shared":
-		return netiface.QueueShared, nil
-	case "class":
-		return netiface.QueuePerClass, nil
-	case "type":
-		return netiface.QueuePerType, nil
-	}
-	return 0, fmt.Errorf("simsvc: unknown queue mode %q (want default, shared, class, or type)", s)
-}
-
-// config maps a normalized spec onto the simulator configuration.
-// patternByName resolves a pattern name, including MSI, which the
-// protocol package keeps out of its synthetic-pattern registry.
-func patternByName(name string) (*protocol.Pattern, error) {
-	if name == protocol.MSI.Name {
-		return protocol.MSI, nil
-	}
-	return protocol.PatternByName(name)
-}
-
+// config maps a spec whose defaults are resolved onto the simulator
+// configuration; it fails only on a name it cannot resolve.
 func (s RunSpec) config() (network.Config, error) {
 	cfg := network.DefaultConfig()
-	kind, err := schemes.KindByName(s.Scheme)
-	if err != nil {
+	var err error
+	if cfg.Scheme, err = schemes.KindByName(s.Scheme); err != nil {
 		return cfg, err
 	}
-	pat, err := patternByName(s.Pattern)
-	if err != nil {
+	if cfg.Pattern, err = protocol.PatternByName(s.Pattern); err != nil {
 		return cfg, err
 	}
-	qmode, err := queueModeByName(s.QueueMode)
-	if err != nil {
+	if cfg.QueueMode, err = netiface.QueueModeByName(s.QueueMode); err != nil {
 		return cfg, err
 	}
-	cfg.Scheme = kind
-	cfg.Pattern = pat
 	cfg.Radix = s.Radix
 	cfg.Mesh = s.Mesh
 	cfg.Bristling = s.Bristling
 	cfg.VCs = s.VCs
 	cfg.FlitBuf = s.FlitBuf
 	cfg.QueueCap = s.QueueCap
-	cfg.QueueMode = qmode
 	cfg.ServiceTime = s.ServiceTime
 	cfg.Rate = s.Rate
 	cfg.MaxOutstanding = s.MaxOutstanding

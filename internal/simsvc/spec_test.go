@@ -94,6 +94,9 @@ func TestNormalizedRejectsInvalid(t *testing.T) {
 		"negative measure":   {Measure: -5},
 		"tiny radix":         {Radix: []int{1, 4}},
 		"bad queue mode":     {QueueMode: "heap"},
+		"cwg below -1":       {CWGInterval: -5},
+		"outstanding < -1":   {MaxOutstanding: -4},
+		"oversized torus":    {Radix: []int{1 << 20, 1 << 20}},
 		"SA chain-3 at 4VCs": {Scheme: "SA", Pattern: "PAT271", VCs: 4},
 	}
 	for name, spec := range cases {

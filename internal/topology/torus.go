@@ -49,9 +49,7 @@ type Torus struct {
 }
 
 // NewTorus builds a torus with the given per-dimension radices and bristling
-// factor. Radices must all be >= 2 (a wraparound link to oneself is
-// meaningless for deadlock analysis) except that a 1-wide dimension is
-// rejected outright. Bristling must be >= 1.
+// factor; CheckGrid states what it accepts.
 func NewTorus(radix []int, bristling int) (*Torus, error) {
 	return newGrid(radix, bristling, true)
 }
@@ -61,20 +59,41 @@ func NewMesh(radix []int, bristling int) (*Torus, error) {
 	return newGrid(radix, bristling, false)
 }
 
-func newGrid(radix []int, bristling int, wrap bool) (*Torus, error) {
+// CheckGrid reports whether NewTorus and NewMesh would accept the shape,
+// without building it: at least one dimension, every radix >= 2 (a wraparound
+// link to oneself is meaningless for deadlock analysis), bristling >= 1.
+func CheckGrid(radix []int, bristling int) error {
 	if len(radix) == 0 {
-		return nil, fmt.Errorf("topology: torus needs at least one dimension")
+		return fmt.Errorf("topology: Radix needs at least one dimension")
+	}
+	for i, r := range radix {
+		if r < 2 {
+			return fmt.Errorf("topology: Radix dimension %d is %d, need >= 2", i, r)
+		}
 	}
 	if bristling < 1 {
-		return nil, fmt.Errorf("topology: bristling factor must be >= 1, got %d", bristling)
+		return fmt.Errorf("topology: Bristling must be >= 1, got %d", bristling)
+	}
+	return nil
+}
+
+// EscapeVCs is Torus.EscapeVCs for a shape not yet built: the escape
+// channels per logical network (E_r) a torus (wrap) or mesh needs.
+func EscapeVCs(wrap bool) int {
+	if wrap {
+		return 2
+	}
+	return 1
+}
+
+func newGrid(radix []int, bristling int, wrap bool) (*Torus, error) {
+	if err := CheckGrid(radix, bristling); err != nil {
+		return nil, err
 	}
 	t := &Torus{Radix: append([]int(nil), radix...), Bristling: bristling, Wrap: wrap}
 	t.nodes = 1
 	t.strides = make([]int, len(radix))
 	for i := len(radix) - 1; i >= 0; i-- {
-		if radix[i] < 2 {
-			return nil, fmt.Errorf("topology: dimension %d radix %d < 2", i, radix[i])
-		}
 		t.strides[i] = t.nodes
 		t.nodes *= radix[i]
 	}
@@ -254,9 +273,4 @@ func (t *Torus) RingNext(id NodeID) NodeID {
 // dimension-order escape subnetwork needs on this topology: two for a torus
 // (the Dally-Seitz dateline pair) and one for a mesh (no wraparound links,
 // hence no datelines), the paper's E_r parameter.
-func (t *Torus) EscapeVCs() int {
-	if t.Wrap {
-		return 2
-	}
-	return 1
-}
+func (t *Torus) EscapeVCs() int { return EscapeVCs(t.Wrap) }

@@ -73,6 +73,9 @@ curl -sS -X POST "$BASE/v1/runs" -d '{"scheme":"NO-SUCH-SCHEME"}' \
      -o "$TMP/invalid.json" -w '%{http_code}' > "$TMP/invalid.code"
 [[ "$(cat "$TMP/invalid.code")" == 400 ]] || fail "invalid spec: HTTP $(cat "$TMP/invalid.code"): $(cat "$TMP/invalid.json")"
 grep -q '"error":' "$TMP/invalid.json" || fail "invalid spec carries no error body: $(cat "$TMP/invalid.json")"
+# A spec over the size bound used to pass, queue and kill the server with an
+# out-of-memory fatal error; it is a 400 naming the field (healthz is next).
+curl -sS -X POST "$BASE/v1/runs" -d '{"radix":[1048576,1048576]}' | grep -q '"error": ".*Radix' || fail "oversized radix not refused by name"
 curl -fsS "$BASE/healthz" >/dev/null || fail "healthz down after invalid spec"
 echo "simserve_smoke: invalid spec rejected, server healthy"
 
