@@ -22,6 +22,7 @@ type Counterexample struct {
 func (e *Explorer) buildCounterexample(sched []Choice, v Violation) *Counterexample {
 	opt := e.opt
 	opt.Net.Rate, opt.Net.Warmup, opt.Net.Measure, opt.Net.MaxDrain = 0, 0, 0, 0
+	opt.Progress = nil // a replay reports nothing, and the file outlives the caller
 	return &Counterexample{Version: 1, Options: opt, Schedule: sched, Violation: v}
 }
 

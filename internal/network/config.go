@@ -135,7 +135,7 @@ func DefaultConfig() Config {
 		RetryBackoff:    200,
 		TokenHopCycles:  1,
 		Scheme:          schemes.PR,
-		QueueMode:       -1,
+		QueueMode:       netiface.QueueDefault,
 		Pattern:         protocol.PAT100,
 		Lengths:         protocol.DefaultLengths,
 		Rate:            0.001,
@@ -184,26 +184,28 @@ func slots(factors ...int) (int, bool) {
 
 // checkSize enforces MaxSystemSlots, blaming the field whose term crossed it.
 func (c *Config) checkSize() error {
+	over := func(field string) error {
+		return fmt.Errorf("network: %s asks for a system over the bound of %d routing-table, buffer and queue slots (Radix %v, Bristling %d, VCs %d, FlitBuf %d, QueueCap %d)",
+			field, MaxSystemSlots, c.Radix, c.Bristling, c.VCs, c.FlitBuf, c.QueueCap)
+	}
 	routers, ok := slots(c.Radix...)
+	if !ok {
+		return over("Radix")
+	}
 	total := 0
 	for _, term := range []struct {
 		field   string
 		factors []int
 	}{
-		{"Radix", []int{routers}},
 		{"Radix x Bristling", []int{routers, c.Bristling, routers, 2 * int(message.NumTypes)}},
 		// A router has a link per direction plus an injection and an
 		// ejection channel per local endpoint.
 		{"FlitBuf", []int{routers, 2*len(c.Radix) + 2*c.Bristling, c.VCs, c.FlitBuf}},
 		{"QueueCap", []int{routers, c.Bristling, 2, c.QueueCap}},
 	} {
-		n := 0
-		if ok {
-			n, ok = slots(term.factors...)
-		}
+		n, ok := slots(term.factors...)
 		if total += n; !ok || total > MaxSystemSlots {
-			return fmt.Errorf("network: %s asks for a system over the bound of %d routing-table, buffer and queue slots (Radix %v, Bristling %d, VCs %d, FlitBuf %d, QueueCap %d)",
-				term.field, MaxSystemSlots, c.Radix, c.Bristling, c.VCs, c.FlitBuf, c.QueueCap)
+			return over(term.field)
 		}
 	}
 	return nil
