@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -167,4 +169,85 @@ func TestReplay(t *testing.T) {
 			t.Errorf("replay with bad %s: exit %d, printed %q; want exit 1 and one netsim: line naming the field", field, code, out)
 		}
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/golden from this build's output")
+
+// TestOutputGolden pins, byte for byte, everything netsim writes for one small
+// deadlocking run per recovery path — PR closes its episodes by rescue, DR by
+// deflection, AB by nack — on a scarce 2x2 torus: standard output with the
+// episode and digest lines, the JSONL trace, the Chrome trace, the sampler CSV
+// and the episode JSONL. The machine-event schema, the order events reach a
+// sink in, the CSV columns and the wait-chain records are what tools downstream
+// of a run parse; a change to how components reach the bus or how watchers
+// hang off it must leave every file here alone.
+func TestOutputGolden(t *testing.T) {
+	for _, c := range []struct {
+		scheme, pattern, vcs, resolution string
+	}{
+		{"PR", "PAT271", "2", "rescue"},
+		{"DR", "PAT280", "4", "deflection"},
+		{"AB", "PAT280", "4", "nack"},
+	} {
+		t.Run(c.scheme, func(t *testing.T) {
+			dir := t.TempDir()
+			at := func(name string) string { return filepath.Join(dir, name) }
+			run := []string{"-scheme", c.scheme, "-pattern", c.pattern, "-vcs", c.vcs,
+				"-radix", "2x2", "-queue", "2", "-rate", "0.08", "-seed", "3",
+				"-warmup", "0", "-measure", "400", "-drain", "300", "-cwg", "50"}
+			stdout, code := runNetsim(t, append(run, "-digest", "-episodes",
+				"-trace", at("trace.jsonl"), "-metrics-csv", at("metrics.csv"),
+				"-metrics-window", "50", "-episodes-json", at("episodes.jsonl"))...)
+			if code != 0 && code != 2 {
+				t.Fatalf("exit %d\n%s", code, stdout)
+			}
+			if _, code := runNetsim(t, append(run, "-episodes",
+				"-trace", at("trace.chrome.json"), "-trace-format", "chrome")...); code != 0 && code != 2 {
+				t.Fatalf("chrome run: exit %d", code)
+			}
+			if err := os.WriteFile(at("stdout.txt"), []byte(stdout), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", "golden", strings.ToLower(c.scheme))
+			if *update {
+				if err := os.MkdirAll(golden, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, name := range []string{"stdout.txt", "trace.jsonl", "trace.chrome.json", "metrics.csv", "episodes.jsonl"} {
+				got, err := os.ReadFile(at(name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *update {
+					if err := os.WriteFile(filepath.Join(golden, name), got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(filepath.Join(golden, name))
+				if err != nil {
+					t.Fatalf("%v (run with -update to generate)", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s moved (%d bytes, want %d); first difference at byte %d",
+						name, len(got), len(want), firstDiff(got, want))
+				}
+			}
+			// The pin is only worth having if the run deadlocks and recovers the
+			// way its scheme implies.
+			eps, _ := os.ReadFile(filepath.Join(golden, "episodes.jsonl"))
+			if !bytes.Contains(eps, []byte(`"resolution":"`+c.resolution+`"`)) {
+				t.Errorf("no episode closed by %s in the pinned run", c.resolution)
+			}
+		})
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
