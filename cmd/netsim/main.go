@@ -148,36 +148,30 @@ func main() {
 	// Observability attachments. Files are closed (and stream sinks
 	// finalized) after the run, before the process exits.
 	net := sim.Network()
-	var bus *obs.Bus
 	var files []io.Closer
+	if *tracePath != "" {
+		f, err := os.Create(*tracePath)
+		fatal(err)
+		files = append(files, f)
+		switch *traceFormat {
+		case "jsonl":
+			net.AttachObs(obs.NewBus(obs.NewJSONLSink(f)))
+		case "chrome":
+			net.AttachObs(obs.NewBus(obs.NewChromeTraceSink(f)))
+		default:
+			fatal(fmt.Errorf("unknown trace format %q (want jsonl or chrome)", *traceFormat))
+		}
+	}
+	if *metricsCSV != "" {
+		f, err := os.Create(*metricsCSV)
+		fatal(err)
+		files = append(files, f)
+		net.AttachSampler(obs.NewSampler(f, *metricsWin, net.Torus.Endpoints(), net.Gauges))
+	}
 	var tracker *obs.EpisodeTracker
-	wantEpisodes := *episodes || *episodesJSON != ""
-	if *tracePath != "" || *metricsCSV != "" || wantEpisodes {
-		bus = obs.NewBus()
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			fatal(err)
-			files = append(files, f)
-			switch *traceFormat {
-			case "jsonl":
-				bus.Add(obs.NewJSONLSink(f))
-			case "chrome":
-				bus.Add(obs.NewChromeTraceSink(f))
-			default:
-				fatal(fmt.Errorf("unknown trace format %q (want jsonl or chrome)", *traceFormat))
-			}
-		}
-		net.AttachObs(bus)
-		if *metricsCSV != "" {
-			f, err := os.Create(*metricsCSV)
-			fatal(err)
-			files = append(files, f)
-			net.AttachSampler(obs.NewSampler(f, *metricsWin, net.Torus.Endpoints(), net.Gauges))
-		}
-		if wantEpisodes {
-			tracker = &obs.EpisodeTracker{}
-			fatal(net.AttachEpisodes(tracker))
-		}
+	if *episodes || *episodesJSON != "" {
+		tracker = &obs.EpisodeTracker{}
+		fatal(net.AttachEpisodes(tracker))
 	}
 
 	var checker *check.Checker
@@ -211,7 +205,7 @@ func main() {
 	}
 
 	res := sim.Run()
-	if bus != nil {
+	if bus := net.Bus(); bus != nil {
 		fatal(bus.Close())
 		for _, f := range files {
 			fatal(f.Close())

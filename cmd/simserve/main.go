@@ -36,7 +36,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/simsvc"
 	"repro/internal/telemetry"
 )
@@ -58,7 +57,7 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "on-disk result store directory (empty = memory only)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job simulation wall-time limit (0 = unbounded)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget for accepted jobs")
-		tracePath    = flag.String("trace", "", "append job lifecycle and simulation events as JSONL to this file")
+		tracePath    = flag.String("trace", "", "append every job's simulation events and one record per finished job as JSONL to this file (every line names its job)")
 		peerList     = flag.String("peers", "", "comma-separated peer simserve base URLs consulted for cached results before simulating")
 		peerTimeout  = flag.Duration("peer-timeout", 2*time.Second, "per-peer timeout for cache fill-over lookups")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off; keep it private)")
@@ -79,16 +78,13 @@ func main() {
 	store, err := simsvc.NewStore(*cacheEntries, *cacheDir)
 	fatal(err)
 
-	// The trace sink is shared by every concurrent worker, so it is
-	// locked; events from overlapping jobs interleave, with job-accepted/
-	// start/done markers bracketing each job's stream.
-	var bus *obs.Bus
-	var traceSink *obs.LockedSink
+	// One trace file for every worker: events from overlapping jobs
+	// interleave, and every line names its job.
+	var trace *simsvc.TraceWriter
 	if *tracePath != "" {
 		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		fatal(err)
-		traceSink = obs.Locked(obs.NewJSONLSink(f))
-		bus = obs.NewBus(traceSink)
+		trace = simsvc.NewTraceWriter(f)
 	}
 
 	// In a ring deployment each shard names its peers: on a local cache
@@ -109,7 +105,7 @@ func main() {
 		QueueDepth: *queueDepth,
 		JobTimeout: *jobTimeout,
 		Store:      store,
-		Bus:        bus,
+		Trace:      trace,
 		PeerFill:   peerFill,
 	})
 	srv := &http.Server{
@@ -121,15 +117,11 @@ func main() {
 	}
 
 	// The pprof surface is opt-in and on its own listener so profiling
-	// endpoints are never reachable through the public API address.
+	// endpoints are never reachable through the public API address: the
+	// package registers them on http.DefaultServeMux, which only this
+	// listener serves.
 	if *debugAddr != "" {
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dsrv := &http.Server{Addr: *debugAddr, Handler: dmux, ReadHeaderTimeout: 10 * time.Second}
+		dsrv := &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux, ReadHeaderTimeout: 10 * time.Second}
 		go func() {
 			if err := dsrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("simserve: debug listener: %v", err)
@@ -162,8 +154,8 @@ func main() {
 	if err := sched.Drain(drainCtx); err != nil {
 		log.Printf("simserve: drain incomplete: %v", err)
 	}
-	if traceSink != nil {
-		if err := traceSink.Close(); err != nil {
+	if trace != nil {
+		if err := trace.Close(); err != nil {
 			log.Printf("simserve: trace close: %v", err)
 		}
 	}

@@ -152,7 +152,7 @@ type Coordinator struct {
 	cfg      Config
 	ring     *Ring
 	backends []*backend
-	mux      *http.ServeMux
+	shell    *simsvc.HTTPShell
 	reg      *telemetry.Registry
 	m        *ringMetrics
 	lat      *telemetry.Window // submit round-trip seconds, feeds hedge delay
@@ -336,31 +336,39 @@ func (o outcome) usable() bool {
 	return o.status < 500
 }
 
+// roundTrip sends one request to one backend, carrying the request ID across
+// the hop, and counts it by backend and status (or "error").
+func (c *Coordinator) roundTrip(ctx context.Context, b *backend, method, path string, body []byte, reqID string) outcome {
+	o := outcome{b: b}
+	req, err := http.NewRequestWithContext(ctx, method, b.url+path, bytes.NewReader(body))
+	if err != nil {
+		o.err = err
+		return o
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	req.Header.Set("X-Request-ID", reqID)
+	resp, err := c.cfg.Client.Do(req)
+	if err == nil {
+		o.body, err = io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+		resp.Body.Close()
+	}
+	if err != nil {
+		c.m.proxied.With(b.url, "error").Inc()
+		o.err = err
+		return o
+	}
+	o.status = resp.StatusCode
+	o.retryAfter, _ = strconv.Atoi(resp.Header.Get("Retry-After"))
+	c.m.proxied.With(b.url, strconv.Itoa(o.status)).Inc()
+	return o
+}
+
 // submitOnce proxies one submission to one backend.
 func (c *Coordinator) submitOnce(ctx context.Context, b *backend, body []byte, reqID string) outcome {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/runs", bytes.NewReader(body))
-	if err != nil {
-		return outcome{b: b, err: err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-ID", reqID)
 	start := time.Now()
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		c.m.proxied.With(b.url, "error").Inc()
-		return outcome{b: b, err: err}
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		c.m.proxied.With(b.url, "error").Inc()
-		return outcome{b: b, err: err}
-	}
-	o := outcome{b: b, status: resp.StatusCode, body: respBody}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-		o.retryAfter = ra
-	}
-	c.m.proxied.With(b.url, strconv.Itoa(resp.StatusCode)).Inc()
+	o := c.roundTrip(ctx, b, http.MethodPost, "/v1/runs", body, reqID)
 	if o.usable() {
 		c.lat.Add(time.Since(start).Seconds())
 	}

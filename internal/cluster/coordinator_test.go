@@ -384,9 +384,12 @@ func TestDegradedModeQueuesAndFlushes(t *testing.T) {
 
 	// Fill the local queue: overflow is 429 with Retry-After — the
 	// backpressure contract survives total backend loss.
-	if resp, _ := doPost(t, coord, "/v1/runs", specJSON(101), nil); resp.StatusCode != http.StatusAccepted {
+	resp, body = doPost(t, coord, "/v1/runs", specJSON(101), nil)
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("second degraded submit: %d", resp.StatusCode)
 	}
+	var second simsvc.JobView
+	json.Unmarshal(body, &second)
 	resp, body = doPost(t, coord, "/v1/runs", specJSON(102), nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("degraded overflow: %d %s, want 429", resp.StatusCode, body)
@@ -405,9 +408,16 @@ func TestDegradedModeQueuesAndFlushes(t *testing.T) {
 	for _, tb := range backends {
 		tb.down.Store(false)
 	}
+	// The flush places the jobs one at a time and counts each after popping it
+	// from the queue, so the first can be polled done before the second is
+	// placed, or before its own increment: wait for both IDs, then give the
+	// counter a deadline of its own.
 	pollDone(t, coord, v.ID, 10*time.Second)
-	if coord.m.degradedFlushed.Value() < 2 {
-		t.Fatalf("degraded_flushed = %v, want >= 2", coord.m.degradedFlushed.Value())
+	pollDone(t, coord, second.ID, 10*time.Second)
+	for deadline := time.Now().Add(2 * time.Second); coord.m.degradedFlushed.Value() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("degraded_flushed = %v, want >= 2", coord.m.degradedFlushed.Value())
+		}
 	}
 }
 
@@ -470,7 +480,7 @@ func TestSweepScattersAcrossShards(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep: %d %s", resp.StatusCode, respBody)
 	}
-	var sr sweepResponse
+	var sr simsvc.SweepResponse
 	if err := json.Unmarshal(respBody, &sr); err != nil {
 		t.Fatal(err)
 	}

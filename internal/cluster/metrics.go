@@ -13,8 +13,6 @@ import (
 
 // ringMetrics are the coordinator's live instruments.
 type ringMetrics struct {
-	requests           *telemetry.CounterVec // method, route, code
-	duration           *telemetry.Histogram
 	proxied            *telemetry.CounterVec // backend, status/error
 	probes             *telemetry.CounterVec // backend, ok/fail
 	breakerTransitions *telemetry.CounterVec // backend, to-state
@@ -33,12 +31,6 @@ func newRingMetrics(c *Coordinator) (*telemetry.Registry, *ringMetrics) {
 	telemetry.RegisterBuildInfo(reg, "simring")
 
 	m := &ringMetrics{
-		requests: reg.CounterVec("simring_http_requests_total",
-			"HTTP requests served, by method, route, and status code.",
-			"method", "route", "code"),
-		duration: reg.Histogram("simring_http_request_duration_seconds",
-			"HTTP request handling time, proxied hop included.",
-			telemetry.DurationBuckets()...),
 		proxied: reg.CounterVec("simring_proxied_total",
 			"Requests proxied to backends, by backend and status (or 'error').",
 			"backend", "status"),

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/simsvc"
@@ -28,78 +27,29 @@ import (
 //	GET  /healthz      coordinator liveness
 //	GET  /readyz       503 while draining or with zero live backends
 func (c *Coordinator) routes() {
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/runs", c.handleSubmit)
-	c.mux.HandleFunc("GET /v1/runs/{id}", c.handleGet)
-	c.mux.HandleFunc("POST /v1/sweeps", c.handleSweep)
-	c.mux.HandleFunc("GET /v1/cluster", c.handleCluster)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux.HandleFunc("GET /metrics.json", c.handleCluster)
-	c.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		c.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"}, 0)
-	})
-	c.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+	c.shell = simsvc.NewHTTPShell(c.reg, "simring", c.cfg.Logger)
+	c.shell.HandleFunc("POST /v1/runs", c.handleSubmit)
+	c.shell.HandleFunc("GET /v1/runs/{id}", c.handleGet)
+	c.shell.HandleFunc("POST /v1/sweeps", c.handleSweep)
+	c.shell.HandleFunc("GET /v1/cluster", c.handleCluster)
+	c.shell.HandleMetrics(c.reg, c.handleCluster)
+	c.shell.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if c.Draining() {
-			c.writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "not ready: draining"}, c.defaultRetryAfter())
+			c.writeJSON(w, http.StatusServiceUnavailable, simsvc.APIError{Error: "not ready: draining"}, c.defaultRetryAfter())
 			return
 		}
 		if c.LiveBackends() == 0 {
-			c.writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "not ready: no live backends"}, c.defaultRetryAfter())
+			c.writeJSON(w, http.StatusServiceUnavailable, simsvc.APIError{Error: "not ready: no live backends"}, c.defaultRetryAfter())
 			return
 		}
 		c.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"}, 0)
 	})
 }
 
-type apiError struct {
-	Error string `json:"error"`
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// ServeHTTP stamps/propagates the request ID (the same ID travels the
-// proxied hop, so one trace line joins client → coordinator → shard), then
-// routes, logs, and counts.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rid := r.Header.Get("X-Request-ID")
-	if rid == "" {
-		rid = telemetry.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", rid)
-	r = r.WithContext(telemetry.WithRequestID(r.Context(), rid))
-
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	c.mux.ServeHTTP(rec, r)
-
-	elapsed := time.Since(start)
-	c.m.requests.With(r.Method, routeOf(r.URL.Path), strconv.Itoa(rec.status)).Inc()
-	c.m.duration.Observe(elapsed.Seconds())
-	c.cfg.Logger.Printf("simring: %s %s %s %d %s req=%s",
-		r.RemoteAddr, r.Method, r.URL.Path, rec.status,
-		elapsed.Round(time.Microsecond), rid)
-}
-
-func routeOf(path string) string {
-	switch {
-	case path == "/v1/runs" || path == "/v1/sweeps" || path == "/v1/cluster" ||
-		path == "/metrics" || path == "/metrics.json" ||
-		path == "/healthz" || path == "/readyz":
-		return path
-	case strings.HasPrefix(path, "/v1/runs/"):
-		return "/v1/runs/{id}"
-	default:
-		return "other"
-	}
-}
+// ServeHTTP implements http.Handler through the shell simserve uses: the
+// request ID it stamps travels the proxied hop, so one ID joins client →
+// coordinator → shard.
+func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.shell.ServeHTTP(w, r) }
 
 // defaultRetryAfter is the hint when no backend supplied one: one probe
 // interval, rounded up — the soonest the cluster's view of itself can
@@ -113,16 +63,10 @@ func (c *Coordinator) defaultRetryAfter() int {
 }
 
 func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any, retryAfter int) {
-	w.Header().Set("Content-Type", "application/json")
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		c.cfg.Logger.Printf("simring: encode %d response: %v", status, err)
-	}
+	c.shell.WriteJSON(w, status, v)
 }
 
 // writeRaw passes a backend response through unmodified.
@@ -135,8 +79,6 @@ func (c *Coordinator) writeRaw(w http.ResponseWriter, status int, body []byte, r
 	w.Write(body)
 }
 
-const maxBodyBytes = 1 << 20
-
 // readSpec validates the submitted spec and returns its canonical hash
 // plus the body forwarded to backends. The forwarded body is the client's
 // original bytes, NOT a re-marshal of the normalized spec: normalization
@@ -146,7 +88,7 @@ const maxBodyBytes = 1 << 20
 // run the identical Normalize(original) computation, so the coordinator's
 // routing hash and every backend's job hash agree.
 func readSpec(r *http.Request, w http.ResponseWriter) (hash string, body []byte, err error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, simsvc.MaxBodyBytes)
 	body, err = io.ReadAll(r.Body)
 	if err != nil {
 		return "", nil, fmt.Errorf("bad spec: %w", err)
@@ -167,12 +109,12 @@ func readSpec(r *http.Request, w http.ResponseWriter) (hash string, body []byte,
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if c.Draining() {
 		c.writeJSON(w, http.StatusServiceUnavailable,
-			apiError{Error: "simring: coordinator draining"}, c.defaultRetryAfter())
+			simsvc.APIError{Error: "simring: coordinator draining"}, c.defaultRetryAfter())
 		return
 	}
 	hash, body, err := readSpec(r, w)
 	if err != nil {
-		c.writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()}, 0)
+		c.writeJSON(w, http.StatusBadRequest, simsvc.APIError{Error: err.Error()}, 0)
 		return
 	}
 	reqID := telemetry.RequestID(r.Context())
@@ -187,7 +129,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		v, _, err := c.adoptJobView(o, hash, body, reqID)
 		if err != nil {
 			c.writeJSON(w, http.StatusBadGateway,
-				apiError{Error: "simring: bad backend response: " + err.Error()}, 0)
+				simsvc.APIError{Error: "simring: bad backend response: " + err.Error()}, 0)
 			return
 		}
 		c.writeJSON(w, o.status, v, 0)
@@ -205,7 +147,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if len(c.pending) >= c.cfg.QueueDepth {
 		c.mu.Unlock()
 		c.writeJSON(w, http.StatusTooManyRequests,
-			apiError{Error: "simring: cluster saturated and degraded queue full"}, retryAfter)
+			simsvc.APIError{Error: "simring: cluster saturated and degraded queue full"}, retryAfter)
 		return
 	}
 	j := c.register(hash, body, reqID, -1, "")
@@ -258,13 +200,13 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 			if b.breaker.State() == BreakerOpen {
 				continue
 			}
-			status, body, err := c.proxyGet(r, b, "/v1/runs/"+id, reqID)
-			if err == nil && status == http.StatusOK {
-				c.writeRaw(w, status, body, 0)
+			o := c.roundTrip(r.Context(), b, http.MethodGet, "/v1/runs/"+id, nil, reqID)
+			if o.status == http.StatusOK {
+				c.writeRaw(w, o.status, o.body, 0)
 				return
 			}
 		}
-		c.writeJSON(w, http.StatusNotFound, apiError{Error: "no cached result for spec " + id}, 0)
+		c.writeJSON(w, http.StatusNotFound, simsvc.APIError{Error: "no cached result for spec " + id}, 0)
 		return
 	}
 
@@ -277,7 +219,7 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.writeJSON(w, http.StatusNotFound, apiError{Error: "unknown job " + id}, 0)
+		c.writeJSON(w, http.StatusNotFound, simsvc.APIError{Error: "unknown job " + id}, 0)
 		return
 	}
 
@@ -287,10 +229,10 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	status, body, err := c.proxyGet(r, c.backends[bIdx], "/v1/runs/"+backendJobID, reqID)
-	if err == nil && status == http.StatusOK {
+	o := c.roundTrip(r.Context(), c.backends[bIdx], http.MethodGet, "/v1/runs/"+backendJobID, nil, reqID)
+	if o.status == http.StatusOK {
 		var v simsvc.JobView
-		if uerr := json.Unmarshal(body, &v); uerr == nil {
+		if uerr := json.Unmarshal(o.body, &v); uerr == nil {
 			if v.Status == simsvc.StatusDone || v.Status == simsvc.StatusFailed {
 				c.mu.Lock()
 				j.done = true
@@ -312,12 +254,12 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		if b.breaker.State() == BreakerOpen {
 			continue
 		}
-		s, cb, err := c.proxyGet(r, b, "/v1/runs/"+j.hash, reqID)
-		if err != nil || s != http.StatusOK {
+		o := c.roundTrip(r.Context(), b, http.MethodGet, "/v1/runs/"+j.hash, nil, reqID)
+		if o.status != http.StatusOK {
 			continue
 		}
 		var cv simsvc.CachedView
-		if json.Unmarshal(cb, &cv) != nil {
+		if json.Unmarshal(o.body, &cv) != nil {
 			continue
 		}
 		var spec simsvc.RunSpec
@@ -333,7 +275,7 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	o := c.placeOnce(r.Context(), j)
+	o = c.placeOnce(r.Context(), j)
 	if o.usable() && o.status != http.StatusBadRequest {
 		c.m.resurrected.Inc()
 		c.cfg.Logger.Printf("simring: job %s resurrected after backend loss", j.id)
@@ -357,39 +299,6 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	c.writeJSON(w, http.StatusOK, c.pendingView(j), 0)
 }
 
-// proxyGet forwards one GET to a backend, propagating the request ID.
-func (c *Coordinator) proxyGet(r *http.Request, b *backend, path, reqID string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.url+path, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("X-Request-ID", reqID)
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		c.m.proxied.With(b.url, "error").Inc()
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		c.m.proxied.With(b.url, "error").Inc()
-		return 0, nil, err
-	}
-	c.m.proxied.With(b.url, strconv.Itoa(resp.StatusCode)).Inc()
-	return resp.StatusCode, body, nil
-}
-
-// sweepResponse mirrors the single-shard sweep response shape.
-type sweepResponse struct {
-	Jobs []sweepEntry `json:"jobs"`
-}
-
-type sweepEntry struct {
-	Rate  float64 `json:"rate"`
-	ID    string  `json:"id,omitempty"`
-	Error string  `json:"error,omitempty"`
-}
-
 // handleSweep expands the rate ladder locally and scatters each point to
 // the shard owning its spec hash. Unlike a single shard — where one full
 // queue fails the whole suffix — points route to different shards, so each
@@ -398,29 +307,16 @@ type sweepEntry struct {
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if c.Draining() {
 		c.writeJSON(w, http.StatusServiceUnavailable,
-			apiError{Error: "simring: coordinator draining"}, c.defaultRetryAfter())
+			simsvc.APIError{Error: "simring: coordinator draining"}, c.defaultRetryAfter())
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req simsvc.SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		c.writeJSON(w, http.StatusBadRequest, apiError{Error: "bad sweep: " + err.Error()}, 0)
-		return
-	}
-	if req.Spec.TraceApp != "" {
-		c.writeJSON(w, http.StatusBadRequest,
-			apiError{Error: "simsvc: trace runs have no load rate to sweep"}, 0)
-		return
-	}
-	rates, err := req.Expand()
+	req, rates, err := simsvc.DecodeSweep(w, r)
 	if err != nil {
-		c.writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()}, 0)
+		c.writeJSON(w, http.StatusBadRequest, simsvc.APIError{Error: err.Error()}, 0)
 		return
 	}
 	reqID := telemetry.RequestID(r.Context())
-	resp := sweepResponse{Jobs: make([]sweepEntry, 0, len(rates))}
+	resp := simsvc.SweepResponse{Jobs: make([]simsvc.SweepEntry, 0, len(rates))}
 	accepted := 0
 	worst := http.StatusAccepted
 	for _, rate := range rates {
@@ -428,7 +324,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		spec.Rate = rate
 		norm, err := spec.Normalized()
 		if err != nil {
-			resp.Jobs = append(resp.Jobs, sweepEntry{Rate: rate, Error: err.Error()})
+			resp.Jobs = append(resp.Jobs, simsvc.SweepEntry{Rate: rate, Error: err.Error()})
 			worst = http.StatusBadRequest
 			continue
 		}
@@ -444,7 +340,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			} else if o.status != 0 {
 				msg = fmt.Sprintf("HTTP %d", o.status)
 			}
-			resp.Jobs = append(resp.Jobs, sweepEntry{Rate: rate, Error: msg})
+			resp.Jobs = append(resp.Jobs, simsvc.SweepEntry{Rate: rate, Error: msg})
 			if o.status == http.StatusTooManyRequests {
 				worst = http.StatusTooManyRequests
 			}
@@ -452,11 +348,11 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		_, j, err := c.adoptJobView(o, norm.Hash(), body, reqID)
 		if err != nil {
-			resp.Jobs = append(resp.Jobs, sweepEntry{Rate: rate, Error: err.Error()})
+			resp.Jobs = append(resp.Jobs, simsvc.SweepEntry{Rate: rate, Error: err.Error()})
 			continue
 		}
 		accepted++
-		resp.Jobs = append(resp.Jobs, sweepEntry{Rate: rate, ID: j.id})
+		resp.Jobs = append(resp.Jobs, simsvc.SweepEntry{Rate: rate, ID: j.id})
 	}
 	status := http.StatusAccepted
 	if accepted == 0 {
@@ -511,15 +407,4 @@ func (c *Coordinator) status() ClusterStatus {
 
 func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
 	c.writeJSON(w, http.StatusOK, c.status(), 0)
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		c.handleCluster(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := c.reg.WritePrometheus(w); err != nil {
-		c.cfg.Logger.Printf("simring: write metrics: %v", err)
-	}
 }

@@ -101,9 +101,9 @@ type Config struct {
 type Rescue struct {
 	cfg Config
 
-	// bus receives token-capture, lane-transfer, preemption, and
+	// Bus receives token-capture, lane-transfer, preemption, and
 	// token-release trace events; nil when tracing is off.
-	bus *obs.Bus
+	Bus *obs.Bus
 
 	phase Phase
 	stack []frame
@@ -132,9 +132,6 @@ func New(cfg Config) *Rescue {
 	cfg.Token.SetRegenTimeout(cfg.TokenRegenTimeout)
 	return &Rescue{cfg: cfg}
 }
-
-// SetObs installs the trace bus (nil disables tracing again).
-func (r *Rescue) SetObs(b *obs.Bus) { r.bus = b }
 
 // Phase exposes the current state (for tests and observability).
 func (r *Rescue) CurrentPhase() Phase { return r.phase }
@@ -255,16 +252,12 @@ func (r *Rescue) noteRescue(now int64) {
 
 // emitCapture traces a token capture for message m at the capture router.
 func (r *Rescue) emitCapture(now int64, m *message.Message) {
-	if r.bus == nil {
-		return
+	if r.Bus != nil {
+		r.Bus.Emit(obs.Event{
+			Cycle: now, Kind: obs.KindTokenCapture, Node: int(r.captureRouter),
+			Txn: int64(m.Txn), MsgType: m.Type.String(), Src: m.Src, Dst: m.Dst,
+		})
 	}
-	e := obs.Event{Cycle: now, Kind: obs.KindTokenCapture, Node: int(r.captureRouter)}
-	if m != nil {
-		e.Txn = int64(m.Txn)
-		e.MsgType = m.Type.String()
-		e.Src, e.Dst = m.Src, m.Dst
-	}
-	r.bus.Emit(e)
 }
 
 // eligibleQueue re-verifies the endpoint deadlock condition at capture time:
@@ -329,8 +322,8 @@ func (r *Rescue) beginTransfer(m *message.Message, from topology.NodeID, now int
 	}
 	r.LaneTransfers++
 	r.phase = PhaseTransfer
-	if r.bus != nil {
-		r.bus.Emit(obs.Event{
+	if r.Bus != nil {
+		r.Bus.Emit(obs.Event{
 			Cycle: now, Kind: obs.KindLaneTransfer, Node: int(from),
 			Arg: r.timer, Txn: int64(m.Txn), MsgType: m.Type.String(),
 			Src: m.Src, Dst: m.Dst,
@@ -388,8 +381,8 @@ func (r *Rescue) arrive(now int64) {
 		panic("core: destination rescue service refused")
 	}
 	r.Preemptions++
-	if r.bus != nil {
-		r.bus.Emit(obs.Event{
+	if r.Bus != nil {
+		r.Bus.Emit(obs.Event{
 			Cycle: now, Kind: obs.KindPreempt, Node: int(r.returnFrom),
 			Txn: int64(m.Txn), MsgType: m.Type.String(), Src: m.Src, Dst: m.Dst,
 		})
@@ -454,8 +447,8 @@ func (r *Rescue) finish(now int64) {
 	r.serviceNI = nil
 	r.Completed++
 	r.cfg.Token.Release(r.captureRouter)
-	if r.bus != nil {
-		r.bus.Emit(obs.Event{
+	if r.Bus != nil {
+		r.Bus.Emit(obs.Event{
 			Cycle: now, Kind: obs.KindTokenRelease, Node: int(r.captureRouter),
 			Arg: int64(r.MaxDepth),
 		})

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/message"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/router"
 )
@@ -84,13 +85,6 @@ type Hooks struct {
 	// which the rescue engine routes (output queue or deadlock message
 	// buffer).
 	RescueServiced func(ni *NI, m *message.Message, subs []*message.Message, now int64)
-	// QueueFull fires once per blockage when queue q first refuses work
-	// for lack of space (out=true for the output side: the controller or
-	// source could not place a message; out=false for the input side: an
-	// ejecting header found no slot). It re-arms when the queue next
-	// sheds an entry. Installed by the observability layer; nil costs one
-	// branch.
-	QueueFull func(ni *NI, q int, now int64, out bool)
 }
 
 // Config parameterizes one NI.
@@ -181,7 +175,10 @@ type NI struct {
 	// detectFill is Cfg.DetectFill as a slot count, fixed at construction.
 	detectFill int
 
-	// inFullNoted/outFullNoted dedupe QueueFull events: one per blockage,
+	// Bus receives queue-full trace events; nil when tracing is off, one
+	// branch per refusal.
+	Bus *obs.Bus
+	// inFullNoted/outFullNoted dedupe queue-full events: one per blockage,
 	// re-armed when the queue sheds an entry.
 	inFullNoted  []bool
 	outFullNoted []bool
@@ -236,20 +233,23 @@ func New(cfg Config) *NI {
 	return ni
 }
 
-// noteQueueFull reports the first refusal of a blockage on queue q.
+// noteQueueFull traces the first refusal of a blockage on queue q for lack of
+// space (out=true for the output side: the controller or source could not
+// place a message; out=false for the input side: an ejecting header found no
+// slot).
 func (n *NI) noteQueueFull(q int, now int64, out bool) {
-	if n.Cfg.Hooks.QueueFull == nil {
+	if n.Bus == nil {
 		return
 	}
-	noted := n.inFullNoted
+	noted, aux := n.inFullNoted, int64(0)
 	if out {
-		noted = n.outFullNoted
+		noted, aux = n.outFullNoted, 1
 	}
 	if noted[q] {
 		return
 	}
 	noted[q] = true
-	n.Cfg.Hooks.QueueFull(n, q, now, out)
+	n.Bus.Emit(obs.Event{Cycle: now, Kind: obs.KindQueueFull, Node: n.Cfg.Endpoint, Arg: int64(q), Aux: aux})
 }
 
 // queueOf maps a message to its queue index.

@@ -80,9 +80,6 @@ func (n *Network) attachDetector() {
 					Node: -1, Arg: int64(locked), Aux: int64(fresh)})
 			}
 		}
-		if n.episodes != nil {
-			n.episodes.Observe(now, locked, det.KnotChain())
-		}
 		if n.Cfg.Detector == DetectorCWG {
 			// Scan-triggered recovery: the scan is the detector, so each
 			// endpoint input queue it places inside the knot dispatches the

@@ -91,15 +91,15 @@ type Network struct {
 	// Quiescent tests one integer instead of scanning all buffers.
 	occupied int64
 
-	// bus, sampler and episodes are the optional observability layer,
-	// installed by AttachObs/AttachSampler/AttachEpisodes (obs.go). All nil
-	// in a plain run: every emission site guards with one nil check.
-	bus      *obs.Bus
-	sampler  *obs.Sampler
-	episodes *obs.EpisodeTracker
+	// bus is the optional trace bus every component emits onto, installed by
+	// AttachObs/AttachSampler/AttachEpisodes (obs.go); sampler is the sink on
+	// it that also needs a tick per cycle. Both nil in a plain run: every
+	// emission site guards with one nil check.
+	bus     *obs.Bus
+	sampler *obs.Sampler
 
 	// prof is the optional cycle-level phase profiler, installed by
-	// AttachProfiler (profile.go); nil in a plain run, one branch per phase
+	// AttachProfiler (obs.go); nil in a plain run, one branch per phase
 	// boundary in Step.
 	prof *telemetry.CycleProfiler
 
@@ -246,9 +246,6 @@ func newBare(cfg Config) (*Network, error) {
 				if n.inWindow(now) {
 					n.Stats.Rescues++
 					n.Stats.TokenCaptures++
-				}
-				if n.episodes != nil {
-					n.episodes.Resolved(now, "rescue")
 				}
 			},
 		})
@@ -548,9 +545,6 @@ func (n *Network) nackHead(ni *netiface.NI, q int, now int64) {
 			Node: ni.Cfg.Endpoint, Arg: int64(q), Txn: int64(m.Txn),
 			MsgType: m.Type.String(), Src: m.Src, Dst: m.Dst})
 	}
-	if n.episodes != nil {
-		n.episodes.Resolved(now, "nack")
-	}
 	n.Pool.PutMessage(m) // the killed head is fully replaced by the NACK
 }
 
@@ -586,9 +580,6 @@ func (n *Network) deflect(ni *netiface.NI, q int, now int64) {
 		n.bus.Emit(obs.Event{Cycle: now, Kind: obs.KindDeflect,
 			Node: ni.Cfg.Endpoint, Arg: int64(q), Txn: int64(m.Txn),
 			MsgType: m.Type.String(), Src: m.Src, Dst: m.Dst})
-	}
-	if n.episodes != nil {
-		n.episodes.Resolved(now, "deflection")
 	}
 	n.Pool.PutMessage(m) // the deflected head is fully replaced by the BRP
 }

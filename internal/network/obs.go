@@ -3,57 +3,34 @@ package network
 import (
 	"fmt"
 
-	"repro/internal/message"
-	"repro/internal/netiface"
 	"repro/internal/obs"
-	"repro/internal/topology"
+	"repro/internal/telemetry"
 )
 
 // This file wires the observability layer (internal/obs) into a built
-// network: trace-event emission from every instrumented component, the
-// windowed time-series sampler, and deadlock-episode forensics. All of it is
-// attach-on-demand — a network without an attached bus pays one nil-check
-// per event site and allocates nothing.
-
-// routerObs adapts the trace bus to the router package's Obs interface
-// (router cannot import obs without widening its dependency surface).
-type routerObs struct{ bus *obs.Bus }
-
-func (o routerObs) VCAllocated(now int64, r topology.NodeID, pkt *message.Packet, outCh, outVC int) {
-	o.bus.Emit(obs.Event{
-		Cycle: now, Kind: obs.KindVCAlloc, Node: int(r),
-		Arg: int64(outCh), Aux: int64(outVC),
-		Pkt: int64(pkt.ID), Txn: int64(pkt.Msg.Txn), MsgType: pkt.Msg.Type.String(),
-		Src: pkt.Msg.Src, Dst: pkt.Msg.Dst,
-	})
-}
-
-func (o routerObs) VCStalled(now int64, r topology.NodeID, pkt *message.Packet, inCh, inVC int) {
-	o.bus.Emit(obs.Event{
-		Cycle: now, Kind: obs.KindVCStall, Node: int(r),
-		Arg: int64(inCh), Aux: int64(inVC),
-		Pkt: int64(pkt.ID), Txn: int64(pkt.Msg.Txn), MsgType: pkt.Msg.Type.String(),
-		Src: pkt.Msg.Src, Dst: pkt.Msg.Dst,
-	})
-}
+// network: every instrumented component holds the one trace bus and emits
+// straight onto it, and every watcher — trace writers, the windowed sampler,
+// deadlock-episode forensics — is a sink on it. All of it is attach-on-demand:
+// a network without an attached bus pays one nil-check per event site and
+// allocates nothing.
 
 // AttachObs installs the trace bus on every instrumented component and emits
 // a metadata event describing the run. Call after New and before Run.
 func (n *Network) AttachObs(bus *obs.Bus) {
 	n.bus = bus
-	ro := routerObs{bus: bus}
 	for _, r := range n.Routers {
-		r.Obs = ro
+		r.Bus = bus
 	}
 	for _, ni := range n.NIs {
-		ni.Cfg.Hooks.QueueFull = n.onQueueFull
+		ni.Bus = bus
 	}
 	if n.Rescue != nil {
-		n.Rescue.SetObs(bus)
+		n.Rescue.Bus = bus
 	}
-	bus.Meta(fmt.Sprintf("radix=%v bristling=%d scheme=%s pattern=%s rate=%g seed=%d partition=%s",
+	bus.Emit(obs.Event{Kind: obs.KindMeta, Node: -1, Note: fmt.Sprintf(
+		"radix=%v bristling=%d scheme=%s pattern=%s rate=%g seed=%d partition=%s",
 		n.Cfg.Radix, n.Cfg.Bristling, n.Cfg.Scheme, n.Cfg.Pattern.Name, n.Cfg.Rate,
-		n.Cfg.Seed, n.Scheme.PartitionSummary()))
+		n.Cfg.Seed, n.Scheme.PartitionSummary())})
 }
 
 // Bus returns the attached trace bus, nil when tracing is off.
@@ -105,33 +82,33 @@ func (n *Network) Gauges() obs.Gauges {
 const blockedGaugeThreshold = 8
 
 // AttachEpisodes enables deadlock-episode forensics: the CWG detector starts
-// retaining knot wait chains and the tracker turns scan results plus
-// recovery actions into episode records. Requires a detector
-// (Cfg.CWGInterval > 0).
+// retaining knot wait chains and the tracker, put on the bus (one is created if
+// none is attached yet) behind the sinks already there and, for token-capture
+// alone, ahead of them, turns the scans and recovery actions it sees into
+// episode records. Requires a detector (Cfg.CWGInterval > 0).
 func (n *Network) AttachEpisodes(t *obs.EpisodeTracker) error {
 	if n.Detector == nil {
 		return fmt.Errorf("network: episode forensics need the CWG detector (CWGInterval > 0)")
 	}
-	n.Detector.Forensics = true
-	if t.Bus == nil {
-		t.Bus = n.bus
+	if n.bus == nil {
+		n.AttachObs(obs.NewBus())
 	}
-	n.episodes = t
+	n.Detector.Forensics = true
+	t.Bus, t.Chain = n.bus, n.Detector.KnotChain
+	n.bus.AddFirst(t.Early())
+	n.bus.Add(t)
 	return nil
 }
 
-// Episodes returns the attached episode tracker, nil when forensics are off.
-func (n *Network) Episodes() *obs.EpisodeTracker { return n.episodes }
-
-// onQueueFull receives the NI queue-overflow hook (fires once per blockage).
-func (n *Network) onQueueFull(ni *netiface.NI, q int, now int64, out bool) {
-	if n.bus == nil {
-		return
+// AttachProfiler installs the cycle-level phase profiler on this network:
+// Step begins/ends each cycle on it and the routers mark their own
+// routing/arbitration boundary so per-phase attribution matches the real
+// pipeline order. Attach-on-demand like the checker and the fault
+// injector — a network without a profiler pays one nil check per phase
+// boundary and simulates bit-identically.
+func (n *Network) AttachProfiler(p *telemetry.CycleProfiler) {
+	n.prof = p
+	for _, r := range n.Routers {
+		r.Prof = p
 	}
-	aux := int64(0)
-	if out {
-		aux = 1
-	}
-	n.bus.Emit(obs.Event{Cycle: now, Kind: obs.KindQueueFull,
-		Node: ni.Cfg.Endpoint, Arg: int64(q), Aux: aux})
 }

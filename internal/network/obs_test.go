@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/schemes"
+	"repro/internal/telemetry"
 )
 
 // saturatedCfg is the known-deadlock recipe (see deadlock.TestKnotsForm...):
@@ -149,40 +151,92 @@ func TestChromeTraceFromRunIsValidJSON(t *testing.T) {
 	}
 }
 
-// TestObservabilityDoesNotPerturbSimulation runs the same seeded
-// configuration with and without the full observability stack attached and
-// requires bit-identical statistics: tracing must observe, never steer.
+// TestObservabilityDoesNotPerturbSimulation runs the same seeded deadlocking
+// configuration bare, with every watcher attached (a trace sink, the sampler,
+// the episode tracker, the invariant checker) and with the cycle profiler
+// alone (it forces dense stepping, so it is its own row), once per recovery
+// path, and requires the delivery digest, the final clock and the run's
+// counters to be identical: observing must never steer. The watched run must
+// also have something to watch: at least one episode closed the way its scheme
+// recovers.
 func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
-	run := func(attach bool) *network.Network {
-		cfg := saturatedCfg()
-		cfg.DetectThreshold = network.DefaultConfig().DetectThreshold
-		cfg.RouterTimeout = network.DefaultConfig().RouterTimeout
-		n, err := network.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if attach {
-			n.AttachObs(obs.NewBus(obs.NewRingSink(1024)))
-			n.AttachSampler(obs.NewSampler(&bytes.Buffer{}, 100, n.Torus.Endpoints(), n.Gauges))
-			if err := n.AttachEpisodes(&obs.EpisodeTracker{}); err != nil {
+	type outcome struct {
+		Digest                                                  string
+		Deliveries, Clock                                       int64
+		Flits, Detects, Deflections, Rescues, Knots, Txns, Open int64
+	}
+	for _, c := range []struct {
+		scheme     schemes.Kind
+		vcs        int
+		resolution string
+	}{
+		{schemes.PR, 2, "rescue"},
+		{schemes.DR, 4, "deflection"},
+		{schemes.AB, 4, "nack"},
+	} {
+		run := func(attach func(n *network.Network)) outcome {
+			cfg := saturatedCfg()
+			cfg.Scheme, cfg.VCs, cfg.Rate = c.scheme, c.vcs, 0.05
+			cfg.Measure, cfg.MaxDrain = 3000, 1500
+			cfg.DetectThreshold = network.DefaultConfig().DetectThreshold
+			cfg.RouterTimeout = network.DefaultConfig().RouterTimeout
+			n, err := network.New(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
+			attach(n)
+			dig := check.AttachDigest(n)
+			st := n.Run()
+			return outcome{dig.String(), dig.Count(), n.Clock.Now(),
+				st.DeliveredFlits, st.DetectEvents, st.Deflections, st.Rescues,
+				st.CWGDeadlocks, st.TxnCompleted, int64(n.Table.Len())}
 		}
-		n.RunCycles(6000)
-		return n
-	}
-	plain, traced := run(false), run(true)
-	a, b := *plain.Stats, *traced.Stats
-	// The latency histogram is a pointer-free struct; compare the scalars.
-	if a.DeliveredMsgs != b.DeliveredMsgs || a.DeliveredFlits != b.DeliveredFlits ||
-		a.InjectedMsgs != b.InjectedMsgs || a.LatencySum != b.LatencySum ||
-		a.Rescues != b.Rescues || a.Deflections != b.Deflections ||
-		a.TxnCompleted != b.TxnCompleted || a.DetectEvents != b.DetectEvents {
-		t.Fatalf("observability perturbed the run:\nplain  %+v\ntraced %+v", a, b)
-	}
-	if plain.Table.Len() != traced.Table.Len() {
-		t.Fatalf("outstanding transactions diverged: %d vs %d",
-			plain.Table.Len(), traced.Table.Len())
+		bare := run(func(*network.Network) {})
+		if bare.Deliveries == 0 || bare.Knots == 0 {
+			t.Fatalf("%s: the bare run delivers %d messages and sees %d knots", c.scheme, bare.Deliveries, bare.Knots)
+		}
+
+		var tracker obs.EpisodeTracker
+		var checker *check.Checker
+		var csv bytes.Buffer
+		var bus *obs.Bus
+		watched := run(func(n *network.Network) {
+			bus = obs.NewBus(obs.NewRingSink(1024))
+			n.AttachObs(bus)
+			n.AttachSampler(obs.NewSampler(&csv, 100, n.Torus.Endpoints(), n.Gauges))
+			if err := n.AttachEpisodes(&tracker); err != nil {
+				t.Fatal(err)
+			}
+			checker = check.Attach(n, check.Options{})
+		})
+		if watched != bare {
+			t.Errorf("%s: observing perturbed the run:\nbare    %+v\nwatched %+v", c.scheme, bare, watched)
+		}
+		if vs := checker.Violations(); len(vs) > 0 || checker.Checks() == 0 {
+			t.Errorf("%s: %d invariant sweeps, violations %v", c.scheme, checker.Checks(), vs)
+		}
+		if err := bus.Close(); err != nil || csv.Len() == 0 {
+			t.Errorf("%s: the sampler wrote nothing", c.scheme)
+		}
+		closed := 0
+		for _, ep := range tracker.Episodes() {
+			if ep.Resolution == c.resolution {
+				closed++
+			}
+		}
+		if closed == 0 {
+			t.Errorf("%s: no episode closed by %s among %d", c.scheme, c.resolution, len(tracker.Episodes()))
+		}
+		t.Logf("%s: %d of %d episodes closed by %s; %+v", c.scheme, closed, len(tracker.Episodes()), c.resolution, bare)
+
+		prof := telemetry.NewCycleProfiler(1)
+		profiled := run(func(n *network.Network) { n.AttachProfiler(prof) })
+		if profiled != bare {
+			t.Errorf("%s: profiling perturbed the run:\nbare     %+v\nprofiled %+v", c.scheme, bare, profiled)
+		}
+		if prof.Breakdown().Cycles != bare.Clock {
+			t.Errorf("%s: profiled %d cycles of %d", c.scheme, prof.Breakdown().Cycles, bare.Clock)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ func TestProfilerAccountsCycleTime(t *testing.T) {
 	n := mustNet(t, smallConfig(schemes.PR, protocol.PAT271, 4, 0.02))
 	p := telemetry.NewCycleProfiler(1)
 	n.AttachProfiler(p)
-	if n.Profiler() != p {
+	if n.prof != p {
 		t.Fatal("profiler not attached")
 	}
 	n.Run()

@@ -112,18 +112,21 @@ func (e *Episode) Format() string {
 	return b.String()
 }
 
-// EpisodeTracker turns the periodic CWG scan results and the recovery
-// engines' resolution events into episode records. Lifecycle: a scan
-// reporting deadlocked resources while no episode is open opens one
-// (snapshotting the wait chain); the first recovery action afterwards
-// closes it with its resolution kind; a scan reporting zero deadlocked
-// resources closes a still-open episode as "dissolved". Durations are
-// therefore quantized to the scan interval at the formation edge, matching
-// the paper's detection granularity.
+// EpisodeTracker is a Sink that turns the CWG scans and recovery actions it
+// sees on the bus into episode records. Lifecycle: a scan reporting deadlocked
+// resources while no episode is open opens one (snapshotting the wait chain);
+// the first recovery action afterwards closes it with its resolution kind; a
+// scan reporting zero deadlocked resources closes a still-open episode as
+// "dissolved". Durations are therefore quantized to the scan interval at the
+// formation edge, matching the paper's detection granularity.
 type EpisodeTracker struct {
 	// Bus, when non-nil, receives episode-open/close events (for the
-	// Chrome trace's episode spans).
+	// Chrome trace's episode spans). Network.AttachEpisodes sets it to the
+	// bus the tracker sits on.
 	Bus *Bus
+	// Chain returns the wait chain of the knot the scan just reported (the
+	// CWG detector's KnotChain); nil leaves episodes without a chain.
+	Chain func() []WaitResource
 	// MaxKept bounds retained closed episodes (0 = default 4096); the
 	// newest are kept.
 	MaxKept int
@@ -134,37 +137,71 @@ type EpisodeTracker struct {
 	nextID   int
 }
 
-// Observe feeds one CWG scan result: the deadlocked resource count and,
-// when a knot exists and forensics are on, its wait chain.
-func (t *EpisodeTracker) Observe(now int64, locked int, chain []WaitResource) {
-	if locked > 0 && t.open == nil {
-		t.open = &Episode{
-			ID: t.nextID, Formed: now, Resolved: -1, Resolution: "open",
-			Resources: locked, Chain: chain,
+// Event implements Sink. Behind the recording sinks, where
+// Network.AttachEpisodes puts the tracker, an episode's own events follow the
+// events that cause them.
+func (t *EpisodeTracker) Event(e Event) {
+	switch e.Kind {
+	case KindCWGScan:
+		// A scan that found fresh knots says so next; the episode opens
+		// after that.
+		if e.Aux == 0 {
+			t.observe(e.Cycle, int(e.Arg))
 		}
-		t.nextID++
-		if t.Bus != nil {
-			t.Bus.Emit(Event{Cycle: now, Kind: KindEpisodeOpen, Node: -1,
-				Arg: int64(t.open.ID), Aux: int64(locked)})
-		}
-		return
+	case KindCWGDeadlock:
+		t.observe(e.Cycle, int(e.Arg))
+	case KindTokenCapture:
+		t.close(e.Cycle, "rescue")
+	case KindDeflect:
+		t.close(e.Cycle, "deflection")
+	case KindNack:
+		t.close(e.Cycle, "nack")
 	}
-	if locked == 0 && t.open != nil {
+}
+
+// Early is the tracker as a sink that hears only token-capture. Ahead of the
+// recording sinks it closes the episode before the rescue that ends it is
+// recorded — the order traces have always had — and the tracker itself,
+// behind them, then finds nothing open.
+func (t *EpisodeTracker) Early() Sink { return early{t} }
+
+type early struct{ t *EpisodeTracker }
+
+func (s early) Event(e Event) {
+	if e.Kind == KindTokenCapture {
+		s.t.Event(e)
+	}
+}
+
+// observe takes one scan result: the deadlocked resource count.
+func (t *EpisodeTracker) observe(now int64, locked int) {
+	if locked == 0 {
 		t.close(now, "dissolved")
-	}
-}
-
-// Resolved records a recovery action (how = "rescue", "deflection", or
-// "nack"); it closes the open episode, if any.
-func (t *EpisodeTracker) Resolved(now int64, how string) {
-	if t.open == nil {
 		return
 	}
-	t.close(now, how)
+	if t.open != nil {
+		return
+	}
+	t.open = &Episode{
+		ID: t.nextID, Formed: now, Resolved: -1, Resolution: "open", Resources: locked,
+	}
+	if t.Chain != nil {
+		t.open.Chain = t.Chain()
+	}
+	t.nextID++
+	if t.Bus != nil {
+		t.Bus.Emit(Event{Cycle: now, Kind: KindEpisodeOpen, Node: -1,
+			Arg: int64(t.open.ID), Aux: int64(locked)})
+	}
 }
 
+// close ends the open episode, if any, as resolved by how ("rescue",
+// "deflection", "nack" or "dissolved").
 func (t *EpisodeTracker) close(now int64, how string) {
 	ep := t.open
+	if ep == nil {
+		return
+	}
 	t.open = nil
 	ep.Resolved = now
 	ep.Resolution = how

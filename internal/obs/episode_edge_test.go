@@ -16,8 +16,8 @@ import (
 func TestZeroLengthEpisode(t *testing.T) {
 	sink := NewRingSink(8)
 	tr := &EpisodeTracker{Bus: NewBus(sink)}
-	tr.Observe(100, 3, chain2())
-	tr.Resolved(100, "rescue")
+	observe(tr, 100, 3, chain2())
+	resolved(tr, 100, "rescue")
 	eps := tr.Episodes()
 	if len(eps) != 1 {
 		t.Fatalf("episodes = %d, want 1", len(eps))
@@ -47,12 +47,12 @@ func TestZeroLengthEpisode(t *testing.T) {
 // cycle an old episode dissolves starts a fresh episode with a fresh ID.
 func TestOverlappingDetections(t *testing.T) {
 	tr := &EpisodeTracker{}
-	tr.Observe(100, 2, chain2())
+	observe(tr, 100, 2, chain2())
 	first := tr.Open()
 
 	// The knot grows: still the same episode, formation snapshot untouched.
 	bigger := append(chain2(), WaitResource{Kind: "vc", Desc: "c", WaitsFor: []int{0}})
-	tr.Observe(150, 5, bigger)
+	observe(tr, 150, 5, bigger)
 	if tr.Open() != first {
 		t.Fatal("overlapping detection replaced the open episode")
 	}
@@ -61,8 +61,8 @@ func TestOverlappingDetections(t *testing.T) {
 	}
 
 	// Dissolves at 200; a knot observed on the same cycle opens episode 1.
-	tr.Observe(200, 0, nil)
-	tr.Observe(200, 1, chain2()[:1])
+	observe(tr, 200, 0, nil)
+	observe(tr, 200, 1, chain2()[:1])
 	second := tr.Open()
 	if second == nil || second == first {
 		t.Fatal("back-to-back knot did not open a fresh episode")
@@ -79,9 +79,9 @@ func TestOverlappingDetections(t *testing.T) {
 // in the export, marked open with no resolution cycle.
 func TestWriteJSONIncludesOpenEpisode(t *testing.T) {
 	tr := &EpisodeTracker{}
-	tr.Observe(10, 1, chain2()[:1])
-	tr.Resolved(20, "nack")
-	tr.Observe(30, 2, chain2())
+	observe(tr, 10, 1, chain2()[:1])
+	resolved(tr, 20, "nack")
+	observe(tr, 30, 2, chain2())
 	var b strings.Builder
 	if err := tr.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -113,10 +113,10 @@ func (w *failWriter) Write(p []byte) (int, error) {
 // must surface the error instead of silently truncating the forensics.
 func TestWriteJSONSinkError(t *testing.T) {
 	tr := &EpisodeTracker{}
-	tr.Observe(10, 2, chain2())
-	tr.Resolved(50, "rescue")
-	tr.Observe(60, 2, chain2())
-	tr.Resolved(90, "deflection")
+	observe(tr, 10, 2, chain2())
+	resolved(tr, 50, "rescue")
+	observe(tr, 60, 2, chain2())
+	resolved(tr, 90, "deflection")
 	boom := errors.New("disk full")
 	if err := tr.WriteJSON(&failWriter{ok: 1, err: boom}); !errors.Is(err, boom) {
 		t.Fatalf("WriteJSON error = %v, want %v", err, boom)

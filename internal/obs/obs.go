@@ -10,14 +10,15 @@
 // forensics that snapshot the blocked wait chain of each observed knot.
 //
 // The layer is zero-overhead when disabled: instrumented components hold a
-// nil *Bus (or nil hook) and guard every emission with a single branch; no
-// event values are constructed unless a sink is attached.
+// nil *Bus and guard every emission with a single branch; no event values are
+// constructed unless a bus is attached.
+//
+// The package describes what the simulated machine did, on the cycle clock, and
+// imports nothing from the repository. What the program around a simulation did
+// on the wall clock (requests, jobs, spans, metrics) is internal/telemetry's.
 package obs
 
-import (
-	"fmt"
-	"sync"
-)
+import "io"
 
 // Kind names an event type. String-typed kinds keep traces self-describing
 // in every sink format; events are only constructed when tracing is on, so
@@ -81,19 +82,6 @@ const (
 	// conservation-law violation (Node = -1, Note = rule, detail, and a
 	// full state snapshot). A conforming simulation never emits it.
 	KindInvariant Kind = "invariant-violation"
-	// KindJobAccepted, KindJobStart and KindJobDone bracket a served
-	// simulation job (internal/simsvc): accepted into the queue, picked up
-	// by a worker, and finished. Node = -1; Note carries the job ID, spec
-	// hash, and (for done) the outcome. Cycle is zero — job events happen
-	// in wall time, outside any one simulation's clock.
-	KindJobAccepted Kind = "job-accepted"
-	KindJobStart    Kind = "job-start"
-	KindJobDone     Kind = "job-done"
-	// KindJobSpan carries a finished job's span-style phase timings (queue
-	// wait, cache lookup, coalesce, execute, encode) in Note, alongside the
-	// job ID and originating request ID; emitted once per job right after
-	// its KindJobDone.
-	KindJobSpan Kind = "job-span"
 	// KindFault fires when the fault injector applies a plan event (Node =
 	// the affected router or endpoint, -1 for network-wide faults like
 	// token loss; Note = the event's kind and parameters; Arg = the plan
@@ -124,25 +112,20 @@ type Event struct {
 	Note string `json:"note,omitempty"`
 }
 
-func (e Event) String() string {
-	return fmt.Sprintf("ev{%d %s n%d a=%d x=%d}", e.Cycle, e.Kind, e.Node, e.Arg, e.Aux)
-}
-
 // Sink consumes events. Implementations must tolerate being called once
 // per event from the single simulation goroutine; no locking is needed.
 type Sink interface {
 	Event(e Event)
 }
 
-// Closer is implemented by sinks that buffer output and must be finalized
-// (the Chrome trace sink's trailing bracket, flushes).
-type Closer interface {
-	Close() error
-}
-
-// Bus fans events out to its sinks. A nil *Bus is a valid disabled bus:
-// instrumentation sites guard with `if bus != nil`, so the disabled path
-// costs one branch and constructs nothing.
+// Bus fans events out to its sinks, in the order they were added. A nil *Bus
+// is a valid disabled bus: instrumentation sites guard with `if bus != nil`, so
+// the disabled path costs one branch and constructs nothing.
+//
+// A sink may emit from inside Event (the episode tracker derives
+// episode-open/close from the events it sees): the derived event reaches every
+// sink at once, so the sinks ahead of the emitter see it after the event that
+// caused it and the sinks behind see it before.
 type Bus struct {
 	sinks []Sink
 }
@@ -152,8 +135,11 @@ func NewBus(sinks ...Sink) *Bus {
 	return &Bus{sinks: sinks}
 }
 
-// Add attaches another sink.
+// Add attaches another sink behind the ones already there.
 func (b *Bus) Add(s Sink) { b.sinks = append(b.sinks, s) }
+
+// AddFirst attaches a sink ahead of the ones already there.
+func (b *Bus) AddFirst(s Sink) { b.sinks = append([]Sink{s}, b.sinks...) }
 
 // Emit delivers e to every sink.
 func (b *Bus) Emit(e Event) {
@@ -162,46 +148,12 @@ func (b *Bus) Emit(e Event) {
 	}
 }
 
-// Meta emits a metadata event carrying note (run configuration, scheme
-// partition summary) at cycle 0.
-func (b *Bus) Meta(note string) {
-	b.Emit(Event{Kind: KindMeta, Node: -1, Note: note})
-}
-
-// LockedSink serializes a Sink (and its Close) behind a mutex so several
-// concurrently running simulations can share it. Single-run tooling does not
-// need this — the Sink contract assumes one simulation goroutine — but the
-// serving layer runs many networks at once against one trace file.
-type LockedSink struct {
-	mu   sync.Mutex
-	sink Sink
-}
-
-// Locked wraps s for concurrent use.
-func Locked(s Sink) *LockedSink { return &LockedSink{sink: s} }
-
-// Event forwards one event under the lock.
-func (l *LockedSink) Event(e Event) {
-	l.mu.Lock()
-	l.sink.Event(e)
-	l.mu.Unlock()
-}
-
-// Close finalizes the wrapped sink if it buffers output.
-func (l *LockedSink) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if c, ok := l.sink.(Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// Close finalizes every sink that needs it, returning the first error.
+// Close finalizes every sink that buffers output (an io.Closer: the Chrome
+// trace sink's trailing bracket, flushes), returning the first error.
 func (b *Bus) Close() error {
 	var first error
 	for _, s := range b.sinks {
-		if c, ok := s.(Closer); ok {
+		if c, ok := s.(io.Closer); ok {
 			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}

@@ -163,9 +163,21 @@ func chain2() []WaitResource {
 	}
 }
 
+// observe and resolved feed the tracker the events a network's scans and
+// recovery actions put on the bus.
+func observe(tr *EpisodeTracker, now int64, locked int, chain []WaitResource) {
+	tr.Chain = func() []WaitResource { return chain }
+	tr.Event(Event{Cycle: now, Kind: KindCWGScan, Node: -1, Arg: int64(locked)})
+}
+
+func resolved(tr *EpisodeTracker, now int64, how string) {
+	kind := map[string]Kind{"rescue": KindTokenCapture, "deflection": KindDeflect, "nack": KindNack}[how]
+	tr.Event(Event{Cycle: now, Kind: kind})
+}
+
 func TestEpisodeLifecycle(t *testing.T) {
 	tr := &EpisodeTracker{}
-	tr.Observe(100, 2, chain2())
+	observe(tr, 100, 2, chain2())
 	ep := tr.Open()
 	if ep == nil || ep.Formed != 100 || ep.Resources != 2 {
 		t.Fatalf("open episode = %+v", ep)
@@ -174,11 +186,11 @@ func TestEpisodeLifecycle(t *testing.T) {
 		t.Fatal("2-cycle chain must be a closed cycle")
 	}
 	// A second knot scan while open must not open another episode.
-	tr.Observe(150, 2, chain2())
+	observe(tr, 150, 2, chain2())
 	if len(tr.Episodes()) != 1 {
 		t.Fatalf("episodes = %d, want 1", len(tr.Episodes()))
 	}
-	tr.Resolved(180, "rescue")
+	resolved(tr, 180, "rescue")
 	if tr.Open() != nil {
 		t.Fatal("episode still open after resolution")
 	}
@@ -187,13 +199,13 @@ func TestEpisodeLifecycle(t *testing.T) {
 		t.Fatalf("closed episode = %+v", got[0])
 	}
 	// A resolution with nothing open is a no-op.
-	tr.Resolved(200, "rescue")
+	resolved(tr, 200, "rescue")
 	if len(tr.Episodes()) != 1 {
 		t.Fatal("spurious episode from idle resolution")
 	}
 	// Dissolution path.
-	tr.Observe(250, 1, chain2()[:1])
-	tr.Observe(300, 0, nil)
+	observe(tr, 250, 1, chain2()[:1])
+	observe(tr, 300, 0, nil)
 	got = tr.Episodes()
 	if len(got) != 2 || got[1].Resolution != "dissolved" {
 		t.Fatalf("dissolved episode = %+v", got[len(got)-1])
@@ -203,8 +215,8 @@ func TestEpisodeLifecycle(t *testing.T) {
 func TestEpisodeEviction(t *testing.T) {
 	tr := &EpisodeTracker{MaxKept: 2}
 	for i := 0; i < 4; i++ {
-		tr.Observe(int64(i*100), 1, chain2()[:1])
-		tr.Resolved(int64(i*100+10), "rescue")
+		observe(tr, int64(i*100), 1, chain2()[:1])
+		resolved(tr, int64(i*100+10), "rescue")
 	}
 	if len(tr.Episodes()) != 2 || tr.Dropped() != 2 {
 		t.Fatalf("kept %d dropped %d, want 2/2", len(tr.Episodes()), tr.Dropped())
@@ -216,8 +228,8 @@ func TestEpisodeEviction(t *testing.T) {
 
 func TestEpisodeWriteJSON(t *testing.T) {
 	tr := &EpisodeTracker{}
-	tr.Observe(100, 2, chain2())
-	tr.Resolved(140, "deflection")
+	observe(tr, 100, 2, chain2())
+	resolved(tr, 140, "deflection")
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -255,7 +267,7 @@ func TestBusFanoutAndMeta(t *testing.T) {
 	a, b := NewRingSink(8), NewRingSink(8)
 	bus := NewBus(a)
 	bus.Add(b)
-	bus.Meta("hello")
+	bus.Emit(Event{Kind: KindMeta, Node: -1, Note: "hello"})
 	bus.Emit(Event{Cycle: 1, Kind: KindInject})
 	if a.Total != 2 || b.Total != 2 {
 		t.Fatalf("fanout totals %d/%d, want 2/2", a.Total, b.Total)

@@ -5,7 +5,9 @@ import (
 	"math/bits"
 
 	"repro/internal/message"
+	"repro/internal/obs"
 	"repro/internal/routing"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -21,30 +23,6 @@ type Policy interface {
 	Candidates(r topology.NodeID, pkt *message.Packet) []routing.PortVC
 }
 
-// Prof receives phase-boundary marks from the router pipeline: each call
-// charges the wall time since the previous mark to that phase. The network
-// installs the cycle profiler here when one is attached; a nil Prof costs
-// one branch per Step and nothing else.
-type Prof interface {
-	// MarkRouting closes the virtual-channel-allocation segment.
-	MarkRouting()
-	// MarkArbitration closes the switch-arbitration segment.
-	MarkArbitration()
-}
-
-// Obs receives router-level observability events. The network layer
-// installs an implementation when tracing is enabled; a nil Obs costs one
-// branch per event site and nothing else.
-type Obs interface {
-	// VCAllocated fires when a header is granted an output virtual
-	// channel.
-	VCAllocated(now int64, router topology.NodeID, pkt *message.Packet, outCh, outVC int)
-	// VCStalled fires once per blockage when a header fails allocation
-	// (every candidate output VC owned); it does not re-fire while the
-	// same header stays blocked.
-	VCStalled(now int64, router topology.NodeID, pkt *message.Packet, inCh, inVC int)
-}
-
 // Router is one wormhole router: link input channels plus local injection
 // channels feed a crossbar to link output channels and local ejection
 // channels. It also hosts the flit-sized Disha deadlock buffer (DB); the
@@ -53,11 +31,13 @@ type Obs interface {
 type Router struct {
 	ID topology.NodeID
 
-	// Obs is the optional observability hook; nil when tracing is off.
-	Obs Obs
+	// Bus receives vc-alloc and vc-stall trace events; nil when tracing is
+	// off, one branch per event site.
+	Bus *obs.Bus
 
-	// Prof is the optional cycle-profiler hook; nil when profiling is off.
-	Prof Prof
+	// Prof is the cycle profiler, marked at the routing/arbitration
+	// boundary; nil when profiling is off, one branch per mark.
+	Prof *telemetry.CycleProfiler
 
 	// Inputs: indices 0..dirs-1 are link inputs (flits travelling in
 	// direction d arrive on input d), dirs..dirs+bristling-1 are injection
@@ -371,20 +351,32 @@ func (r *Router) allocate(now int64) {
 				out := r.outputVC(pick)
 				out.Owner = f.Pkt
 				r.setRoute(vc, out, pick.Port)
-				if r.Obs != nil {
-					r.Obs.VCAllocated(now, r.ID, f.Pkt, out.Ch.ID, out.Index)
+				if r.Bus != nil {
+					r.emitVC(obs.KindVCAlloc, now, f.Pkt, out.Ch.ID, out.Index)
 				}
 				vc.stallNoted = false
 				continue
 			}
 			wd.parked |= vc.bit
-			if r.Obs != nil && !vc.stallNoted {
+			if r.Bus != nil && !vc.stallNoted {
+				// Once per blockage: it does not re-fire while the same
+				// header stays blocked.
 				vc.stallNoted = true
-				r.Obs.VCStalled(now, r.ID, f.Pkt, vc.Ch.ID, vc.Index)
+				r.emitVC(obs.KindVCStall, now, f.Pkt, vc.Ch.ID, vc.Index)
 			}
 		}
 		i++
 	}
+}
+
+// emitVC traces a header's allocation outcome: pkt granted output channel ch's
+// VC vc (vc-alloc), or first refused at input channel ch's VC vc (vc-stall).
+func (r *Router) emitVC(kind obs.Kind, now int64, pkt *message.Packet, ch, vc int) {
+	r.Bus.Emit(obs.Event{
+		Cycle: now, Kind: kind, Node: int(r.ID), Arg: int64(ch), Aux: int64(vc),
+		Pkt: int64(pkt.ID), Txn: int64(pkt.Msg.Txn), MsgType: pkt.Msg.Type.String(),
+		Src: pkt.Msg.Src, Dst: pkt.Msg.Dst,
+	})
 }
 
 // arbitrate moves at most one flit per output physical channel and at most
@@ -492,11 +484,11 @@ func (r *Router) Step(now int64) {
 	}
 	r.allocate(now)
 	if r.Prof != nil {
-		r.Prof.MarkRouting()
+		r.Prof.Mark(telemetry.PhaseRouting)
 	}
 	r.arbitrate(now)
 	if r.Prof != nil {
-		r.Prof.MarkArbitration()
+		r.Prof.Mark(telemetry.PhaseArbitration)
 	}
 }
 

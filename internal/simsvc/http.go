@@ -4,14 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
-	"time"
-
-	"repro/internal/telemetry"
 )
 
 // Server is the HTTP JSON API over a Scheduler.
@@ -37,36 +32,23 @@ import (
 // into the scheduler for job-trace correlation. One access-log line is
 // emitted per request.
 type Server struct {
-	sched   *Scheduler
-	mux     *http.ServeMux
-	reg     *telemetry.Registry
-	httpM   *httpMetrics
-	logger  *log.Logger
-	started time.Time
+	sched *Scheduler
+	shell *HTTPShell
 }
 
 // NewServer wires the routes and the metrics registry.
 func NewServer(sched *Scheduler) *Server {
-	reg, httpM := newMetricsRegistry(sched)
-	s := &Server{
-		sched:   sched,
-		mux:     http.NewServeMux(),
-		reg:     reg,
-		httpM:   httpM,
-		logger:  log.Default(),
-		started: time.Now(),
-	}
-	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleGet)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	reg := newMetricsRegistry(sched)
+	s := &Server{sched: sched, shell: NewHTTPShell(reg, "simsvc", log.Default())}
+	s.shell.HandleFunc("POST /v1/runs", s.handleSubmit)
+	s.shell.HandleFunc("GET /v1/runs/{id}", s.handleGet)
+	s.shell.HandleFunc("POST /v1/sweeps", s.handleSweep)
+	s.shell.HandleMetrics(reg, func(w http.ResponseWriter, r *http.Request) {
+		s.writeJSON(w, http.StatusOK, s.sched.Metrics())
 	})
-	s.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+	s.shell.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if ok, reason := s.sched.Ready(); !ok {
-			s.writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "not ready: " + reason})
+			s.writeJSON(w, http.StatusServiceUnavailable, APIError{Error: "not ready: " + reason})
 			return
 		}
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
@@ -76,81 +58,27 @@ func NewServer(sched *Scheduler) *Server {
 
 // SetLogger replaces the access/error logger (default log.Default()); tests
 // use it to silence per-request lines.
-func (s *Server) SetLogger(l *log.Logger) { s.logger = l }
+func (s *Server) SetLogger(l *log.Logger) { s.shell.Logger = l }
 
-// Registry exposes the server's metrics registry so embedders can add their
-// own instruments to the same /metrics page.
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
+// ServeHTTP implements http.Handler through the shared shell: request-ID
+// stamping, routing, then access logging and request metrics.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.shell.ServeHTTP(w, r) }
 
-// statusRecorder captures the status code and body size written by a
-// handler for the access log and the request metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(p)
-	r.bytes += int64(n)
-	return n, err
-}
-
-// ServeHTTP implements http.Handler: request-ID stamping, routing, then
-// access logging and request metrics.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rid := r.Header.Get("X-Request-ID")
-	if rid == "" {
-		rid = telemetry.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", rid)
-	r = r.WithContext(telemetry.WithRequestID(r.Context(), rid))
-
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	s.mux.ServeHTTP(rec, r)
-
-	elapsed := time.Since(start)
-	s.httpM.requests.With(r.Method, routeOf(r.URL.Path), strconv.Itoa(rec.status)).Inc()
-	s.httpM.duration.Observe(elapsed.Seconds())
-	s.logger.Printf("simsvc: %s %s %s %d %dB %s req=%s",
-		r.RemoteAddr, r.Method, r.URL.Path, rec.status, rec.bytes,
-		elapsed.Round(time.Microsecond), rid)
-}
-
-// routeOf collapses request paths onto their route patterns so the
-// per-route counter's label cardinality stays bounded no matter what
-// clients ask for.
-func routeOf(path string) string {
-	switch {
-	case path == "/v1/runs" || path == "/v1/sweeps" || path == "/metrics" ||
-		path == "/metrics.json" || path == "/healthz" || path == "/readyz":
-		return path
-	case strings.HasPrefix(path, "/v1/runs/"):
-		return "/v1/runs/{id}"
-	default:
-		return "other"
-	}
-}
-
-// apiError is the uniform error body.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-// maxBodyBytes bounds request bodies: the largest legitimate spec (a sweep
+// MaxBodyBytes bounds request bodies: the largest legitimate spec (a sweep
 // with a long fault plan) is a few kilobytes, so 1 MiB leaves two orders of
 // magnitude of headroom while preventing an oversized client from pinning a
 // connection and buffering without limit.
-const maxBodyBytes = 1 << 20
+const MaxBodyBytes = 1 << 20
+
+// decodeBody reads a request body of at most MaxBodyBytes into v, refusing
+// unknown fields.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		// The hint tracks reality — queue depth × observed p50 job latency,
 		// clamped to [1, 30]s — so clients (and the ring coordinator, which
@@ -158,14 +86,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		// actual backlog instead of polling a saturated queue every second.
 		w.Header().Set("Retry-After", strconv.Itoa(s.sched.RetryAfterSeconds()))
 	}
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Too late to change the status line; the broken connection or
-		// unmarshalable value must not vanish silently.
-		s.logger.Printf("simsvc: encode %d response: %v", status, err)
-	}
+	s.shell.WriteJSON(w, status, v)
 }
 
 // submitStatus maps a submission error to its HTTP status.
@@ -183,17 +104,14 @@ func submitStatus(err error) int {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var spec RunSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, apiError{Error: "bad spec: " + err.Error()})
+	if err := decodeBody(w, r, &spec); err != nil {
+		s.writeJSON(w, http.StatusBadRequest, APIError{Error: "bad spec: " + err.Error()})
 		return
 	}
 	job, err := s.sched.Submit(r.Context(), spec)
 	if err != nil {
-		s.writeJSON(w, submitStatus(err), apiError{Error: err.Error()})
+		s.writeJSON(w, submitStatus(err), APIError{Error: err.Error()})
 		return
 	}
 	status := http.StatusAccepted
@@ -234,7 +152,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if IsSpecHash(id) {
 		payload, ok := s.sched.CachedResult(id)
 		if !ok {
-			s.writeJSON(w, http.StatusNotFound, apiError{Error: "no cached result for spec " + id})
+			s.writeJSON(w, http.StatusNotFound, APIError{Error: "no cached result for spec " + id})
 			return
 		}
 		s.writeJSON(w, http.StatusOK, CachedView{
@@ -244,7 +162,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	job, ok := s.sched.Job(id)
 	if !ok {
-		s.writeJSON(w, http.StatusNotFound, apiError{Error: "unknown job " + id})
+		s.writeJSON(w, http.StatusNotFound, APIError{Error: "unknown job " + id})
 		return
 	}
 	s.writeJSON(w, http.StatusOK, job)
@@ -283,39 +201,40 @@ func (r SweepRequest) Expand() ([]float64, error) {
 	return rates, nil
 }
 
-// sweepResponse lists the outcome per expanded rate. Submission stops at
-// the first queue-full/draining rejection — the remaining rates are
-// reported as rejected and the whole response carries that status code, so
-// a client retries the leftover suffix after backing off.
-type sweepResponse struct {
-	Jobs []sweepEntry `json:"jobs"`
+// DecodeSweep reads a sweep request and resolves its rate ladder.
+func DecodeSweep(w http.ResponseWriter, r *http.Request) (SweepRequest, []float64, error) {
+	var req SweepRequest
+	if err := decodeBody(w, r, &req); err != nil {
+		return req, nil, fmt.Errorf("bad sweep: %w", err)
+	}
+	if req.Spec.TraceApp != "" {
+		return req, nil, errors.New("simsvc: trace runs have no load rate to sweep")
+	}
+	rates, err := req.Expand()
+	return req, rates, err
 }
 
-type sweepEntry struct {
+// SweepResponse lists the outcome per expanded rate. A single shard stops
+// submitting at the first queue-full/draining rejection — the remaining rates
+// are reported as rejected and the whole response carries that status code, so
+// a client retries the leftover suffix after backing off.
+type SweepResponse struct {
+	Jobs []SweepEntry `json:"jobs"`
+}
+
+type SweepEntry struct {
 	Rate  float64 `json:"rate"`
 	ID    string  `json:"id,omitempty"`
 	Error string  `json:"error,omitempty"`
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, apiError{Error: "bad sweep: " + err.Error()})
-		return
-	}
-	if req.Spec.TraceApp != "" {
-		s.writeJSON(w, http.StatusBadRequest, apiError{Error: "simsvc: trace runs have no load rate to sweep"})
-		return
-	}
-	rates, err := req.Expand()
+	req, rates, err := DecodeSweep(w, r)
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, APIError{Error: err.Error()})
 		return
 	}
-	resp := sweepResponse{Jobs: make([]sweepEntry, 0, len(rates))}
+	resp := SweepResponse{Jobs: make([]SweepEntry, 0, len(rates))}
 	status := http.StatusAccepted
 	for i, rate := range rates {
 		spec := req.Spec
@@ -324,29 +243,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			status = submitStatus(err)
 			for _, rest := range rates[i:] {
-				resp.Jobs = append(resp.Jobs, sweepEntry{Rate: rest, Error: err.Error()})
+				resp.Jobs = append(resp.Jobs, SweepEntry{Rate: rest, Error: err.Error()})
 			}
 			break
 		}
-		resp.Jobs = append(resp.Jobs, sweepEntry{Rate: rate, ID: job.ID})
+		resp.Jobs = append(resp.Jobs, SweepEntry{Rate: rate, ID: job.ID})
 	}
 	s.writeJSON(w, status, resp)
-}
-
-// handleMetrics serves the Prometheus text exposition; a client that asks
-// for application/json gets the JSON document instead, so pre-existing
-// JSON scrapers keep working by content negotiation.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		s.handleMetricsJSON(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WritePrometheus(w); err != nil && !errors.Is(err, io.ErrShortWrite) {
-		s.logger.Printf("simsvc: write metrics: %v", err)
-	}
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.sched.Metrics())
 }

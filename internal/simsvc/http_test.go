@@ -130,7 +130,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, b)
 		}
-		var e apiError
+		var e APIError
 		if err := json.Unmarshal(b, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: no error body: %s", name, b)
 		}
@@ -159,7 +159,7 @@ func TestHTTPHostileSizes(t *testing.T) {
 		`{"flitbuf":2000000000}`:            "FlitBuf",
 	} {
 		resp, b := postJSON(t, srv.URL+"/v1/runs", body)
-		var e apiError
+		var e APIError
 		if err := json.Unmarshal(b, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, field) {
 			t.Errorf("%s: status %d, body %s; want 400 naming %s", body, resp.StatusCode, b, field)
 		}
@@ -205,7 +205,7 @@ func TestHTTPSweep(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
 	}
-	var sr sweepResponse
+	var sr SweepResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestHTTPRetryAfter(t *testing.T) {
 // stay healthy afterwards.
 func TestHTTPOversizedBodyRejected(t *testing.T) {
 	srv, _ := newTestServer(t, SchedConfig{Workers: 1, QueueDepth: 4})
-	huge := `{"scheme":"PR","pattern":"` + strings.Repeat("x", maxBodyBytes+1) + `"}`
+	huge := `{"scheme":"PR","pattern":"` + strings.Repeat("x", MaxBodyBytes+1) + `"}`
 	resp, _ := postJSON(t, srv.URL+"/v1/runs", huge)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)

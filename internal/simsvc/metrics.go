@@ -6,13 +6,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// newMetricsRegistry builds the Prometheus-format view of a scheduler plus
-// the HTTP-layer instruments the server updates live. The scheduler's own
+// newMetricsRegistry builds the Prometheus-format view of a scheduler (the
+// HTTP shell adds its own live instruments). The scheduler's own
 // mu-guarded counters stay the source of truth (and keep feeding the JSON
 // endpoint); the registry bridges them through Counter/GaugeFunc readers
 // over one Metrics snapshot per scrape, taken by a gather hook so a scrape
 // never takes the scheduler lock more than once.
-func newMetricsRegistry(sched *Scheduler) (*telemetry.Registry, *httpMetrics) {
+func newMetricsRegistry(sched *Scheduler) *telemetry.Registry {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterRuntimeMetrics(reg)
 	telemetry.RegisterBuildInfo(reg, "simserve")
@@ -95,18 +95,5 @@ func newMetricsRegistry(sched *Scheduler) (*telemetry.Registry, *httpMetrics) {
 		"Jobs measured into the latency histogram.",
 		read(func(m Metrics) float64 { return float64(m.JobLatencyUS.Count) }))
 
-	hm := &httpMetrics{
-		requests: reg.CounterVec("simsvc_http_requests_total",
-			"HTTP requests served, by method, route, and status code.",
-			"method", "route", "code"),
-		duration: reg.Histogram("simsvc_http_request_duration_seconds",
-			"HTTP request handling time.", telemetry.DurationBuckets()...),
-	}
-	return reg, hm
-}
-
-// httpMetrics are the live (not snapshot-bridged) HTTP-layer instruments.
-type httpMetrics struct {
-	requests *telemetry.CounterVec
-	duration *telemetry.Histogram
+	return reg
 }

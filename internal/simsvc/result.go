@@ -73,8 +73,7 @@ func buildNetwork(spec RunSpec) (*network.Network, error) {
 // Result payload. The run is stepped through Network.RunContext, so a
 // cancelled or timed-out ctx aborts mid-simulation; aborted or
 // invariant-violating runs return an error and must not be cached. A
-// non-nil bus receives the run's trace events (the caller serializes sinks
-// across concurrent jobs with obs.Locked).
+// non-nil bus receives the run's trace events.
 func Execute(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
 	n, err := buildNetwork(spec)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"sync"
 	"time"
@@ -46,10 +47,9 @@ type SchedConfig struct {
 	JobTimeout time.Duration
 	// Store is the result cache (required).
 	Store *Store
-	// Bus, when non-nil, receives job lifecycle events and every job's
-	// simulation trace events. Its sinks are shared across concurrent
-	// workers, so wrap them with obs.Locked.
-	Bus *obs.Bus
+	// Trace, when non-nil, receives every executed job's simulation events
+	// stamped with the job's ID, and one job record per finished job.
+	Trace *TraceWriter
 	// Exec overrides the job executor (nil = Execute). Tests use it to
 	// exercise the panic-recovery and failure paths without a simulation.
 	Exec func(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error)
@@ -207,8 +207,7 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 		s.retired = append(s.retired, j.id)
 		v := j.view()
 		s.mu.Unlock()
-		s.emitJob(obs.KindJobDone, j, "cache-hit")
-		s.emitSpans(j)
+		s.cfg.Trace.job(v)
 		return v, nil
 	}
 
@@ -228,7 +227,6 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 	j.status = StatusQueued
 	v := j.view()
 	s.mu.Unlock()
-	s.emitJob(obs.KindJobAccepted, j, "")
 	return v, nil
 }
 
@@ -346,7 +344,9 @@ func (s *Scheduler) safeRun(j *job) {
 			j.finished = time.Now()
 			s.retired = append(s.retired, j.id)
 			s.failed++
+			v := j.view()
 			s.mu.Unlock()
+			s.cfg.Trace.job(v)
 		}
 	}()
 	s.runJob(j)
@@ -362,7 +362,6 @@ func (s *Scheduler) runJob(j *job) {
 	s.running++
 	s.mu.Unlock()
 	j.spans.Add("queue-wait", j.started.Sub(j.enqueued))
-	s.emitJob(obs.KindJobStart, j, "")
 
 	var fromCache, sharedRun bool
 	lookup := time.Now()
@@ -389,10 +388,7 @@ func (s *Scheduler) runJob(j *job) {
 					s.mu.Lock()
 					s.peerFill++
 					s.mu.Unlock()
-					if err := s.cfg.Store.Put(j.hash, p); err != nil {
-						s.emitJob(obs.KindJobDone, j, "disk-write-failed: "+err.Error())
-					}
-					s.emitJob(obs.KindJobStart, j, "peer-fill hit")
+					s.store(j, p)
 					return p, nil
 				}
 			}
@@ -400,17 +396,13 @@ func (s *Scheduler) runJob(j *job) {
 			s.executed++
 			s.mu.Unlock()
 			execStart := time.Now()
-			p, err := s.execSafe(ctx, j.spec)
+			p, err := s.execSafe(ctx, j)
 			j.spans.Add("execute", time.Since(execStart))
 			if err != nil {
 				return nil, err
 			}
 			putStart := time.Now()
-			if err := s.cfg.Store.Put(j.hash, p); err != nil {
-				// The result is still valid and cached in memory by Put's
-				// insert; only persistence failed. Serve it.
-				s.emitJob(obs.KindJobDone, j, "disk-write-failed: "+err.Error())
-			}
+			s.store(j, p)
 			j.spans.Add("cache-store", time.Since(putStart))
 			return p, nil
 		})
@@ -427,10 +419,21 @@ func (s *Scheduler) runJob(j *job) {
 	s.finish(j, payload, fromCache || sharedRun, nil)
 }
 
-// execSafe runs the configured executor, converting a panic into a plain
-// job failure so one poisoned spec cannot take a worker goroutine — and
-// with it a fraction of the service's capacity — down with it.
-func (s *Scheduler) execSafe(ctx context.Context, spec RunSpec) (payload []byte, err error) {
+// store caches a job's payload under its hash. A failed disk write is logged
+// and otherwise ignored: Put has already inserted the payload in memory, so
+// the result is valid and served; only persistence failed.
+func (s *Scheduler) store(j *job, p []byte) {
+	if err := s.cfg.Store.Put(j.hash, p); err != nil {
+		log.Printf("simsvc: job %s (hash=%s): result not persisted: %v", j.id, j.hash, err)
+	}
+}
+
+// execSafe runs the configured executor on j's spec, converting a panic into
+// a plain job failure so one poisoned spec cannot take a worker goroutine —
+// and with it a fraction of the service's capacity — down with it. With a
+// trace writer configured the simulation gets a bus of its own whose one sink
+// stamps every event with j's ID.
+func (s *Scheduler) execSafe(ctx context.Context, j *job) (payload []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			payload, err = nil, fmt.Errorf("simsvc: job panicked: %v", r)
@@ -440,7 +443,11 @@ func (s *Scheduler) execSafe(ctx context.Context, spec RunSpec) (payload []byte,
 	if exec == nil {
 		exec = Execute
 	}
-	return exec(ctx, spec, s.cfg.Bus)
+	var bus *obs.Bus
+	if s.cfg.Trace != nil {
+		bus = obs.NewBus(jobSink{s.cfg.Trace, j.id})
+	}
+	return exec(ctx, j.spec, bus)
 }
 
 // finish publishes a job outcome and records its latency.
@@ -466,46 +473,9 @@ func (s *Scheduler) finish(j *job, payload []byte, cached bool, err error) {
 		}
 	}
 	s.latency.Add(j.finished.Sub(j.started).Microseconds())
+	v := j.view()
 	s.mu.Unlock()
-	note := "ok"
-	if err != nil {
-		note = err.Error()
-	} else if cached {
-		note = "deduplicated"
-	}
-	s.emitJob(obs.KindJobDone, j, note)
-	s.emitSpans(j)
-}
-
-// emitJob publishes a job lifecycle event on the configured bus.
-func (s *Scheduler) emitJob(kind obs.Kind, j *job, note string) {
-	if s.cfg.Bus == nil {
-		return
-	}
-	msg := j.id + " hash=" + j.hash
-	if j.reqID != "" {
-		msg += " req=" + j.reqID
-	}
-	if note != "" {
-		msg += " " + note
-	}
-	s.cfg.Bus.Emit(obs.Event{Kind: kind, Node: -1, Note: msg})
-}
-
-// emitSpans publishes a finished job's phase timings into the lifecycle
-// trace, right after its job-done event.
-func (s *Scheduler) emitSpans(j *job) {
-	if s.cfg.Bus == nil {
-		return
-	}
-	msg := j.id
-	if j.reqID != "" {
-		msg += " req=" + j.reqID
-	}
-	if sp := j.spans.String(); sp != "" {
-		msg += " " + sp
-	}
-	s.cfg.Bus.Emit(obs.Event{Kind: obs.KindJobSpan, Node: -1, Note: msg})
+	s.cfg.Trace.job(v)
 }
 
 // Drain begins graceful shutdown: new submissions are rejected with

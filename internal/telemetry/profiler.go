@@ -105,11 +105,6 @@ func (p *CycleProfiler) Mark(ph Phase) {
 	p.last = now
 }
 
-// MarkRouting and MarkArbitration satisfy the router package's Prof
-// interface without it importing telemetry.
-func (p *CycleProfiler) MarkRouting()     { p.Mark(PhaseRouting) }
-func (p *CycleProfiler) MarkArbitration() { p.Mark(PhaseArbitration) }
-
 // EndCycle closes a sampled cycle: the tail since the last mark is charged
 // to the observability phase and the whole cycle to the measured total.
 func (p *CycleProfiler) EndCycle() {

@@ -22,9 +22,9 @@ func TestProfilerAttribution(t *testing.T) {
 		spin(50 * time.Microsecond)
 		p.Mark(PhaseSource)
 		spin(200 * time.Microsecond)
-		p.MarkRouting()
+		p.Mark(PhaseRouting)
 		spin(100 * time.Microsecond)
-		p.MarkArbitration()
+		p.Mark(PhaseArbitration)
 		p.EndCycle()
 	}
 	b := p.Breakdown()

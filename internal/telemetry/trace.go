@@ -12,8 +12,8 @@ import (
 
 // Request identity and span-style timings travel through contexts: the HTTP
 // layer mints an ID per request and the scheduler carries it to the job, so
-// one request can be followed from the access log through the job lifecycle
-// trace to the per-phase span record.
+// one request can be followed from the access log to the job's view and its
+// record in the served trace, both of which carry the ID and the spans.
 
 type ridKey struct{}
 
@@ -89,18 +89,6 @@ func (s *Spans) List() []Span {
 	return append([]Span(nil), s.spans...)
 }
 
-// String renders "name=12µs name2=3.4ms …" for log lines.
-func (s *Spans) String() string {
-	out := ""
-	for _, sp := range s.List() {
-		if out != "" {
-			out += " "
-		}
-		out += sp.Name + "=" + (time.Duration(sp.DurUS) * time.Microsecond).String()
-	}
-	return out
-}
-
 type spansKey struct{}
 
 // WithSpans attaches a span collector to ctx so deeper layers (the result
@@ -110,13 +98,8 @@ func WithSpans(ctx context.Context, s *Spans) context.Context {
 	return context.WithValue(ctx, spansKey{}, s)
 }
 
-// ContextSpans returns the collector attached to ctx, nil when absent.
-func ContextSpans(ctx context.Context) *Spans {
-	s, _ := ctx.Value(spansKey{}).(*Spans)
-	return s
-}
-
 // AddSpan records d under name on ctx's collector; a no-op without one.
 func AddSpan(ctx context.Context, name string, d time.Duration) {
-	ContextSpans(ctx).Add(name, d)
+	s, _ := ctx.Value(spansKey{}).(*Spans)
+	s.Add(name, d)
 }

@@ -50,9 +50,6 @@ func TestSpansAccumulate(t *testing.T) {
 	if list[1].Name != "encode" || list[1].DurUS != 500 {
 		t.Errorf("encode span wrong: %+v", list[1])
 	}
-	if got := s.String(); got != "execute=5ms encode=500µs" {
-		t.Errorf("String() = %q", got)
-	}
 }
 
 func TestSpansNilSafe(t *testing.T) {
@@ -68,9 +65,6 @@ func TestSpansNilSafe(t *testing.T) {
 func TestSpansContext(t *testing.T) {
 	s := NewSpans()
 	ctx := WithSpans(context.Background(), s)
-	if ContextSpans(ctx) != s {
-		t.Fatal("collector not recoverable from ctx")
-	}
 	AddSpan(ctx, "cache-lookup", 250*time.Microsecond)
 	list := s.List()
 	if len(list) != 1 || list[0].Name != "cache-lookup" || list[0].DurUS != 250 {

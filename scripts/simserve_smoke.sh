@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test for serving mode: boot simserve, drive the HTTP API end to
 # end — submit, poll to completion, fetch, check /metrics — then resubmit
-# the identical spec and require a byte-identical cache hit. Exercises the
-# same path CI and a fresh checkout use: no dependencies beyond curl.
+# the identical spec and require a byte-identical cache hit, and read the
+# -trace file back after the drain. Exercises the same path CI and a fresh
+# checkout use: no dependencies beyond curl.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,7 +25,7 @@ trap cleanup EXIT
 fail() { echo "simserve_smoke: FAIL: $*" >&2; exit 1; }
 
 go build -o "$TMP/simserve" ./cmd/simserve
-"$TMP/simserve" -addr "$ADDR" -workers 2 -queue 8 -cache-dir "$TMP/cache" &
+"$TMP/simserve" -addr "$ADDR" -workers 2 -queue 8 -cache-dir "$TMP/cache" -trace "$TMP/trace.jsonl" &
 SERVER_PID=$!
 
 for i in $(seq 1 50); do
@@ -109,4 +110,12 @@ echo "simserve_smoke: request ids minted and echoed"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero on SIGTERM"
 SERVER_PID=
+
+# The drained server has flushed its trace: every line names its job, the one
+# simulation left machine events, and each job submitted above (the cold run
+# and its cache hit) closed with exactly one job record.
+[[ "$(grep -vc '"job":' "$TMP/trace.jsonl" || true)" == 0 ]] || fail "trace lines without a job key: $(grep -v '"job":' "$TMP/trace.jsonl" | head -3)"
+[[ "$(grep -c '"kind":' "$TMP/trace.jsonl" || true)" -gt 0 ]] || fail "trace holds no machine events"
+[[ "$(grep -c '"spec_hash":' "$TMP/trace.jsonl" || true)" == 2 ]] || fail "trace holds $(grep -c '"spec_hash":' "$TMP/trace.jsonl") job records for 2 jobs"
+echo "simserve_smoke: trace names its job on every line"
 echo "simserve_smoke: PASS"
