@@ -70,11 +70,8 @@ func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any, retryA
 }
 
 // writeRaw passes a backend response through unmodified.
-func (c *Coordinator) writeRaw(w http.ResponseWriter, status int, body []byte, retryAfter int) {
+func (c *Coordinator) writeRaw(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
 	w.WriteHeader(status)
 	w.Write(body)
 }
@@ -123,7 +120,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if o.usable() {
 		if o.status != http.StatusOK && o.status != http.StatusAccepted {
 			// Definitive non-acceptance (400 and friends): pass through.
-			c.writeRaw(w, o.status, o.body, 0)
+			c.writeRaw(w, o.status, o.body)
 			return
 		}
 		v, _, err := c.adoptJobView(o, hash, body, reqID)
@@ -154,8 +151,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	c.m.degradedEnqueued.Inc()
 	c.cfg.Logger.Printf("simring: degraded: queued %s (hash=%s) locally", j.id, hash)
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	c.writeJSON(w, http.StatusAccepted, c.pendingView(j), 0)
+	c.writeJSON(w, http.StatusAccepted, c.pendingView(j), retryAfter)
 }
 
 // adoptJobView records an accepted backend job under a coordinator-minted
@@ -202,7 +198,7 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 			}
 			o := c.roundTrip(r.Context(), b, http.MethodGet, "/v1/runs/"+id, nil, reqID)
 			if o.status == http.StatusOK {
-				c.writeRaw(w, o.status, o.body, 0)
+				c.writeRaw(w, o.status, o.body)
 				return
 			}
 		}

@@ -221,8 +221,7 @@ func (r *Rescue) tryCapture(at topology.NodeID, now int64) {
 		r.serviceNI = ni
 		r.stack = []frame{{endpoint: ep}}
 		r.phase = PhaseWaitService
-		r.noteRescue(now)
-		r.emitCapture(now, m)
+		r.captured(now, m)
 		return
 	}
 	rt := r.cfg.Routers[at]
@@ -237,21 +236,18 @@ func (r *Rescue) tryCapture(at topology.NodeID, now int64) {
 		r.captureRouter = at
 		r.evacuate(pkt, now)
 		r.stack = []frame{{endpoint: -1}}
-		r.noteRescue(now)
-		r.emitCapture(now, pkt.Msg)
+		r.captured(now, pkt.Msg)
 		r.beginTransfer(pkt.Msg, at, now)
 		return
 	}
 }
 
-func (r *Rescue) noteRescue(now int64) {
+// captured counts a token capture for message m at the capture router
+// (OnRescue) and traces it.
+func (r *Rescue) captured(now int64, m *message.Message) {
 	if r.cfg.OnRescue != nil {
 		r.cfg.OnRescue(now)
 	}
-}
-
-// emitCapture traces a token capture for message m at the capture router.
-func (r *Rescue) emitCapture(now int64, m *message.Message) {
 	if r.Bus != nil {
 		r.Bus.Emit(obs.Event{
 			Cycle: now, Kind: obs.KindTokenCapture, Node: int(r.captureRouter),

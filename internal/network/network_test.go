@@ -261,7 +261,14 @@ func TestNewDoesNotScaleWithServiceTime(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	newBytes(40) // warm up whatever the first New in the process pays once
+	// TotalAlloc counts the whole process, so a collector or timer goroutine
+	// that allocates between the two readings lands in the figure (seen once
+	// under a loaded `go test ./...`: 5,504 bytes); the smallest of three
+	// readings is New's own.
 	short, long := newBytes(40), newBytes(2_000_000_000)
+	for i := 0; i < 2; i++ {
+		short, long = min(short, newBytes(40)), min(long, newBytes(2_000_000_000))
+	}
 	t.Logf("network.New allocates %d bytes at service time 40, %d at 2e9", short, long)
 	if long > short+1024 {
 		t.Fatalf("network.New allocates %d bytes at service time 2e9 against %d at 40", long, short)

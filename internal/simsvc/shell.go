@@ -22,10 +22,12 @@ type HTTPShell struct {
 	// Logger receives the access log and response-encoding errors.
 	Logger *log.Logger
 
-	name     string
-	mux      *http.ServeMux
-	requests *telemetry.CounterVec
-	duration *telemetry.Histogram
+	name      string
+	accessLog string   // the access-log format, name included
+	routes    []string // route labels; a recorder holds an index, 0 is "other"
+	mux       *http.ServeMux
+	requests  *telemetry.CounterVec
+	duration  *telemetry.Histogram
 }
 
 // NewHTTPShell builds a shell that logs as name, registers
@@ -33,9 +35,11 @@ type HTTPShell struct {
 // and serves GET /healthz: liveness, 200 while the process serves at all.
 func NewHTTPShell(reg *telemetry.Registry, name string, logger *log.Logger) *HTTPShell {
 	h := &HTTPShell{
-		Logger: logger,
-		name:   name,
-		mux:    http.NewServeMux(),
+		Logger:    logger,
+		name:      name,
+		accessLog: name + ": %s %s %s %d %dB %s req=%s",
+		routes:    []string{"other"},
+		mux:       http.NewServeMux(),
 		requests: reg.CounterVec(name+"_http_requests_total",
 			"HTTP requests served, by method, route, and status code.",
 			"method", "route", "code"),
@@ -71,7 +75,8 @@ func (h *HTTPShell) HandleMetrics(reg *telemetry.Registry, asJSON http.HandlerFu
 // request no pattern matches counts under "other", so the label takes one
 // value more than there are routes, whatever clients ask for.
 func (h *HTTPShell) HandleFunc(pattern string, fn http.HandlerFunc) {
-	route := pattern[strings.IndexByte(pattern, ' ')+1:]
+	route := int32(len(h.routes))
+	h.routes = append(h.routes, pattern[strings.IndexByte(pattern, ' ')+1:])
 	h.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		w.(*statusRecorder).route = route
 		fn(w, r)
@@ -79,16 +84,17 @@ func (h *HTTPShell) HandleFunc(pattern string, fn http.HandlerFunc) {
 }
 
 // statusRecorder captures the matched route, the status code and the body size
-// a handler wrote, for the access log and the request metrics.
+// a handler wrote, for the access log and the request metrics. One is
+// allocated per request, so it is kept to 32 bytes.
 type statusRecorder struct {
 	http.ResponseWriter
-	route  string
-	status int
 	bytes  int64
+	status int32
+	route  int32
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
+	r.status = int32(code)
 	r.ResponseWriter.WriteHeader(code)
 }
 
@@ -108,14 +114,13 @@ func (h *HTTPShell) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-ID", rid)
 	r = r.WithContext(telemetry.WithRequestID(r.Context(), rid))
 
-	rec := &statusRecorder{ResponseWriter: w, route: "other", status: http.StatusOK}
+	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	h.mux.ServeHTTP(rec, r)
 
 	elapsed := time.Since(start)
-	h.requests.With(r.Method, rec.route, strconv.Itoa(rec.status)).Inc()
+	h.requests.With(r.Method, h.routes[rec.route], strconv.Itoa(int(rec.status))).Inc()
 	h.duration.Observe(elapsed.Seconds())
-	h.Logger.Printf("%s: %s %s %s %d %dB %s req=%s",
-		h.name, r.RemoteAddr, r.Method, r.URL.Path, rec.status, rec.bytes,
+	h.Logger.Printf(h.accessLog, r.RemoteAddr, r.Method, r.URL.Path, rec.status, rec.bytes,
 		elapsed.Round(time.Microsecond), rid)
 }
 

@@ -52,25 +52,28 @@ type jobSink struct {
 	job string
 }
 
-func (s jobSink) Event(e obs.Event) {
-	s.t.mu.Lock()
-	s.t.enc.Encode(jobEvent{s.job, e})
-	s.t.mu.Unlock()
-}
+func (s jobSink) Event(e obs.Event) { s.t.write(jobEvent{s.job, e}, false) }
 
 // job writes a finished job's record and flushes, so the file is whole up to
 // the last finished job.
 func (t *TraceWriter) job(v JobView) {
-	if t == nil {
-		return
+	if t != nil {
+		t.write(jobRecord{v.ID, v.SpecHash, v.Status, v.Cached, v.Error, v.RequestID, v.Spans}, true)
 	}
-	t.mu.Lock()
-	t.enc.Encode(jobRecord{v.ID, v.SpecHash, v.Status, v.Cached, v.Error, v.RequestID, v.Spans})
-	t.w.Flush()
-	t.mu.Unlock()
 }
 
-// Close flushes buffered lines.
+// write encodes one line. A failed write sticks in the buffered writer and
+// comes back from Close.
+func (t *TraceWriter) write(line any, flush bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.enc.Encode(line)
+	if flush {
+		t.w.Flush()
+	}
+}
+
+// Close flushes buffered lines and reports the first write error, if any.
 func (t *TraceWriter) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
