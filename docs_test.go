@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
@@ -43,6 +44,29 @@ func TestDocsNameExistingPaths(t *testing.T) {
 				missing[p] = true
 				t.Errorf("%s names %s, which is not in the tree", doc, p)
 			}
+		}
+	}
+}
+
+// TestNoTrackedBinaries: PR 22 committed an 11 MB `go build ./cmd/simserve`
+// output at the root. No tracked file may start with the ELF magic. Skipped
+// outside a git checkout (an exported tree has no index to ask).
+func TestNoTrackedBinaries(t *testing.T) {
+	os.Stat(".git/index") // so that `git add` invalidates a cached pass of this test
+	out, err := exec.Command("git", "ls-files", "-z").Output()
+	if err != nil {
+		t.Skipf("not a git checkout: %v", err)
+	}
+	for _, name := range strings.Split(strings.TrimRight(string(out), "\x00"), "\x00") {
+		f, err := os.Open(name)
+		if err != nil {
+			continue // tracked, deleted in the working tree
+		}
+		magic := make([]byte, 4)
+		_, err = io.ReadFull(f, magic)
+		f.Close()
+		if err == nil && string(magic) == "\x7fELF" {
+			t.Errorf("%s is a tracked ELF binary: git rm it, and see the build outputs .gitignore lists", name)
 		}
 	}
 }

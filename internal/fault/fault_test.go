@@ -339,7 +339,7 @@ func TestDropAccountedAsPartialDelivery(t *testing.T) {
 // TestLinkDownReroutesBlockedHeader: a header already blocked at a router
 // when one of its candidate links dies must see the new candidate set on its
 // very next allocation attempt — the network's candidate table is the only
-// cache, and InvalidateRouting drops it in the cycle the health mask changes.
+// cache, and InvalidateRouting rebuilds it in the cycle the health mask changes.
 // The header is parked (its last attempt found every candidate owned, and no
 // output VC of its router has been released since), so nothing but
 // InvalidateRouting's unpark can make the allocator look at it again.
@@ -393,8 +393,8 @@ func TestLinkDownReroutesBlockedHeader(t *testing.T) {
 						continue
 					}
 					for _, c := range n1.Candidates(rt.ID, pkt) {
-						if c.Port < n1.Torus.Directions() {
-							found = &spot{now, r, i, v, c.Port, pkt.ID}
+						if int(c.Port) < n1.Torus.Directions() {
+							found = &spot{now, r, i, v, int(c.Port), pkt.ID}
 							return
 						}
 					}
@@ -426,7 +426,7 @@ func TestLinkDownReroutesBlockedHeader(t *testing.T) {
 				t.Fatalf("pass 2 diverged from pass 1 before the fault: header %v at the spot, want pkt %d", pkt, found.pkt)
 			}
 			for _, c := range n2.Candidates(rt.ID, pkt) {
-				if c.Port == found.dir {
+				if int(c.Port) == found.dir {
 					t.Errorf("blocked pkt %d still has dead port %d among its candidates in the kill cycle", pkt.ID, found.dir)
 				}
 			}

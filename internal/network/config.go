@@ -13,6 +13,7 @@ import (
 	"repro/internal/netiface"
 	"repro/internal/protocol"
 	"repro/internal/router"
+	"repro/internal/routing"
 	"repro/internal/schemes"
 	"repro/internal/topology"
 )
@@ -112,6 +113,9 @@ type Config struct {
 	Detector string `json:"detector,omitempty"`
 }
 
+// A routing candidate's VC field holds any index a channel can have.
+const _ = uint(routing.MaxVCs - router.MaxVCs)
+
 // Detector mode names accepted by Config.Detector.
 const (
 	DetectorThreshold = "threshold"
@@ -149,14 +153,18 @@ func DefaultConfig() Config {
 }
 
 // MaxSystemSlots bounds the storage a configuration may ask New to lay out,
-// counted in slots: routing-table entries (endpoints x routers x 2 x message
-// types), flit buffers (channels x VCs x FlitBuf) and endpoint queue entries
-// (endpoints x 2 x QueueCap, an input and an output queue; a scheme with
-// per-type queues has up to four of each, which the headroom absorbs). The
-// largest system any experiment, test or benchmark here builds — an 8x8 torus
-// under SQ with 1,024-slot queues — counts 166,912, so the bound is 100 times
-// that, while a hostile radix or queue size is refused before anything is
-// allocated. It is a constant because no two callers need different values.
+// counted in slots: the routing-candidate table as buildCandTable builds it —
+// one offset per row (endpoints x routers x at most 2 x message types
+// combos) plus the slab sized at routing.MaxCandidates per row, never more
+// than VCs x dimensions — flit buffers (channels x VCs x FlitBuf) and endpoint
+// queue entries (endpoints x 2 x QueueCap, an input and an output queue; a
+// scheme with per-type queues has up to four of each, which the headroom
+// absorbs). Slab entries are counted, so the table's uint32 offsets cannot
+// overflow in anything admitted. The largest system any experiment, test or
+// benchmark here builds — an 8x8 torus under SQ with 1,024-slot queues —
+// counts 429,056, so the bound is 39 times that, while a hostile radix or
+// queue size is refused before anything is allocated. It is a constant
+// because no two callers need different values.
 const MaxSystemSlots = 1 << 24
 
 // Size returns the router and endpoint counts the configuration describes.
@@ -197,7 +205,10 @@ func (c *Config) checkSize() error {
 		field   string
 		factors []int
 	}{
-		{"Radix x Bristling", []int{routers, c.Bristling, routers, 2 * int(message.NumTypes)}},
+		// A row per (combo, destination endpoint, router): its offset and its
+		// share of the slab. The last factor is small: Validate has bounded
+		// VCs, and the router count just bounded the dimensions.
+		{"Radix x Bristling", []int{routers, c.Bristling, routers, 2 * int(message.NumTypes) * (1 + c.VCs*len(c.Radix))}},
 		// A router has a link per direction plus an injection and an
 		// ejection channel per local endpoint.
 		{"FlitBuf", []int{routers, 2*len(c.Radix) + 2*c.Bristling, c.VCs, c.FlitBuf}},
@@ -232,6 +243,11 @@ func (c *Config) Validate() error {
 	}
 	if c.VCs > router.MaxVCs {
 		return fmt.Errorf("network: VCs: %d virtual channels per link exceed the limit of %d", c.VCs, router.MaxVCs)
+	}
+	// A routing candidate names its output port in a routing.PortVC field.
+	if ports := 2*len(c.Radix) + c.Bristling; ports > routing.MaxPorts {
+		return fmt.Errorf("network: Bristling %d gives a router %d ports (2 per dimension + Bristling), over the limit of %d",
+			c.Bristling, ports, routing.MaxPorts)
 	}
 	if err := c.checkSize(); err != nil {
 		return err

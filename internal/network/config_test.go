@@ -58,6 +58,13 @@ func TestValidateAdmission(t *testing.T) {
 		{"Radix", func(c *network.Config) { c.Radix = []int{1 << 40, 1 << 40} }, ""},
 		{"Radix", func(c *network.Config) { c.Radix = []int{2048, 2048} }, ""}, // routing table alone
 		{"Bristling", func(c *network.Config) { c.Bristling = 1000000 }, ""},
+		// A router's ports are 2 per dimension + Bristling, and a routing
+		// candidate names one in a byte. Was: built, with 257 ports a router.
+		{"Bristling", func(c *network.Config) { c.Radix, c.Bristling = []int{2}, 255 }, ""},
+		{"Bristling", func(c *network.Config) { c.Radix, c.Bristling = []int{2, 2}, 253 }, ""},
+		// Slab entries count towards the size bound. Was: admitted, and its
+		// first routed header built a table of a million rows, 230 MB.
+		{"Radix", func(c *network.Config) { c.Radix = []int{32, 32} }, ""},
 		{"FlitBuf", func(c *network.Config) { c.FlitBuf = 2000000000 }, ""},
 		{"QueueCap", func(c *network.Config) { c.QueueCap = 2000000000 }, ""},
 		// Counts where a negative used to mean something else. Was: CWGInterval
@@ -125,7 +132,12 @@ func TestValidateCombinations(t *testing.T) {
 			c.Scheme, c.MaxOutstanding, c.QueueCap = schemes.SQ, 0, 1024
 		}, "MaxOutstanding"},
 		// The largest system anything in the repository builds.
-		"SQ at P x M slots":     {func(c *network.Config) { c.Scheme, c.QueueCap = schemes.SQ, 1024 }, ""},
+		"SQ at P x M slots": {func(c *network.Config) { c.Scheme, c.QueueCap = schemes.SQ, 1024 }, ""},
+		// The widest routers a candidate's port byte can name.
+		"256 ports in one dimension":  {func(c *network.Config) { c.Radix, c.Bristling = []int{2}, 254 }, ""},
+		"256 ports in two dimensions": {func(c *network.Config) { c.Radix, c.Bristling = []int{2, 2}, 252 }, ""},
+		// The largest square torus at the default 4 VCs under the size bound.
+		"21x21":                 {func(c *network.Config) { c.Radix = []int{21, 21} }, ""},
 		"cwg detector, no scan": {func(c *network.Config) { c.Detector, c.CWGInterval = network.DetectorCWG, 0 }, "CWGInterval"},
 		"probe under avoidance": {func(c *network.Config) { c.Detector, c.Scheme = network.DetectorProbe, schemes.SA }, "Detector"},
 		"probe under recovery":  {func(c *network.Config) { c.Detector = network.DetectorProbe }, ""},
@@ -166,7 +178,7 @@ func fuzzConfig(data []byte) network.Config {
 		cfg.Radix[i] = pick(2, 3, 4, 1, 0, -1)
 	}
 	cfg.Mesh = next(2) == 1
-	cfg.Bristling = pick(1, 2, 3, 0, -1)
+	cfg.Bristling = pick(1, 2, 3, 0, -1, 250, 252, 254, 255)
 	cfg.VCs = pick(4, 1, 2, 3, 6, 8, 0, -1, 65)
 	cfg.FlitBuf = pick(2, 1, 4, 0, -1)
 	cfg.QueueCap = pick(16, 1, 2, 4, 64, 0, -1)
@@ -242,6 +254,8 @@ func FuzzConfigAdmission(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1}, 32))
 	f.Add(bytes.Repeat([]byte{2}, 32))
 	f.Add(bytes.Repeat([]byte{3}, 32))
+	f.Add([]byte{1, 0, 0, 7}) // radix [2], bristling 254: a router of exactly routing.MaxPorts ports
+	f.Add([]byte{1, 0, 0, 8}) // bristling 255: one port more than a candidate can name
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := fuzzConfig(data)
 		verr := cfg.Validate()

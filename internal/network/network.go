@@ -71,15 +71,17 @@ type Network struct {
 	// independent.
 	Pool *message.Pool
 
-	// candMemo holds precomputed routing candidates keyed by (routing
-	// combo, destination endpoint, router): candidate lists are pure
-	// functions of those plus link health, so each is computed once and
-	// InvalidateRouting drops the table after a health change. It is the
-	// only candidate cache: the router allocator calls Candidates once per
-	// header, and once more per release event while it is blocked. candCombo
-	// maps (type, backoff) to its deduplicated (mode, VC set) combo index.
-	// Built by fillCandMemo on first use.
-	candMemo  [][]routing.PortVC
+	// The candidate table: the routing function tabulated for every (routing
+	// combo, destination endpoint, router), which with link health is all it
+	// depends on. Row i is candSlab[candOff[i]:candOff[i+1]]; candCombo maps
+	// (type, backoff) to its deduplicated (mode, VC set) combo index. Both
+	// arrays are pointer-free, so the collector never scans them.
+	// buildCandTable lays it out in newBare and again in InvalidateRouting
+	// after a health change. It is the only candidate cache: the router
+	// allocator calls Candidates once per header, and once more per release
+	// event while it is blocked.
+	candSlab  []routing.PortVC
+	candOff   []uint32
 	candCombo [int(message.NumTypes) * 2]int8
 
 	// injectVCs caches Scheme.VCSetFor(...).All() per (type, backoff) so
@@ -226,6 +228,7 @@ func newBare(cfg Config) (*Network, error) {
 	}
 	n.Stats.Cycles = cfg.Measure
 	n.build()
+	n.buildCandTable()
 	for _, ch := range n.Channels {
 		ch.SetOccupancyCounter(&n.occupied)
 	}
@@ -355,32 +358,33 @@ func (n *Network) newPacketID() message.PacketID {
 
 // Candidates implements router.Policy: the routing function candidates for
 // pkt positioned at router r, under the scheme's VC partition for its type.
-// Results come from the pre-built memo table, an O(1) lookup.
+// An O(1) lookup in the candidate table; the row's capacity ends where the
+// next row begins, so appending to it cannot reach a neighbour.
 func (n *Network) Candidates(r topology.NodeID, pkt *message.Packet) []routing.PortVC {
-	if n.candMemo == nil {
-		n.fillCandMemo()
-	}
 	m := pkt.Msg
 	bo := 0
 	if m.Backoff || m.Nack {
 		bo = 1
 	}
 	combo := n.candCombo[int(m.Type)*2+bo]
-	return n.candMemo[(int(combo)*n.Torus.Endpoints()+m.Dst)*len(n.Routers)+int(r)]
+	i := (int(combo)*n.Torus.Endpoints()+m.Dst)*len(n.Routers) + int(r)
+	lo, hi := n.candOff[i], n.candOff[i+1]
+	return n.candSlab[lo:hi:hi]
 }
 
-// fillCandMemo computes the candidate list for every (routing combo,
-// destination endpoint, router) triple. Many message types share one
-// (mode, VC set) combo under a given scheme — all of them under PR — so the
-// table is deduplicated by combo, keeping it small enough to fill eagerly:
-// one pass here instead of a long tail of first-seen allocations on the
-// steady-state hot path.
-func (n *Network) fillCandMemo() {
+// buildCandTable computes the candidate list for every (routing combo,
+// destination endpoint, router) triple under the current link health. Many
+// message types share one (mode, VC set) combo under a given scheme — all of
+// them under PR — so the table is deduplicated by combo. One pass appends the
+// routing function's output straight into a slab sized from each combo's
+// longest possible rows (routing.MaxCandidates), which therefore never grows:
+// two allocations however large the network, instead of one per row.
+func (n *Network) buildCandTable() {
 	type combo struct {
 		mode routing.Mode
 		set  routing.VCSet
 	}
-	var combos []combo
+	combos := make([]combo, 0, 2*int(message.NumTypes)) // constant capacity: stays on the stack
 	for t := 0; t < int(message.NumTypes); t++ {
 		for bo := 0; bo < 2; bo++ {
 			mode := n.Scheme.RoutingMode(message.Type(t), bo == 1)
@@ -400,20 +404,24 @@ func (n *Network) fillCandMemo() {
 		}
 	}
 	eps, nr := n.Torus.Endpoints(), len(n.Routers)
-	n.candMemo = make([][]routing.PortVC, len(combos)*eps*nr)
-	empty := []routing.PortVC{} // shared "no route" sentinel
-	for ci, c := range combos {
+	bound := 0
+	for _, c := range combos {
+		// Each destination endpoint has one router it is local to.
+		atDst, routed := routing.MaxCandidates(n.Torus, c.mode, c.set)
+		bound += eps * (atDst + (nr-1)*routed)
+	}
+	slab := make([]routing.PortVC, 0, bound)
+	off := make([]uint32, 1, len(combos)*eps*nr+1)
+	for _, c := range combos {
 		for d := 0; d < eps; d++ {
 			dst := n.Torus.EndpointByID(d)
 			for r := 0; r < nr; r++ {
-				cands := routing.AppendCandidatesHealth(nil, n.Health, n.Torus, c.mode, topology.NodeID(r), dst.Router, dst.Local, c.set)
-				if cands == nil {
-					cands = empty
-				}
-				n.candMemo[(ci*eps+d)*nr+r] = cands
+				slab = routing.AppendCandidatesHealth(slab, n.Health, n.Torus, c.mode, topology.NodeID(r), dst.Router, dst.Local, c.set)
+				off = append(off, uint32(len(slab)))
 			}
 		}
 	}
+	n.candSlab, n.candOff = slab, off
 }
 
 func intsEqual(a, b []int) bool {
@@ -690,12 +698,12 @@ func (n *Network) NIWakeAt(ep int) int64 {
 	return netiface.Never
 }
 
-// InvalidateRouting drops the candidate table and unparks every blocked
+// InvalidateRouting rebuilds the candidate table and unparks every blocked
 // header. Fault injectors must call it after mutating the link-health mask so
 // blocked headers re-derive their candidates against the new topology on the
 // next cycle's allocation attempt.
 func (n *Network) InvalidateRouting() {
-	n.candMemo = nil
+	n.buildCandTable()
 	for _, r := range n.Routers {
 		r.Unpark()
 	}

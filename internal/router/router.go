@@ -350,7 +350,7 @@ func (r *Router) allocate(now int64) {
 				r.vaGrants++
 				out := r.outputVC(pick)
 				out.Owner = f.Pkt
-				r.setRoute(vc, out, pick.Port)
+				r.setRoute(vc, out, int(pick.Port))
 				if r.Bus != nil {
 					r.emitVC(obs.KindVCAlloc, now, f.Pkt, out.Ch.ID, out.Index)
 				}

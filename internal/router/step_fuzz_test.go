@@ -73,7 +73,7 @@ func (ref *refRouter) step(now int64) {
 			}
 			r.vaGrants++
 			out := r.Outputs[pick.Port].VCs[pick.VC]
-			out.Owner, vc.Route, vc.RoutePort = f.Pkt, out, pick.Port
+			out.Owner, vc.Route, vc.RoutePort = f.Pkt, out, int(pick.Port)
 		}
 	}
 	r.vaRR++
@@ -283,7 +283,7 @@ func FuzzRouterStep(f *testing.F) {
 					if vc := step.r.Inputs[p].VCs[v]; vc.Owner == nil {
 						flits, cands := 1+src.n(4), make([]routing.PortVC, 1+src.n(4))
 						for i := range cands {
-							cands[i] = routing.PortVC{Port: livePort(), VC: src.n(outVCs), Escape: src.n(3) == 0}
+							cands[i] = routing.PortVC{Port: uint8(livePort()), VC: uint8(src.n(outVCs)), Escape: src.n(3) == 0}
 						}
 						policy[nextID] = cands
 						for _, g := range rigs {

@@ -109,11 +109,11 @@ func FuzzCandidates(f *testing.F) {
 			}
 			all := set.All()
 			for i, c := range got {
-				if c.Port != routing.EjectPort(tor, dstLocal) {
+				if int(c.Port) != routing.EjectPort(tor, dstLocal) {
 					t.Fatalf("at destination: candidate %d routes to port %d, want eject port %d",
 						i, c.Port, routing.EjectPort(tor, dstLocal))
 				}
-				if c.VC != all[i] {
+				if int(c.VC) != all[i] {
 					t.Fatalf("at destination: candidate %d on VC %d, want %d (adaptive before escape)",
 						i, c.VC, all[i])
 				}
@@ -124,7 +124,7 @@ func FuzzCandidates(f *testing.F) {
 		// Every link candidate must be a productive minimal hop.
 		base := tor.Distance(cur, dst)
 		for i, c := range got {
-			if c.Port < 0 || c.Port >= tor.Directions() {
+			if int(c.Port) >= tor.Directions() {
 				t.Fatalf("candidate %d: port %d is not a link direction (topology has %d)",
 					i, c.Port, tor.Directions())
 			}
@@ -149,12 +149,12 @@ func FuzzCandidates(f *testing.F) {
 			}
 			onEscape := false
 			for _, vc := range set.Escape {
-				onEscape = onEscape || c.VC == vc
+				onEscape = onEscape || int(c.VC) == vc
 			}
 			if !onEscape {
 				t.Fatalf("DOR candidate on VC %d, not in escape set %v", c.VC, set.Escape)
 			}
-			if !tor.Wrap && c.VC != set.Escape[0] {
+			if !tor.Wrap && int(c.VC) != set.Escape[0] {
 				t.Fatalf("mesh DOR on VC %d; a mesh has no datelines and must use Escape[0]=%d",
 					c.VC, set.Escape[0])
 			}

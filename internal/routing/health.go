@@ -144,23 +144,24 @@ func AppendCandidatesHealth(out []PortVC, h *Health, t *topology.Torus, mode Mod
 		if !ok {
 			return out
 		}
-		return append(out, PortVC{Port: int(dir), VC: set.Escape[datelineVCPath(h, t, cur, dstRouter, dir)], Escape: true})
+		return append(out, pvc(int(dir), set.Escape[datelineVCPath(h, t, cur, dstRouter, dir)], true))
 	case Duato:
 		for _, vc := range set.Adaptive {
 			out = appendMinimalHealth(out, h, t, cur, dstRouter, vc)
 		}
 		if dir, ok := dorStepHealth(h, t, cur, dstRouter); ok {
-			out = append(out, PortVC{Port: int(dir), VC: set.Escape[datelineVCPath(h, t, cur, dstRouter, dir)], Escape: true})
+			out = append(out, pvc(int(dir), set.Escape[datelineVCPath(h, t, cur, dstRouter, dir)], true))
 		}
 		return out
 	case TFAR:
+		base := len(out)
 		for _, vc := range set.Adaptive {
 			out = appendMinimalHealth(out, h, t, cur, dstRouter, vc)
 		}
 		for _, vc := range set.Escape {
 			out = appendMinimalHealth(out, h, t, cur, dstRouter, vc)
 		}
-		if len(out) == 0 {
+		if len(out) == base {
 			// Every minimal first hop is dead: fall back to the detoured
 			// DOR step on the first allowed VC so the packet can route
 			// around the break instead of wedging unroutable.
@@ -170,7 +171,7 @@ func AppendCandidatesHealth(out []PortVC, h *Health, t *topology.Torus, mode Mod
 					all = set.Escape
 				}
 				for _, vc := range all {
-					out = append(out, PortVC{Port: int(dir), VC: vc})
+					out = append(out, pvc(int(dir), vc, false))
 				}
 			}
 		}
@@ -198,7 +199,7 @@ func appendMinimalHealth(out []PortVC, h *Health, t *topology.Torus, cur, dst to
 			d = -d
 		}
 		if !pathDead(h, t, cur, dir, d) {
-			out = append(out, PortVC{Port: int(dir), VC: vc})
+			out = append(out, pvc(int(dir), vc, false))
 		}
 	}
 	return out

@@ -45,7 +45,7 @@ func TestDORDetoursAroundDeadLink(t *testing.T) {
 	}
 	// The detour crosses the wrap between 0 and 7, so it must ride the
 	// pre-wrap escape VC.
-	if c[0].VC != set2.Escape[0] {
+	if int(c[0].VC) != set2.Escape[0] {
 		t.Fatalf("detour VC = %d, want escape[0] (wrap ahead)", c[0].VC)
 	}
 }
@@ -109,7 +109,10 @@ func TestDORParksOnSeveredRing(t *testing.T) {
 }
 
 // TestDeadLinkNeverFirstHop: across all modes and pairs, no candidate's
-// first hop may cross a dead link.
+// first hop may cross a dead link; the list is within MaxCandidates; and it
+// is the same list when appended to a slice that already holds something (a
+// network appends every row of its table to one slab; TFAR's fallback used to
+// fire only when the whole slice was empty).
 func TestDeadLinkNeverFirstHop(t *testing.T) {
 	tor := topology.MustTorus([]int{4, 4}, 1)
 	h := NewHealth(tor)
@@ -117,11 +120,19 @@ func TestDeadLinkNeverFirstHop(t *testing.T) {
 	h.KillLink(tor.Node([]int{2, 3}), 3)
 	h.KillLink(tor.Node([]int{0, 0}), 2)
 	for _, mode := range []Mode{DOR, Duato, TFAR} {
+		atDst, routed := MaxCandidates(tor, mode, set4)
 		for src := 0; src < tor.Routers(); src++ {
 			for dst := 0; dst < tor.Routers(); dst++ {
 				c := AppendCandidatesHealth(nil, h, tor, mode, topology.NodeID(src), topology.NodeID(dst), 0, set4)
+				if bound := map[bool]int{true: atDst, false: routed}[src == dst]; len(c) > bound {
+					t.Fatalf("%v %d->%d: %d candidates, MaxCandidates says at most %d", mode, src, dst, len(c), bound)
+				}
+				after := AppendCandidatesHealth([]PortVC{{Port: 200}}, h, tor, mode, topology.NodeID(src), topology.NodeID(dst), 0, set4)
+				if len(after) != 1+len(c) || (len(c) > 0 && !reflect.DeepEqual(after[1:], c)) {
+					t.Fatalf("%v %d->%d: appended to a non-empty slice gives %v, to nil %v", mode, src, dst, after[1:], c)
+				}
 				for _, pv := range c {
-					if _, ej := IsEject(tor, pv.Port); ej {
+					if _, ej := IsEject(tor, int(pv.Port)); ej {
 						continue
 					}
 					if h.LinkDead(topology.NodeID(src), topology.Direction(pv.Port)) {

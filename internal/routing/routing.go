@@ -49,10 +49,28 @@ func (m Mode) String() string {
 // the router's k-th local network interface. Escape marks the candidate as
 // an escape-channel hop (allocation prefers adaptive candidates and spreads
 // across them; the escape is the guaranteed fallback of Duato's protocol).
+//
+// The fields are as narrow as indexing needs, three bytes and no pointer, so
+// a network's whole candidate table is one slab the collector never scans.
+// MaxPorts and MaxVCs are what they hold; network.Config.Validate admits
+// nothing wider, and a caller that builds a topology by hand must not either.
 type PortVC struct {
-	Port   int
-	VC     int
+	Port   uint8
+	VC     uint8
 	Escape bool
+}
+
+// MaxPorts and MaxVCs bound a router's output ports (link directions plus
+// local interfaces) and a channel's virtual channels: the values PortVC's
+// fields can index.
+const (
+	MaxPorts = 1 << 8
+	MaxVCs   = 1 << 8
+)
+
+// pvc packs a candidate; port and vc are within MaxPorts and MaxVCs.
+func pvc(port, vc int, escape bool) PortVC {
+	return PortVC{Port: uint8(port), VC: uint8(vc), Escape: escape}
 }
 
 // EjectPort returns the port number of the ejection channel to local NI k.
@@ -145,10 +163,10 @@ func AppendCandidates(out []PortVC, t *topology.Torus, mode Mode, cur, dstRouter
 	if cur == dstRouter {
 		ej := EjectPort(t, dstLocal)
 		for _, vc := range set.Adaptive {
-			out = append(out, PortVC{Port: ej, VC: vc})
+			out = append(out, pvc(ej, vc, false))
 		}
 		for _, vc := range set.Escape {
-			out = append(out, PortVC{Port: ej, VC: vc})
+			out = append(out, pvc(ej, vc, false))
 		}
 		return out
 	}
@@ -158,13 +176,13 @@ func AppendCandidates(out []PortVC, t *topology.Torus, mode Mode, cur, dstRouter
 		if !ok {
 			return out
 		}
-		return append(out, PortVC{Port: int(dir), VC: set.Escape[datelineVC(t, cur, dstRouter, dir)], Escape: true})
+		return append(out, pvc(int(dir), set.Escape[datelineVC(t, cur, dstRouter, dir)], true))
 	case Duato:
 		for _, vc := range set.Adaptive {
 			out = appendMinimal(out, t, cur, dstRouter, vc)
 		}
 		dir, _ := dorStep(t, cur, dstRouter)
-		return append(out, PortVC{Port: int(dir), VC: set.Escape[datelineVC(t, cur, dstRouter, dir)], Escape: true})
+		return append(out, pvc(int(dir), set.Escape[datelineVC(t, cur, dstRouter, dir)], true))
 	case TFAR:
 		for _, vc := range set.Adaptive {
 			out = appendMinimal(out, t, cur, dstRouter, vc)
@@ -178,6 +196,28 @@ func AppendCandidates(out []PortVC, t *topology.Torus, mode Mode, cur, dstRouter
 	}
 }
 
+// MaxCandidates bounds the length of any list AppendCandidates or
+// AppendCandidatesHealth produces for the mode and VC set on t, whatever the
+// position, destination and link health: atDst at the destination router
+// (every VC of the set on the ejection port, exactly), routed anywhere else
+// (at most one candidate per dimension for each VC the mode routes
+// adaptively, plus Duato's one escape hop; TFAR's all-minimal-hops-dead
+// fallback is one direction, within it). A candidate table sized by it is
+// filled in one pass without growing.
+func MaxCandidates(t *topology.Torus, mode Mode, set VCSet) (atDst, routed int) {
+	atDst = len(set.Adaptive) + len(set.Escape)
+	switch mode {
+	case DOR:
+		return atDst, 1
+	case Duato:
+		return atDst, len(set.Adaptive)*t.Dims() + 1
+	case TFAR:
+		return atDst, atDst * t.Dims()
+	default:
+		panic("routing: unknown mode")
+	}
+}
+
 // appendMinimal appends one candidate per minimal-path direction for a single
 // VC, in dimension order — the same order topology.MinimalDirections yields,
 // without materializing the direction list.
@@ -185,9 +225,9 @@ func appendMinimal(out []PortVC, t *topology.Torus, cur, dst topology.NodeID, vc
 	for dim := 0; dim < t.Dims(); dim++ {
 		switch d := t.DeltaDim(cur, dst, dim); {
 		case d > 0:
-			out = append(out, PortVC{Port: 2 * dim, VC: vc})
+			out = append(out, pvc(2*dim, vc, false))
 		case d < 0:
-			out = append(out, PortVC{Port: 2*dim + 1, VC: vc})
+			out = append(out, pvc(2*dim+1, vc, false))
 		}
 	}
 	return out

@@ -39,7 +39,7 @@ func TestDOREjectionAtDestination(t *testing.T) {
 		t.Fatal("no ejection candidates")
 	}
 	for _, pv := range c {
-		if _, ej := IsEject(tor, pv.Port); !ej {
+		if _, ej := IsEject(tor, int(pv.Port)); !ej {
 			t.Fatalf("candidate %v is not an ejection port", pv)
 		}
 	}
@@ -86,7 +86,7 @@ func TestEscapeCDGAcyclic(t *testing.T) {
 			var prev *[3]int
 			for cur != topology.NodeID(dst) {
 				c := Candidates(tor, DOR, cur, topology.NodeID(dst), 0, set2)[0]
-				v := [3]int{int(cur), c.Port, c.VC}
+				v := [3]int{int(cur), int(c.Port), int(c.VC)}
 				if prev != nil {
 					adj[*prev] = append(adj[*prev], v)
 				}
@@ -150,7 +150,7 @@ func TestTFARUsesAllVCs(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, pv := range c {
-		seen[pv.VC] = true
+		seen[int(pv.VC)] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("TFAR uses %d distinct VCs, want 4", len(seen))
@@ -172,7 +172,7 @@ func TestCandidatesAlwaysMinimal(t *testing.T) {
 				set = VCSet{Adaptive: []int{0, 1, 2, 3}}
 			}
 			for _, pv := range Candidates(tor, mode, src, dst, 0, set) {
-				if _, ej := IsEject(tor, pv.Port); ej {
+				if _, ej := IsEject(tor, int(pv.Port)); ej {
 					t.Fatalf("ejection candidate away from destination")
 				}
 				next := tor.Neighbor(src, topology.Direction(pv.Port))
@@ -255,7 +255,7 @@ func TestMeshEscapeCDGAcyclic(t *testing.T) {
 			var prev *[2]int
 			for cur != topology.NodeID(dst) {
 				c := Candidates(m, DOR, cur, topology.NodeID(dst), 0, single)[0]
-				v := [2]int{int(cur), c.Port}
+				v := [2]int{int(cur), int(c.Port)}
 				if prev != nil {
 					adj[*prev] = append(adj[*prev], v)
 				}
