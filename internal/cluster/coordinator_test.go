@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -40,9 +41,11 @@ func (tb *testBackend) recordedReqIDs() []string {
 }
 
 // stubPayload is what every backend "computes" for a spec: deterministic,
-// content-addressed, byte-identical everywhere.
+// content-addressed, byte-identical everywhere. Beyond the digest it carries
+// what an indenting, HTML-escaping encoder has to get right: nesting, empty
+// containers, <, >, &, an escaped quote and a number in exponent form.
 func stubPayload(spec simsvc.RunSpec) []byte {
-	return []byte(`{"digest":"` + spec.Hash() + `"}`)
+	return []byte(`{"digest":"` + spec.Hash() + `","note":"<a> & \"b\" \u2028","nest":{"none":{},"list":[1e-07,[2,[]]]}}`)
 }
 
 func newTestBackend(t *testing.T, execDelay time.Duration) *testBackend {
@@ -541,6 +544,60 @@ func TestGetByHashAcrossCluster(t *testing.T) {
 	if resp, _ := doGet(t, coord, "/v1/runs/ffffffffffffffff"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown hash: %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestReplyBytesMatchEncoder: the coordinator rewrites a backend's JobView
+// under its own job ID, so the result reaches WriteJSON already indented. The
+// reply must still be, byte for byte, what json.NewEncoder + SetIndent("", "  ")
+// gives for the same value — the same pin simsvc has under the same name.
+func TestReplyBytesMatchEncoder(t *testing.T) {
+	coord, _ := testCluster(t, 3, 0, nil)
+	check := func(what string, body []byte, v any) {
+		t.Helper()
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(v); err != nil {
+			t.Fatalf("%s: decode: %v\n%s", what, err, body)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s: body is not the encoder's output for the same value\n got %q\nwant %q", what, body, want.Bytes())
+		}
+	}
+
+	_, body := doPost(t, coord, "/v1/runs", specJSON(5), nil)
+	var queued simsvc.JobView
+	check("POST miss", body, &queued)
+	pollDone(t, coord, queued.ID, 5*time.Second)
+
+	_, body = doGet(t, coord, "/v1/runs/"+queued.ID)
+	var done simsvc.JobView
+	check("GET done job", body, &done)
+	if done.ID != queued.ID || !bytes.Contains(done.Result, []byte(`\u003ca\u003e \u0026 \"b\" \u2028`)) {
+		t.Errorf("done job %s: result %s", done.ID, done.Result)
+	}
+
+	resp, body := doPost(t, coord, "/v1/runs", specJSON(5), nil)
+	var hit simsvc.JobView
+	check("POST hit", body, &hit)
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(hit.ID, "r-") || !bytes.Equal(hit.Result, done.Result) {
+		t.Errorf("POST hit: %d %s", resp.StatusCode, body)
+	}
+
+	_, body = doGet(t, coord, "/v1/runs/"+queued.SpecHash)
+	var cv simsvc.CachedView
+	check("GET by hash", body, &cv)
+	if !bytes.Equal(cv.Result, done.Result) {
+		t.Errorf("GET by hash: result %s, the job's read %s", cv.Result, done.Result)
+	}
+
+	_, body = doGet(t, coord, "/v1/runs/r-999999")
+	check("unknown job", body, &simsvc.APIError{})
 }
 
 // TestDrainRejectsNewWork: a draining coordinator answers 503 with

@@ -1,0 +1,213 @@
+package simsvc
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"log"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// encoderBytes is what every reply body must equal: json.NewEncoder with
+// SetIndent("", "  ") applied to v.
+func encoderBytes(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkReplyBytes decodes body as a T and requires the encoder to give the
+// same bytes back. A json.RawMessage field keeps the body's own bytes through
+// the decode, and the encoder compacts, HTML-escapes and re-indents them, so
+// any byte of a result that is not where the encoder would put it shows.
+func checkReplyBytes[T any](t *testing.T, what string, body []byte) T {
+	t.Helper()
+	var v T
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("%s: decode: %v\n%s", what, err, body)
+	}
+	if want := encoderBytes(t, v); !bytes.Equal(body, want) {
+		t.Errorf("%s: body is not the encoder's output for the same value\n got %q\nwant %q", what, body, want)
+	}
+	return v
+}
+
+// replyPayloads are result payloads an executor could hand the store, chosen
+// for what an indenting, HTML-escaping encoder does to them.
+var replyPayloads = []string{
+	`{"summary":{"digest":"00ab","rates":[0.5,[1,2,[3]],{"k":null}],"none":{},"nil":[]},"n":1e-07,"neg":-0,"ok":true}`,
+	"{\"s\":\"<a href=\\\"x\\\">&amp; \u2028 \u2029 \\u2028 \\\\ \\\" </a>\",\"<k>\":[\"&\"]}",
+	`[]`,
+	`{}`,
+	`[{"a":[]},[[]],"<"]`,
+	`"a<b>&c"`,
+	`1e-07`,
+	`null`,
+	"{\n  \"pre\": {\n    \"indented\": [\n      1,\n      2\n    ]\n  }\n}\n",
+	" \t{\"spaced\" : [ 1 , 2 ] }\r\n ",
+}
+
+// payloadExec answers seed i+1 with replyPayloads[i] and fails any other.
+func payloadExec(_ context.Context, spec RunSpec, _ *obs.Bus) ([]byte, error) {
+	if spec.Seed > uint64(len(replyPayloads)) {
+		return nil, errors.New("no payload <for> this seed & none wanted")
+	}
+	return []byte(replyPayloads[spec.Seed-1]), nil
+}
+
+// replyServer is a Server driven the way bench/serve.go drives it: recorder
+// and request from httptest, no sockets.
+type replyServer struct {
+	sched *Scheduler
+	api   *Server
+}
+
+func newReplyServer(t *testing.T, cfg SchedConfig) *replyServer {
+	t.Helper()
+	if cfg.Store == nil {
+		cfg.Store, _ = NewStore(64, "")
+	}
+	s := &replyServer{sched: NewScheduler(cfg)}
+	s.api = NewServer(s.sched)
+	s.api.SetLogger(log.New(io.Discard, "", 0))
+	t.Cleanup(func() { s.sched.Drain(context.Background()) })
+	return s
+}
+
+func (s *replyServer) do(method, path, body string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	s.api.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return w
+}
+
+func seededSpecJSON(seed int) string {
+	b, _ := json.Marshal(seededSpec(uint64(seed)))
+	return string(b)
+}
+
+// TestReplyBytesMatchEncoder pins every reply body to the bytes
+// json.NewEncoder + SetIndent("", "  ") produces for the same value, on every
+// path a result payload can leave by.
+func TestReplyBytesMatchEncoder(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(64, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newReplyServer(t, SchedConfig{Workers: 1, QueueDepth: 4, Store: store, Exec: payloadExec})
+
+	for i, payload := range replyPayloads {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		sameResult := func(what string, got json.RawMessage) {
+			t.Helper()
+			var c bytes.Buffer
+			if err := json.Compact(&c, got); err != nil {
+				t.Fatalf("%s: result: %v", what, err)
+			}
+			// The reply escapes <, >, &, U+2028 and U+2029; the payload
+			// may not. Compare as the encoder would have escaped it.
+			var want bytes.Buffer
+			json.HTMLEscape(&want, compact.Bytes())
+			if !bytes.Equal(c.Bytes(), want.Bytes()) {
+				t.Errorf("%s: result %s, want %s", what, c.Bytes(), want.Bytes())
+			}
+		}
+
+		w := srv.do(http.MethodPost, "/v1/runs", seededSpecJSON(i+1))
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("payload %d: POST miss: %d %s", i, w.Code, w.Body)
+		}
+		queued := checkReplyBytes[JobView](t, "POST miss", w.Body.Bytes())
+		waitDone(t, srv.sched, queued.ID)
+
+		w = srv.do(http.MethodGet, "/v1/runs/"+queued.ID, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("payload %d: GET executed job: %d %s", i, w.Code, w.Body)
+		}
+		v := checkReplyBytes[JobView](t, "GET executed job", w.Body.Bytes())
+		if v.Cached || v.Status != StatusDone {
+			t.Errorf("payload %d: executed job reads %+v", i, v)
+		}
+		sameResult("GET executed job", v.Result)
+
+		for _, round := range []string{"first hit", "second hit"} {
+			w = srv.do(http.MethodPost, "/v1/runs", seededSpecJSON(i+1))
+			if w.Code != http.StatusOK {
+				t.Fatalf("payload %d: POST %s: %d %s", i, round, w.Code, w.Body)
+			}
+			hit := checkReplyBytes[JobView](t, "POST "+round, w.Body.Bytes())
+			if !hit.Cached || !bytes.Contains(w.Body.Bytes(), []byte(`"cached": true`)) {
+				t.Errorf("payload %d: POST %s not marked cached: %s", i, round, w.Body)
+			}
+			sameResult("POST "+round, hit.Result)
+
+			w = srv.do(http.MethodGet, "/v1/runs/"+hit.ID, "")
+			sameResult("GET hit job", checkReplyBytes[JobView](t, "GET hit job", w.Body.Bytes()).Result)
+
+			w = srv.do(http.MethodGet, "/v1/runs/"+hit.SpecHash, "")
+			if w.Code != http.StatusOK {
+				t.Fatalf("payload %d: GET by hash: %d %s", i, w.Code, w.Body)
+			}
+			cv := checkReplyBytes[CachedView](t, "GET by hash", w.Body.Bytes())
+			sameResult("GET by hash", cv.Result)
+		}
+	}
+
+	// The same entries read back from disk by a second service.
+	store2, err := NewStore(2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := newReplyServer(t, SchedConfig{Workers: 1, QueueDepth: 4, Store: store2, Exec: payloadExec})
+	for i := range replyPayloads {
+		w := srv2.do(http.MethodPost, "/v1/runs", seededSpecJSON(i+1))
+		if w.Code != http.StatusOK {
+			t.Fatalf("payload %d: POST hit from disk: %d %s", i, w.Code, w.Body)
+		}
+		checkReplyBytes[JobView](t, "POST hit from disk", w.Body.Bytes())
+	}
+
+	w := srv.do(http.MethodPost, "/v1/runs", seededSpecJSON(len(replyPayloads)+1))
+	failed := checkReplyBytes[JobView](t, "POST failing spec", w.Body.Bytes())
+	waitSettled(t, srv.sched, failed.ID)
+	w = srv.do(http.MethodGet, "/v1/runs/"+failed.ID, "")
+	if v := checkReplyBytes[JobView](t, "GET failed job", w.Body.Bytes()); v.Status != StatusFailed || v.Error == "" || v.Result != nil {
+		t.Errorf("failed job reads %+v", v)
+	}
+
+	for _, c := range []struct {
+		what, method, path, body string
+		status                   int
+	}{
+		{"unknown job", http.MethodGet, "/v1/runs/j-999999", "", 404},
+		{"unknown hash", http.MethodGet, "/v1/runs/0123456789abcdef", "", 404},
+		{"bad json", http.MethodPost, "/v1/runs", `{"scheme":`, 400},
+		{"bad spec", http.MethodPost, "/v1/runs", `{"scheme":"<bogus>"}`, 400},
+		{"bad sweep", http.MethodPost, "/v1/sweeps", `{"spec":{},"steps":1}`, 400},
+	} {
+		w := srv.do(c.method, c.path, c.body)
+		if w.Code != c.status {
+			t.Errorf("%s: status %d, want %d", c.what, w.Code, c.status)
+		}
+		if e := checkReplyBytes[APIError](t, c.what, w.Body.Bytes()); e.Error == "" {
+			t.Errorf("%s: empty error: %s", c.what, w.Body)
+		}
+	}
+}
