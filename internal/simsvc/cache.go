@@ -3,7 +3,10 @@ package simsvc
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
+	"log"
 	"os"
 	"path/filepath"
 	"sync"
@@ -22,9 +25,14 @@ type Store struct {
 	dir   string                   // "" = memory only
 }
 
+// entry is one cached result. rendered is the payload as a reply carries it
+// (appendResult): nil until the entry's first hit produces it, dropped with the
+// entry. An entry that was only ever Put — a result executed and never asked
+// for again — holds no second copy.
 type entry struct {
-	hash    string
-	payload []byte
+	hash     string
+	payload  []byte
+	rendered []byte
 }
 
 // NewStore builds a store holding up to maxEntries payloads in memory
@@ -50,30 +58,75 @@ func NewStore(maxEntries int, dir string) (*Store, error) {
 // then disk (promoting a disk hit back into the LRU). The returned slice
 // is shared — callers must not mutate it.
 func (s *Store) Get(hash string) ([]byte, bool) {
+	payload, _, ok := s.get(hash)
+	return payload, ok
+}
+
+// get is Get, returning the rendered form beside the payload. An entry's first
+// hit renders it, which is also where a payload is found not to be one JSON
+// document — a file truncated or damaged on disk, or whatever an executor
+// handed Put. Such a payload is a miss, not a hit nobody can encode: the entry
+// is dropped, its file renamed <hash>.json.corrupt and kept for inspection,
+// and the caller executes the spec again, whose Put replaces the file. Every
+// later hit costs one map lookup, as before.
+func (s *Store) get(hash string) (payload, rendered []byte, ok bool) {
 	s.mu.Lock()
-	if el, ok := s.items[hash]; ok {
+	el, ok := s.items[hash]
+	if ok {
 		s.order.MoveToFront(el)
-		p := el.Value.(*entry).payload
-		s.mu.Unlock()
-		return p, true
+		e := el.Value.(*entry)
+		payload, rendered = e.payload, e.rendered
 	}
 	s.mu.Unlock()
-	if s.dir == "" {
-		return nil, false
+	if rendered != nil {
+		return payload, rendered, true
 	}
-	payload, err := os.ReadFile(s.path(hash))
+	if !ok {
+		if s.dir == "" {
+			return nil, nil, false
+		}
+		var err error
+		if payload, err = os.ReadFile(s.path(hash)); err != nil {
+			return nil, nil, false
+		}
+	}
+	// Rendered outside the lock: two first hits at once both render, and
+	// the second insert stores the same bytes again.
+	rendered, err := renderResult(payload)
 	if err != nil {
-		return nil, false
+		s.dropCorrupt(hash, err)
+		return nil, nil, false
 	}
-	s.insert(hash, payload)
-	return payload, true
+	s.insert(hash, payload, rendered)
+	return payload, rendered, true
+}
+
+// dropCorrupt forgets an entry whose payload did not render and moves its
+// file, if it has one, out of Get's way.
+func (s *Store) dropCorrupt(hash string, cause error) {
+	s.mu.Lock()
+	if el, ok := s.items[hash]; ok && el.Value.(*entry).rendered == nil {
+		s.order.Remove(el)
+		delete(s.items, hash)
+	}
+	s.mu.Unlock()
+	kept := ""
+	if s.dir != "" {
+		switch err := os.Rename(s.path(hash), s.path(hash)+".corrupt"); {
+		case err == nil:
+			kept = ", file kept as " + hash + ".json.corrupt"
+		case !errors.Is(err, fs.ErrNotExist):
+			kept = ", " + err.Error()
+		}
+	}
+	log.Printf("simsvc: cache entry %s is not a JSON document (%v): dropped%s; the spec runs again", hash, cause, kept)
 }
 
 // Put caches a payload in memory and, when configured, on disk. The disk
 // write goes through a temp file + rename so a crashed server never leaves
 // a truncated result to be served later.
 func (s *Store) Put(hash string, payload []byte) error {
-	s.insert(hash, payload)
+	s.insert(hash, payload, nil)
 	if s.dir == "" {
 		return nil
 	}
@@ -93,17 +146,18 @@ func (s *Store) Put(hash string, payload []byte) error {
 	return os.Rename(tmp.Name(), s.path(hash))
 }
 
-// insert places a payload at the LRU front, evicting from the back past
-// capacity.
-func (s *Store) insert(hash string, payload []byte) {
+// insert places a payload and its rendered form (nil when nobody has asked
+// for it yet) at the LRU front, evicting from the back past capacity.
+func (s *Store) insert(hash string, payload, rendered []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[hash]; ok {
-		el.Value.(*entry).payload = payload
+		e := el.Value.(*entry)
+		e.payload, e.rendered = payload, rendered
 		s.order.MoveToFront(el)
 		return
 	}
-	s.items[hash] = s.order.PushFront(&entry{hash: hash, payload: payload})
+	s.items[hash] = s.order.PushFront(&entry{hash: hash, payload: payload, rendered: rendered})
 	for s.order.Len() > s.max {
 		back := s.order.Back()
 		s.order.Remove(back)

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,13 +19,13 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put("a", []byte("A"))
-	s.Put("b", []byte("B"))
+	s.Put("a", []byte(`"A"`))
+	s.Put("b", []byte(`"B"`))
 	// Touch a so b is the least recently used.
 	if _, ok := s.Get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	s.Put("c", []byte("C"))
+	s.Put("c", []byte(`"C"`))
 	if _, ok := s.Get("b"); ok {
 		t.Error("b should have been evicted (LRU), a was touched more recently")
 	}
@@ -39,13 +42,13 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestLRUUpdateExisting(t *testing.T) {
 	s, _ := NewStore(2, "")
-	s.Put("a", []byte("A1"))
-	s.Put("a", []byte("A2"))
+	s.Put("a", []byte(`"A1"`))
+	s.Put("a", []byte(`"A2"`))
 	if s.Len() != 1 {
 		t.Errorf("re-Put duplicated the entry: Len = %d", s.Len())
 	}
 	p, _ := s.Get("a")
-	if string(p) != "A2" {
+	if string(p) != `"A2"` {
 		t.Errorf("Get = %q, want updated payload", p)
 	}
 }
@@ -95,7 +98,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			calls++
 			close(started)
 			<-release
-			return []byte("payload"), nil
+			return []byte(`"payload"`), nil
 		})
 		if err != nil {
 			t.Error(err)
@@ -273,8 +276,8 @@ func TestFlightGroupWaiterCancellation(t *testing.T) {
 		_, err, _ := g.do(context.Background(), "k", func() ([]byte, error) {
 			close(started)
 			<-release
-			store.Put("k", []byte("payload"))
-			return []byte("payload"), nil
+			store.Put("k", []byte(`"payload"`))
+			return []byte(`"payload"`), nil
 		})
 		leaderErr <- err
 	}()
@@ -318,10 +321,86 @@ func TestFlightGroupWaiterCancellation(t *testing.T) {
 	if err := <-leaderErr; err != nil {
 		t.Fatalf("shared run failed after waiter cancellation: %v", err)
 	}
-	if p := <-stayedPayload; !bytes.Equal(p, []byte("payload")) {
-		t.Fatalf("surviving waiter payload %q, want %q", p, "payload")
+	if p := <-stayedPayload; !bytes.Equal(p, []byte(`"payload"`)) {
+		t.Fatalf("surviving waiter payload %q, want %q", p, `"payload"`)
 	}
-	if p, ok := store.Get("k"); !ok || !bytes.Equal(p, []byte("payload")) {
+	if p, ok := store.Get("k"); !ok || !bytes.Equal(p, []byte(`"payload"`)) {
 		t.Fatalf("cache not populated after waiter cancellation: %q %v", p, ok)
+	}
+}
+
+// TestCorruptDiskEntryIsAMiss: a cache file that is not one JSON document —
+// cut short by a full disk, emptied, a byte flipped, something appended — used
+// to be promoted as it was and answered 200 with an empty body for ever. It is
+// a miss: the spec queues and executes, the fresh result replaces the file, the
+// damaged one is kept beside it as <hash>.json.corrupt, and one line says so.
+func TestCorruptDiskEntryIsAMiss(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	spec, err := tinySpec().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := spec.Hash()
+	want, err := Execute(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Replace(want, []byte("}"), []byte("]"), 1)
+	for name, damaged := range map[string][]byte{
+		"truncated":        []byte(`{"summary":{"digest":"ab`),
+		"empty":            {},
+		"flipped brace":    flipped,
+		"trailing garbage": append(append([]byte(nil), want...), "\n{"...),
+	} {
+		logged.Reset()
+		dir := t.TempDir()
+		file := filepath.Join(dir, hash+".json")
+		if err := os.WriteFile(file, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := NewStore(4, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := newReplyServer(t, SchedConfig{Workers: 1, QueueDepth: 4, Store: store})
+
+		if w := srv.do(http.MethodGet, "/v1/runs/"+hash, ""); w.Code != http.StatusNotFound {
+			t.Errorf("%s: GET by hash: %d %s, want 404", name, w.Code, w.Body)
+		}
+		if kept, err := os.ReadFile(file + ".corrupt"); err != nil || !bytes.Equal(kept, damaged) {
+			t.Errorf("%s: damaged file not kept as .corrupt: %q, %v", name, kept, err)
+		}
+		if n := strings.Count(logged.String(), "\n"); n != 1 || !strings.Contains(logged.String(), hash) {
+			t.Errorf("%s: want one log line naming %s, got %q", name, hash, logged.String())
+		}
+
+		// Put the damaged file back: the POST path must reach the same verdict.
+		if err := os.WriteFile(file, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w := srv.do(http.MethodPost, "/v1/runs", tinySpecJSON)
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("%s: POST: %d %q, want 202", name, w.Code, w.Body)
+		}
+		var queued JobView
+		if err := json.Unmarshal(w.Body.Bytes(), &queued); err != nil {
+			t.Fatal(err)
+		}
+		if done := waitDone(t, srv.sched, queued.ID); done.Cached || !bytes.Equal(done.Result, want) {
+			t.Errorf("%s: re-executed job: cached=%v, result %s\nwant %s", name, done.Cached, done.Result, want)
+		}
+		if m := srv.sched.Metrics(); m.Cache.Hits != 0 || m.Cache.Executed != 1 {
+			t.Errorf("%s: hits %d executed %d, want 0 and 1", name, m.Cache.Hits, m.Cache.Executed)
+		}
+		if onDisk, err := os.ReadFile(file); err != nil || !bytes.Equal(onDisk, want) {
+			t.Errorf("%s: file not replaced by the fresh result: %q, %v", name, onDisk, err)
+		}
+		w = srv.do(http.MethodPost, "/v1/runs", tinySpecJSON)
+		if hit := checkReplyBytes[JobView](t, name+": POST after repair", w.Body.Bytes()); w.Code != http.StatusOK || !hit.Cached {
+			t.Errorf("%s: POST after repair: %d %s", name, w.Code, w.Body)
+		}
 	}
 }

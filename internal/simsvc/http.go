@@ -118,17 +118,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if job.Status == StatusDone {
 		status = http.StatusOK
 	}
-	s.writeJSON(w, status, job)
+	s.writeJob(w, status, job)
+}
+
+// writeJob writes a job. Its result, if it has one, is a stored payload and
+// goes out by the shell's writeResult, the encoder seeing the job without it.
+func (s *Server) writeJob(w http.ResponseWriter, status int, job JobView) {
+	payload := job.Result
+	job.Result = nil
+	s.shell.writeResult(w, status, job, payload, job.rendered)
 }
 
 // CachedView is the body of a content-addressed GET /v1/runs/{hash}: the
 // cached Result for a spec hash with no job identity attached. Peers use it
 // to fill their caches cross-shard; any shard's copy is byte-equivalent.
+//
+// Result is the last field, and present in every CachedView the server writes:
+// handleGet has the encoder write the others and the result after them.
 type CachedView struct {
 	SpecHash string          `json:"spec_hash"`
 	Status   Status          `json:"status"`
 	Cached   bool            `json:"cached"`
-	Result   json.RawMessage `json:"result"`
+	Result   json.RawMessage `json:"result,omitempty"`
 }
 
 // IsSpecHash reports whether id is shaped like a spec hash (16 lowercase
@@ -150,14 +161,13 @@ func IsSpecHash(id string) bool {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if IsSpecHash(id) {
-		payload, ok := s.sched.CachedResult(id)
+		payload, rendered, ok := s.sched.cfg.Store.get(id)
 		if !ok {
 			s.writeJSON(w, http.StatusNotFound, APIError{Error: "no cached result for spec " + id})
 			return
 		}
-		s.writeJSON(w, http.StatusOK, CachedView{
-			SpecHash: id, Status: StatusDone, Cached: true, Result: payload,
-		})
+		s.shell.writeResult(w, http.StatusOK,
+			CachedView{SpecHash: id, Status: StatusDone, Cached: true}, payload, rendered)
 		return
 	}
 	job, ok := s.sched.Job(id)
@@ -165,7 +175,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusNotFound, APIError{Error: "unknown job " + id})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, job)
+	s.writeJob(w, http.StatusOK, job)
 }
 
 // SweepRequest expands into one job per applied-load rate: either an

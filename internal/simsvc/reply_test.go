@@ -211,3 +211,64 @@ func TestReplyBytesMatchEncoder(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRenderedResult: for any bytes, appendResult accepts exactly the JSON
+// documents, and what it appends is what the encoder writes for the same bytes
+// as a json.RawMessage one level deep.
+func FuzzRenderedResult(f *testing.F) {
+	for _, p := range replyPayloads {
+		f.Add([]byte(p))
+	}
+	for _, p := range []string{"", " ", `{"summary":{"digest":"ab`, `{"a":1}}`, `{"a":1}{`, `{"a":1} x`, `[1,]`, "\"\xff<\"", "{\"a\":\" \"}\n\n"} {
+		f.Add([]byte(p))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rendered, err := renderResult(payload)
+		if valid := json.Valid(payload); valid != (err == nil) {
+			t.Fatalf("json.Valid = %v, renderResult error = %v", valid, err)
+		}
+		if err != nil {
+			return
+		}
+		type carrier struct {
+			Result json.RawMessage `json:"result"`
+		}
+		got := "{\n  \"result\": " + string(rendered) + replyEnd
+		if want := encoderBytes(t, carrier{payload}); got != string(want) {
+			t.Fatalf("rendered form is not the encoder's\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// TestUnencodableReplyIs500: a reply is encoded before its status is written,
+// so a value that does not encode — here the non-JSON bytes an executor left
+// for a job that ran — answers 500 with an APIError body, not 200 over nothing.
+func TestUnencodableReplyIs500(t *testing.T) {
+	var logged bytes.Buffer
+	srv := newReplyServer(t, SchedConfig{Workers: 1, QueueDepth: 4,
+		Exec: func(context.Context, RunSpec, *obs.Bus) ([]byte, error) { return []byte(`{"cut":"sho`), nil }})
+	srv.api.SetLogger(log.New(&logged, "", 0))
+
+	w := srv.do(http.MethodPost, "/v1/runs", seededSpecJSON(1))
+	queued := checkReplyBytes[JobView](t, "POST miss", w.Body.Bytes())
+	waitDone(t, srv.sched, queued.ID)
+
+	w = srv.do(http.MethodGet, "/v1/runs/"+queued.ID, "")
+	if w.Code != http.StatusInternalServerError {
+		t.Errorf("GET of a job whose result is not JSON: status %d, want 500", w.Code)
+	}
+	if e := checkReplyBytes[APIError](t, "500 body", w.Body.Bytes()); !strings.Contains(e.Error, "unexpected end of JSON input") {
+		t.Errorf("500 body does not say why: %s", w.Body)
+	}
+	if !strings.Contains(logged.String(), "encode 200 response") {
+		t.Errorf("no log line for the failed encode: %q", logged.String())
+	}
+
+	// The generic path, which the coordinator takes for every reply.
+	w = httptest.NewRecorder()
+	srv.api.shell.WriteJSON(w, http.StatusAccepted, JobView{ID: "r-000001", Result: json.RawMessage(`{"cut":`)})
+	if w.Code != http.StatusInternalServerError {
+		t.Errorf("WriteJSON of a value that does not encode: status %d, want 500", w.Code)
+	}
+	checkReplyBytes[APIError](t, "WriteJSON 500 body", w.Body.Bytes())
+}

@@ -97,9 +97,8 @@ type job struct {
 	cached   bool
 	errMsg   string
 	payload  []byte
+	rendered []byte // the store entry's, when the job was a hit; else nil
 	enqueued time.Time
-	started  time.Time
-	finished time.Time
 }
 
 // JobView is the API-facing snapshot of a job.
@@ -119,8 +118,13 @@ type JobView struct {
 	// Spans are the job's recorded phase timings: queue wait, cache
 	// lookup, singleflight coalesce, execute, encode.
 	Spans []telemetry.Span `json:"spans,omitempty"`
-	// Result is the cached payload (a Result object), present once done.
+	// Result is the cached payload (a Result object), present once done. It
+	// is the last field: Server writes it after what the encoder makes of
+	// the others.
 	Result json.RawMessage `json:"result,omitempty"`
+
+	// rendered is Result as a reply carries it, when the store had it.
+	rendered []byte
 }
 
 // Scheduler owns the worker pool, the bounded FIFO queue, and the job
@@ -193,7 +197,7 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 		reqID: telemetry.RequestID(ctx), spans: telemetry.NewSpans()}
 
 	lookup := time.Now()
-	payload, ok := s.cfg.Store.Get(hash)
+	payload, rendered, ok := s.cfg.Store.get(hash)
 	j.spans.Add("cache-lookup", time.Since(lookup))
 	if ok {
 		s.mu.Lock()
@@ -202,8 +206,7 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 		s.register(j)
 		j.status = StatusDone
 		j.cached = true
-		j.payload = payload
-		j.finished = time.Now()
+		j.payload, j.rendered = payload, rendered
 		s.retired = append(s.retired, j.id)
 		v := j.view()
 		s.mu.Unlock()
@@ -283,13 +286,6 @@ func (s *Scheduler) RetryAfterSeconds() int {
 	return int(secs)
 }
 
-// CachedResult returns the marshalled Result payload cached for a spec
-// hash, if any — the content-addressed read path peers and coordinators use
-// for cross-shard cache fill without knowing job IDs.
-func (s *Scheduler) CachedResult(hash string) ([]byte, bool) {
-	return s.cfg.Store.Get(hash)
-}
-
 // Job returns a snapshot of one job.
 func (s *Scheduler) Job(id string) (JobView, bool) {
 	s.mu.Lock()
@@ -314,7 +310,7 @@ func (j *job) view() JobView {
 		Spans:     j.spans.List(),
 	}
 	if j.status == StatusDone {
-		v.Result = json.RawMessage(j.payload)
+		v.Result, v.rendered = json.RawMessage(j.payload), j.rendered
 	}
 	return v
 }
@@ -341,7 +337,6 @@ func (s *Scheduler) safeRun(j *job) {
 			}
 			j.status = StatusFailed
 			j.errMsg = fmt.Sprintf("simsvc: worker panic: %v", r)
-			j.finished = time.Now()
 			s.retired = append(s.retired, j.id)
 			s.failed++
 			v := j.view()
@@ -356,16 +351,16 @@ func (s *Scheduler) safeRun(j *job) {
 // have finished while this one queued), then coalesce onto or start the
 // one real simulation for this hash, then publish the outcome.
 func (s *Scheduler) runJob(j *job) {
+	started := time.Now()
 	s.mu.Lock()
 	j.status = StatusRunning
-	j.started = time.Now()
 	s.running++
 	s.mu.Unlock()
-	j.spans.Add("queue-wait", j.started.Sub(j.enqueued))
+	j.spans.Add("queue-wait", started.Sub(j.enqueued))
 
 	var fromCache, sharedRun bool
 	lookup := time.Now()
-	payload, ok := s.cfg.Store.Get(j.hash)
+	payload, rendered, ok := s.cfg.Store.get(j.hash)
 	j.spans.Add("cache-lookup", time.Since(lookup))
 	if ok {
 		fromCache = true
@@ -412,11 +407,11 @@ func (s *Scheduler) runJob(j *job) {
 			j.spans.Add("coalesce", time.Since(flightStart))
 		}
 		if err != nil {
-			s.finish(j, nil, false, err)
+			s.finish(j, started, nil, nil, false, err)
 			return
 		}
 	}
-	s.finish(j, payload, fromCache || sharedRun, nil)
+	s.finish(j, started, payload, rendered, fromCache || sharedRun, nil)
 }
 
 // store caches a job's payload under its hash. A failed disk write is logged
@@ -450,10 +445,10 @@ func (s *Scheduler) execSafe(ctx context.Context, j *job) (payload []byte, err e
 	return exec(ctx, j.spec, bus)
 }
 
-// finish publishes a job outcome and records its latency.
-func (s *Scheduler) finish(j *job, payload []byte, cached bool, err error) {
+// finish publishes the outcome of a job picked up at started and records its
+// latency. rendered is not nil only when the store answered.
+func (s *Scheduler) finish(j *job, started time.Time, payload, rendered []byte, cached bool, err error) {
 	s.mu.Lock()
-	j.finished = time.Now()
 	s.retired = append(s.retired, j.id)
 	s.running--
 	if err != nil {
@@ -462,7 +457,7 @@ func (s *Scheduler) finish(j *job, payload []byte, cached bool, err error) {
 		s.failed++
 	} else {
 		j.status = StatusDone
-		j.payload = payload
+		j.payload, j.rendered = payload, rendered
 		j.cached = cached
 		s.done++
 		if cached {
@@ -472,7 +467,7 @@ func (s *Scheduler) finish(j *job, payload []byte, cached bool, err error) {
 			s.coalesce++
 		}
 	}
-	s.latency.Add(j.finished.Sub(j.started).Microseconds())
+	s.latency.Add(time.Since(started).Microseconds())
 	v := j.view()
 	s.mu.Unlock()
 	s.cfg.Trace.job(v)

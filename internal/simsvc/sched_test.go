@@ -405,7 +405,7 @@ func TestJobTableEvictsOldestFinished(t *testing.T) {
 	if _, ok := sched.Job(last.ID); !ok {
 		t.Errorf("newest finished job %s already evicted", last.ID)
 	}
-	if p, ok := sched.CachedResult(first.SpecHash); !ok || string(p) != `{"warm":true}` {
+	if p, ok := store.Get(first.SpecHash); !ok || string(p) != `{"warm":true}` {
 		t.Errorf("evicted job's result no longer answers by hash: %q, %v", p, ok)
 	}
 

@@ -1,6 +1,7 @@
 package simsvc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -130,15 +132,101 @@ type APIError struct {
 }
 
 // WriteJSON writes v, indented, as the response body under status. Headers the
-// caller set beforehand (Retry-After) go out with it.
+// caller set beforehand (Retry-After) go out with it. A v that does not encode
+// is answered 500 with an APIError body.
 func (h *HTTPShell) WriteJSON(w http.ResponseWriter, status int, v any) {
+	h.writeResult(w, status, v, nil, nil)
+}
+
+// reply is what a response body is built in before any of it is written — so
+// a value that fails to encode can still change the status — and the indenting
+// encoder that fills it. esc is appendResult's scratch.
+type reply struct {
+	buf, esc bytes.Buffer
+	enc      *json.Encoder
+}
+
+var replyPool = sync.Pool{New: func() any {
+	r := new(reply)
+	r.enc = json.NewEncoder(&r.buf)
+	r.enc.SetIndent("", "  ")
+	return r
+}}
+
+// free returns r to the pool, unless one large body (a sweep, a cluster status)
+// grew it past what the next hundred replies need.
+func (r *reply) free() {
+	if r.buf.Cap()+r.esc.Cap() <= 64<<10 {
+		r.buf.Reset()
+		r.esc.Reset()
+		replyPool.Put(r)
+	}
+}
+
+const (
+	replyEnd     = "\n}\n"             // how the encoder closes a top-level object
+	resultMember = ",\n  \"result\": " // what it puts between the last member and a "result" after it
+)
+
+// appendResult appends payload to dst as the indenting encoder writes a
+// json.RawMessage member of the top-level object: white space dropped,
+// re-indented one level in, and <, >, &, U+2028 and U+2029 escaped. esc is
+// scratch. A payload that is not exactly one JSON document is an error and
+// leaves dst as it was.
+func appendResult(dst, esc *bytes.Buffer, payload []byte) error {
+	esc.Reset()
+	// Indent copies white space after the document through; the encoder
+	// drops it. Indent goes first because it is what validates: escaping
+	// the & of an invalid `\&` would make a valid `\\u0026` of it.
+	if err := json.Indent(esc, bytes.TrimRight(payload, " \t\r\n"), "  ", "  "); err != nil {
+		return err
+	}
+	json.HTMLEscape(dst, esc.Bytes())
+	return nil
+}
+
+// renderResult is appendResult into a slice of its own, for a store entry to keep.
+func renderResult(payload []byte) ([]byte, error) {
+	r := replyPool.Get().(*reply)
+	defer r.free()
+	if err := appendResult(&r.buf, &r.esc, payload); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(r.buf.Bytes()), nil
+}
+
+// writeResult is WriteJSON for a v that encodes to an object with at least one
+// member and no "result", followed — when payload is not nil — by the member
+// "result": a stored payload, in the form rendered if its store entry has one
+// and rendered here, into the same buffer, if not. The bytes are those
+// WriteJSON writes for the same struct with the payload as its last field, a
+// json.RawMessage; the encoder is not asked to compact, escape and indent
+// again what no request changes.
+func (h *HTTPShell) writeResult(w http.ResponseWriter, status int, v any, payload, rendered []byte) {
+	r := replyPool.Get().(*reply)
+	defer r.free()
+	err := r.enc.Encode(v)
+	if err == nil && payload != nil {
+		r.buf.Truncate(r.buf.Len() - len(replyEnd))
+		r.buf.WriteString(resultMember)
+		if rendered != nil {
+			r.buf.Write(rendered)
+		} else {
+			err = appendResult(&r.buf, &r.esc, payload)
+		}
+		r.buf.WriteString(replyEnd)
+	}
+	if err != nil {
+		h.Logger.Printf("%s: encode %d response: %v", h.name, status, err)
+		status = http.StatusInternalServerError
+		r.buf.Reset()
+		r.enc.Encode(APIError{Error: "response does not encode: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Too late to change the status line; the broken connection or
-		// unmarshalable value must not vanish silently.
-		h.Logger.Printf("%s: encode %d response: %v", h.name, status, err)
+	if _, err := w.Write(r.buf.Bytes()); err != nil {
+		// Too late to change the status line; the broken connection must
+		// not vanish silently.
+		h.Logger.Printf("%s: write %d response: %v", h.name, status, err)
 	}
 }
