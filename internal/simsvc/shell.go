@@ -158,7 +158,6 @@ var replyPool = sync.Pool{New: func() any {
 func (r *reply) free() {
 	if r.buf.Cap()+r.esc.Cap() <= 64<<10 {
 		r.buf.Reset()
-		r.esc.Reset()
 		replyPool.Put(r)
 	}
 }
@@ -196,7 +195,8 @@ func renderResult(payload []byte) ([]byte, error) {
 }
 
 // writeResult is WriteJSON for a v that encodes to an object with at least one
-// member and no "result", followed — when payload is not nil — by the member
+// member and no "result", followed — unless payload is empty, which the
+// structs' omitempty leaves out — by the member
 // "result": a stored payload, in the form rendered if its store entry has one
 // and rendered here, into the same buffer, if not. The bytes are those
 // WriteJSON writes for the same struct with the payload as its last field, a
@@ -206,7 +206,7 @@ func (h *HTTPShell) writeResult(w http.ResponseWriter, status int, v any, payloa
 	r := replyPool.Get().(*reply)
 	defer r.free()
 	err := r.enc.Encode(v)
-	if err == nil && payload != nil {
+	if err == nil && len(payload) != 0 {
 		r.buf.Truncate(r.buf.Len() - len(replyEnd))
 		r.buf.WriteString(resultMember)
 		if rendered != nil {
