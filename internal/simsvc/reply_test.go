@@ -152,14 +152,18 @@ func TestReplyBytesMatchEncoder(t *testing.T) {
 			if w.Code != http.StatusOK {
 				t.Fatalf("payload %d: POST %s: %d %s", i, round, w.Code, w.Body)
 			}
-			hit := checkReplyBytes[JobView](t, "POST "+round, w.Body.Bytes())
-			if !hit.Cached || !bytes.Contains(w.Body.Bytes(), []byte(`"cached": true`)) {
-				t.Errorf("payload %d: POST %s not marked cached: %s", i, round, w.Body)
+			posted := w.Body.Bytes()
+			hit := checkReplyBytes[JobView](t, "POST "+round, posted)
+			if !hit.Cached || !bytes.Contains(posted, []byte(`"cached": true`)) {
+				t.Errorf("payload %d: POST %s not marked cached: %s", i, round, posted)
 			}
 			sameResult("POST "+round, hit.Result)
 
 			w = srv.do(http.MethodGet, "/v1/runs/"+hit.ID, "")
 			sameResult("GET hit job", checkReplyBytes[JobView](t, "GET hit job", w.Body.Bytes()).Result)
+			if !bytes.Equal(w.Body.Bytes(), posted) {
+				t.Errorf("payload %d: GET of the %s is not its POST reply\n got %q\nwant %q", i, round, w.Body, posted)
+			}
 
 			w = srv.do(http.MethodGet, "/v1/runs/"+hit.SpecHash, "")
 			if w.Code != http.StatusOK {
@@ -192,6 +196,25 @@ func TestReplyBytesMatchEncoder(t *testing.T) {
 		t.Errorf("failed job reads %+v", v)
 	}
 
+	checkCoalescedReply(t)
+	evicted, evictedID := checkRetainedHitReplies(t)
+
+	// Only the spelling a job ID is minted in names a job.
+	for _, id := range []string{"j-1", "j-0000001", "j-+00001", "j-00001a", "j-", "j-99999999999999999999"} {
+		if w := srv.do(http.MethodGet, "/v1/runs/"+id, ""); w.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404: %s", id, w.Code, w.Body)
+		}
+		if _, ok := srv.sched.Job(id); ok {
+			t.Errorf("Job(%q) found a job", id)
+		}
+	}
+	if _, ok := evicted.sched.Job(evictedID); ok {
+		t.Errorf("Job(%q) found an evicted job", evictedID)
+	}
+	if w := evicted.do(http.MethodGet, "/v1/runs/"+evictedID, ""); w.Code != http.StatusNotFound {
+		t.Errorf("GET of evicted %s: status %d, want 404", evictedID, w.Code)
+	}
+
 	for _, c := range []struct {
 		what, method, path, body string
 		status                   int
@@ -210,6 +233,93 @@ func TestReplyBytesMatchEncoder(t *testing.T) {
 			t.Errorf("%s: empty error: %s", c.what, w.Body)
 		}
 	}
+}
+
+// checkCoalescedReply: the second of two identical submissions, queued behind
+// the first's held execution, finishes from the cache without a simulation of
+// its own, and its GET is the encoder's bytes.
+func checkCoalescedReply(t *testing.T) {
+	t.Helper()
+	release := make(chan struct{})
+	srv := newReplyServer(t, SchedConfig{Workers: 1, QueueDepth: 4,
+		Exec: func(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
+			<-release
+			return payloadExec(ctx, spec, bus)
+		}})
+	var ids []string
+	for range 2 {
+		w := srv.do(http.MethodPost, "/v1/runs", seededSpecJSON(2))
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("POST twin: %d %s", w.Code, w.Body)
+		}
+		ids = append(ids, checkReplyBytes[JobView](t, "POST twin", w.Body.Bytes()).ID)
+	}
+	close(release)
+	for k, id := range ids {
+		waitDone(t, srv.sched, id)
+		w := srv.do(http.MethodGet, "/v1/runs/"+id, "")
+		if v := checkReplyBytes[JobView](t, "GET twin", w.Body.Bytes()); v.Cached != (k == 1) {
+			t.Errorf("twin %d: cached %v", k, v.Cached)
+		}
+	}
+	if m := srv.sched.Metrics(); m.Cache.Executed != 1 || m.Cache.Coalesced != 1 {
+		t.Errorf("twins: %d executed, %d coalesced; want 1 each", m.Cache.Executed, m.Cache.Coalesced)
+	}
+}
+
+// checkRetainedHitReplies: a hit whose store entry an 8-entry LRU has since
+// dropped reads as its POST did, and so does the newest of jobTableCap further
+// hits. It returns the server and the first hit's ID, which those hits evicted.
+func checkRetainedHitReplies(t *testing.T) (*replyServer, string) {
+	t.Helper()
+	store, _ := NewStore(8, "")
+	srv := newReplyServer(t, SchedConfig{Workers: 1, QueueDepth: 4, Store: store, Exec: payloadExec})
+	execute := func(seed int) {
+		w := srv.do(http.MethodPost, "/v1/runs", seededSpecJSON(seed))
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("POST seed %d: %d %s", seed, w.Code, w.Body)
+		}
+		waitDone(t, srv.sched, checkReplyBytes[JobView](t, "POST miss", w.Body.Bytes()).ID)
+	}
+	hitOnce := func(seed int) (string, []byte) {
+		w := srv.do(http.MethodPost, "/v1/runs", seededSpecJSON(seed))
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST hit seed %d: %d %s", seed, w.Code, w.Body)
+		}
+		return checkReplyBytes[JobView](t, "POST hit", w.Body.Bytes()).ID, w.Body.Bytes()
+	}
+	getIs := func(what, id string, want []byte) {
+		w := srv.do(http.MethodGet, "/v1/runs/"+id, "")
+		checkReplyBytes[JobView](t, what, w.Body.Bytes())
+		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
+			t.Errorf("%s: %d, not its POST reply\n got %q\nwant %q", what, w.Code, w.Body, want)
+		}
+	}
+
+	execute(1)
+	first, posted := hitOnce(1)
+	for seed := 2; seed <= len(replyPayloads); seed++ {
+		execute(seed)
+	}
+	if _, ok := store.Get(seededSpecHash(1)); ok {
+		t.Fatal("seed 1's entry is still in the 8-entry store")
+	}
+	getIs("GET hit after its entry left the store", first, posted)
+
+	last := len(replyPayloads)
+	for range jobTableCap - 1 {
+		if _, err := srv.sched.Submit(context.Background(), seededSpec(uint64(last))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newest, posted := hitOnce(last)
+	getIs("GET newest hit", newest, posted)
+	return srv, first
+}
+
+func seededSpecHash(seed int) string {
+	n, _ := seededSpec(uint64(seed)).Normalized()
+	return n.Hash()
 }
 
 // FuzzRenderedResult: for any bytes, appendResult accepts exactly the JSON
