@@ -135,7 +135,7 @@ type backend struct {
 type coordJob struct {
 	id           string // coordinator-minted r-NNNNNN
 	hash         string
-	body         []byte // canonical spec JSON, replayable to any backend
+	body         []byte // the spec as submitted (not normalized), replayable to any backend
 	reqID        string
 	backendIdx   int    // -1 while queued degraded
 	backendJobID string // backend-local j-NNNNNN once placed

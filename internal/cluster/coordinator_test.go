@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,8 @@ import (
 type testBackend struct {
 	srv     *httptest.Server
 	sched   *simsvc.Scheduler
+	store   *simsvc.Store
+	api     atomic.Pointer[simsvc.Server]
 	down    atomic.Bool  // respond 503 to everything
 	slowMS  atomic.Int64 // delay every request
 	execs   atomic.Int64 // simulations this backend ran
@@ -51,13 +54,38 @@ func stubPayload(spec simsvc.RunSpec) []byte {
 func newTestBackend(t *testing.T, execDelay time.Duration) *testBackend {
 	t.Helper()
 	tb := &testBackend{}
-	store, err := simsvc.NewStore(64, "")
-	if err != nil {
+	var err error
+	if tb.store, err = simsvc.NewStore(64, ""); err != nil {
 		t.Fatal(err)
 	}
 	tb.peerURL.Store("")
-	tb.sched = simsvc.NewScheduler(simsvc.SchedConfig{
-		Workers: 2, QueueDepth: 32, Store: store,
+	tb.restart(t, execDelay)
+	tb.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if d := tb.slowMS.Load(); d > 0 {
+			time.Sleep(time.Duration(d) * time.Millisecond)
+		}
+		if tb.down.Load() {
+			http.Error(w, "injected outage", http.StatusServiceUnavailable)
+			return
+		}
+		if rid := r.Header.Get("X-Request-ID"); rid != "" && r.URL.Path != "/readyz" && r.URL.Path != "/healthz" {
+			tb.mu.Lock()
+			tb.reqIDs = append(tb.reqIDs, rid)
+			tb.mu.Unlock()
+		}
+		tb.api.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(tb.srv.Close)
+	return tb
+}
+
+// restart puts a new scheduler and API over the backend's store behind its
+// URL: a shard restarted over a persistent cache, which has forgotten every job
+// it ran and still has every result.
+func (tb *testBackend) restart(t *testing.T, execDelay time.Duration) {
+	t.Helper()
+	sched := simsvc.NewScheduler(simsvc.SchedConfig{
+		Workers: 2, QueueDepth: 32, Store: tb.store,
 		Exec: func(ctx context.Context, spec simsvc.RunSpec, _ *obs.Bus) ([]byte, error) {
 			tb.execs.Add(1)
 			if execDelay > 0 {
@@ -77,28 +105,11 @@ func newTestBackend(t *testing.T, execDelay time.Duration) *testBackend {
 			return PeerFiller([]string{peer}, time.Second)(ctx, hash)
 		},
 	})
-	api := simsvc.NewServer(tb.sched)
+	api := simsvc.NewServer(sched)
 	api.SetLogger(log.New(io.Discard, "", 0))
-	tb.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if d := tb.slowMS.Load(); d > 0 {
-			time.Sleep(time.Duration(d) * time.Millisecond)
-		}
-		if tb.down.Load() {
-			http.Error(w, "injected outage", http.StatusServiceUnavailable)
-			return
-		}
-		if rid := r.Header.Get("X-Request-ID"); rid != "" && r.URL.Path != "/readyz" && r.URL.Path != "/healthz" {
-			tb.mu.Lock()
-			tb.reqIDs = append(tb.reqIDs, rid)
-			tb.mu.Unlock()
-		}
-		api.ServeHTTP(w, r)
-	}))
-	t.Cleanup(func() {
-		tb.srv.Close()
-		tb.sched.Drain(context.Background())
-	})
-	return tb
+	tb.sched = sched
+	tb.api.Store(api)
+	t.Cleanup(func() { sched.Drain(context.Background()) })
 }
 
 // testCluster boots n backends and a coordinator with CI-friendly tight
@@ -145,15 +156,21 @@ func specJSON(seed uint64) string {
 
 func specHash(t *testing.T, seed uint64) string {
 	t.Helper()
+	return normalizedSpec(t, specJSON(seed)).Hash()
+}
+
+// normalizedSpec is the spec a shard reports for a submitted body.
+func normalizedSpec(t *testing.T, body string) simsvc.RunSpec {
+	t.Helper()
 	var spec simsvc.RunSpec
-	if err := json.Unmarshal([]byte(specJSON(seed)), &spec); err != nil {
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
 		t.Fatal(err)
 	}
 	norm, err := spec.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return norm.Hash()
+	return norm
 }
 
 func doPost(t *testing.T, coord *Coordinator, path, body string, hdr map[string]string) (*http.Response, []byte) {
@@ -378,6 +395,9 @@ func TestDegradedModeQueuesAndFlushes(t *testing.T) {
 	if !strings.HasPrefix(v.ID, "r-") || v.Status != simsvc.StatusQueued {
 		t.Fatalf("degraded view: %s", body)
 	}
+	if want := normalizedSpec(t, specJSON(100)); !reflect.DeepEqual(v.Spec, want) {
+		t.Errorf("degraded view's spec %+v, a shard's would be %+v", v.Spec, want)
+	}
 
 	// A poll while degraded reports the queued job, not an error.
 	resp, body = doGet(t, coord, "/v1/runs/"+v.ID)
@@ -421,6 +441,46 @@ func TestDegradedModeQueuesAndFlushes(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("degraded_flushed = %v, want >= 2", coord.m.degradedFlushed.Value())
 		}
+	}
+}
+
+// TestForgottenJobKeepsBreakerClosed: a shard restarted over its cache has
+// forgotten the job it ran, and its 404 for the job is an answer from a live
+// shard, not a failure. The breaker stays closed, the coordinator answers from
+// the cached result, and the spec it reports is the one a shard reports for the
+// same body: normalized, not the client's bytes decoded.
+func TestForgottenJobKeepsBreakerClosed(t *testing.T) {
+	coord, backends := testCluster(t, 1, 0, func(c *Config) { c.DisableHedge = true })
+	const body = `{"scheme":"pr","radix":[2,2],"rate":0.02,"warmup":-1,"measure":500,"seed":9}`
+	resp, raw := doPost(t, coord, "/v1/runs", body, nil)
+	var v simsvc.JobView
+	if err := json.Unmarshal(raw, &v); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
+	}
+	pollDone(t, coord, v.ID, 5*time.Second)
+
+	backends[0].restart(t, 0)
+	resp, raw = doGet(t, coord, "/v1/runs/"+v.ID)
+	if st := coord.Breaker(0).State(); st != BreakerClosed {
+		t.Errorf("the shard's 404 for a job it forgot left its breaker %v", st)
+	}
+	var got simsvc.JobView
+	if err := json.Unmarshal(raw, &got); err != nil || resp.StatusCode != http.StatusOK ||
+		got.Status != simsvc.StatusDone || !got.Cached {
+		t.Fatalf("GET of the forgotten job: %d %s", resp.StatusCode, raw)
+	}
+
+	shard, err := http.Post(backends[0].srv.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.Body.Close()
+	var want simsvc.JobView
+	if err := json.NewDecoder(shard.Body).Decode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Spec, want.Spec) {
+		t.Errorf("the coordinator reports spec %+v, the shard %+v", got.Spec, want.Spec)
 	}
 }
 

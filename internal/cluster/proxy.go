@@ -172,15 +172,22 @@ func (c *Coordinator) adoptJobView(o outcome, hash string, body []byte, reqID st
 	return v, j, nil
 }
 
+// spec is the job's spec as a shard reports it: the submitted body decoded and
+// normalized, which cannot fail for a body readSpec accepted.
+func (j *coordJob) spec() simsvc.RunSpec {
+	var spec simsvc.RunSpec
+	json.Unmarshal(j.body, &spec)
+	norm, _ := spec.Normalized()
+	return norm
+}
+
 // pendingView synthesizes the queued JobView for a degraded job. Callers
 // need not hold c.mu (fields used are written once at registration).
 func (c *Coordinator) pendingView(j *coordJob) simsvc.JobView {
-	var spec simsvc.RunSpec
-	json.Unmarshal(j.body, &spec)
 	return simsvc.JobView{
 		ID:        j.id,
 		SpecHash:  j.hash,
-		Spec:      spec,
+		Spec:      j.spec(),
 		Status:    simsvc.StatusQueued,
 		RequestID: j.reqID,
 	}
@@ -244,8 +251,9 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	// forgot it). The job is NOT lost: results are content-addressed, so
 	// first look for the payload on any replica, and failing that replay
 	// the retained spec body onto a live shard under the same coordinator
-	// ID.
-	c.backends[bIdx].breaker.ReportFailure()
+	// ID. A 404 is a live shard's answer and counts for its breaker, not
+	// against it.
+	c.reportOutcome(o)
 	for _, b := range c.chain(j.hash) {
 		if b.breaker.State() == BreakerOpen {
 			continue
@@ -258,13 +266,11 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		if json.Unmarshal(o.body, &cv) != nil {
 			continue
 		}
-		var spec simsvc.RunSpec
-		json.Unmarshal(j.body, &spec)
 		c.mu.Lock()
 		j.done = true
 		c.mu.Unlock()
 		c.writeJSON(w, http.StatusOK, simsvc.JobView{
-			ID: j.id, SpecHash: j.hash, Spec: spec,
+			ID: j.id, SpecHash: j.hash, Spec: j.spec(),
 			Status: simsvc.StatusDone, Cached: true,
 			RequestID: j.reqID, Result: cv.Result,
 		}, 0)
