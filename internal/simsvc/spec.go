@@ -99,7 +99,9 @@ func resolveSentinel(v, def int64) int64 {
 
 // Normalized resolves every default and validates the spec, returning the
 // fully explicit form that Canonical and Hash operate on. The returned
-// spec round-trips: normalizing it again is the identity. What is decided
+// spec round-trips — normalizing it again is the identity — unless it holds a
+// zero a -1 asked for, which reads as "use the default" when normalized again
+// (FuzzSpecRoundTrip pins both). What is decided
 // here is what only the wire format knows — defaults, the -1 sentinels, what
 // a trace run implies, canonical spellings for the hash, the fault plan;
 // every range and validity-envelope rule is network.Config.Validate's.

@@ -1,6 +1,9 @@
 package simsvc
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -182,4 +185,134 @@ func TestFaultPlanValidatedAtNormalize(t *testing.T) {
 	if _, err := s.Normalized(); err == nil {
 		t.Fatal("out-of-range fault router accepted")
 	}
+}
+
+// TestCanonicalCoversEveryField: a finished job reads its spec from the store
+// entry its hash resolved to, which holds the normalized spec of whichever job
+// put it there. That is every such job's own spec only if equal hashes mean
+// equal normalized specs, so changing any one field of a normalized spec, or of
+// a fault event in its plan, must change Hash. The fields are found by
+// reflection: a field added to RunSpec, fault.Plan or fault.Event without its
+// place in Canonical fails here.
+func TestCanonicalCoversEveryField(t *testing.T) {
+	base, err := tinySpec().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Faults = &fault.Plan{Seed: 1, Events: []fault.Event{{Kind: fault.LinkFlaky,
+		At: 10, Until: 20, Router: 1, Dir: 1, Endpoint: 1, VC: 1, Cycles: 5, Rate: 0.5}}}
+	want := base.Hash()
+	changed := 0
+	var vary func(path string, v reflect.Value)
+	vary = func(path string, v reflect.Value) {
+		check := func() {
+			changed++
+			if base.Hash() == want {
+				t.Errorf("changing %s leaves the hash at %s:\n%s", path, want, base.Canonical())
+			}
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				vary(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		case reflect.Pointer:
+			v.Set(reflect.Zero(v.Type()))
+			check()
+			v.Set(old)
+			vary(path, v.Elem())
+			return
+		case reflect.Slice:
+			v.Set(reflect.Append(v, v.Index(0)))
+			check()
+			v.Set(old)
+			vary(path+"[0]", v.Index(0))
+			return
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.25)
+		default:
+			t.Fatalf("%s: no variant for a %s", path, v.Kind())
+		}
+		check()
+		v.Set(old)
+	}
+	vary("RunSpec", reflect.ValueOf(&base).Elem())
+	if base.Hash() != want {
+		t.Fatal("the walk did not restore the spec")
+	}
+	t.Logf("%d single-field changes, each a new hash", changed)
+}
+
+// literalZero reports whether a normalized spec holds a zero that a -1 in the
+// request asked for. Written out, that zero is omitted and reads back as "use
+// the default", so such a spec is not a fixed point of normalization; the
+// cluster coordinator forwards the client's bytes for this reason.
+func literalZero(n RunSpec) bool {
+	return n.Warmup == 0 && n.TraceApp == "" || n.MaxDrain == 0 || n.CWGInterval == 0 || n.MaxOutstanding == 0
+}
+
+// FuzzSpecRoundTrip: for any body the API decodes and normalizes, the JSON of
+// the normalized spec decodes and encodes to the same bytes and the same Hash;
+// and, unless the spec holds a literal zero (literalZero), normalizing it again
+// changes nothing, nor does normalizing what its JSON decodes to.
+func FuzzSpecRoundTrip(f *testing.F) {
+	for _, body := range []string{
+		tinySpecJSON,
+		`{}`,
+		`{"scheme":"dr","pattern":"PAT280","vcs":8,"rate":0.05,"seed":7,"check":true}`,
+		`{"trace_app":"FFT","measure":3000}`,
+		`{"radix":[4,4],"mesh":true,"bristling":2,"queue_mode":"class","max_outstanding":-1,"max_drain":-1,"cwg_interval":-1}`,
+		`{"radix":[4,4],"faults":{"events":[{"kind":"link-down","at":0,"router":9,"dir":0},{"kind":"token-loss","at":800}]}}`,
+		`{"faults":{"seed":3,"events":[{"kind":"link-flaky","at":5,"until":50,"router":1,"dir":2,"rate":0.25,"drop":true}]}}`,
+		`{"faults":{"events":[]}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec RunSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		n, err := spec.Normalized()
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back RunSpec
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("%s does not decode: %v", enc, err)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(again, enc) || back.Hash() != n.Hash() {
+			t.Fatalf("normalized spec %s reads back as %s, hash %s, was %s", enc, again, back.Hash(), n.Hash())
+		}
+		if literalZero(n) {
+			return
+		}
+		if twice, err := n.Normalized(); err != nil || !reflect.DeepEqual(twice, n) {
+			t.Fatalf("normalizing %s again: %+v, %v", enc, twice, err)
+		}
+		r, err := back.Normalized()
+		if err != nil {
+			t.Fatalf("%s does not normalize: %v", enc, err)
+		}
+		if renc, _ := json.Marshal(r); r.Hash() != n.Hash() || !bytes.Equal(renc, enc) {
+			t.Fatalf("%s encoded, decoded and normalized is %s, hash %s, was %s", enc, renc, r.Hash(), n.Hash())
+		}
+	})
 }
