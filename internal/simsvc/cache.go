@@ -25,15 +25,30 @@ type Store struct {
 	dir   string                   // "" = memory only
 }
 
-// entry is one cached result. rendered is the payload as a reply carries it
-// (appendResult): nil until the entry's first hit produces it, dropped with the
-// entry. An entry that was only ever Put — a result executed and never asked
-// for again — holds no second copy.
+// entry is one cached result, and what a finished job reads its result and
+// spec from. An entry does not change once made: the store puts a new one in
+// an old one's place, so a job goes on reading what it finished with, whether
+// the store still holds it or not.
 type entry struct {
-	hash     string
-	payload  []byte
+	hash    string
+	payload []byte
+	// rendered is the payload as a reply carries it (appendResult): nil until
+	// the entry's first hit produces it, dropped with the entry. An entry that
+	// was only ever Put — a result executed and never asked for again — holds
+	// no second copy.
 	rendered []byte
+	// spec is the normalized spec the hash is of, once a job has supplied it
+	// (Put is given none). It is every job's of that hash, because equal
+	// hashes mean equal normalized specs (TestCanonicalCoversEveryField).
+	spec RunSpec
+	// err is a failed job's error. Such an entry is the job's own; no store
+	// holds it.
+	err string
 }
+
+// hasSpec reports whether a job has supplied e's spec: a normalized spec
+// always names its scheme.
+func (e *entry) hasSpec() bool { return e.spec.Scheme != "" }
 
 // NewStore builds a store holding up to maxEntries payloads in memory
 // (minimum 1), persisting to dir when non-empty (created if missing).
@@ -58,47 +73,58 @@ func NewStore(maxEntries int, dir string) (*Store, error) {
 // then disk (promoting a disk hit back into the LRU). The returned slice
 // is shared — callers must not mutate it.
 func (s *Store) Get(hash string) ([]byte, bool) {
-	payload, _, ok := s.get(hash)
-	return payload, ok
+	e, ok := s.lookup(hash, nil)
+	if !ok {
+		return nil, false
+	}
+	return e.payload, true
 }
 
-// get is Get, returning the rendered form beside the payload. An entry's first
-// hit renders it, which is also where a payload is found not to be one JSON
-// document — a file truncated or damaged on disk, or whatever an executor
-// handed Put. Such a payload is a miss, not a hit nobody can encode: the entry
-// is dropped, its file renamed <hash>.json.corrupt and kept for inspection,
-// and the caller executes the spec again, whose Put replaces the file. Every
-// later hit costs one map lookup, as before.
-func (s *Store) get(hash string) (payload, rendered []byte, ok bool) {
+// lookup is Get returning the entry, rendered, and carrying spec if spec is
+// not nil. An entry's first hit renders it, which is also where a payload is
+// found not to be one JSON document — a file truncated or damaged on disk, or
+// whatever an executor handed Put. Such a payload is a miss, not a hit nobody
+// can encode: the entry is dropped, its file renamed <hash>.json.corrupt and
+// kept for inspection, and the caller executes the spec again, whose Put
+// replaces the file. Every later hit costs one map lookup, as before.
+func (s *Store) lookup(hash string, spec *RunSpec) (*entry, bool) {
 	s.mu.Lock()
 	el, ok := s.items[hash]
+	var e *entry
 	if ok {
 		s.order.MoveToFront(el)
-		e := el.Value.(*entry)
-		payload, rendered = e.payload, e.rendered
+		e = el.Value.(*entry)
 	}
 	s.mu.Unlock()
-	if rendered != nil {
-		return payload, rendered, true
+	if ok && e.rendered != nil && (spec == nil || e.hasSpec()) {
+		return e, true
 	}
-	if !ok {
+	fresh := &entry{hash: hash}
+	if ok {
+		*fresh = *e
+	} else {
 		if s.dir == "" {
-			return nil, nil, false
+			return nil, false
 		}
 		var err error
-		if payload, err = os.ReadFile(s.path(hash)); err != nil {
-			return nil, nil, false
+		if fresh.payload, err = os.ReadFile(s.path(hash)); err != nil {
+			return nil, false
 		}
 	}
-	// Rendered outside the lock: two first hits at once both render, and
-	// the second insert stores the same bytes again.
-	rendered, err := renderResult(payload)
-	if err != nil {
-		s.dropCorrupt(hash, err)
-		return nil, nil, false
+	if fresh.rendered == nil {
+		// Rendered outside the lock: two first hits at once both render,
+		// and the second insert replaces the first's entry with its equal.
+		var err error
+		if fresh.rendered, err = renderResult(fresh.payload); err != nil {
+			s.dropCorrupt(hash, err)
+			return nil, false
+		}
 	}
-	s.insert(hash, payload, rendered)
-	return payload, rendered, true
+	if spec != nil && !fresh.hasSpec() {
+		fresh.spec = *spec
+	}
+	s.insert(fresh)
+	return fresh, true
 }
 
 // dropCorrupt forgets an entry whose payload did not render and moves its
@@ -126,38 +152,48 @@ func (s *Store) dropCorrupt(hash string, cause error) {
 // write goes through a temp file + rename so a crashed server never leaves
 // a truncated result to be served later.
 func (s *Store) Put(hash string, payload []byte) error {
-	s.insert(hash, payload, nil)
+	_, err := s.put(hash, payload, nil)
+	return err
+}
+
+// put is Put with the spec the hash is of, when the caller has it, returning
+// the entry it stored in memory whether or not the disk write failed.
+func (s *Store) put(hash string, payload []byte, spec *RunSpec) (*entry, error) {
+	e := &entry{hash: hash, payload: payload}
+	if spec != nil {
+		e.spec = *spec
+	}
+	s.insert(e)
 	if s.dir == "" {
-		return nil
+		return e, nil
 	}
 	tmp, err := os.CreateTemp(s.dir, "put-*")
 	if err != nil {
-		return err
+		return e, err
 	}
 	if _, err := tmp.Write(payload); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return err
+		return e, err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return e, err
 	}
-	return os.Rename(tmp.Name(), s.path(hash))
+	return e, os.Rename(tmp.Name(), s.path(hash))
 }
 
-// insert places a payload and its rendered form (nil when nobody has asked
-// for it yet) at the LRU front, evicting from the back past capacity.
-func (s *Store) insert(hash string, payload, rendered []byte) {
+// insert places an entry at the LRU front, in the place of the one it
+// replaces, evicting from the back past capacity.
+func (s *Store) insert(e *entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[hash]; ok {
-		e := el.Value.(*entry)
-		e.payload, e.rendered = payload, rendered
+	if el, ok := s.items[e.hash]; ok {
+		el.Value = e
 		s.order.MoveToFront(el)
 		return
 	}
-	s.items[hash] = s.order.PushFront(&entry{hash: hash, payload: payload, rendered: rendered})
+	s.items[e.hash] = s.order.PushFront(e)
 	for s.order.Len() > s.max {
 		back := s.order.Back()
 		s.order.Remove(back)
@@ -187,9 +223,9 @@ type flightGroup struct {
 }
 
 type flightCall struct {
-	done    chan struct{}
-	payload []byte
-	err     error
+	done chan struct{}
+	ent  *entry
+	err  error
 }
 
 // do invokes fn once per key at a time; shared reports whether this caller
@@ -198,7 +234,7 @@ type flightCall struct {
 // cancelled: it keeps running for the remaining waiters and still populates
 // the cache. This is what makes hedged requests safe — cancelling the losing
 // hedge abandons only that caller's wait, never the shared run.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, error)) (payload []byte, err error, shared bool) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func() (*entry, error)) (ent *entry, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flightCall)
@@ -207,7 +243,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, err
 		g.mu.Unlock()
 		select {
 		case <-c.done:
-			return c.payload, c.err, true
+			return c.ent, c.err, true
 		case <-ctx.Done():
 			return nil, ctx.Err(), true
 		}
@@ -219,13 +255,13 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, err
 	defer func() {
 		if r := recover(); r != nil {
 			c.err = fmt.Errorf("simsvc: run panicked: %v", r)
-			payload, err = nil, c.err
+			ent, err = nil, c.err
 		}
 		close(c.done)
 		g.mu.Lock()
 		delete(g.m, key)
 		g.mu.Unlock()
 	}()
-	c.payload, c.err = fn()
-	return c.payload, c.err, false
+	c.ent, c.err = fn()
+	return c.ent, c.err, false
 }

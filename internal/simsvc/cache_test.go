@@ -90,15 +90,15 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	var calls int
 
 	var wg sync.WaitGroup
-	results := make([][]byte, 2)
+	results := make([]*entry, 2)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p, err, _ := g.do(context.Background(), "k", func() ([]byte, error) {
+		p, err, _ := g.do(context.Background(), "k", func() (*entry, error) {
 			calls++
 			close(started)
 			<-release
-			return []byte(`"payload"`), nil
+			return &entry{payload: []byte(`"payload"`)}, nil
 		})
 		if err != nil {
 			t.Error(err)
@@ -110,7 +110,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	// entered do; the duplicate lookup happens under g.mu before the first
 	// call can complete and deregister, so the dup is guaranteed to share.
 	time.AfterFunc(50*time.Millisecond, func() { close(release) })
-	p, err, shared := g.do(context.Background(), "k", func() ([]byte, error) {
+	p, err, shared := g.do(context.Background(), "k", func() (*entry, error) {
 		t.Error("second fn invoked despite in-flight call")
 		return nil, nil
 	})
@@ -122,8 +122,8 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("fn ran %d times, want 1", calls)
 	}
-	if !bytes.Equal(results[0], results[1]) {
-		t.Errorf("coalesced results differ: %q vs %q", results[0], results[1])
+	if results[0] == nil || results[0] != results[1] {
+		t.Errorf("coalesced results differ: %+v vs %+v", results[0], results[1])
 	}
 }
 
@@ -273,17 +273,16 @@ func TestFlightGroupWaiterCancellation(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err, _ := g.do(context.Background(), "k", func() ([]byte, error) {
+		_, err, _ := g.do(context.Background(), "k", func() (*entry, error) {
 			close(started)
 			<-release
-			store.Put("k", []byte(`"payload"`))
-			return []byte(`"payload"`), nil
+			return store.put("k", []byte(`"payload"`), nil)
 		})
 		leaderErr <- err
 	}()
 	<-started
 
-	dupFn := func() ([]byte, error) {
+	dupFn := func() (*entry, error) {
 		t.Error("duplicate fn invoked despite in-flight call")
 		return nil, nil
 	}
@@ -298,7 +297,7 @@ func TestFlightGroupWaiterCancellation(t *testing.T) {
 		}
 		cancelledErr <- err
 	}()
-	stayedPayload := make(chan []byte, 1)
+	stayedPayload := make(chan *entry, 1)
 	go func() {
 		p, err, shared := g.do(context.Background(), "k", dupFn)
 		if err != nil || !shared {
@@ -321,8 +320,8 @@ func TestFlightGroupWaiterCancellation(t *testing.T) {
 	if err := <-leaderErr; err != nil {
 		t.Fatalf("shared run failed after waiter cancellation: %v", err)
 	}
-	if p := <-stayedPayload; !bytes.Equal(p, []byte(`"payload"`)) {
-		t.Fatalf("surviving waiter payload %q, want %q", p, `"payload"`)
+	if p := <-stayedPayload; p == nil || !bytes.Equal(p.payload, []byte(`"payload"`)) {
+		t.Fatalf("surviving waiter got %+v, want payload %q", p, `"payload"`)
 	}
 	if p, ok := store.Get("k"); !ok || !bytes.Equal(p, []byte(`"payload"`)) {
 		t.Fatalf("cache not populated after waiter cancellation: %q %v", p, ok)

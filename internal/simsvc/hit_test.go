@@ -52,10 +52,19 @@ func newHitService(tb testing.TB) func() *httptest.ResponseRecorder {
 // hitAllocs is what one POST answered from the cache allocates, the 14
 // allocations of httptest's request and recorder included: exact, so a change
 // that adds one fails here and one that removes some lowers the number. The
-// job table and its eviction list grow a few dozen times in 2000 posts (0.02
-// to 0.15 of an allocation each); the integer average AllocsPerRun takes drops
-// that fraction.
-const hitAllocs = 76
+// job table's ring and index grow a few times in 2000 posts (under 0.01 of an
+// allocation each); the integer average AllocsPerRun takes drops that
+// fraction. A hit used to build a job, its span collector and the collector's
+// slice, and to box its number for fmt: 76.
+const hitAllocs = 72
+
+// What the job table keeps per finished job (TestFinishedJobFootprint): an
+// 88-byte record in the ring, its request ID and its index entry, 0.99 heap
+// objects and 138 B here, pinned with a little room for the map's layout.
+const (
+	finishedJobObjects = 1.02
+	finishedJobBytes   = 145.0
+)
 
 // TestHitAllocBudget pins the allocations of a cache hit at an exact count and
 // its bytes under 12 KB. The encoder used to be built per request and to
@@ -71,8 +80,7 @@ func TestHitAllocBudget(t *testing.T) {
 	if w := post(); w.Code != http.StatusOK || !bytes.Contains(w.Body.Bytes(), []byte(`"cached": true`)) {
 		t.Fatalf("not a hit: %d %s", w.Code, w.Body)
 	}
-	// The first 255 jobs cost one allocation less: register formats the
-	// job's number, and an integer below 256 boxes for free.
+	// Past the job table's first few growth steps.
 	for i := 0; i < 300; i++ {
 		post()
 	}
@@ -97,6 +105,41 @@ func TestHitAllocBudget(t *testing.T) {
 		t.Errorf("a cache hit allocates %d bytes, budget 12 KB", least)
 	}
 	t.Logf("a cache hit: %d allocations, %d bytes", hitAllocs, least)
+}
+
+// liveHeap is the heap's object count and bytes after a collection; two, so
+// that sync.Pool's victim cache is gone too.
+func liveHeap() (objects, bytes uint64) {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapObjects, m.HeapAlloc
+}
+
+// TestFinishedJobFootprint pins what the job table keeps per finished job:
+// the heap's growth over 2 × jobTableCap hits, which leave jobTableCap jobs
+// retained, per retained job. Each used to be a job struct and seven more
+// objects, 8.02 objects and 592.7 B by this test, every one of them marked
+// again by each collection.
+func TestFinishedJobFootprint(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("skipping heap measurement in -short mode and under -race")
+	}
+	post := newHitService(t)
+	post()
+	objects0, bytes0 := liveHeap()
+	for i := 0; i < 2*jobTableCap; i++ {
+		post()
+	}
+	objects1, bytes1 := liveHeap()
+	objects := float64(int64(objects1-objects0)) / jobTableCap
+	bytes := float64(int64(bytes1-bytes0)) / jobTableCap
+	t.Logf("a retained job: %.2f heap objects, %.1f B", objects, bytes)
+	if objects > finishedJobObjects || bytes > finishedJobBytes {
+		t.Errorf("a retained job holds %.2f heap objects and %.1f B, pinned at %.2f and %.0f",
+			objects, bytes, finishedJobObjects, finishedJobBytes)
+	}
 }
 
 // BenchmarkPostHit is the serve_hot op under go test -bench, for profiles:

@@ -161,13 +161,13 @@ func IsSpecHash(id string) bool {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if IsSpecHash(id) {
-		payload, rendered, ok := s.sched.cfg.Store.get(id)
+		e, ok := s.sched.cfg.Store.lookup(id, nil)
 		if !ok {
 			s.writeJSON(w, http.StatusNotFound, APIError{Error: "no cached result for spec " + id})
 			return
 		}
 		s.shell.writeResult(w, http.StatusOK,
-			CachedView{SpecHash: id, Status: StatusDone, Cached: true}, payload, rendered)
+			CachedView{SpecHash: id, Status: StatusDone, Cached: true}, e.payload, e.rendered)
 		return
 	}
 	job, ok := s.sched.Job(id)

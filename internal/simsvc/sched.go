@@ -80,9 +80,12 @@ func RetryDelay(base, limit time.Duration, attempt int) time.Duration {
 // hop up, so a shard remembers a job as long as its coordinator does.
 const jobTableCap = 16384
 
-// job is the scheduler-internal record; all fields below mu-guarded ones
-// are written only before enqueue.
+// job is a queued or running job; a finished one is a record (table.go). Its
+// seq and id are written under Scheduler.mu as it is registered, which a
+// worker takes before reading them, status under it too, and the rest before
+// the job is enqueued.
 type job struct {
+	seq   int64
 	id    string
 	hash  string
 	spec  RunSpec
@@ -90,15 +93,10 @@ type job struct {
 	// spans accumulates the job's phase timings (queue wait, cache lookup,
 	// coalesce, execute, encode); the collector is internally locked, so
 	// workers and view snapshots need no extra coordination.
-	spans *telemetry.Spans
-
-	// Guarded by Scheduler.mu.
-	status   Status
-	cached   bool
-	errMsg   string
-	payload  []byte
-	rendered []byte // the store entry's, when the job was a hit; else nil
+	spans    *telemetry.Spans
 	enqueued time.Time
+
+	status Status // guarded by Scheduler.mu
 }
 
 // JobView is the API-facing snapshot of a job.
@@ -140,8 +138,8 @@ type Scheduler struct {
 	wg      sync.WaitGroup
 
 	mu       sync.Mutex
-	jobs     map[string]*job
-	retired  []string // IDs of finished jobs, oldest first: the eviction order
+	live     map[int64]*job // queued and running jobs, by sequence number
+	finished jobTable
 	seq      int64
 	draining bool
 	running  int
@@ -170,7 +168,7 @@ func NewScheduler(cfg SchedConfig) *Scheduler {
 		queue:   make(chan *job, cfg.QueueDepth),
 		baseCtx: ctx,
 		cancel:  cancel,
-		jobs:    make(map[string]*job),
+		live:    make(map[int64]*job),
 		latency: &stats.LatencyHist{},
 	}
 	s.wg.Add(cfg.Workers)
@@ -192,27 +190,23 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 		return JobView{}, err
 	}
 	hash := norm.Hash()
-
-	j := &job{hash: hash, spec: norm, enqueued: time.Now(),
-		reqID: telemetry.RequestID(ctx), spans: telemetry.NewSpans()}
+	reqID := telemetry.RequestID(ctx)
 
 	lookup := time.Now()
-	payload, rendered, ok := s.cfg.Store.get(hash)
-	j.spans.Add("cache-lookup", time.Since(lookup))
-	if ok {
+	if e, ok := s.cfg.Store.lookup(hash, &norm); ok {
+		r := record{reqID: reqID, ent: e, cached: true}
+		r.addSpan(cacheLookup, time.Since(lookup).Microseconds())
 		s.mu.Lock()
 		s.hits++
 		s.done++
-		s.register(j)
-		j.status = StatusDone
-		j.cached = true
-		j.payload, j.rendered = payload, rendered
-		s.retired = append(s.retired, j.id)
-		v := j.view()
+		r.seq = s.register()
+		v := s.finished.push(r).view()
 		s.mu.Unlock()
 		s.cfg.Trace.job(v)
 		return v, nil
 	}
+	j := &job{hash: hash, spec: norm, reqID: reqID, spans: telemetry.NewSpans(), enqueued: lookup}
+	j.spans.Add("cache-lookup", time.Since(lookup))
 
 	s.mu.Lock()
 	if s.draining {
@@ -226,24 +220,25 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 		return JobView{}, ErrQueueFull
 	}
 	s.misses++
-	s.register(j)
+	j.seq = s.register()
+	j.id = jobID(j.seq)
 	j.status = StatusQueued
+	s.live[j.seq] = j
 	v := j.view()
 	s.mu.Unlock()
 	return v, nil
 }
 
-// register assigns an ID and indexes the job, evicting the oldest finished
-// jobs while the table is over jobTableCap; callers hold s.mu.
-func (s *Scheduler) register(j *job) {
+// register numbers a job entering the table, first forgetting the oldest
+// finished jobs while the table, this job included, would hold more than
+// jobTableCap; callers hold s.mu.
+func (s *Scheduler) register() int64 {
+	for len(s.live)+s.finished.n >= jobTableCap && s.finished.n > 0 {
+		s.finished.evictOldest()
+	}
 	s.seq++
 	s.accepted++
-	j.id = fmt.Sprintf("j-%06d", s.seq)
-	s.jobs[j.id] = j
-	for len(s.jobs) > jobTableCap && len(s.retired) > 0 {
-		delete(s.jobs, s.retired[0])
-		s.retired = s.retired[1:]
-	}
+	return s.seq
 }
 
 // Ready reports whether the scheduler can usefully accept new work right
@@ -288,31 +283,31 @@ func (s *Scheduler) RetryAfterSeconds() int {
 
 // Job returns a snapshot of one job.
 func (s *Scheduler) Job(id string) (JobView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	seq, ok := parseJobID(id)
 	if !ok {
 		return JobView{}, false
 	}
-	return j.view(), true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.live[seq]; ok {
+		return j.view(), true
+	}
+	if r, ok := s.finished.get(seq); ok {
+		return r.view(), true
+	}
+	return JobView{}, false
 }
 
-// view snapshots a job; callers hold s.mu.
+// view snapshots a queued or running job; callers hold s.mu.
 func (j *job) view() JobView {
-	v := JobView{
+	return JobView{
 		ID:        j.id,
 		SpecHash:  j.hash,
 		Spec:      j.spec,
 		Status:    j.status,
-		Cached:    j.cached,
-		Error:     j.errMsg,
 		RequestID: j.reqID,
 		Spans:     j.spans.List(),
 	}
-	if j.status == StatusDone {
-		v.Result, v.rendered = json.RawMessage(j.payload), j.rendered
-	}
-	return v
 }
 
 // worker drains the queue until it is closed, executing (or deduplicating)
@@ -326,22 +321,12 @@ func (s *Scheduler) worker() {
 
 // safeRun is the last-resort guard around the scheduler's own bookkeeping:
 // execSafe already contains executor panics, so anything reaching here came
-// from scheduler or sink code — the job is marked failed and the worker
-// stays alive to serve the rest of the queue.
+// from scheduler or sink code — the job, unless it had finished, is marked
+// failed and the worker stays alive to serve the rest of the queue.
 func (s *Scheduler) safeRun(j *job) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.mu.Lock()
-			if j.status == StatusRunning {
-				s.running--
-			}
-			j.status = StatusFailed
-			j.errMsg = fmt.Sprintf("simsvc: worker panic: %v", r)
-			s.retired = append(s.retired, j.id)
-			s.failed++
-			v := j.view()
-			s.mu.Unlock()
-			s.cfg.Trace.job(v)
+			s.finish(j, time.Time{}, nil, false, fmt.Errorf("simsvc: worker panic: %v", r))
 		}
 	}()
 	s.runJob(j)
@@ -358,69 +343,64 @@ func (s *Scheduler) runJob(j *job) {
 	s.mu.Unlock()
 	j.spans.Add("queue-wait", started.Sub(j.enqueued))
 
-	var fromCache, sharedRun bool
 	lookup := time.Now()
-	payload, rendered, ok := s.cfg.Store.get(j.hash)
+	e, ok := s.cfg.Store.lookup(j.hash, &j.spec)
 	j.spans.Add("cache-lookup", time.Since(lookup))
 	if ok {
-		fromCache = true
-	} else {
-		var err error
-		flightStart := time.Now()
-		payload, err, sharedRun = s.flight.do(s.baseCtx, j.hash, func() ([]byte, error) {
-			ctx := telemetry.WithSpans(s.baseCtx, j.spans)
-			ctx = telemetry.WithRequestID(ctx, j.reqID)
-			var cancel context.CancelFunc = func() {}
-			if s.cfg.JobTimeout > 0 {
-				ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-			}
-			defer cancel()
-			if s.cfg.PeerFill != nil {
-				fillStart := time.Now()
-				p, ok := s.cfg.PeerFill(ctx, j.hash)
-				j.spans.Add("peer-fill", time.Since(fillStart))
-				if ok {
-					s.mu.Lock()
-					s.peerFill++
-					s.mu.Unlock()
-					s.store(j, p)
-					return p, nil
-				}
-			}
-			s.mu.Lock()
-			s.executed++
-			s.mu.Unlock()
-			execStart := time.Now()
-			p, err := s.execSafe(ctx, j)
-			j.spans.Add("execute", time.Since(execStart))
-			if err != nil {
-				return nil, err
-			}
-			putStart := time.Now()
-			s.store(j, p)
-			j.spans.Add("cache-store", time.Since(putStart))
-			return p, nil
-		})
-		if sharedRun {
-			// This job piggybacked on an identical in-flight run: what it
-			// spent was the wait for that run, not its own execution.
-			j.spans.Add("coalesce", time.Since(flightStart))
-		}
-		if err != nil {
-			s.finish(j, started, nil, nil, false, err)
-			return
-		}
+		s.finish(j, started, e, true, nil)
+		return
 	}
-	s.finish(j, started, payload, rendered, fromCache || sharedRun, nil)
+	flightStart := time.Now()
+	e, err, sharedRun := s.flight.do(s.baseCtx, j.hash, func() (*entry, error) {
+		ctx := telemetry.WithSpans(s.baseCtx, j.spans)
+		ctx = telemetry.WithRequestID(ctx, j.reqID)
+		var cancel context.CancelFunc = func() {}
+		if s.cfg.JobTimeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
+		}
+		defer cancel()
+		if s.cfg.PeerFill != nil {
+			fillStart := time.Now()
+			p, ok := s.cfg.PeerFill(ctx, j.hash)
+			j.spans.Add("peer-fill", time.Since(fillStart))
+			if ok {
+				s.mu.Lock()
+				s.peerFill++
+				s.mu.Unlock()
+				return s.store(j, p), nil
+			}
+		}
+		s.mu.Lock()
+		s.executed++
+		s.mu.Unlock()
+		execStart := time.Now()
+		p, err := s.execSafe(ctx, j)
+		j.spans.Add("execute", time.Since(execStart))
+		if err != nil {
+			return nil, err
+		}
+		putStart := time.Now()
+		e := s.store(j, p)
+		j.spans.Add("cache-store", time.Since(putStart))
+		return e, nil
+	})
+	if sharedRun {
+		// This job piggybacked on an identical in-flight run: what it
+		// spent was the wait for that run, not its own execution.
+		j.spans.Add("coalesce", time.Since(flightStart))
+	}
+	s.finish(j, started, e, sharedRun, err)
 }
 
-// store caches a job's payload under its hash. A failed disk write is logged
-// and otherwise ignored: Put has already inserted the payload in memory, so
-// the result is valid and served; only persistence failed.
-func (s *Scheduler) store(j *job, p []byte) {
-	if err := s.cfg.Store.Put(j.hash, p); err != nil {
+// store caches a job's payload under its hash and returns the entry. A failed
+// disk write is logged and otherwise ignored: the payload is in memory, so the
+// result is valid and served; only persistence failed.
+func (s *Scheduler) store(j *job, p []byte) *entry {
+	e, err := s.cfg.Store.put(j.hash, p, &j.spec)
+	if err != nil {
 		log.Printf("simsvc: job %s (hash=%s): result not persisted: %v", j.id, j.hash, err)
 	}
+	return e
 }
 
 // execSafe runs the configured executor on j's spec, converting a panic into
@@ -445,20 +425,29 @@ func (s *Scheduler) execSafe(ctx context.Context, j *job) (payload []byte, err e
 	return exec(ctx, j.spec, bus)
 }
 
-// finish publishes the outcome of a job picked up at started and records its
-// latency. rendered is not nil only when the store answered.
-func (s *Scheduler) finish(j *job, started time.Time, payload, rendered []byte, cached bool, err error) {
-	s.mu.Lock()
-	s.retired = append(s.retired, j.id)
-	s.running--
+// finish moves a job from the live map to the finished table with its outcome:
+// the store entry its hash resolved to, answered from the store or a shared
+// run when cached, or err. started is when a worker picked the job up, zero if
+// the worker panicked; a job already finished stays as it finished.
+func (s *Scheduler) finish(j *job, started time.Time, e *entry, cached bool, err error) {
+	r := record{reqID: j.reqID, ent: e, seq: j.seq, cached: cached}
+	r.setSpans(j.spans.List())
 	if err != nil {
-		j.status = StatusFailed
-		j.errMsg = err.Error()
+		r.ent = &entry{hash: j.hash, spec: j.spec, err: err.Error()}
+		r.cached, r.failed = false, true
+	}
+	s.mu.Lock()
+	if s.live[j.seq] != j {
+		s.mu.Unlock()
+		return
+	}
+	delete(s.live, j.seq)
+	if j.status == StatusRunning {
+		s.running--
+	}
+	if err != nil {
 		s.failed++
 	} else {
-		j.status = StatusDone
-		j.payload, j.rendered = payload, rendered
-		j.cached = cached
 		s.done++
 		if cached {
 			// A queued job answered without its own simulation: either the
@@ -467,8 +456,14 @@ func (s *Scheduler) finish(j *job, started time.Time, payload, rendered []byte, 
 			s.coalesce++
 		}
 	}
-	s.latency.Add(time.Since(started).Microseconds())
-	v := j.view()
+	if !started.IsZero() {
+		s.latency.Add(time.Since(started).Microseconds())
+	}
+	rec := s.finished.push(r)
+	var v JobView
+	if s.cfg.Trace != nil {
+		v = rec.view()
+	}
 	s.mu.Unlock()
 	s.cfg.Trace.job(v)
 }

@@ -388,7 +388,7 @@ func TestJobTableEvictsOldestFinished(t *testing.T) {
 	}
 
 	sched.mu.Lock()
-	retained := len(sched.jobs)
+	retained := len(sched.live) + sched.finished.n
 	sched.mu.Unlock()
 	if retained > jobTableCap {
 		t.Errorf("job table holds %d jobs, cap %d", retained, jobTableCap)
