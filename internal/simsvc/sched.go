@@ -430,12 +430,13 @@ func (s *Scheduler) execSafe(ctx context.Context, j *job) (payload []byte, err e
 // run when cached, or err. started is when a worker picked the job up, zero if
 // the worker panicked; a job already finished stays as it finished.
 func (s *Scheduler) finish(j *job, started time.Time, e *entry, cached bool, err error) {
-	r := record{reqID: j.reqID, ent: e, seq: j.seq, cached: cached}
-	r.setSpans(j.spans.List())
+	r := record{reqID: j.reqID, seq: j.seq}
 	if err != nil {
-		r.ent = &entry{hash: j.hash, spec: j.spec, err: err.Error()}
-		r.cached, r.failed = false, true
+		r.ent, r.failed = &entry{hash: j.hash, spec: j.spec, err: err.Error()}, true
+	} else {
+		r.ent, r.cached = e, cached
 	}
+	r.setSpans(j.spans.List())
 	s.mu.Lock()
 	if s.live[j.seq] != j {
 		s.mu.Unlock()
