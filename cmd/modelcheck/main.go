@@ -34,7 +34,7 @@ func main() {
 	var (
 		schemeName = flag.String("scheme", "all", "scheme to check: SA, DR, PR, or all")
 		workload   = flag.String("workload", "crossing", "scripted workload: single, crossing, entangled, or gridlock (true-deadlock space)")
-		detector   = flag.String("detector", "threshold", "recovery trigger to check: threshold or probe (cwg recovers from periodic scans, which the explorer does not branch on)")
+		detector   = flag.String("detector", "threshold", "recovery trigger to check: threshold or probe")
 		bugName    = flag.String("bug", "", "injected detector bug: suppress-detect, forge-detect, suppress-probe, or forge-probe")
 		forge      = flag.Int64("forge-period", 10, "forged firing period in cycles (with -bug forge-detect or forge-probe)")
 		strict     = flag.Bool("strict", true, "arm the no-false-detection property")
@@ -102,8 +102,6 @@ func main() {
 	}
 	switch *detector {
 	case "threshold", "probe":
-	case "cwg":
-		fatal(fmt.Errorf("-detector=cwg is not model-checkable: its recovery dispatch rides the periodic scan, which the explorer treats as an oracle rather than a branch point (use threshold or probe)"))
 	default:
 		fatal(fmt.Errorf("unknown detector %q (want threshold or probe)", *detector))
 	}

@@ -71,7 +71,7 @@ var (
 	drain       = flag.Int64("drain", 30000, "max drain cycles")
 	seed        = flag.Uint64("seed", 1, "random seed")
 	cwg         = flag.Int64("cwg", 50, "CWG scan interval (0 disables)")
-	detector    = flag.String("detector", "threshold", "recovery trigger: threshold (endpoint persistence counter), cwg (scan results), or probe (distributed edge chasing)")
+	detector    = flag.String("detector", "threshold", "recovery trigger: threshold (endpoint persistence counter) or probe (distributed edge chasing)")
 
 	tracePath    = flag.String("trace", "", "write a structured event trace to this file")
 	traceFormat  = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (chrome://tracing / Perfetto)")

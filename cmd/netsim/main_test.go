@@ -121,7 +121,7 @@ func TestBadFlagsAreOneLineErrors(t *testing.T) {
 		{[]string{"-queue", "2000000000"}, "QueueCap"},
 		{[]string{"-qmode", "heap"}, "queue mode"},
 		{[]string{"-detector", "bogus"}, "Detector"},
-		{[]string{"-detector", "cwg", "-cwg", "0"}, "CWGInterval"},
+		{[]string{"-detector", "cwg"}, "Detector"}, // the scan is the oracle, not a trigger
 		{[]string{"-detector", "probe", "-scheme", "SA", "-pattern", "PAT100"}, "Detector"},
 		{[]string{"-scheme", "DR", "-pattern", "PAT100"}, "DR is not valid"},
 		{[]string{"-check-interval", "0"}, "-check-interval"},

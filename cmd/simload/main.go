@@ -90,21 +90,21 @@ type report struct {
 	// ErrorBudget is the fraction of requests that did not succeed; the
 	// breakdown separates deliberate backpressure from real failures.
 	ErrorBudget struct {
-		Total       float64 `json:"total"`
-		Backpressure int64  `json:"backpressure_429_503"`
-		Failures     int64  `json:"failures"`
-		Transport    int64  `json:"transport_errors"`
+		Total        float64 `json:"total"`
+		Backpressure int64   `json:"backpressure_429_503"`
+		Failures     int64   `json:"failures"`
+		Transport    int64   `json:"transport_errors"`
 	} `json:"error_budget"`
 
 	PerSecond []secondStat `json:"per_second"`
 }
 
 type secondStat struct {
-	Second     int   `json:"s"`
-	Requests   int64 `json:"requests"`
-	Errors     int64 `json:"errors"`
-	P50US      int64 `json:"p50_us"`
-	P99US      int64 `json:"p99_us"`
+	Second   int   `json:"s"`
+	Requests int64 `json:"requests"`
+	Errors   int64 `json:"errors"`
+	P50US    int64 `json:"p50_us"`
+	P99US    int64 `json:"p99_us"`
 }
 
 func main() {

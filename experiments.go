@@ -48,8 +48,8 @@ var ExperimentNames = []string{
 //	            fanout, chain length
 //	utilization — per-scheme channel utilization (the Section 2.1 argument)
 //	faultsweep — delivered fraction and token-recovery latency vs fault rate
-//	detectors — recovery-trigger ablation: threshold vs CWG scan vs in-band
-//	            probe engine (detection latency, false positives, overhead)
+//	detectors — recovery-trigger ablation: threshold vs in-band probe
+//	            engine (detection latency, false positives, overhead)
 func RunExperiment(ctx context.Context, name string, scale ExperimentScale, w io.Writer) error {
 	switch name {
 	case "table1":

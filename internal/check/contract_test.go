@@ -129,7 +129,7 @@ func TestCheckpointContract(t *testing.T) {
 		detector string
 	}
 	var cases []tc
-	for _, det := range []string{network.DetectorThreshold, network.DetectorCWG, network.DetectorProbe} {
+	for _, det := range []string{network.DetectorThreshold, network.DetectorProbe} {
 		if det != network.DetectorProbe { // avoidance has nothing for a probe to trigger
 			cases = append(cases, tc{schemes.SA, protocol.PAT721, 8, 0.05, det})
 		}

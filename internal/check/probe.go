@@ -10,9 +10,8 @@
 //     dispatch mutates the state the probes chased.
 //   - probe-missed-deadlock: the rebuild has seen an uninterrupted knot for
 //     longer than the detection bound with no declaration since it formed.
-//     The bound is generous — a threshold firing plus the probe's round trip
-//     through congested channels — scaled from the same quantities the model
-//     checker's missed-detection deadline uses.
+//     The bound is MissedBound, which the model checker's missed-detection
+//     deadline defaults to as well.
 //
 // A declaration whose origin IS blocked but for which the rebuild finds no
 // knot is not a violation: edge-chasing samples wait edges as the probe
@@ -33,7 +32,7 @@ func (c *Checker) attachProbe() {
 		return
 	}
 	c.probeKnotSince = -1
-	c.probeMissedBound = 8*(int64(n.Cfg.DetectThreshold)+n.Cfg.CWGInterval) + 100
+	c.probeMissedBound = MissedBound(n.Cfg)
 	prev := n.Probe.OnDeclare
 	n.Probe.OnDeclare = func(origin int, now int64) {
 		c.onProbeDeclare(origin, now)

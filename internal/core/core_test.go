@@ -130,7 +130,7 @@ func TestDeadlockActuallyResolved(t *testing.T) {
 	if !n.Quiescent() {
 		t.Fatalf("not quiescent: %d txns", n.Table.Len())
 	}
-	locked, fresh := n.Detector.Scan()
+	locked, fresh := n.Detector.ScanAt(-1)
 	if locked != 0 || fresh != 0 {
 		t.Fatalf("knots remain after drain: %d resources", locked)
 	}

@@ -8,9 +8,8 @@ import "repro/internal/ckpt"
 // scan clears the VC flags it published — written as the ascending vertex
 // list; a restore rebuilds the bitset from it. The vertex layout is derived
 // from the immutable host shape and everything else is per-scan scratch. The
-// counters and the detection-latency accounting are pure bookkeeping but must
-// rewind too, or a restored path would charge latency against another path's
-// scan history.
+// counters are pure bookkeeping but rewind too, so a restored run reports what
+// the uninterrupted one does.
 func (d *Detector) Checkpoint(c *ckpt.C) {
 	ckpt.Slice(c, &d.lockedList, func(v *int32) { ckpt.Int(c, v) })
 	if c.Reading() {
@@ -23,10 +22,5 @@ func (d *Detector) Checkpoint(c *ckpt.C) {
 	if c.Unhashed() {
 		ckpt.Int(c, &d.Scans)
 		ckpt.Int(c, &d.Deadlocks)
-		ckpt.Int(c, &d.DetectLatencySum)
-		ckpt.Int(c, &d.DetectLatencyCount)
-		ckpt.Int(c, &d.LastDetectLatency)
-		ckpt.Int(c, &d.prevScanAt)
-		c.Bool(&d.prevKnotted)
 	}
 }

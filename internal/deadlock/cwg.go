@@ -100,17 +100,6 @@ type Detector struct {
 	Deadlocks      int64
 	LastDeadlocked int
 
-	// Detection-latency accounting: cycles from knot formation (bounded
-	// below by the previous scan, which saw no knot) to the scan that
-	// first reports it. LastDetectLatency is the most recent sample;
-	// DetectLatencySum/Count accumulate for averaging. prevScanAt and
-	// prevKnotted carry the previous scan's cycle and verdict.
-	DetectLatencySum   int64
-	DetectLatencyCount int64
-	LastDetectLatency  int64
-	prevScanAt         int64
-	prevKnotted        bool
-
 	// Forensics, when set, makes each scan retain the deadlocked wait-for
 	// subgraph as a resource chain retrievable via KnotChain — the raw
 	// material for deadlock-episode records. Off by default: building the
@@ -121,7 +110,7 @@ type Detector struct {
 
 // NewDetector builds a detector over the host.
 func NewDetector(h Host) *Detector {
-	d := &Detector{host: h, layout: LayoutOf(h), prevScanAt: -1}
+	d := &Detector{host: h, layout: LayoutOf(h)}
 	words := (d.layout.Total + 63) / 64
 	d.blocked = make(bitset, words)
 	d.locked = make(bitset, words)
@@ -134,14 +123,6 @@ func NewDetector(h Host) *Detector {
 // engine and the independent rebuild in internal/check).
 func (d *Detector) Layout() Layout { return d.layout }
 
-// InQueueKnotted reports whether the most recent scan placed endpoint ep's
-// input queue q inside the knot — the trigger predicate for the cwg detector
-// mode, which dispatches recovery from scan results instead of endpoint
-// threshold events.
-func (d *Detector) InQueueKnotted(ep, q int) bool {
-	return d.locked.has(int32(d.layout.InVertex(ep, q)))
-}
-
 // consumerRouter returns the router that consumes flits from a channel (for
 // link channels the downstream router; for injection channels the local
 // router). Ejection channels are consumed by the NI and handled separately.
@@ -152,16 +133,11 @@ func consumerRouter(ch *router.Channel) topology.NodeID {
 	return ch.Src
 }
 
-// Scan inspects the system and returns the number of resources currently in
-// a knot and the number of newly formed knot components since the previous
-// scan. Forensic blocked-durations are unavailable through this entry point;
-// use ScanAt when the current cycle is known.
-func (d *Detector) Scan() (deadlockedResources, newKnots int) {
-	return d.ScanAt(-1)
-}
-
-// ScanAt is Scan with the current cycle supplied, letting forensics report
-// how long each deadlocked virtual channel has gone without movement.
+// ScanAt inspects the system and returns the number of resources currently
+// in a knot and the number of newly formed knot components since the
+// previous scan. now is the current cycle, which lets forensics report how
+// long each deadlocked virtual channel has gone without movement; -1 when
+// unknown.
 //
 // Cost is O(channels + occupied VCs + NI queues + wait-for edges of blocked
 // resources): only occupied resources are classified, the knot is computed
@@ -180,24 +156,6 @@ func (d *Detector) ScanAt(now int64) (deadlockedResources, newKnots int) {
 		d.locked, d.prevLock = d.prevLock, d.locked
 		newKnots = d.publish()
 	}
-
-	// Detection latency: a scan that reports a knot where the previous scan
-	// saw none just "detected" it; the knot formed somewhere after the
-	// previous scan, so that scan's cycle bounds the formation time below.
-	if now >= 0 && deadlockedResources > 0 && !d.prevKnotted {
-		base := d.prevScanAt
-		if base < 0 {
-			base = 0
-		}
-		d.LastDetectLatency = now - base
-		d.DetectLatencySum += d.LastDetectLatency
-		d.DetectLatencyCount++
-	}
-	if now >= 0 {
-		d.prevScanAt = now
-		d.prevKnotted = deadlockedResources > 0
-	}
-
 	d.Scans++
 	d.Deadlocks += int64(newKnots)
 	d.LastDeadlocked = deadlockedResources

@@ -31,7 +31,7 @@ func net(t *testing.T, kind schemes.Kind, pat *protocol.Pattern, vcs int, rate f
 
 func TestEmptyNetworkHasNoKnots(t *testing.T) {
 	n := net(t, schemes.PR, protocol.PAT271, 4, 0, 16, 1)
-	locked, fresh := n.Detector.Scan()
+	locked, fresh := n.Detector.ScanAt(-1)
 	if locked != 0 || fresh != 0 {
 		t.Fatalf("idle network reported %d locked resources", locked)
 	}
@@ -41,7 +41,7 @@ func TestLightLoadHasNoKnots(t *testing.T) {
 	n := net(t, schemes.PR, protocol.PAT271, 4, 0.003, 16, 2)
 	for i := 0; i < 40; i++ {
 		n.RunCycles(100)
-		if locked, _ := n.Detector.Scan(); locked != 0 {
+		if locked, _ := n.Detector.ScanAt(-1); locked != 0 {
 			t.Fatalf("light load produced a knot at cycle %d (%d resources)", i*100, locked)
 		}
 	}
@@ -54,7 +54,7 @@ func TestSANeverKnotsUnderStress(t *testing.T) {
 	n := net(t, schemes.SA, protocol.PAT721, 8, 0.03, 8, 3)
 	for i := 0; i < 160; i++ {
 		n.RunCycles(50)
-		if locked, _ := n.Detector.Scan(); locked != 0 {
+		if locked, _ := n.Detector.ScanAt(-1); locked != 0 {
 			t.Fatalf("SA knot at cycle %d: %d resources", i*50, locked)
 		}
 	}
@@ -91,7 +91,7 @@ func TestKnotsFormWithoutRecovery(t *testing.T) {
 	sawKnot := false
 	for i := 0; i < 100 && !sawKnot; i++ {
 		n.RunCycles(100)
-		locked, fresh := n.Detector.Scan()
+		locked, fresh := n.Detector.ScanAt(-1)
 		if locked > 0 && fresh > 0 {
 			sawKnot = true
 		}
@@ -103,12 +103,12 @@ func TestKnotsFormWithoutRecovery(t *testing.T) {
 	// re-counted as new.
 	before := n.Detector.Deadlocks
 	n.RunCycles(100)
-	locked, _ := n.Detector.Scan()
+	locked, _ := n.Detector.ScanAt(-1)
 	if locked == 0 {
 		t.Fatal("knot vanished without recovery")
 	}
 	n.RunCycles(100)
-	n.Detector.Scan()
+	n.Detector.ScanAt(-1)
 	// Allow growth (new knots can still form) but the same knot must not
 	// inflate the counter unboundedly: counted knots grow by less than
 	// scans performed.
@@ -140,7 +140,7 @@ func TestRecoveryClearsKnots(t *testing.T) {
 	if !n.Quiescent() {
 		t.Fatalf("did not drain (%d txns left)", n.Table.Len())
 	}
-	if locked, _ := n.Detector.Scan(); locked != 0 {
+	if locked, _ := n.Detector.ScanAt(-1); locked != 0 {
 		t.Fatalf("knot outlived drain: %d resources", locked)
 	}
 }
@@ -148,8 +148,8 @@ func TestRecoveryClearsKnots(t *testing.T) {
 func TestScanCountsAccumulate(t *testing.T) {
 	n := net(t, schemes.PR, protocol.PAT100, 4, 0.005, 16, 7)
 	n.RunCycles(500)
-	n.Detector.Scan()
-	n.Detector.Scan()
+	n.Detector.ScanAt(-1)
+	n.Detector.ScanAt(-1)
 	if n.Detector.Scans != 2 {
 		t.Fatalf("scan counter = %d", n.Detector.Scans)
 	}

@@ -42,7 +42,7 @@ func scanPoint(tb testing.TB, name string) *network.Network {
 	}
 	if name == "knotted" {
 		n.Token.Lose() // no recovery: the knot stays
-		for locked := 0; locked == 0; locked, _ = n.Detector.Scan() {
+		for locked := 0; locked == 0; locked, _ = n.Detector.ScanAt(-1) {
 			if n.Clock.Now() > 20000 {
 				tb.Fatal("no knot formed")
 			}

@@ -4,7 +4,9 @@
 // vertex, republish every VC flag, BFS the components — was kept here
 // verbatim as the control (same precedent as legacyEdges in
 // internal/check/waitedges_diff_test.go). Do not "fix" it to match
-// production: if the two disagree, production is what changed.
+// production: if the two disagree, production is what changed. The one cut
+// is the scan's detection-latency bookkeeping, deleted from both when the
+// scan stopped being a recovery trigger.
 package deadlock_test
 
 import (
@@ -31,18 +33,12 @@ type refDetector struct {
 	Deadlocks      int64
 	LastDeadlocked int
 
-	DetectLatencySum   int64
-	DetectLatencyCount int64
-	LastDetectLatency  int64
-	prevScanAt         int64
-	prevKnotted        bool
-
 	Forensics bool
 	lastChain []obs.WaitResource
 }
 
 func newRefDetector(h deadlock.Host) *refDetector {
-	d := &refDetector{host: h, layout: deadlock.LayoutOf(h), prevScanAt: -1}
+	d := &refDetector{host: h, layout: deadlock.LayoutOf(h)}
 	d.prevLock = make([]bool, d.layout.Total)
 	return d
 }
@@ -58,7 +54,8 @@ func consumerRouter(ch *router.Channel) topology.NodeID {
 	return ch.Src
 }
 
-// ScanAt is the pre-PR-14 Detector.ScanAt, body verbatim.
+// ScanAt is the pre-PR-14 Detector.ScanAt, body verbatim but for the
+// detection-latency block.
 func (d *refDetector) ScanAt(now int64) (deadlockedResources, newKnots int) {
 	h := d.host
 	l := d.layout
@@ -156,23 +153,6 @@ func (d *refDetector) ScanAt(now int64) (deadlockedResources, newKnots int) {
 		if fresh {
 			newKnots++
 		}
-	}
-
-	// Detection latency: a scan that reports a knot where the previous scan
-	// saw none just "detected" it; the knot formed somewhere after the
-	// previous scan, so that scan's cycle bounds the formation time below.
-	if now >= 0 && deadlockedResources > 0 && !d.prevKnotted {
-		base := d.prevScanAt
-		if base < 0 {
-			base = 0
-		}
-		d.LastDetectLatency = now - base
-		d.DetectLatencySum += d.LastDetectLatency
-		d.DetectLatencyCount++
-	}
-	if now >= 0 {
-		d.prevScanAt = now
-		d.prevKnotted = deadlockedResources > 0
 	}
 
 	d.prevLock = locked
@@ -285,8 +265,7 @@ func newScanDiff(t *testing.T, n *network.Network) *scanDiff {
 }
 
 // Event runs the reference on KindCWGScan, which the network emits right
-// after the production scan returns and before cwg-mode recovery acts on the
-// verdict — the one point where both see the same state in every mode.
+// after the production scan returns, before anything else moves.
 func (s *scanDiff) Event(e obs.Event) {
 	if e.Kind == obs.KindCWGScan {
 		s.compare(e.Cycle, int(e.Arg), int(e.Aux))
@@ -326,20 +305,10 @@ func (s *scanDiff) compare(now int64, locked, fresh int) {
 	if !reflect.DeepEqual(lockedSet, ref.prevLock) {
 		t.Fatalf("%s: locked sets differ", at)
 	}
-	for ep := range n.NIs {
-		for q := 0; q < l.Queues; q++ {
-			if got, want := det.InQueueKnotted(ep, q), ref.prevLock[l.InVertex(ep, q)]; got != want {
-				t.Fatalf("%s: InQueueKnotted(%d, %d)=%v, reference %v", at, ep, q, got, want)
-			}
-		}
-	}
-	prevScanAt, prevKnotted := det.PrevScan()
-	got := [...]int64{det.Scans, det.Deadlocks, int64(det.LastDeadlocked),
-		det.DetectLatencySum, det.DetectLatencyCount, det.LastDetectLatency, prevScanAt}
-	want := [...]int64{ref.Scans, ref.Deadlocks, int64(ref.LastDeadlocked),
-		ref.DetectLatencySum, ref.DetectLatencyCount, ref.LastDetectLatency, ref.prevScanAt}
-	if got != want || prevKnotted != ref.prevKnotted {
-		t.Fatalf("%s: counters %v/%v, reference %v/%v", at, got, prevKnotted, want, ref.prevKnotted)
+	got := [...]int64{det.Scans, det.Deadlocks, int64(det.LastDeadlocked)}
+	want := [...]int64{ref.Scans, ref.Deadlocks, int64(ref.LastDeadlocked)}
+	if got != want {
+		t.Fatalf("%s: counters %v, reference %v", at, got, want)
 	}
 	if !reflect.DeepEqual(det.KnotChain(), ref.lastChain) {
 		t.Fatalf("%s: KnotChain differs:\n got %+v\nwant %+v", at, det.KnotChain(), ref.lastChain)
@@ -359,7 +328,7 @@ func (s *scanDiff) compare(now int64, locked, fresh int) {
 
 // TestScanMatchesReference runs scarce-resource configurations that really
 // knot and holds production to the reference at every scan, in the
-// network-driven modes (threshold and cwg triggers, DR and PR) and driven by
+// network-driven modes (threshold and probe triggers, DR and PR) and driven by
 // hand through Scan with recovery disabled, where knots persist. The tallies
 // guard against a vacuous pass: across the runs there must be scans that
 // found a fresh knot, scans that found one persisting, and knot→clean
@@ -378,7 +347,7 @@ func TestScanMatchesReference(t *testing.T) {
 		scans, fresh, persisting, cleared = scans+s.scans, fresh+s.fresh, persisting+s.persisting, cleared+s.cleared
 	}
 	for _, scheme := range []schemes.Kind{schemes.DR, schemes.PR} {
-		for _, detector := range []string{network.DetectorThreshold, network.DetectorCWG} {
+		for _, detector := range []string{network.DetectorThreshold, network.DetectorProbe} {
 			for seed := uint64(1); seed <= 2; seed++ {
 				t.Run(fmt.Sprintf("%v/%s/seed%d", scheme, detector, seed), func(t *testing.T) {
 					cfg := base
@@ -411,7 +380,7 @@ func TestScanMatchesReference(t *testing.T) {
 		s := newScanDiff(t, n)
 		for i := 0; i < 60; i++ {
 			n.RunCycles(50)
-			locked, fresh := n.Detector.Scan()
+			locked, fresh := n.Detector.ScanAt(-1)
 			s.compare(-1, locked, fresh)
 		}
 		tally(t, s)

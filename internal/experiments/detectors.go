@@ -15,20 +15,17 @@ import (
 // Detector ablation: the paper's recovery schemes are triggered by a local
 // persistence heuristic (T=25 cycles, matching the CWG detector's average
 // detection time), but the trigger itself is a design axis. This sweep runs
-// progressive recovery under all three detectors the simulator implements —
-// the endpoint threshold counter, the out-of-band CWG scan (50-cycle
-// period), and the in-band distributed probe engine — and publishes the
-// three quantities that separate them:
+// progressive recovery under both detectors the simulator implements — the
+// endpoint threshold counter and the in-band distributed probe engine — and
+// publishes the three quantities that separate them:
 //
 //   - detection latency: cycles from blocking onset to recovery dispatch;
 //   - false positives: dispatches at instants where an independent knot
 //     rebuild finds no true deadlock (the threshold heuristic is
 //     deliberately conservative; edge chasing has a small stale-return
-//     rate; the scan is the oracle itself, so its count is zero by
-//     construction);
+//     rate);
 //   - bandwidth overhead: probes are real messages charged to the fabric
-//     one flit per hop, while the threshold counter is free and the scan
-//     runs out of band.
+//     one flit per hop, while the threshold counter is free.
 type detectorPoint struct {
 	Throughput  float64
 	Latency     float64
@@ -95,8 +92,8 @@ func runDetectorPoint(ctx context.Context, cfg network.Config) (detectorPoint, e
 	return p, nil
 }
 
-// Detectors sweeps the recovery-trigger axis: PR under the threshold, CWG,
-// and probe detectors on both a 4-type coherence mix (PAT721) and the
+// Detectors sweeps the recovery-trigger axis: PR under the threshold and
+// probe detectors on both a 4-type coherence mix (PAT721) and the
 // forward-heavy 2/8/0 mix (PAT280) that stresses chained dependencies.
 // Cells run concurrently; rows print in fixed order.
 func Detectors(ctx context.Context, w io.Writer, s Scale) error {
@@ -116,7 +113,7 @@ func Detectors(ctx context.Context, w io.Writer, s Scale) error {
 		{protocol.PAT721, 0.020},
 		{protocol.PAT280, 0.013},
 	} {
-		for _, det := range []string{network.DetectorThreshold, network.DetectorCWG, network.DetectorProbe} {
+		for _, det := range []string{network.DetectorThreshold, network.DetectorProbe} {
 			cells = append(cells, cell{px.pat, px.rate, det})
 		}
 	}

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/protocol"
@@ -86,9 +86,9 @@ func TestTruncateAtSaturation(t *testing.T) {
 		in   []float64
 		want int
 	}{
-		{[]float64{0.1, 0.2, 0.3}, 3},              // monotone: keep all
-		{[]float64{0.1, 0.3, 0.2}, 3},              // dip kept (first beyond-saturation point)
-		{[]float64{0.1, 0.3, 0.2, 0.5}, 3},         // stop excludes later recovery
+		{[]float64{0.1, 0.2, 0.3}, 3},               // monotone: keep all
+		{[]float64{0.1, 0.3, 0.2}, 3},               // dip kept (first beyond-saturation point)
+		{[]float64{0.1, 0.3, 0.2, 0.5}, 3},          // stop excludes later recovery
 		{[]float64{0.1, 0.3, 0.295, 0.292, 0.2}, 5}, // plateau within 3% keeps walking
 		{nil, 0},
 	}

@@ -45,6 +45,7 @@ package mc
 import (
 	"fmt"
 
+	"repro/internal/check"
 	"repro/internal/netiface"
 	"repro/internal/network"
 	"repro/internal/schemes"
@@ -115,8 +116,8 @@ type Options struct {
 	// never fire on mere congestion (the tiny-config defaults are).
 	StrictDetect bool `json:"strict_detect,omitempty"`
 	// MissedBound is the detection deadline in cycles: a knot older than
-	// this with no detection is a missed deadlock (default derived from
-	// DetectThreshold and CWGInterval).
+	// this with no detection is a missed deadlock (default
+	// check.MissedBound of Net).
 	MissedBound int64 `json:"missed_bound"`
 	// Bug injects a detector defect.
 	Bug Bug `json:"bug,omitempty"`
@@ -188,7 +189,7 @@ func (o *Options) fillDefaults() {
 		o.Rotations = 2
 	}
 	if o.MissedBound <= 0 {
-		o.MissedBound = 8*(int64(o.Net.DetectThreshold)+o.Net.CWGInterval) + 100
+		o.MissedBound = check.MissedBound(o.Net)
 	}
 	if o.ForgePeriod <= 0 {
 		o.ForgePeriod = 40

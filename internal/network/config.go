@@ -103,13 +103,13 @@ type Config struct {
 	//	"threshold" (or ""): the endpoint persistence counter — an NI whose
 	//	    service has stalled DetectThreshold+1 consecutive cycles fires.
 	//	    The paper's in-band heuristic; cheap, local, congestion-prone.
-	//	"cwg": the centralized scan — recovery fires for each endpoint
-	//	    input queue the scan places inside a knot. Oracle-precise but
-	//	    out-of-band and quantized to CWGInterval.
 	//	"probe": distributed Chandy–Misra–Haas edge chasing — threshold
 	//	    firings launch in-band probes along wait edges, and only a
 	//	    probe returning to its blocked origin triggers recovery.
-	//	    Precise like cwg, in-band like threshold, paid in probe flits.
+	//	    Precise but for stale returns, in-band, paid in probe flits.
+	//
+	// The CWG scan is never a trigger: it is the oracle both are judged by
+	// (DESIGN §7).
 	Detector string `json:"detector,omitempty"`
 }
 
@@ -119,7 +119,6 @@ const _ = uint(routing.MaxVCs - router.MaxVCs)
 // Detector mode names accepted by Config.Detector.
 const (
 	DetectorThreshold = "threshold"
-	DetectorCWG       = "cwg"
 	DetectorProbe     = "probe"
 )
 
@@ -300,16 +299,12 @@ func (c *Config) Validate() error {
 	}
 	switch c.Detector {
 	case "", DetectorThreshold:
-	case DetectorCWG:
-		if c.CWGInterval == 0 {
-			return fmt.Errorf("network: Detector %q needs CWGInterval > 0 (scans are its only trigger)", c.Detector)
-		}
 	case DetectorProbe:
 		if c.Scheme == schemes.SA || c.Scheme == schemes.SQ {
 			return fmt.Errorf("network: Detector %q is incompatible with avoidance Scheme %v (no recovery path to trigger)", c.Detector, c.Scheme)
 		}
 	default:
-		return fmt.Errorf("network: unknown Detector %q (want threshold, cwg, or probe)", c.Detector)
+		return fmt.Errorf("network: unknown Detector %q (want threshold or probe)", c.Detector)
 	}
 	return nil
 }

@@ -92,8 +92,10 @@ func TestValidateAdmission(t *testing.T) {
 		{"SASharedChannels", func(c *network.Config) { c.SASharedChannels = true }, ""},
 		{"QueueMode", func(c *network.Config) { c.QueueMode = 7 }, ""},
 		{"QueueMode", func(c *network.Config) { c.QueueMode = -3 }, ""},
-		// Detector.
+		// Detector. The CWG scan is the oracle the triggers are judged by, not
+		// a trigger itself: was a third Detector value.
 		{"Detector", func(c *network.Config) { c.Detector = "bogus" }, ""},
+		{"Detector", func(c *network.Config) { c.Detector = "cwg" }, ""},
 	} {
 		cfg := network.DefaultConfig()
 		row.set(&cfg)
@@ -138,7 +140,6 @@ func TestValidateCombinations(t *testing.T) {
 		"256 ports in two dimensions": {func(c *network.Config) { c.Radix, c.Bristling = []int{2, 2}, 252 }, ""},
 		// The largest square torus at the default 4 VCs under the size bound.
 		"21x21":                 {func(c *network.Config) { c.Radix = []int{21, 21} }, ""},
-		"cwg detector, no scan": {func(c *network.Config) { c.Detector, c.CWGInterval = network.DetectorCWG, 0 }, "CWGInterval"},
 		"probe under avoidance": {func(c *network.Config) { c.Detector, c.Scheme = network.DetectorProbe, schemes.SA }, "Detector"},
 		"probe under recovery":  {func(c *network.Config) { c.Detector = network.DetectorProbe }, ""},
 	} {
@@ -169,7 +170,7 @@ func fuzzConfig(data []byte) network.Config {
 	pick := func(vs ...int) int { return vs[next(len(vs))] }
 	def := network.DefaultConfig()
 	patterns := []*protocol.Pattern{def.Pattern, protocol.PAT721, protocol.PAT451, protocol.PAT271, protocol.PAT280, protocol.MSI, nil}
-	detectors := []string{"", network.DetectorThreshold, network.DetectorCWG, network.DetectorProbe, "bogus"}
+	detectors := []string{"", network.DetectorThreshold, "cwg", network.DetectorProbe, "bogus"}
 	rates := []float64{0.01, 0, 0.2, 1, -0.5, 1.5, math.NaN()}
 	lengths := []protocol.Lengths{def.Lengths, {Request: 2, Reply: 3, Backoff: 2}, {Request: 0, Reply: 20, Backoff: 4}, {Request: 4, Reply: 20, Backoff: -1}}
 	cfg := def

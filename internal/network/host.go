@@ -60,47 +60,25 @@ func (n *Network) VCsPerChannel() int { return n.Cfg.VCs }
 
 // attachDetector installs the periodic CWG scan when enabled.
 func (n *Network) attachDetector() {
-	if n.Cfg.CWGInterval <= 0 {
-		return
+	if n.Cfg.CWGInterval > 0 {
+		n.Detector = deadlock.NewDetector(n)
 	}
-	det := deadlock.NewDetector(n)
-	n.Detector = det
-	n.scan = func(now int64) {
-		prevLatCount := det.DetectLatencyCount
-		locked, fresh := det.ScanAt(now)
-		if n.inWindow(now) {
-			n.Stats.CWGScans++
-			n.Stats.CWGDeadlocks += int64(fresh)
-		}
-		if n.bus != nil {
-			n.bus.Emit(obs.Event{Cycle: now, Kind: obs.KindCWGScan, Node: -1,
-				Arg: int64(locked), Aux: int64(fresh)})
-			if fresh > 0 {
-				n.bus.Emit(obs.Event{Cycle: now, Kind: obs.KindCWGDeadlock,
-					Node: -1, Arg: int64(locked), Aux: int64(fresh)})
-			}
-		}
-		if n.Cfg.Detector == DetectorCWG {
-			// Scan-triggered recovery: the scan is the detector, so each
-			// endpoint input queue it places inside the knot dispatches the
-			// scheme's recovery action, and a first-report scan's latency
-			// sample (bounded below by the previous all-clear scan) is the
-			// detection latency. Endpoints dispatch in ID order — the same
-			// deterministic order every other sweep uses.
-			if det.DetectLatencyCount > prevLatCount {
-				n.Stats.DetectLatencySum += det.LastDetectLatency
-				n.Stats.DetectLatencyCount++
-			}
-			if locked > 0 {
-				l := det.Layout()
-				for ep, ni := range n.NIs {
-					for q := 0; q < l.Queues; q++ {
-						if det.InQueueKnotted(ep, q) {
-							n.recoverAt(ni, q, now)
-						}
-					}
-				}
-			}
+}
+
+// scan runs the periodic CWG scan. It only observes: knots are counted and
+// traced, and the scheme's recovery is triggered elsewhere.
+func (n *Network) scan(now int64) {
+	locked, fresh := n.Detector.ScanAt(now)
+	if n.inWindow(now) {
+		n.Stats.CWGScans++
+		n.Stats.CWGDeadlocks += int64(fresh)
+	}
+	if n.bus != nil {
+		n.bus.Emit(obs.Event{Cycle: now, Kind: obs.KindCWGScan, Node: -1,
+			Arg: int64(locked), Aux: int64(fresh)})
+		if fresh > 0 {
+			n.bus.Emit(obs.Event{Cycle: now, Kind: obs.KindCWGDeadlock,
+				Node: -1, Arg: int64(locked), Aux: int64(fresh)})
 		}
 	}
 }

@@ -56,7 +56,6 @@ type Network struct {
 	// Detector is the optional CWG observer, installed by attachDetector
 	// when Cfg.CWGInterval > 0; scan is its periodic entry point.
 	Detector *deadlock.Detector
-	scan     func(now int64)
 
 	// Probe is the distributed edge-chasing detector, installed when
 	// Cfg.Detector selects the probe mode; it steps once per cycle after
@@ -484,10 +483,9 @@ func (n *Network) onTxnComplete(t *protocol.Transaction, now int64) {
 // detector mode. In threshold mode (the default) the firing itself is the
 // detection: recovery dispatches immediately, and the sample charged to
 // detection latency is the threshold streak (blocking persisted
-// DetectThreshold+1 cycles before the counter could fire). In cwg mode the
-// firing is only counted — recovery dispatches from scan results instead. In
-// probe mode the firing launches a detection probe from the stalled input
-// queue; recovery waits for a probe to come back around the wait cycle.
+// DetectThreshold+1 cycles before the counter could fire). In probe mode the
+// firing launches a detection probe from the stalled input queue; recovery
+// waits for a probe to come back around the wait cycle.
 func (n *Network) onDetect(ni *netiface.NI, q int, now int64) {
 	if n.inWindow(now) {
 		n.Stats.DetectEvents++
@@ -496,10 +494,7 @@ func (n *Network) onDetect(ni *netiface.NI, q int, now int64) {
 		n.bus.Emit(obs.Event{Cycle: now, Kind: obs.KindDetect,
 			Node: ni.Cfg.Endpoint, Arg: int64(q)})
 	}
-	switch n.Cfg.Detector {
-	case DetectorCWG:
-		return
-	case DetectorProbe:
+	if n.Cfg.Detector == DetectorProbe {
 		onset := now - int64(n.Cfg.DetectThreshold) - 1
 		n.Probe.Launch(n.Probe.Layout().InVertex(ni.Cfg.Endpoint, q), onset, now)
 		return
@@ -738,7 +733,7 @@ func (n *Network) generate(now int64) {
 
 // scanDue reports whether the periodic CWG scan fires this cycle.
 func (n *Network) scanDue(now int64) bool {
-	return n.scan != nil && n.Cfg.CWGInterval > 0 && now > 0 && now%n.Cfg.CWGInterval == 0
+	return n.Detector != nil && n.Cfg.CWGInterval > 0 && now > 0 && now%n.Cfg.CWGInterval == 0
 }
 
 // Step advances the system one cycle. Two regimes run the same sweep

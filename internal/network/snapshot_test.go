@@ -145,15 +145,15 @@ func TestSnapshotImmutableAcrossRestore(t *testing.T) {
 // part).
 func TestRestoreRejectsWrongShape(t *testing.T) {
 	base := smallConfig(schemes.PR, protocol.PAT271, 4, 0.01)
-	narrow, cwg := base, base
+	narrow, probe := base, base
 	narrow.Radix = []int{4, 2}
-	cwg.Detector = DetectorCWG
+	probe.Detector = DetectorProbe
 	src := mustNet(t, base)
 	src.RunCycles(300)
 	snap := src.Snapshot()
 	mustNet(t, base).Restore(snap) // the same shape in another instance restores
 
-	for name, cfg := range map[string]Config{"4x4 into 4x2": narrow, "threshold into cwg": cwg} {
+	for name, cfg := range map[string]Config{"4x4 into 4x2": narrow, "threshold into probe": probe} {
 		dst := mustNet(t, cfg)
 		dst.RunCycles(100)
 		before := dst.Snapshot()

@@ -16,6 +16,14 @@
 // per channel and contend FIFO; congestion therefore delays detection
 // exactly as it delays the traffic that caused it.
 //
+// Chandy–Misra–Haas leaves three cases open; here (TestLaunchWithNoDependents,
+// TestNoVertexWaitsOnItself) an empty dependent set starts nothing: Launch on
+// an origin not blocked, or blocked with no wait edge (only a header offered
+// no route could be), records no launch and issues no probe. No dependent set
+// contains its own vertex, let alone only it: every wait edge joins two
+// distinct resources (VC to a VC of another channel, ejection VC to input
+// queue, input to output queue, output queue to injection VC).
+//
 // Everything is deterministic: channels drain in ID order, wait edges come
 // from the shared deadlock.Layout classifiers in derivation order, and no
 // randomness or map-iteration order reaches simulation state.

@@ -7,12 +7,20 @@
 package probe_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/deadlock"
 	"repro/internal/fault"
+	"repro/internal/message"
 	"repro/internal/network"
+	"repro/internal/probe"
 	"repro/internal/protocol"
+	"repro/internal/router"
+	"repro/internal/routing"
 	"repro/internal/schemes"
+	"repro/internal/topology"
 )
 
 // congested returns a 2x2 configuration that reaches true knots under
@@ -166,6 +174,117 @@ func TestEngineSurvivesFaults(t *testing.T) {
 			}
 			if n.Probe.Launched == 0 {
 				t.Error("no probe launches under fault load")
+			}
+		})
+	}
+}
+
+// TestLaunchWithNoDependents answers "what happens if the dependent set is
+// empty": nothing. An origin that is not blocked, and a blocked origin that
+// waits on nothing, start no attempt and put no probe on the wire.
+func TestLaunchWithNoDependents(t *testing.T) {
+	unchanged := func(t *testing.T, e *probe.Engine) {
+		t.Helper()
+		if e.Launched != 0 || e.Issued != 0 || e.InFlight() != 0 {
+			t.Fatalf("launched %d, issued %d, in flight %d; want all 0", e.Launched, e.Issued, e.InFlight())
+		}
+	}
+
+	t.Run("unblocked", func(t *testing.T) {
+		n, err := network.New(congested())
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := n.Probe.Layout()
+		origin := l.InVertex(0, 0)
+		if blocked, _ := l.ClassifyVertex(n, origin, nil); blocked {
+			t.Fatal("an idle network's input queue is blocked")
+		}
+		n.Probe.Launch(origin, 0, 0)
+		unchanged(t, n.Probe)
+	})
+
+	// Fault-free routing gives every blocked vertex at least one wait edge,
+	// so the edge-less origin is an unrouted header seen through a host whose
+	// routing offers it no candidate: blocked, and waiting on nothing.
+	t.Run("edge-less", func(t *testing.T) {
+		n, err := network.New(congested())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := noRoutes{n}
+		l := deadlock.LayoutOf(h)
+		origin := -1
+		for i := 0; i < 4000 && origin < 0; i++ {
+			n.Step()
+			origin = unroutedHeader(n, l)
+		}
+		if origin < 0 {
+			t.Fatal("no unrouted header in 4000 congested cycles; congestion config has drifted")
+		}
+		if blocked, edges := l.ClassifyVertex(h, origin, nil); !blocked || len(edges) != 0 {
+			t.Fatalf("vertex %d: blocked=%v with %d edges, want blocked with none", origin, blocked, len(edges))
+		}
+		e := probe.New(h, nil)
+		e.Launch(origin, n.Clock.Now(), n.Clock.Now())
+		unchanged(t, e)
+	})
+}
+
+// noRoutes is a network whose routing function offers no candidate.
+type noRoutes struct{ *network.Network }
+
+func (noRoutes) RouteCandidates(topology.NodeID, *message.Packet) []routing.PortVC { return nil }
+
+// unroutedHeader returns the vertex of a router-consumed VC whose front is a
+// header still waiting for a route, or -1.
+func unroutedHeader(n *network.Network, l deadlock.Layout) int {
+	for _, ch := range n.Channels {
+		if ch.Kind == router.KindEject {
+			continue
+		}
+		for _, vc := range ch.VCs {
+			if f, ok := vc.Front(); ok && f.Head() && vc.Route == nil && !f.Pkt.BeingRescued {
+				return l.VCVertex(vc)
+			}
+		}
+	}
+	return -1
+}
+
+// TestNoVertexWaitsOnItself answers "what if the dependent set contains
+// itself, or only itself": it never does. Every wait edge joins two distinct
+// resources, so no probe is ever sent from a vertex to itself. Checked at
+// every cycle on every blocked vertex of the congested run under PR and DR.
+func TestNoVertexWaitsOnItself(t *testing.T) {
+	for _, scheme := range []schemes.Kind{schemes.PR, schemes.DR} {
+		t.Run(fmt.Sprint(scheme), func(t *testing.T) {
+			cfg := congested()
+			cfg.Scheme = scheme
+			n, err := network.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := n.Probe.Layout()
+			var edges []int
+			classified := 0
+			for i := 0; i < 3000; i++ {
+				n.Step()
+				for v := 0; v < l.Total; v++ {
+					var blocked bool
+					blocked, edges = l.ClassifyVertex(n, v, edges[:0])
+					if !blocked {
+						continue
+					}
+					classified++
+					if slices.Contains(edges, v) {
+						t.Fatalf("cycle %d: vertex %d waits on itself (edges %v)", n.Clock.Now(), v, edges)
+					}
+				}
+			}
+			t.Logf("%d blocked classifications, no self-edge", classified)
+			if classified < 10000 {
+				t.Fatalf("only %d blocked classifications; congestion config has drifted", classified)
 			}
 		})
 	}

@@ -57,10 +57,9 @@ type Collector struct {
 	CWGScans      int64
 
 	// Detection latency per the configured detector mode: cycles from
-	// blocking onset (threshold streak start, previous all-clear scan, or
-	// probe birth) to the event that dispatched recovery. Recorded over the
-	// whole run, not just the measurement window — detection episodes
-	// straddle phase boundaries.
+	// blocking onset (threshold streak start or probe birth) to the event
+	// that dispatched recovery. Recorded over the whole run, not just the
+	// measurement window — detection episodes straddle phase boundaries.
 	DetectLatencySum   int64
 	DetectLatencyCount int64
 }

@@ -1,8 +1,8 @@
 package repro
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
