@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"math/bits"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -412,7 +413,11 @@ func TestParkingEquivalence(t *testing.T) {
 
 // TestParkedMaskDriftCaught forges the corruption parking is exposed to: an
 // output VC loses its owner without going through VC.release, so a header
-// parked on it is never woken. parked-mask-drift must name it.
+// parked on it is never woken. parked-mask-drift must name it. The forged VC
+// is one that still buffers flits, which then belong to no packet:
+// ownerless-flits must name that VC too, and neither the sweep nor the
+// snapshot each violation takes may reach for the packet an ownerless VC's
+// flits would name (there is none).
 func TestParkedMaskDriftCaught(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -436,11 +441,25 @@ func TestParkedMaskDriftCaught(t *testing.T) {
 							t.Fatalf("violations before the forgery: %v", err)
 						}
 						f, _ := in.VCs[bits.TrailingZeros64(r.InputParkedWord(i))].Front()
-						cand := n.Candidates(r.ID, f.Pkt)[0]
-						r.Outputs[cand.Port].VCs[cand.VC].Owner = nil // bypasses release
+						var out *router.VC
+						for _, cand := range n.Candidates(r.ID, f.Pkt) {
+							if vc := r.Outputs[cand.Port].VCs[cand.VC]; vc.Len() > 0 {
+								out = vc
+								break
+							}
+						}
+						if out == nil {
+							continue // every candidate's worm has moved on: park another
+						}
+						out.Owner = nil // bypasses release
 						c.CheckNow(n.Clock.Now())
-						if !hasRule(c.Violations(), "parked-mask-drift") {
-							t.Fatalf("stale parked bit not caught; rules seen: %v", rules(c.Violations()))
+						if !hasRule(c.Violations(), "parked-mask-drift") || !hasRule(c.Violations(), "ownerless-flits") {
+							t.Fatalf("stale parked bit or ownerless flits not caught; rules seen: %v", rules(c.Violations()))
+						}
+						for _, v := range c.Violations() {
+							if v.Rule == "ownerless-flits" && !strings.HasPrefix(v.Detail, out.String()+" ") {
+								t.Fatalf("ownerless-flits names another VC than the forged %v: %s", out, v.Detail)
+							}
 						}
 						return
 					}

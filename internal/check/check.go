@@ -9,9 +9,9 @@
 //
 //   - occupancy-counter: the incrementally maintained committed-flit counter
 //     behind Network.Quiescent equals a full scan of every channel buffer.
-//   - staged-at-boundary / vc-overflow / ownerless-flits / owner-mismatch /
-//     foreign-flit / route-owner-mismatch: structural wormhole discipline on
-//     every virtual channel.
+//   - staged-at-boundary / vc-overflow / ownerless-flits /
+//     route-owner-mismatch: structural wormhole discipline on every virtual
+//     channel.
 //   - flit-conservation-packet: the flits a non-rescued packet has in
 //     channel buffers form exactly the contiguous index range
 //     [ArrivedFlits, SentFlits).
@@ -347,17 +347,15 @@ func (c *Checker) CheckNow(now int64) {
 			if vc.Len() > vc.Cap() {
 				c.report(now, "vc-overflow", fmt.Sprintf("%v holds %d flits, capacity %d", vc, vc.Len(), vc.Cap()))
 			}
-			if f, ok := vc.Front(); ok {
-				if vc.Owner == nil {
-					c.report(now, "ownerless-flits", fmt.Sprintf("%v buffers flits of pkt %d without an owner", vc, f.Pkt.ID))
-				} else if f.Pkt != vc.Owner {
-					c.report(now, "owner-mismatch",
-						fmt.Sprintf("%v front flit of pkt %d but owned by pkt %d", vc, f.Pkt.ID, vc.Owner.ID))
-				}
-				if vc.Route != nil && vc.Owner != nil && vc.Route.Owner != nil && vc.Route.Owner != vc.Owner {
-					c.report(now, "route-owner-mismatch",
-						fmt.Sprintf("%v routed to %v with mismatched owners", vc, vc.Route))
-				}
+			// A VC's flits are its owner's (the buffer is a window on the
+			// owner's worm), so an ownerless VC holds flits of no packet.
+			if vc.Len() > 0 && vc.Owner == nil {
+				c.report(now, "ownerless-flits", fmt.Sprintf("%v buffers %d flits without an owner", vc, vc.Len()))
+				continue
+			}
+			if vc.Len() > 0 && vc.Route != nil && vc.Route.Owner != nil && vc.Route.Owner != vc.Owner {
+				c.report(now, "route-owner-mismatch",
+					fmt.Sprintf("%v routed to %v with mismatched owners", vc, vc.Route))
 			}
 			vc.ForEachFlit(func(f message.Flit) {
 				pkt := f.Pkt
@@ -369,10 +367,6 @@ func (c *Checker) CheckNow(now int64) {
 				if pkt.Msg.Pooled() {
 					c.report(now, "pooled-message-in-channel",
 						fmt.Sprintf("%v buffers pkt %d of released %v", vc, pkt.ID, pkt.Msg))
-				}
-				if pkt != vc.Owner {
-					c.report(now, "foreign-flit",
-						fmt.Sprintf("%v buffers flit %d of pkt %d it does not own", vc, f.Idx, pkt.ID))
 				}
 				pktFlits[pkt] = append(pktFlits[pkt], f.Idx)
 			})
@@ -584,6 +578,8 @@ func (c *Checker) parkedWrongly(r *router.Router, vc *router.VC) string {
 	switch {
 	case !ok:
 		return "is empty"
+	case f.Pkt == nil:
+		return "has no owner"
 	case vc.Route != nil:
 		return "is routed"
 	case !f.Head():
@@ -621,9 +617,12 @@ func (c *Checker) snapshot(now int64) string {
 				goto queues
 			}
 			lines++
-			f, _ := vc.Front()
-			fmt.Fprintf(&b, "  %v len=%d knot=%v pkt=%d sent=%d arrived=%d %v\n",
-				vc, vc.Len(), vc.Knotted, f.Pkt.ID, f.Pkt.SentFlits, f.Pkt.ArrivedFlits, f.Pkt.Msg)
+			if p := vc.Owner; p != nil {
+				fmt.Fprintf(&b, "  %v len=%d knot=%v pkt=%d sent=%d arrived=%d %v\n",
+					vc, vc.Len(), vc.Knotted, p.ID, p.SentFlits, p.ArrivedFlits, p.Msg)
+			} else {
+				fmt.Fprintf(&b, "  %v len=%d knot=%v no owner\n", vc, vc.Len(), vc.Knotted)
+			}
 		}
 	}
 queues:

@@ -448,7 +448,7 @@ func TestLinkDownReroutesBlockedHeader(t *testing.T) {
 				continue
 			}
 			for _, vc := range in.VCs {
-				if vc.Route == nil || vc.RoutePort != found.dir {
+				if vc.Route == nil || int(vc.RoutePort) != found.dir {
 					continue
 				}
 				if now == found.at {

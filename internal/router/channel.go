@@ -50,25 +50,22 @@ type VC struct {
 
 	cap int
 
-	// ring is the one flit buffer, a power-of-two circle of at least cap
-	// slots: the n committed flits start at head and the ns flits staged
-	// this cycle follow them, so Stage writes a flit once and Commit only
-	// moves the watermark. Shallow VCs (the paper's 2-flit buffers) keep
-	// the slots inline, on the VC's own cache lines; deeper ones get a heap
-	// ring from NewChannel.
-	ring       []message.Flit
-	head, mask int32
-	n, ns      int32
-	inline     [4]message.Flit
+	// The buffer is a window on Owner's worm, not a store of flits: an
+	// exclusively owned VC only ever holds consecutive flits of its owner,
+	// so the n committed flits are Owner's flits front..front+n-1 and the ns
+	// flits staged this cycle follow them. Stage checks the flit it is given
+	// is the next one, and Commit only moves the watermark.
+	front, n, ns int32
+
+	// RoutePort is the output port of Route at the router consuming this
+	// VC as an input (meaningful only when Route != nil).
+	RoutePort int32
 
 	// Owner is the packet whose worm currently holds this VC, nil if free.
 	Owner *message.Packet
 	// Route is the downstream VC allocated for Owner's worm when this VC
 	// acts as a router input, nil before virtual-channel allocation.
 	Route *VC
-	// RoutePort is the output port of Route at the router consuming this
-	// VC as an input (meaningful only when Route != nil).
-	RoutePort int
 
 	// LastMove is the last cycle a flit was dequeued from this buffer, or
 	// the cycle the buffer last became occupied; used by timeout-based
@@ -89,8 +86,7 @@ type VC struct {
 	stallNoted bool
 
 	// input and wi are the index of the VC's channel among host.Inputs and
-	// of the host word holding bit; they share the flags' eight bytes so the
-	// VC stays at 208.
+	// of the host word holding bit; they share the flags' eight bytes.
 	input, wi int16
 
 	// occ, when non-nil, points at a network-wide committed-flit counter
@@ -155,7 +151,7 @@ func (v *VC) StagedLen() int { return int(v.ns) }
 // callback must not mutate the VC.
 func (v *VC) ForEachFlit(f func(message.Flit)) {
 	for i := int32(0); i < v.n; i++ {
-		f(v.ring[(v.head+i)&v.mask])
+		f(message.Flit{Pkt: v.Owner, Idx: int(v.front + i)})
 	}
 }
 
@@ -164,15 +160,21 @@ func (v *VC) Front() (message.Flit, bool) {
 	if v.n == 0 {
 		return message.Flit{}, false
 	}
-	return v.ring[v.head], true
+	return message.Flit{Pkt: v.Owner, Idx: int(v.front)}, true
 }
 
-// Stage appends a flit to arrive at the end of this cycle.
+// Stage appends a flit to arrive at the end of this cycle: on an empty VC
+// any flit of Owner, else Owner's flit after the last one buffered.
 func (v *VC) Stage(f message.Flit) {
 	if !v.SpaceFor() {
 		panic(fmt.Sprintf("router: staging into full VC %v", v))
 	}
-	v.ring[(v.head+v.n+v.ns)&v.mask] = f
+	if v.n+v.ns == 0 {
+		v.front = int32(f.Idx)
+	}
+	if f.Pkt != v.Owner || f.Idx != int(v.front+v.n+v.ns) {
+		panic(fmt.Sprintf("router: staging flit %d into %v: not its owner's flit %d", f.Idx, v, v.front+v.n+v.ns))
+	}
 	v.ns++
 	if v.Ch != nil {
 		v.Ch.noteStaged(v.Index)
@@ -206,8 +208,8 @@ func (v *VC) Dequeue(now int64) message.Flit {
 	if v.n == 0 {
 		panic("router: dequeue from empty VC")
 	}
-	f := v.ring[v.head]
-	v.head = (v.head + 1) & v.mask
+	f := message.Flit{Pkt: v.Owner, Idx: int(v.front)} // before a tail's release
+	v.front++
 	v.n--
 	if v.occ != nil {
 		*v.occ--
@@ -364,18 +366,7 @@ func NewChannel(kind ChannelKind, src, dst topology.NodeID, dir topology.Directi
 	ch.vmask = ^uint64(0) >> uint(64-vcs)
 	ch.VCs = make([]*VC, vcs)
 	for i := range ch.VCs {
-		vc := &VC{Ch: ch, Index: i, cap: flitBuf, bit: 1 << uint(i)}
-		size := 1
-		for size < flitBuf {
-			size <<= 1
-		}
-		if size <= len(vc.inline) {
-			vc.ring = vc.inline[:size]
-		} else {
-			vc.ring = make([]message.Flit, size)
-		}
-		vc.mask = int32(size - 1)
-		ch.VCs[i] = vc
+		ch.VCs[i] = &VC{Ch: ch, Index: i, cap: flitBuf, bit: 1 << uint(i)}
 	}
 	return ch
 }

@@ -44,13 +44,19 @@ func (v *VC) Checkpoint(c *ckpt.C, chans []*Channel) {
 	}
 	n := c.Len(int(v.n))
 	if c.Reading() {
-		v.head, v.n = 0, int32(n)
+		v.n = int32(n)
 		v.feeder = nil // re-derived from restored routes by Router.RebuildState
 	}
+	// Each committed flit is named as its (packet, index) pair, the words the
+	// pinned state counts and counterexample files were hashed over; a
+	// restore takes the window's front from the first.
 	for i := int32(0); i < v.n; i++ {
-		f := &v.ring[(v.head+i)&v.mask]
-		ckpt.Ref(c, &f.Pkt)
-		ckpt.Int(c, &f.Idx)
+		pkt, idx := v.Owner, int(v.front+i)
+		ckpt.Ref(c, &pkt)
+		ckpt.Int(c, &idx)
+		if i == 0 && c.Reading() {
+			v.front = int32(idx)
+		}
 	}
 	ckpt.Ref(c, &v.Owner)
 	CheckpointVC(c, &v.Route, chans)

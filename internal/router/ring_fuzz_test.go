@@ -9,11 +9,12 @@ import (
 	"repro/internal/message"
 )
 
-// refVC is the two-slice flit buffer VC had before the ring: committed flits
-// in buf, this cycle's arrivals in staged, append on Stage, append again on
-// Commit, copy-shift on Dequeue. The method bodies are the old ones verbatim,
-// minus the router plumbing (feeder/host words), which no VC has here. It is
-// the reference FuzzVCRing holds the ring against.
+// refVC is the two-slice flit buffer VC had before it held a ring of flits,
+// and then a window on its owner's worm: committed flits in buf, this cycle's
+// arrivals in staged, append on Stage, append again on Commit, copy-shift on
+// Dequeue. The method bodies are the old ones verbatim, minus the router
+// plumbing (feeder/host words), which no VC has here. It is the reference
+// FuzzVCRing holds the window against.
 type refVC struct {
 	index   int
 	cap     int
@@ -137,21 +138,49 @@ func panics(f func()) (p bool) {
 	return
 }
 
+// refWords is what VC.Checkpoint wrote when the VC stored its flits: the
+// committed count, each flit's packet reference and index, then the owner,
+// the route (none here), RoutePort, LastMove and the two flags.
+func refWords(v *refVC) []uint64 {
+	w := ckpt.NewWriter(0, 0)
+	w.Len(len(v.buf))
+	for i := range v.buf {
+		ckpt.Ref(w, &v.buf[i].Pkt)
+		ckpt.Int(w, &v.buf[i].Idx)
+	}
+	owner, port, knotted, stall := v.owner, 0, false, false
+	var route *VC
+	ckpt.Ref(w, &owner)
+	CheckpointVC(w, &route, nil)
+	ckpt.Int(w, &port)
+	w.Time(&v.last)
+	w.Bool(&knotted)
+	w.Bool(&stall)
+	return w.Words()
+}
+
 // FuzzVCRing drives one VC and the reference through the same random
 // Stage/Commit/Dequeue/Evacuate/ReduceCap/checkpoint/restore sequence and
-// compares everything observable after every op — so a checkpoint that wrote
-// the wrong thing shows once it is restored. data[0] picks the
-// capacity (1–6: the inline ring up to 4, the heap ring above), each further
-// byte one op; several flits may be staged between commits, as a rescue drain
-// does, and long sequences wrap the ring many times over. Illegal ops (stage
-// into a full VC, dequeue from an empty one, snapshot with staged flits) must
-// panic on both sides and leave both unchanged.
+// compares everything observable after every op, the checkpoint's words
+// included — and a checkpoint that read back wrong shows once it is
+// restored. data[0] picks the capacity (1–6), each further byte one op. The
+// worms are owner-consistent, as the allocator and the NI make them: a worm
+// claims the VC (sets Owner) once the one before has left it and stages its
+// flits in order, several between commits as a rescue drain does. Illegal ops
+// (stage into a full VC, dequeue from an empty one, snapshot with staged
+// flits) must panic on both sides and leave both unchanged; staging a flit of
+// another packet, or one of the owner's out of order, must panic on the VC
+// (the reference would take it) and change nothing. The target keeps the name
+// of the ring of flits the window replaced, and so do its corpus files.
 func FuzzVCRing(f *testing.F) {
-	f.Add([]byte{1, 0, 1, 2, 0, 1, 2, 0, 0, 2})                               // cap 2: stage/commit/dequeue, overflow and underflow
-	f.Add([]byte{3, 0, 0, 0, 0, 1, 2, 2, 0, 0, 1, 2, 2, 2, 2, 0, 1})          // cap 4: multi-flit staging across the wrap
-	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 0, 0, 0, 1, 3, 0, 1, 4, 4}) // cap 6 (heap ring): evacuate, reduce
+	f.Add([]byte{1, 0, 1, 2, 0, 1, 2, 0, 0, 2})                               // cap 2, 1-flit worms: stage/commit/dequeue, overflow and underflow
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 2, 2, 0, 0, 1, 2, 2, 2, 2, 0, 1})          // cap 4: multi-flit staging
+	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 0, 0, 0, 1, 3, 0, 1, 4, 4}) // cap 6: evacuate, reduce
 	f.Add([]byte{2, 0, 0, 1, 5, 2, 0, 1, 6, 2, 2, 2, 0, 5, 1, 5, 6})          // cap 3: capture, move on, restore
 	f.Add([]byte{0, 0, 1, 4, 2, 0, 1, 2})                                     // cap 1
+	f.Add([]byte{1, 27, 0, 1, 2, 0, 1, 2, 2, 0, 0, 1, 2, 2, 0, 1, 2})         // cap 2, a 4-flit worm through a drained VC
+	f.Add([]byte{3, 18, 0, 7, 8, 1, 7, 17, 2, 8, 0, 1, 2, 2, 8, 7})           // cap 4, a 3-flit worm: foreign and out-of-order flits
+	f.Add([]byte{2, 36, 0, 1, 5, 2, 0, 1, 6, 2, 5, 2, 0, 1, 6, 2, 2})         // cap 3, a 5-flit worm: restore into a moved window
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -176,12 +205,13 @@ func FuzzVCRing(f *testing.F) {
 
 		for step, b := range data[1:] {
 			now := int64(step + 1)
-			op := b % 7
+			op := b % 9
 			switch op {
-			case 0: // Stage
+			case 0: // Stage the worm's next flit; a new worm claims the VC first
 				if pkt == nil || (sent == pkt.Msg.Flits && vc.Owner == nil) {
-					pkt, sent = mkPacket(nextID, int(b/7)%5+1), 0
+					pkt, sent = mkPacket(nextID, int(b/9)%5+1), 0
 					nextID++
+					vc.Owner, ref.owner = pkt, pkt
 				}
 				if sent == pkt.Msg.Flits {
 					break // worm fully sent and still in the VC
@@ -192,7 +222,6 @@ func FuzzVCRing(f *testing.F) {
 					t.Fatalf("step %d: Stage panicked=%v, reference %v", step, p, rp)
 				}
 				if !p {
-					vc.Owner, ref.owner = pkt, pkt
 					sent++
 				}
 			case 1: // Commit
@@ -226,6 +255,9 @@ func FuzzVCRing(f *testing.F) {
 					t.Fatalf("step %d: checkpoint panicked=%v, reference %v", step, p, rp)
 				}
 				if !p {
+					if got, want := w.Words(), refWords(ref); !slices.Equal(got, want) {
+						t.Fatalf("step %d: checkpoint words %v, the flit store wrote %v", step, got, want)
+					}
 					saved, savedRef, savedPkt, savedSent = w, rs, pkt, sent
 				}
 			case 6: // restore (cycle boundaries only, as ResetDerived insists)
@@ -239,6 +271,19 @@ func FuzzVCRing(f *testing.F) {
 				occ = int64(ch.Occupied())
 				ref.restore(savedRef)
 				pkt, sent = savedPkt, savedSent
+			case 7: // a flit of a packet that does not own the VC, at the next index
+				next := int(vc.front + vc.n + vc.ns)
+				if !panics(func() { vc.Stage(message.Flit{Pkt: mkPacket(0, 5), Idx: next}) }) {
+					t.Fatalf("step %d: %v took a flit of a packet other than its owner %v", step, vc, vc.Owner)
+				}
+			case 8: // the owner's flit one past or one before the next, on a VC holding flits
+				if vc.n+vc.ns == 0 {
+					break // an empty VC takes any flit of its owner
+				}
+				idx := int(vc.front+vc.n+vc.ns) + 1 - 2*int(b/9%2)
+				if !panics(func() { vc.Stage(message.Flit{Pkt: vc.Owner, Idx: idx}) }) {
+					t.Fatalf("step %d: %v took flit %d out of order (front %d, %d+%d held)", step, vc, idx, vc.front, vc.n, vc.ns)
+				}
 			}
 
 			if vc.Len() != ref.Len() || vc.StagedLen() != ref.StagedLen() || vc.SpaceFor() != ref.SpaceFor() || vc.Cap() != ref.cap {

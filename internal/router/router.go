@@ -188,7 +188,7 @@ func (r *Router) initState() {
 }
 
 // setRoute records an allocated route on an input VC and its words.
-func (r *Router) setRoute(vc *VC, out *VC, port int) {
+func (r *Router) setRoute(vc *VC, out *VC, port int32) {
 	vc.Route = out
 	vc.RoutePort = port
 	out.feeder = vc
@@ -341,18 +341,18 @@ func (r *Router) allocate(now int64) {
 		w := wd.occ &^ wd.routed &^ wd.parked & g.mask
 		for ; w != 0; w &= w - 1 {
 			vc := r.flatVC[g.w<<6|bits.TrailingZeros64(w)]
-			f := vc.ring[vc.head] // occ bit set ⇒ committed flit present
-			if !f.Head() || f.Pkt.BeingRescued {
-				continue
+			pkt := vc.Owner // occ bit set ⇒ committed flits of Owner present
+			if vc.front != 0 || pkt.BeingRescued {
+				continue // no header at the front
 			}
 			r.vaAttempts++
-			if pick, ok := r.pickCandidate(r.policy.Candidates(r.ID, f.Pkt)); ok {
+			if pick, ok := r.pickCandidate(r.policy.Candidates(r.ID, pkt)); ok {
 				r.vaGrants++
 				out := r.outputVC(pick)
-				out.Owner = f.Pkt
-				r.setRoute(vc, out, int(pick.Port))
+				out.Owner = pkt
+				r.setRoute(vc, out, int32(pick.Port))
 				if r.Bus != nil {
-					r.emitVC(obs.KindVCAlloc, now, f.Pkt, out.Ch.ID, out.Index)
+					r.emitVC(obs.KindVCAlloc, now, pkt, out.Ch.ID, out.Index)
 				}
 				vc.stallNoted = false
 				continue
@@ -362,7 +362,7 @@ func (r *Router) allocate(now int64) {
 				// Once per blockage: it does not re-fire while the same
 				// header stays blocked.
 				vc.stallNoted = true
-				r.emitVC(obs.KindVCStall, now, f.Pkt, vc.Ch.ID, vc.Index)
+				r.emitVC(obs.KindVCStall, now, pkt, vc.Ch.ID, vc.Index)
 			}
 		}
 		i++
@@ -421,13 +421,13 @@ func (r *Router) arbitrate(now int64) {
 	// of a rescued packet never exists when arbitration runs (the flag only
 	// matters to detection-level scans).
 	nw := len(r.words)
-	var used uint32 // outputs with a request
+	var used [routing.MaxPorts / 64]uint64 // outputs with a request
 	for wi := range r.words {
 		w := &r.words[wi]
 		for lw := w.occ & w.routed & w.ready; lw != 0; lw &= lw - 1 {
-			o := r.flatVC[wi<<6|bits.TrailingZeros64(lw)].RoutePort
+			o := int(r.flatVC[wi<<6|bits.TrailingZeros64(lw)].RoutePort)
 			r.req[o*nw+wi] |= lw & -lw
-			used |= 1 << uint(o)
+			used[o>>6] |= 1 << uint(o&63)
 		}
 	}
 	// Requesting outputs ascending — the dense output order. Within one,
@@ -435,39 +435,41 @@ func (r *Router) arbitrate(now int64) {
 	// an earlier output charged are dropped first, as the dense scan dropped
 	// them at gather time.
 	charged := r.req[len(r.Outputs)*nw:]
-	for ; used != 0; used &= used - 1 {
-		o := bits.TrailingZeros32(used)
-		req := r.req[o*nw:][:nw]
-		m := 0
-		if !r.Outputs[o].Stalled {
-			for wi, c := range charged {
-				req[wi] &^= c
-				m += bits.OnesCount64(req[wi])
+	for ui := 0; ui<<6 < len(r.Outputs); ui++ {
+		for u := used[ui]; u != 0; u &= u - 1 {
+			o := ui<<6 | bits.TrailingZeros64(u)
+			req := r.req[o*nw:][:nw]
+			m := 0
+			if !r.Outputs[o].Stalled {
+				for wi, c := range charged {
+					req[wi] &^= c
+					m += bits.OnesCount64(req[wi])
+				}
 			}
+			if m > 0 {
+				k := 0
+				if m > 1 {
+					k = r.saRR[o] % m
+				}
+				r.saRR[o]++
+				wi := 0
+				for c := bits.OnesCount64(req[0]); k >= c; c = bits.OnesCount64(req[wi]) {
+					k -= c
+					wi++
+				}
+				q := req[wi]
+				for ; k > 0; k-- {
+					q &= q - 1
+				}
+				winner := r.flatVC[wi<<6|bits.TrailingZeros64(q)]
+				charged[wi] |= r.groups[winner.input].mask // the whole input's bandwidth
+				// Capture the target before Dequeue, which clears Route when the
+				// tail flit departs.
+				target := winner.Route
+				target.Stage(winner.Dequeue(now))
+			}
+			clear(req)
 		}
-		if m > 0 {
-			k := 0
-			if m > 1 {
-				k = r.saRR[o] % m
-			}
-			r.saRR[o]++
-			wi := 0
-			for c := bits.OnesCount64(req[0]); k >= c; c = bits.OnesCount64(req[wi]) {
-				k -= c
-				wi++
-			}
-			q := req[wi]
-			for ; k > 0; k-- {
-				q &= q - 1
-			}
-			winner := r.flatVC[wi<<6|bits.TrailingZeros64(q)]
-			charged[wi] |= r.groups[winner.input].mask // the whole input's bandwidth
-			// Capture the target before Dequeue, which clears Route when the
-			// tail flit departs.
-			target := winner.Route
-			target.Stage(winner.Dequeue(now))
-		}
-		clear(req)
 	}
 	clear(charged)
 }
@@ -530,19 +532,19 @@ func (r *Router) scanInputs(pred func(*VC) bool) []*message.Packet {
 			if !pred(vc) {
 				continue
 			}
-			f := vc.ring[vc.head]
-			if !f.Head() || f.Pkt.BeingRescued {
+			pkt := vc.Owner
+			if vc.front != 0 || pkt.BeingRescued {
 				continue
 			}
 			dup := false
 			for _, p := range out {
-				if p == f.Pkt {
+				if p == pkt {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				out = append(out, f.Pkt)
+				out = append(out, pkt)
 			}
 		}
 	}

@@ -20,13 +20,13 @@ func mkPacket(id int, flits int) *message.Packet {
 	return &message.Packet{ID: message.PacketID(id), Msg: m}
 }
 
-// fill stages and commits all flits of pkt into vc (up to capacity).
+// fill claims vc for pkt and stages and commits its first n flits.
 func fill(vc *VC, pkt *message.Packet, n int, now int64) {
+	vc.Owner = pkt
 	for i := 0; i < n; i++ {
 		vc.Stage(message.Flit{Pkt: pkt, Idx: i})
 	}
 	vc.Commit(now)
-	vc.Owner = pkt
 }
 
 func TestVCStageCommitDequeue(t *testing.T) {
@@ -36,16 +36,16 @@ func TestVCStageCommitDequeue(t *testing.T) {
 	if _, ok := vc.Front(); ok {
 		t.Fatal("empty VC has a front")
 	}
+	vc.Owner = pkt
 	vc.Stage(message.Flit{Pkt: pkt, Idx: 0})
 	if _, ok := vc.Front(); ok {
 		t.Fatal("staged flit visible before commit")
 	}
 	vc.Commit(1)
 	f, ok := vc.Front()
-	if !ok || !f.Head() {
+	if !ok || !f.Head() || f.Pkt != pkt {
 		t.Fatal("header not at front after commit")
 	}
-	vc.Owner = pkt
 	got := vc.Dequeue(2)
 	if got.Idx != 0 {
 		t.Fatal("wrong flit dequeued")
@@ -55,7 +55,9 @@ func TestVCStageCommitDequeue(t *testing.T) {
 	}
 	vc.Stage(message.Flit{Pkt: pkt, Idx: 1})
 	vc.Commit(3)
-	vc.Dequeue(4) // tail
+	if tail := vc.Dequeue(4); tail.Pkt != pkt || !tail.Tail() {
+		t.Fatalf("tail dequeue returned %+v", tail)
+	}
 	if vc.Owner != nil || vc.Route != nil {
 		t.Fatal("tail dequeue did not free the VC")
 	}
@@ -68,6 +70,7 @@ func TestVCSpaceAccounting(t *testing.T) {
 	if !vc.SpaceFor() {
 		t.Fatal("empty VC reports no space")
 	}
+	vc.Owner = pkt
 	vc.Stage(message.Flit{Pkt: pkt, Idx: 0})
 	if !vc.SpaceFor() {
 		t.Fatal("half-full (staged) VC reports no space")
@@ -86,6 +89,7 @@ func TestVCStageOverflowPanics(t *testing.T) {
 	ch := NewChannel(KindLink, 0, 1, 0, 0, 0, 1, 1)
 	vc := ch.VCs[0]
 	pkt := mkPacket(1, 4)
+	vc.Owner = pkt
 	vc.Stage(message.Flit{Pkt: pkt, Idx: 0})
 	defer func() {
 		if recover() == nil {

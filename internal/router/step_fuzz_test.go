@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -73,7 +74,7 @@ func (ref *refRouter) step(now int64) {
 			}
 			r.vaGrants++
 			out := r.Outputs[pick.Port].VCs[pick.VC]
-			out.Owner, vc.Route, vc.RoutePort = f.Pkt, out, int(pick.Port)
+			out.Owner, vc.Route, vc.RoutePort = f.Pkt, out, int32(pick.Port)
 		}
 	}
 	r.vaRR++
@@ -221,9 +222,11 @@ func sched(r *Router) []uint64 {
 // traffic, one with Router.Step and one with the naive reference above, and
 // compares every buffer, Owner, Route, RoutePort, the round-robin cursors and
 // the allocation counters after every cycle (and BlockedPackets, whose scan
-// walks the same words). The input picks the shape — 3 to 6 ports of which one
-// is missing, 1 to 24 VCs on each input (one, two or three words), buffers of
-// 1 to 3 flits — and then drives the harness: worms of 1 to 4 flits with
+// walks the same words). The input picks the shape — 3 to 6 ports, or in half
+// the draws of 3 a wide router of 7 up to routing.MaxPorts, of which one is
+// missing; 1 to 24 VCs on each input (1 to 4 on a wide router; one word or
+// many); buffers of 1 to 3
+// flits — and then drives the harness: worms of 1 to 4 flits with
 // candidate lists drawn from the input (adaptive and escape, any output VC)
 // entering free input VCs, output VCs drained a flit at a time (the credit
 // return, and on a tail the release that unparks), outputs stalled and
@@ -234,19 +237,29 @@ func sched(r *Router) []uint64 {
 // Mutation-checked: charging only the winner's bit instead of its input's
 // whole group, visiting the requesting outputs in descending order, and not
 // padding to the next word when a group would straddle each fail committed
-// seeds (the first two all of them, the last the 13- and the 24-VC one).
+// seeds (the first two all of them, the last the 13- and the 24-VC one); so
+// does collecting the requesting outputs in a 32-bit set, which loses every
+// output from 32 up (the 40-port seed).
 func FuzzRouterStep(f *testing.F) {
-	f.Add([]byte{2, 0, 1, 3, 3, 3, 3, 3, 3})          // 5 ports x 4 VCs: one word
-	f.Add([]byte{3, 2, 0, 5, 12, 12, 12, 12, 12, 12}) // 6 ports x 13 VCs: 65 bits, padded into two words
-	f.Add([]byte{3, 5, 2, 5, 23, 19, 6, 12, 23, 0})   // 24+20+7+13 fill a word exactly, 24 more start the second
-	f.Add([]byte{3, 5, 1, 5, 23, 23, 23, 23, 23, 23}) // 6 ports x 24 VCs: three words
+	f.Add([]byte{2, 0, 1, 3, 3, 3, 3, 3, 3})                                   // 5 ports x 4 VCs: one word
+	f.Add([]byte{3, 2, 0, 5, 12, 12, 12, 12, 12, 12})                          // 6 ports x 13 VCs: 65 bits, padded into two words
+	f.Add([]byte{3, 5, 2, 5, 23, 19, 6, 12, 23, 0})                            // 24+20+7+13 fill a word exactly, 24 more start the second
+	f.Add([]byte{3, 5, 1, 5, 23, 23, 23, 23, 23, 23})                          // 6 ports x 24 VCs: three words
+	f.Add(append([]byte{0, 0, 33, 39, 1, 3}, bytes.Repeat([]byte{3}, 40)...))  // 40 ports x 4 VCs: outputs past 32
+	f.Add(append([]byte{0, 0, 249, 0, 0, 0}, bytes.Repeat([]byte{0}, 256)...)) // 256 ports x 1 VC, the admitted bound
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &fuzzSrc{data: data, x: 0x9e3779b97f4a7c15}
 		ports := 3 + src.n(4)
+		if ports == 3 && src.n(2) == 0 { // a wide router: 7 ports up to the admitted bound
+			ports = 7 + src.n(routing.MaxPorts-6)
+		}
 		nilPort, buf, outVCs := src.n(ports), 1+src.n(3), 1+src.n(6)
-		inVCs := make([]int, ports)
+		inVCs, most := make([]int, ports), 24
+		if ports > 6 {
+			most = 4 // wide enough already: an exec stays cheap
+		}
 		for i := range inVCs {
-			inVCs[i] = 1 + src.n(24)
+			inVCs[i] = 1 + src.n(most)
 		}
 		policy := fuzzPolicy{}
 		step, ref := newRig(policy, inVCs, outVCs, buf, nilPort), newRig(policy, inVCs, outVCs, buf, nilPort)
