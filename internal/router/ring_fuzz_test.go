@@ -163,24 +163,26 @@ func refWords(v *refVC) []uint64 {
 // Stage/Commit/Dequeue/Evacuate/ReduceCap/checkpoint/restore sequence and
 // compares everything observable after every op, the checkpoint's words
 // included — and a checkpoint that read back wrong shows once it is
-// restored. data[0] picks the capacity (1–6), each further byte one op. The
-// worms are owner-consistent, as the allocator and the NI make them: a worm
-// claims the VC (sets Owner) once the one before has left it and stages its
-// flits in order, several between commits as a rescue drain does. Illegal ops
-// (stage into a full VC, dequeue from an empty one, snapshot with staged
-// flits) must panic on both sides and leave both unchanged; staging a flit of
-// another packet, or one of the owner's out of order, must panic on the VC
-// (the reference would take it) and change nothing. The target keeps the name
-// of the ring of flits the window replaced, and so do its corpus files.
+// restored. data[0] picks the capacity (1–6), each further byte b one op,
+// b%7. The worms are owner-consistent, as the allocator and the NI make them:
+// a worm claims the VC (sets Owner) once the one before has left it and
+// stages its flits in order, several between commits as a rescue drain does.
+// Illegal ops (stage into a full VC, dequeue from an empty one, snapshot with
+// staged flits) must panic on both sides and leave both unchanged. The five
+// op-0 bytes from 224 up instead stage a flit of another packet, or one of
+// the owner's out of order, which must panic on the VC (the reference would
+// take it) and change nothing; every byte below 224 keeps the op it had when
+// the VC held a ring of flits, so the committed corpus still runs what it was
+// written for, under the target's old name.
 func FuzzVCRing(f *testing.F) {
-	f.Add([]byte{1, 0, 1, 2, 0, 1, 2, 0, 0, 2})                               // cap 2, 1-flit worms: stage/commit/dequeue, overflow and underflow
-	f.Add([]byte{3, 0, 0, 0, 0, 1, 2, 2, 0, 0, 1, 2, 2, 2, 2, 0, 1})          // cap 4: multi-flit staging
-	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 0, 0, 0, 1, 3, 0, 1, 4, 4}) // cap 6: evacuate, reduce
-	f.Add([]byte{2, 0, 0, 1, 5, 2, 0, 1, 6, 2, 2, 2, 0, 5, 1, 5, 6})          // cap 3: capture, move on, restore
-	f.Add([]byte{0, 0, 1, 4, 2, 0, 1, 2})                                     // cap 1
-	f.Add([]byte{1, 27, 0, 1, 2, 0, 1, 2, 2, 0, 0, 1, 2, 2, 0, 1, 2})         // cap 2, a 4-flit worm through a drained VC
-	f.Add([]byte{3, 18, 0, 7, 8, 1, 7, 17, 2, 8, 0, 1, 2, 2, 8, 7})           // cap 4, a 3-flit worm: foreign and out-of-order flits
-	f.Add([]byte{2, 36, 0, 1, 5, 2, 0, 1, 6, 2, 5, 2, 0, 1, 6, 2, 2})         // cap 3, a 5-flit worm: restore into a moved window
+	f.Add([]byte{1, 0, 1, 2, 0, 1, 2, 0, 0, 2})                                  // cap 2, 1-flit worms: stage/commit/dequeue, overflow and underflow
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 2, 2, 0, 0, 1, 2, 2, 2, 2, 0, 1})             // cap 4: multi-flit staging
+	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 0, 0, 0, 1, 3, 0, 1, 4, 4})    // cap 6: evacuate, reduce
+	f.Add([]byte{2, 0, 0, 1, 5, 2, 0, 1, 6, 2, 2, 2, 0, 5, 1, 5, 6})             // cap 3: capture, move on, restore
+	f.Add([]byte{0, 0, 1, 4, 2, 0, 1, 2})                                        // cap 1
+	f.Add([]byte{1, 21, 0, 1, 2, 0, 1, 2, 2, 0, 0, 1, 2, 2, 0, 1, 2})            // cap 2, a 4-flit worm through a drained VC
+	f.Add([]byte{3, 14, 0, 224, 231, 1, 224, 238, 2, 231, 0, 1, 2, 2, 231, 224}) // cap 4, a 3-flit worm: foreign and out-of-order flits
+	f.Add([]byte{2, 28, 0, 1, 5, 2, 0, 1, 6, 2, 5, 2, 0, 1, 6, 2, 2})            // cap 3, a 5-flit worm: restore into a moved window
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -205,11 +207,14 @@ func FuzzVCRing(f *testing.F) {
 
 		for step, b := range data[1:] {
 			now := int64(step + 1)
-			op := b % 9
+			op := int(b % 7)
+			if op == 0 && b >= 224 {
+				op = 7 + int(b/7-32)%3 // 224, 245: 7; 231, 252: 8; 238: 9
+			}
 			switch op {
 			case 0: // Stage the worm's next flit; a new worm claims the VC first
 				if pkt == nil || (sent == pkt.Msg.Flits && vc.Owner == nil) {
-					pkt, sent = mkPacket(nextID, int(b/9)%5+1), 0
+					pkt, sent = mkPacket(nextID, int(b/7)%5+1), 0
 					nextID++
 					vc.Owner, ref.owner = pkt, pkt
 				}
@@ -276,11 +281,11 @@ func FuzzVCRing(f *testing.F) {
 				if !panics(func() { vc.Stage(message.Flit{Pkt: mkPacket(0, 5), Idx: next}) }) {
 					t.Fatalf("step %d: %v took a flit of a packet other than its owner %v", step, vc, vc.Owner)
 				}
-			case 8: // the owner's flit one past or one before the next, on a VC holding flits
+			case 8, 9: // the owner's flit one past (8) or one before (9) the next, on a VC holding flits
 				if vc.n+vc.ns == 0 {
 					break // an empty VC takes any flit of its owner
 				}
-				idx := int(vc.front+vc.n+vc.ns) + 1 - 2*int(b/9%2)
+				idx := int(vc.front+vc.n+vc.ns) + 1 - 2*(op-8)
 				if !panics(func() { vc.Stage(message.Flit{Pkt: vc.Owner, Idx: idx}) }) {
 					t.Fatalf("step %d: %v took flit %d out of order (front %d, %d+%d held)", step, vc, idx, vc.front, vc.n, vc.ns)
 				}
