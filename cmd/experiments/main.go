@@ -6,7 +6,7 @@
 //	experiments [-scale full|quick|smoke] <name>...
 //	experiments -scale quick all
 //
-// Names: table1, fig6, traces, fig8, fig9, fig10, fig11, dlfreq.
+// Run it without a name for the list of experiments.
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
 	"repro/internal/check"
 	"repro/internal/experiments"
 	"repro/internal/network"
@@ -34,6 +33,7 @@ func main() {
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulation points to run in parallel (1 = serial); reports are identical at any value")
 	checkOn := flag.Bool("check", false, "attach the runtime invariant checker to every simulation point; the first violation aborts the run")
 	version := flag.Bool("version", false, "print version and exit")
+	flag.Usage = usage
 	flag.Parse()
 	if *version {
 		fmt.Println(telemetry.VersionString("experiments"))
@@ -43,15 +43,33 @@ func main() {
 	if *jobs < 1 {
 		fatal(fmt.Errorf("-j must be at least 1, got %d", *jobs))
 	}
+	scale, err := experiments.ScaleByName(*scaleName)
+	if err != nil {
+		fatal(err)
+	}
+	var todo []experiments.Experiment
+	switch names := flag.Args(); {
+	case len(names) == 1 && names[0] == "all":
+		todo = experiments.All
+	case len(names) == 0:
+		usage()
+		os.Exit(2)
+	default:
+		for _, name := range names {
+			e, err := experiments.ByName(name)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n\n", name)
+				usage()
+				os.Exit(2)
+			}
+			todo = append(todo, e)
+		}
+	}
+
 	if *checkOn {
 		experiments.NetworkHook = func(n *network.Network) {
 			check.Attach(n, check.Options{FailFast: true})
 		}
-	}
-
-	scale, err := scaleByName(*scaleName)
-	if err != nil {
-		fatal(err)
 	}
 	experiments.SetParallelism(*jobs)
 
@@ -60,66 +78,42 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	names := flag.Args()
-	if len(names) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: experiments [-scale full|quick|smoke] <name>...\nnames: %v or all\n", repro.ExperimentNames)
-		os.Exit(2)
-	}
-	if len(names) == 1 && names[0] == "all" {
-		names = repro.ExperimentNames
-	}
-	for _, name := range names {
+	for _, e := range todo {
 		start := time.Now()
-		if err := run(ctx, name, scale, *csvDir); err != nil {
+		if err := run(ctx, e, scale, *csvDir); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s done in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 }
 
-// run dispatches one experiment; for the BNF figures it optionally also
-// writes the raw series as CSV for external plotting.
-func run(ctx context.Context, name string, scale repro.ExperimentScale, csvDir string) error {
-	var series []stats.Series
-	var err error
-	switch name {
-	case "fig8":
-		series, err = experiments.Fig8(ctx, os.Stdout, scale)
-	case "fig9":
-		series, err = experiments.Fig9(ctx, os.Stdout, scale)
-	case "fig10":
-		series, err = experiments.Fig10(ctx, os.Stdout, scale)
-	case "fig11":
-		series, err = experiments.Fig11(ctx, os.Stdout, scale)
-	default:
-		return repro.RunExperiment(ctx, name, scale, os.Stdout)
+// usage lists the flags and every experiment of the table.
+func usage() {
+	out := flag.CommandLine.Output()
+	fmt.Fprintf(out, "usage: experiments [flags] <name>... | all\n\nexperiments:\n")
+	for _, e := range experiments.All {
+		fmt.Fprintf(out, "  %-12s %s\n", e.Name, e.Doc)
 	}
-	if err != nil {
+	fmt.Fprintf(out, "\nflags:\n")
+	flag.PrintDefaults()
+}
+
+// run executes one experiment; for the BNF figures it optionally also writes
+// the raw series as CSV for external plotting.
+func run(ctx context.Context, e experiments.Experiment, scale experiments.Scale, csvDir string) error {
+	series, err := e.Run(ctx, os.Stdout, scale)
+	if err != nil || csvDir == "" || series == nil {
 		return err
 	}
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(csvDir, name+".csv")
-		if err := os.WriteFile(path, []byte(stats.CSV(series)), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
+	if err := os.MkdirAll(csvDir, 0o755); err != nil {
+		return err
 	}
+	path := filepath.Join(csvDir, e.Name+".csv")
+	if err := os.WriteFile(path, []byte(stats.CSV(series)), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
 	return nil
-}
-
-func scaleByName(name string) (repro.ExperimentScale, error) {
-	switch name {
-	case "full":
-		return repro.ScaleFull, nil
-	case "quick":
-		return repro.ScaleQuick, nil
-	case "smoke":
-		return repro.ScaleSmoke, nil
-	}
-	return repro.ExperimentScale{}, fmt.Errorf("unknown scale %q", name)
 }
 
 func fatal(err error) {

@@ -86,8 +86,6 @@ var (
 
 	faultPlan = flag.String("fault-plan", "", "inject faults from this JSON plan file (see internal/fault)")
 
-	skipAhead = flag.Bool("skip-ahead", true, "step only active routers and NIs and skip quiescent cycles (results are byte-identical; false steps every component and commits every channel every cycle)")
-
 	profile       = flag.Bool("profile", false, "attribute wall time to simulation pipeline phases and print the breakdown")
 	profileJSON   = flag.String("profile-json", "", "write the phase breakdown as JSON to this file (implies -profile)")
 	profileSample = flag.Int64("profile-sample", 1, "profile every Nth cycle (1 = every cycle)")
@@ -191,10 +189,6 @@ func main() {
 	if *digest {
 		dig = check.AttachDigest(net)
 	}
-	// An attached profiler already forces dense stepping (per-phase
-	// attribution needs every component stepped every cycle); the explicit
-	// flag lets dense runs be compared without profiling overhead.
-	net.SetDense(!*skipAhead)
 	var prof *telemetry.CycleProfiler
 	if *profile || *profileJSON != "" {
 		if *profileSample < 1 {

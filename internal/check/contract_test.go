@@ -118,8 +118,16 @@ func (t *traceTails) Event(e obs.Event) {
 // missing from their Checkpoint methods; this fails. Mutation checks: every
 // field-naming line of every Checkpoint method was deleted in turn, this test
 // run and the line restored. CHANGES.md (PR 20) has the table, and the list of
-// what this test cannot see — fault state, fanout-only fields, a pending
-// rescue request — with the test that does, where one does.
+// what this test cannot see — fault state, a pending rescue request — with
+// the test that does, where one does. The PATFAN3 case sees the token's hop
+// counter and Message.Branch. Two checkpointed fields stay out of its sight,
+// because no snapshot can hold them live:
+//   - Rescue.returnFrom is written and read inside one arrive call (the
+//     preempt event and tokenReturn), so between cycles it is a leftover;
+//   - Packet.BeingRescued is set by evacuate, which in the same call takes
+//     the packet out of every VC and output queue, so no snapshot reaches a
+//     packet that has it set. Its other writer is fault injection, which
+//     Checkpoint refuses.
 func TestCheckpointContract(t *testing.T) {
 	type tc struct {
 		kind     schemes.Kind
@@ -127,22 +135,34 @@ func TestCheckpointContract(t *testing.T) {
 		vcs      int
 		rate     float64
 		detector string
+		hop      int // TokenHopCycles; 0 keeps the default
 	}
 	var cases []tc
 	for _, det := range []string{network.DetectorThreshold, network.DetectorProbe} {
 		if det != network.DetectorProbe { // avoidance has nothing for a probe to trigger
-			cases = append(cases, tc{schemes.SA, protocol.PAT721, 8, 0.05, det})
+			cases = append(cases, tc{schemes.SA, protocol.PAT721, 8, 0.05, det, 0})
 		}
 		cases = append(cases,
-			tc{schemes.DR, protocol.PAT280, 4, 0.04, det},
-			tc{schemes.AB, protocol.PAT280, 4, 0.04, det},
-			tc{schemes.PR, protocol.PAT721, 2, 0.03, det})
+			tc{schemes.DR, protocol.PAT280, 4, 0.04, det, 0},
+			tc{schemes.AB, protocol.PAT280, 4, 0.04, det, 0},
+			tc{schemes.PR, protocol.PAT721, 2, 0.03, det, 0})
 	}
+	// The fields only a fan-out or a slow token makes live: Message.Branch
+	// (a subordinate of branch 1 or 2 in flight) and the token's hop counter
+	// (it steps 0, 1, 0, ... while TokenHopCycles is 2).
+	cases = append(cases, tc{schemes.PR, fanout3, 2, 0.02, network.DetectorThreshold, 2})
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%v-%s", tc.kind, tc.detector), func(t *testing.T) {
+		name := fmt.Sprintf("%v-%s", tc.kind, tc.detector)
+		if tc.hop > 0 {
+			name += fmt.Sprintf("-%s-hop%d", tc.pat.Name, tc.hop)
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := smallCfg(tc.kind, tc.pat, tc.vcs, tc.rate)
 			cfg.QueueCap = 4
 			cfg.Detector = tc.detector
+			if tc.hop > 0 {
+				cfg.TokenHopCycles = tc.hop
+			}
 			cfg.Warmup, cfg.Measure, cfg.MaxDrain = 0, 1000, 200
 			run := func(n *network.Network, each func(now int64)) {
 				for !n.Clock.Done() {
@@ -243,6 +263,18 @@ func TestCheckpointContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fanout3 is a PAT721-like mix whose invalidations fan out to three sharers.
+var fanout3 = &protocol.Pattern{
+	Name:  "PATFAN3",
+	Style: protocol.StyleS1,
+	Templates: []*protocol.Template{protocol.Chain2, {Name: "inv-fan3", Steps: []protocol.Step{
+		{Type: message.M1, Dest: protocol.RoleHome},
+		{Type: message.M2, Dest: protocol.RoleThird, Fanout: 3},
+		{Type: message.M4, Dest: protocol.RoleRequester},
+	}}},
+	Weights: []float64{0.3, 0.7},
 }
 
 // firstDifference returns the first line on which two ledgers differ.

@@ -56,13 +56,10 @@ var (
 
 // ScaleByName resolves a scale.
 func ScaleByName(name string) (Scale, error) {
-	switch name {
-	case "full":
-		return Full, nil
-	case "quick":
-		return Quick, nil
-	case "smoke":
-		return Smoke, nil
+	for _, s := range []Scale{Full, Quick, Smoke} {
+		if s.Name == name {
+			return s, nil
+		}
 	}
 	return Scale{}, fmt.Errorf("experiments: unknown scale %q", name)
 }

@@ -5,27 +5,17 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/coherence"
 	"repro/internal/network"
-	"repro/internal/protocol"
 	"repro/internal/schemes"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tracegen"
-	"repro/internal/traffic"
 )
-
-// paperTable1 holds the published response-type distributions for
-// paper-versus-measured reporting.
-var paperTable1 = map[string][3]float64{
-	"FFT":   {0.987, 0.009, 0.004},
-	"LU":    {0.965, 0.030, 0.005},
-	"Radix": {0.955, 0.036, 0.008},
-	"Water": {0.152, 0.501, 0.347},
-}
 
 // Table1 regenerates Table 1: the distribution of home-node response types
 // per application, measured by replaying each synthesized trace through the
-// MSI directory engine (no network needed for classification).
+// MSI directory engine (no network needed for classification), beside the
+// paper's, which are the generator's targets.
 func Table1(ctx context.Context, w io.Writer, s Scale, seed uint64) error {
 	fmt.Fprintln(w, "=== Table 1: response types to request messages (16 processors, MSI) ===")
 	fmt.Fprintf(w, "%-8s %28s %28s\n", "", "measured (direct/inval/fwd)", "paper    (direct/inval/fwd)")
@@ -33,14 +23,16 @@ func Table1(ctx context.Context, w io.Writer, s Scale, seed uint64) error {
 		app := tracegen.Apps[ai]
 		g := tracegen.NewGenerator(app, 16, seed)
 		tr := g.Generate(s.TraceCycles)
-		sys := mustCoherence(16)
+		sys, err := coherence.New(coherence.DefaultConfig(16))
+		if err != nil {
+			return "", err
+		}
 		for _, r := range tr.Records {
 			sys.Access(int(r.CPU), r.Op, r.Addr)
 		}
 		d, i, f := sys.Mix()
-		p := paperTable1[app.Name]
 		return fmt.Sprintf("%-8s %9.1f%% %7.1f%% %7.1f%%  %9.1f%% %7.1f%% %7.1f%%\n",
-			app.Name, 100*d, 100*i, 100*f, 100*p[0], 100*p[1], 100*p[2]), nil
+			app.Name, 100*d, 100*i, 100*f, 100*app.Direct, 100*app.Inval, 100*app.Forward), nil
 	})
 	if err != nil {
 		return err
@@ -51,45 +43,22 @@ func Table1(ctx context.Context, w io.Writer, s Scale, seed uint64) error {
 	return nil
 }
 
-// traceConfig is the Section 4.2.1 trace-driven network configuration: 4x4
-// torus (optionally bristled down to 2x4 or 2x2), 4 VCs, 16-message queues,
-// progressive recovery handling with Duato-avoided routing deadlocks in the
-// paper; we run the PR configuration so message-dependent deadlocks are
+// runTrace drives one application trace through the Section 4.2.1
+// trace-driven network — 4 VCs, 16-message queues, optionally bristled down
+// from 4x4 to 2x4 or 2x2 — and returns the network plus the per-window
+// injected-flit load samples. The paper avoided routing deadlocks with Duato's
+// routing; we run the PR configuration so message-dependent deadlocks are
 // observable and recoverable, and the CWG observer reports knots.
-func traceConfig(s Scale, radix []int, bristling int) network.Config {
+func runTrace(ctx context.Context, app tracegen.App, s Scale, radix []int, bristling int, seed uint64) (*network.Network, *stats.Histogram, error) {
 	cfg := network.DefaultConfig()
 	cfg.Radix = radix
 	cfg.Bristling = bristling
 	cfg.VCs = 4
 	cfg.Scheme = schemes.PR
-	cfg.Pattern = protocol.MSI
-	cfg.Warmup = 0
 	cfg.Measure = s.TraceCycles
 	cfg.MaxDrain = s.MaxDrain
-	// Application loads sit far below saturation; a laxer router timeout
-	// avoids spurious rescue captures during Radix's bursts while leaving
-	// genuine deadlocks (there are none, Section 4.2.2) recoverable.
-	cfg.RouterTimeout = 100
-	cfg.DetectThreshold = 100
-	return cfg
-}
-
-// runTrace drives one application trace through a network and returns the
-// network plus the per-window injected-flit load samples.
-func runTrace(ctx context.Context, app tracegen.App, s Scale, radix []int, bristling int, seed uint64) (*network.Network, *stats.Histogram, error) {
-	cfg := traceConfig(s, radix, bristling)
 	cfg.Seed = seed
-	var player *tracegen.Player
-	n, err := network.NewWithSource(cfg, func(e *protocol.Engine, t *protocol.Table, rng *sim.RNG, endpoints int) traffic.Source {
-		g := tracegen.NewGenerator(app, endpoints, seed)
-		tr := g.Generate(s.TraceCycles)
-		p, perr := tracegen.NewPlayer(tr, e, t, rng, endpoints)
-		if perr != nil {
-			panic(perr)
-		}
-		player = p
-		return p
-	})
+	n, _, err := tracegen.NewNetwork(cfg, app)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -113,7 +82,6 @@ func runTrace(ctx context.Context, app tracegen.App, s Scale, radix []int, brist
 	if err := n.RunContext(ctx); err != nil {
 		return nil, nil, err
 	}
-	_ = player
 	return n, hist, nil
 }
 

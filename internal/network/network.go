@@ -146,8 +146,8 @@ type Network struct {
 
 	// forceDense selects the dense regime (see Step): set under fault
 	// injection, whose freeze/stall faults suppress round-robin rotation in
-	// ways SkipIdle cannot replay, and by netsim -skip-ahead=false, tests
-	// and tools for differential runs. An attached profiler also forces
+	// ways SkipIdle cannot replay, and by tests and tools for differential
+	// runs. An attached profiler also forces
 	// dense so phase accounting stays exact.
 	forceDense bool
 

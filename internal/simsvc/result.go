@@ -10,12 +10,9 @@ import (
 	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/protocol"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tracegen"
-	"repro/internal/traffic"
 )
 
 // Summary is the deterministic outcome of one run: everything here is a
@@ -58,15 +55,8 @@ func buildNetwork(spec RunSpec) (*network.Network, error) {
 	if !ok {
 		return nil, fmt.Errorf("simsvc: unknown trace app %q", spec.TraceApp)
 	}
-	return network.NewWithSource(cfg, func(e *protocol.Engine, t *protocol.Table, rng *sim.RNG, endpoints int) traffic.Source {
-		g := tracegen.NewGenerator(app, endpoints, spec.Seed)
-		tr := g.Generate(spec.Measure)
-		p, perr := tracegen.NewPlayer(tr, e, t, rng, endpoints)
-		if perr != nil {
-			panic(perr)
-		}
-		return p
-	})
+	n, _, err := tracegen.NewNetwork(cfg, app)
+	return n, err
 }
 
 // Execute runs a normalized spec to completion and returns the marshalled

@@ -206,7 +206,8 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 }
 
 // config maps a spec whose defaults are resolved onto the simulator
-// configuration; it fails only on a name it cannot resolve.
+// configuration; it fails only on a name it cannot resolve. What a trace run
+// implies beyond that is tracegen.NewNetwork's.
 func (s RunSpec) config() (network.Config, error) {
 	cfg := network.DefaultConfig()
 	var err error
@@ -231,14 +232,6 @@ func (s RunSpec) config() (network.Config, error) {
 	cfg.Seed = s.Seed
 	cfg.Warmup, cfg.Measure, cfg.MaxDrain = s.Warmup, s.Measure, s.MaxDrain
 	cfg.CWGInterval = s.CWGInterval
-	if s.TraceApp != "" {
-		// The Section 4.2.1 trace-driven settings (internal/experiments'
-		// traceConfig): application loads sit far below saturation, so a
-		// laxer detector avoids spurious rescues during bursts.
-		cfg.Rate = 0
-		cfg.RouterTimeout = 100
-		cfg.DetectThreshold = 100
-	}
 	return cfg, nil
 }
 

@@ -86,7 +86,7 @@ func (g *Generator) newLineAddr(avoidHome int) uint64 {
 
 // Generate synthesizes a trace of the given length in cycles.
 func (g *Generator) Generate(cycles int64) *Trace {
-	t := &Trace{Nodes: g.Nodes}
+	t := &Trace{}
 	level := g.pickLevel()
 	for now := int64(0); now < cycles; now++ {
 		if g.App.WindowLen > 0 && now%g.App.WindowLen == 0 {

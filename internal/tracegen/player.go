@@ -4,7 +4,6 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/netiface"
 	"repro/internal/protocol"
-	"repro/internal/sim"
 )
 
 // Player replays a trace through the MSI directory engine as a traffic
@@ -36,8 +35,8 @@ type Player struct {
 }
 
 // NewPlayer builds a player over a trace. The engine and table come from the
-// network the player will drive (use protocol.MSI as the network pattern).
-func NewPlayer(tr *Trace, engine *protocol.Engine, table *protocol.Table, rng *sim.RNG, endpoints int) (*Player, error) {
+// network the player will drive (NewNetwork builds both together).
+func NewPlayer(tr *Trace, engine *protocol.Engine, table *protocol.Table, endpoints int) (*Player, error) {
 	sys, err := coherence.New(coherence.DefaultConfig(endpoints))
 	if err != nil {
 		return nil, err
@@ -55,7 +54,6 @@ func NewPlayer(tr *Trace, engine *protocol.Engine, table *protocol.Table, rng *s
 			p.perCPU[r.CPU] = append(p.perCPU[r.CPU], r)
 		}
 	}
-	_ = rng
 	return p, nil
 }
 

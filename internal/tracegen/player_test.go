@@ -4,41 +4,27 @@ import (
 	"testing"
 
 	"repro/internal/network"
-	"repro/internal/protocol"
 	"repro/internal/schemes"
-	"repro/internal/sim"
 	"repro/internal/tracegen"
-	"repro/internal/traffic"
 )
 
-// playTrace runs an application trace through a 4x4 PR network and returns
-// the network and player.
+// playTrace runs an application trace, generated at seed 5, through a PR
+// network and returns the network and player.
 func playTrace(t *testing.T, app tracegen.App, cycles int64, bristling int, radix []int) (*network.Network, *tracegen.Player) {
 	t.Helper()
 	cfg := network.DefaultConfig()
 	cfg.Radix = radix
 	cfg.Bristling = bristling
 	cfg.Scheme = schemes.PR
-	cfg.Pattern = protocol.MSI
-	cfg.Warmup = 0
+	cfg.Seed = 5
 	cfg.Measure = cycles
 	cfg.MaxDrain = 20000
-	var player *tracegen.Player
-	n, err := network.NewWithSource(cfg, func(e *protocol.Engine, tab *protocol.Table, rng *sim.RNG, endpoints int) traffic.Source {
-		g := tracegen.NewGenerator(app, endpoints, 5)
-		tr := g.Generate(cycles)
-		p, perr := tracegen.NewPlayer(tr, e, tab, rng, endpoints)
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		player = p
-		return p
-	})
+	n, p, err := tracegen.NewNetwork(cfg, app)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Run()
-	return n, player
+	return n, p
 }
 
 func TestPlayerDrivesNetworkToCompletion(t *testing.T) {
@@ -88,23 +74,13 @@ func TestPlayerMSHRStall(t *testing.T) {
 	cfg := network.DefaultConfig()
 	cfg.Radix = []int{4, 4}
 	cfg.Scheme = schemes.PR
-	cfg.Pattern = protocol.MSI
-	cfg.Warmup, cfg.Measure, cfg.MaxDrain = 0, 15000, 20000
-	var player *tracegen.Player
-	n, err := network.NewWithSource(cfg, func(e *protocol.Engine, tab *protocol.Table, rng *sim.RNG, endpoints int) traffic.Source {
-		g := tracegen.NewGenerator(tracegen.Water, endpoints, 7)
-		tr := g.Generate(10000)
-		p, perr := tracegen.NewPlayer(tr, e, tab, rng, endpoints)
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		p.MaxOutstanding = 1
-		player = p
-		return p
-	})
+	cfg.Seed = 7
+	cfg.Measure, cfg.MaxDrain = 10000, 20000
+	n, player, err := tracegen.NewNetwork(cfg, tracegen.Water)
 	if err != nil {
 		t.Fatal(err)
 	}
+	player.MaxOutstanding = 1
 	n.Run()
 	if player.Transactions == 0 || !n.Quiescent() {
 		t.Fatalf("stalled player broke: txns=%d quiescent=%v", player.Transactions, n.Quiescent())

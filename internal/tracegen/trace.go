@@ -8,16 +8,16 @@
 // load levels in windows. The synthesized accesses are raw (cycle, cpu, op,
 // address) records that are replayed through the real MSI directory engine
 // (package coherence); the generator steers directory states so the engine's
-// measured response mix lands on the target.
+// measured response mix lands on the target. NewNetwork is the one place a
+// trace-driven run is set up.
 package tracegen
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
 	"repro/internal/coherence"
+	"repro/internal/network"
+	"repro/internal/protocol"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // Record is one processor data access.
@@ -30,76 +30,31 @@ type Record struct {
 
 // Trace is an in-memory access trace.
 type Trace struct {
-	Nodes   int
 	Records []Record
 }
 
-// Duration returns the time of the last record (the trace length in cycles).
-func (t *Trace) Duration() int64 {
-	if len(t.Records) == 0 {
-		return 0
+// NewNetwork builds the Section 4.2.1 trace-driven system: app's trace,
+// cfg.Measure cycles long and generated from cfg.Seed, replayed by a Player
+// as the network's only traffic source. It owns what makes a run
+// trace-driven — the MSI pattern, no warmup, and a router timeout and
+// detection threshold of 100 cycles: application loads sit far below
+// saturation, so the laxer detector avoids spurious rescue captures during
+// Radix's bursts while leaving genuine deadlocks (there are none, Section
+// 4.2.2) recoverable. Every other field of cfg is the caller's.
+func NewNetwork(cfg network.Config, app App) (*network.Network, *Player, error) {
+	cfg.Pattern = protocol.MSI
+	cfg.Warmup = 0
+	cfg.RouterTimeout = 100
+	cfg.DetectThreshold = 100
+	var p *Player
+	var perr error
+	n, err := network.NewWithSource(cfg, func(e *protocol.Engine, t *protocol.Table, _ *sim.RNG, endpoints int) traffic.Source {
+		tr := NewGenerator(app, endpoints, cfg.Seed).Generate(cfg.Measure)
+		p, perr = NewPlayer(tr, e, t, endpoints)
+		return p
+	})
+	if err == nil {
+		err = perr
 	}
-	return t.Records[len(t.Records)-1].Time
-}
-
-const traceMagic = "MDDTRC01"
-
-// Write serializes the trace in a compact little-endian binary format.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(t.Nodes))
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(len(t.Records)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec [19]byte
-	for _, r := range t.Records {
-		binary.LittleEndian.PutUint64(rec[0:], uint64(r.Time))
-		binary.LittleEndian.PutUint16(rec[8:], r.CPU)
-		rec[10] = byte(r.Op)
-		binary.LittleEndian.PutUint64(rec[11:], r.Addr)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("tracegen: bad magic %q", magic)
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	t := &Trace{Nodes: int(binary.LittleEndian.Uint32(hdr[0:]))}
-	n := binary.LittleEndian.Uint64(hdr[4:])
-	if t.Nodes <= 0 || t.Nodes > 1<<20 {
-		return nil, fmt.Errorf("tracegen: implausible node count %d", t.Nodes)
-	}
-	t.Records = make([]Record, 0, n)
-	var rec [19]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("tracegen: truncated trace: %w", err)
-		}
-		t.Records = append(t.Records, Record{
-			Time: int64(binary.LittleEndian.Uint64(rec[0:])),
-			CPU:  binary.LittleEndian.Uint16(rec[8:]),
-			Op:   coherence.Op(rec[10]),
-			Addr: binary.LittleEndian.Uint64(rec[11:]),
-		})
-	}
-	return t, nil
+	return n, p, err
 }

@@ -1,59 +1,11 @@
 package tracegen
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/coherence"
 )
-
-func TestTraceRoundTrip(t *testing.T) {
-	tr := &Trace{Nodes: 16, Records: []Record{
-		{Time: 0, CPU: 3, Op: coherence.Read, Addr: 0x1234},
-		{Time: 17, CPU: 15, Op: coherence.Write, Addr: 0xdeadbeef},
-	}}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Nodes != 16 || len(got.Records) != 2 {
-		t.Fatalf("round trip: %+v", got)
-	}
-	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got.Records[i], tr.Records[i])
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a trace at all"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// Truncated payload.
-	tr := &Trace{Nodes: 4, Records: make([]Record, 5)}
-	var buf bytes.Buffer
-	tr.Write(&buf)
-	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()-3])); err == nil {
-		t.Fatal("truncated trace accepted")
-	}
-}
-
-func TestTraceDuration(t *testing.T) {
-	empty := &Trace{Nodes: 1}
-	if empty.Duration() != 0 {
-		t.Fatal("empty trace duration")
-	}
-	tr := &Trace{Nodes: 1, Records: []Record{{Time: 5}, {Time: 99}}}
-	if tr.Duration() != 99 {
-		t.Fatal("duration wrong")
-	}
-}
 
 func TestAppProfiles(t *testing.T) {
 	// Figure 6 qualitative properties.

@@ -27,6 +27,7 @@ import (
 	"context"
 	"io"
 
+	"repro/internal/experiments"
 	"repro/internal/netiface"
 	"repro/internal/network"
 	"repro/internal/protocol"
@@ -120,7 +121,7 @@ type Series = stats.Series
 // returns the BNF series, stopping just beyond saturation as the paper's
 // evaluations do. Cancelling ctx stops the sweep mid-run.
 func SweepLoads(ctx context.Context, cfg Config, rates []float64, name string) (Series, error) {
-	return experimentsSweep(ctx, cfg, rates, name)
+	return experiments.Sweep(ctx, cfg, rates, name)
 }
 
 // FormatSeries renders BNF series as an aligned text table.
