@@ -50,12 +50,38 @@ func TestGridlockChecksTheRecoverySchemes(t *testing.T) {
 // TestGridlockSAAskedForIsAnError: asked for by name, SA on the gridlock space
 // is still the scheme's own error and exit status 1, not a silent skip.
 func TestGridlockSAAskedForIsAnError(t *testing.T) {
-	out, err := modelcheck("-workload", "gridlock", "-scheme", "SA")
+	wantExit(t, 1, "modelcheck: schemes: SA needs >= 2 VCs per message type", "-workload", "gridlock", "-scheme", "SA")
+}
+
+// TestSkipRule: one rule decides what a scheme the space cannot configure
+// does. Under -scheme all it is printed as skipped with network.Config's own
+// reason and the others are checked; asked for by name it exits 1 with that
+// reason. Options mc.New refuses exit 1 whatever the scheme.
+func TestSkipRule(t *testing.T) {
+	const incompatible = `network: Detector "probe" is incompatible with avoidance Scheme SA`
+	wantExit(t, 1, "modelcheck: "+incompatible, "-workload", "crossing", "-detector", "probe", "-scheme", "SA")
+	wantExit(t, 0, "SA: skipped: "+incompatible, "-scheme", "all", "-detector", "probe")
+	wantExit(t, 1, `modelcheck: mc: unknown Bug "nonsense"`, "-bug", "nonsense")
+	wantExit(t, 1, `modelcheck: mc: Bug "suppress-probe" targets the probe engine`, "-workload", "gridlock", "-scheme", "DR", "-bug", "suppress-probe")
+	wantExit(t, 1, "modelcheck: every scheme was skipped", "-detector", "cwg")
+}
+
+// wantExit runs modelcheck on args and fails unless it exits with status code
+// and its output contains want.
+func wantExit(t *testing.T, code int, want string, args ...string) {
+	t.Helper()
+	out, err := modelcheck(args...)
+	got := 0
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("modelcheck -workload gridlock -scheme SA: %v, want exit status 1\n%s", err, out)
+	if errors.As(err, &exit) {
+		got = exit.ExitCode()
+	} else if err != nil {
+		t.Fatalf("modelcheck %v: %v", args, err)
 	}
-	if !strings.Contains(out, "modelcheck: schemes: SA needs >= 2 VCs per message type") {
-		t.Fatalf("output lacks the scheme's error:\n%s", out)
+	if got != code {
+		t.Errorf("modelcheck %v: exit status %d, want %d\n%s", args, got, code, out)
+	}
+	if !strings.Contains(out, want) {
+		t.Errorf("modelcheck %v: output lacks %q:\n%s", args, want, out)
 	}
 }

@@ -120,14 +120,11 @@ func (t *traceTails) Event(e obs.Event) {
 // run and the line restored. CHANGES.md (PR 20) has the table, and the list of
 // what this test cannot see — fault state, a pending rescue request — with
 // the test that does, where one does. The PATFAN3 case sees the token's hop
-// counter and Message.Branch. Two checkpointed fields stay out of its sight,
-// because no snapshot can hold them live:
-//   - Rescue.returnFrom is written and read inside one arrive call (the
-//     preempt event and tokenReturn), so between cycles it is a leftover;
-//   - Packet.BeingRescued is set by evacuate, which in the same call takes
-//     the packet out of every VC and output queue, so no snapshot reaches a
-//     packet that has it set. Its other writer is fault injection, which
-//     Checkpoint refuses.
+// counter and Message.Branch. One checkpointed field stays out of its sight,
+// because no snapshot can hold it live: Packet.BeingRescued is set by
+// evacuate, which in the same call takes the packet out of every VC and
+// output queue, so no snapshot reaches a packet that has it set. Its other
+// writer is fault injection, which Checkpoint refuses.
 func TestCheckpointContract(t *testing.T) {
 	type tc struct {
 		kind     schemes.Kind

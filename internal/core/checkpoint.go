@@ -19,7 +19,6 @@ func (r *Rescue) Checkpoint(c *ckpt.C) {
 	ckpt.Int(c, &r.captureRouter)
 	msg(&r.transferMsg)
 	ckpt.Int(c, &r.timer) // a countdown, not a cycle
-	ckpt.Int(c, &r.returnFrom)
 	ep := -1
 	if r.serviceNI != nil && !c.Reading() {
 		ep = r.serviceNI.Cfg.Endpoint

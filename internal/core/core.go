@@ -111,7 +111,6 @@ type Rescue struct {
 	captureRouter topology.NodeID
 	transferMsg   *message.Message
 	timer         int64
-	returnFrom    topology.NodeID
 	serviceNI     *netiface.NI
 
 	// Completed counts finished rescues; MaxDepth tracks the deepest
@@ -357,16 +356,16 @@ func (r *Rescue) arrive(now int64) {
 	m := r.transferMsg
 	r.transferMsg = nil
 	ni := r.cfg.NIs[m.Dst]
-	r.returnFrom = r.cfg.Torus.EndpointByID(m.Dst).Router
+	dst := r.cfg.Torus.EndpointByID(m.Dst).Router
 	if m.Preallocated {
 		ni.DeliverMessage(m, now, false)
-		r.tokenReturn()
+		r.tokenReturn(dst)
 		return
 	}
 	q := ni.Cfg.QueueIndex(m.Type, m.Backoff || m.Nack)
 	if ni.InSpace(q) {
 		ni.DeliverMessage(m, now, false)
-		r.tokenReturn()
+		r.tokenReturn(dst)
 		return
 	}
 	m.Delivered = now
@@ -379,7 +378,7 @@ func (r *Rescue) arrive(now int64) {
 	r.Preemptions++
 	if r.Bus != nil {
 		r.Bus.Emit(obs.Event{
-			Cycle: now, Kind: obs.KindPreempt, Node: int(r.returnFrom),
+			Cycle: now, Kind: obs.KindPreempt, Node: int(dst),
 			Txn: int64(m.Txn), MsgType: m.Type.String(), Src: m.Src, Dst: m.Dst,
 		})
 	}
@@ -391,11 +390,11 @@ func (r *Rescue) arrive(now int64) {
 	r.phase = PhaseWaitService
 }
 
-// tokenReturn sends the token from the just-served destination back to the
-// current frame's node over the DB lane.
-func (r *Rescue) tokenReturn() {
+// tokenReturn sends the token from the just-served destination's router back
+// to the current frame's node over the DB lane.
+func (r *Rescue) tokenReturn(from topology.NodeID) {
 	top := r.stack[len(r.stack)-1]
-	r.timer = int64(r.cfg.Torus.Distance(r.returnFrom, r.routerOf(top.endpoint)))
+	r.timer = int64(r.cfg.Torus.Distance(from, r.routerOf(top.endpoint)))
 	if r.timer <= 0 {
 		r.timer = 1
 	}

@@ -18,21 +18,18 @@ var goldenCases = []struct {
 	name string
 	opts func() Options
 }{
-	{"forge-dr", func() Options {
-		cfg := TinyConfig(schemes.DR)
-		return Options{Net: cfg, Txns: CrossingTxns(cfg), StrictDetect: true,
-			Bug: BugForgeDetect, ForgePeriod: 10}
-	}},
-	{"forge-pr", func() Options {
-		cfg := TinyConfig(schemes.PR)
-		return Options{Net: cfg, Txns: CrossingTxns(cfg), StrictDetect: true,
-			Bug: BugForgeDetect, ForgePeriod: 10}
-	}},
-	{"forge-pr-delayed", func() Options {
-		cfg := TinyConfig(schemes.PR)
-		return Options{Net: cfg, Txns: CrossingTxns(cfg), StrictDetect: true,
-			DelayRescue: true, Bug: BugForgeDetect, ForgePeriod: 15}
-	}},
+	{"forge-dr", func() Options { return forgeCrossing(schemes.DR, false, 10) }},
+	{"forge-pr", func() Options { return forgeCrossing(schemes.PR, false, 10) }},
+	{"forge-pr-delayed", func() Options { return forgeCrossing(schemes.PR, true, 15) }},
+}
+
+// forgeCrossing explores the crossing space with detections forged every
+// period cycles, with or without branching on rescue deferral.
+func forgeCrossing(kind schemes.Kind, delayRescue bool, period int64) Options {
+	opt := spaceOptions("crossing", kind)
+	opt.DelayRescue = delayRescue
+	opt.Bug, opt.ForgePeriod = BugForgeDetect, period
+	return opt
 }
 
 // TestGoldenCounterexamples replays every counterexample in the seed corpus

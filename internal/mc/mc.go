@@ -96,11 +96,12 @@ type Options struct {
 	Net network.Config `json:"cfg"`
 	// Txns is the scripted workload.
 	Txns []TxnSpec `json:"txns"`
-	// MaxCycles bounds every path's cycle count (default 2000); a path
-	// that exhausts it without quiescing is a violation.
+	// MaxCycles bounds every path's cycle count (default
+	// DefaultMaxCycles); a path that exhausts it without quiescing is a
+	// violation.
 	MaxCycles int64 `json:"max_cycles"`
-	// MaxStates bounds the visited set (default 500000). Hitting it stops
-	// the exploration with Result.Complete=false.
+	// MaxStates bounds the visited set (default DefaultMaxStates). Hitting
+	// it stops the exploration with Result.Complete=false.
 	MaxStates int `json:"-"`
 	// InjectWindow is how many cycles past Earliest a release may be
 	// deferred (default 4).
@@ -119,9 +120,10 @@ type Options struct {
 	// this with no detection is a missed deadlock (default
 	// check.MissedBound of Net).
 	MissedBound int64 `json:"missed_bound"`
-	// Bug injects a detector defect.
+	// Bug injects a detector defect. A probe bug needs the probe detector.
 	Bug Bug `json:"bug,omitempty"`
-	// ForgePeriod is BugForgeDetect's firing period (default 40).
+	// ForgePeriod is the forge bugs' firing period in cycles (default
+	// DefaultForgePeriod).
 	ForgePeriod int64 `json:"forge_period,omitempty"`
 	// Progress, when set, receives a callback roughly every ProgressEvery
 	// transitions (default 5000).
@@ -173,12 +175,19 @@ type Explorer struct {
 	result      Result
 }
 
+// The budget and forge-period defaults Options fall back to.
+const (
+	DefaultMaxCycles   = 2000
+	DefaultMaxStates   = 500000
+	DefaultForgePeriod = 10
+)
+
 func (o *Options) fillDefaults() {
 	if o.MaxCycles <= 0 {
-		o.MaxCycles = 2000
+		o.MaxCycles = DefaultMaxCycles
 	}
 	if o.MaxStates <= 0 {
-		o.MaxStates = 500000
+		o.MaxStates = DefaultMaxStates
 	}
 	if o.InjectWindow < 0 {
 		o.InjectWindow = 0
@@ -192,7 +201,7 @@ func (o *Options) fillDefaults() {
 		o.MissedBound = check.MissedBound(o.Net)
 	}
 	if o.ForgePeriod <= 0 {
-		o.ForgePeriod = 40
+		o.ForgePeriod = DefaultForgePeriod
 	}
 	if o.ProgressEvery <= 0 {
 		o.ProgressEvery = 5000
@@ -211,12 +220,26 @@ func ownRun(cfg network.Config) network.Config {
 }
 
 // New builds an explorer: a network driven by the scripted source, with the
-// endpoint-detection hooks wrapped for observation and bug injection.
+// endpoint-detection hooks wrapped for observation and bug injection. It is
+// the one admission check for Options: the network must pass
+// network.Config.Validate, the bug must be one New knows and a probe bug
+// needs the probe detector, and every scripted transaction must fit the
+// network's pattern and endpoints.
 func New(opt Options) (*Explorer, error) {
 	opt.fillDefaults()
 	cfg := ownRun(opt.Net)
 	if len(opt.Txns) == 0 {
 		return nil, fmt.Errorf("mc: no scripted transactions")
+	}
+	switch opt.Bug {
+	case BugNone, BugSuppressDetect, BugForgeDetect:
+	case BugSuppressProbe, BugForgeProbe:
+		if cfg.Detector != network.DetectorProbe {
+			return nil, fmt.Errorf("mc: Bug %q targets the probe engine, which needs Detector %q", opt.Bug, network.DetectorProbe)
+		}
+	default:
+		return nil, fmt.Errorf("mc: unknown Bug %q (want %s, %s, %s or %s)",
+			opt.Bug, BugSuppressDetect, BugForgeDetect, BugSuppressProbe, BugForgeProbe)
 	}
 	e := &Explorer{opt: opt}
 	src := &script{specs: opt.Txns}

@@ -17,18 +17,23 @@ import (
 // recovery).
 var mcSchemes = []schemes.Kind{schemes.SA, schemes.DR, schemes.PR}
 
+// spaceOptions returns the options that explore the named Spaces row for
+// kind.
+func spaceOptions(name string, kind schemes.Kind) Options {
+	space, err := SpaceNamed(name)
+	if err != nil {
+		panic(err)
+	}
+	return space.Options(kind)
+}
+
 // TestExhaustSingleTxn proves the one-transaction tiny space for every
 // scheme: the exploration terminates by exhaustion (not budget), every path
 // quiesces with the transaction delivered, and no property fires — including
 // strict no-false-detection.
 func TestExhaustSingleTxn(t *testing.T) {
 	for _, kind := range mcSchemes {
-		cfg := TinyConfig(kind)
-		e, err := New(Options{
-			Net: cfg, Txns: SingleTxn(cfg),
-			StrictDetect: true,
-			DelayRescue:  true,
-		})
+		e, err := New(spaceOptions("single", kind))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -53,12 +58,7 @@ func TestExhaustSingleTxn(t *testing.T) {
 // covers injection timing, arbitration rotation and recovery deferral.
 func TestExhaustCrossing(t *testing.T) {
 	for _, kind := range mcSchemes {
-		cfg := TinyConfig(kind)
-		e, err := New(Options{
-			Net: cfg, Txns: CrossingTxns(cfg),
-			StrictDetect: true,
-			DelayRescue:  true,
-		})
+		e, err := New(spaceOptions("crossing", kind))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -78,10 +78,12 @@ func TestExhaustCrossing(t *testing.T) {
 	}
 }
 
-// entangledOptions wires the detection-exercising workload with the
-// branching settings the detection tests rely on.
+// entangledOptions explores the detection-exercising space with a release
+// window of 2 instead of its row's 4, which keeps the detection tests fast.
 func entangledOptions(kind schemes.Kind) Options {
-	return Options{Net: EntangledConfig(kind), Txns: EntangledTxns(), DelayRescue: true, InjectWindow: 2}
+	opt := spaceOptions("entangled", kind)
+	opt.InjectWindow = 2
+	return opt
 }
 
 // TestDetectionFiresUnderContention checks the entangled space is hard
@@ -135,13 +137,8 @@ func TestSuppressDetectSilencesScheme(t *testing.T) {
 // violation at the same cycle.
 func TestForgeDetectCaught(t *testing.T) {
 	for _, kind := range []schemes.Kind{schemes.DR, schemes.PR} {
-		cfg := TinyConfig(kind)
-		opt := Options{
-			Net: cfg, Txns: CrossingTxns(cfg),
-			StrictDetect: true,
-			Bug:          BugForgeDetect,
-			ForgePeriod:  10,
-		}
+		opt := spaceOptions("crossing", kind)
+		opt.Bug = BugForgeDetect
 		e, err := New(opt)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -186,11 +183,7 @@ func TestForgeDetectCaught(t *testing.T) {
 // TestCounterexampleRoundTrip pushes a counterexample through JSON and back
 // and checks the decoded copy still replays.
 func TestCounterexampleRoundTrip(t *testing.T) {
-	cfg := TinyConfig(schemes.PR)
-	e, err := New(Options{
-		Net: cfg, Txns: CrossingTxns(cfg),
-		StrictDetect: true, Bug: BugForgeDetect, ForgePeriod: 10,
-	})
+	e, err := New(goldenCases[1].opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +266,7 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 // a schedule does not belong to the configuration: a branch choice that was
 // never available must error, not silently desynchronize.
 func TestReplayRejectsForeignSchedule(t *testing.T) {
-	cfg := TinyConfig(schemes.PR)
-	e, err := New(Options{Net: cfg, Txns: CrossingTxns(cfg), StrictDetect: true})
+	e, err := New(spaceOptions("crossing", schemes.PR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,20 +275,31 @@ func TestReplayRejectsForeignSchedule(t *testing.T) {
 	}
 }
 
-// TestOptionValidation exercises the spec validators.
+// TestOptionValidation exercises New's admission check: each case is refused,
+// and a refused bug is named as Bug.
 func TestOptionValidation(t *testing.T) {
-	cfg := TinyConfig(schemes.PR)
-	bad := []Options{
-		{Net: cfg},
-		{Net: cfg, Txns: []TxnSpec{{Template: 7, Requester: 0, Home: 3, Thirds: []int{1}}}},
-		{Net: cfg, Txns: []TxnSpec{{Template: 0, Requester: 0, Home: 0, Thirds: []int{1}}}},
-		{Net: cfg, Txns: []TxnSpec{{Template: 0, Requester: 0, Home: 9, Thirds: []int{1}}}},
-		{Net: cfg, Txns: []TxnSpec{{Template: 0, Requester: 0, Home: 3, Thirds: []int{3}}}},
-		{Net: cfg, Txns: []TxnSpec{{Template: 0, Requester: 0, Home: 3}}},
-	}
-	for i, opt := range bad {
-		if _, err := New(opt); err == nil {
-			t.Errorf("case %d: bad options accepted", i)
+	cfg := tinyConfig(schemes.PR)
+	txns := crossingTxns(cfg)
+	probe := cfg
+	probe.Detector = network.DetectorProbe
+	for i, tc := range []struct {
+		opt  Options
+		want string
+	}{
+		{Options{Net: cfg}, "transactions"},
+		{Options{Net: cfg, Txns: []TxnSpec{{Template: 7, Requester: 0, Home: 3, Thirds: []int{1}}}}, "template"},
+		{Options{Net: cfg, Txns: []TxnSpec{{Template: 0, Requester: 0, Home: 0, Thirds: []int{1}}}}, "requester == home"},
+		{Options{Net: cfg, Txns: []TxnSpec{{Template: 0, Requester: 0, Home: 9, Thirds: []int{1}}}}, "endpoints"},
+		{Options{Net: cfg, Txns: []TxnSpec{{Template: 0, Requester: 0, Home: 3, Thirds: []int{3}}}}, "third party"},
+		{Options{Net: cfg, Txns: []TxnSpec{{Template: 0, Requester: 0, Home: 3}}}, "thirds"},
+		// A bug New does not know, or a probe bug without the probe
+		// detector, used to explore the honest code without a word.
+		{Options{Net: probe, Txns: txns, Bug: "forge-detct"}, `Bug "forge-detct"`},
+		{Options{Net: cfg, Txns: txns, Bug: BugSuppressProbe}, `Bug "suppress-probe"`},
+		{Options{Net: cfg, Txns: txns, Bug: BugForgeProbe}, `Bug "forge-probe"`},
+	} {
+		if _, err := New(tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: error %v, want one naming %q", i, err, tc.want)
 		}
 	}
 }

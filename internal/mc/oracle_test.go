@@ -48,7 +48,7 @@ func implantKnot(t *testing.T, n *network.Network) {
 
 // TestImplantedKnotIsDeadlock sanity-checks the fixture against the oracle.
 func TestImplantedKnotIsDeadlock(t *testing.T) {
-	e, err := New(Options{Net: TinyConfig(schemes.PR), Txns: SingleTxn(TinyConfig(schemes.PR))})
+	e, err := New(spaceOptions("single", schemes.PR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,7 @@ func TestImplantedKnotIsDeadlock(t *testing.T) {
 // SA run that reaches any true deadlock is a violation the moment the oracle
 // sees it.
 func TestAvoidanceViolatedOnKnot(t *testing.T) {
-	cfg := TinyConfig(schemes.SA)
-	e, err := New(Options{Net: cfg, Txns: SingleTxn(cfg)})
+	e, err := New(spaceOptions("single", schemes.SA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +83,9 @@ func TestAvoidanceViolatedOnKnot(t *testing.T) {
 // knot that outlives MissedBound with no detection reaching the scheme is a
 // missed deadlock.
 func TestMissedDeadlockAfterBound(t *testing.T) {
-	cfg := TinyConfig(schemes.PR)
-	e, err := New(Options{Net: cfg, Txns: SingleTxn(cfg), MissedBound: 50})
+	opt := spaceOptions("single", schemes.PR)
+	opt.MissedBound = 50
+	e, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,7 @@ func TestMissedDeadlockAfterBound(t *testing.T) {
 // TestNoProgressClassification checks the budget-exhaustion fallback on a
 // knot-free network.
 func TestNoProgressClassification(t *testing.T) {
-	cfg := TinyConfig(schemes.PR)
-	e, err := New(Options{Net: cfg, Txns: SingleTxn(cfg)})
+	e, err := New(spaceOptions("single", schemes.PR))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,19 +8,6 @@ import (
 	"repro/internal/schemes"
 )
 
-// gridlockOptions wires the true-deadlock space with the tight
-// nondeterminism it requires (see GridlockConfig: wider schedules livelock
-// PR's rescue with any detector, burying the property under test).
-func gridlockOptions(kind schemes.Kind) Options {
-	return Options{
-		Net:          GridlockConfig(kind),
-		Txns:         EntangledTxns(),
-		InjectWindow: 1,
-		Rotations:    1,
-		MaxCycles:    1500,
-	}
-}
-
 // TestExhaustCrossingProbe exhausts the crossing space with the probe
 // detector active for every recovery scheme: the in-band engine idles (no
 // detection fires here), every path still quiesces, and strict
@@ -28,13 +15,9 @@ func gridlockOptions(kind schemes.Kind) Options {
 // never happen without blocking.
 func TestExhaustCrossingProbe(t *testing.T) {
 	for _, kind := range []schemes.Kind{schemes.DR, schemes.PR} {
-		cfg := TinyConfig(kind)
-		cfg.Detector = network.DetectorProbe
-		e, err := New(Options{
-			Net: cfg, Txns: CrossingTxns(cfg),
-			StrictDetect: true,
-			DelayRescue:  true,
-		})
+		opt := spaceOptions("crossing", kind)
+		opt.Net.Detector = network.DetectorProbe
+		e, err := New(opt)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -59,7 +42,7 @@ func TestExhaustCrossingProbe(t *testing.T) {
 // precondition for the probe-suppression experiment below to mean anything —
 // in this space, detector-driven recovery is load-bearing.
 func TestGridlockReachesTrueDeadlock(t *testing.T) {
-	opt := gridlockOptions(schemes.PR)
+	opt := spaceOptions("gridlock", schemes.PR)
 	opt.Bug = BugSuppressDetect
 	e, err := New(opt)
 	if err != nil {
@@ -82,7 +65,7 @@ func TestGridlockReachesTrueDeadlock(t *testing.T) {
 // detection-latency and recovery-termination proof in one.
 func TestProbeRecoversGridlock(t *testing.T) {
 	for _, det := range []string{network.DetectorThreshold, network.DetectorProbe} {
-		opt := gridlockOptions(schemes.PR)
+		opt := spaceOptions("gridlock", schemes.PR)
 		opt.Net.Detector = det
 		e, err := New(opt)
 		if err != nil {
@@ -109,7 +92,7 @@ func TestProbeRecoversGridlock(t *testing.T) {
 // explorations encode byte-identically), survives a JSON round trip, and
 // replays to the same violation.
 func TestSuppressProbeCaught(t *testing.T) {
-	opt := gridlockOptions(schemes.PR)
+	opt := spaceOptions("gridlock", schemes.PR)
 	opt.Net.Detector = network.DetectorProbe
 	opt.Bug = BugSuppressProbe
 	e, err := New(opt)
@@ -166,14 +149,9 @@ func TestSuppressProbeCaught(t *testing.T) {
 // first one, and the counterexample replays.
 func TestForgeProbeCaught(t *testing.T) {
 	for _, kind := range []schemes.Kind{schemes.DR, schemes.PR} {
-		cfg := TinyConfig(kind)
-		cfg.Detector = network.DetectorProbe
-		opt := Options{
-			Net: cfg, Txns: CrossingTxns(cfg),
-			StrictDetect: true,
-			Bug:          BugForgeProbe,
-			ForgePeriod:  10,
-		}
+		opt := spaceOptions("crossing", kind)
+		opt.Net.Detector = network.DetectorProbe
+		opt.Bug = BugForgeProbe
 		e, err := New(opt)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)

@@ -106,13 +106,6 @@ type Config struct {
 	// recovery by this many cycles plus a deterministic per-transaction
 	// jitter of the same magnitude; zero applies no delay.
 	RetryBackoff int64
-	// DetectFill is the queue-occupancy fraction beyond which a queue
-	// counts as "filled up beyond a threshold value" for the detector
-	// (condition 1). Zero defaults to 0.75. The paper's conditions speak
-	// of thresholds, not strict fullness: a deadlocked node whose last
-	// input slots simply never receive another ejection would otherwise
-	// escape detection.
-	DetectFill float64
 	// InjectVCs returns the virtual-channel indices a message may claim on
 	// the injection channel (the scheme's partition for its type).
 	InjectVCs func(m *message.Message) []int
@@ -172,7 +165,8 @@ type NI struct {
 	rescueReq *message.Message
 
 	streak []int64
-	// detectFill is Cfg.DetectFill as a slot count, fixed at construction.
+	// detectFill is detectFillFraction of QueueCap as a slot count, fixed
+	// at construction.
 	detectFill int
 
 	// Bus receives queue-full trace events; nil when tracing is off, one
@@ -227,7 +221,7 @@ func New(cfg Config) *NI {
 	ni.inQ = make([][]*message.Message, cfg.Queues)
 	ni.inAlloc = make([]int, cfg.Queues)
 	ni.streak = make([]int64, cfg.Queues)
-	ni.detectFill = detectFillSlots(cfg)
+	ni.detectFill = detectFillSlots(cfg.QueueCap)
 	ni.inFullNoted = make([]bool, cfg.Queues)
 	ni.outFullNoted = make([]bool, cfg.Queues)
 	return ni
@@ -686,20 +680,17 @@ func (n *NI) OutHead(q int) (*message.Message, *message.Packet, *router.VC, bool
 	return e.msg, e.pkt, e.vc, true
 }
 
-// detectFillSlots converts the DetectFill fraction into a slot count.
-func detectFillSlots(cfg Config) int {
-	f := cfg.DetectFill
-	if f <= 0 {
-		f = 0.75
-	}
-	slots := int(f * float64(cfg.QueueCap))
-	if slots < 1 {
-		slots = 1
-	}
-	if slots > cfg.QueueCap {
-		slots = cfg.QueueCap
-	}
-	return slots
+// detectFillFraction is the queue-occupancy fraction beyond which a queue
+// counts as "filled up beyond a threshold value" for the detector
+// (condition 1). The paper's conditions speak of thresholds, not strict
+// fullness: a deadlocked node whose last input slots simply never receive
+// another ejection would otherwise escape detection.
+const detectFillFraction = 0.75
+
+// detectFillSlots converts detectFillFraction into a slot count of a queue
+// of queueCap slots: at least one, at most all.
+func detectFillSlots(queueCap int) int {
+	return max(1, int(detectFillFraction*float64(queueCap)))
 }
 
 // detect evaluates the endpoint potential-deadlock conditions per input
