@@ -34,6 +34,9 @@
 //   - occ- / routed- / ready- / parked-mask-drift: the routers' bitmask words
 //     agree with the canonical VC state they cache; a parked header really
 //     has no free candidate output VC.
+//   - inactive-router-occupied / inactive-router-frozen / inactive-ni-busy /
+//     inactive-ni-stalled: a router or NI outside the active sweep set has
+//     nothing to do, and no freeze or stall, in the next cycle.
 //   - knot-soundness / knot-count: every knot the CWG detector declares is
 //     re-verified against a from-scratch wait-graph rebuild (knot.go).
 //
@@ -383,6 +386,12 @@ func (c *Checker) CheckNow(now int64) {
 	// router or NI outside the active sweep set must genuinely have nothing
 	// to do ---
 	for id, r := range n.Routers {
+		// A router frozen next cycle must step through the freeze: its idle
+		// catch-up would rotate it through cycles in which it rotates not.
+		if !n.RouterActive(id) && r.FrozenUntil > now+1 {
+			c.report(now, "inactive-router-frozen",
+				fmt.Sprintf("router %d outside the active set but frozen until cycle %d", id, r.FrozenUntil))
+		}
 		if !r.ActiveStateReady() {
 			continue // router never stepped; masks not built yet
 		}
@@ -423,6 +432,10 @@ func (c *Checker) CheckNow(now int64) {
 		ep := ni.Cfg.Endpoint
 		if n.NIActive(ep) {
 			continue
+		}
+		if ni.StallUntil > now+1 {
+			c.report(now, "inactive-ni-stalled",
+				fmt.Sprintf("ni%d outside the active set but stalled until cycle %d", ep, ni.StallUntil))
 		}
 		until, ok := ni.Dormant()
 		if !ok {

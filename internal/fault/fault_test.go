@@ -310,6 +310,47 @@ func TestDelayFaultsLoseNothing(t *testing.T) {
 	}
 }
 
+// TestOverlappingFreezesAndStalls: a short freeze or stall that lands during
+// a longer one must not end it early. Each fault holds its component until the
+// later of the two ends, so the long one's end is read at the end of the cycle
+// the short one lands in, and the run still delivers everything.
+func TestOverlappingFreezesAndStalls(t *testing.T) {
+	plan := &Plan{Events: []Event{
+		{Kind: RouterFreeze, At: 1000, Router: 27, Cycles: 300},
+		{Kind: RouterFreeze, At: 1100, Router: 27, Cycles: 50},
+		{Kind: NIStall, At: 1200, Endpoint: 13, Cycles: 300},
+		{Kind: NIStall, At: 1250, Endpoint: 13, Cycles: 100},
+	}}
+	n, err := network.New(smokeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frozen, stalled int64
+	n.OnCycle = func(now int64) { // runs after the fault stage
+		switch now {
+		case 1100:
+			frozen = n.Routers[27].FrozenUntil
+		case 1250:
+			stalled = n.NIs[13].StallUntil
+		}
+	}
+	checker := check.Attach(n, check.Options{})
+	inj, err := Attach(n, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	if frozen != 1301 || stalled != 1501 {
+		t.Fatalf("router frozen until %d, NI stalled until %d after the short faults landed; want 1301 and 1501", frozen, stalled)
+	}
+	for _, v := range checker.Violations() {
+		t.Errorf("invariant violation: %s", v.Format())
+	}
+	if rep := inj.Report(); !n.Quiescent() || rep.DeliveredFrac != 1 {
+		t.Fatalf("overlapping faults wedged or lost traffic: %+v", rep)
+	}
+}
+
 // TestDropAccountedAsPartialDelivery: a dropping flaky link destroys worms;
 // the loss must surface as delivered fraction < 1 with every lost flit on
 // the fault ledger — and the conservation invariant must still balance.

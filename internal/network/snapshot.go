@@ -36,10 +36,15 @@ import (
 //
 // Snapshots happen only at cycle boundaries (between Step calls): every
 // staged flit has been committed and the dirty-channel list is empty.
-// Checkpoint panics otherwise. Fault injection is not supported across a
-// snapshot (Health masks, frozen routers and stalled channels are fault
-// state owned by the injector); Checkpoint panics if a health mask is
-// installed.
+// Checkpoint panics otherwise.
+//
+// A faulted run is no different. What a fault did is network state (see
+// fault.go): the dead links, the capacity lost credits took, the links
+// stalled for the next cycle and the loss ledger are named as Len-prefixed
+// deviation lists, so a fault-free snapshot grows by a constant five words;
+// frozen routers and stalled NIs are their own FrozenUntil and StallUntil.
+// The attached fault schedule names its cursor after the source, and its plan
+// is part of the shape, so a snapshot restores only under the same plan.
 
 // Snapshot is a complete captured network state: immutable, in memory only,
 // and restorable into any network of the same shape.
@@ -55,6 +60,9 @@ func (n *Network) shapeOf() string {
 		c := &n.Cfg
 		n.shape = fmt.Sprintf("radix %v mesh %v bristling %d, %d VCs of %d flits, %v with %d queues, pattern %s, detector %q scanning every %d, source %T",
 			c.Radix, c.Mesh, c.Bristling, c.VCs, c.FlitBuf, c.Scheme, n.Scheme.NumQueues(), c.Pattern.Name, c.Detector, c.CWGInterval, n.Source)
+		if n.faults != nil && n.faults.sched != nil {
+			n.shape += ", faults " + n.faults.sched.Canonical()
+		}
 	}
 	return n.shape
 }
@@ -107,9 +115,6 @@ func (n *Network) Checkpoint(c *ckpt.C) {
 	if len(n.dirtyCh) != 0 {
 		panic("network: checkpoint with uncommitted staged flits (call between Steps)")
 	}
-	if n.Health != nil {
-		panic("network: checkpoint under fault injection is not supported")
-	}
 	if n.rescueDefer != 0 && !c.Reading() {
 		panic("network: checkpoint with an unconsumed rescue defer")
 	}
@@ -130,6 +135,7 @@ func (n *Network) Checkpoint(c *ckpt.C) {
 			ch.ResetDerived()
 		}
 	}
+	n.checkpointFaults(c)
 	if !c.Reading() {
 		// Settle the idle catch-up sleeping components are owed before naming
 		// their cursors: the restored run marks everything active at now with
@@ -164,6 +170,9 @@ func (n *Network) Checkpoint(c *ckpt.C) {
 			panic(fmt.Sprintf("network: source %T does not support snapshots", n.Source))
 		}
 		src.Checkpoint(c)
+	}
+	if n.faults != nil && n.faults.sched != nil {
+		n.faults.sched.Checkpoint(c)
 	}
 	if !c.Reading() {
 		return

@@ -66,6 +66,44 @@ func (v *VC) Checkpoint(c *ckpt.C, chans []*Channel) {
 	c.Bool(&v.stallNoted)
 }
 
+// CheckpointCaps names the VCs of chans whose capacity lost credits have
+// lowered below full (VC.ReduceCap), as a Len-prefixed list of (place,
+// capacity) pairs: one word while no credit is lost. A restore gives every
+// other VC its full capacity back. Like VC.Checkpoint it leaves the ready
+// bits a capacity feeds to Router.RebuildState.
+func CheckpointCaps(c *ckpt.C, chans []*Channel, full int) {
+	lowered := 0
+	for _, ch := range chans {
+		for _, vc := range ch.VCs {
+			if vc.cap != full {
+				lowered++
+			}
+			if c.Reading() {
+				vc.cap = full
+			}
+		}
+	}
+	if c.Reading() {
+		for range c.Len(0) {
+			var place, capacity int
+			ckpt.Int(c, &place)
+			ckpt.Int(c, &capacity)
+			chans[place/MaxVCs].VCs[place%MaxVCs].cap = capacity
+		}
+		return
+	}
+	c.Len(lowered)
+	for _, ch := range chans {
+		for _, vc := range ch.VCs {
+			if vc.cap != full {
+				place := ch.ID*MaxVCs + vc.Index
+				ckpt.Int(c, &place)
+				ckpt.Int(c, &vc.cap)
+			}
+		}
+	}
+}
+
 // ResetDerived recomputes the channel-level derived state from the restored
 // canonical VC state: the channel's own bits of the committed-occupancy word,
 // and the staging state (asserted clean — restores happen at cycle
