@@ -9,11 +9,14 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/ckpt"
+	"repro/internal/fault"
 	"repro/internal/fnv1a"
 	"repro/internal/message"
+	"repro/internal/netiface"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/schemes"
 )
 
@@ -53,6 +56,7 @@ func ledger(n *network.Network) string {
 	}
 	note(n.Stats)
 	fmt.Fprintln(&b, n.Stats.Latencies)
+	note(&n.Faults)
 	note(n.Token)
 	note(n.Rescue)
 	note(n.Detector)
@@ -118,13 +122,22 @@ func (t *traceTails) Event(e obs.Event) {
 // missing from their Checkpoint methods; this fails. Mutation checks: every
 // field-naming line of every Checkpoint method was deleted in turn, this test
 // run and the line restored. CHANGES.md (PR 20) has the table, and the list of
-// what this test cannot see — fault state, a pending rescue request — with
-// the test that does, where one does. The PATFAN3 case sees the token's hop
-// counter and Message.Branch. One checkpointed field stays out of its sight,
-// because no snapshot can hold it live: Packet.BeingRescued is set by
-// evacuate, which in the same call takes the packet out of every VC and
-// output queue, so no snapshot reaches a packet that has it set. Its other
-// writer is fault injection, which Checkpoint refuses.
+// what this test cannot see — a pending rescue request — with the test that
+// does, where one does. The PATFAN3 case sees the token's hop counter and
+// Message.Branch.
+//
+// The fault rows run every network under contractFaults, the same plan on
+// the fresh network as on the original, and the ledger adds the injector's
+// report: their snapshots are taken while a link is dead, a router frozen, an
+// NI stalled, a link stalled, a credit lost, and (PR) the token lost, after
+// worms were dropped. A restore under another plan, or none, must panic
+// naming both shapes.
+//
+// One checkpointed field stays out of sight, because no snapshot can hold it
+// live: Packet.BeingRescued. Both its writers, evacuate and
+// Network.DropWorm, take the packet out of every VC and output queue in the
+// same call, so no snapshot reaches a packet that has it set; the fault rows
+// snapshot after drops and continue identically.
 func TestCheckpointContract(t *testing.T) {
 	type tc struct {
 		kind     schemes.Kind
@@ -133,25 +146,32 @@ func TestCheckpointContract(t *testing.T) {
 		rate     float64
 		detector string
 		hop      int // TokenHopCycles; 0 keeps the default
+		faults   bool
 	}
 	var cases []tc
 	for _, det := range []string{network.DetectorThreshold, network.DetectorProbe} {
 		if det != network.DetectorProbe { // avoidance has nothing for a probe to trigger
-			cases = append(cases, tc{schemes.SA, protocol.PAT721, 8, 0.05, det, 0})
+			cases = append(cases, tc{schemes.SA, protocol.PAT721, 8, 0.05, det, 0, false})
 		}
 		cases = append(cases,
-			tc{schemes.DR, protocol.PAT280, 4, 0.04, det, 0},
-			tc{schemes.AB, protocol.PAT280, 4, 0.04, det, 0},
-			tc{schemes.PR, protocol.PAT721, 2, 0.03, det, 0})
+			tc{schemes.DR, protocol.PAT280, 4, 0.04, det, 0, false},
+			tc{schemes.AB, protocol.PAT280, 4, 0.04, det, 0, false},
+			tc{schemes.PR, protocol.PAT721, 2, 0.03, det, 0, false})
 	}
 	// The fields only a fan-out or a slow token makes live: Message.Branch
 	// (a subordinate of branch 1 or 2 in flight) and the token's hop counter
 	// (it steps 0, 1, 0, ... while TokenHopCycles is 2).
-	cases = append(cases, tc{schemes.PR, fanout3, 2, 0.02, network.DetectorThreshold, 2})
+	cases = append(cases, tc{schemes.PR, fanout3, 2, 0.02, network.DetectorThreshold, 2, false})
+	cases = append(cases,
+		tc{schemes.DR, protocol.PAT280, 4, 0.04, network.DetectorThreshold, 0, true},
+		tc{schemes.PR, protocol.PAT721, 2, 0.03, network.DetectorThreshold, 0, true})
 	for _, tc := range cases {
 		name := fmt.Sprintf("%v-%s", tc.kind, tc.detector)
 		if tc.hop > 0 {
 			name += fmt.Sprintf("-%s-hop%d", tc.pat.Name, tc.hop)
+		}
+		if tc.faults {
+			name += "-faults"
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := smallCfg(tc.kind, tc.pat, tc.vcs, tc.rate)
@@ -168,10 +188,19 @@ func TestCheckpointContract(t *testing.T) {
 				}
 			}
 
-			traced := func() (*network.Network, *traceTails) {
+			// traced builds a traced network under the row's plan, if any, and
+			// returns its ledger.
+			traced := func() (*network.Network, *traceTails, func() string) {
 				n, tails := mustNet(t, cfg), new(traceTails)
 				n.AttachObs(obs.NewBus(tails))
-				return n, tails
+				if !tc.faults {
+					return n, tails, func() string { return ledger(n) }
+				}
+				inj, err := fault.Attach(n, contractFaults(tc.kind))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n, tails, func() string { return ledger(n) + inj.Report().String() }
 			}
 
 			type point struct {
@@ -183,7 +212,8 @@ func TestCheckpointContract(t *testing.T) {
 			}
 			var points []point
 			var midRescue, probing, knotted, idle int
-			ref, refTails := traced()
+			var deadLink, frozen, stalledNI, stalledLink, lostCredit, lostToken, dropped int
+			ref, refTails, refLedger := traced()
 			run(ref, func(now int64) {
 				if now == 0 || now%97 != 0 {
 					return
@@ -202,13 +232,40 @@ func TestCheckpointContract(t *testing.T) {
 				if ref.Table.Len() == 0 {
 					idle++
 				}
+				if ref.Health != nil && ref.Health.DeadLinks() > 0 {
+					deadLink++
+				}
+				if slices.ContainsFunc(ref.Routers, func(r *router.Router) bool { return r.FrozenUntil > now }) {
+					frozen++
+				}
+				if slices.ContainsFunc(ref.NIs, func(ni *netiface.NI) bool { return ni.StallUntil > now }) {
+					stalledNI++
+				}
+				if slices.ContainsFunc(ref.Channels, func(ch *router.Channel) bool { return ch.Stalled }) {
+					stalledLink++
+				}
+				if slices.ContainsFunc(ref.Channels, func(ch *router.Channel) bool {
+					return slices.ContainsFunc(ch.VCs, func(vc *router.VC) bool { return vc.Cap() < cfg.FlitBuf })
+				}) {
+					lostCredit++
+				}
+				if ref.Token != nil && ref.Token.Lost() {
+					lostToken++
+				}
+				if ref.Faults.LostMsgs > 0 {
+					dropped++
+				}
 			})
-			want, wantLedger := stateWords(ref), ledger(ref)
+			want, wantLedger := stateWords(ref), refLedger()
 			for i := range points {
 				points[i].sum, points[i].n, points[i].trace = points[i].tail.Sum(), points[i].tail.Count(), (*refTails)[i]
 			}
 			t.Logf("%d snapshots: %d mid-rescue, %d with probes in flight, %d with a live knot; %d deflections, %d deliveries after the first",
 				len(points), midRescue, probing, knotted, ref.Stats.Deflections, points[0].n)
+			if tc.faults {
+				t.Logf("with a dead link %d, frozen router %d, stalled NI %d, stalled link %d, lost credit %d, lost token %d, after drops %d",
+					deadLink, frozen, stalledNI, stalledLink, lostCredit, lostToken, dropped)
+			}
 			deflects := tc.kind == schemes.DR || tc.kind == schemes.AB
 			for _, must := range []struct {
 				wanted bool
@@ -222,6 +279,13 @@ func TestCheckpointContract(t *testing.T) {
 				// The threshold detector has DR and AB deflect before a knot closes.
 				{tc.kind == schemes.PR || deflects && tc.detector != network.DetectorThreshold, knotted, "with a live knot"},
 				{deflects, int(ref.Stats.Deflections), "after deflections"},
+				{tc.faults, deadLink, "with a dead link"},
+				{tc.faults, frozen, "with a frozen router"},
+				{tc.faults, stalledNI, "with a stalled NI"},
+				{tc.faults, stalledLink, "with a stalled link"},
+				{tc.faults, lostCredit, "with a lost credit"},
+				{tc.faults && tc.kind == schemes.PR, lostToken, "with the token lost"},
+				{tc.faults, dropped, "after a dropped worm"},
 			} {
 				if must.wanted && must.seen == 0 {
 					t.Fatalf("no snapshot %s: make resources scarcer", must.what)
@@ -231,13 +295,17 @@ func TestCheckpointContract(t *testing.T) {
 				t.Fatalf("%d snapshots, %d of an idle network", len(points), idle)
 			}
 
+			if tc.faults {
+				restoreUnderOtherPlans(t, cfg, points[0].snap, contractFaults(tc.kind))
+			}
 			for i, p := range points {
 				type target struct {
-					n     *network.Network
-					tails *traceTails
+					n      *network.Network
+					tails  *traceTails
+					ledger func() string
 				}
-				fresh, freshTails := traced()
-				for pass, tg := range []target{{fresh, freshTails}, {ref, refTails}, {ref, refTails}} {
+				fresh, freshTails, freshLedger := traced()
+				for pass, tg := range []target{{fresh, freshTails, freshLedger}, {ref, refTails, refLedger}, {ref, refTails, refLedger}} {
 					at := fmt.Sprintf("snapshot %d (cycle %d) pass %d", i, 97*(i+1), pass)
 					n, tails := tg.n, tg.tails
 					n.Restore(p.snap)
@@ -253,12 +321,56 @@ func TestCheckpointContract(t *testing.T) {
 					if got := stateWords(n); !slices.Equal(got, want) {
 						t.Fatalf("%s: the restored run ended in another state than the uninterrupted one", at)
 					}
-					if got := ledger(n); got != wantLedger {
+					if got := tg.ledger(); got != wantLedger {
 						t.Fatalf("%s: the restored run's ledger differs from the uninterrupted one's:\n%s", at, firstDifference(got, wantLedger))
 					}
 				}
 			}
 		})
+	}
+}
+
+// contractFaults is the plan of TestCheckpointContract's fault rows on a 4x4
+// torus: one of each kind of fault live at some snapshot (every 97 cycles),
+// the token's loss only under PR.
+func contractFaults(kind schemes.Kind) *fault.Plan {
+	p := &fault.Plan{Seed: 9, Events: []fault.Event{
+		{Kind: fault.LinkFlaky, At: 100, Until: 1100, Router: 0, Dir: 0, Rate: 0.5},
+		{Kind: fault.LinkFlaky, At: 100, Until: 1100, Router: 10, Dir: 1, Rate: 0.05, Drop: true},
+		{Kind: fault.LinkDown, At: 150, Router: 5, Dir: 0},
+		{Kind: fault.CreditLoss, At: 200, Router: 3, Dir: 2, VC: 1},
+		{Kind: fault.RouterFreeze, At: 300, Router: 6, Cycles: 200},
+		{Kind: fault.NIStall, At: 500, Endpoint: 9, Cycles: 200},
+	}}
+	if kind == schemes.PR {
+		p.Events = append(p.Events, fault.Event{Kind: fault.TokenLoss, At: 600})
+	}
+	return p
+}
+
+// restoreUnderOtherPlans restores snap, taken under plan, into networks of
+// the same Config under another plan and under none: each must panic with a
+// message that names both shapes, the snapshot's with plan's faults.
+func restoreUnderOtherPlans(t *testing.T, cfg network.Config, snap *network.Snapshot, plan *fault.Plan) {
+	t.Helper()
+	other := &fault.Plan{Events: []fault.Event{{Kind: fault.LinkDown, At: 150, Router: 5, Dir: 1}}}
+	for _, p := range []*fault.Plan{other, nil} {
+		n := mustNet(t, cfg)
+		if p != nil {
+			if _, err := fault.Attach(n, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			n.Restore(snap)
+			return "no panic"
+		}()
+		from, into, ok := strings.Cut(msg, "] into [")
+		if !ok || !strings.Contains(from, ", faults "+plan.Canonical()) ||
+			strings.Contains(into, ", faults ") != (p != nil) || p != nil && !strings.Contains(into, p.Canonical()) {
+			t.Fatalf("restore under plan %s: %s", p.Canonical(), msg)
+		}
 	}
 }
 
