@@ -1,12 +1,15 @@
 // Package fault implements deterministic, seed-driven fault injection for a
-// built network, following the attach-on-demand observer pattern of
-// internal/check: an Injector attaches to any *network.Network and executes a
-// declarative Plan — timed and probabilistic events covering link death,
-// flaky links (delaying or dropping flits), router freezes, NI stalls,
-// flow-control credit loss, and loss (or stale resurfacing) of the Disha
-// recovery token — while the resilience mechanisms under test (the token
-// regeneration watchdog, health-masked routing, drain-phase partial-delivery
-// reporting) keep the simulation degrading gracefully instead of wedging.
+// built network: an Injector attaches to any *network.Network as its fault
+// schedule and executes a declarative Plan — timed and probabilistic events
+// covering link death, flaky links (delaying or dropping flits), router
+// freezes, NI stalls, flow-control credit loss, and loss (or stale
+// resurfacing) of the Disha recovery token — while the resilience mechanisms
+// under test (the token regeneration watchdog, health-masked routing,
+// drain-phase partial-delivery reporting) keep the simulation degrading
+// gracefully instead of wedging. The Injector only decides when a fault
+// happens; what it does is the network's (Network.KillLink, FreezeRouter,
+// StallNI, StallLink, DropWorm, and VC.ReduceCap), so a faulted run steps on
+// the active-set engine and snapshots like any other.
 //
 // Everything is reproducible: the injector draws from its own seeded RNG, so
 // a fixed (plan, seed) pair yields bit-identical runs, and an empty plan is

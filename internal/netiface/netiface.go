@@ -194,7 +194,7 @@ type NI struct {
 
 	// StallUntil suspends the whole NI pipeline (ejection drain, memory
 	// controller, injection, detection) while now < StallUntil — the
-	// NI-stall fault. The zero value means no stall.
+	// NI-stall fault, set by Network.StallNI. The zero value means no stall.
 	StallUntil int64
 
 	// ServicedCount counts normal controller services (for utilization

@@ -301,9 +301,9 @@ type Channel struct {
 	VCs []*VC
 
 	// Stalled suppresses flit transfer over this channel for the current
-	// cycle — the link-flaky delay fault. A fault injector sets and clears
-	// it from the end-of-cycle hook, so it gates the *next* cycle's switch
-	// arbitration; buffered flits stay put and nothing is lost.
+	// cycle — the link-flaky delay fault. Network.StallLink sets it and the
+	// network's end-of-cycle fault stage clears it, so it gates the *next*
+	// cycle's switch arbitration; buffered flits stay put and nothing is lost.
 	Stalled bool
 
 	// stagePending is set the first time a flit is staged into any VC this

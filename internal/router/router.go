@@ -50,9 +50,9 @@ type Router struct {
 	policy Policy
 
 	// FrozenUntil stalls the VA and SA stages while now < FrozenUntil —
-	// the router-freeze fault. Buffered flits stay put (upstream staging
-	// into this router's inputs is unaffected, bounded by credits), and the
-	// zero value means no freeze.
+	// the router-freeze fault, set by Network.FreezeRouter. Buffered flits
+	// stay put (upstream staging into this router's inputs is unaffected,
+	// bounded by credits), and the zero value means no freeze.
 	FrozenUntil int64
 
 	// round-robin state for fair arbitration.
@@ -416,7 +416,7 @@ func (r *Router) arbitrate(now int64) {
 	// They stay valid through this cycle's moves — targets are distinct
 	// (exclusive VC ownership) and a move only flips bits of the mover's own
 	// input group, which is charged. No BeingRescued test is needed:
-	// Rescue.evacuate and the fault injector's worm drop both set the flag
+	// Rescue.evacuate and Network.DropWorm both set the flag
 	// and strip the worm from every VC in the same call, so a committed flit
 	// of a rescued packet never exists when arbitration runs (the flag only
 	// matters to detection-level scans).

@@ -7,7 +7,7 @@ import (
 )
 
 // Health is the routing layer's view of link liveness: a per-(router,
-// direction) dead mask maintained by a fault injector. Routing functions
+// direction) dead mask maintained by Network.KillLink. Routing functions
 // consult it to exclude dead links from the candidate set and, for the
 // escape path, to detour around them; a nil *Health (or one with no dead
 // links) reproduces the fault-free candidate lists bit for bit.
