@@ -8,6 +8,7 @@ import (
 	"repro"
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/tracegen"
 )
 
@@ -189,6 +190,15 @@ func Example_coherence() {
 	// avg transaction latency: 125.9 cycles
 }
 
+// captureCounter counts the recovery engine's token captures off the trace.
+type captureCounter int
+
+func (c *captureCounter) Event(e obs.Event) {
+	if e.Kind == obs.KindTokenCapture {
+		*c++
+	}
+}
+
 // Example_rescue is the anatomy of an Extended Disha Sequential recovery. It
 // drives a small network with tiny queues and scarce channels into genuine
 // message-dependent deadlock, then traces the token lifecycle — captures,
@@ -211,22 +221,24 @@ func Example_rescue() {
 		return
 	}
 	net := sim.Network()
+	var tokenCaptures captureCounter
+	net.AttachObs(obs.NewBus(&tokenCaptures))
 
 	var captures int
-	lastPhase := core.PhaseIdle
+	lastPhase := core.PhaseCirculating
 	net.OnCycle = func(now int64) {
 		phase := net.Rescue.CurrentPhase()
 		if phase == lastPhase {
 			return
 		}
-		if lastPhase == core.PhaseIdle {
+		if lastPhase == core.PhaseCirculating {
 			captures++
 			if captures <= 5 {
 				fmt.Printf("cycle %5d: token captured at router %d (rescue #%d)\n",
-					now, net.Token.Pos(), captures)
+					now, net.Rescue.Pos(), captures)
 			}
 		}
-		if phase == core.PhaseIdle && captures <= 5 {
+		if phase == core.PhaseCirculating && captures <= 5 {
 			fmt.Printf("cycle %5d: rescue #%d complete, token re-circulates\n", now, captures)
 		}
 		lastPhase = phase
@@ -236,7 +248,7 @@ func Example_rescue() {
 
 	fmt.Printf("after %d measured cycles at deep saturation:\n", cfg.Measure)
 	fmt.Printf("  endpoint detections   %d\n", res.DetectEvents)
-	fmt.Printf("  token captures        %d\n", net.Token.Captures)
+	fmt.Printf("  token captures        %d\n", tokenCaptures)
 	fmt.Printf("  rescues completed     %d\n", net.Rescue.Completed)
 	fmt.Printf("  deepest token reuse   %d frames (subordinate chains, Appendix Cases 3-4)\n", net.Rescue.MaxDepth)
 	fmt.Printf("  CWG knots observed    %d\n", res.Deadlocks)

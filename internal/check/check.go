@@ -28,9 +28,8 @@
 //     a transaction is delivered at most once, and a protocol step is never
 //     delivered before its predecessor step was (no reply before its
 //     request).
-//   - token-rescue-coherence / rescue-service-uniqueness: the Disha token is
-//     held exactly while a rescue is active, and at most one memory
-//     controller services the rescue at a time.
+//   - rescue-service-uniqueness: at most one memory controller services
+//     the rescue at a time, and none while no rescue holds the token.
 //   - occ- / routed- / ready- / parked-mask-drift: the routers' bitmask words
 //     agree with the canonical VC state they cache; a parked header really
 //     has no free candidate output VC.
@@ -83,18 +82,16 @@ type Options struct {
 	// (default 64). Zero or negative uses the default; delivery-order
 	// checks run on every delivery regardless.
 	Interval int64
-	// SkipKnots disables the CWG re-verification pass (which otherwise
-	// runs on every detector scan cycle).
-	SkipKnots bool
-	// MaxViolations bounds recorded violations; once reached the checker
-	// mutes itself (default 16).
-	MaxViolations int
 	// OnViolation, when set, is called for each violation as it is found
 	// (the cmds print and exit; tests collect).
 	OnViolation func(Violation)
 	// FailFast panics on the first violation with the formatted report.
 	FailFast bool
 }
+
+// maxViolations bounds recorded violations; once reached the checker mutes
+// itself.
+const maxViolations = 16
 
 type delivKey struct {
 	hop, branch, retries int32
@@ -153,9 +150,6 @@ type Checker struct {
 func Attach(n *network.Network, opts Options) *Checker {
 	if opts.Interval <= 0 {
 		opts.Interval = 64
-	}
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = 16
 	}
 	c := &Checker{
 		n:         n,
@@ -225,7 +219,7 @@ func (c *Checker) onCycle(now int64) {
 	// The CWG re-verification must see exactly the state the detector
 	// scanned, so it runs on the detector's own schedule: Step scans right
 	// before OnCycle on these cycles, with no state mutation in between.
-	if !c.opts.SkipKnots && c.n.Detector != nil && c.n.Cfg.CWGInterval > 0 &&
+	if c.n.Detector != nil && c.n.Cfg.CWGInterval > 0 &&
 		now > 0 && now%c.n.Cfg.CWGInterval == 0 {
 		c.VerifyKnots(now)
 	}
@@ -240,7 +234,7 @@ func (c *Checker) report(now int64, rule, detail string) {
 	}
 	v := Violation{Cycle: now, Rule: rule, Detail: detail, Snapshot: c.snapshot(now)}
 	c.violations = append(c.violations, v)
-	if len(c.violations) >= c.opts.MaxViolations {
+	if len(c.violations) >= maxViolations {
 		c.muted = true
 	}
 	if bus := c.n.Bus(); bus != nil {
@@ -549,13 +543,9 @@ func (c *Checker) CheckNow(now int64) {
 				c.injectedFlits, c.deliveredInjFlits, inflight, n.Faults.LostFlits))
 	}
 
-	// --- Disha token uniqueness and rescue-service exclusivity ---
-	if n.Token != nil && n.Rescue != nil {
-		held, active := n.Token.Held(), n.Rescue.Active()
-		if held != active && !n.Token.Lost() {
-			c.report(now, "token-rescue-coherence",
-				fmt.Sprintf("token held=%v but rescue phase=%v", held, n.Rescue.CurrentPhase()))
-		}
+	// --- rescue-service exclusivity ---
+	if n.Rescue != nil {
+		active := n.Rescue.Active()
 		busy := 0
 		for _, ni := range n.NIs {
 			if ni.RescueBusy() {
@@ -614,9 +604,8 @@ func (c *Checker) snapshot(now int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  state: %v cycle=%d occupied=%d table=%d injected=%d delivered=%d flits\n",
 		n, now, n.OccupiedFlits(), n.Table.Len(), c.injectedFlits, c.deliveredInjFlits)
-	if n.Token != nil && n.Rescue != nil {
-		fmt.Fprintf(&b, "  token: held=%v lost=%v pos=%d rescue=%v depth=%d\n",
-			n.Token.Held(), n.Token.Lost(), n.Token.Pos(), n.Rescue.CurrentPhase(), n.Rescue.Depth())
+	if n.Rescue != nil {
+		fmt.Fprintf(&b, "  token: %v\n", n.Rescue)
 	}
 	const maxLines = 24
 	lines := 0

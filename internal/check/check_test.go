@@ -274,17 +274,17 @@ func TestFailFastPanics(t *testing.T) {
 // violations without bound.
 func TestMaxViolationsMutes(t *testing.T) {
 	n := mustNet(t, smallCfg(schemes.PR, protocol.PAT271, 8, 0.01))
-	c := check.Attach(n, check.Options{MaxViolations: 3})
+	c := check.Attach(n, check.Options{})
 	n.RunCycles(100)
 	now := n.Clock.Now()
 
 	m := n.Pool.NewMessage(0, message.M1, 0, 0, 1, 4, now)
 	n.Pool.PutMessage(m)
 	n.NIs[0].EnqueueSource(m)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < check.MaxViolations+10; i++ {
 		c.CheckNow(now)
 	}
-	if got := len(c.Violations()); got != 3 {
-		t.Fatalf("recorded %d violations, want cap 3", got)
+	if got := len(c.Violations()); got != check.MaxViolations {
+		t.Fatalf("recorded %d violations, want cap %d", got, check.MaxViolations)
 	}
 }

@@ -57,7 +57,6 @@ func ledger(n *network.Network) string {
 	note(n.Stats)
 	fmt.Fprintln(&b, n.Stats.Latencies)
 	note(&n.Faults)
-	note(n.Token)
 	note(n.Rescue)
 	note(n.Detector)
 	note(n.Probe)
@@ -249,7 +248,7 @@ func TestCheckpointContract(t *testing.T) {
 				}) {
 					lostCredit++
 				}
-				if ref.Token != nil && ref.Token.Lost() {
+				if ref.Rescue != nil && ref.Rescue.Lost() {
 					lostToken++
 				}
 				if ref.Faults.LostMsgs > 0 {

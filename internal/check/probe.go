@@ -47,7 +47,7 @@ func (c *Checker) attachProbe() {
 // state — and ahead of the recovery dispatch chained behind it.
 func (c *Checker) onProbeDeclare(origin int, now int64) {
 	c.probeDeclared = true
-	if c.muted || c.opts.SkipKnots {
+	if c.muted {
 		return
 	}
 	if k := RebuildKnots(c.n); !k.Deadlocked() {
@@ -68,7 +68,7 @@ func (c *Checker) onProbeDeclare(origin int, now int64) {
 // periodic sweep cadence) and reports a missed deadlock when it outlives the
 // detection bound with no declaration.
 func (c *Checker) probeWatch(now int64) {
-	if c.n.Probe == nil || c.muted || c.opts.SkipKnots || now%c.opts.Interval != 0 {
+	if c.n.Probe == nil || c.muted || now%c.opts.Interval != 0 {
 		return
 	}
 	k := RebuildKnots(c.n)

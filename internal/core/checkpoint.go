@@ -12,11 +12,14 @@ import (
 func (r *Rescue) Checkpoint(c *ckpt.C) {
 	msg := func(m **message.Message) { ckpt.Ref(c, m) }
 	ckpt.Int(c, &r.phase)
+	ckpt.Int(c, &r.pos)
+	ckpt.Int(c, &r.ctr)
+	ckpt.Int(c, &r.epoch)
+	ckpt.Int(c, &r.lostCycles)
 	ckpt.Slice(c, &r.stack, func(f *frame) {
 		ckpt.Int(c, &f.endpoint)
 		ckpt.Slice(c, &f.pending, msg)
 	})
-	ckpt.Int(c, &r.captureRouter)
 	msg(&r.transferMsg)
 	ckpt.Int(c, &r.timer) // a countdown, not a cycle
 	ep := -1
@@ -31,9 +34,10 @@ func (r *Rescue) Checkpoint(c *ckpt.C) {
 		}
 	}
 	if c.Unhashed() {
-		ckpt.Int(c, &r.Completed)
+		for _, p := range []*int64{&r.Completed, &r.LaneTransfers, &r.Preemptions,
+			&r.Losses, &r.Regenerations, &r.OutageCycles, &r.Resurfaces, &r.StaleDiscards} {
+			ckpt.Int(c, p)
+		}
 		ckpt.Int(c, &r.MaxDepth)
-		ckpt.Int(c, &r.LaneTransfers)
-		ckpt.Int(c, &r.Preemptions)
 	}
 }

@@ -19,6 +19,11 @@
 // receiver-by-receiver back to each sender and re-circulates from the
 // capturing node. All packets make forward progress — nothing is ever
 // killed, retried, or deflected.
+//
+// Rescue is that whole state machine, token included: one Phase says where
+// the token is (circulating, lost, or held by one of the three rescue
+// phases). The token's ring walk, its loss, and the reliability watchdog
+// that regenerates it (Section 3) are Rescue methods too.
 package core
 
 import (
@@ -29,16 +34,19 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/router"
-	"repro/internal/token"
 	"repro/internal/topology"
 )
 
-// Phase is the state of the recovery state machine.
+// Phase is the state of the recovery lane: the one token is circulating,
+// lost, or held by a rescue in one of the last three phases.
 type Phase int
 
 const (
-	// PhaseIdle: the token circulates; no rescue in progress.
-	PhaseIdle Phase = iota
+	// PhaseCirculating: the token tours the ring; no rescue in progress.
+	PhaseCirculating Phase = iota
+	// PhaseLost: a fault dropped the token. Nothing circulates or captures
+	// until it resurfaces or the watchdog regenerates it.
+	PhaseLost
 	// PhaseWaitService: a memory controller is servicing a message on the
 	// rescue's behalf (possibly after finishing its current operation —
 	// the paper's preemption rule).
@@ -53,8 +61,10 @@ const (
 
 func (p Phase) String() string {
 	switch p {
-	case PhaseIdle:
-		return "idle"
+	case PhaseCirculating:
+		return "circulating"
+	case PhaseLost:
+		return "lost"
 	case PhaseWaitService:
 		return "wait-service"
 	case PhaseTransfer:
@@ -78,7 +88,6 @@ type frame struct {
 // Config wires the recovery engine into a simulated system.
 type Config struct {
 	Torus  *topology.Torus
-	Token  *token.Manager
 	Engine *protocol.Engine
 	Table  *protocol.Table
 	// NIs indexed by endpoint; Routers indexed by router ID; Channels is
@@ -89,6 +98,11 @@ type Config struct {
 	// RouterTimeout is the blocked-header threshold for router-level
 	// captures (routing-dependent deadlock under TFAR).
 	RouterTimeout int64
+	// TokenHopCycles is the time the token takes to advance one ring
+	// position (at least 1). The paper multiplexes the token over network
+	// bandwidth as a control packet, so one cycle per hop is the natural
+	// model.
+	TokenHopCycles int
 	// TokenRegenTimeout, when positive, arms the reliability watchdog the
 	// paper's Section 3 calls for: a token missing for this many cycles is
 	// regenerated at router 0. Zero disables the watchdog.
@@ -97,7 +111,8 @@ type Config struct {
 	OnRescue func(now int64)
 }
 
-// Rescue is the Extended Disha Sequential engine.
+// Rescue is the Extended Disha Sequential engine: the one token, on its
+// logical ring or held by a rescue, and the rescue's dependency chain.
 type Rescue struct {
 	cfg Config
 
@@ -106,12 +121,28 @@ type Rescue struct {
 	Bus *obs.Bus
 
 	phase Phase
-	stack []frame
+	// pos is the router the token is at: where the ring walk brought it
+	// while circulating, where it was lost, and during a rescue the capture
+	// router it re-circulates from. Nothing moves it while a rescue holds
+	// the token: the ring walk runs only in PhaseCirculating, Lose panics,
+	// and Resurface only counts a stale discard.
+	pos topology.NodeID
+	// ctr counts cycles since the token's last ring hop.
+	ctr int
+	// epoch numbers token generations, starting at 1. Each regeneration
+	// bumps it, so a resurfacing copy of an older generation (a delayed
+	// in-flight control packet from before the loss was declared) is
+	// recognizably stale and discarded rather than yielding two live
+	// tokens, which would break Disha's one-rescue-at-a-time exclusivity.
+	epoch uint64
+	// lostCycles counts consecutive cycles in PhaseLost, feeding the
+	// watchdog and the OutageCycles statistic.
+	lostCycles int64
 
-	captureRouter topology.NodeID
-	transferMsg   *message.Message
-	timer         int64
-	serviceNI     *netiface.NI
+	stack       []frame
+	transferMsg *message.Message
+	timer       int64
+	serviceNI   *netiface.NI
 
 	// Completed counts finished rescues; MaxDepth tracks the deepest
 	// token-reuse chain observed (Case 3/4 recursion); LaneTransfers
@@ -121,22 +152,59 @@ type Rescue struct {
 	MaxDepth      int
 	LaneTransfers int64
 	Preemptions   int64
+	// Losses and Regenerations count injected token losses and watchdog
+	// recoveries; OutageCycles accumulates cycles spent with no live token
+	// (recovery latency in the FaultSweep sense); Resurfaces counts lost
+	// tokens that reappeared before regeneration; StaleDiscards counts
+	// resurfacing copies of a superseded epoch that were thrown away.
+	Losses        int64
+	Regenerations int64
+	OutageCycles  int64
+	Resurfaces    int64
+	StaleDiscards int64
 }
 
-// New builds a recovery engine.
+// New builds a recovery engine whose token circulates from router 0.
 func New(cfg Config) *Rescue {
-	if cfg.Torus == nil || cfg.Token == nil || cfg.Engine == nil || cfg.Table == nil {
+	if cfg.Torus == nil || cfg.Engine == nil || cfg.Table == nil {
 		panic("core: incomplete config")
 	}
-	cfg.Token.SetRegenTimeout(cfg.TokenRegenTimeout)
-	return &Rescue{cfg: cfg}
+	if cfg.TokenHopCycles < 1 {
+		panic("core: TokenHopCycles must be >= 1")
+	}
+	r := &Rescue{cfg: cfg, epoch: 1}
+	r.SetRegenTimeout(cfg.TokenRegenTimeout)
+	return r
 }
 
-// Phase exposes the current state (for tests and observability).
+// CurrentPhase exposes the current state (for tests and observability).
 func (r *Rescue) CurrentPhase() Phase { return r.phase }
 
-// Active reports whether a rescue is in progress.
-func (r *Rescue) Active() bool { return r.phase != PhaseIdle }
+// Active reports whether a rescue is in progress, which is when it holds
+// the token.
+func (r *Rescue) Active() bool { return r.phase > PhaseLost }
+
+// Lost reports whether the token is missing.
+func (r *Rescue) Lost() bool { return r.phase == PhaseLost }
+
+// Pos returns the router the token is at (see Rescue.pos).
+func (r *Rescue) Pos() topology.NodeID { return r.pos }
+
+// Epoch returns the token's generation number (1 for the original token,
+// incremented by every watchdog regeneration).
+func (r *Rescue) Epoch() uint64 { return r.epoch }
+
+// SetRegenTimeout arms (or, with 0, disarms) the regeneration watchdog:
+// after timeout consecutive lost cycles, the token is re-elected.
+func (r *Rescue) SetRegenTimeout(timeout int64) {
+	if timeout < 0 {
+		panic("core: negative regen timeout")
+	}
+	r.cfg.TokenRegenTimeout = timeout
+}
+
+// RegenTimeout returns the current watchdog threshold (0 = disarmed).
+func (r *Rescue) RegenTimeout() int64 { return r.cfg.TokenRegenTimeout }
 
 // Depth returns the current token-reuse chain depth.
 func (r *Rescue) Depth() int { return len(r.stack) }
@@ -162,22 +230,13 @@ func (r *Rescue) ForEachCustody(f func(m *message.Message)) {
 // Step advances the token and the rescue state machine by one cycle. Call
 // once per simulation cycle after routers and NIs have stepped.
 func (r *Rescue) Step(now int64) {
-	tok := r.cfg.Token
-	if tok.Lost() {
-		// The watchdog lives in the token manager so fault injectors can
-		// arm it without a rescue-engine handle; epoch bookkeeping rides
-		// along with the regeneration.
-		tok.Maintain(now)
-		return
-	}
-	if !tok.Held() {
-		at, arrived := tok.Step()
-		if arrived {
-			r.tryCapture(at, now)
-		}
-		return
-	}
 	switch r.phase {
+	case PhaseCirculating:
+		if r.stepRing() {
+			r.tryCapture(now)
+		}
+	case PhaseLost:
+		r.maintain()
 	case PhaseWaitService:
 		// Completion arrives via Serviced.
 	case PhaseTransfer:
@@ -190,15 +249,94 @@ func (r *Rescue) Step(now int64) {
 		if r.timer <= 0 {
 			r.advance(now)
 		}
-	case PhaseIdle:
-		panic("core: token held while rescue idle")
 	}
 }
 
-// tryCapture checks the visited router and its NIs for pending rescues. NI
-// captures (message-dependent deadlock) take precedence over router captures
-// (routing-dependent deadlock).
-func (r *Rescue) tryCapture(at topology.NodeID, now int64) {
+// stepRing advances the circulating token one cycle along the logical ring
+// and reports whether it arrived at a router this cycle. Captures are tried
+// on arrival only.
+func (r *Rescue) stepRing() (arrived bool) {
+	r.ctr++
+	if r.ctr < r.cfg.TokenHopCycles {
+		return false
+	}
+	r.ctr = 0
+	r.pos = r.cfg.Torus.RingNext(r.pos)
+	return true
+}
+
+// Lose injects a token-loss fault (the single point of failure the paper's
+// Section 3 flags as the technique's main reliability concern). It is legal
+// only in PhaseCirculating, and a no-op in PhaseLost: a held token's loss
+// would abandon a rescue mid-flight, which the paper's reliable
+// token-management assumption (control packets with end-to-end protection
+// during rescues) rules out, so Lose panics while a rescue holds it.
+func (r *Rescue) Lose() {
+	switch {
+	case r.Active():
+		panic("core: cannot lose a held token")
+	case r.phase == PhaseLost:
+		return
+	}
+	r.phase = PhaseLost
+	r.lostCycles = 0
+	r.Losses++
+}
+
+// Regenerate recreates a lost token at router pos in a new epoch, as the
+// paper's configurable logical token path permits ("the path taken by the
+// token can be logical and, thus, configurable ... to increase
+// reliability").
+func (r *Rescue) Regenerate(pos topology.NodeID) {
+	if r.phase != PhaseLost {
+		panic("core: regenerate without loss")
+	}
+	r.recirculate(pos)
+	r.epoch++
+	r.Regenerations++
+}
+
+// maintain runs one watchdog cycle in PhaseLost: it accounts the outage and,
+// once the loss has persisted for the configured timeout, re-elects a token
+// at router 0 (the ring origin: every node can compute it, so a distributed
+// election would agree on it).
+func (r *Rescue) maintain() {
+	r.lostCycles++
+	r.OutageCycles++
+	if t := r.cfg.TokenRegenTimeout; t > 0 && r.lostCycles >= t {
+		r.Regenerate(0)
+	}
+}
+
+// Resurface models a delayed copy of the token control packet reappearing at
+// router pos. If the loss is still outstanding the token is simply reinstated
+// there (same epoch, no re-election needed) and Resurface returns true. In
+// any other phase the copy is stale, superseded by a watchdog regeneration:
+// it is discarded (counted in StaleDiscards) so the network never sees two
+// live tokens, and Resurface returns false.
+func (r *Rescue) Resurface(pos topology.NodeID) bool {
+	if r.phase != PhaseLost {
+		r.StaleDiscards++
+		return false
+	}
+	r.recirculate(pos)
+	r.Resurfaces++
+	return true
+}
+
+// recirculate puts a lost token back on the ring at router pos.
+func (r *Rescue) recirculate(pos topology.NodeID) {
+	r.phase = PhaseCirculating
+	r.pos = pos
+	r.ctr = 0
+	r.lostCycles = 0
+}
+
+// tryCapture checks the router the token just reached, and its NIs, for
+// pending rescues. NI captures (message-dependent deadlock) take precedence
+// over router captures (routing-dependent deadlock).
+func (r *Rescue) tryCapture(now int64) {
+	at := r.pos
 	for local := 0; local < r.cfg.Torus.Bristling; local++ {
 		ep := r.cfg.Torus.EndpointID(topology.Endpoint{Router: at, Local: local})
 		ni := r.cfg.NIs[ep]
@@ -211,8 +349,6 @@ func (r *Rescue) tryCapture(at topology.NodeID, now int64) {
 			// The blockage resolved before the token arrived.
 			continue
 		}
-		r.cfg.Token.Capture()
-		r.captureRouter = at
 		m := ni.PopHead(q)
 		if !ni.RequestRescueService(m) {
 			panic("core: rescue service refused at capture")
@@ -231,8 +367,6 @@ func (r *Rescue) tryCapture(at topology.NodeID, now int64) {
 		if pkt.ArrivedFlits > 0 {
 			continue
 		}
-		r.cfg.Token.Capture()
-		r.captureRouter = at
 		r.evacuate(pkt, now)
 		r.stack = []frame{{endpoint: -1}}
 		r.captured(now, pkt.Msg)
@@ -241,7 +375,7 @@ func (r *Rescue) tryCapture(at topology.NodeID, now int64) {
 	}
 }
 
-// captured counts a token capture for message m at the capture router
+// captured counts a token capture for message m at the token's router
 // (OnRescue) and traces it.
 func (r *Rescue) captured(now int64, m *message.Message) {
 	if r.cfg.OnRescue != nil {
@@ -249,7 +383,7 @@ func (r *Rescue) captured(now int64, m *message.Message) {
 	}
 	if r.Bus != nil {
 		r.Bus.Emit(obs.Event{
-			Cycle: now, Kind: obs.KindTokenCapture, Node: int(r.captureRouter),
+			Cycle: now, Kind: obs.KindTokenCapture, Node: int(r.pos),
 			Txn: int64(m.Txn), MsgType: m.Type.String(), Src: m.Src, Dst: m.Dst,
 		})
 	}
@@ -299,7 +433,7 @@ func (r *Rescue) evacuate(pkt *message.Packet, now int64) {
 // router.
 func (r *Rescue) routerOf(endpoint int) topology.NodeID {
 	if endpoint < 0 {
-		return r.captureRouter
+		return r.pos
 	}
 	return r.cfg.Torus.EndpointByID(endpoint).Router
 }
@@ -434,22 +568,22 @@ func (r *Rescue) advance(now int64) {
 	}
 }
 
-// finish releases the token for re-circulation from the capture router.
+// finish releases the token for re-circulation from the capture router,
+// where it has stayed since the capture.
 func (r *Rescue) finish(now int64) {
-	r.phase = PhaseIdle
+	r.phase = PhaseCirculating
 	r.stack = nil
 	r.transferMsg = nil
 	r.serviceNI = nil
 	r.Completed++
-	r.cfg.Token.Release(r.captureRouter)
 	if r.Bus != nil {
 		r.Bus.Emit(obs.Event{
-			Cycle: now, Kind: obs.KindTokenRelease, Node: int(r.captureRouter),
+			Cycle: now, Kind: obs.KindTokenRelease, Node: int(r.pos),
 			Arg: int64(r.MaxDepth),
 		})
 	}
 }
 
 func (r *Rescue) String() string {
-	return fmt.Sprintf("rescue{%s depth=%d completed=%d}", r.phase, len(r.stack), r.Completed)
+	return fmt.Sprintf("rescue{%s at %d depth=%d completed=%d}", r.phase, r.pos, len(r.stack), r.Completed)
 }

@@ -5,8 +5,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/schemes"
+	"repro/internal/topology"
 )
 
 // prNet builds a small PR network prone to message-dependent deadlock: tiny
@@ -52,37 +54,65 @@ func TestRescuedSystemDrainsCompletely(t *testing.T) {
 		t.Fatalf("system did not drain: %d transactions stuck", n.Table.Len())
 	}
 	if n.Rescue.Active() {
-		t.Fatal("rescue still active after drain")
+		t.Fatal("rescue still holds the token after drain")
 	}
-	if n.Token.Held() {
-		t.Fatal("token leaked")
+}
+
+// laneEvents records the token's capture and release trace events.
+type laneEvents []obs.Event
+
+func (l *laneEvents) Event(e obs.Event) {
+	if e.Kind == obs.KindTokenCapture || e.Kind == obs.KindTokenRelease {
+		*l = append(*l, e)
 	}
 }
 
 func TestTokenCaptureReleaseBalanced(t *testing.T) {
 	n := prNet(t, 0.02, 4, 11)
+	var ev laneEvents
+	n.AttachObs(obs.NewBus(&ev))
 	n.Run()
-	if n.Token.Captures != n.Token.Releases {
-		t.Fatalf("token captures %d != releases %d", n.Token.Captures, n.Token.Releases)
+	var captures, releases int64
+	for _, e := range ev {
+		if e.Kind == obs.KindTokenCapture {
+			captures++
+		} else {
+			releases++
+		}
 	}
-	if n.Rescue.Completed != n.Token.Releases {
-		t.Fatalf("completed rescues %d != releases %d", n.Rescue.Completed, n.Token.Releases)
+	if captures != releases || releases != n.Rescue.Completed {
+		t.Fatalf("%d captures, %d releases, %d completed rescues", captures, releases, n.Rescue.Completed)
 	}
 }
 
 func TestRescueExclusivity(t *testing.T) {
-	// At most one rescue may hold the token at any time; the phase must be
-	// idle exactly when the token circulates.
+	// At most one rescue may hold the token at any time: captures and
+	// releases alternate, each release at the router of its capture, and
+	// the token does not move while held.
 	n := prNet(t, 0.02, 4, 13)
-	violations := 0
+	var ev laneEvents
+	n.AttachObs(obs.NewBus(&ev))
+	moved := 0
 	n.OnCycle = func(now int64) {
-		if n.Token.Held() != n.Rescue.Active() {
-			violations++
+		if n.Rescue.Active() && len(ev) > 0 && n.Rescue.Pos() != topology.NodeID(ev[len(ev)-1].Node) {
+			moved++
 		}
 	}
 	n.Run()
-	if violations > 0 {
-		t.Fatalf("token/rescue state disagreed on %d cycles", violations)
+	for i, e := range ev {
+		want := obs.KindTokenCapture
+		if i%2 == 1 {
+			want = obs.KindTokenRelease
+			if e.Node != ev[i-1].Node {
+				t.Fatalf("event %d: released at router %d, captured at %d", i, e.Node, ev[i-1].Node)
+			}
+		}
+		if e.Kind != want {
+			t.Fatalf("event %d is a %s, want a %s", i, e.Kind, want)
+		}
+	}
+	if len(ev) == 0 || moved > 0 {
+		t.Fatalf("%d lane events; the held token moved on %d cycles", len(ev), moved)
 	}
 }
 
@@ -96,7 +126,7 @@ func TestRescuedMessagesCounted(t *testing.T) {
 
 func TestPhaseStringsAndAccessors(t *testing.T) {
 	for p, want := range map[core.Phase]string{
-		core.PhaseIdle: "idle", core.PhaseWaitService: "wait-service",
+		core.PhaseCirculating: "circulating", core.PhaseLost: "lost", core.PhaseWaitService: "wait-service",
 		core.PhaseTransfer: "transfer", core.PhaseReturn: "return",
 	} {
 		if p.String() != want {
@@ -104,8 +134,8 @@ func TestPhaseStringsAndAccessors(t *testing.T) {
 		}
 	}
 	n := prNet(t, 0, 4, 1)
-	if n.Rescue.CurrentPhase() != core.PhaseIdle || n.Rescue.Active() || n.Rescue.Depth() != 0 {
-		t.Fatal("fresh rescue engine not idle")
+	if n.Rescue.CurrentPhase() != core.PhaseCirculating || n.Rescue.Active() || n.Rescue.Depth() != 0 {
+		t.Fatal("fresh rescue engine not circulating")
 	}
 	if n.Rescue.String() == "" {
 		t.Fatal("empty stringer")

@@ -87,7 +87,7 @@ func TestKnotsFormWithoutRecovery(t *testing.T) {
 	// Scanning publishes knot flags that the recovery engine would act on;
 	// truly disable recovery by losing the token (no regeneration
 	// watchdog is armed).
-	n.Token.Lose()
+	n.Rescue.Lose()
 	sawKnot := false
 	for i := 0; i < 100 && !sawKnot; i++ {
 		n.RunCycles(100)

@@ -41,7 +41,7 @@ func scanPoint(tb testing.TB, name string) *network.Network {
 		tb.Fatal(err)
 	}
 	if name == "knotted" {
-		n.Token.Lose() // no recovery: the knot stays
+		n.Rescue.Lose() // no recovery: the knot stays
 		for locked := 0; locked == 0; locked, _ = n.Detector.ScanAt(-1) {
 			if n.Clock.Now() > 20000 {
 				tb.Fatal("no knot formed")

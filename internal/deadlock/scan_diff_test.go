@@ -376,7 +376,7 @@ func TestScanMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.Token.Lose() // no recovery: knots form and stay
+		n.Rescue.Lose() // no recovery: knots form and stay
 		s := newScanDiff(t, n)
 		for i := 0; i < 60; i++ {
 			n.RunCycles(50)

@@ -82,7 +82,7 @@ func Attach(n *network.Network, plan *Plan) (*Injector, error) {
 				return nil, fmt.Errorf("fault: event %d: vc %d outside [0,%d)", i, e.VC, len(ch.VCs))
 			}
 		case TokenLoss, TokenResurface:
-			if n.Token == nil {
+			if n.Rescue == nil {
 				return nil, fmt.Errorf("fault: event %d: %s requires the PR scheme's token", i, e.Kind)
 			}
 		}
@@ -90,8 +90,8 @@ func Attach(n *network.Network, plan *Plan) (*Injector, error) {
 	if plan.Empty() {
 		return inj, nil
 	}
-	if plan.has(TokenLoss) && n.Token != nil && n.Token.RegenTimeout() == 0 {
-		n.Token.SetRegenTimeout(DefaultRegenTimeout)
+	if plan.has(TokenLoss) && n.Rescue != nil && n.Rescue.RegenTimeout() == 0 {
+		n.Rescue.SetRegenTimeout(DefaultRegenTimeout)
 	}
 	for _, ni := range n.NIs {
 		h := &ni.Cfg.Hooks
@@ -200,21 +200,21 @@ func (inj *Injector) apply(i int, now int64) {
 			inj.record(i, now, e.Router, fmt.Sprintf("credit-loss %d dir %d vc %d", e.Router, e.Dir, e.VC))
 		}
 	case TokenLoss:
-		tok := inj.n.Token
-		if tok.Lost() {
+		r := inj.n.Rescue
+		if r.Lost() {
 			st.done = true
 			return
 		}
 		// A held token cannot be lost (the rescue's control packets are
 		// end-to-end protected); retry once it re-circulates.
-		if tok.Held() {
+		if r.Active() {
 			return
 		}
-		tok.Lose()
+		r.Lose()
 		st.done = true
 		inj.record(i, now, -1, "token-loss")
 	case TokenResurface:
-		ok := inj.n.Token.Resurface(topology.NodeID(e.Router))
+		ok := inj.n.Rescue.Resurface(topology.NodeID(e.Router))
 		st.done = true
 		if ok {
 			inj.record(i, now, e.Router, fmt.Sprintf("token-resurface %d reinstated", e.Router))
@@ -287,7 +287,7 @@ func (inj *Injector) Report() Report {
 	if h := inj.n.Health; h != nil {
 		r.DeadLinks = h.DeadLinks()
 	}
-	if tok := inj.n.Token; tok != nil {
+	if tok := inj.n.Rescue; tok != nil {
 		r.TokenLosses = tok.Losses
 		r.TokenRegenerations = tok.Regenerations
 		r.TokenResurfaces = tok.Resurfaces

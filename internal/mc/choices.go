@@ -127,7 +127,7 @@ func (e *Explorer) contended() bool {
 }
 
 // rescuePending reports whether recovery is about to start: some endpoint
-// has requested rescue service while the engine is idle. The delay branch is
+// has requested rescue service while no rescue holds the token. The delay branch is
 // restricted to this moment (not every cycle of an active rescue) to bound
 // the choice tree; it is exactly the detection-to-recovery handoff whose
 // timing the paper's schemes disagree about.

@@ -159,7 +159,7 @@ func (e *Explorer) Run() *Result {
 		pm := f.pm
 		v := e.stepOnce(c, &pm)
 		e.result.Transitions++
-		if e.opt.Progress != nil && e.result.Transitions%e.opt.ProgressEvery == 0 {
+		if e.opt.Progress != nil && e.result.Transitions%progressEvery == 0 {
 			e.opt.Progress(ProgressInfo{
 				States: e.result.States, Transitions: e.result.Transitions,
 				Frontier: frontier(stack), Depth: len(stack),

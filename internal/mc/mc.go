@@ -125,11 +125,13 @@ type Options struct {
 	// ForgePeriod is the forge bugs' firing period in cycles (default
 	// DefaultForgePeriod).
 	ForgePeriod int64 `json:"forge_period,omitempty"`
-	// Progress, when set, receives a callback roughly every ProgressEvery
-	// transitions (default 5000).
-	Progress      func(ProgressInfo) `json:"-"`
-	ProgressEvery int64              `json:"-"`
+	// Progress, when set, receives a callback every progressEvery
+	// transitions.
+	Progress func(ProgressInfo) `json:"-"`
 }
+
+// progressEvery is the number of transitions between Progress callbacks.
+const progressEvery = 5000
 
 // ProgressInfo is a progress callback payload.
 type ProgressInfo struct {
@@ -202,9 +204,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.ForgePeriod <= 0 {
 		o.ForgePeriod = DefaultForgePeriod
-	}
-	if o.ProgressEvery <= 0 {
-		o.ProgressEvery = 5000
 	}
 }
 

@@ -17,53 +17,73 @@ import (
 // sequence number folded raw — moves a row here, where the exhaustion tests
 // would only log a different count. Entangled DR (3.6 s) is skipped under -short;
 // entangled PR (173,068 states, 1,934,044 transitions, 87,812 accepting
-// paths, 1,045 detections, depth 61, about 20 s) is re-run by hand with
-// `modelcheck -workload entangled -scheme PR`.
+// paths, 1,045 detections, depth 61, about 20 s) is pinned by the CI
+// "Model-checker smoke" step, which runs `modelcheck -workload entangled
+// -scheme PR` and matches that line.
 func TestExhaustedSpacesPinned(t *testing.T) {
-	type row struct {
-		states, transitions, accepts, detections int64
-		depth                                    int
-	}
-	const thr, prb = network.DetectorThreshold, network.DetectorProbe
-	for _, tc := range []struct {
-		workload string
-		kind     schemes.Kind
-		detector string
-		long     bool
-		want     row
-	}{
-		{"single", schemes.SA, thr, false, row{4, 74, 5, 0, 4}},
-		{"single", schemes.DR, thr, false, row{4, 99, 5, 0, 4}},
-		{"single", schemes.PR, thr, false, row{4, 74, 5, 0, 4}},
-		{"crossing", schemes.SA, thr, false, row{293, 1880, 302, 0, 9}},
-		{"crossing", schemes.DR, thr, false, row{46, 1019, 55, 0, 6}},
-		{"crossing", schemes.PR, thr, false, row{293, 1880, 302, 0, 9}},
-		{"crossing", schemes.DR, prb, false, row{46, 1019, 55, 0, 6}},
-		{"crossing", schemes.PR, prb, false, row{293, 1880, 302, 0, 9}},
-		{"entangled", schemes.SA, thr, false, row{1707, 72190, 1748, 843, 10}},
-		{"entangled", schemes.DR, thr, true, row{16476, 558240, 15947, 844, 15}},
-		{"gridlock", schemes.DR, thr, false, row{5, 960, 16, 28, 2}},
-		{"gridlock", schemes.PR, thr, false, row{5, 1000, 16, 24, 2}},
-		{"gridlock", schemes.DR, prb, false, row{5, 1136, 16, 28, 2}},
-		{"gridlock", schemes.PR, prb, false, row{5, 1192, 16, 24, 2}},
-	} {
-		t.Run(fmt.Sprintf("%s-%v-%s", tc.workload, tc.kind, tc.detector), func(t *testing.T) {
+	for _, tc := range pinnedRows {
+		t.Run(tc.String(), func(t *testing.T) {
 			if tc.long && testing.Short() {
 				t.Skip("3.6 s exploration")
 			}
-			opt := spaceOptions(tc.workload, tc.kind)
-			opt.Net.Detector = tc.detector
-			e, err := New(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := tc.explorer(t)
 			r := e.Run()
 			if !r.Complete || r.Counterexample != nil {
 				t.Fatalf("not exhausted clean: complete=%v counterexample=%+v", r.Complete, r.Counterexample)
 			}
-			if got := (row{r.States, r.Transitions, r.Accepts, r.Detections, r.MaxDepth}); got != tc.want {
+			if got := (shape{r.States, r.Transitions, r.Accepts, r.Detections, r.MaxDepth}); got != tc.want {
 				t.Fatalf("states/transitions/accepts/detections/depth = %+v, pinned %+v", got, tc.want)
 			}
 		})
 	}
+}
+
+// pinnedRow is one row of TestExhaustedSpacesPinned: a space, explored as its
+// Spaces row says for one scheme and detector, and its exact shape.
+type pinnedRow struct {
+	workload string
+	kind     schemes.Kind
+	detector string
+	long     bool // skipped under -short
+	want     shape
+}
+
+type shape struct {
+	states, transitions, accepts, detections int64
+	depth                                    int
+}
+
+const thr, prb = network.DetectorThreshold, network.DetectorProbe
+
+var pinnedRows = []pinnedRow{
+	{"single", schemes.SA, thr, false, shape{4, 74, 5, 0, 4}},
+	{"single", schemes.DR, thr, false, shape{4, 99, 5, 0, 4}},
+	{"single", schemes.PR, thr, false, shape{4, 74, 5, 0, 4}},
+	{"crossing", schemes.SA, thr, false, shape{293, 1880, 302, 0, 9}},
+	{"crossing", schemes.DR, thr, false, shape{46, 1019, 55, 0, 6}},
+	{"crossing", schemes.PR, thr, false, shape{293, 1880, 302, 0, 9}},
+	{"crossing", schemes.DR, prb, false, shape{46, 1019, 55, 0, 6}},
+	{"crossing", schemes.PR, prb, false, shape{293, 1880, 302, 0, 9}},
+	{"entangled", schemes.SA, thr, false, shape{1707, 72190, 1748, 843, 10}},
+	{"entangled", schemes.DR, thr, true, shape{16476, 558240, 15947, 844, 15}},
+	{"gridlock", schemes.DR, thr, false, shape{5, 960, 16, 28, 2}},
+	{"gridlock", schemes.PR, thr, false, shape{5, 1000, 16, 24, 2}},
+	{"gridlock", schemes.DR, prb, false, shape{5, 1136, 16, 28, 2}},
+	{"gridlock", schemes.PR, prb, false, shape{5, 1192, 16, 24, 2}},
+}
+
+func (tc pinnedRow) String() string {
+	return fmt.Sprintf("%s-%v-%s", tc.workload, tc.kind, tc.detector)
+}
+
+// explorer builds the row's explorer at its root state.
+func (tc pinnedRow) explorer(t *testing.T) *Explorer {
+	t.Helper()
+	opt := spaceOptions(tc.workload, tc.kind)
+	opt.Net.Detector = tc.detector
+	e, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }

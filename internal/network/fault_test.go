@@ -3,6 +3,7 @@ package network
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/schemes"
 )
@@ -35,17 +36,17 @@ func TestTokenLossRecovery(t *testing.T) {
 		if now > 0 && now%2000 == 0 {
 			wantLose = true
 		}
-		if wantLose && !n.Token.Held() && !n.Token.Lost() {
-			n.Token.Lose()
+		if wantLose && n.Rescue.CurrentPhase() == core.PhaseCirculating {
+			n.Rescue.Lose()
 			wantLose = false
 		}
 	}
 	n.Run()
-	if n.Token.Losses == 0 {
+	if n.Rescue.Losses == 0 {
 		t.Fatal("fault injection never fired")
 	}
-	if n.Token.Regenerations != n.Token.Losses {
-		t.Fatalf("losses %d != regenerations %d", n.Token.Losses, n.Token.Regenerations)
+	if n.Rescue.Regenerations != n.Rescue.Losses {
+		t.Fatalf("losses %d != regenerations %d", n.Rescue.Losses, n.Rescue.Regenerations)
 	}
 	if !n.Quiescent() {
 		t.Fatalf("system did not drain after token losses: %d txns", n.Table.Len())
@@ -78,18 +79,18 @@ func TestTokenLossWithoutWatchdogStallsRecovery(t *testing.T) {
 	lostAt := int64(-1)
 	var rescuesAtLoss int64
 	n.OnCycle = func(now int64) {
-		if lostAt < 0 && now >= 1000 && !n.Token.Held() && n.Rescue.CurrentPhase().String() == "idle" {
-			n.Token.Lose()
+		if lostAt < 0 && now >= 1000 && n.Rescue.CurrentPhase() == core.PhaseCirculating {
+			n.Rescue.Lose()
 			lostAt = now
-			rescuesAtLoss = n.Token.Captures
+			rescuesAtLoss = n.Rescue.Completed
 		}
 	}
 	n.Run()
 	if lostAt < 0 {
 		t.Fatal("never managed to lose the token")
 	}
-	if n.Token.Captures != rescuesAtLoss {
-		t.Fatalf("captures continued after token loss: %d -> %d", rescuesAtLoss, n.Token.Captures)
+	if n.Rescue.Completed != rescuesAtLoss || n.Rescue.Active() {
+		t.Fatalf("rescues continued after token loss: %d -> %d", rescuesAtLoss, n.Rescue.Completed)
 	}
 }
 

@@ -49,11 +49,11 @@ func TestNetworkFootprint(t *testing.T) {
 	pins := map[string]struct{ mallocs, bytes uint64 }{
 		"DR/PAT271":  {4095, 416656},
 		"DR/PAT721":  {4095, 416656},
-		"PR/PAT271":  {4095, 461240},
-		"PR/PAT721":  {4095, 461240},
+		"PR/PAT271":  {4094, 461192},
+		"PR/PAT721":  {4094, 461192},
 		"SA/PAT271":  {5641, 674288},
 		"SA/PAT721":  {5641, 674288},
-		"serve_miss": {1069, 96392},
+		"serve_miss": {1068, 96344},
 	}
 	for name, want := range pins {
 		mallocs, bytes := newFootprint(t, shapes[name])

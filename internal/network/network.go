@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/deadlock"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/token"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -39,7 +39,7 @@ type Network struct {
 	Stats  *stats.Collector
 	Source traffic.Source
 
-	Token  *token.Manager
+	// Rescue is PR's recovery engine and its token (nil under SA and DR).
 	Rescue *core.Rescue
 
 	// Health, when non-nil, is the link-liveness mask KillLink creates on
@@ -234,21 +234,19 @@ func newBare(cfg Config) (*Network, error) {
 	}
 	n.initActive()
 	if cfg.Scheme == schemes.PR {
-		n.Token = token.NewManager(tor, cfg.TokenHopCycles)
 		n.Rescue = core.New(core.Config{
 			Torus:             tor,
-			Token:             n.Token,
 			Engine:            eng,
 			Table:             n.Table,
 			NIs:               n.NIs,
 			Routers:           n.Routers,
 			Channels:          n.Channels,
 			RouterTimeout:     int64(cfg.RouterTimeout),
+			TokenHopCycles:    cfg.TokenHopCycles,
 			TokenRegenTimeout: cfg.TokenRegenTimeout,
 			OnRescue: func(now int64) {
 				if n.inWindow(now) {
 					n.Stats.Rescues++
-					n.Stats.TokenCaptures++
 				}
 			},
 		})
@@ -391,7 +389,7 @@ func (n *Network) buildCandTable() {
 			set := n.Scheme.VCSetFor(message.Type(t), bo == 1)
 			idx := -1
 			for i, c := range combos {
-				if c.mode == mode && intsEqual(c.set.Escape, set.Escape) && intsEqual(c.set.Adaptive, set.Adaptive) {
+				if c.mode == mode && slices.Equal(c.set.Escape, set.Escape) && slices.Equal(c.set.Adaptive, set.Adaptive) {
 					idx = i
 					break
 				}
@@ -422,18 +420,6 @@ func (n *Network) buildCandTable() {
 		}
 	}
 	n.candSlab, n.candOff = slab, off
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FaultStats tallies losses attributable to injected faults.

@@ -49,7 +49,7 @@ func TestEpisodeForensicsOnKnownDeadlock(t *testing.T) {
 	if err := n.AttachEpisodes(tracker); err != nil {
 		t.Fatal(err)
 	}
-	n.Token.Lose() // no recovery: knots persist
+	n.Rescue.Lose() // no recovery: knots persist
 
 	var ep *obs.Episode
 	for i := 0; i < 150 && ep == nil; i++ {
@@ -91,7 +91,7 @@ func TestEpisodeForensicsOnKnownDeadlock(t *testing.T) {
 	}
 
 	// Re-enable recovery; the episode must close as a rescue.
-	n.Token.Regenerate(0)
+	n.Rescue.Regenerate(0)
 	for i := 0; i < 150 && tracker.Open() == ep; i++ {
 		n.RunCycles(100)
 	}

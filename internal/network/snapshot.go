@@ -10,7 +10,7 @@ import (
 // model-checking explorer (internal/mc) and of mid-run checkpointing tests.
 //
 // Design: the network's infrastructure — routers, channels, VCs, NIs, the
-// rescue engine, the token manager, the detector — has stable identity. A
+// rescue engine (and its token), the detector — has stable identity. A
 // snapshot never clones those objects: Checkpoint runs every component's own
 // Checkpoint method (see package ckpt), which names its canonical mutable
 // state once, and that one walk writes the state out as words, reads it back
@@ -151,9 +151,6 @@ func (n *Network) Checkpoint(c *ckpt.C) {
 	}
 	for _, ni := range n.NIs {
 		ni.Checkpoint(c, n.Channels)
-	}
-	if n.Token != nil {
-		n.Token.Checkpoint(c)
 	}
 	if n.Rescue != nil {
 		n.Rescue.Checkpoint(c)

@@ -49,12 +49,11 @@ type Collector struct {
 	BackoffDelivered int64
 	RescuedDelivered int64
 
-	DetectEvents  int64
-	Deflections   int64
-	Rescues       int64
-	TokenCaptures int64
-	CWGDeadlocks  int64
-	CWGScans      int64
+	DetectEvents int64
+	Deflections  int64
+	Rescues      int64
+	CWGDeadlocks int64
+	CWGScans     int64
 
 	// Detection latency per the configured detector mode: cycles from
 	// blocking onset (threshold streak start or probe birth) to the event
@@ -82,7 +81,7 @@ func (c *Collector) Checkpoint(k *ckpt.C) {
 		&c.LatencySum, &c.LatencyMax, &c.LatencyCount, &c.QueueLatencySum,
 		&c.TxnCompleted, &c.TxnLatencySum, &c.GeneratedTxns,
 		&c.BackoffDelivered, &c.RescuedDelivered,
-		&c.DetectEvents, &c.Deflections, &c.Rescues, &c.TokenCaptures, &c.CWGDeadlocks, &c.CWGScans,
+		&c.DetectEvents, &c.Deflections, &c.Rescues, &c.CWGDeadlocks, &c.CWGScans,
 		&c.DetectLatencySum, &c.DetectLatencyCount,
 		&c.Latencies.total, &c.Latencies.max} {
 		ckpt.Int(k, p)
