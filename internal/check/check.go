@@ -38,6 +38,9 @@
 //     nothing to do, and no freeze or stall, in the next cycle.
 //   - knot-soundness / knot-count: every knot the CWG detector declares is
 //     re-verified against a from-scratch wait-graph rebuild (knot.go).
+//   - unblocked-dispatch / missed-deadlock: under either trigger, every
+//     recovery dispatch starts at a blocked input queue, and no knot the
+//     rebuild sees outlives MissedBound without a dispatch (dispatch.go).
 //
 // On violation the checker captures a full state snapshot, emits a
 // structured obs event (KindInvariant) when a trace bus is attached, and —
@@ -127,26 +130,20 @@ type Checker struct {
 	hopSeen   map[message.TxnID]map[hopKey]struct{}
 	skipTxns  map[message.TxnID]bool
 
-	// Probe-detector cross-check state (probe.go): when the independent
-	// rebuild first saw the current knot, and whether a probe declaration
-	// has landed since it formed.
-	probeKnotSince   int64
-	probeDeclared    bool
-	probeMissedBound int64
+	// watch ages the live knot against MissedBound (dispatch.go).
+	watch KnotWatch
 
-	// ProbeStaleDeclares counts probe declarations whose origin was blocked
-	// but for which the rebuild found no knot: the edge-chasing detector's
-	// inherent false positives (stale returns), measured rather than
-	// reported as violations. The detector-ablation experiment reads this
-	// as its false-positive tally.
-	ProbeStaleDeclares int64
+	// NoKnotDispatches counts the trigger's false positives (JudgeDispatch):
+	// the detector experiment's falsepos, counted, not reported.
+	NoKnotDispatches int64
 }
 
 // Attach installs a checker on a built network: it wraps the NI hooks for
-// delivery-order accounting and chains Network.OnCycle for the periodic
-// sweeps. Attach before stepping; attaching mid-run keeps every structural
-// invariant but disarms the global flit-conservation law (its tallies need a
-// clean start).
+// delivery-order accounting and chains Network.OnDispatch and
+// Network.OnCycle for the dispatch rules and the periodic sweeps. Attach
+// before stepping; attaching mid-run keeps every structural invariant but
+// disarms the global flit-conservation law (its tallies need a clean
+// start).
 func Attach(n *network.Network, opts Options) *Checker {
 	if opts.Interval <= 0 {
 		opts.Interval = 64
@@ -155,6 +152,7 @@ func Attach(n *network.Network, opts Options) *Checker {
 		n:         n,
 		opts:      opts,
 		conserve:  n.Quiescent(),
+		watch:     NewKnotWatch(),
 		delivered: make(map[message.TxnID]map[delivKey]struct{}),
 		hopSeen:   make(map[message.TxnID]map[hopKey]struct{}),
 		skipTxns:  make(map[message.TxnID]bool),
@@ -182,6 +180,13 @@ func Attach(n *network.Network, opts Options) *Checker {
 			}
 		}
 	}
+	prevDispatch := n.OnDispatch
+	n.OnDispatch = func(ni *netiface.NI, q int, now int64) {
+		c.onDispatch(ni, q, now)
+		if prevDispatch != nil {
+			prevDispatch(ni, q, now)
+		}
+	}
 	prevCycle := n.OnCycle
 	n.OnCycle = func(now int64) {
 		c.onCycle(now)
@@ -189,7 +194,6 @@ func Attach(n *network.Network, opts Options) *Checker {
 			prevCycle(now)
 		}
 	}
-	c.attachProbe()
 	return c
 }
 
@@ -215,6 +219,7 @@ func (c *Checker) onCycle(now int64) {
 	}
 	if now%c.opts.Interval == 0 {
 		c.CheckNow(now)
+		c.watchKnot(now)
 	}
 	// The CWG re-verification must see exactly the state the detector
 	// scanned, so it runs on the detector's own schedule: Step scans right
@@ -223,7 +228,6 @@ func (c *Checker) onCycle(now int64) {
 		now > 0 && now%c.n.Cfg.CWGInterval == 0 {
 		c.VerifyKnots(now)
 	}
-	c.probeWatch(now)
 }
 
 // report records one violation, snapshots the system, emits the obs event,

@@ -132,9 +132,9 @@ func TestDigestDeterminism(t *testing.T) {
 // byte-identical — same delivery digest AND same probe traffic. Probes share
 // the fabric's bandwidth accounting, so any nondeterminism in the engine
 // would leak into delivery order and show up in the digest. The second run
-// carries the invariant checker, whose probe cross-check audits every
-// declaration against the independent knot rebuild: it must stay clean and
-// must not move the digest either.
+// carries the invariant checker, which judges every recovery dispatch against
+// the independent knot rebuild: it must stay clean and must not move the
+// digest either.
 func TestProbeDigestDeterminism(t *testing.T) {
 	run := func(checked bool) (*check.Digest, [4]int64) {
 		cfg := smallCfg(schemes.PR, protocol.PAT280, 2, 0.08)
@@ -154,7 +154,7 @@ func TestProbeDigestDeterminism(t *testing.T) {
 			if err := c.Err(); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("checker: %d sweeps, %d stale probe declarations", c.Checks(), c.ProbeStaleDeclares)
+			t.Logf("checker: %d sweeps, %d no-knot dispatches", c.Checks(), c.NoKnotDispatches)
 		}
 		return d, [4]int64{n.Probe.Launched, n.Probe.Issued, n.Probe.Declared, n.Probe.FlitsCharged}
 	}

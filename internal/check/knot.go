@@ -22,13 +22,6 @@ import (
 	"repro/internal/router"
 )
 
-// MissedBound is how many cycles a knot may live undetected before its
-// detector has missed it: a generous multiple of a threshold firing plus a
-// probe's round trip, and of the scan period the knot is seen on.
-func MissedBound(cfg network.Config) int64 {
-	return 8*(int64(cfg.DetectThreshold)+cfg.CWGInterval) + 100
-}
-
 // KnotRebuild is the result of an independent channel-wait-for-graph
 // analysis: which resources are blocked, which escape, and how many sit in
 // the knot. Vertices follow the detector's layout — VC vertices first
@@ -111,11 +104,8 @@ func RebuildKnots(n *network.Network) *KnotRebuild {
 // by mirroring the scan cadence); the flags describe scan-time state and go
 // stale as soon as the fabric moves.
 func (c *Checker) VerifyKnots(now int64) {
-	c.verifyKnotsWith(now, RebuildKnots(c.n))
-}
-
-func (c *Checker) verifyKnotsWith(now int64, k *KnotRebuild) {
 	n := c.n
+	k := RebuildKnots(n)
 	for _, ch := range n.Channels {
 		for _, vc := range ch.VCs {
 			want := k.VCKnotted(vc)

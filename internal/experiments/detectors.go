@@ -38,39 +38,21 @@ type detectorPoint struct {
 }
 
 // runDetectorPoint executes one (pattern, detector) cell. False positives
-// are counted by re-deriving the knot set at every recovery dispatch: a
-// dispatch with no knot anywhere in the fabric acted on congestion, not
-// deadlock.
+// are the dispatches check.JudgeDispatch finds no knot for: recovery that
+// acted on congestion, not deadlock.
 func runDetectorPoint(ctx context.Context, cfg network.Config) (detectorPoint, error) {
 	n, err := newNet(cfg)
 	if err != nil {
 		return detectorPoint{}, err
 	}
 	var falsePos int64
-	countDispatch := func() {
-		if !check.RebuildKnots(n).Deadlocked() {
+	prev := n.OnDispatch
+	n.OnDispatch = func(ni *netiface.NI, q int, now int64) {
+		if _, noKnot := check.JudgeDispatch(n, ni, q); noKnot {
 			falsePos++
 		}
-	}
-	switch cfg.Detector {
-	case network.DetectorProbe:
-		prev := n.Probe.OnDeclare
-		n.Probe.OnDeclare = func(origin int, now int64) {
-			countDispatch()
-			if prev != nil {
-				prev(origin, now)
-			}
-		}
-	case network.DetectorThreshold:
-		for _, ni := range n.NIs {
-			h := &ni.Cfg.Hooks
-			prev := h.Detect
-			h.Detect = func(ni2 *netiface.NI, q int, now int64) {
-				countDispatch()
-				if prev != nil {
-					prev(ni2, q, now)
-				}
-			}
+		if prev != nil {
+			prev(ni, q, now)
 		}
 	}
 	if err := n.RunContext(ctx); err != nil {
@@ -92,48 +74,50 @@ func runDetectorPoint(ctx context.Context, cfg network.Config) (detectorPoint, e
 	return p, nil
 }
 
-// Detectors sweeps the recovery-trigger axis: PR under the threshold and
-// probe detectors on both a 4-type coherence mix (PAT721) and the
-// forward-heavy 2/8/0 mix (PAT280) that stresses chained dependencies.
-// Cells run concurrently; rows print in fixed order.
+// detectorCell is one (pattern, detector) cell of the detector table.
+type detectorCell struct {
+	pat      *protocol.Pattern
+	rate     float64
+	detector string
+}
+
+// detectorCells are the table's cells in print order: PR under the threshold
+// and probe detectors on a 4-type coherence mix (PAT721) and on the
+// forward-heavy 2/8/0 mix (PAT280) that stresses chained dependencies. Both
+// points sit past the knee so blocking persists and every detector has
+// something to find.
+var detectorCells = []detectorCell{
+	{protocol.PAT721, 0.020, network.DetectorThreshold},
+	{protocol.PAT721, 0.020, network.DetectorProbe},
+	{protocol.PAT280, 0.013, network.DetectorThreshold},
+	{protocol.PAT280, 0.013, network.DetectorProbe},
+}
+
+// config is the cell's network at scale s.
+func (c detectorCell) config(s Scale) network.Config {
+	cfg := baseConfig(s)
+	cfg.Scheme = schemes.PR
+	cfg.Pattern = c.pat
+	cfg.VCs = 4
+	cfg.Rate = c.rate
+	cfg.Detector = c.detector
+	cfg.Seed = 41
+	return cfg
+}
+
+// Detectors sweeps the recovery-trigger axis over detectorCells. Cells run
+// concurrently; rows print in fixed order.
 func Detectors(ctx context.Context, w io.Writer, s Scale) error {
 	fmt.Fprintf(w, "=== Detector ablation (scale=%s) ===\n", s.Name)
-	type cell struct {
-		pat      *protocol.Pattern
-		rate     float64
-		detector string
-	}
-	var cells []cell
-	for _, px := range []struct {
-		pat  *protocol.Pattern
-		rate float64
-	}{
-		// Both points sit past the knee so blocking persists and every
-		// detector has something to find.
-		{protocol.PAT721, 0.020},
-		{protocol.PAT280, 0.013},
-	} {
-		for _, det := range []string{network.DetectorThreshold, network.DetectorProbe} {
-			cells = append(cells, cell{px.pat, px.rate, det})
-		}
-	}
-	points, err := mapOrdered(ctx, Parallelism(), len(cells), func(i int) (detectorPoint, error) {
-		c := cells[i]
-		cfg := baseConfig(s)
-		cfg.Scheme = schemes.PR
-		cfg.Pattern = c.pat
-		cfg.VCs = 4
-		cfg.Rate = c.rate
-		cfg.Detector = c.detector
-		cfg.Seed = 41
-		return runDetectorPoint(ctx, cfg)
+	points, err := mapOrdered(ctx, Parallelism(), len(detectorCells), func(i int) (detectorPoint, error) {
+		return runDetectorPoint(ctx, detectorCells[i].config(s))
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%-8s %-10s %9s %9s %10s %8s %9s %8s %11s %9s\n",
 		"pattern", "detector", "thruput", "latency", "detectlat", "fired", "falsepos", "rescue", "probeflits", "overhead")
-	for i, c := range cells {
+	for i, c := range detectorCells {
 		p := points[i]
 		overhead := 0.0
 		if p.Delivered > 0 {

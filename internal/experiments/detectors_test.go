@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/check"
+	"repro/internal/network"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current implementation")
@@ -45,4 +48,36 @@ func TestDetectorsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "detectors_full.golden", buf.Bytes())
+}
+
+// TestFalsePosIsNoKnotDispatch pins one definition of a false positive: on
+// the PAT280 cell under each detector, the table's FalsePos is the invariant
+// checker's NoKnotDispatches, both decided by check.JudgeDispatch at the same
+// dispatches. The run is the smoke scale with 20,000 measured cycles, the
+// shortest at which the probe cell declares at all.
+func TestFalsePosIsNoKnotDispatch(t *testing.T) {
+	s := Smoke
+	s.Measure = 20000
+	for _, c := range detectorCells {
+		if c.pat.Name != "PAT280" {
+			continue
+		}
+		var chk *check.Checker
+		NetworkHook = func(n *network.Network) { chk = check.Attach(n, check.Options{}) }
+		p, err := runDetectorPoint(context.Background(), c.config(s))
+		NetworkHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := chk.Err(); err != nil {
+			t.Fatalf("%s: %v", c.detector, err)
+		}
+		if p.FalsePos == 0 || p.FalsePos == p.DetectCount {
+			t.Fatalf("%s: %d of %d dispatches with no knot; the cell does not tell the two apart", c.detector, p.FalsePos, p.DetectCount)
+		}
+		if p.FalsePos != chk.NoKnotDispatches {
+			t.Errorf("%s: table false positives %d, checker no-knot dispatches %d", c.detector, p.FalsePos, chk.NoKnotDispatches)
+		}
+		t.Logf("%s: %d dispatches, %d with no knot", c.detector, p.DetectCount, p.FalsePos)
+	}
 }

@@ -8,21 +8,14 @@ import (
 	"repro/internal/schemes"
 )
 
-// pathMeta is per-path (not per-state) bookkeeping for property
-// classification: when the currently live knot formed, and whether a
-// detection has reached the scheme since.
-type pathMeta struct {
-	knotCycle   int64
-	detectSince bool
-}
-
 // frame is one depth-first branch point: the state to return to, the
-// choices not yet tried, and the choice that produced this state from its
-// parent (the counterexample schedule is the via-chain of the stack).
+// choices not yet tried, the path's knot watch (per path, not per state),
+// and the choice that produced this state from its parent (the
+// counterexample schedule is the via-chain of the stack).
 type frame struct {
 	snap    *network.Snapshot
 	choices []Choice
-	pm      pathMeta
+	watch   check.KnotWatch
 	via     Choice
 	root    bool
 }
@@ -30,14 +23,11 @@ type frame struct {
 // stepOnce applies one choice at the current cycle boundary and advances one
 // cycle, evaluating the oracle-backed properties. It returns a violation or
 // nil.
-func (e *Explorer) stepOnce(c Choice, pm *pathMeta) *Violation {
+func (e *Explorer) stepOnce(c Choice, w *check.KnotWatch) *Violation {
 	now := e.n.Clock.Now()
 	pre := check.RebuildKnots(e.n)
+	w.Observe(now, pre.Deadlocked())
 	if pre.Deadlocked() {
-		if pm.knotCycle < 0 {
-			pm.knotCycle = now
-			pm.detectSince = false
-		}
 		if e.Kind() == schemes.SA {
 			return &Violation{
 				Kind:  "avoidance-violated",
@@ -46,20 +36,18 @@ func (e *Explorer) stepOnce(c Choice, pm *pathMeta) *Violation {
 					pre.LockedCount, e.n.Table.Len()),
 			}
 		}
-	} else {
-		pm.knotCycle = -1
 	}
-	if pm.knotCycle >= 0 && !pm.detectSince && now-pm.knotCycle > e.opt.MissedBound {
+	if w.Missed(now, e.opt.MissedBound) {
 		return &Violation{
 			Kind:  "missed-deadlock",
 			Cycle: now,
 			Detail: fmt.Sprintf("true deadlock since cycle %d (%d knotted resources) and no detection reached the scheme within %d cycles",
-				pm.knotCycle, pre.LockedCount, e.opt.MissedBound),
+				w.Since, pre.LockedCount, e.opt.MissedBound),
 		}
 	}
 
 	e.apply(c)
-	e.detectFired = false
+	e.dispatched, e.unsound = false, nil
 	if e.opt.Bug == BugForgeDetect && now > 0 && now%e.opt.ForgePeriod == 0 {
 		ni := e.n.NIs[0]
 		if h := ni.Cfg.Hooks.Detect; h != nil {
@@ -70,11 +58,9 @@ func (e *Explorer) stepOnce(c Choice, pm *pathMeta) *Violation {
 		e.n.Probe.OnDeclare(e.n.Probe.Layout().InVertex(0, 0), now)
 	}
 	e.n.Step()
-	if e.detectFired {
+	if e.dispatched {
 		e.result.Detections++
-		if pm.knotCycle >= 0 {
-			pm.detectSince = true
-		}
+		w.Dispatch()
 		if e.opt.StrictDetect && !pre.Deadlocked() {
 			return &Violation{
 				Kind:  "false-detection",
@@ -84,16 +70,16 @@ func (e *Explorer) stepOnce(c Choice, pm *pathMeta) *Violation {
 			}
 		}
 	}
-	return nil
+	return e.unsound
 }
 
 // classifyStuck names the violation for a path that exhausted its cycle
 // budget without quiescing.
-func (e *Explorer) classifyStuck(pm *pathMeta) *Violation {
+func (e *Explorer) classifyStuck(w check.KnotWatch) *Violation {
 	now := e.n.Clock.Now()
 	k := check.RebuildKnots(e.n)
 	switch {
-	case k.Deadlocked() && !pm.detectSince:
+	case k.Deadlocked() && !w.Dispatched:
 		return &Violation{
 			Kind:  "missed-deadlock",
 			Cycle: now,
@@ -133,7 +119,7 @@ func (e *Explorer) Run() *Result {
 	rootSnap := e.n.Snapshot()
 	e.visited[e.stateHash()] = struct{}{}
 	e.result.States++
-	stack := []frame{{snap: rootSnap, choices: e.enumerate(), root: true, pm: pathMeta{knotCycle: -1}}}
+	stack := []frame{{snap: rootSnap, choices: e.enumerate(), root: true, watch: check.NewKnotWatch()}}
 
 	schedule := func(last Choice) []Choice {
 		var sched []Choice
@@ -156,8 +142,8 @@ func (e *Explorer) Run() *Result {
 		f.choices = f.choices[:len(f.choices)-1]
 
 		e.n.Restore(f.snap)
-		pm := f.pm
-		v := e.stepOnce(c, &pm)
+		w := f.watch
+		v := e.stepOnce(c, &w)
 		e.result.Transitions++
 		if e.opt.Progress != nil && e.result.Transitions%progressEvery == 0 {
 			e.opt.Progress(ProgressInfo{
@@ -174,7 +160,7 @@ func (e *Explorer) Run() *Result {
 				break
 			}
 			if e.n.Clock.Now() >= e.opt.MaxCycles {
-				v = e.classifyStuck(&pm)
+				v = e.classifyStuck(w)
 				break
 			}
 			cs := e.enumerate()
@@ -189,10 +175,10 @@ func (e *Explorer) Run() *Result {
 				}
 				e.visited[h] = struct{}{}
 				e.result.States++
-				stack = append(stack, frame{snap: e.n.Snapshot(), choices: cs, pm: pm, via: c})
+				stack = append(stack, frame{snap: e.n.Snapshot(), choices: cs, watch: w, via: c})
 				break
 			}
-			v = e.stepOnce(cs[0], &pm)
+			v = e.stepOnce(cs[0], &w)
 			e.result.Transitions++
 		}
 

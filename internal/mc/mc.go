@@ -4,15 +4,16 @@
 // model can produce, dedupes states by canonical hash, and checks three
 // properties against an independent ground-truth oracle (the check package's
 // channel-wait-for-graph rebuild, which shares no code with the runtime
-// detector):
+// detector). A detection is a recovery dispatch (Network.OnDispatch):
 //
 //  1. Every reachable true deadlock is eventually detected: a path on which
-//     the oracle sees a knot but no detection reaches the handling scheme
-//     within the detection bound is a "missed-deadlock" violation (for SA,
+//     the oracle sees a knot but no dispatch follows within the detection
+//     bound (a check.KnotWatch) is a "missed-deadlock" violation (for SA,
 //     any knot at all is an "avoidance-violated" violation — strict
 //     avoidance must never deadlock).
-//  2. No detection fires on a deadlock-free state (strict mode): a
-//     detection reaching the scheme while the oracle sees no knot is a
+//  2. Every dispatch is sound: one at an input queue that is not blocked
+//     (check.JudgeDispatch) is an "unblocked-dispatch" violation, and in
+//     strict mode one in a transition that began with no knot is a
 //     "false-detection" violation.
 //  3. Recovery terminates with all packets delivered: every explored path
 //     must reach quiescence with every scripted transaction completed
@@ -156,8 +157,11 @@ type Result struct {
 	Transitions int64
 	// Accepts counts paths that quiesced with every transaction delivered.
 	Accepts int64
-	// Detections counts endpoint detections that reached the scheme.
-	Detections int64
+	// Detections counts transitions with a recovery dispatch; Dispatches
+	// the dispatches, NoKnotDispatches those that found no knot.
+	Detections       int64
+	Dispatches       int64
+	NoKnotDispatches int64
 	// MaxDepth is the deepest branch stack reached.
 	MaxDepth int
 	// Complete reports that the state space was exhausted within bounds.
@@ -172,9 +176,11 @@ type Explorer struct {
 	n   *network.Network
 	src *script
 
-	detectFired bool
-	visited     map[uint64]struct{}
-	result      Result
+	// The current transition's dispatch, and its first unblocked one.
+	dispatched bool
+	unsound    *Violation
+	visited    map[uint64]struct{}
+	result     Result
 }
 
 // The budget and forge-period defaults Options fall back to.
@@ -218,8 +224,8 @@ func ownRun(cfg network.Config) network.Config {
 	return cfg
 }
 
-// New builds an explorer: a network driven by the scripted source, with the
-// endpoint-detection hooks wrapped for observation and bug injection. It is
+// New builds an explorer: a network driven by the scripted source, with its
+// recovery dispatches observed and the selected bug injected. It is
 // the one admission check for Options: the network must pass
 // network.Config.Validate, the bug must be one New knows and a probe bug
 // needs the probe detector, and every scripted transaction must fit the
@@ -269,37 +275,16 @@ func New(opt Options) (*Explorer, error) {
 			}
 		}
 	}
-	// Wrap every endpoint's Detect hook: record effective detections (the
-	// checker's notion of "detection" is one the handling scheme acts on)
-	// and apply the suppress-detect bug by not forwarding. Under the probe
-	// detector a threshold firing only launches probes — the scheme acts on
-	// declarations, observed through the OnDeclare wrap below — so it does
-	// not count as a detection there.
-	probeMode := cfg.Detector == network.DetectorProbe
-	for _, ni := range n.NIs {
-		prev := ni.Cfg.Hooks.Detect
-		ni.Cfg.Hooks.Detect = func(ni *netiface.NI, q int, now int64) {
-			if opt.Bug == BugSuppressDetect || prev == nil {
-				return
-			}
-			if !probeMode {
-				e.detectFired = true
-			}
-			prev(ni, q, now)
+	// The suppress bugs swallow every firing or declaration.
+	switch opt.Bug {
+	case BugSuppressDetect:
+		for _, ni := range n.NIs {
+			ni.Cfg.Hooks.Detect = func(*netiface.NI, int, int64) {}
 		}
+	case BugSuppressProbe:
+		n.Probe.OnDeclare = func(int, int64) {}
 	}
-	if n.Probe != nil {
-		prev := n.Probe.OnDeclare
-		n.Probe.OnDeclare = func(origin int, now int64) {
-			if opt.Bug == BugSuppressProbe {
-				return
-			}
-			e.detectFired = true
-			if prev != nil {
-				prev(origin, now)
-			}
-		}
-	}
+	n.OnDispatch = e.onDispatch
 	return e, nil
 }
 
@@ -308,3 +293,17 @@ func (e *Explorer) Network() *network.Network { return e.n }
 
 // Kind returns the scheme under test.
 func (e *Explorer) Kind() schemes.Kind { return e.opt.Net.Scheme }
+
+// onDispatch observes one recovery dispatch, judged by the checker's rule.
+func (e *Explorer) onDispatch(ni *netiface.NI, q int, now int64) {
+	e.dispatched = true
+	e.result.Dispatches++
+	unblocked, noKnot := check.JudgeDispatch(e.n, ni, q)
+	if noKnot {
+		e.result.NoKnotDispatches++
+	}
+	if unblocked && e.unsound == nil {
+		e.unsound = &Violation{Kind: "unblocked-dispatch", Cycle: now,
+			Detail: fmt.Sprintf("recovery dispatched at in(%d, %d), which is not blocked", ni.Cfg.Endpoint, q)}
+	}
+}

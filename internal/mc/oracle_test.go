@@ -72,8 +72,8 @@ func TestAvoidanceViolatedOnKnot(t *testing.T) {
 		t.Fatal(err)
 	}
 	implantKnot(t, e.Network())
-	pm := pathMeta{knotCycle: -1}
-	v := e.stepOnce(Choice{}, &pm)
+	w := check.NewKnotWatch()
+	v := e.stepOnce(Choice{}, &w)
 	if v == nil || v.Kind != "avoidance-violated" {
 		t.Fatalf("got %+v, want avoidance-violated", v)
 	}
@@ -93,20 +93,18 @@ func TestMissedDeadlockAfterBound(t *testing.T) {
 	for e.Network().Clock.Now() < 51 {
 		e.Network().Clock.Tick()
 	}
-	pm := pathMeta{knotCycle: 0}
-	v := e.stepOnce(Choice{}, &pm)
+	w := check.KnotWatch{Since: 0}
+	v := e.stepOnce(Choice{}, &w)
 	if v == nil || v.Kind != "missed-deadlock" {
 		t.Fatalf("got %+v, want missed-deadlock", v)
 	}
 
 	// A detection that did reach the scheme clears the deadline; the knot
 	// then classifies as unrecovered when the budget runs out, not missed.
-	pm = pathMeta{knotCycle: 0, detectSince: true}
-	if v := e.classifyStuck(&pm); v.Kind != "unrecovered-deadlock" {
+	if v := e.classifyStuck(check.KnotWatch{Since: 0, Dispatched: true}); v.Kind != "unrecovered-deadlock" {
 		t.Fatalf("got %+v, want unrecovered-deadlock", v)
 	}
-	pm = pathMeta{knotCycle: 0}
-	if v := e.classifyStuck(&pm); v.Kind != "missed-deadlock" {
+	if v := e.classifyStuck(check.KnotWatch{Since: 0}); v.Kind != "missed-deadlock" {
 		t.Fatalf("got %+v, want missed-deadlock", v)
 	}
 }
@@ -118,8 +116,7 @@ func TestNoProgressClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm := pathMeta{knotCycle: -1}
-	if v := e.classifyStuck(&pm); v.Kind != "no-progress" {
+	if v := e.classifyStuck(check.NewKnotWatch()); v.Kind != "no-progress" {
 		t.Fatalf("got %+v, want no-progress", v)
 	}
 }

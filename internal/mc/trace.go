@@ -3,6 +3,8 @@ package mc
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/check"
 )
 
 // Counterexample is a complete, self-contained violating run: the options the
@@ -65,47 +67,51 @@ func choiceEq(a, b Choice) bool {
 	return true
 }
 
-// ReplaySchedule drives the explorer's network down exactly one path: at
-// forced cycles the single available choice is taken, at branch points the
-// next schedule entry is consumed (it must be one of the enumerated choices —
-// anything else means the schedule does not belong to this configuration).
-// It returns the violation the path ends in, or nil if the path quiesces
-// cleanly within the cycle budget.
-func (e *Explorer) ReplaySchedule(sched []Choice) (*Violation, error) {
-	pm := pathMeta{knotCycle: -1}
-	for {
-		if e.accepted() {
-			return nil, nil
-		}
+// followPath drives the network from its current state down one path to its
+// end: at forced cycles it takes the single available choice, at branch
+// points the one pick returns. It returns the violation the path ends in, or
+// nil if the path quiesces cleanly within the cycle budget.
+func (e *Explorer) followPath(pick func(cs []Choice) (Choice, error)) (*Violation, error) {
+	w := check.NewKnotWatch()
+	for !e.accepted() {
 		if e.n.Clock.Now() >= e.opt.MaxCycles {
-			return e.classifyStuck(&pm), nil
+			return e.classifyStuck(w), nil
 		}
 		cs := e.enumerate()
-		var c Choice
-		if len(cs) == 1 {
-			c = cs[0]
-		} else {
-			if len(sched) == 0 {
-				return nil, fmt.Errorf("mc: schedule exhausted at branch point, cycle %d (%d choices)",
-					e.n.Clock.Now(), len(cs))
-			}
-			c, sched = sched[0], sched[1:]
-			ok := false
-			for _, cand := range cs {
-				if choiceEq(c, cand) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return nil, fmt.Errorf("mc: schedule entry for cycle %d is not an available choice (cycle now %d)",
-					c.Cycle, e.n.Clock.Now())
+		c := cs[0]
+		if len(cs) > 1 {
+			var err error
+			if c, err = pick(cs); err != nil {
+				return nil, err
 			}
 		}
-		if v := e.stepOnce(c, &pm); v != nil {
+		if v := e.stepOnce(c, &w); v != nil {
 			return v, nil
 		}
 	}
+	return nil, nil
+}
+
+// ReplaySchedule drives the explorer's network down exactly one path: at
+// branch points the next schedule entry is consumed (it must be one of the
+// enumerated choices — anything else means the schedule does not belong to
+// this configuration).
+func (e *Explorer) ReplaySchedule(sched []Choice) (*Violation, error) {
+	return e.followPath(func(cs []Choice) (Choice, error) {
+		if len(sched) == 0 {
+			return Choice{}, fmt.Errorf("mc: schedule exhausted at branch point, cycle %d (%d choices)",
+				e.n.Clock.Now(), len(cs))
+		}
+		c := sched[0]
+		sched = sched[1:]
+		for _, cand := range cs {
+			if choiceEq(c, cand) {
+				return c, nil
+			}
+		}
+		return Choice{}, fmt.Errorf("mc: schedule entry for cycle %d is not an available choice (cycle now %d)",
+			c.Cycle, e.n.Clock.Now())
+	})
 }
 
 // Replay rebuilds a counterexample's network and runs its schedule,

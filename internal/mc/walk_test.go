@@ -55,37 +55,27 @@ func TestPerArbiterWalks(t *testing.T) {
 // visited, and returns the first violation.
 func (e *Explorer) walk(root *network.Snapshot, rng *rand.Rand, rots int) (branches, outside int, v *Violation) {
 	e.n.Restore(root)
-	pm := pathMeta{knotCycle: -1}
-	for !e.accepted() {
-		if e.n.Clock.Now() >= e.opt.MaxCycles {
-			return branches, outside, e.classifyStuck(&pm)
+	v, _ = e.followPath(func(cs []Choice) (Choice, error) {
+		branches++
+		if _, seen := e.visited[e.stateHash()]; !seen {
+			outside++
 		}
-		cs := e.enumerate()
-		c := cs[0]
-		if len(cs) > 1 {
-			branches++
-			if _, seen := e.visited[e.stateHash()]; !seen {
-				outside++
-			}
-			var unrotated []Choice
-			for _, c := range cs {
-				if c.Rot == 0 {
-					unrotated = append(unrotated, c)
-				}
-			}
-			c = unrotated[rng.IntN(len(unrotated))]
-			if len(unrotated) < len(cs) { // an arbitration branch point
-				for _, r := range e.n.Routers {
-					r.RotateArb(rng.IntN(rots))
-				}
-				for _, ni := range e.n.NIs {
-					ni.RotateArb(rng.IntN(rots))
-				}
+		var unrotated []Choice
+		for _, c := range cs {
+			if c.Rot == 0 {
+				unrotated = append(unrotated, c)
 			}
 		}
-		if v := e.stepOnce(c, &pm); v != nil {
-			return branches, outside, v
+		c := unrotated[rng.IntN(len(unrotated))]
+		if len(unrotated) < len(cs) { // an arbitration branch point
+			for _, r := range e.n.Routers {
+				r.RotateArb(rng.IntN(rots))
+			}
+			for _, ni := range e.n.NIs {
+				ni.RotateArb(rng.IntN(rots))
+			}
 		}
-	}
-	return branches, outside, nil
+		return c, nil
+	})
+	return branches, outside, v
 }

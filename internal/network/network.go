@@ -111,6 +111,11 @@ type Network struct {
 	// trace harness to sample load and by tests to observe state).
 	OnCycle func(now int64)
 
+	// OnDispatch, when non-nil, observes every recovery dispatch at input
+	// queue (ni, q), from either trigger, before the scheme acts. It must
+	// not mutate the network.
+	OnDispatch func(ni *netiface.NI, q int, now int64)
+
 	// Active-set sweep state (see Step). activeRW/activeNIW are bitmask
 	// words (bit = component must be stepped this cycle); sweeps iterate
 	// set bits in ascending ID order — the dense order — and the all-idle
@@ -494,8 +499,12 @@ func (n *Network) onDetect(ni *netiface.NI, q int, now int64) {
 // recoverAt dispatches the scheme's recovery action at endpoint queue
 // (ni, q): nothing under SA (its detector can only fire on transient
 // congestion; strict avoidance guarantees eventual progress), deflection
-// under DR, NACK under AB, token-capture request under PR.
+// under DR, NACK under AB, token-capture request under PR. Both triggers
+// end here, and OnDispatch sees each dispatch first, SA's included.
 func (n *Network) recoverAt(ni *netiface.NI, q int, now int64) {
+	if n.OnDispatch != nil {
+		n.OnDispatch(ni, q, now)
+	}
 	switch n.Cfg.Scheme {
 	case schemes.DR:
 		n.deflect(ni, q, now)
