@@ -280,12 +280,10 @@ func (inj *Injector) Report() Report {
 		DeliveredFrac: 1,
 		LostFlits:     inj.n.Faults.LostFlits,
 		LostMsgs:      inj.n.Faults.LostMsgs,
+		DeadLinks:     inj.n.Health.DeadLinks(),
 	}
 	if inj.injectedMsgs > 0 {
 		r.DeliveredFrac = float64(inj.deliveredMsgs) / float64(inj.injectedMsgs)
-	}
-	if h := inj.n.Health; h != nil {
-		r.DeadLinks = h.DeadLinks()
 	}
 	if tok := inj.n.Rescue; tok != nil {
 		r.TokenLosses = tok.Losses

@@ -150,10 +150,7 @@ func (n *Network) DropWorm(ch *router.Channel, now int64) *message.Message {
 // routers' derived words, rebuilt after, pick up the capacities.
 func (n *Network) checkpointFaults(c *ckpt.C) {
 	dirs := n.Torus.Directions()
-	dead := 0
-	if n.Health != nil {
-		dead = n.Health.DeadLinks()
-	}
+	dead := n.Health.DeadLinks()
 	if k := c.Len(dead); c.Reading() {
 		had := n.Health != nil
 		n.Health = nil

@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/routing"
@@ -31,15 +32,22 @@ func (r *fuzzReader) intn(n int) int {
 }
 
 // FuzzCandidates decodes an arbitrary byte string into a topology, a routing
-// mode, a packet position, and a VC grant, then checks every property the
-// rest of the simulator relies on:
+// mode, a packet position, a VC grant and, last, a dead-link mask, then
+// checks every property the rest of the simulator relies on. Under any mask:
 //
-//   - Candidates and AppendCandidates (with a retained scratch) agree.
+//   - A fresh nil slice and a retained scratch give the same list.
+//   - The list fits MaxCandidates.
+//   - Every link candidate's first hop is a real direction with a neighbor
+//     and a live link.
+//
+// Under an empty mask, which every input that runs out before the mask
+// decodes to (so each seed below tests what it was written for):
+//
+//   - The list is the one a nil mask (every link alive) gives.
 //   - At the destination router the only port offered is the ejection port of
 //     the right local NI, adaptive VCs before escape VCs.
-//   - Every link candidate is a minimal hop: the port is a real direction with
-//     a neighbor, and taking it strictly decreases distance to the
-//     destination.
+//   - Every link candidate is a minimal hop: taking it strictly decreases
+//     distance to the destination.
 //   - DOR yields exactly one candidate, flagged Escape, on an escape VC (the
 //     single escape VC on a mesh, where there are no datelines).
 //   - Duato yields one candidate per (adaptive VC, minimal direction) followed
@@ -52,6 +60,11 @@ func FuzzCandidates(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 1, 0, 2, 0, 3})
 	f.Add([]byte{1, 1, 2, 0, 1, 2, 7, 7, 1, 2})
 	f.Add([]byte{1, 3, 3, 1, 0, 0, 4, 4, 0, 0})
+	// A ring of 5 with router 0's -x link dead: TFAR from 1 to 4 has no live
+	// minimal ride and detours the long way; DOR from 0 to 2 with both of
+	// router 0's links dead parks.
+	f.Add([]byte{0, 3, 0, 0, 2, 1, 4, 0, 0x00, 0x80})
+	f.Add([]byte{0, 3, 0, 0, 0, 0, 2, 0, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		dims := 1 + r.intn(2)
@@ -87,19 +100,51 @@ func FuzzCandidates(f *testing.F) {
 			set.Adaptive = append(set.Adaptive, tor.EscapeVCs()+i)
 		}
 
-		got := routing.Candidates(tor, mode, cur, dst, dstLocal, set)
-
-		// Scratch reuse must be behaviour-preserving: this is the hot-path
-		// entry point the routers actually use.
-		scratch := make([]routing.PortVC, 2)
-		app := routing.AppendCandidates(scratch[:0], tor, mode, cur, dst, dstLocal, set)
-		if len(app) != len(got) {
-			t.Fatalf("Candidates returned %d, AppendCandidates %d", len(got), len(app))
-		}
-		for i := range got {
-			if got[i] != app[i] {
-				t.Fatalf("candidate %d differs: %+v vs %+v", i, got[i], app[i])
+		// The mask: one byte per link, router-major in direction order, the
+		// link dead when the byte's high bit is set.
+		h := routing.NewHealth(tor)
+		for node := 0; node < tor.Routers(); node++ {
+			for dir := 0; dir < tor.Directions(); dir++ {
+				if r.byte()&0x80 != 0 {
+					h.KillLink(topology.NodeID(node), topology.Direction(dir))
+				}
 			}
+		}
+
+		got := routing.AppendCandidatesHealth(nil, h, tor, mode, cur, dst, dstLocal, set)
+
+		// Scratch reuse must be behaviour-preserving: a network fills its
+		// candidate table by appending to one retained slab.
+		scratch := make([]routing.PortVC, 2)
+		app := routing.AppendCandidatesHealth(scratch[:0], h, tor, mode, cur, dst, dstLocal, set)
+		if !slices.Equal(app, got) {
+			t.Fatalf("appended to a nil slice %v, to a retained scratch %v", got, app)
+		}
+		atDst, routed := routing.MaxCandidates(tor, mode, set)
+		if bound := map[bool]int{true: atDst, false: routed}[cur == dst]; len(got) > bound {
+			t.Fatalf("%d candidates, MaxCandidates says at most %d", len(got), bound)
+		}
+		for i, c := range got {
+			if cur == dst {
+				break // every candidate ejects there; checked below
+			}
+			if int(c.Port) >= tor.Directions() {
+				t.Fatalf("candidate %d: port %d is not a link direction (topology has %d)",
+					i, c.Port, tor.Directions())
+			}
+			dir := topology.Direction(c.Port)
+			if !tor.HasNeighbor(cur, dir) {
+				t.Fatalf("candidate %d: direction %v runs off the mesh edge at node %d", i, dir, cur)
+			}
+			if h.LinkDead(cur, dir) {
+				t.Fatalf("candidate %d: first hop %v out of node %d is dead (%v)", i, dir, cur, h)
+			}
+		}
+		if h.DeadLinks() > 0 {
+			return
+		}
+		if want := routing.AppendCandidates(nil, tor, mode, cur, dst, dstLocal, set); !slices.Equal(got, want) {
+			t.Fatalf("an all-alive mask gives %v, a nil mask %v", got, want)
 		}
 
 		if cur == dst {
@@ -124,16 +169,9 @@ func FuzzCandidates(f *testing.F) {
 		// Every link candidate must be a productive minimal hop.
 		base := tor.Distance(cur, dst)
 		for i, c := range got {
-			if int(c.Port) >= tor.Directions() {
-				t.Fatalf("candidate %d: port %d is not a link direction (topology has %d)",
-					i, c.Port, tor.Directions())
-			}
-			dir := topology.Direction(c.Port)
-			if !tor.HasNeighbor(cur, dir) {
-				t.Fatalf("candidate %d: direction %v runs off the mesh edge at node %d", i, dir, cur)
-			}
-			if d := tor.Distance(tor.Neighbor(cur, dir), dst); d != base-1 {
-				t.Fatalf("candidate %d: hop %v gives distance %d from %d, not minimal", i, dir, d, base)
+			next := tor.Neighbor(cur, topology.Direction(c.Port))
+			if d := tor.Distance(next, dst); d != base-1 {
+				t.Fatalf("candidate %d: hop %v gives distance %d from %d, not minimal", i, c.Port, d, base)
 			}
 		}
 

@@ -7,27 +7,6 @@ import (
 	"repro/internal/topology"
 )
 
-// TestHealthNilDelegates: a nil health, and a health with no dead links, must
-// reproduce the fault-free candidate lists bit for bit — this is what keeps
-// fault-free runs byte-identical to pre-fault builds.
-func TestHealthNilDelegates(t *testing.T) {
-	tor := topology.MustTorus([]int{4, 4}, 1)
-	empty := NewHealth(tor)
-	for _, mode := range []Mode{DOR, Duato, TFAR} {
-		for src := 0; src < tor.Routers(); src++ {
-			for dst := 0; dst < tor.Routers(); dst++ {
-				want := AppendCandidates(nil, tor, mode, topology.NodeID(src), topology.NodeID(dst), 0, set4)
-				for _, h := range []*Health{nil, empty} {
-					got := AppendCandidatesHealth(nil, h, tor, mode, topology.NodeID(src), topology.NodeID(dst), 0, set4)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v %d->%d health=%v: got %v, want %v", mode, src, dst, h, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestDORDetoursAroundDeadLink: with the minimal +x path cut, the escape hop
 // must go the long way around the ring instead.
 func TestDORDetoursAroundDeadLink(t *testing.T) {

@@ -3,10 +3,12 @@
 // channel dateline discipline for tori, Duato's protocol (minimal fully
 // adaptive channels backed by a deadlock-free escape subnetwork), and True
 // Fully Adaptive Routing (all virtual channels usable with no restriction,
-// relying on deadlock recovery). Functions are stateless: given a packet's
-// position and destination plus the virtual-channel sets a handling scheme
-// makes available, they return an ordered candidate list of (port, VC)
-// pairs.
+// relying on deadlock recovery). One stateless function computes all three,
+// AppendCandidatesHealth: given a packet's position and destination, the
+// virtual-channel sets a handling scheme makes available and a link-health
+// mask (nil when every link is alive), it returns an ordered candidate list
+// of (port, VC) pairs. A fault-free network and a faulted one route through
+// the same code.
 package routing
 
 import (
@@ -102,64 +104,25 @@ func (s VCSet) All() []int {
 	return out
 }
 
-// dorStep returns the dimension-order next hop: the direction resolving the
-// lowest unresolved dimension, or ok=false at the destination router.
-func dorStep(t *topology.Torus, cur, dst topology.NodeID) (topology.Direction, bool) {
-	for dim := 0; dim < t.Dims(); dim++ {
-		d := t.DeltaDim(cur, dst, dim)
-		if d > 0 {
-			return topology.Direction(2 * dim), true
-		}
-		if d < 0 {
-			return topology.Direction(2*dim + 1), true
-		}
-	}
-	return 0, false
-}
-
-// datelineVC picks which of the two escape VCs a DOR packet must use for a
-// hop in direction dir: escape[0] while the remaining path in dir's
-// dimension still has the wraparound link ahead of it, escape[1] once it
-// does not. The wrap edge of each unidirectional ring is therefore only ever
-// used on escape[0], and escape[1] forms a spiral with no cycle, giving an
-// acyclic escape channel-dependency graph (Dally-Seitz).
-func datelineVC(t *topology.Torus, cur, dst topology.NodeID, dir topology.Direction) int {
-	if !t.Wrap {
-		return 0 // a mesh has no datelines; its single escape VC suffices
-	}
-	delta := t.DeltaDim(cur, dst, dir.Dim())
-	hops := delta
-	if hops < 0 {
-		hops = -hops
-	}
-	// Walk the remaining ring path and see if it includes the wrap edge.
-	node := cur
-	for i := 0; i < hops; i++ {
-		if t.CrossesWrap(node, dir) {
-			return 0
-		}
-		node = t.Neighbor(node, dir)
-	}
-	return 1
-}
-
-// Candidates returns the ordered (port, VC) candidates for a packet at
-// router cur heading to destination router dstRouter, local NI dstLocal,
-// under the given mode and VC set. Adaptive candidates come first so that
-// allocation prefers them; the escape candidate is last, preserving Duato's
-// "escape always available" property while exploiting adaptivity. At the
-// destination router the only candidate is the ejection port, on which every
-// VC in the set is usable.
-func Candidates(t *topology.Torus, mode Mode, cur, dstRouter topology.NodeID, dstLocal int, set VCSet) []PortVC {
-	return AppendCandidates(nil, t, mode, cur, dstRouter, dstLocal, set)
-}
-
-// AppendCandidates appends the same ordered candidates Candidates returns to
-// out and returns the extended slice. Passing a scratch slice with retained
-// capacity (truncated to length 0) makes the per-cycle route-computation
-// stage allocation-free; the result aliases out and is only valid until the
-// scratch is reused.
+// AppendCandidates is AppendCandidatesHealth with every link alive.
 func AppendCandidates(out []PortVC, t *topology.Torus, mode Mode, cur, dstRouter topology.NodeID, dstLocal int, set VCSet) []PortVC {
+	return AppendCandidatesHealth(out, nil, t, mode, cur, dstRouter, dstLocal, set)
+}
+
+// AppendCandidatesHealth appends to out the ordered (port, VC) candidates for
+// a packet at router cur heading to destination router dstRouter, local NI
+// dstLocal, under the given mode and VC set, with the links h marks dead
+// excluded (a nil h has every link alive), and returns the extended slice.
+// Adaptive candidates come first so that allocation prefers them; the escape
+// candidate is last, preserving Duato's "escape always available" property
+// while exploiting adaptivity. At the destination router the only candidate
+// is the ejection port, on which every VC in the set is usable. A link
+// candidate is offered only if its whole remaining ride in its dimension is
+// live, and the DOR escape hop detours the long way round a ring whose
+// minimal side is dead; with nowhere live to go the list is empty and the
+// packet parks. Passing a scratch slice with retained capacity (truncated to
+// length 0) appends without allocating; the result aliases out.
+func AppendCandidatesHealth(out []PortVC, h *Health, t *topology.Torus, mode Mode, cur, dstRouter topology.NodeID, dstLocal int, set VCSet) []PortVC {
 	if cur == dstRouter {
 		ej := EjectPort(t, dstLocal)
 		for _, vc := range set.Adaptive {
@@ -172,23 +135,40 @@ func AppendCandidates(out []PortVC, t *topology.Torus, mode Mode, cur, dstRouter
 	}
 	switch mode {
 	case DOR:
-		dir, ok := dorStep(t, cur, dstRouter)
+		dir, ok := dorStepHealth(h, t, cur, dstRouter)
 		if !ok {
 			return out
 		}
-		return append(out, pvc(int(dir), set.Escape[datelineVC(t, cur, dstRouter, dir)], true))
+		return append(out, pvc(int(dir), set.Escape[datelineVCPath(t, cur, dstRouter, dir)], true))
 	case Duato:
 		for _, vc := range set.Adaptive {
-			out = appendMinimal(out, t, cur, dstRouter, vc)
+			out = appendMinimalHealth(out, h, t, cur, dstRouter, vc)
 		}
-		dir, _ := dorStep(t, cur, dstRouter)
-		return append(out, pvc(int(dir), set.Escape[datelineVC(t, cur, dstRouter, dir)], true))
+		if dir, ok := dorStepHealth(h, t, cur, dstRouter); ok {
+			out = append(out, pvc(int(dir), set.Escape[datelineVCPath(t, cur, dstRouter, dir)], true))
+		}
+		return out
 	case TFAR:
+		base := len(out)
 		for _, vc := range set.Adaptive {
-			out = appendMinimal(out, t, cur, dstRouter, vc)
+			out = appendMinimalHealth(out, h, t, cur, dstRouter, vc)
 		}
 		for _, vc := range set.Escape {
-			out = appendMinimal(out, t, cur, dstRouter, vc)
+			out = appendMinimalHealth(out, h, t, cur, dstRouter, vc)
+		}
+		if len(out) == base {
+			// Every minimal first hop is dead: fall back to the detoured
+			// DOR step on the first allowed VC so the packet can route
+			// around the break instead of wedging unroutable.
+			if dir, ok := dorStepHealth(h, t, cur, dstRouter); ok {
+				all := set.Adaptive
+				if len(all) == 0 {
+					all = set.Escape
+				}
+				for _, vc := range all {
+					out = append(out, pvc(int(dir), vc, false))
+				}
+			}
 		}
 		return out
 	default:
@@ -196,14 +176,13 @@ func AppendCandidates(out []PortVC, t *topology.Torus, mode Mode, cur, dstRouter
 	}
 }
 
-// MaxCandidates bounds the length of any list AppendCandidates or
-// AppendCandidatesHealth produces for the mode and VC set on t, whatever the
-// position, destination and link health: atDst at the destination router
-// (every VC of the set on the ejection port, exactly), routed anywhere else
-// (at most one candidate per dimension for each VC the mode routes
-// adaptively, plus Duato's one escape hop; TFAR's all-minimal-hops-dead
-// fallback is one direction, within it). A candidate table sized by it is
-// filled in one pass without growing.
+// MaxCandidates bounds the length of any list AppendCandidatesHealth
+// produces for the mode and VC set on t, whatever the position, destination
+// and link health: atDst at the destination router (every VC of the set on
+// the ejection port, exactly), routed anywhere else (at most one candidate
+// per dimension for each VC the mode routes adaptively, plus Duato's one
+// escape hop; TFAR's all-minimal-hops-dead fallback is one direction, within
+// it). A candidate table sized by it is filled in one pass without growing.
 func MaxCandidates(t *topology.Torus, mode Mode, set VCSet) (atDst, routed int) {
 	atDst = len(set.Adaptive) + len(set.Escape)
 	switch mode {
@@ -218,15 +197,86 @@ func MaxCandidates(t *topology.Torus, mode Mode, set VCSet) (atDst, routed int) 
 	}
 }
 
-// appendMinimal appends one candidate per minimal-path direction for a single
-// VC, in dimension order — the same order topology.MinimalDirections yields,
-// without materializing the direction list.
-func appendMinimal(out []PortVC, t *topology.Torus, cur, dst topology.NodeID, vc int) []PortVC {
+// dorStepHealth is the dimension-order next hop with dead-link avoidance:
+// the direction resolving the lowest unresolved dimension, or ok=false at
+// the destination router. If the minimal ring path in that dimension crosses
+// a dead link it routes the non-minimal way around the ring instead.
+// The decision depends only on (position, destination, dead mask), so every
+// router along the detour chooses consistently and the path cannot livelock.
+// When no live path exists in the dimension (a mesh edge cut, or both ways
+// around a ring severed) it returns ok=false: the packet parks unrouted at
+// the current router rather than being streamed over a dead link, which
+// progressive recovery's failure-free lane can still rescue and drain
+// detection otherwise reports as partial delivery.
+func dorStepHealth(h *Health, t *topology.Torus, cur, dst topology.NodeID) (topology.Direction, bool) {
+	for dim := 0; dim < t.Dims(); dim++ {
+		d := t.DeltaDim(cur, dst, dim)
+		if d == 0 {
+			continue
+		}
+		dir := topology.Direction(2 * dim)
+		if d < 0 {
+			dir = topology.Direction(2*dim + 1)
+			d = -d
+		}
+		if !pathDead(h, t, cur, dir, d) {
+			return dir, true
+		}
+		if t.Wrap {
+			opp := dir.Opposite()
+			if !pathDead(h, t, cur, opp, t.Radix[dim]-d) {
+				return opp, true
+			}
+		}
+		return 0, false
+	}
+	return 0, false
+}
+
+// datelineVCPath picks which of the two escape VCs a DOR packet must use for
+// a hop in direction dir, along the remaining path in dir's dimension (the
+// minimal one, or the long way round on a detour): escape[0] while that path
+// still has the wraparound link ahead of it, escape[1] once it does not. The
+// wrap edge of each unidirectional ring is therefore only ever used on
+// escape[0], and escape[1] forms a spiral with no cycle, giving an acyclic
+// escape channel-dependency graph (Dally-Seitz). A detour crosses the wrap at
+// most once per dimension, so the discipline holds on it too.
+func datelineVCPath(t *topology.Torus, cur, dst topology.NodeID, dir topology.Direction) int {
+	if !t.Wrap {
+		return 0 // a mesh has no datelines; its single escape VC suffices
+	}
+	dim := dir.Dim()
+	k := t.Radix[dim]
+	// The hops left in the dimension, counted along dir: the minimal delta,
+	// or the rest of the ring when dir is the long way round.
+	hops := t.DeltaDim(cur, dst, dim)
+	c := t.Coord(cur, dim)
+	if !dir.Plus() {
+		hops, c = -hops, k-1-c // mirror the ring so the ride counts up
+	}
+	if hops < 0 {
+		hops += k
+	}
+	if c+hops >= k {
+		return 0 // the ride passes coordinate k-1: the wrap edge is ahead
+	}
+	return 1
+}
+
+// appendMinimalHealth appends one candidate per minimal-path direction for a
+// single VC, in dimension order (the order topology.MinimalDirections yields,
+// without materializing the direction list), skipping directions whose
+// minimal path — not just the first hop — crosses a dead link. Excluding only
+// the first hop would livelock: a packet one hop shy of a dead link detours
+// away, and the neighbouring router's (live) minimal hop points it straight
+// back. Judging the whole remaining ride in the dimension makes every router
+// along a detour agree, exactly like dorStepHealth.
+func appendMinimalHealth(out []PortVC, h *Health, t *topology.Torus, cur, dst topology.NodeID, vc int) []PortVC {
 	for dim := 0; dim < t.Dims(); dim++ {
 		switch d := t.DeltaDim(cur, dst, dim); {
-		case d > 0:
+		case d > 0 && !pathDead(h, t, cur, topology.Direction(2*dim), d):
 			out = append(out, pvc(2*dim, vc, false))
-		case d < 0:
+		case d < 0 && !pathDead(h, t, cur, topology.Direction(2*dim+1), -d):
 			out = append(out, pvc(2*dim+1, vc, false))
 		}
 	}

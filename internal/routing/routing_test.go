@@ -13,7 +13,7 @@ var set4 = VCSet{Escape: []int{0, 1}, Adaptive: []int{2, 3}}
 
 func TestDORSingleCandidate(t *testing.T) {
 	tor := topology.MustTorus([]int{4, 4}, 1)
-	c := Candidates(tor, DOR, 0, 5, 0, set2)
+	c := AppendCandidates(nil, tor, DOR, 0, 5, 0, set2)
 	if len(c) != 1 {
 		t.Fatalf("DOR returned %d candidates", len(c))
 	}
@@ -26,7 +26,7 @@ func TestDORSingleCandidate(t *testing.T) {
 func TestDORResolvesDimensionsInOrder(t *testing.T) {
 	tor := topology.MustTorus([]int{4, 4}, 1)
 	// 4=(1,0) to 5=(1,1): dim 0 resolved, so travel +y (port 2).
-	c := Candidates(tor, DOR, 4, 5, 0, set2)
+	c := AppendCandidates(nil, tor, DOR, 4, 5, 0, set2)
 	if c[0].Port != 2 {
 		t.Fatalf("port = %d, want +y(2)", c[0].Port)
 	}
@@ -34,7 +34,7 @@ func TestDORResolvesDimensionsInOrder(t *testing.T) {
 
 func TestDOREjectionAtDestination(t *testing.T) {
 	tor := topology.MustTorus([]int{4, 4}, 1)
-	c := Candidates(tor, DOR, 5, 5, 0, set2)
+	c := AppendCandidates(nil, tor, DOR, 5, 5, 0, set2)
 	if len(c) == 0 {
 		t.Fatal("no ejection candidates")
 	}
@@ -51,18 +51,18 @@ func TestDatelineDiscipline(t *testing.T) {
 	// the wrap the packet must use escape[0].
 	src := tor.Node([]int{6, 0})
 	dst := tor.Node([]int{1, 0})
-	c := Candidates(tor, DOR, src, dst, 0, set2)
+	c := AppendCandidates(nil, tor, DOR, src, dst, 0, set2)
 	if c[0].VC != 0 {
 		t.Fatalf("pre-wrap VC = %d, want escape[0]", c[0].VC)
 	}
 	// After crossing (at (0,0)), remaining path has no wrap: escape[1].
 	at := tor.Node([]int{0, 0})
-	c = Candidates(tor, DOR, at, dst, 0, set2)
+	c = AppendCandidates(nil, tor, DOR, at, dst, 0, set2)
 	if c[0].VC != 1 {
 		t.Fatalf("post-wrap VC = %d, want escape[1]", c[0].VC)
 	}
 	// A path that never crosses the wrap uses escape[1] throughout.
-	c = Candidates(tor, DOR, tor.Node([]int{1, 0}), tor.Node([]int{3, 0}), 0, set2)
+	c = AppendCandidates(nil, tor, DOR, tor.Node([]int{1, 0}), tor.Node([]int{3, 0}), 0, set2)
 	if c[0].VC != 1 {
 		t.Fatalf("no-wrap VC = %d, want escape[1]", c[0].VC)
 	}
@@ -85,7 +85,7 @@ func TestEscapeCDGAcyclic(t *testing.T) {
 			cur := topology.NodeID(src)
 			var prev *[3]int
 			for cur != topology.NodeID(dst) {
-				c := Candidates(tor, DOR, cur, topology.NodeID(dst), 0, set2)[0]
+				c := AppendCandidates(nil, tor, DOR, cur, topology.NodeID(dst), 0, set2)[0]
 				v := [3]int{int(cur), int(c.Port), int(c.VC)}
 				if prev != nil {
 					adj[*prev] = append(adj[*prev], v)
@@ -124,7 +124,7 @@ func TestEscapeCDGAcyclic(t *testing.T) {
 
 func TestDuatoCandidatesStructure(t *testing.T) {
 	tor := topology.MustTorus([]int{8, 8}, 1)
-	c := Candidates(tor, Duato, 0, 9, 0, set4) // (0,0)->(1,1): 2 minimal dirs
+	c := AppendCandidates(nil, tor, Duato, 0, 9, 0, set4) // (0,0)->(1,1): 2 minimal dirs
 	// 2 adaptive VCs x 2 dirs + 1 escape = 5 candidates.
 	if len(c) != 5 {
 		t.Fatalf("got %d candidates, want 5", len(c))
@@ -144,7 +144,7 @@ func TestDuatoCandidatesStructure(t *testing.T) {
 func TestTFARUsesAllVCs(t *testing.T) {
 	tor := topology.MustTorus([]int{8, 8}, 1)
 	set := VCSet{Adaptive: []int{0, 1, 2, 3}}
-	c := Candidates(tor, TFAR, 0, 9, 0, set)
+	c := AppendCandidates(nil, tor, TFAR, 0, 9, 0, set)
 	if len(c) != 8 { // 4 VCs x 2 minimal dirs
 		t.Fatalf("got %d candidates, want 8", len(c))
 	}
@@ -171,7 +171,7 @@ func TestCandidatesAlwaysMinimal(t *testing.T) {
 			if mode == TFAR {
 				set = VCSet{Adaptive: []int{0, 1, 2, 3}}
 			}
-			for _, pv := range Candidates(tor, mode, src, dst, 0, set) {
+			for _, pv := range AppendCandidates(nil, tor, mode, src, dst, 0, set) {
 				if _, ej := IsEject(tor, int(pv.Port)); ej {
 					t.Fatalf("ejection candidate away from destination")
 				}
@@ -228,7 +228,7 @@ func TestMeshDORUsesSingleEscape(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			c := Candidates(m, DOR, topology.NodeID(src), topology.NodeID(dst), 0, single)
+			c := AppendCandidates(nil, m, DOR, topology.NodeID(src), topology.NodeID(dst), 0, single)
 			if len(c) != 1 || c[0].VC != 0 || !c[0].Escape {
 				t.Fatalf("mesh DOR candidates %v for %d->%d", c, src, dst)
 			}
@@ -254,7 +254,7 @@ func TestMeshEscapeCDGAcyclic(t *testing.T) {
 			cur := topology.NodeID(src)
 			var prev *[2]int
 			for cur != topology.NodeID(dst) {
-				c := Candidates(m, DOR, cur, topology.NodeID(dst), 0, single)[0]
+				c := AppendCandidates(nil, m, DOR, cur, topology.NodeID(dst), 0, single)[0]
 				v := [2]int{int(cur), int(c.Port)}
 				if prev != nil {
 					adj[*prev] = append(adj[*prev], v)

@@ -136,6 +136,12 @@ func (t *Torus) Coords(id NodeID) []int {
 	return c
 }
 
+// Coord returns router id's coordinate in dimension i; unlike Coords it
+// allocates nothing.
+func (t *Torus) Coord(id NodeID, i int) int {
+	return (int(id) / t.strides[i]) % t.Radix[i]
+}
+
 // Node composes per-dimension coordinates into a router ID.
 func (t *Torus) Node(coords []int) NodeID {
 	v := 0

@@ -48,6 +48,11 @@ func TestCoordsRoundTrip(t *testing.T) {
 		if got := tor.Node(c); got != NodeID(id) {
 			t.Fatalf("round trip %d -> %v -> %d", id, c, got)
 		}
+		for i := range c {
+			if got := tor.Coord(NodeID(id), i); got != c[i] {
+				t.Fatalf("Coord(%d, %d) = %d, Coords says %d", id, i, got, c[i])
+			}
+		}
 	}
 }
 
