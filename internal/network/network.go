@@ -42,9 +42,9 @@ type Network struct {
 	// Rescue is PR's recovery engine and its token (nil under SA and DR).
 	Rescue *core.Rescue
 
-	// Health, when non-nil, is the link-liveness mask KillLink creates on
-	// the first link death; the routing policy excludes dead links from its
-	// candidate sets. Nil is the fault-free case.
+	// Health is the link-liveness mask KillLink creates on the first link
+	// death; the routing function excludes dead links from its candidate
+	// sets. Nil, the fault-free case, has every link alive.
 	Health *routing.Health
 
 	// Faults accumulates losses charged to injected faults, so the
@@ -507,80 +507,45 @@ func (n *Network) recoverAt(ni *netiface.NI, q int, now int64) {
 	}
 	switch n.Cfg.Scheme {
 	case schemes.DR:
-		n.deflect(ni, q, now)
+		n.replaceHead(ni, q, now, n.Engine.Backoff, obs.KindDeflect)
 	case schemes.AB:
-		n.nackHead(ni, q, now)
+		n.replaceHead(ni, q, now, n.Engine.Nack, obs.KindNack)
 	case schemes.PR:
 		ni.WantRescue = true
 	}
 }
 
-// nackHead performs the regressive recovery action: kill the head message
-// and negatively acknowledge its sender, which will re-inject it. The NACK
-// needs a reply-queue slot; otherwise the detection re-fires and retries.
-func (n *Network) nackHead(ni *netiface.NI, q int, now int64) {
+// replaceHead performs a head-replacing recovery action at endpoint queue
+// (ni, q): pop the head message and answer it with a reply on the reply
+// network that the engine builds, Engine.Backoff under DR (the Origin2000
+// backoff: the requester re-issues the head's request-class subordinate
+// itself) or Engine.Nack under AB (the regressive action: the head is killed
+// and its sender re-injects it). Either reply is an M2 and needs a free slot
+// in M2's output queue, checked before the reply is built; without one
+// nothing changes and the detection re-fires and retries.
+func (n *Network) replaceHead(ni *netiface.NI, q int, now int64,
+	reply func(*protocol.Transaction, *message.Message, int64) *message.Message, kind obs.Kind) {
 	m, ok := ni.Head(q)
 	if !ok {
 		return
 	}
 	txn := n.Table.Get(m.Txn)
-	if !n.Scheme.Deflectable(n.Engine, txn, m) {
-		return
-	}
-	nack := n.Engine.Nack(txn, m, now)
-	if !ni.OutSpace(n.Scheme.QueueIndex(nack.Type, true), 1) {
-		txn.Messages--
+	if !n.Scheme.Deflectable(n.Engine, txn, m) || !ni.OutSpace(n.Scheme.QueueIndex(message.M2, true), 1) {
 		return
 	}
 	ni.PopHead(q)
 	ni.DeflectCount++
-	ni.EnqueueOut(nack)
+	ni.EnqueueOut(reply(txn, m, now))
 	if n.inWindow(now) {
-		n.Stats.Deflections++ // recovery actions share the counter; the
+		n.Stats.Deflections++ // both actions share the counter; the
 		// scheme kind disambiguates in reports
 	}
 	if n.bus != nil {
-		n.bus.Emit(obs.Event{Cycle: now, Kind: obs.KindNack,
+		n.bus.Emit(obs.Event{Cycle: now, Kind: kind,
 			Node: ni.Cfg.Endpoint, Arg: int64(q), Txn: int64(m.Txn),
 			MsgType: m.Type.String(), Src: m.Src, Dst: m.Dst})
 	}
-	n.Pool.PutMessage(m) // the killed head is fully replaced by the NACK
-}
-
-// deflect performs the Origin2000 backoff action: pop the head request whose
-// subordinate is request-class and answer it with a backoff reply on the
-// reply network; the requester re-issues the subordinate itself. The action
-// requires a free slot in the backoff reply's output queue; otherwise the
-// detection will re-fire and retry.
-func (n *Network) deflect(ni *netiface.NI, q int, now int64) {
-	m, ok := ni.Head(q)
-	if !ok {
-		return
-	}
-	txn := n.Table.Get(m.Txn)
-	if !n.Scheme.Deflectable(n.Engine, txn, m) {
-		return
-	}
-	brp := n.Engine.Backoff(txn, m, now)
-	if !ni.OutSpace(n.Scheme.QueueIndex(brp.Type, true), 1) {
-		// Undo the engine-side accounting; the action is retried on the
-		// next detection firing.
-		txn.Deflections--
-		txn.Messages--
-		return
-	}
-	ni.PopHead(q)
-	ni.DeflectCount++
-	ni.EnqueueOut(brp)
-	if n.inWindow(now) {
-		n.Stats.Deflections++
-	}
-	if n.bus != nil {
-		n.bus.Emit(obs.Event{Cycle: now, Kind: obs.KindDeflect,
-			Node: ni.Cfg.Endpoint, Arg: int64(q), Txn: int64(m.Txn),
-			MsgType: m.Type.String(), Src: m.Src, Dst: m.Dst})
-	}
-	n.Pool.PutMessage(m) // the deflected head is fully replaced by the BRP
+	n.Pool.PutMessage(m) // the head is fully replaced by the reply
 }
 
 // onRescueServiced forwards controller completions of rescue services to the
