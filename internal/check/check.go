@@ -7,8 +7,6 @@
 //
 // The invariants:
 //
-//   - occupancy-counter: the incrementally maintained committed-flit counter
-//     behind Network.Quiescent equals a full scan of every channel buffer.
 //   - staged-at-boundary / vc-overflow / ownerless-flits /
 //     route-owner-mismatch: structural wormhole discipline on every virtual
 //     channel.
@@ -332,11 +330,9 @@ func (c *Checker) CheckNow(now int64) {
 
 	// --- channel walk: structural discipline + per-packet flit census ---
 	pktFlits := make(map[*message.Packet][]int)
-	var scan int64
 	for _, ch := range n.Channels {
 		occ := ch.OccMask()
 		for v, vc := range ch.VCs {
-			scan += int64(vc.Len())
 			if occ>>uint(v)&1 == 1 != (vc.Len() > 0) {
 				c.report(now, "occ-mask-drift",
 					fmt.Sprintf("%v: occ bit %d=%d but the VC holds %d flits", ch, v, occ>>uint(v)&1, vc.Len()))
@@ -373,11 +369,6 @@ func (c *Checker) CheckNow(now int64) {
 			})
 		}
 	}
-	if got := n.OccupiedFlits(); got != scan {
-		c.report(now, "occupancy-counter",
-			fmt.Sprintf("incremental counter %d != channel scan %d", got, scan))
-	}
-
 	// --- active-set state: the routing/credit bitmask words must agree with
 	// the canonical VC fields (they are maintained incrementally on every
 	// mutation; the occupancy word is checked per channel above), and a

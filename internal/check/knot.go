@@ -40,7 +40,7 @@ type KnotRebuild struct {
 
 // VCKnotted reports whether the rebuild places a VC inside the knot.
 func (k *KnotRebuild) VCKnotted(vc *router.VC) bool {
-	v := vc.Ch.ID*k.vcsPer + vc.Index
+	v := vc.Ch.ID*k.vcsPer + int(vc.Index)
 	return k.Blocked[v] && !k.Escaped[v]
 }
 

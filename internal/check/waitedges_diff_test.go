@@ -62,7 +62,7 @@ func legacyEdges(n *network.Network) *edgeSet {
 
 	s := &edgeSet{blocked: make([]bool, total), waits: make([][]int32, total)}
 	wait := func(u, v int) { s.waits[u] = append(s.waits[u], int32(v)) }
-	vcVertex := func(vc *router.VC) int { return vc.Ch.ID*vcsPer + vc.Index }
+	vcVertex := func(vc *router.VC) int { return vc.Ch.ID*vcsPer + int(vc.Index) }
 
 	for _, ch := range n.Channels {
 		for _, vc := range ch.VCs {

@@ -367,7 +367,7 @@ func (d *Detector) buildChain(now int64) []obs.WaitResource {
 		case v < l.NumVC:
 			vc := l.vcAt(h, v)
 			res.Kind, res.Desc = "vc", vc.String()
-			res.Router, res.VC = int(consumerRouter(vc.Ch)), vc.Index
+			res.Router, res.VC = int(consumerRouter(vc.Ch)), int(vc.Index)
 			if now >= 0 {
 				res.BlockedFor = now - vc.LastMove
 			}

@@ -111,7 +111,7 @@ func (d *refDetector) ScanAt(now int64) (deadlockedResources, newKnots int) {
 	// recovery engine can target genuinely deadlocked packets.
 	for _, ch := range h.AllChannels() {
 		for _, vc := range ch.VCs {
-			vc.Knotted = locked[d.vcVertex(ch, vc.Index)]
+			vc.Knotted = locked[d.vcVertex(ch, int(vc.Index))]
 		}
 	}
 
@@ -189,14 +189,14 @@ func (d *refDetector) buildChain(now int64, locked []bool, adj [][]int32) []obs.
 	}
 	for _, ch := range h.AllChannels() {
 		for _, vc := range ch.VCs {
-			v := d.vcVertex(ch, vc.Index)
+			v := d.vcVertex(ch, int(vc.Index))
 			if !locked[v] {
 				continue
 			}
 			r := obs.WaitResource{
 				Kind: "vc", Desc: vc.String(),
 				Router:   int(consumerRouter(ch)),
-				Endpoint: -1, Queue: -1, VC: vc.Index,
+				Endpoint: -1, Queue: -1, VC: int(vc.Index),
 				BlockedFor: -1,
 			}
 			if now >= 0 {

@@ -49,7 +49,7 @@ func LayoutOf(h Host) Layout {
 }
 
 // VCVertex returns a virtual channel's vertex ID.
-func (l Layout) VCVertex(vc *router.VC) int { return vc.Ch.ID*l.VCsPer + vc.Index }
+func (l Layout) VCVertex(vc *router.VC) int { return vc.Ch.ID*l.VCsPer + int(vc.Index) }
 
 // vcAt maps a VC vertex back to its virtual channel.
 func (l Layout) vcAt(h Host, v int) *router.VC {

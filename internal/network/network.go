@@ -90,11 +90,6 @@ type Network struct {
 	// the NI injection path never materializes the list.
 	injectVCs [message.NumTypes][2][]int
 
-	// occupied counts committed flits across every channel, maintained
-	// incrementally by the VCs (see router.Channel.SetOccupancyCounter), so
-	// Quiescent tests one integer instead of scanning all buffers.
-	occupied int64
-
 	// bus is the optional trace bus every component emits onto, installed by
 	// AttachObs/AttachSampler/AttachEpisodes (obs.go); sampler is the sink on
 	// it that also needs a tick per cycle. Both nil in a plain run: every
@@ -234,9 +229,6 @@ func newBare(cfg Config) (*Network, error) {
 	n.Stats.Cycles = cfg.Measure
 	n.build()
 	n.buildCandTable()
-	for _, ch := range n.Channels {
-		ch.SetOccupancyCounter(&n.occupied)
-	}
 	n.initActive()
 	if cfg.Scheme == schemes.PR {
 		n.Rescue = core.New(core.Config{
@@ -888,11 +880,17 @@ func (n *Network) settleSkipped(now int64) {
 	}
 }
 
-// Quiescent reports whether no work remains anywhere in the system. Channel
-// emptiness is the incrementally maintained occupancy counter, not a scan.
+// Quiescent reports whether no work remains anywhere in the system. The
+// transaction table is tested first: it is non-empty for the whole run, so
+// the channels' occupancy words are read only once the drain has emptied it.
 func (n *Network) Quiescent() bool {
-	if n.occupied > 0 || n.Table.Len() > 0 {
+	if n.Table.Len() > 0 {
 		return false
+	}
+	for _, ch := range n.Channels {
+		if ch.OccMask() != 0 {
+			return false
+		}
 	}
 	for _, ni := range n.NIs {
 		if !ni.Quiescent() {
@@ -905,9 +903,15 @@ func (n *Network) Quiescent() bool {
 	return true
 }
 
-// OccupiedFlits returns the incrementally maintained count of committed
-// flits buffered across every channel (tests assert it against a full scan).
-func (n *Network) OccupiedFlits() int64 { return n.occupied }
+// OccupiedFlits returns the number of committed flits buffered across every
+// channel, by a scan; diagnostics print it.
+func (n *Network) OccupiedFlits() int64 {
+	var flits int64
+	for _, ch := range n.Channels {
+		flits += int64(ch.Occupied())
+	}
+	return flits
+}
 
 // ctxCheckCycles is how many cycles RunContext steps between context polls:
 // coarse enough to keep the poll invisible in the hot path (one atomic load

@@ -22,9 +22,8 @@ import (
 // network it came from or any other of the same shape.
 //
 // Derived acceleration state is deliberately absent from the snapshot: the
-// router occupancy words, the channel occupancy masks, the shared
-// committed-flit counter, the active-set sweep masks and the NI wake ring are
-// all rebuilt from canonical state during Restore. After a restore every
+// router occupancy words, the channel occupancy masks, the active-set sweep
+// masks and the NI wake ring are all rebuilt from canonical state during Restore. After a restore every
 // component is marked active with its catch-up timestamp at now-1; spurious
 // activity is byte-identical safe (stepping a dormant component is a pure
 // round-robin rotation, the same equivalence that makes the sparse engine
@@ -173,12 +172,6 @@ func (n *Network) Checkpoint(c *ckpt.C) {
 	}
 	if !c.Reading() {
 		return
-	}
-
-	// Recompute the shared committed-flit counter from the restored buffers.
-	n.occupied = 0
-	for _, ch := range n.Channels {
-		n.occupied += int64(ch.Occupied())
 	}
 
 	// Mark everything active with no catch-up owed: the captured cursors

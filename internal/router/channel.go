@@ -43,23 +43,14 @@ func (k ChannelKind) String() string {
 // VA stage, or the NI for injection channels) sets Owner when it assigns the
 // VC to a packet's worm; the dequeuer (downstream router, or the NI for
 // ejection channels) clears it when the tail flit leaves the buffer.
+//
+// A VC is one 64-byte cache line (TestVCSize), and NewChannel lays a
+// channel's VCs out as one slab: the six pointer-sized fields first, then the
+// counts and indices in the narrowest types their admission limits allow
+// (MaxFlitBuf, MaxPacketFlits, MaxVCs, routing.MaxPorts).
 type VC struct {
-	// Ch is the physical channel this VC belongs to; Index its position.
-	Ch    *Channel
-	Index int
-
-	cap int
-
-	// The buffer is a window on Owner's worm, not a store of flits: an
-	// exclusively owned VC only ever holds consecutive flits of its owner,
-	// so the n committed flits are Owner's flits front..front+n-1 and the ns
-	// flits staged this cycle follow them. Stage checks the flit it is given
-	// is the next one, and Commit only moves the watermark.
-	front, n, ns int32
-
-	// RoutePort is the output port of Route at the router consuming this
-	// VC as an input (meaningful only when Route != nil).
-	RoutePort int32
+	// Ch is the physical channel this VC belongs to.
+	Ch *Channel
 
 	// Owner is the packet whose worm currently holds this VC, nil if free.
 	Owner *message.Packet
@@ -67,10 +58,45 @@ type VC struct {
 	// acts as a router input, nil before virtual-channel allocation.
 	Route *VC
 
+	// feeder, on a VC that is some router's allocated route target, points
+	// back at the (unique — ownership is exclusive) input VC routed into
+	// it. Occupancy changes here maintain the feeder router's ready
+	// bitmask (bit = route target has space), so switch arbitration never
+	// dereferences downstream buffers: a worm blocked on a full target
+	// drops out of the request pass until a dequeue below frees a slot.
+	feeder *VC
+
+	// host ties this VC into the words of the router consuming its channel
+	// as an input: bit() is this VC's one bit of host.words[wi] and of
+	// *Ch.occ. Router.initState assigns host, wi and sh on the router's
+	// first Step; until then, and for good on VCs that are no router's
+	// input (ejection channels), host is nil, the routed/ready bookkeeping
+	// is skipped and sh is Index, a bit of the channel's own occupancy word.
+	host *Router
+
 	// LastMove is the last cycle a flit was dequeued from this buffer, or
 	// the cycle the buffer last became occupied; used by timeout-based
 	// deadlock detection.
 	LastMove int64
+
+	// The buffer is a window on Owner's worm, not a store of flits: an
+	// exclusively owned VC only ever holds consecutive flits of its owner,
+	// so the n committed flits are Owner's flits front..front+n-1 and the ns
+	// flits staged this cycle follow them. Stage checks the flit it is given
+	// is the next one, and Commit only moves the watermark. front never
+	// passes a packet's length (MaxPacketFlits), nor n+ns the capacity cap
+	// (MaxFlitBuf).
+	front, n, ns, cap uint16
+
+	// RoutePort is the output port of Route at the router consuming this
+	// VC as an input (meaningful only when Route != nil).
+	RoutePort uint8
+	// Index is the VC's position in Ch.VCs.
+	Index uint8
+
+	// input and wi are the index of the VC's channel among host.Inputs and
+	// of the host word holding its bit; sh is the bit's index in that word.
+	input, wi, sh uint8
 
 	// Knotted marks this VC as part of a knot in the most recent
 	// channel-wait-for-graph scan: its occupant cannot reach any
@@ -84,41 +110,13 @@ type VC struct {
 	// blocked header's stall has been reported, cleared on allocation
 	// success or when the buffer drains.
 	stallNoted bool
-
-	// input and wi are the index of the VC's channel among host.Inputs and
-	// of the host word holding bit; they share the flags' eight bytes.
-	input, wi int16
-
-	// occ, when non-nil, points at a network-wide committed-flit counter
-	// maintained incrementally so quiescence checks need not scan every
-	// channel. It counts committed flits only, matching Occupied.
-	occ *int64
-
-	// host and bit tie this VC into the words of the router consuming its
-	// channel as an input: bit is this VC's one bit of host.words[wi] and of
-	// *Ch.occ. Router.initState assigns them on the router's first Step;
-	// until then, and for good on VCs that are no router's input (ejection
-	// channels), host is nil, the routed/ready bookkeeping is skipped and
-	// bit is 1<<Index in the channel's own occupancy word.
-	host *Router
-	bit  uint64
-
-	// up is the router this VC is an output of (set by its initState; nil
-	// for injection channels, which the NI allocates): losing Owner here is
-	// the event that wakes the headers parked there.
-	up *Router
-
-	// feeder, on a VC that is some router's allocated route target, points
-	// back at the (unique — ownership is exclusive) input VC routed into
-	// it. Occupancy changes here maintain the feeder router's ready
-	// bitmask (bit = route target has space), so switch arbitration never
-	// dereferences downstream buffers: a worm blocked on a full target
-	// drops out of the request pass until a dequeue below frees a slot.
-	feeder *VC
 }
 
+// bit is this VC's bit in its occupancy word (and host word, once hosted).
+func (v *VC) bit() uint64 { return 1 << v.sh }
+
 // Cap returns the buffer capacity in flits.
-func (v *VC) Cap() int { return v.cap }
+func (v *VC) Cap() int { return int(v.cap) }
 
 // ReduceCap permanently removes one buffer slot — the credit-loss fault: a
 // flow-control credit that never returns. It fails (so the injector retries
@@ -130,7 +128,7 @@ func (v *VC) ReduceCap() bool {
 	}
 	v.cap--
 	if v.feeder != nil && !v.SpaceFor() {
-		v.feeder.host.words[v.feeder.wi].ready &^= v.feeder.bit
+		v.feeder.host.words[v.feeder.wi].ready &^= v.feeder.bit()
 	}
 	return true
 }
@@ -140,7 +138,7 @@ func (v *VC) Len() int { return int(v.n) }
 
 // SpaceFor reports whether a new flit may be staged into this VC this cycle
 // (committed plus staged occupancy below capacity).
-func (v *VC) SpaceFor() bool { return int(v.n+v.ns) < v.cap }
+func (v *VC) SpaceFor() bool { return v.n+v.ns < v.cap }
 
 // StagedLen returns the number of staged (uncommitted) flits. At every cycle
 // boundary — after Channel.Commit has run — it must be zero; the runtime
@@ -150,8 +148,8 @@ func (v *VC) StagedLen() int { return int(v.ns) }
 // ForEachFlit visits every committed flit in buffer order, head first. The
 // callback must not mutate the VC.
 func (v *VC) ForEachFlit(f func(message.Flit)) {
-	for i := int32(0); i < v.n; i++ {
-		f(message.Flit{Pkt: v.Owner, Idx: int(v.front + i)})
+	for i := range int(v.n) {
+		f(message.Flit{Pkt: v.Owner, Idx: int(v.front) + i})
 	}
 }
 
@@ -170,17 +168,15 @@ func (v *VC) Stage(f message.Flit) {
 		panic(fmt.Sprintf("router: staging into full VC %v", v))
 	}
 	if v.n+v.ns == 0 {
-		v.front = int32(f.Idx)
+		v.front = uint16(f.Idx)
 	}
-	if f.Pkt != v.Owner || f.Idx != int(v.front+v.n+v.ns) {
-		panic(fmt.Sprintf("router: staging flit %d into %v: not its owner's flit %d", f.Idx, v, v.front+v.n+v.ns))
+	if next := int(v.front) + int(v.n+v.ns); f.Pkt != v.Owner || f.Idx != next {
+		panic(fmt.Sprintf("router: staging flit %d into %v: not its owner's flit %d", f.Idx, v, next))
 	}
 	v.ns++
-	if v.Ch != nil {
-		v.Ch.noteStaged(v.Index)
-	}
+	v.Ch.noteStaged(v.Index)
 	if v.feeder != nil && !v.SpaceFor() {
-		v.feeder.host.words[v.feeder.wi].ready &^= v.feeder.bit
+		v.feeder.host.words[v.feeder.wi].ready &^= v.feeder.bit()
 	}
 }
 
@@ -194,12 +190,9 @@ func (v *VC) Commit(now int64) {
 	if v.n == 0 {
 		v.LastMove = now
 	}
-	if v.occ != nil {
-		*v.occ += int64(v.ns)
-	}
 	v.n += v.ns
 	v.ns = 0
-	*v.Ch.occ |= v.bit
+	*v.Ch.occ |= v.bit()
 }
 
 // Dequeue removes and returns the head flit, updating wormhole state: on
@@ -211,15 +204,12 @@ func (v *VC) Dequeue(now int64) message.Flit {
 	f := message.Flit{Pkt: v.Owner, Idx: int(v.front)} // before a tail's release
 	v.front++
 	v.n--
-	if v.occ != nil {
-		*v.occ--
-	}
 	if v.n == 0 {
-		*v.Ch.occ &^= v.bit
+		*v.Ch.occ &^= v.bit()
 	}
 	if v.feeder != nil {
 		// A dequeue always leaves space, so the feeder becomes ready.
-		v.feeder.host.words[v.feeder.wi].ready |= v.feeder.bit
+		v.feeder.host.words[v.feeder.wi].ready |= v.feeder.bit()
 	}
 	v.LastMove = now
 	if f.Tail() {
@@ -240,13 +230,14 @@ func (v *VC) release() {
 	v.RoutePort = 0
 	if v.host != nil {
 		w := &v.host.words[v.wi]
-		w.routed &^= v.bit
-		w.ready &^= v.bit
-		w.parked &^= v.bit
+		b := v.bit()
+		w.routed &^= b
+		w.ready &^= b
+		w.parked &^= b
 	}
 	v.stallNoted = false
-	if v.up != nil {
-		v.up.Unpark()
+	if v.Ch.up != nil {
+		v.Ch.up.Unpark()
 	}
 }
 
@@ -259,17 +250,12 @@ func (v *VC) Evacuate(pkt *message.Packet, now int64) int {
 		return 0
 	}
 	n := int(v.n + v.ns)
-	if v.occ != nil {
-		// Staged flits were never counted (Commit has not run on them),
-		// so only the committed ones leave the tally.
-		*v.occ -= int64(v.n)
-	}
 	v.n, v.ns = 0, 0
 	if v.feeder != nil {
-		v.feeder.host.words[v.feeder.wi].ready |= v.feeder.bit
+		v.feeder.host.words[v.feeder.wi].ready |= v.feeder.bit()
 	}
 	v.release()
-	*v.Ch.occ &^= v.bit
+	*v.Ch.occ &^= v.bit()
 	v.LastMove = now
 	return n
 }
@@ -300,6 +286,20 @@ type Channel struct {
 	ID  int
 	VCs []*VC
 
+	// occ points at the word holding the channel's committed-occupancy bits:
+	// bit shift+v is set while VCs[v] holds committed flits;
+	// VC.Commit/Dequeue/Evacuate maintain it through VC.bit(). Once the
+	// consuming router has built its state the word is one of that router's
+	// words[w].occ, shared with its other inputs (Router.initState re-points
+	// it and sets shift), so the allocator tests every input in one load
+	// while the NI ejection drain and the deadlock scan read the same bits
+	// through OccMask. A channel no router hosts — an ejection channel, or
+	// any channel before its router's first Step — uses ownOcc at shift 0.
+	occ    *uint64
+	ownOcc uint64
+	vmask  uint64 // len(VCs) low bits
+	shift  uint8  // shares a word with the two flags below (TestChannelSize)
+
 	// Stalled suppresses flit transfer over this channel for the current
 	// cycle — the link-flaky delay fault. Network.StallLink sets it and the
 	// network's end-of-cycle fault stage clears it, so it gates the *next*
@@ -314,19 +314,10 @@ type Channel struct {
 	stagedMask   uint64
 	onStage      func(*Channel)
 
-	// occ points at the word holding the channel's committed-occupancy bits:
-	// bit shift+v is set while VCs[v] holds committed flits;
-	// VC.Commit/Dequeue/Evacuate maintain it through VC.bit. Once the
-	// consuming router has built its state the word is one of that router's
-	// words[w].occ, shared with its other inputs (Router.initState re-points
-	// it and sets shift), so the allocator tests every input in one load
-	// while the NI ejection drain and the deadlock scan read the same bits
-	// through OccMask. A channel no router hosts — an ejection channel, or
-	// any channel before its router's first Step — uses ownOcc at shift 0.
-	occ    *uint64
-	ownOcc uint64
-	vmask  uint64 // len(VCs) low bits
-	shift  uint8
+	// up is the router this channel is an output of (set by its initState;
+	// nil for injection channels, which the NI allocates): losing a VC's
+	// Owner here is the event that wakes the headers parked there.
+	up *Router
 }
 
 // OccMask returns the committed-occupancy bitmask: bit v is set iff VCs[v]
@@ -341,8 +332,8 @@ func (c *Channel) SetStageHook(fn func(*Channel)) { c.onStage = fn }
 // StagePending reports whether the channel holds uncommitted staged flits.
 func (c *Channel) StagePending() bool { return c.stagePending }
 
-func (c *Channel) noteStaged(idx int) {
-	c.stagedMask |= 1 << uint(idx)
+func (c *Channel) noteStaged(idx uint8) {
+	c.stagedMask |= 1 << idx
 	if c.stagePending {
 		return
 	}
@@ -356,17 +347,31 @@ func (c *Channel) noteStaged(idx int) {
 // occupancy, staging and router-word bits must fit one 64-bit word.
 const MaxVCs = 64
 
-// NewChannel builds a channel with vcs virtual channels of depth flitBuf.
+// MaxFlitBuf is the deepest VC buffer, in flits: a VC counts its capacity and
+// the flits it holds in 16 bits.
+const MaxFlitBuf = 1<<16 - 1
+
+// MaxPacketFlits is the longest packet, in flits: a VC's window names the
+// flit at its front in 16 bits, and moves one past the tail as it leaves.
+const MaxPacketFlits = 1<<16 - 1
+
+// NewChannel builds a channel with vcs virtual channels of depth flitBuf, laid
+// out as one slab that VCs points into.
 func NewChannel(kind ChannelKind, src, dst topology.NodeID, dir topology.Direction, local, id, vcs, flitBuf int) *Channel {
 	if vcs > MaxVCs {
 		panic(fmt.Sprintf("router: %d VCs exceed the %d-bit channel bitmask", vcs, MaxVCs))
 	}
+	if flitBuf > MaxFlitBuf {
+		panic(fmt.Sprintf("router: %d-flit buffers exceed the limit of %d", flitBuf, MaxFlitBuf))
+	}
 	ch := &Channel{Kind: kind, Src: src, Dst: dst, Dir: dir, Local: local, ID: id}
 	ch.occ = &ch.ownOcc
 	ch.vmask = ^uint64(0) >> uint(64-vcs)
+	slab := make([]VC, vcs)
 	ch.VCs = make([]*VC, vcs)
-	for i := range ch.VCs {
-		ch.VCs[i] = &VC{Ch: ch, Index: i, cap: flitBuf, bit: 1 << uint(i)}
+	for i := range slab {
+		slab[i] = VC{Ch: ch, Index: uint8(i), cap: uint16(flitBuf), sh: uint8(i)}
+		ch.VCs[i] = &slab[i]
 	}
 	return ch
 }
@@ -391,16 +396,6 @@ func (c *Channel) Commit(now int64) {
 		v := bits.TrailingZeros64(w)
 		w &= w - 1
 		c.VCs[v].Commit(now)
-	}
-}
-
-// SetOccupancyCounter points every VC of this channel at a shared
-// committed-flit counter. The network wires one counter across all channels
-// after build so Quiescent can test a single integer instead of scanning
-// every buffer.
-func (c *Channel) SetOccupancyCounter(occ *int64) {
-	for _, v := range c.VCs {
-		v.occ = occ
 	}
 }
 

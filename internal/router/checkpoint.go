@@ -22,7 +22,7 @@ import (
 func CheckpointVC(c *ckpt.C, pp **VC, chans []*Channel) {
 	place := -1
 	if vc := *pp; vc != nil && !c.Reading() {
-		place = vc.Ch.ID*MaxVCs + vc.Index
+		place = vc.Ch.ID*MaxVCs + int(vc.Index)
 	}
 	ckpt.Int(c, &place)
 	if c.Reading() {
@@ -36,26 +36,26 @@ func CheckpointVC(c *ckpt.C, pp **VC, chans []*Channel) {
 // Checkpoint names the VC's canonical state; chans resolves its route. It is
 // valid only at a cycle boundary and panics on staged (uncommitted) flits. A
 // restore bypasses the Commit/Dequeue bookkeeping entirely: callers must
-// rebuild all derived state (channel masks, router words, the shared
-// occupancy counter) with Channel.ResetDerived and Router.RebuildState after.
+// rebuild all derived state (channel masks, router words) with
+// Channel.ResetDerived and Router.RebuildState after.
 func (v *VC) Checkpoint(c *ckpt.C, chans []*Channel) {
 	if v.ns != 0 {
 		panic(fmt.Sprintf("router: checkpoint of %v with %d staged flits (not at a cycle boundary)", v, v.ns))
 	}
 	n := c.Len(int(v.n))
 	if c.Reading() {
-		v.n = int32(n)
+		v.n = uint16(n)
 		v.feeder = nil // re-derived from restored routes by Router.RebuildState
 	}
 	// Each committed flit is named as its (packet, index) pair, the words the
 	// pinned state counts and counterexample files were hashed over; a
 	// restore takes the window's front from the first.
-	for i := int32(0); i < v.n; i++ {
-		pkt, idx := v.Owner, int(v.front+i)
+	for i := range int(v.n) {
+		pkt, idx := v.Owner, int(v.front)+i
 		ckpt.Ref(c, &pkt)
 		ckpt.Int(c, &idx)
 		if i == 0 && c.Reading() {
-			v.front = int32(idx)
+			v.front = uint16(idx)
 		}
 	}
 	ckpt.Ref(c, &v.Owner)
@@ -75,11 +75,11 @@ func CheckpointCaps(c *ckpt.C, chans []*Channel, full int) {
 	lowered := 0
 	for _, ch := range chans {
 		for _, vc := range ch.VCs {
-			if vc.cap != full {
+			if int(vc.cap) != full {
 				lowered++
 			}
 			if c.Reading() {
-				vc.cap = full
+				vc.cap = uint16(full)
 			}
 		}
 	}
@@ -88,15 +88,15 @@ func CheckpointCaps(c *ckpt.C, chans []*Channel, full int) {
 			var place, capacity int
 			ckpt.Int(c, &place)
 			ckpt.Int(c, &capacity)
-			chans[place/MaxVCs].VCs[place%MaxVCs].cap = capacity
+			chans[place/MaxVCs].VCs[place%MaxVCs].cap = uint16(capacity)
 		}
 		return
 	}
 	c.Len(lowered)
 	for _, ch := range chans {
 		for _, vc := range ch.VCs {
-			if vc.cap != full {
-				place := ch.ID*MaxVCs + vc.Index
+			if int(vc.cap) != full {
+				place := ch.ID*MaxVCs + int(vc.Index)
 				ckpt.Int(c, &place)
 				ckpt.Int(c, &vc.cap)
 			}
@@ -119,7 +119,7 @@ func (c *Channel) ResetDerived() {
 			panic(fmt.Sprintf("router: restore into %v with staged flits", vc))
 		}
 		if vc.n > 0 {
-			*c.occ |= vc.bit
+			*c.occ |= vc.bit()
 		}
 	}
 }

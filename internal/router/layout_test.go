@@ -8,15 +8,26 @@ import (
 	"repro/internal/message"
 )
 
-// TestVCSize pins the VC at 112 bytes, a size class of its own: every VC of a
-// network is one allocation, so a byte here is paid 1,536 to 3,072 times per
-// benchmark network (TestNetworkFootprint has the totals). It holds because
-// the buffer is a window on the owner's worm (front and the two counts, no
-// flits), RoutePort is a fourth int32 beside them, and the input and word
-// index are two int16 beside the two flags.
+// TestVCSize pins the VC at 64 bytes, one cache line: NewChannel lays a
+// channel's VCs out as one slab, so a byte here is paid 1,536 to 3,072 times
+// per benchmark network (TestNetworkFootprint has the totals). It holds
+// because the buffer is a window on the owner's worm (front and the two
+// counts, no flits), the counts, capacity and indices take the narrowest
+// types their admission limits allow, a VC's bit is an index into its word,
+// and the upstream router is its channel's. The pin only ever moves down.
 func TestVCSize(t *testing.T) {
-	if s := unsafe.Sizeof(VC{}); s > 112 {
-		t.Fatalf("VC is %d bytes, want <= 112", s)
+	if s := unsafe.Sizeof(VC{}); s > 64 {
+		t.Fatalf("VC is %d bytes, want <= 64", s)
+	}
+}
+
+// TestChannelSize pins the channel at 128 bytes, a size class of its own: the
+// two flags and the occupancy shift share one word, which leaves room for the
+// upstream router. Every channel of a network pays it. The pin only ever
+// moves down.
+func TestChannelSize(t *testing.T) {
+	if s := unsafe.Sizeof(Channel{}); s > 128 {
+		t.Fatalf("Channel is %d bytes, want <= 128", s)
 	}
 }
 
@@ -74,8 +85,8 @@ func TestGroupLayout(t *testing.T) {
 					}
 					seen[g.w] |= g.mask
 					for v, vc := range in.VCs {
-						if r.flatVC[start+v] != vc || vc.bit != 1<<uint(int(g.shift)+v) || int(vc.wi) != g.w || int(vc.input) != i || vc.host != r {
-							t.Fatalf("input %d vc %d: bit %#x word %d input %d, flatVC[%d]=%v", i, v, vc.bit, vc.wi, vc.input, start+v, r.flatVC[start+v])
+						if r.flatVC[start+v] != vc || vc.bit() != 1<<uint(int(g.shift)+v) || int(vc.wi) != g.w || int(vc.input) != i || vc.host != r {
+							t.Fatalf("input %d vc %d: bit %#x word %d input %d, flatVC[%d]=%v", i, v, vc.bit(), vc.wi, vc.input, start+v, r.flatVC[start+v])
 						}
 						resolved++
 					}
@@ -110,7 +121,7 @@ func TestGroupLayout(t *testing.T) {
 						}
 						for _, vc := range other.VCs {
 							if vc.Len() == 0 {
-								fill(vc, mkPacket(j*100+vc.Index, 2), 1, 0)
+								fill(vc, mkPacket(j*100+int(vc.Index), 2), 1, 0)
 							}
 						}
 					}

@@ -13,8 +13,9 @@ import (
 // and then a window on its owner's worm: committed flits in buf, this cycle's
 // arrivals in staged, append on Stage, append again on Commit, copy-shift on
 // Dequeue. The method bodies are the old ones verbatim, minus the router
-// plumbing (feeder/host words), which no VC has here. It is the reference
-// FuzzVCRing holds the window against.
+// plumbing (feeder/host words), which no VC has here; occ is the committed-flit
+// count the network once kept in a shared counter, now the reference for
+// Channel.Occupied. It is the reference FuzzVCRing holds the window against.
 type refVC struct {
 	index   int
 	cap     int
@@ -117,8 +118,9 @@ func (v *refVC) capture() *refVC {
 	return &refVC{buf: slices.Clone(v.buf), owner: v.owner, last: v.last}
 }
 
-// restore also redoes what Channel.ResetDerived and Network.Restore do for a
-// real VC: the occupancy bit and the flit counter.
+// restore also redoes what Channel.ResetDerived does for a real VC (the
+// occupancy bit) and keeps the reference's flit count, which the channel's
+// Occupied scan must match.
 func (v *refVC) restore(s *refVC) {
 	*v.occ -= int64(len(v.buf))
 	v.buf = append(v.buf[:0], s.buf...)
@@ -188,10 +190,9 @@ func FuzzVCRing(f *testing.F) {
 			return
 		}
 		capacity := int(data[0])%6 + 1
-		var occ, refOcc int64
+		var refOcc int64
 		var refWord uint64
 		ch := NewChannel(KindLink, 0, 1, 0, 0, 0, 2, capacity)
-		ch.SetOccupancyCounter(&occ)
 		vc := ch.VCs[1]
 		ref := &refVC{index: 1, cap: capacity, occ: &refOcc, occWord: &refWord}
 
@@ -273,7 +274,6 @@ func FuzzVCRing(f *testing.F) {
 				vc.Checkpoint(r, nil)
 				r.Done()
 				ch.ResetDerived()
-				occ = int64(ch.Occupied())
 				ref.restore(savedRef)
 				pkt, sent = savedPkt, savedSent
 			case 7: // a flit of a packet that does not own the VC, at the next index
@@ -310,9 +310,9 @@ func FuzzVCRing(f *testing.F) {
 			if i != len(ref.buf) {
 				t.Fatalf("step %d op %d: visited %d flits, reference holds %d", step, op, i, len(ref.buf))
 			}
-			if ch.OccMask() != refWord || occ != refOcc || vc.LastMove != ref.last || vc.Owner != ref.owner {
-				t.Fatalf("step %d op %d: occ word %#x counter %d LastMove %d owner %v, reference %#x %d %d %v", step, op,
-					ch.OccMask(), occ, vc.LastMove, vc.Owner, refWord, refOcc, ref.last, ref.owner)
+			if ch.OccMask() != refWord || int64(ch.Occupied()) != refOcc || vc.LastMove != ref.last || vc.Owner != ref.owner {
+				t.Fatalf("step %d op %d: occ word %#x Occupied %d LastMove %d owner %v, reference %#x %d %d %v", step, op,
+					ch.OccMask(), ch.Occupied(), vc.LastMove, vc.Owner, refWord, refOcc, ref.last, ref.owner)
 			}
 		}
 	})

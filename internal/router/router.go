@@ -70,7 +70,7 @@ type Router struct {
 	// words holds every input VC's four control bits, all inputs packed into
 	// as few words as fit: input i owns the bit group groups[i] of one word
 	// (five inputs of up to 12 VCs share a single word, so one load tests the
-	// whole router). At a VC's bit (VC.bit in words[VC.wi]), occ is set iff the
+	// whole router). At a VC's bit (VC.bit() in words[VC.wi]), occ is set iff the
 	// VC holds committed flits (the same word Channel.occ points at), routed
 	// iff it has an allocated Route, and ready iff that Route currently has
 	// buffer space (maintained from the target side through the VC feeder
@@ -83,7 +83,7 @@ type Router struct {
 	// A parked bit marks a header whose last allocation attempt found every
 	// candidate output VC owned. allocate skips it until the answer can
 	// change: one of this router's output VCs is released (VC.release,
-	// through VC.up) or the candidate sets change (Unpark).
+	// through Channel.up) or the candidate sets change (Unpark).
 	words  []inWords
 	groups []group
 
@@ -120,6 +120,9 @@ type group struct {
 
 // New builds a router shell; the network wires Inputs/Outputs afterwards.
 func New(id topology.NodeID, policy Policy, numIn, numOut int) *Router {
+	if numIn > routing.MaxPorts {
+		panic(fmt.Sprintf("router: %d inputs exceed the %d a VC's input byte can name", numIn, routing.MaxPorts))
+	}
 	return &Router{
 		ID:      id,
 		policy:  policy,
@@ -156,11 +159,8 @@ func (r *Router) initState() {
 	r.words = make([]inWords, (pos+63)>>6)
 	r.req = make([]uint64, (len(r.Outputs)+1)*len(r.words))
 	for _, out := range r.Outputs {
-		if out == nil {
-			continue
-		}
-		for _, vc := range out.VCs {
-			vc.up = r
+		if out != nil {
+			out.up = r
 		}
 	}
 	for i, in := range r.Inputs {
@@ -171,16 +171,17 @@ func (r *Router) initState() {
 		w := &r.words[g.w]
 		in.occ, in.shift = &w.occ, g.shift
 		for v, vc := range in.VCs {
-			vc.host, vc.input, vc.wi, vc.bit = r, int16(i), int16(g.w), 1<<(uint(g.shift)+uint(v))
+			vc.host, vc.input, vc.wi, vc.sh = r, uint8(i), uint8(g.w), g.shift+uint8(v)
 			r.flatVC[g.w<<6|int(g.shift)+v] = vc
+			b := vc.bit()
 			if vc.Len() > 0 {
-				w.occ |= vc.bit
+				w.occ |= b
 			}
 			if vc.Route != nil {
-				w.routed |= vc.bit
+				w.routed |= b
 				vc.Route.feeder = vc
 				if vc.Route.SpaceFor() {
-					w.ready |= vc.bit
+					w.ready |= b
 				}
 			}
 		}
@@ -188,14 +189,14 @@ func (r *Router) initState() {
 }
 
 // setRoute records an allocated route on an input VC and its words.
-func (r *Router) setRoute(vc *VC, out *VC, port int32) {
+func (r *Router) setRoute(vc *VC, out *VC, port uint8) {
 	vc.Route = out
 	vc.RoutePort = port
 	out.feeder = vc
 	w := &r.words[vc.wi]
-	w.routed |= vc.bit
+	w.routed |= vc.bit()
 	if out.SpaceFor() {
-		w.ready |= vc.bit
+		w.ready |= vc.bit()
 	}
 }
 
@@ -350,14 +351,14 @@ func (r *Router) allocate(now int64) {
 				r.vaGrants++
 				out := r.outputVC(pick)
 				out.Owner = pkt
-				r.setRoute(vc, out, int32(pick.Port))
+				r.setRoute(vc, out, pick.Port)
 				if r.Bus != nil {
 					r.emitVC(obs.KindVCAlloc, now, pkt, out.Ch.ID, out.Index)
 				}
 				vc.stallNoted = false
 				continue
 			}
-			wd.parked |= vc.bit
+			wd.parked |= vc.bit()
 			if r.Bus != nil && !vc.stallNoted {
 				// Once per blockage: it does not re-fire while the same
 				// header stays blocked.
@@ -371,7 +372,7 @@ func (r *Router) allocate(now int64) {
 
 // emitVC traces a header's allocation outcome: pkt granted output channel ch's
 // VC vc (vc-alloc), or first refused at input channel ch's VC vc (vc-stall).
-func (r *Router) emitVC(kind obs.Kind, now int64, pkt *message.Packet, ch, vc int) {
+func (r *Router) emitVC(kind obs.Kind, now int64, pkt *message.Packet, ch int, vc uint8) {
 	r.Bus.Emit(obs.Event{
 		Cycle: now, Kind: kind, Node: int(r.ID), Arg: int64(ch), Aux: int64(vc),
 		Pkt: int64(pkt.ID), Txn: int64(pkt.Msg.Txn), MsgType: pkt.Msg.Type.String(),

@@ -277,3 +277,25 @@ func TestChannelKindStrings(t *testing.T) {
 		t.Fatal("kind strings wrong")
 	}
 }
+
+// TestWindowAtTheLimits drives one worm of MaxPacketFlits flits through a VC
+// MaxFlitBuf deep: the whole worm fits, the full buffer refuses one more
+// flit, and the window's 16-bit front walks to one past the tail, which
+// releases the VC.
+func TestWindowAtTheLimits(t *testing.T) {
+	ch := NewChannel(KindLink, 0, 1, 0, 0, 0, 1, MaxFlitBuf)
+	vc := ch.VCs[0]
+	pkt := mkPacket(1, MaxPacketFlits)
+	fill(vc, pkt, MaxPacketFlits, 0)
+	if vc.Len() != MaxPacketFlits || vc.SpaceFor() != (MaxPacketFlits < MaxFlitBuf) {
+		t.Fatalf("holds %d flits, space %v, after staging the whole worm", vc.Len(), vc.SpaceFor())
+	}
+	for i := range MaxPacketFlits {
+		if f := vc.Dequeue(1); f.Pkt != pkt || f.Idx != i {
+			t.Fatalf("dequeue %d returned flit %d of %v", i, f.Idx, f.Pkt)
+		}
+	}
+	if vc.Owner != nil || vc.Len() != 0 || ch.OccMask() != 0 {
+		t.Fatalf("after the tail: owner %v, %d flits, occupancy %#x", vc.Owner, vc.Len(), ch.OccMask())
+	}
+}

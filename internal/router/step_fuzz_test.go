@@ -74,7 +74,7 @@ func (ref *refRouter) step(now int64) {
 			}
 			r.vaGrants++
 			out := r.Outputs[pick.Port].VCs[pick.VC]
-			out.Owner, vc.Route, vc.RoutePort = f.Pkt, out, int32(pick.Port)
+			out.Owner, vc.Route, vc.RoutePort = f.Pkt, out, pick.Port
 		}
 	}
 	r.vaRR++
