@@ -118,6 +118,7 @@ func TestBadFlagsAreOneLineErrors(t *testing.T) {
 		{[]string{"-cwg", "-5"}, "CWGInterval"},
 		{[]string{"-outstanding", "-4"}, "MaxOutstanding"},
 		{[]string{"-flitbuf", "2000000000"}, "FlitBuf"},
+		{[]string{"-radix", "2x2", "-flitbuf", "65536"}, "FlitBuf: 65536-flit VC buffers exceed the limit of 65535"},
 		{[]string{"-queue", "2000000000"}, "QueueCap"},
 		{[]string{"-qmode", "heap"}, "queue mode"},
 		{[]string{"-detector", "bogus"}, "Detector"},

@@ -243,6 +243,9 @@ func (c *Config) Validate() error {
 	if c.VCs > router.MaxVCs {
 		return fmt.Errorf("network: VCs: %d virtual channels per link exceed the limit of %d", c.VCs, router.MaxVCs)
 	}
+	if c.FlitBuf > router.MaxFlitBuf {
+		return fmt.Errorf("network: FlitBuf: %d-flit VC buffers exceed the limit of %d", c.FlitBuf, router.MaxFlitBuf)
+	}
 	// A routing candidate names its output port in a routing.PortVC field.
 	if ports := 2*len(c.Radix) + c.Bristling; ports > routing.MaxPorts {
 		return fmt.Errorf("network: Bristling %d gives a router %d ports (2 per dimension + Bristling), over the limit of %d",
@@ -281,6 +284,14 @@ func (c *Config) Validate() error {
 	}
 	if err := c.Lengths.Validate(); err != nil {
 		return err
+	}
+	for _, l := range []struct {
+		name string
+		v    int
+	}{{"Request", c.Lengths.Request}, {"Reply", c.Lengths.Reply}, {"Backoff", c.Lengths.Backoff}} {
+		if l.v > router.MaxPacketFlits {
+			return fmt.Errorf("network: Lengths.%s: %d-flit packets exceed the limit of %d", l.name, l.v, router.MaxPacketFlits)
+		}
 	}
 	if mf := c.Pattern.MaxFanout(); mf > c.QueueCap {
 		return fmt.Errorf("network: Pattern fanout %d exceeds QueueCap %d; such a subordinate burst could never be serviced", mf, c.QueueCap)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/netiface"
 	"repro/internal/network"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/schemes"
 	"repro/internal/simsvc"
 )
@@ -66,6 +67,9 @@ func TestValidateAdmission(t *testing.T) {
 		// first routed header built a table of a million rows, 230 MB.
 		{"Radix", func(c *network.Config) { c.Radix = []int{32, 32} }, ""},
 		{"FlitBuf", func(c *network.Config) { c.FlitBuf = 2000000000 }, ""},
+		// A VC counts its flits in 16 bits. Was: admitted up to the size
+		// bound, about 2^24 flits a buffer on a small network.
+		{"FlitBuf", func(c *network.Config) { c.Radix, c.FlitBuf = []int{2, 2}, router.MaxFlitBuf+1 }, "FlitBuf: 65536-flit VC buffers exceed the limit of 65535"},
 		{"QueueCap", func(c *network.Config) { c.QueueCap = 2000000000 }, ""},
 		// Counts where a negative used to mean something else. Was: CWGInterval
 		// -5 disabled scanning, MaxOutstanding -4 was unbounded,
@@ -84,6 +88,10 @@ func TestValidateAdmission(t *testing.T) {
 		{"Pattern", func(c *network.Config) { c.Pattern = &protocol.Pattern{Name: "EMPTY"} }, `pattern "EMPTY"`},
 		{"Pattern", func(c *network.Config) { c.Pattern = wideFanout }, ""},
 		{"Lengths", func(c *network.Config) { c.Lengths.Reply = 0 }, ""}, // was: failed in New
+		// A VC names its front flit in 16 bits. Was: admitted at any length.
+		{"Lengths", func(c *network.Config) { c.Lengths.Request = router.MaxPacketFlits + 1 }, "Lengths.Request: 65536-flit packets exceed the limit of 65535"},
+		{"Lengths", func(c *network.Config) { c.Lengths.Reply = router.MaxPacketFlits + 1 }, "Lengths.Reply"},
+		{"Lengths", func(c *network.Config) { c.Lengths.Backoff = router.MaxPacketFlits + 1 }, "Lengths.Backoff"},
 		// The scheme's validity envelope (schemes.Check). Was: QueueMode 7 ran
 		// per-type, -3 ran the default; an unknown scheme failed in New.
 		{"Scheme", func(c *network.Config) { c.Scheme = schemes.Kind(9) }, ""},
@@ -142,6 +150,11 @@ func TestValidateCombinations(t *testing.T) {
 		"21x21":                 {func(c *network.Config) { c.Radix = []int{21, 21} }, ""},
 		"probe under avoidance": {func(c *network.Config) { c.Detector, c.Scheme = network.DetectorProbe, schemes.SA }, "Detector"},
 		"probe under recovery":  {func(c *network.Config) { c.Detector = network.DetectorProbe }, ""},
+		// The deepest buffers and longest packets a VC can count.
+		"MaxFlitBuf on a 2x2": {func(c *network.Config) { c.Radix, c.FlitBuf = []int{2, 2}, router.MaxFlitBuf }, ""},
+		"MaxPacketFlits": {func(c *network.Config) {
+			c.Lengths = protocol.Lengths{Request: router.MaxPacketFlits, Reply: router.MaxPacketFlits, Backoff: router.MaxPacketFlits}
+		}, ""},
 	} {
 		cfg := network.DefaultConfig()
 		c.set(&cfg)
@@ -172,7 +185,9 @@ func fuzzConfig(data []byte) network.Config {
 	patterns := []*protocol.Pattern{def.Pattern, protocol.PAT721, protocol.PAT451, protocol.PAT271, protocol.PAT280, protocol.MSI, nil}
 	detectors := []string{"", network.DetectorThreshold, "cwg", network.DetectorProbe, "bogus"}
 	rates := []float64{0.01, 0, 0.2, 1, -0.5, 1.5, math.NaN()}
-	lengths := []protocol.Lengths{def.Lengths, {Request: 2, Reply: 3, Backoff: 2}, {Request: 0, Reply: 20, Backoff: 4}, {Request: 4, Reply: 20, Backoff: -1}}
+	longest := router.MaxPacketFlits
+	lengths := []protocol.Lengths{def.Lengths, {Request: 2, Reply: 3, Backoff: 2}, {Request: 0, Reply: 20, Backoff: 4}, {Request: 4, Reply: 20, Backoff: -1},
+		{Request: longest, Reply: longest, Backoff: longest}, {Request: 4, Reply: longest + 1, Backoff: 4}}
 	cfg := def
 	cfg.Radix = make([]int, pick(2, 1, 3, 0))
 	for i := range cfg.Radix {
@@ -181,7 +196,7 @@ func fuzzConfig(data []byte) network.Config {
 	cfg.Mesh = next(2) == 1
 	cfg.Bristling = pick(1, 2, 3, 0, -1, 250, 252, 254, 255)
 	cfg.VCs = pick(4, 1, 2, 3, 6, 8, 0, -1, 65)
-	cfg.FlitBuf = pick(2, 1, 4, 0, -1)
+	cfg.FlitBuf = pick(2, 1, 4, 0, -1, router.MaxFlitBuf, router.MaxFlitBuf+1)
 	cfg.QueueCap = pick(16, 1, 2, 4, 64, 0, -1)
 	cfg.ServiceTime = pick(40, 1, 4, 0, -1)
 	cfg.DetectThreshold = pick(25, 1, 6, 0, -1)
@@ -255,8 +270,12 @@ func FuzzConfigAdmission(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1}, 32))
 	f.Add(bytes.Repeat([]byte{2}, 32))
 	f.Add(bytes.Repeat([]byte{3}, 32))
-	f.Add([]byte{1, 0, 0, 7}) // radix [2], bristling 254: a router of exactly routing.MaxPorts ports
-	f.Add([]byte{1, 0, 0, 8}) // bristling 255: one port more than a candidate can name
+	f.Add([]byte{1, 0, 0, 7})          // radix [2], bristling 254: a router of exactly routing.MaxPorts ports
+	f.Add([]byte{1, 0, 0, 8})          // bristling 255: one port more than a candidate can name
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 5}) // FlitBuf router.MaxFlitBuf on the 2x2: the deepest buffer a VC counts
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 6}) // one flit deeper
+	f.Add(append(make([]byte, 18), 4)) // every packet router.MaxPacketFlits long
+	f.Add(append(make([]byte, 18), 5)) // a reply one flit longer
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := fuzzConfig(data)
 		verr := cfg.Validate()

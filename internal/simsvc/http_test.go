@@ -119,14 +119,15 @@ func TestHTTPSubmitPollFetch(t *testing.T) {
 func TestHTTPBadRequests(t *testing.T) {
 	srv, _ := newTestServer(t, SchedConfig{Workers: 1, QueueDepth: 4})
 
-	for name, body := range map[string]string{
-		"malformed json": `{"scheme":`,
-		"unknown field":  `{"scheme":"PR","frobnicate":1}`,
-		"invalid spec":   `{"scheme":"bogus"}`,
-		"bad rate":       `{"rate":2.0}`,
-		"too many vcs":   `{"vcs":65}`, // was 202, then "job panicked" in router.NewChannel
+	for name, c := range map[string]struct{ body, limit string }{
+		"malformed json": {`{"scheme":`, ""},
+		"unknown field":  {`{"scheme":"PR","frobnicate":1}`, ""},
+		"invalid spec":   {`{"scheme":"bogus"}`, ""},
+		"bad rate":       {`{"rate":2.0}`, ""},
+		"too many vcs":   {`{"vcs":65}`, "VCs: 65 virtual channels per link exceed the limit of 64"}, // was 202, then "job panicked" in router.NewChannel
+		"deep flitbuf":   {`{"radix":[2,2],"flitbuf":65536}`, "FlitBuf: 65536-flit VC buffers exceed the limit of 65535"},
 	} {
-		resp, b := postJSON(t, srv.URL+"/v1/runs", body)
+		resp, b := postJSON(t, srv.URL+"/v1/runs", c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, b)
 		}
@@ -134,8 +135,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		if err := json.Unmarshal(b, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: no error body: %s", name, b)
 		}
-		if name == "too many vcs" && !strings.Contains(e.Error, "limit of 64") {
-			t.Errorf("%s: error %q does not name the limit", name, e.Error)
+		if !strings.Contains(e.Error, c.limit) {
+			t.Errorf("%s: error %q does not name the limit (%q)", name, e.Error, c.limit)
 		}
 	}
 
