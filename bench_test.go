@@ -8,13 +8,14 @@ package repro
 // `go run ./cmd/experiments -scale full all`; these benches exist so
 // `go test -bench=.` exercises every experiment path. The engine itself is
 // timed by bench/run.sh; the one cycle benchmark left here only compares
-// tracing on against tracing off.
+// observing a run against not observing it.
 
 import (
 	"context"
 	"io"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/coherence"
 	"repro/internal/experiments"
 	"repro/internal/network"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/tracegen"
 )
 
@@ -195,26 +197,42 @@ func BenchmarkDeadlockFrequency(b *testing.B) {
 
 // --- microbenchmarks ---
 
-// BenchmarkSimulationCycleTraced bounds the cost of event tracing: one
-// full-system cycle of an 8x8 torus under moderate load, plain and with the
-// full observability stack attached (ring-buffer trace sink). The benchmark
-// in bench/ has no metric for this yet; the cost of a plain cycle is its
-// network.step_ns, and of a scan its deadlock.scan_us.
+// BenchmarkSimulationCycleTraced bounds the cost of observing a run: one
+// full-system cycle of an 8x8 torus under moderate load, plain, with the
+// event bus (ring-buffer trace sink) attached, and all-on: the bus, the
+// sampler, the episode tracker, the invariant checker and the cycle profiler,
+// everything netsim's observability and verification flags attach at once.
+// The episode tracker needs the CWG scan, so all-on runs it at the default
+// interval where the other two run without; EXPERIMENTS "Cost of observing
+// everything" states the overheads and their bounds. The benchmark in bench/
+// has no metric for this; the cost of a plain cycle is its network.step_ns,
+// and of a scan its deadlock.scan_us.
 func BenchmarkSimulationCycleTraced(b *testing.B) {
-	for _, mode := range []string{"plain", "traced"} {
+	for _, mode := range []string{"plain", "traced", "all-on"} {
 		b.Run(mode, func(b *testing.B) {
 			cfg := network.DefaultConfig()
 			cfg.Scheme = schemes.PR
 			cfg.Pattern = protocol.PAT271
 			cfg.Rate = 0.01
 			cfg.Warmup, cfg.Measure, cfg.MaxDrain = 1<<30, 1, 0 // stay in warmup
-			cfg.CWGInterval = 0
+			if mode != "all-on" {
+				cfg.CWGInterval = 0
+			}
 			n, err := network.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if mode == "traced" {
+			switch mode {
+			case "traced":
 				n.AttachObs(obs.NewBus(obs.NewRingSink(1 << 16)))
+			case "all-on":
+				n.AttachObs(obs.NewBus(obs.NewRingSink(1 << 16)))
+				n.AttachSampler(obs.NewSampler(io.Discard, 100, n.Torus.Endpoints(), n.Gauges))
+				if err := n.AttachEpisodes(&obs.EpisodeTracker{}); err != nil {
+					b.Fatal(err)
+				}
+				check.Attach(n, check.Options{})
+				n.AttachProfiler(telemetry.NewCycleProfiler(1))
 			}
 			n.RunCycles(2000) // reach steady occupancy
 			b.ReportAllocs()
