@@ -70,7 +70,11 @@ func runTrace(ctx context.Context, app tracegen.App, s Scale, radix []int, brist
 	hist := stats.NewHistogram(0.05, 8)
 	var lastFlits int64
 	const window = 100
+	prev := n.OnCycle // the hook's observers, a checker's sweeps among them
 	n.OnCycle = func(now int64) {
+		if prev != nil {
+			prev(now)
+		}
 		if now == 0 || now%window != 0 || now > s.TraceCycles {
 			return
 		}

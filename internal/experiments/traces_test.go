@@ -5,6 +5,10 @@ import (
 	"context"
 	"io"
 	"testing"
+
+	"repro/internal/check"
+	"repro/internal/network"
+	"repro/internal/tracegen"
 )
 
 // TestTraceExperimentsGolden pins the three trace-driven experiments at smoke
@@ -31,5 +35,27 @@ func TestTraceExperimentsGolden(t *testing.T) {
 			}
 			checkGolden(t, tc.name+"_smoke.golden", buf.Bytes())
 		})
+	}
+}
+
+// TestTraceRunKeepsHookObservers: runTrace installs its Figure 6 load
+// sampler after NetworkHook, and must chain what the hook attached, so a
+// checker attached there (experiments -check) still sweeps the run.
+func TestTraceRunKeepsHookObservers(t *testing.T) {
+	var chk *check.Checker
+	NetworkHook = func(n *network.Network) { chk = check.Attach(n, check.Options{}) }
+	_, hist, err := runTrace(context.Background(), tracegen.Apps[0], Smoke, []int{4, 4}, 1, 1)
+	NetworkHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chk.Checks() == 0 {
+		t.Fatal("the checker attached by NetworkHook made no sweeps")
+	}
+	if err := chk.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if hist.Total == 0 {
+		t.Fatal("the load sampler took no samples")
 	}
 }
