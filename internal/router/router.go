@@ -495,14 +495,6 @@ func (r *Router) Step(now int64) {
 	}
 }
 
-// BlockedPackets returns the distinct packets whose header flit sits
-// unmoved at the front of one of this router's input VCs for more than
-// threshold cycles — the router-level timeout detector used by progressive
-// recovery under true fully adaptive routing.
-func (r *Router) BlockedPackets(now int64, threshold int64) []*message.Packet {
-	return r.scanInputs(func(vc *VC) bool { return vc.Blocked(now, threshold) })
-}
-
 // RescuablePackets returns the packets eligible for a Disha rescue at this
 // router: the header at the front of an input VC that the channel-wait-for
 // graph observer has flagged as part of a knot, or — as a fallback when
@@ -519,9 +511,9 @@ func (r *Router) RescuablePackets(now int64, timeout int64) []*message.Packet {
 // scanInputs collects distinct packets whose header fronts an input VC
 // matching pred. The result aliases a per-router scratch slice (valid until
 // the next scan); a worm spans few VCs, so linear dedup beats a map and
-// keeps the per-token-arrival scan allocation-free. Both predicates used by
-// the detection scans imply committed flits are present, so the walk
-// follows the occupancy bitmask instead of visiting every VC.
+// keeps the per-token-arrival scan allocation-free. The rescue predicate
+// implies committed flits are present, so the walk follows the occupancy
+// bitmask instead of visiting every VC.
 func (r *Router) scanInputs(pred func(*VC) bool) []*message.Packet {
 	if r.flatVC == nil {
 		r.initState()

@@ -239,6 +239,8 @@ func TestRouterOnePerPhysicalChannel(t *testing.T) {
 	}
 }
 
+// TestBlockedPackets: with no knot flagged, a packet is rescuable once its
+// header has sat blocked past the timeout, and not before.
 func TestBlockedPackets(t *testing.T) {
 	r, in, _ := buildRouter(1, 2)
 	pkt := mkPacket(1, 2)
@@ -250,11 +252,11 @@ func TestBlockedPackets(t *testing.T) {
 	for cycle := int64(1); cycle < 30; cycle++ {
 		r.Step(cycle)
 	}
-	blocked := r.BlockedPackets(30, 25)
+	blocked := r.RescuablePackets(30, 25)
 	if len(blocked) != 1 || blocked[0] != pkt {
 		t.Fatalf("blocked = %v", blocked)
 	}
-	if got := r.BlockedPackets(30, 100); len(got) != 0 {
+	if got := r.RescuablePackets(30, 100); len(got) != 0 {
 		t.Fatal("threshold not respected")
 	}
 }

@@ -121,8 +121,8 @@ func (ref *refRouter) step(now int64) {
 	}
 }
 
-// blocked is BlockedPackets the naive way: every input VC in order.
-func (ref *refRouter) blocked(now, threshold int64) []message.PacketID {
+// rescuable is RescuablePackets the naive way: every input VC in order.
+func (ref *refRouter) rescuable(now, timeout int64) []message.PacketID {
 	var ids []message.PacketID
 	seen := map[*message.Packet]bool{}
 	for _, in := range ref.r.Inputs {
@@ -131,7 +131,7 @@ func (ref *refRouter) blocked(now, threshold int64) []message.PacketID {
 		}
 		for _, vc := range in.VCs {
 			f, ok := vc.Front()
-			if ok && vc.Blocked(now, threshold) && f.Head() && !f.Pkt.BeingRescued && !seen[f.Pkt] {
+			if ok && (vc.Knotted || vc.Blocked(now, timeout)) && f.Head() && !f.Pkt.BeingRescued && !seen[f.Pkt] {
 				seen[f.Pkt] = true
 				ids = append(ids, f.Pkt.ID)
 			}
@@ -221,7 +221,7 @@ func sched(r *Router) []uint64 {
 // FuzzRouterStep drives two identical stand-alone routers through the same
 // traffic, one with Router.Step and one with the naive reference above, and
 // compares every buffer, Owner, Route, RoutePort, the round-robin cursors and
-// the allocation counters after every cycle (and BlockedPackets, whose scan
+// the allocation counters after every cycle (and RescuablePackets, whose scan
 // walks the same words). The input picks the shape — 3 to 6 ports, or in half
 // the draws of 3 a wide router of 7 up to routing.MaxPorts, of which one is
 // missing; 1 to 24 VCs on each input (1 to 4 on a wide router; one word or
@@ -374,11 +374,11 @@ func FuzzRouterStep(f *testing.F) {
 				}
 			}
 			var got []message.PacketID
-			for _, pkt := range step.r.BlockedPackets(now, 3) {
+			for _, pkt := range step.r.RescuablePackets(now, 3) {
 				got = append(got, pkt.ID)
 			}
-			if want := naive.blocked(now, 3); !reflect.DeepEqual(got, want) {
-				t.Fatalf("cycle %d: BlockedPackets %v, reference %v", now, got, want)
+			if want := naive.rescuable(now, 3); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycle %d: RescuablePackets %v, reference %v", now, got, want)
 			}
 			for i, in := range step.r.Inputs {
 				if in == nil {
