@@ -55,9 +55,6 @@ type Config struct {
 	HedgeMax time.Duration
 	// QueueDepth bounds the degraded-mode local queue (default 64).
 	QueueDepth int
-	// JobTableCap bounds the coordinator's job table (default 16384);
-	// past it the oldest completed entries are evicted first.
-	JobTableCap int
 	// Client is the HTTP client for proxied requests (default: 30s
 	// timeout).
 	Client *http.Client
@@ -107,9 +104,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.JobTableCap <= 0 {
-		c.JobTableCap = 16384
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
@@ -554,13 +548,15 @@ func (c *Coordinator) register(hash string, body []byte, reqID string, bIdx int,
 	return j
 }
 
-// evictLocked bounds the job table: completed entries go first, oldest
-// first; live entries are only evicted once no completed ones remain. A
-// table over its cap is cut back to a sixteenth below it, as far as completed
-// entries allow, so the walk over the insertion order is paid once per cap/16
-// submissions instead of on every one past the cap. Callers hold c.mu.
+// evictLocked bounds the job table at the shards' own cap,
+// simsvc.JobTableCap, so no shard forgets a job its coordinator still
+// serves: completed entries go first, oldest first; live entries are only
+// evicted once no completed ones remain. A table over its cap is cut back to
+// a sixteenth below it, as far as completed entries allow, so the walk over
+// the insertion order is paid once per cap/16 submissions instead of on every
+// one past the cap. Callers hold c.mu.
 func (c *Coordinator) evictLocked() {
-	limit := c.cfg.JobTableCap
+	const limit = simsvc.JobTableCap
 	if len(c.jobs) <= limit {
 		return
 	}

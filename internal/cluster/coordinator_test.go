@@ -706,8 +706,8 @@ func TestBadSpecPassthrough(t *testing.T) {
 // submissions the walks may visit at most 6*cap entries, the table may never
 // exceed its cap, completed entries must go before live ones, and oldest first.
 func TestEvictionAmortised(t *testing.T) {
-	const limit, step = 64, 64 / 16
-	c := &Coordinator{cfg: Config{JobTableCap: limit}, jobs: map[string]*coordJob{}}
+	const limit, step = simsvc.JobTableCap, simsvc.JobTableCap / 16
+	c := &Coordinator{jobs: map[string]*coordJob{}}
 	var live, done []string // ids in submission order
 	submit := func(finished bool) {
 		j := c.register("h", nil, "", 0, "j")
@@ -748,7 +748,7 @@ func TestEvictionAmortised(t *testing.T) {
 
 	// With nothing completed left, live entries go, oldest first, and only as
 	// many as the cap requires.
-	c = &Coordinator{cfg: Config{JobTableCap: limit}, jobs: map[string]*coordJob{}}
+	c = &Coordinator{jobs: map[string]*coordJob{}}
 	live, done = nil, nil
 	for i := 0; i < limit+3; i++ {
 		submit(false)

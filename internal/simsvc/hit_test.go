@@ -118,7 +118,7 @@ func liveHeap() (objects, bytes uint64) {
 }
 
 // TestFinishedJobFootprint pins what the job table keeps per finished job:
-// the heap's growth over 2 × jobTableCap hits, which leave jobTableCap jobs
+// the heap's growth over 2 × JobTableCap hits, which leave JobTableCap jobs
 // retained, per retained job. Each used to be a job struct and seven more
 // objects, 8.02 objects and 592.7 B by this test, every one of them marked
 // again by each collection.
@@ -129,12 +129,12 @@ func TestFinishedJobFootprint(t *testing.T) {
 	post := newHitService(t)
 	post()
 	objects0, bytes0 := liveHeap()
-	for i := 0; i < 2*jobTableCap; i++ {
+	for i := 0; i < 2*JobTableCap; i++ {
 		post()
 	}
 	objects1, bytes1 := liveHeap()
-	objects := float64(int64(objects1-objects0)) / jobTableCap
-	bytes := float64(int64(bytes1-bytes0)) / jobTableCap
+	objects := float64(int64(objects1-objects0)) / JobTableCap
+	bytes := float64(int64(bytes1-bytes0)) / JobTableCap
 	t.Logf("a retained job: %.2f heap objects, %.1f B", objects, bytes)
 	if objects > finishedJobObjects || bytes > finishedJobBytes {
 		t.Errorf("a retained job holds %.2f heap objects and %.1f B, pinned at %.2f and %.0f",

@@ -268,7 +268,7 @@ func checkCoalescedReply(t *testing.T) {
 }
 
 // checkRetainedHitReplies: a hit whose store entry an 8-entry LRU has since
-// dropped reads as its POST did, and so does the newest of jobTableCap further
+// dropped reads as its POST did, and so does the newest of JobTableCap further
 // hits. It returns the server and the first hit's ID, which those hits evicted.
 func checkRetainedHitReplies(t *testing.T) (*replyServer, string) {
 	t.Helper()
@@ -307,7 +307,7 @@ func checkRetainedHitReplies(t *testing.T) (*replyServer, string) {
 	getIs("GET hit after its entry left the store", first, posted)
 
 	last := len(replyPayloads)
-	for range jobTableCap - 1 {
+	for range JobTableCap - 1 {
 		if _, err := srv.sched.Submit(context.Background(), seededSpec(uint64(last))); err != nil {
 			t.Fatal(err)
 		}

@@ -73,12 +73,13 @@ func RetryDelay(base, limit time.Duration, attempt int) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
-// jobTableCap bounds the job table. Past it the oldest finished jobs are
+// JobTableCap bounds the job table. Past it the oldest finished jobs are
 // forgotten (their IDs answer 404; the result still answers by spec hash from
-// the cache); queued and running jobs are never evicted. The number is the
-// cluster coordinator's JobTableCap default, which applies the same rule one
-// hop up, so a shard remembers a job as long as its coordinator does.
-const jobTableCap = 16384
+// the cache); queued and running jobs are never evicted. The cluster
+// coordinator applies the same cap one hop up, so a shard remembers a job as
+// long as its coordinator does: a shard's 404 counts against the
+// coordinator's breaker.
+const JobTableCap = 16384
 
 // job is a queued or running job; a finished one is a record (table.go). Its
 // seq and id are written under Scheduler.mu as it is registered, which a
@@ -231,9 +232,9 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 
 // register numbers a job entering the table, first forgetting the oldest
 // finished jobs while the table, this job included, would hold more than
-// jobTableCap; callers hold s.mu.
+// JobTableCap; callers hold s.mu.
 func (s *Scheduler) register() int64 {
-	for len(s.live)+s.finished.n >= jobTableCap && s.finished.n > 0 {
+	for len(s.live)+s.finished.n >= JobTableCap && s.finished.n > 0 {
 		s.finished.evictOldest()
 	}
 	s.seq++

@@ -346,7 +346,7 @@ func TestDeterministicFailureNotRetried(t *testing.T) {
 }
 
 // TestJobTableEvictsOldestFinished: the job table is bounded. Three times
-// jobTableCap submissions (cache hits, the cheapest way a long-lived server
+// JobTableCap submissions (cache hits, the cheapest way a long-lived server
 // accumulates jobs) retain at most the cap; a running and a queued job
 // admitted first, the oldest entries in the table, survive every eviction;
 // an evicted ID is forgotten while its result still answers by spec hash.
@@ -376,7 +376,7 @@ func TestJobTableEvictsOldestFinished(t *testing.T) {
 	}
 	store.Put(warm.Hash(), []byte(`{"warm":true}`))
 	var first, last JobView
-	for i := 0; i < 3*jobTableCap; i++ {
+	for i := 0; i < 3*JobTableCap; i++ {
 		v, err := sched.Submit(context.Background(), tinySpec())
 		if err != nil || v.Status != StatusDone || !v.Cached {
 			t.Fatalf("cached submit %d: %+v, %v", i, v, err)
@@ -390,8 +390,8 @@ func TestJobTableEvictsOldestFinished(t *testing.T) {
 	sched.mu.Lock()
 	retained := len(sched.live) + sched.finished.n
 	sched.mu.Unlock()
-	if retained > jobTableCap {
-		t.Errorf("job table holds %d jobs, cap %d", retained, jobTableCap)
+	if retained > JobTableCap {
+		t.Errorf("job table holds %d jobs, cap %d", retained, JobTableCap)
 	}
 	if v, ok := sched.Job(running.ID); !ok || v.Status != StatusRunning {
 		t.Errorf("running job evicted or disturbed: %+v, present=%v", v, ok)

@@ -90,7 +90,7 @@ func (r *record) view() JobView {
 }
 
 // jobTable holds the finished jobs in finish order: a ring of records grown
-// with use up to jobTableCap and then overwritten oldest first, and an index
+// with use up to JobTableCap and then overwritten oldest first, and an index
 // from a job's sequence number to its slot. Neither holds a pointer but the
 // records' own two.
 type jobTable struct {
@@ -117,13 +117,13 @@ func (t *jobTable) evictOldest() {
 }
 
 // push adds the newest finished job and returns its slot. A full ring doubles
-// until it has jobTableCap slots; one that has them forgets its oldest job.
+// until it has JobTableCap slots; one that has them forgets its oldest job.
 func (t *jobTable) push(r record) *record {
 	if t.n == len(t.recs) {
-		if t.n == jobTableCap {
+		if t.n == JobTableCap {
 			t.evictOldest()
 		} else {
-			t.grow(min(max(2*t.n, 64), jobTableCap))
+			t.grow(min(max(2*t.n, 64), JobTableCap))
 		}
 	}
 	slot := (t.head + t.n) % len(t.recs)
