@@ -36,9 +36,10 @@
 //     nothing to do, and no freeze or stall, in the next cycle.
 //   - knot-soundness / knot-count: every knot the CWG detector declares is
 //     re-verified against a from-scratch wait-graph rebuild (knot.go).
-//   - unblocked-dispatch / missed-deadlock: under either trigger, every
-//     recovery dispatch starts at a blocked input queue, and no knot the
-//     rebuild sees outlives MissedBound without a dispatch (dispatch.go).
+//   - avoidance-violated / unblocked-dispatch / missed-deadlock: the
+//     recovery judge (Judge, dispatch.go, the model checker's too): an
+//     avoidance scheme never knots, every recovery dispatch starts at a
+//     blocked input queue, and no knot outlives MissedBound without one.
 //
 // On violation the checker captures a full state snapshot, emits a
 // structured obs event (KindInvariant) when a trace bus is attached, and —
@@ -128,8 +129,8 @@ type Checker struct {
 	hopSeen   map[message.TxnID]map[hopKey]struct{}
 	skipTxns  map[message.TxnID]bool
 
-	// watch ages the live knot against MissedBound (dispatch.go).
-	watch KnotWatch
+	// judge ages the live knot and judges it and every dispatch (dispatch.go).
+	judge Judge
 
 	// NoKnotDispatches counts the trigger's false positives (JudgeDispatch):
 	// the detector experiment's falsepos, counted, not reported.
@@ -150,7 +151,7 @@ func Attach(n *network.Network, opts Options) *Checker {
 		n:         n,
 		opts:      opts,
 		conserve:  n.Quiescent(),
-		watch:     NewKnotWatch(),
+		judge:     Judge{Since: -1},
 		delivered: make(map[message.TxnID]map[delivKey]struct{}),
 		hopSeen:   make(map[message.TxnID]map[hopKey]struct{}),
 		skipTxns:  make(map[message.TxnID]bool),
@@ -217,7 +218,9 @@ func (c *Checker) onCycle(now int64) {
 	}
 	if now%c.opts.Interval == 0 {
 		c.CheckNow(now)
-		c.watchKnot(now)
+		if _, v := c.judge.Boundary(c.n, now); v != nil {
+			c.report(now, v.Rule, v.Detail)
+		}
 	}
 	// The CWG re-verification must see exactly the state the detector
 	// scanned, so it runs on the detector's own schedule: Step scans right

@@ -59,16 +59,14 @@ func implantKnot(t *testing.T, n *network.Network) {
 	}
 }
 
-// knotRun implants a knot in an idle PR network under the given detector,
-// attaches the checker, and drives its cycle boundaries by hand until the
-// knot is twice MissedBound old, so no trigger fires unless the test forges
-// one: forge, when set, is called once, on the first sweep after the knot
-// was seen, at NI 0's empty input queue 0.
-func knotRun(t *testing.T, detector string, forge func(n *network.Network, now int64)) *check.Checker {
+// knotRun implants a knot in an idle network of cfg, attaches the checker,
+// and drives its cycle boundaries by hand until the knot is twice
+// MissedBound old, so no trigger fires unless the test forges one: forge,
+// when set, is called once, on the first sweep after the knot was seen, at
+// NI 0's empty input queue 0.
+func knotRun(t *testing.T, cfg network.Config, forge func(n *network.Network, now int64)) *check.Checker {
 	t.Helper()
 	const interval = 16
-	cfg := smallCfg(schemes.PR, protocol.PAT271, 4, 0)
-	cfg.Detector = detector
 	cfg.CWGInterval = 0 // no scan whose published flags the implant would contradict
 	n := mustNet(t, cfg)
 	implantKnot(t, n)
@@ -83,6 +81,14 @@ func knotRun(t *testing.T, detector string, forge func(n *network.Network, now i
 		}
 	}
 	return c
+}
+
+// prKnotCfg is the recovery network knotRun implants its knot in, under the
+// given detector.
+func prKnotCfg(detector string) network.Config {
+	cfg := smallCfg(schemes.PR, protocol.PAT271, 4, 0)
+	cfg.Detector = detector
+	return cfg
 }
 
 // forgeDispatch dispatches recovery at NI 0's input queue 0 the way the
@@ -104,14 +110,14 @@ func forgeDispatch(n *network.Network, now int64) {
 func TestMissedDeadlockEitherTrigger(t *testing.T) {
 	for _, det := range []string{network.DetectorThreshold, network.DetectorProbe} {
 		t.Run(det, func(t *testing.T) {
-			silent := knotRun(t, det, nil).Violations()
+			silent := knotRun(t, prKnotCfg(det), nil).Violations()
 			if !hasRule(silent, "missed-deadlock") {
 				t.Fatalf("undispatched knot not reported; rules %v", rules(silent))
 			}
 			if got := rules(silent); len(got) != 1 {
 				t.Fatalf("rules %v, want missed-deadlock alone (re-armed, not repeated)", got)
 			}
-			dispatched := knotRun(t, det, forgeDispatch).Violations()
+			dispatched := knotRun(t, prKnotCfg(det), forgeDispatch).Violations()
 			if hasRule(dispatched, "missed-deadlock") {
 				t.Fatalf("knot reported missed although recovery was dispatched; rules %v", rules(dispatched))
 			}
@@ -137,5 +143,56 @@ func TestUnblockedDispatchCaught(t *testing.T) {
 				t.Fatalf("unsound dispatch also counted as no-knot (%d)", c.NoKnotDispatches)
 			}
 		})
+	}
+}
+
+// TestAvoidanceKnotJudgedOnce: under strict avoidance any knot is a
+// violation the moment a sweep sees it, reported once however long it lives,
+// never as a missed deadlock, and a dispatch credited to it excuses nothing.
+func TestAvoidanceKnotJudgedOnce(t *testing.T) {
+	cfg := smallCfg(schemes.SA, protocol.PAT271, 8, 0)
+	for _, tc := range []struct {
+		name  string
+		forge func(*network.Network, int64)
+	}{{"silent", nil}, {"dispatched", forgeDispatch}} {
+		t.Run(tc.name, func(t *testing.T) {
+			vs := knotRun(t, cfg, tc.forge).Violations()
+			avoided := 0
+			for _, v := range vs {
+				if v.Rule == "avoidance-violated" {
+					avoided++
+				}
+			}
+			if avoided != 1 || hasRule(vs, "missed-deadlock") {
+				t.Fatalf("rules %v, want avoidance-violated once and no missed-deadlock", rules(vs))
+			}
+			if tc.forge != nil && !hasRule(vs, "unblocked-dispatch") {
+				t.Fatalf("rules %v: the forged dispatch was not judged", rules(vs))
+			}
+		})
+	}
+}
+
+// TestStuckVerdicts: a run that ended without quiescing is judged by what
+// the rebuild still sees: no knot is no progress, a knot no dispatch was
+// credited to is missed, and one a dispatch was credited to is unrecovered.
+func TestStuckVerdicts(t *testing.T) {
+	n := mustNet(t, prKnotCfg(network.DetectorThreshold))
+	j := check.Judge{Since: -1}
+	if v := j.Stuck(n); v.Rule != "no-progress" {
+		t.Fatalf("knot-free network: %+v, want no-progress", v)
+	}
+	implantKnot(t, n)
+	if k, v := j.Boundary(n, 0); !k.Deadlocked() || v != nil || j.Since != 0 {
+		t.Fatalf("fresh knot: deadlocked=%v verdict=%+v since=%d", k.Deadlocked(), v, j.Since)
+	}
+	if v := j.Stuck(n); v.Rule != "missed-deadlock" {
+		t.Fatalf("undispatched knot: %+v, want missed-deadlock", v)
+	}
+	if _, v := j.Dispatch(n, n.NIs[0], 0); v == nil || v.Rule != "unblocked-dispatch" {
+		t.Fatalf("dispatch at an empty queue: %+v, want unblocked-dispatch", v)
+	}
+	if v := j.Stuck(n); v.Rule != "unrecovered-deadlock" {
+		t.Fatalf("dispatched knot: %+v, want unrecovered-deadlock", v)
 	}
 }

@@ -5,45 +5,28 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/network"
-	"repro/internal/schemes"
 )
 
 // frame is one depth-first branch point: the state to return to, the
-// choices not yet tried, the path's knot watch (per path, not per state),
-// and the choice that produced this state from its parent (the
+// choices not yet tried, the path's recovery judge (per path, not per
+// state), and the choice that produced this state from its parent (the
 // counterexample schedule is the via-chain of the stack).
 type frame struct {
 	snap    *network.Snapshot
 	choices []Choice
-	watch   check.KnotWatch
+	judge   check.Judge
 	via     Choice
 	root    bool
 }
 
 // stepOnce applies one choice at the current cycle boundary and advances one
-// cycle, evaluating the oracle-backed properties. It returns a violation or
-// nil.
-func (e *Explorer) stepOnce(c Choice, w *check.KnotWatch) *Violation {
+// cycle, judging the boundary and the cycle's dispatches with the path's
+// judge, e.judge. It returns a violation or nil.
+func (e *Explorer) stepOnce(c Choice) *Violation {
 	now := e.n.Clock.Now()
-	pre := check.RebuildKnots(e.n)
-	w.Observe(now, pre.Deadlocked())
-	if pre.Deadlocked() {
-		if e.Kind() == schemes.SA {
-			return &Violation{
-				Kind:  "avoidance-violated",
-				Cycle: now,
-				Detail: fmt.Sprintf("strict avoidance reached a true deadlock: %d knotted resources, %d txns in flight",
-					pre.LockedCount, e.n.Table.Len()),
-			}
-		}
-	}
-	if w.Missed(now, e.opt.MissedBound) {
-		return &Violation{
-			Kind:  "missed-deadlock",
-			Cycle: now,
-			Detail: fmt.Sprintf("true deadlock since cycle %d (%d knotted resources) and no detection reached the scheme within %d cycles",
-				w.Since, pre.LockedCount, e.opt.MissedBound),
-		}
+	pre, v := e.judge.Boundary(e.n, now)
+	if v != nil {
+		return violation(now, *v)
 	}
 
 	e.apply(c)
@@ -60,7 +43,6 @@ func (e *Explorer) stepOnce(c Choice, w *check.KnotWatch) *Violation {
 	e.n.Step()
 	if e.dispatched {
 		e.result.Detections++
-		w.Dispatch()
 		if e.opt.StrictDetect && !pre.Deadlocked() {
 			return &Violation{
 				Kind:  "false-detection",
@@ -73,34 +55,14 @@ func (e *Explorer) stepOnce(c Choice, w *check.KnotWatch) *Violation {
 	return e.unsound
 }
 
-// classifyStuck names the violation for a path that exhausted its cycle
-// budget without quiescing.
-func (e *Explorer) classifyStuck(w check.KnotWatch) *Violation {
-	now := e.n.Clock.Now()
-	k := check.RebuildKnots(e.n)
-	switch {
-	case k.Deadlocked() && !w.Dispatched:
-		return &Violation{
-			Kind:  "missed-deadlock",
-			Cycle: now,
-			Detail: fmt.Sprintf("cycle budget %d exhausted with %d knotted resources and no detection",
-				e.opt.MaxCycles, k.LockedCount),
-		}
-	case k.Deadlocked():
-		return &Violation{
-			Kind:  "unrecovered-deadlock",
-			Cycle: now,
-			Detail: fmt.Sprintf("cycle budget %d exhausted: detection fired but %d resources are still knotted",
-				e.opt.MaxCycles, k.LockedCount),
-		}
-	default:
-		return &Violation{
-			Kind:  "no-progress",
-			Cycle: now,
-			Detail: fmt.Sprintf("cycle budget %d exhausted without quiescing (%d txns in flight, no knot)",
-				e.opt.MaxCycles, e.n.Table.Len()),
-		}
-	}
+// violation is the judge's verdict v at cycle now.
+func violation(now int64, v check.Verdict) *Violation {
+	return &Violation{Kind: v.Rule, Cycle: now, Detail: v.Detail}
+}
+
+// stuck judges a path that exhausted its cycle budget without quiescing.
+func (e *Explorer) stuck() *Violation {
+	return violation(e.n.Clock.Now(), e.judge.Stuck(e.n))
 }
 
 // accepted reports whether the live network is in a terminal accepting
@@ -119,7 +81,7 @@ func (e *Explorer) Run() *Result {
 	rootSnap := e.n.Snapshot()
 	e.visited[e.stateHash()] = struct{}{}
 	e.result.States++
-	stack := []frame{{snap: rootSnap, choices: e.enumerate(), root: true, watch: check.NewKnotWatch()}}
+	stack := []frame{{snap: rootSnap, choices: e.enumerate(), root: true, judge: check.Judge{Since: -1}}}
 
 	schedule := func(last Choice) []Choice {
 		var sched []Choice
@@ -142,8 +104,8 @@ func (e *Explorer) Run() *Result {
 		f.choices = f.choices[:len(f.choices)-1]
 
 		e.n.Restore(f.snap)
-		w := f.watch
-		v := e.stepOnce(c, &w)
+		e.judge = f.judge
+		v := e.stepOnce(c)
 		e.result.Transitions++
 		if e.opt.Progress != nil && e.result.Transitions%progressEvery == 0 {
 			e.opt.Progress(ProgressInfo{
@@ -160,7 +122,7 @@ func (e *Explorer) Run() *Result {
 				break
 			}
 			if e.n.Clock.Now() >= e.opt.MaxCycles {
-				v = e.classifyStuck(w)
+				v = e.stuck()
 				break
 			}
 			cs := e.enumerate()
@@ -175,10 +137,10 @@ func (e *Explorer) Run() *Result {
 				}
 				e.visited[h] = struct{}{}
 				e.result.States++
-				stack = append(stack, frame{snap: e.n.Snapshot(), choices: cs, watch: w, via: c})
+				stack = append(stack, frame{snap: e.n.Snapshot(), choices: cs, judge: e.judge, via: c})
 				break
 			}
-			v = e.stepOnce(cs[0], &w)
+			v = e.stepOnce(cs[0])
 			e.result.Transitions++
 		}
 

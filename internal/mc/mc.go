@@ -4,22 +4,24 @@
 // model can produce, dedupes states by canonical hash, and checks three
 // properties against an independent ground-truth oracle (the check package's
 // channel-wait-for-graph rebuild, which shares no code with the runtime
-// detector). A detection is a recovery dispatch (Network.OnDispatch):
+// detector). A detection is a recovery dispatch (Network.OnDispatch). Every
+// path carries a check.Judge, the runtime checker's recovery judge, which
+// returns every verdict below but false-detection:
 //
 //  1. Every reachable true deadlock is eventually detected: a path on which
-//     the oracle sees a knot but no dispatch follows within the detection
-//     bound (a check.KnotWatch) is a "missed-deadlock" violation (for SA,
+//     the oracle sees a knot but no dispatch follows within
+//     check.MissedBound is a "missed-deadlock" violation (under SA or SQ,
 //     any knot at all is an "avoidance-violated" violation — strict
 //     avoidance must never deadlock).
-//  2. Every dispatch is sound: one at an input queue that is not blocked
-//     (check.JudgeDispatch) is an "unblocked-dispatch" violation, and in
-//     strict mode one in a transition that began with no knot is a
-//     "false-detection" violation.
+//  2. Every dispatch is sound: one at an input queue that is not blocked is
+//     an "unblocked-dispatch" violation, and in strict mode one in a
+//     transition that began with no knot is a "false-detection" violation.
 //  3. Recovery terminates with all packets delivered: every explored path
 //     must reach quiescence with every scripted transaction completed
-//     within the cycle budget; paths that exhaust it are classified by the
-//     oracle ("unrecovered-deadlock" when a knot survived a detection,
-//     "no-progress" otherwise).
+//     within the cycle budget; paths that exhaust it are judged by what the
+//     oracle still sees ("missed-deadlock" for a knot no dispatch was
+//     credited to, "unrecovered-deadlock" for one that survived a
+//     dispatch, "no-progress" with no knot).
 //
 // The nondeterminism model enumerates, at every cycle boundary:
 //
@@ -49,7 +51,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/netiface"
 	"repro/internal/network"
-	"repro/internal/schemes"
 )
 
 // Bug selects an intentionally injected detector defect, used to prove the
@@ -117,10 +118,6 @@ type Options struct {
 	// configuration whose detector thresholds are tuned so honest runs
 	// never fire on mere congestion (the tiny-config defaults are).
 	StrictDetect bool `json:"strict_detect,omitempty"`
-	// MissedBound is the detection deadline in cycles: a knot older than
-	// this with no detection is a missed deadlock (default
-	// check.MissedBound of Net).
-	MissedBound int64 `json:"missed_bound"`
 	// Bug injects a detector defect. A probe bug needs the probe detector.
 	Bug Bug `json:"bug,omitempty"`
 	// ForgePeriod is the forge bugs' firing period in cycles (default
@@ -176,7 +173,9 @@ type Explorer struct {
 	n   *network.Network
 	src *script
 
-	// The current transition's dispatch, and its first unblocked one.
+	// The current path's recovery judge, and the current transition's
+	// dispatch and its first unblocked one.
+	judge      check.Judge
 	dispatched bool
 	unsound    *Violation
 	visited    map[uint64]struct{}
@@ -204,9 +203,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Rotations <= 0 {
 		o.Rotations = 2
-	}
-	if o.MissedBound <= 0 {
-		o.MissedBound = check.MissedBound(o.Net)
 	}
 	if o.ForgePeriod <= 0 {
 		o.ForgePeriod = DefaultForgePeriod
@@ -291,19 +287,16 @@ func New(opt Options) (*Explorer, error) {
 // Network exposes the underlying network (for tests and tools).
 func (e *Explorer) Network() *network.Network { return e.n }
 
-// Kind returns the scheme under test.
-func (e *Explorer) Kind() schemes.Kind { return e.opt.Net.Scheme }
-
-// onDispatch observes one recovery dispatch, judged by the checker's rule.
+// onDispatch observes one recovery dispatch and judges it with the path's
+// judge.
 func (e *Explorer) onDispatch(ni *netiface.NI, q int, now int64) {
 	e.dispatched = true
 	e.result.Dispatches++
-	unblocked, noKnot := check.JudgeDispatch(e.n, ni, q)
+	noKnot, v := e.judge.Dispatch(e.n, ni, q)
 	if noKnot {
 		e.result.NoKnotDispatches++
 	}
-	if unblocked && e.unsound == nil {
-		e.unsound = &Violation{Kind: "unblocked-dispatch", Cycle: now,
-			Detail: fmt.Sprintf("recovery dispatched at in(%d, %d), which is not blocked", ni.Cfg.Endpoint, q)}
+	if v != nil && e.unsound == nil {
+		e.unsound = violation(now, *v)
 	}
 }

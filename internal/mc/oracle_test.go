@@ -72,39 +72,41 @@ func TestAvoidanceViolatedOnKnot(t *testing.T) {
 		t.Fatal(err)
 	}
 	implantKnot(t, e.Network())
-	w := check.NewKnotWatch()
-	v := e.stepOnce(Choice{}, &w)
+	e.judge = check.Judge{Since: -1}
+	v := e.stepOnce(Choice{})
 	if v == nil || v.Kind != "avoidance-violated" {
 		t.Fatalf("got %+v, want avoidance-violated", v)
 	}
 }
 
 // TestMissedDeadlockAfterBound checks property 1's recovery-scheme arm: a
-// knot that outlives MissedBound with no detection reaching the scheme is a
-// missed deadlock.
+// knot that outlives check.MissedBound with no detection reaching the scheme
+// is a missed deadlock.
 func TestMissedDeadlockAfterBound(t *testing.T) {
 	opt := spaceOptions("single", schemes.PR)
-	opt.MissedBound = 50
 	e, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	implantKnot(t, e.Network())
-	for e.Network().Clock.Now() < 51 {
+	bound := check.MissedBound(opt.Net)
+	for e.Network().Clock.Now() <= bound {
 		e.Network().Clock.Tick()
 	}
-	w := check.KnotWatch{Since: 0}
-	v := e.stepOnce(Choice{}, &w)
+	e.judge = check.Judge{Since: 0}
+	v := e.stepOnce(Choice{})
 	if v == nil || v.Kind != "missed-deadlock" {
 		t.Fatalf("got %+v, want missed-deadlock", v)
 	}
 
 	// A detection that did reach the scheme clears the deadline; the knot
 	// then classifies as unrecovered when the budget runs out, not missed.
-	if v := e.classifyStuck(check.KnotWatch{Since: 0, Dispatched: true}); v.Kind != "unrecovered-deadlock" {
+	e.judge = check.Judge{Since: 0, Dispatched: true}
+	if v := e.stuck(); v.Kind != "unrecovered-deadlock" {
 		t.Fatalf("got %+v, want unrecovered-deadlock", v)
 	}
-	if v := e.classifyStuck(check.KnotWatch{Since: 0}); v.Kind != "missed-deadlock" {
+	e.judge = check.Judge{Since: 0}
+	if v := e.stuck(); v.Kind != "missed-deadlock" {
 		t.Fatalf("got %+v, want missed-deadlock", v)
 	}
 }
@@ -116,7 +118,8 @@ func TestNoProgressClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := e.classifyStuck(check.NewKnotWatch()); v.Kind != "no-progress" {
+	e.judge = check.Judge{Since: -1}
+	if v := e.stuck(); v.Kind != "no-progress" {
 		t.Fatalf("got %+v, want no-progress", v)
 	}
 }

@@ -72,10 +72,10 @@ func choiceEq(a, b Choice) bool {
 // points the one pick returns. It returns the violation the path ends in, or
 // nil if the path quiesces cleanly within the cycle budget.
 func (e *Explorer) followPath(pick func(cs []Choice) (Choice, error)) (*Violation, error) {
-	w := check.NewKnotWatch()
+	e.judge = check.Judge{Since: -1}
 	for !e.accepted() {
 		if e.n.Clock.Now() >= e.opt.MaxCycles {
-			return e.classifyStuck(w), nil
+			return e.stuck(), nil
 		}
 		cs := e.enumerate()
 		c := cs[0]
@@ -85,7 +85,7 @@ func (e *Explorer) followPath(pick func(cs []Choice) (Choice, error)) (*Violatio
 				return nil, err
 			}
 		}
-		if v := e.stepOnce(c, &w); v != nil {
+		if v := e.stepOnce(c); v != nil {
 			return v, nil
 		}
 	}

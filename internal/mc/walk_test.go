@@ -15,7 +15,7 @@ import (
 // then walked 3,000 times from its root on seeded random schedules: at each
 // branch point one enumerated choice with Rot 0, and where the explorer would
 // have branched on Rot, every router and NI rotated by its own k in
-// [0, Rotations) instead. Any violation stepOnce or classifyStuck reports
+// [0, Rotations) instead. Any violation stepOnce or stuck reports
 // fails the test, naming the seed. The share of branch visits outside the
 // visited set is logged, not pinned: ROADMAP item 2(a) measured 31.1%
 // (crossing SA and PR), 5.3% (crossing DR), 17.9% (entangled SA) and 43.7%

@@ -108,8 +108,10 @@ type Config struct {
 	//	    probe returning to its blocked origin triggers recovery.
 	//	    Precise but for stale returns, in-band, paid in probe flits.
 	//
-	// The CWG scan is never a trigger: it is the oracle both are judged by
-	// (DESIGN §7).
+	// The CWG scan never dispatches endpoint recovery: it is the oracle both
+	// triggers are judged by (DESIGN §7). It does gate PR's router captures:
+	// a header is rescuable once the scan flags its VC knotted, or past
+	// RouterTimeout without one (Router.RescuablePackets).
 	Detector string `json:"detector,omitempty"`
 }
 
