@@ -12,9 +12,14 @@
 //     completions, the model that exposes queue collapse under overload
 //
 // Specs are drawn Zipfian over -keys distinct seeds (s = -zipf-s), so a
-// hot head of repeated specs exercises the content-addressed cache and
-// cross-shard fill-over while the tail keeps generating real simulations —
-// the mix a result-caching service actually sees.
+// hot head of repeated specs exercises the content-addressed cache while
+// the tail keeps generating real simulations — the mix a result-caching
+// service actually sees.
+//
+// A request still unanswered when the load window closes is not a sample:
+// it has no latency yet. The report counts those requests instead, with the
+// oldest one's age, so a service that stopped answering mid-run shows as a
+// stall rather than as a short run with a clean error budget.
 //
 // Usage:
 //
@@ -37,7 +42,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -96,6 +100,14 @@ type report struct {
 		Transport    int64   `json:"transport_errors"`
 	} `json:"error_budget"`
 
+	// InFlightAtClose counts the requests still unanswered when the load
+	// window closed, and OldestInFlightUS is the age of the oldest of them
+	// then (0 when there were none). They are not in Requests, except that
+	// with -wait an accepted job still being polled at close counts as a
+	// success.
+	InFlightAtClose  int64 `json:"in_flight_at_close"`
+	OldestInFlightUS int64 `json:"oldest_in_flight_us"`
+
 	PerSecond []secondStat `json:"per_second"`
 }
 
@@ -125,8 +137,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	samples := run(cfg)
-	rep := summarize(cfg, samples)
+	samples, open := run(cfg)
+	rep := summarize(cfg, samples, open)
 	printHuman(rep)
 	if cfg.jsonPath != "" {
 		out, _ := json.MarshalIndent(rep, "", "  ")
@@ -143,32 +155,57 @@ func main() {
 	}
 }
 
-func run(cfg config) []sample {
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.duration)
+// run drives the load for cfg.duration and returns the completed requests'
+// samples plus the ages of the requests in flight when it closed.
+func run(cfg config) ([]sample, []time.Duration) {
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	client := &http.Client{Timeout: 30 * time.Second}
 	start := time.Now()
 
+	// Requests are registered in flight under mu, and the window closes
+	// under it too: first the in-flight set is copied, then ctx is
+	// cancelled, so no request can finish or start between the two.
 	var mu sync.Mutex
 	var samples []sample
-	record := func(s sample) {
+	var closed bool
+	var open []time.Duration
+	flying := map[int64]time.Time{}
+	var nextReq int64
+	closer := time.AfterFunc(cfg.duration, func() {
 		mu.Lock()
-		samples = append(samples, s)
-		mu.Unlock()
-	}
+		defer mu.Unlock()
+		closed = true
+		now := time.Now()
+		for _, t0 := range flying {
+			open = append(open, now.Sub(t0))
+		}
+		cancel()
+	})
+	defer closer.Stop()
 
-	var inflight atomic.Int64
 	shoot := func(zipf *rand.Zipf) {
 		seed := zipf.Uint64() + 1 // seed 0 means "default" in the spec
 		t0 := time.Now()
-		status, cached := submitOne(ctx, client, cfg, seed)
-		if status == 0 && ctx.Err() != nil {
-			// The load window closed while this request was in flight; that
-			// is the generator stopping, not the service failing — not a
-			// sample.
+		mu.Lock()
+		if closed {
+			mu.Unlock()
 			return
 		}
-		record(sample{
+		nextReq++
+		req := nextReq
+		flying[req] = t0
+		mu.Unlock()
+		status, cached := submitOne(ctx, client, cfg, seed)
+		mu.Lock()
+		defer mu.Unlock()
+		delete(flying, req)
+		if status == 0 && ctx.Err() != nil {
+			// The load window closed while this request was in flight; it is
+			// counted in open, not as a failure.
+			return
+		}
+		samples = append(samples, sample{
 			sec:    int(t0.Sub(start) / time.Second),
 			us:     time.Since(t0).Microseconds(),
 			status: status,
@@ -196,14 +233,12 @@ func run(cfg config) []sample {
 				}
 				seq++
 				wg.Add(1)
-				inflight.Add(1)
 				// Each arrival draws from its own RNG stream so the Zipf
 				// draw order stays deterministic even as goroutines race.
 				arng := rand.New(rand.NewSource(cfg.seed + seq))
 				azipf := rand.NewZipf(arng, cfg.zipfS, 1, uint64(cfg.keys-1))
 				go func() {
 					defer wg.Done()
-					defer inflight.Add(-1)
 					shoot(azipf)
 				}()
 			}
@@ -222,7 +257,9 @@ func run(cfg config) []sample {
 		}
 	}
 	wg.Wait()
-	return samples
+	mu.Lock()
+	defer mu.Unlock()
+	return samples, open
 }
 
 // submitOne posts one spec and (with -wait) polls it to completion.
@@ -289,7 +326,9 @@ func submitOne(ctx context.Context, client *http.Client, cfg config, seed uint64
 	}
 }
 
-func summarize(cfg config, samples []sample) report {
+// summarize reduces the samples, and the ages of the requests open when the
+// window closed, to the report.
+func summarize(cfg config, samples []sample, open []time.Duration) report {
 	rep := report{
 		Target:      cfg.target,
 		Model:       "closed",
@@ -348,6 +387,10 @@ func summarize(cfg config, samples []sample) report {
 	rep.LatencyUS.P95 = overall.P95()
 	rep.LatencyUS.P99 = overall.P99()
 	rep.LatencyUS.Max = overall.Max()
+	rep.InFlightAtClose = int64(len(open))
+	for _, age := range open {
+		rep.OldestInFlightUS = max(rep.OldestInFlightUS, age.Microseconds())
+	}
 
 	secs := make([]int, 0, len(perSec))
 	for s := range perSec {
@@ -379,6 +422,7 @@ func printHuman(r report) {
 	fmt.Printf("  error budget: %.2f%% (backpressure %d, failures %d, transport %d)\n",
 		100*r.ErrorBudget.Total, r.ErrorBudget.Backpressure,
 		r.ErrorBudget.Failures, r.ErrorBudget.Transport)
+	fmt.Printf("  in flight at close: %d (oldest %dus)\n", r.InFlightAtClose, r.OldestInFlightUS)
 	for _, s := range r.PerSecond {
 		fmt.Printf("  t=%2ds  %4d req  %3d err  p50=%7dus  p99=%7dus\n",
 			s.Second, s.Requests, s.Errors, s.P50US, s.P99US)

@@ -2,10 +2,13 @@ package main
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMain lets a test run the test binary as simload itself: with
@@ -60,5 +63,33 @@ func TestNoVersionFlag(t *testing.T) {
 	out, code := runSimload(t, "-version")
 	if code != 2 || !strings.HasPrefix(out, "flag provided but not defined: -version\n") {
 		t.Fatalf("simload -version: exit %d, printed %q; want exit 2 and the flag package's refusal", code, out)
+	}
+}
+
+// TestStallShowsInFlightAtClose: against a service that accepts connections
+// and never answers, every request is still open when the window closes. None
+// of them is a sample, so the report must count them and their age instead of
+// reading as a short run with a clean error budget.
+func TestStallShowsInFlightAtClose(t *testing.T) {
+	stop := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-stop:
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
+	defer close(stop)
+
+	cfg := config{target: srv.URL, duration: 300 * time.Millisecond, concurrency: 3,
+		keys: 8, zipfS: 1.2, seed: 1, measure: 500}
+	samples, open := run(cfg)
+	rep := summarize(cfg, samples, open)
+	if rep.Requests != 0 || rep.ErrorBudget.Total != 0 {
+		t.Fatalf("requests %d, error budget %v: a request open at close is not a sample", rep.Requests, rep.ErrorBudget.Total)
+	}
+	if rep.InFlightAtClose != 3 || rep.OldestInFlightUS < 250_000 || rep.OldestInFlightUS > 5_000_000 {
+		t.Fatalf("in flight at close %d, oldest %dus; want all 3 workers, about 300ms old",
+			rep.InFlightAtClose, rep.OldestInFlightUS)
 	}
 }

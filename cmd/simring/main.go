@@ -10,8 +10,10 @@
 //
 // Robustness machinery (see internal/cluster):
 //
-//   - active health probes drive a per-backend circuit breaker
-//     (closed → open → half-open); open backends are routed around
+//   - a per-backend two-state circuit breaker: the first failed probe or
+//     proxied call opens it, and only the next successful probe closes it;
+//     open backends are routed around and not polled, and probes keep
+//     running every interval in both states
 //   - failed submissions retry on the next ring replica with capped
 //     exponential backoff + jitter, honoring backend Retry-After hints
 //   - hedged requests: if the owner has not answered within the observed
@@ -53,8 +55,6 @@ func main() {
 		backendList   = flag.String("backends", "", "comma-separated simserve base URLs (required)")
 		replicas      = flag.Int("replicas", 3, "failover/hedge chain length per key (capped at the backend count)")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe period per backend")
-		breakerTrips  = flag.Int("breaker-threshold", 1, "consecutive failures that open a backend's breaker")
-		breakerOpen   = flag.Duration("breaker-open", 0, "open-breaker window before a half-open trial (0 = 2x probe interval)")
 		maxPasses     = flag.Int("max-passes", 2, "full passes over a key's replica chain before degrading")
 		hedgeMin      = flag.Duration("hedge-min", 10*time.Millisecond, "lower clamp on the p95-derived hedge delay")
 		hedgeMax      = flag.Duration("hedge-max", time.Second, "upper clamp on the p95-derived hedge delay")
@@ -78,17 +78,15 @@ func main() {
 	}
 
 	coord, err := cluster.New(cluster.Config{
-		Backends:         backends,
-		Replicas:         *replicas,
-		ProbeInterval:    *probeInterval,
-		BreakerThreshold: *breakerTrips,
-		BreakerOpenFor:   *breakerOpen,
-		MaxPasses:        *maxPasses,
-		HedgeMin:         *hedgeMin,
-		HedgeMax:         *hedgeMax,
-		DisableHedge:     *noHedge,
-		QueueDepth:       *queueDepth,
-		Client:           &http.Client{Timeout: *clientTimeout},
+		Backends:      backends,
+		Replicas:      *replicas,
+		ProbeInterval: *probeInterval,
+		MaxPasses:     *maxPasses,
+		HedgeMin:      *hedgeMin,
+		HedgeMax:      *hedgeMax,
+		DisableHedge:  *noHedge,
+		QueueDepth:    *queueDepth,
+		Client:        &http.Client{Timeout: *clientTimeout},
 	})
 	fatal(err)
 

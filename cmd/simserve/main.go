@@ -18,9 +18,9 @@
 //	GET  /healthz      liveness (200 while the process serves at all)
 //	GET  /readyz       readiness (503 while draining or queue-saturated)
 //
-// With -peers, the shard consults its ring peers' content-addressed
-// caches (GET /v1/runs/{hash}) before simulating a local miss — see
-// cmd/simring for the coordinator that fronts a set of such shards.
+// A shard answers only from its own cache and simulates every miss itself:
+// it never calls another shard, so one hung shard cannot stall the rest.
+// cmd/simring is the coordinator that fronts a set of such shards.
 //
 // With -debug-addr, net/http/pprof is served on a separate private
 // listener.
@@ -43,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/simsvc"
 	"repro/internal/telemetry"
 )
@@ -58,8 +57,6 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job simulation wall-time limit (0 = unbounded)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget for accepted jobs")
 		tracePath    = flag.String("trace", "", "append every job's simulation events and one record per finished job as JSONL to this file (every line names its job)")
-		peerList     = flag.String("peers", "", "comma-separated peer simserve base URLs consulted for cached results before simulating")
-		peerTimeout  = flag.Duration("peer-timeout", 2*time.Second, "per-peer timeout for cache fill-over lookups")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off; keep it private)")
 		version      = flag.Bool("version", false, "print version and exit")
 	)
@@ -87,26 +84,12 @@ func main() {
 		trace = simsvc.NewTraceWriter(f)
 	}
 
-	// In a ring deployment each shard names its peers: on a local cache
-	// miss the content-addressed GET /v1/runs/{hash} on a peer may already
-	// hold the (byte-identical) result, saving a simulation.
-	var peerFill func(context.Context, string) ([]byte, bool)
-	if *peerList != "" {
-		peers, err := cluster.ParseURLList(*peerList)
-		if err != nil {
-			fatal(fmt.Errorf("-peers: %w", err))
-		}
-		peerFill = cluster.PeerFiller(peers, *peerTimeout)
-		log.Printf("simserve: cache fill-over from peers %v", peers)
-	}
-
 	sched := simsvc.NewScheduler(simsvc.SchedConfig{
 		Workers:    *workers,
 		QueueDepth: *queueDepth,
 		JobTimeout: *jobTimeout,
 		Store:      store,
 		Trace:      trace,
-		PeerFill:   peerFill,
 	})
 	srv := &http.Server{
 		Addr:    *addr,

@@ -53,7 +53,6 @@ func TestBadFlagsAreOneLineErrors(t *testing.T) {
 	}{
 		{[]string{"-workers", "0"}, "-workers must be at least 1, got 0"},
 		{[]string{"-queue", "0"}, "-queue must be at least 1, got 0"},
-		{[]string{"-peers", "http://a,,http://b"}, `-peers: empty entry in URL list "http://a,,http://b"`},
 		{[]string{"-cache-dir", filepath.Join(file, "cache")}, "not a directory"},
 		{[]string{"-trace", filepath.Join(dir, "missing", "trace.jsonl")}, "no such file or directory"},
 	} {

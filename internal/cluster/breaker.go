@@ -1,22 +1,16 @@
 package cluster
 
-import (
-	"sync"
-	"time"
-)
+import "sync/atomic"
 
-// BreakerState is a circuit breaker's position.
+// BreakerState is a backend's health bit.
 type BreakerState int32
 
 const (
-	// BreakerClosed: requests flow; consecutive failures are counted.
+	// BreakerClosed: the backend is up and requests flow to it.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen: requests are refused locally until the open window
-	// elapses, giving the backend room to recover.
+	// BreakerOpen: the backend is down; requests route around it until a
+	// probe succeeds.
 	BreakerOpen
-	// BreakerHalfOpen: one trial request is allowed through; its outcome
-	// closes or re-opens the circuit.
-	BreakerHalfOpen
 )
 
 func (s BreakerState) String() string {
@@ -25,112 +19,35 @@ func (s BreakerState) String() string {
 		return "closed"
 	case BreakerOpen:
 		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
 	default:
 		return "unknown"
 	}
 }
 
-// Breaker is a per-backend closed → open → half-open circuit breaker. Both
-// the health prober and live request outcomes feed it; Allow gates both.
-// The zero value is not usable — use newBreaker.
+// Breaker is a per-backend two-state circuit breaker. The first failed probe
+// or proxied call opens it; only the next successful probe closes it. There
+// is no trial request: a request let through to a hung backend would wait out
+// the client timeout while the backend still counted as live. The zero value
+// is closed.
 type Breaker struct {
-	threshold int           // consecutive failures to trip open
-	openFor   time.Duration // how long open before probing half-open
-	now       func() time.Time
-
-	mu       sync.Mutex
-	state    BreakerState
-	failures int       // consecutive, while closed
-	openedAt time.Time // last transition to open
-	trialOut bool      // a half-open trial is in flight
+	state    atomic.Int32 // a BreakerState
 	onChange func(from, to BreakerState)
 }
 
-func newBreaker(threshold int, openFor time.Duration, now func() time.Time) *Breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &Breaker{threshold: threshold, openFor: openFor, now: now}
-}
+// ReportSuccess records a successful probe: an open breaker closes.
+func (b *Breaker) ReportSuccess() { b.flip(BreakerOpen, BreakerClosed) }
 
-// Allow reports whether a request may be sent. While open it flips to
-// half-open once the window has elapsed and admits exactly one trial; the
-// trial's ReportSuccess/ReportFailure decides what happens next.
-func (b *Breaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return true
-	case BreakerOpen:
-		if b.now().Sub(b.openedAt) < b.openFor {
-			return false
-		}
-		b.transition(BreakerHalfOpen)
-		b.trialOut = true
-		return true
-	default: // half-open
-		if b.trialOut {
-			return false
-		}
-		b.trialOut = true
-		return true
-	}
-}
+// ReportFailure records a failed probe or proxied call: a closed breaker
+// opens.
+func (b *Breaker) ReportFailure() { b.flip(BreakerClosed, BreakerOpen) }
 
-// ReportSuccess records a successful probe or request: a half-open trial
-// success closes the circuit; while closed it resets the failure streak.
-func (b *Breaker) ReportSuccess() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.failures = 0
-	b.trialOut = false
-	if b.state != BreakerClosed {
-		b.transition(BreakerClosed)
-	}
-}
+// State returns the current position.
+func (b *Breaker) State() BreakerState { return BreakerState(b.state.Load()) }
 
-// ReportFailure records a failed probe or request: a half-open trial
-// failure re-opens immediately; while closed, the threshold-th consecutive
-// failure trips the circuit.
-func (b *Breaker) ReportFailure() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trialOut = false
-	switch b.state {
-	case BreakerHalfOpen:
-		b.openedAt = b.now()
-		b.transition(BreakerOpen)
-	case BreakerClosed:
-		b.failures++
-		if b.failures >= b.threshold {
-			b.openedAt = b.now()
-			b.transition(BreakerOpen)
-		}
-	default: // already open: refresh the window so a failing trial path
-		// does not flap
-		b.openedAt = b.now()
-	}
-}
-
-// State returns the current position (open flips to half-open lazily in
-// Allow, so a long-idle open breaker still reads as open here).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// transition flips state and fires the change hook; callers hold b.mu.
-func (b *Breaker) transition(to BreakerState) {
-	from := b.state
-	b.state = to
-	if from != to && b.onChange != nil {
+// flip moves the breaker from one state to the other and fires the change
+// hook, once per transition however many reports race.
+func (b *Breaker) flip(from, to BreakerState) {
+	if b.state.CompareAndSwap(int32(from), int32(to)) && b.onChange != nil {
 		b.onChange(from, to)
 	}
 }

@@ -1,76 +1,36 @@
 package cluster
 
 import (
+	"sync"
 	"testing"
-	"time"
 )
 
-// fakeClock drives breaker windows without sleeping.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
+// TestBreakerLifecycle: the first failure opens the breaker, further
+// failures leave it open, and one success closes it; each transition fires
+// the hook once.
 func TestBreakerLifecycle(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
 	var transitions []string
-	b := newBreaker(3, time.Second, clk.now)
+	var b Breaker
 	b.onChange = func(from, to BreakerState) {
 		transitions = append(transitions, from.String()+">"+to.String())
 	}
 
-	// Closed: failures below the threshold keep it closed; a success
-	// resets the streak.
-	for i := 0; i < 2; i++ {
-		b.ReportFailure()
-	}
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatalf("below threshold: state %v", b.State())
-	}
-	b.ReportSuccess()
-	for i := 0; i < 2; i++ {
-		b.ReportFailure()
-	}
 	if b.State() != BreakerClosed {
-		t.Fatal("success did not reset the failure streak")
+		t.Fatalf("zero breaker: state %v, want closed", b.State())
 	}
-
-	// The threshold-th consecutive failure trips it open.
 	b.ReportFailure()
 	if b.State() != BreakerOpen {
-		t.Fatalf("at threshold: state %v, want open", b.State())
+		t.Fatalf("after one failure: state %v, want open", b.State())
 	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed a request inside its window")
-	}
-
-	// After the window: half-open, exactly one trial.
-	clk.advance(1100 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("open breaker refused the half-open trial after its window")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v, want half-open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("half-open breaker allowed a second concurrent trial")
-	}
-
-	// Trial failure re-opens; trial success closes.
 	b.ReportFailure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("failed trial: state %v, want open", b.State())
-	}
-	clk.advance(1100 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("no trial after re-open window")
+	b.ReportSuccess()
+	if b.State() != BreakerClosed {
+		t.Fatalf("after a success: state %v, want closed", b.State())
 	}
 	b.ReportSuccess()
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatalf("successful trial: state %v, want closed", b.State())
-	}
+	b.ReportFailure()
 
-	want := []string{"closed>open", "open>half-open", "half-open>open", "open>half-open", "half-open>closed"}
+	want := []string{"closed>open", "open>closed", "closed>open"}
 	if len(transitions) != len(want) {
 		t.Fatalf("transitions %v, want %v", transitions, want)
 	}
@@ -81,14 +41,36 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerSuccessWhileClosedIsQuiet: a report that changes nothing fires
+// nothing, and failures racing from probers and proxied calls open the
+// breaker with one transition.
 func TestBreakerSuccessWhileClosedIsQuiet(t *testing.T) {
-	b := newBreaker(1, time.Second, nil)
+	var b Breaker
+	var mu sync.Mutex
 	fired := 0
-	b.onChange = func(_, _ BreakerState) { fired++ }
+	b.onChange = func(_, _ BreakerState) {
+		mu.Lock()
+		fired++
+		mu.Unlock()
+	}
 	for i := 0; i < 5; i++ {
 		b.ReportSuccess()
 	}
 	if fired != 0 {
 		t.Fatalf("closed->closed successes fired %d transitions", fired)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 100; k++ {
+				b.ReportFailure()
+			}
+		}()
+	}
+	wg.Wait()
+	if fired != 1 || b.State() != BreakerOpen {
+		t.Fatalf("racing failures fired %d transitions (state %v), want 1 to open", fired, b.State())
 	}
 }

@@ -27,16 +27,9 @@ type Config struct {
 	Replicas int
 	// ProbeInterval is the health-probe period per backend (default 500ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request (default ProbeInterval).
+	// ProbeTimeout bounds one probe request (default ProbeInterval). A
+	// hung backend reads as down within ProbeInterval + ProbeTimeout.
 	ProbeTimeout time.Duration
-	// BreakerThreshold is the consecutive failures that trip a breaker
-	// open (default 1: the first failed probe or proxied request opens it,
-	// which is what lets the chaos criterion "opens within one probe
-	// interval" hold).
-	BreakerThreshold int
-	// BreakerOpenFor is how long an open breaker refuses before admitting
-	// a half-open trial (default 2×ProbeInterval).
-	BreakerOpenFor time.Duration
 	// MaxPasses is how many full passes over a key's replica chain a
 	// submission makes before degrading (default 2).
 	MaxPasses int
@@ -78,12 +71,6 @@ func (c *Config) withDefaults() error {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = c.ProbeInterval
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 1
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 2 * c.ProbeInterval
-	}
 	if c.MaxPasses <= 0 {
 		c.MaxPasses = 2
 	}
@@ -118,8 +105,11 @@ func (c *Config) withDefaults() error {
 type backend struct {
 	idx     int
 	url     string
-	breaker *Breaker
+	breaker Breaker
 }
+
+// up reports whether requests may go to the backend.
+func (b *backend) up() bool { return b.breaker.State() == BreakerClosed }
 
 // coordJob is the coordinator's record of one accepted submission: enough
 // to re-route polling and, because the body is retained, to resurrect the
@@ -190,8 +180,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.reg, c.m = newRingMetrics(c)
 	for i, url := range cfg.Backends {
-		b := &backend{idx: i, url: url,
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerOpenFor, nil)}
+		b := &backend{idx: i, url: url}
 		name := b.url
 		b.breaker.onChange = func(from, to BreakerState) {
 			c.m.breakerTransitions.With(name, to.String()).Inc()
@@ -216,12 +205,13 @@ func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
 func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Breaker returns backend i's breaker.
-func (c *Coordinator) Breaker(i int) *Breaker { return c.backends[i].breaker }
+func (c *Coordinator) Breaker(i int) *Breaker { return &c.backends[i].breaker }
 
 // probeLoop actively probes one backend's /readyz (falling back to /healthz
-// on 404 for pre-readiness backends) every ProbeInterval, feeding the
-// breaker. This is what re-closes a breaker after recovery — and what opens
-// it for a draining backend even when no client traffic is flowing.
+// on 404 for pre-readiness backends) every ProbeInterval, open or closed,
+// feeding the breaker. It is the only thing that closes a breaker, and what
+// opens it for a draining or hung backend even when no client traffic is
+// flowing.
 func (c *Coordinator) probeLoop(b *backend) {
 	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.ProbeInterval)
@@ -232,11 +222,7 @@ func (c *Coordinator) probeLoop(b *backend) {
 			return
 		case <-t.C:
 		}
-		if !b.breaker.Allow() {
-			continue // open and inside its window: don't even probe
-		}
-		ok := c.probeOnce(b)
-		if ok {
+		if c.probeOnce(b) {
 			b.breaker.ReportSuccess()
 			c.m.probes.With(b.url, "ok").Inc()
 		} else {
@@ -437,19 +423,14 @@ func (c *Coordinator) raceSubmit(ctx context.Context, primary, hedge *backend, b
 	}
 }
 
-// reportOutcome feeds a failed attempt to the backend's breaker. 429 is
-// deliberate backpressure from a live, non-draining backend — routing
-// around it is right, tripping the breaker is not. 503 (draining) and
-// transport errors open the breaker so subsequent requests skip the
-// backend until a probe heals it.
+// reportOutcome feeds a failed attempt to the backend's breaker: 503
+// (draining), any other 5xx and transport errors open it, so subsequent
+// requests skip the backend until a probe heals it. Any other answer,
+// deliberate 429 backpressure included, comes from a live backend and
+// changes nothing.
 func (c *Coordinator) reportOutcome(o outcome) {
-	switch {
-	case o.err != nil || o.status >= 500:
+	if o.err != nil || o.status >= 500 {
 		o.b.breaker.ReportFailure()
-	case o.status == http.StatusTooManyRequests:
-		// breaker unchanged
-	default:
-		o.b.breaker.ReportSuccess()
 	}
 }
 
@@ -465,13 +446,13 @@ func (c *Coordinator) submit(ctx context.Context, hash string, body []byte, reqI
 	var last outcome
 	for pass := 0; pass < c.cfg.MaxPasses; pass++ {
 		for i, b := range chain {
-			if !b.breaker.Allow() {
+			if !b.up() {
 				c.m.reroutes.Inc()
 				continue
 			}
 			var hedge *backend
 			for j := i + 1; j < len(chain); j++ {
-				if chain[j].breaker.State() != BreakerOpen {
+				if chain[j].up() {
 					hedge = chain[j]
 					break
 				}
@@ -637,7 +618,7 @@ func (c *Coordinator) flushPending(ctx context.Context) {
 // queue's clock is patient) and updates the job record on success.
 func (c *Coordinator) placeOnce(ctx context.Context, j *coordJob) outcome {
 	for _, b := range c.chain(j.hash) {
-		if !b.breaker.Allow() {
+		if !b.up() {
 			continue
 		}
 		o := c.submitOnce(ctx, b, j.body, j.reqID)
@@ -718,7 +699,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 func (c *Coordinator) LiveBackends() int {
 	n := 0
 	for _, b := range c.backends {
-		if b.breaker.State() != BreakerOpen {
+		if b.up() {
 			n++
 		}
 	}

@@ -21,20 +21,21 @@ import (
 )
 
 // testBackend is one in-process simserve: a real simsvc scheduler + HTTP
-// server behind a wrapper that can simulate slowness, 503s, and records
-// request IDs. Exec is stubbed (deterministic payload per spec hash, same
-// on every backend — the content-addressed property the cluster relies on).
+// server behind a wrapper that can simulate slowness, a hang, 503s, and
+// records request IDs. Exec is stubbed (deterministic payload per spec hash,
+// same on every backend — the content-addressed property the cluster relies
+// on).
 type testBackend struct {
-	srv     *httptest.Server
-	sched   *simsvc.Scheduler
-	store   *simsvc.Store
-	api     atomic.Pointer[simsvc.Server]
-	down    atomic.Bool  // respond 503 to everything
-	slowMS  atomic.Int64 // delay every request
-	execs   atomic.Int64 // simulations this backend ran
-	mu      sync.Mutex
-	reqIDs  []string
-	peerURL atomic.Value // string; "" = no peer fill
+	srv    *httptest.Server
+	sched  *simsvc.Scheduler
+	store  *simsvc.Store
+	api    atomic.Pointer[simsvc.Server]
+	down   atomic.Bool                   // respond 503 to everything
+	slowMS atomic.Int64                  // delay every request
+	hang   atomic.Pointer[chan struct{}] // while set, every request waits for it to close
+	execs  atomic.Int64                  // simulations this backend ran
+	mu     sync.Mutex
+	reqIDs []string
 }
 
 func (tb *testBackend) recordedReqIDs() []string {
@@ -58,11 +59,17 @@ func newTestBackend(t *testing.T, execDelay time.Duration) *testBackend {
 	if tb.store, err = simsvc.NewStore(64, ""); err != nil {
 		t.Fatal(err)
 	}
-	tb.peerURL.Store("")
 	tb.restart(t, execDelay)
 	tb.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if d := tb.slowMS.Load(); d > 0 {
 			time.Sleep(time.Duration(d) * time.Millisecond)
+		}
+		if gate := tb.hang.Load(); gate != nil {
+			select {
+			case <-*gate:
+			case <-r.Context().Done():
+				return // the caller gave up on the hung backend
+			}
 		}
 		if tb.down.Load() {
 			http.Error(w, "injected outage", http.StatusServiceUnavailable)
@@ -97,13 +104,6 @@ func (tb *testBackend) restart(t *testing.T, execDelay time.Duration) {
 			}
 			return stubPayload(spec), nil
 		},
-		PeerFill: func(ctx context.Context, hash string) ([]byte, bool) {
-			peer, _ := tb.peerURL.Load().(string)
-			if peer == "" {
-				return nil, false
-			}
-			return PeerFiller([]string{peer}, time.Second)(ctx, hash)
-		},
 	})
 	api := simsvc.NewServer(sched)
 	api.SetLogger(log.New(io.Discard, "", 0))
@@ -123,17 +123,16 @@ func testCluster(t *testing.T, n int, execDelay time.Duration, mod func(*Config)
 		urls[i] = backends[i].srv.URL
 	}
 	cfg := Config{
-		Backends:       urls,
-		ProbeInterval:  25 * time.Millisecond,
-		ProbeTimeout:   200 * time.Millisecond,
-		BreakerOpenFor: 50 * time.Millisecond,
-		RetryBase:      5 * time.Millisecond,
-		RetryMax:       100 * time.Millisecond,
-		HedgeMin:       5 * time.Millisecond,
-		HedgeMax:       100 * time.Millisecond,
-		QueueDepth:     8,
-		Client:         &http.Client{Timeout: 2 * time.Second},
-		Logger:         log.New(io.Discard, "", 0),
+		Backends:      urls,
+		ProbeInterval: 25 * time.Millisecond,
+		ProbeTimeout:  200 * time.Millisecond,
+		RetryBase:     5 * time.Millisecond,
+		RetryMax:      100 * time.Millisecond,
+		HedgeMin:      5 * time.Millisecond,
+		HedgeMax:      100 * time.Millisecond,
+		QueueDepth:    8,
+		Client:        &http.Client{Timeout: 2 * time.Second},
+		Logger:        log.New(io.Discard, "", 0),
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -481,56 +480,6 @@ func TestForgottenJobKeepsBreakerClosed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Spec, want.Spec) {
 		t.Errorf("the coordinator reports spec %+v, the shard %+v", got.Spec, want.Spec)
-	}
-}
-
-// TestPeerCacheFillOver: shard B misses locally but its configured peer
-// (shard A) has the result — B serves it without simulating.
-func TestPeerCacheFillOver(t *testing.T) {
-	a := newTestBackend(t, 0)
-	b := newTestBackend(t, 0)
-	b.peerURL.Store(a.srv.URL)
-
-	var spec simsvc.RunSpec
-	if err := json.Unmarshal([]byte(specJSON(55)), &spec); err != nil {
-		t.Fatal(err)
-	}
-	// Seed shard A's cache through its own scheduler.
-	va, err := a.sched.Submit(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitBackendDone(t, a, va.ID)
-
-	// Shard B: same spec, local miss, peer hit — no execution on B.
-	vb, err := b.sched.Submit(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitBackendDone(t, b, vb.ID)
-	if b.execs.Load() != 0 {
-		t.Fatalf("shard B simulated despite peer fill (%d execs)", b.execs.Load())
-	}
-	if m := b.sched.Metrics(); m.Cache.PeerFills != 1 {
-		t.Fatalf("shard B peer_fills = %d, want 1", m.Cache.PeerFills)
-	}
-}
-
-func waitBackendDone(t *testing.T, tb *testBackend, id string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, ok := tb.sched.Job(id)
-		if ok && v.Status == simsvc.StatusDone {
-			return
-		}
-		if ok && v.Status == simsvc.StatusFailed {
-			t.Fatalf("backend job %s failed: %s", id, v.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backend job %s never finished", id)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

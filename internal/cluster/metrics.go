@@ -1,15 +1,6 @@
 package cluster
 
-import (
-	"context"
-	"encoding/json"
-	"io"
-	"net/http"
-	"time"
-
-	"repro/internal/simsvc"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // ringMetrics are the coordinator's live instruments.
 type ringMetrics struct {
@@ -55,10 +46,10 @@ func newRingMetrics(c *Coordinator) (*telemetry.Registry, *ringMetrics) {
 			"Jobs replayed onto another shard after their backend was lost."),
 	}
 
-	// Breaker positions as a gauge per backend (0 closed, 1 open, 2
-	// half-open), refreshed at scrape time.
+	// Breaker positions as a gauge per backend (0 closed, 1 open),
+	// refreshed at scrape time.
 	state := reg.GaugeVec("simring_breaker_state",
-		"Circuit-breaker position per backend: 0 closed, 1 open, 2 half-open.",
+		"Circuit-breaker position per backend: 0 closed, 1 open.",
 		"backend")
 	reg.OnGather(func() {
 		for _, b := range c.backends {
@@ -83,61 +74,4 @@ func newRingMetrics(c *Coordinator) (*telemetry.Registry, *ringMetrics) {
 			return 0
 		})
 	return reg, m
-}
-
-// PeerFiller builds a simsvc.SchedConfig.PeerFill that asks each peer's
-// content-addressed GET /v1/runs/{hash} in order and returns the first hit.
-// simserve backends use it for ring-successor cache fill-over: on a local
-// miss the owning shard checks its peers before paying for a simulation,
-// which is what makes a re-submitted spec a cross-shard cache hit after
-// rebalancing or failover.
-func PeerFiller(peers []string, timeout time.Duration) func(ctx context.Context, hash string) ([]byte, bool) {
-	if len(peers) == 0 {
-		return nil
-	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	client := &http.Client{Timeout: timeout}
-	return func(ctx context.Context, hash string) ([]byte, bool) {
-		for _, peer := range peers {
-			fctx, cancel := context.WithTimeout(ctx, timeout)
-			payload, ok := fetchCached(fctx, client, peer, hash)
-			cancel()
-			if ok {
-				return payload, true
-			}
-			if ctx.Err() != nil {
-				return nil, false
-			}
-		}
-		return nil, false
-	}
-}
-
-// fetchCached asks one peer for one hash.
-func fetchCached(ctx context.Context, client *http.Client, peer, hash string) ([]byte, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/runs/"+hash, nil)
-	if err != nil {
-		return nil, false
-	}
-	req.Header.Set("X-Request-ID", telemetry.RequestID(ctx))
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, false
-	}
-	var cv simsvc.CachedView
-	if err := json.Unmarshal(body, &cv); err != nil || len(cv.Result) == 0 {
-		return nil, false
-	}
-	return cv.Result, true
 }

@@ -200,7 +200,7 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	if simsvc.IsSpecHash(id) {
 		// Content-addressed: any replica's copy is the answer.
 		for _, b := range c.chain(id) {
-			if b.breaker.State() == BreakerOpen {
+			if !b.up() {
 				continue
 			}
 			o := c.roundTrip(r.Context(), b, http.MethodGet, "/v1/runs/"+id, nil, reqID)
@@ -232,30 +232,33 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	o := c.roundTrip(r.Context(), c.backends[bIdx], http.MethodGet, "/v1/runs/"+backendJobID, nil, reqID)
-	if o.status == http.StatusOK {
-		var v simsvc.JobView
-		if uerr := json.Unmarshal(o.body, &v); uerr == nil {
-			if v.Status == simsvc.StatusDone || v.Status == simsvc.StatusFailed {
-				c.mu.Lock()
-				j.done = true
-				c.mu.Unlock()
+	// A down shard is not asked: a hung one would hold the poll for the
+	// whole client timeout.
+	if b := c.backends[bIdx]; b.up() {
+		o := c.roundTrip(r.Context(), b, http.MethodGet, "/v1/runs/"+backendJobID, nil, reqID)
+		if o.status == http.StatusOK {
+			var v simsvc.JobView
+			if uerr := json.Unmarshal(o.body, &v); uerr == nil {
+				if v.Status == simsvc.StatusDone || v.Status == simsvc.StatusFailed {
+					c.mu.Lock()
+					j.done = true
+					c.mu.Unlock()
+				}
+				v.ID = j.id
+				c.writeJSON(w, http.StatusOK, v, 0)
+				return
 			}
-			v.ID = j.id
-			c.writeJSON(w, http.StatusOK, v, 0)
-			return
 		}
+		c.reportOutcome(o)
 	}
 
-	// The shard that accepted this job is unreachable (or restarted and
-	// forgot it). The job is NOT lost: results are content-addressed, so
+	// The shard that accepted this job is down, unreachable, or restarted
+	// and forgot it. The job is NOT lost: results are content-addressed, so
 	// first look for the payload on any replica, and failing that replay
 	// the retained spec body onto a live shard under the same coordinator
-	// ID. A 404 is a live shard's answer and counts for its breaker, not
-	// against it.
-	c.reportOutcome(o)
+	// ID. A 404 is a live shard's answer and leaves its breaker closed.
 	for _, b := range c.chain(j.hash) {
-		if b.breaker.State() == BreakerOpen {
+		if !b.up() {
 			continue
 		}
 		o := c.roundTrip(r.Context(), b, http.MethodGet, "/v1/runs/"+j.hash, nil, reqID)
@@ -277,7 +280,7 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	o = c.placeOnce(r.Context(), j)
+	o := c.placeOnce(r.Context(), j)
 	if o.usable() && o.status != http.StatusBadRequest {
 		c.m.resurrected.Inc()
 		c.cfg.Logger.Printf("simring: job %s resurrected after backend loss", j.id)
@@ -395,7 +398,7 @@ func (c *Coordinator) status() ClusterStatus {
 	for _, b := range c.backends {
 		s := b.breaker.State()
 		st.Backends = append(st.Backends, BackendStatus{URL: b.url, Breaker: s.String()})
-		if s != BreakerOpen {
+		if s == BreakerClosed {
 			st.LiveBackends++
 		}
 	}

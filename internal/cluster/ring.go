@@ -38,10 +38,9 @@ type ringPoint struct {
 }
 
 // ParseURLList splits a comma-separated list of base URLs, as simring
-// -backends and simserve -peers take it: surrounding spaces and trailing
-// slashes are stripped, and an empty entry (a stray comma) is an error — it
-// would otherwise become a backend or peer with no host that every request
-// routed to it fails against.
+// -backends takes it: surrounding spaces and trailing slashes are stripped,
+// and an empty entry (a stray comma) is an error — it would otherwise become
+// a backend with no host that every request routed to it fails against.
 func ParseURLList(list string) ([]string, error) {
 	urls := strings.Split(list, ",")
 	for i := range urls {
@@ -98,8 +97,7 @@ func (r *Ring) Owner(key string) int {
 // Successors returns up to n distinct backends for key in ring order: the
 // owner first, then the replicas a request fails over (or hedges) to. The
 // order is a pure function of the key and the membership list, so every
-// coordinator — and every backend choosing a peer to fill from — walks the
-// same chain.
+// coordinator walks the same chain.
 func (r *Ring) Successors(key string, n int) []int {
 	if n > r.backends {
 		n = r.backends

@@ -59,11 +59,11 @@ func newHitService(tb testing.TB) func() *httptest.ResponseRecorder {
 const hitAllocs = 72
 
 // What the job table keeps per finished job (TestFinishedJobFootprint): an
-// 88-byte record in the ring, its request ID and its index entry, 0.99 heap
-// objects and 138 B here, pinned with a little room for the map's layout.
+// 80-byte record in the ring, its request ID and its index entry, 0.99 heap
+// objects and 130 B here, pinned with a little room for the map's layout.
 const (
 	finishedJobObjects = 1.02
-	finishedJobBytes   = 145.0
+	finishedJobBytes   = 137.0
 )
 
 // TestHitAllocBudget pins the allocations of a cache hit at an exact count and

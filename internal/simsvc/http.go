@@ -130,8 +130,9 @@ func (s *Server) writeJob(w http.ResponseWriter, status int, job JobView) {
 }
 
 // CachedView is the body of a content-addressed GET /v1/runs/{hash}: the
-// cached Result for a spec hash with no job identity attached. Peers use it
-// to fill their caches cross-shard; any shard's copy is byte-equivalent.
+// cached Result for a spec hash with no job identity attached. The cluster
+// coordinator reads it to answer by hash and to finish a job whose shard is
+// gone; any shard's copy is byte-equivalent.
 //
 // Result is the last field, and present in every CachedView the server writes:
 // handleGet has the encoder write the others and the result after them.

@@ -66,8 +66,6 @@ func newMetricsRegistry(sched *Scheduler) *telemetry.Registry {
 		read(func(m Metrics) float64 { return float64(m.Cache.Coalesced) }))
 	reg.CounterFunc("simsvc_cache_executed_total", "Real simulations executed.",
 		read(func(m Metrics) float64 { return float64(m.Cache.Executed) }))
-	reg.CounterFunc("simsvc_cache_peer_fills_total", "Misses answered by a peer shard's cache.",
-		read(func(m Metrics) float64 { return float64(m.Cache.PeerFills) }))
 	reg.GaugeFunc("simsvc_ready", "1 while /readyz reports ready (not draining, queue not saturated).",
 		func() float64 {
 			if ok, _ := sched.Ready(); ok {

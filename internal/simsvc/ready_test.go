@@ -218,62 +218,3 @@ func TestContentAddressedGet(t *testing.T) {
 		t.Fatal("IsSpecHash misclassifies")
 	}
 }
-
-// TestPeerFillServesWithoutExecuting pins the fill-over path: a miss asks
-// the configured peer before simulating; a peer hit is stored locally and
-// the job completes without an execution.
-func TestPeerFillServesWithoutExecuting(t *testing.T) {
-	store, _ := NewStore(8, "")
-	payload := []byte(`{"digest":"peercopy"}`)
-	var asked []string
-	var mu sync.Mutex
-	sched := NewScheduler(SchedConfig{
-		Workers: 1, QueueDepth: 4, Store: store,
-		PeerFill: func(ctx context.Context, hash string) ([]byte, bool) {
-			mu.Lock()
-			asked = append(asked, hash)
-			mu.Unlock()
-			return payload, true
-		},
-		Exec: func(context.Context, RunSpec, *obs.Bus) ([]byte, error) {
-			t.Error("executed despite peer fill")
-			return nil, nil
-		},
-	})
-	defer sched.Drain(context.Background())
-
-	v, err := sched.Submit(context.Background(), tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		j, ok := sched.Job(v.ID)
-		if ok && j.Status == StatusDone {
-			if string(j.Result) != string(payload) {
-				t.Fatalf("peer-filled result %s, want %s", j.Result, payload)
-			}
-			break
-		}
-		if ok && j.Status == StatusFailed {
-			t.Fatalf("peer-filled job failed: %s", j.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("peer-filled job never finished")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	nAsked := len(asked)
-	mu.Unlock()
-	if nAsked != 1 || asked[0] != v.SpecHash {
-		t.Fatalf("peer asked %v, want exactly [%s]", asked, v.SpecHash)
-	}
-	if p, ok := store.Get(v.SpecHash); !ok || string(p) != string(payload) {
-		t.Fatalf("peer fill not stored locally: %q %v", p, ok)
-	}
-	m := sched.Metrics()
-	if m.Cache.PeerFills != 1 || m.Cache.Executed != 0 {
-		t.Fatalf("metrics peer_fills=%d executed=%d, want 1/0", m.Cache.PeerFills, m.Cache.Executed)
-	}
-}

@@ -53,12 +53,6 @@ type SchedConfig struct {
 	// Exec overrides the job executor (nil = Execute). Tests use it to
 	// exercise the panic-recovery and failure paths without a simulation.
 	Exec func(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error)
-	// PeerFill, when non-nil, is consulted on a cache miss before
-	// simulating: given a spec hash it may return the marshalled Result a
-	// peer shard already computed (results are content-addressed and
-	// byte-deterministic, so any peer's answer is THE answer). A peer hit
-	// is stored locally and served without executing.
-	PeerFill func(ctx context.Context, hash string) ([]byte, bool)
 }
 
 // RetryDelay is the capped exponential backoff with jitter that the cluster
@@ -151,7 +145,6 @@ type Scheduler struct {
 	misses   int64
 	coalesce int64
 	executed int64
-	peerFill int64
 	latency  *stats.LatencyHist
 }
 
@@ -360,17 +353,6 @@ func (s *Scheduler) runJob(j *job) {
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
 		}
 		defer cancel()
-		if s.cfg.PeerFill != nil {
-			fillStart := time.Now()
-			p, ok := s.cfg.PeerFill(ctx, j.hash)
-			j.spans.Add("peer-fill", time.Since(fillStart))
-			if ok {
-				s.mu.Lock()
-				s.peerFill++
-				s.mu.Unlock()
-				return s.store(j, p), nil
-			}
-		}
 		s.mu.Lock()
 		s.executed++
 		s.mu.Unlock()
@@ -515,9 +497,6 @@ type Metrics struct {
 		Misses    int64 `json:"misses"`
 		Coalesced int64 `json:"coalesced"`
 		Executed  int64 `json:"executed"`
-		// PeerFills counts misses answered by a peer shard's cache instead
-		// of a local simulation.
-		PeerFills int64 `json:"peer_fills"`
 		Entries   int   `json:"entries"`
 	} `json:"cache"`
 
@@ -549,7 +528,6 @@ func (s *Scheduler) Metrics() Metrics {
 	m.Cache.Misses = s.misses
 	m.Cache.Coalesced = s.coalesce
 	m.Cache.Executed = s.executed
-	m.Cache.PeerFills = s.peerFill
 	m.Cache.Entries = s.cfg.Store.Len()
 	m.JobLatencyUS.P50 = s.latency.P50()
 	m.JobLatencyUS.P95 = s.latency.P95()

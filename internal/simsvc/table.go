@@ -26,7 +26,7 @@ type record struct {
 // spanNames are the names a job records spans under, in the order it records
 // them; a record keeps a span as its name's index and its microseconds. A
 // span under any other name is not kept.
-var spanNames = [...]string{"queue-wait", "cache-lookup", "peer-fill", "encode", "execute", "cache-store", "coalesce"}
+var spanNames = [...]string{"queue-wait", "cache-lookup", "encode", "execute", "cache-store", "coalesce"}
 
 const (
 	cacheLookup = 1 // spanNames[cacheLookup] is "cache-lookup"

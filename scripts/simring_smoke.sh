@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Smoke test for multi-node serving: boot three simserve shards (peer cache
-# fill-over enabled) behind one simring coordinator, then drive the cluster
-# through its contract end to end:
+# Smoke test for multi-node serving: boot three simserve shards behind one
+# simring coordinator, then drive the cluster through its contract end to end:
 #
 #   submit -> poll -> fetch through the coordinator (r- IDs, not j- IDs)
 #   repeat submit          -> cache hit
-#   direct submit to every shard -> cross-shard cache hit via peer fill
+#   SIGSTOP one shard mid-load   -> breaker opens, submissions keep answering,
+#                                   and after SIGCONT it closes again and
+#                                   every accepted job completes
 #   SIGKILL one shard mid-load   -> breaker opens, traffic re-routes, and
 #                                   every accepted job still completes
 #   SIGTERM                -> graceful drain
@@ -25,6 +26,7 @@ PIDS=()
 cleanup() {
   for pid in "${PIDS[@]:-}"; do
     if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
+      kill -CONT "$pid" 2>/dev/null || true # a stopped shard cannot take TERM
       kill -TERM "$pid" 2>/dev/null || true
       wait "$pid" 2>/dev/null || true
     fi
@@ -42,14 +44,13 @@ spec() { # spec SEED [MEASURE]
 go build -o "$TMP/simserve" ./cmd/simserve
 go build -o "$TMP/simring" ./cmd/simring
 
-start_backend() { # start_backend ADDR PEER1 PEER2 -> pid
-  "$TMP/simserve" -addr "$1" -workers 2 -queue 16 \
-    -peers "http://$2,http://$3" >>"$TMP/backends.log" 2>&1 &
+start_backend() { # start_backend ADDR -> pid
+  "$TMP/simserve" -addr "$1" -workers 2 -queue 16 >>"$TMP/backends.log" 2>&1 &
   echo $!
 }
-B1_PID="$(start_backend "$B1_ADDR" "$B2_ADDR" "$B3_ADDR")"
-B2_PID="$(start_backend "$B2_ADDR" "$B1_ADDR" "$B3_ADDR")"
-B3_PID="$(start_backend "$B3_ADDR" "$B1_ADDR" "$B2_ADDR")"
+B1_PID="$(start_backend "$B1_ADDR")"
+B2_PID="$(start_backend "$B2_ADDR")"
+B3_PID="$(start_backend "$B3_ADDR")"
 PIDS+=("$B1_PID" "$B2_PID" "$B3_PID")
 
 "$TMP/simring" -addr "$RING_ADDR" \
@@ -100,63 +101,67 @@ curl -sS -X POST "$RING/v1/runs" -d "$(spec 1)" -o "$TMP/repeat.json" \
 grep -q '"cached": true' "$TMP/repeat.json" || fail "repeat submit missed the cache: $(cat "$TMP/repeat.json")"
 echo "simring_smoke: repeat submit served from cache"
 
-# --- cross-shard cache hit via peer fill-over -------------------------------
-# Exactly one shard owns hash($(spec 1)) and computed it above. Submitting
-# the same spec directly to every shard must never recompute: the owner
-# answers from its local cache, the other two fill over from a peer.
-for ADDR in "$B1_ADDR" "$B2_ADDR" "$B3_ADDR"; do
-  curl -sS -X POST "http://$ADDR/v1/runs" -d "$(spec 1)" -o "$TMP/direct.json" \
-       -w '%{http_code}' > "$TMP/direct.code"
-  CODE="$(cat "$TMP/direct.code")"
-  [[ "$CODE" == 200 || "$CODE" == 202 ]] || fail "direct submit to $ADDR: HTTP $CODE"
-  ID="$(sed -n 's/.*"id": "\(j-[0-9]*\)".*/\1/p' "$TMP/direct.json" | head -1)"
+# wait_breaker ADDR STATE: /v1/cluster must show the shard's breaker in
+# STATE ("open" = down, "closed" = up) within five seconds.
+wait_breaker() {
   for i in $(seq 1 50); do
-    curl -fsS "http://$ADDR/v1/runs/$ID" -o "$TMP/direct_poll.json"
-    grep -q '"status": "done"' "$TMP/direct_poll.json" && break
-    grep -q '"status": "failed"' "$TMP/direct_poll.json" && fail "direct job on $ADDR failed"
-    [[ $i == 50 ]] && fail "direct job on $ADDR did not finish"
-    sleep 0.2
+    curl -fsS "$RING/v1/cluster" -o "$TMP/cluster.json"
+    grep -A2 "$1" "$TMP/cluster.json" | grep -q "\"breaker\": \"$2\"" && return 0
+    sleep 0.1
   done
+  fail "breaker for $1 never $2: $(cat "$TMP/cluster.json")"
+}
+
+# submit_wave FIRST LAST: submit seeds FIRST..LAST through the coordinator,
+# each answered within 10 s (the proxied client timeout is 30 s, so a
+# request stuck on a stopped shard fails here), and append their IDs to IDS.
+IDS=()
+submit_wave() {
+  for seed in $(seq "$1" "$2"); do
+    curl -sS -m 10 -X POST "$RING/v1/runs" -d "$(spec "$seed" 3000)" -o "$TMP/wave.json" \
+         -w '%{http_code}' > "$TMP/wave.code" || fail "seed $seed: no answer within 10s"
+    CODE="$(cat "$TMP/wave.code")"
+    [[ "$CODE" == 202 || "$CODE" == 200 ]] || fail "seed $seed: HTTP $CODE"
+    IDS+=("$(sed -n 's/.*"id": "\(r-[0-9]*\)".*/\1/p' "$TMP/wave.json" | head -1)")
+  done
+}
+
+# --- chaos: SIGSTOP one shard mid-load --------------------------------------
+# A stopped shard still accepts TCP connections but never answers: the hung
+# shard, not the dead one. Its breaker must open on a failed probe, every
+# submission must still answer (keys it owns go to its ring successor), and
+# after SIGCONT a probe must close the breaker and every job accepted before,
+# during and after the pause must complete.
+submit_wave 100 111
+kill -STOP "$B2_PID"
+echo "simring_smoke: shard 2 SIGSTOPped with ${#IDS[@]} jobs accepted"
+wait_breaker "$B2_ADDR" open
+submit_wave 112 141
+echo "simring_smoke: 30 submissions answered with shard 2 stopped"
+kill -CONT "$B2_PID"
+wait_breaker "$B2_ADDR" closed
+for ID in "${IDS[@]}"; do
+  poll_done "$ID" "$TMP/pause_poll.json"
 done
-TOTAL_EXEC=0
-TOTAL_FILLS=0
-for ADDR in "$B1_ADDR" "$B2_ADDR" "$B3_ADDR"; do
-  curl -fsS "http://$ADDR/metrics.json" -o "$TMP/bm.json"
-  E="$(sed -n 's/.*"executed": \([0-9]*\).*/\1/p' "$TMP/bm.json" | head -1)"
-  F="$(sed -n 's/.*"peer_fills": \([0-9]*\).*/\1/p' "$TMP/bm.json" | head -1)"
-  TOTAL_EXEC=$((TOTAL_EXEC + E))
-  TOTAL_FILLS=$((TOTAL_FILLS + F))
-done
-[[ "$TOTAL_EXEC" == 1 ]] || fail "spec simulated $TOTAL_EXEC times cluster-wide, want exactly 1"
-[[ "$TOTAL_FILLS" -ge 2 ]] || fail "peer fill-overs = $TOTAL_FILLS, want >= 2 (one per non-owner shard)"
-echo "simring_smoke: cross-shard cache hit (1 execution, $TOTAL_FILLS peer fills)"
+echo "simring_smoke: shard 2 back up; all ${#IDS[@]} accepted jobs completed"
 
 # --- chaos: SIGKILL one shard mid-load --------------------------------------
 # Accept a wave of jobs, hard-kill shard 3 (no drain, no goodbye), keep
 # submitting, and require every accepted job — both waves — to complete.
 IDS=()
-for seed in $(seq 10 21); do
-  curl -sS -X POST "$RING/v1/runs" -d "$(spec "$seed" 3000)" -o "$TMP/wave.json" \
-       -w '%{http_code}' > "$TMP/wave.code"
-  CODE="$(cat "$TMP/wave.code")"
-  [[ "$CODE" == 202 || "$CODE" == 200 ]] || fail "wave-1 seed $seed: HTTP $CODE"
-  IDS+=("$(sed -n 's/.*"id": "\(r-[0-9]*\)".*/\1/p' "$TMP/wave.json" | head -1)")
-done
+submit_wave 10 21
 kill -KILL "$B3_PID"
 wait "$B3_PID" 2>/dev/null || true
 echo "simring_smoke: shard 3 SIGKILLed with ${#IDS[@]} jobs accepted"
 
-# The breaker must open within a few probe intervals.
-for i in $(seq 1 50); do
-  curl -fsS "$RING/v1/cluster" -o "$TMP/cluster.json"
-  grep -A2 "$B3_ADDR" "$TMP/cluster.json" | grep -q '"breaker": "open"' && break
-  [[ $i == 50 ]] && fail "breaker for killed shard never opened: $(cat "$TMP/cluster.json")"
-  sleep 0.1
-done
+wait_breaker "$B3_ADDR" open
 echo "simring_smoke: breaker open for killed shard"
 
-# Traffic keeps flowing: submit until the reroute counter moves (a key
-# owned by the dead shard routes to its ring successor).
+# Traffic keeps flowing: submit until the reroute counter moves past where
+# the pause left it (a key owned by the dead shard routes to its ring
+# successor).
+reroutes() { curl -fsS "$RING/metrics" | sed -n 's/^simring_reroutes_total \([0-9]*\).*/\1/p'; }
+R0="$(reroutes)"
 REROUTED=0
 for seed in $(seq 30 69); do
   curl -sS -X POST "$RING/v1/runs" -d "$(spec "$seed" 3000)" -o "$TMP/wave.json" \
@@ -164,8 +169,8 @@ for seed in $(seq 30 69); do
   CODE="$(cat "$TMP/wave.code")"
   [[ "$CODE" == 202 || "$CODE" == 200 ]] || fail "wave-2 seed $seed: HTTP $CODE"
   IDS+=("$(sed -n 's/.*"id": "\(r-[0-9]*\)".*/\1/p' "$TMP/wave.json" | head -1)")
-  R="$(curl -fsS "$RING/metrics" | sed -n 's/^simring_reroutes_total \([0-9.]*\).*/\1/p')"
-  if [[ -n "$R" && "${R%%.*}" -ge 1 ]]; then REROUTED=1; break; fi
+  R="$(reroutes)"
+  if [[ -n "$R" && "$R" -gt "${R0:-0}" ]]; then REROUTED=1; break; fi
 done
 [[ "$REROUTED" == 1 ]] || fail "no re-routes recorded across 40 post-kill submissions"
 echo "simring_smoke: traffic re-routed around dead shard"
