@@ -144,9 +144,11 @@ func TestCandidateRowsDoNotAlias(t *testing.T) {
 }
 
 // TestCandidateTableFootprint pins what the table costs, per benchmark
-// configuration: two allocations (slab and offsets), their exact sizes, and
-// that New pays them — a network fresh from New answers every lookup without
-// allocating, and stepping it leaves both arrays where they are.
+// configuration: the pure builder's two allocations (slab and offsets) and
+// their exact sizes, and that nothing is left for later — a network fresh
+// from New answers every lookup without allocating, taking its table from
+// the memo again allocates nothing, and stepping leaves both arrays where
+// they are.
 func TestCandidateTableFootprint(t *testing.T) {
 	const entry, offset = 3, 4 // bytes: a routing.PortVC, a uint32
 	pins := map[schemes.Kind]struct{ rows, entries, slabCap int }{
@@ -169,14 +171,19 @@ func TestCandidateTableFootprint(t *testing.T) {
 		}
 		asked := uint64(cap(n.candSlab)*entry + cap(n.candOff)*offset)
 
-		// The build itself, measured as TestNewDoesNotScaleWithServiceTime
+		// The pure builder, measured as TestNewDoesNotScaleWithServiceTime
 		// measures New: whole-process counters, smallest of three readings.
+		// New itself pays this only on a memo miss (TestNetworkFootprint).
+		shape := n.tableShape()
 		build := func() (mallocs, bytes uint64) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			n.buildCandTable()
+			slab, off := buildCandTable(nil, n.Torus, shape.combos[:shape.ncombos])
 			runtime.ReadMemStats(&after)
+			if len(slab) != len(n.candSlab) || len(off) != len(n.candOff) {
+				t.Errorf("%s: the builder made %d entries in %d rows, New's table has %d in %d", name, len(slab), len(off)-1, len(n.candSlab), len(n.candOff)-1)
+			}
 			return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 		}
 		mallocs, bytes := build()
@@ -203,6 +210,9 @@ func TestCandidateTableFootprint(t *testing.T) {
 		}
 		if lookups == 0 {
 			t.Errorf("%s: every row is empty", name)
+		}
+		if a := testing.AllocsPerRun(10, n.setCandTable); a != 0 {
+			t.Errorf("%s: taking the shared table from the memo allocates %.0f times", name, a)
 		}
 		n.RunCycles(200)
 		if slab != &n.candSlab[0] || off != &n.candOff[0] {

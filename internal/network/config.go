@@ -164,8 +164,11 @@ func DefaultConfig() Config {
 // overflow in anything admitted. The largest system any experiment, test or
 // benchmark here builds — an 8x8 torus under SQ with 1,024-slot queues —
 // counts 429,056, so the bound is 39 times that, while a hostile radix or
-// queue size is refused before anything is allocated. It is a constant
-// because no two callers need different values.
+// queue size is refused before anything is allocated. The same bound caps
+// the process-wide memo of shared candidate tables (candtable.go): it evicts
+// the least recently used tables to hold at most MaxSystemSlots table slots,
+// the most one admitted configuration may already ask for, so any admitted
+// table fits. It is a constant because no two callers need different values.
 const MaxSystemSlots = 1 << 24
 
 // Size returns the router and endpoint counts the configuration describes.

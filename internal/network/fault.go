@@ -146,7 +146,8 @@ func (n *Network) DropWorm(ch *router.Channel, now int64) *message.Message {
 // fault has touched adds three hashed words (and the two of the unhashed
 // ledger): the dead links, the VCs a lost credit has shrunk, and the links
 // stalled for the next cycle. A restore puts the fault-free state back first
-// and rebuilds the candidate table unless no link was or is dead; the
+// and re-points the candidate table unless no link was or is dead (a private
+// table under the restored mask, or the shared one without); the
 // routers' derived words, rebuilt after, pick up the capacities.
 func (n *Network) checkpointFaults(c *ckpt.C) {
 	dirs := n.Torus.Directions()
@@ -163,7 +164,7 @@ func (n *Network) checkpointFaults(c *ckpt.C) {
 			n.Health.KillLink(topology.NodeID(link/dirs), topology.Direction(link%dirs))
 		}
 		if had || n.Health != nil {
-			n.buildCandTable()
+			n.setCandTable()
 		}
 	} else {
 		for link := 0; dead > 0; link++ {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/deadlock"
@@ -77,11 +76,14 @@ type Network struct {
 	// combo, destination endpoint, router), which with link health is all it
 	// depends on. Row i is candSlab[candOff[i]:candOff[i+1]]; candCombo maps
 	// (type, backoff) to its deduplicated (mode, VC set) combo index. Both
-	// arrays are pointer-free, so the collector never scans them.
-	// buildCandTable lays it out in newBare and again in InvalidateRouting
-	// after a health change. It is the only candidate cache: the router
-	// allocator calls Candidates once per header, and once more per release
-	// event while it is blocked.
+	// arrays are pointer-free, so the collector never scans them, and
+	// read-only: without a health mask they are the process-wide memo's table
+	// of this shape (candtable.go), shared with every other network of it, and
+	// with one they are this network's own. setCandTable points them at the
+	// right one in newBare, in InvalidateRouting after a health change and in
+	// a restore. It is the only candidate cache: the router allocator calls
+	// Candidates once per header, and once more per release event while it is
+	// blocked.
 	candSlab  []routing.PortVC
 	candOff   []uint32
 	candCombo [int(message.NumTypes) * 2]int8
@@ -228,7 +230,7 @@ func newBare(cfg Config) (*Network, error) {
 	}
 	n.Stats.Cycles = cfg.Measure
 	n.build()
-	n.buildCandTable()
+	n.setCandTable()
 	n.initActive()
 	if cfg.Scheme == schemes.PR {
 		n.Rescue = core.New(core.Config{
@@ -307,9 +309,11 @@ func (n *Network) build() {
 
 	// NIs with injection/ejection channels.
 	n.NIs = make([]*netiface.NI, tor.Endpoints())
+	niCfg := n.niConfig()
 	for ep := 0; ep < tor.Endpoints(); ep++ {
 		e := tor.EndpointByID(ep)
-		ni := netiface.New(n.niConfig(ep))
+		niCfg.Endpoint = ep
+		ni := netiface.New(niCfg)
 		inj := newCh(router.KindInject, e.Router, e.Router, 0, e.Local)
 		ej := newCh(router.KindEject, e.Router, e.Router, 0, e.Local)
 		ni.Inject = inj
@@ -320,11 +324,11 @@ func (n *Network) build() {
 	}
 }
 
-// niConfig builds the per-endpoint NI configuration, closing over the
-// network for hooks and policy.
-func (n *Network) niConfig(ep int) netiface.Config {
+// niConfig builds the NI configuration every endpoint shares but for
+// Endpoint, closing over the network for hooks and policy. build makes it
+// once: each method value below is a closure allocated where it is taken.
+func (n *Network) niConfig() netiface.Config {
 	return netiface.Config{
-		Endpoint:        ep,
 		Queues:          n.Scheme.NumQueues(),
 		QueueIndex:      n.Scheme.QueueIndex,
 		QueueCap:        n.Cfg.QueueCap,
@@ -354,7 +358,8 @@ func (n *Network) newPacketID() message.PacketID {
 // Candidates implements router.Policy: the routing function candidates for
 // pkt positioned at router r, under the scheme's VC partition for its type.
 // An O(1) lookup in the candidate table; the row's capacity ends where the
-// next row begins, so appending to it cannot reach a neighbour.
+// next row begins, so appending to it cannot reach a neighbour. The row may
+// be shared with every network of this shape: callers must not write to it.
 func (n *Network) Candidates(r topology.NodeID, pkt *message.Packet) []routing.PortVC {
 	m := pkt.Msg
 	bo := 0
@@ -365,58 +370,6 @@ func (n *Network) Candidates(r topology.NodeID, pkt *message.Packet) []routing.P
 	i := (int(combo)*n.Torus.Endpoints()+m.Dst)*len(n.Routers) + int(r)
 	lo, hi := n.candOff[i], n.candOff[i+1]
 	return n.candSlab[lo:hi:hi]
-}
-
-// buildCandTable computes the candidate list for every (routing combo,
-// destination endpoint, router) triple under the current link health. Many
-// message types share one (mode, VC set) combo under a given scheme — all of
-// them under PR — so the table is deduplicated by combo. One pass appends the
-// routing function's output straight into a slab sized from each combo's
-// longest possible rows (routing.MaxCandidates), which therefore never grows:
-// two allocations however large the network, instead of one per row.
-func (n *Network) buildCandTable() {
-	type combo struct {
-		mode routing.Mode
-		set  routing.VCSet
-	}
-	combos := make([]combo, 0, 2*int(message.NumTypes)) // constant capacity: stays on the stack
-	for t := 0; t < int(message.NumTypes); t++ {
-		for bo := 0; bo < 2; bo++ {
-			mode := n.Scheme.RoutingMode(message.Type(t), bo == 1)
-			set := n.Scheme.VCSetFor(message.Type(t), bo == 1)
-			idx := -1
-			for i, c := range combos {
-				if c.mode == mode && slices.Equal(c.set.Escape, set.Escape) && slices.Equal(c.set.Adaptive, set.Adaptive) {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				idx = len(combos)
-				combos = append(combos, combo{mode, set})
-			}
-			n.candCombo[t*2+bo] = int8(idx)
-		}
-	}
-	eps, nr := n.Torus.Endpoints(), len(n.Routers)
-	bound := 0
-	for _, c := range combos {
-		// Each destination endpoint has one router it is local to.
-		atDst, routed := routing.MaxCandidates(n.Torus, c.mode, c.set)
-		bound += eps * (atDst + (nr-1)*routed)
-	}
-	slab := make([]routing.PortVC, 0, bound)
-	off := make([]uint32, 1, len(combos)*eps*nr+1)
-	for _, c := range combos {
-		for d := 0; d < eps; d++ {
-			dst := n.Torus.EndpointByID(d)
-			for r := 0; r < nr; r++ {
-				slab = routing.AppendCandidatesHealth(slab, n.Health, n.Torus, c.mode, topology.NodeID(r), dst.Router, dst.Local, c.set)
-				off = append(off, uint32(len(slab)))
-			}
-		}
-	}
-	n.candSlab, n.candOff = slab, off
 }
 
 // FaultStats tallies losses attributable to injected faults.
@@ -645,12 +598,13 @@ func (n *Network) NIWakeAt(ep int) int64 {
 	return netiface.Never
 }
 
-// InvalidateRouting rebuilds the candidate table and unparks every blocked
-// header. KillLink calls it after changing the link-health mask, and so must
-// anything else that changes Health, so blocked headers re-derive their
-// candidates against the new topology on the next cycle's allocation attempt.
+// InvalidateRouting re-points the candidate table for the current health
+// (setCandTable) and unparks every blocked header. KillLink calls it after
+// changing the link-health mask, and so must anything else that changes
+// Health, so blocked headers re-derive their candidates against the new
+// topology on the next cycle's allocation attempt.
 func (n *Network) InvalidateRouting() {
-	n.buildCandTable()
+	n.setCandTable()
 	for _, r := range n.Routers {
 		r.Unpark()
 	}
