@@ -20,17 +20,17 @@
 //     p95 submit latency, the same request fires at the ring successor
 //     and the first usable answer wins (safe: results are
 //     content-addressed, both answers are byte-identical)
-//   - graceful degradation: with every replica down, submissions queue
-//     locally and answer 202 + Retry-After; the queue flushes when a
-//     backend recovers, and overflow still answers 429
+//   - with no replica of a key willing to take it, a submission answers as
+//     one full shard would: 429 if every replica said 429, else 503, with
+//     the largest Retry-After a backend sent; an accepted job whose shards
+//     are all down answers queued and is placed again by the next poll
 //
 // Endpoints: the simserve API (/v1/runs, /v1/sweeps, /metrics, /healthz,
-// /readyz) plus GET /v1/cluster (ring topology, breaker states,
-// degraded-queue depth).
+// /readyz) plus GET /v1/cluster (ring topology, breaker states, jobs
+// tracked).
 //
-// SIGINT/SIGTERM drain gracefully: new submissions get 503, the degraded
-// queue is flushed to surviving backends, and in-flight proxied requests
-// finish (up to -drain-timeout).
+// SIGINT/SIGTERM drain gracefully: new submissions get 503 and in-flight
+// proxied requests finish (up to -drain-timeout).
 package main
 
 import (
@@ -55,11 +55,10 @@ func main() {
 		backendList   = flag.String("backends", "", "comma-separated simserve base URLs (required)")
 		replicas      = flag.Int("replicas", 3, "failover/hedge chain length per key (capped at the backend count)")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe period per backend")
-		maxPasses     = flag.Int("max-passes", 2, "full passes over a key's replica chain before degrading")
+		maxPasses     = flag.Int("max-passes", 2, "full passes over a key's replica chain before answering 429/503")
 		hedgeMin      = flag.Duration("hedge-min", 10*time.Millisecond, "lower clamp on the p95-derived hedge delay")
 		hedgeMax      = flag.Duration("hedge-max", time.Second, "upper clamp on the p95-derived hedge delay")
 		noHedge       = flag.Bool("no-hedge", false, "disable hedged requests")
-		queueDepth    = flag.Int("queue", 64, "degraded-mode local queue depth (overflow gets HTTP 429)")
 		clientTimeout = flag.Duration("client-timeout", 30*time.Second, "per-proxied-request timeout")
 		drainTimeout  = flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget")
 		version       = flag.Bool("version", false, "print version and exit")
@@ -85,7 +84,6 @@ func main() {
 		HedgeMin:      *hedgeMin,
 		HedgeMax:      *hedgeMax,
 		DisableHedge:  *noHedge,
-		QueueDepth:    *queueDepth,
 		Client:        &http.Client{Timeout: *clientTimeout},
 	})
 	fatal(err)
@@ -110,8 +108,8 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful drain: refuse new submissions, flush the degraded queue to
-	// whatever backends remain, let in-flight proxied requests finish.
+	// Graceful drain: refuse new submissions, let in-flight proxied requests
+	// finish.
 	log.Printf("simring: shutdown signal; draining (budget %s)", *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

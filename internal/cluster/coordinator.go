@@ -31,13 +31,13 @@ type Config struct {
 	// hung backend reads as down within ProbeInterval + ProbeTimeout.
 	ProbeTimeout time.Duration
 	// MaxPasses is how many full passes over a key's replica chain a
-	// submission makes before degrading (default 2).
+	// submission makes before answering 429 or 503 (default 2).
 	MaxPasses int
 	// RetryBase is the first inter-pass backoff; passes double it with
 	// full jitter, capped at RetryMax (defaults 25ms, 1s). A backend's
 	// Retry-After hint raises the sleep when larger (capped at RetryMax,
-	// because a request-scoped retry cannot wait out a 30s hint — that is
-	// what degraded mode is for).
+	// because a request-scoped retry cannot wait out a 30s hint — the
+	// client can, and gets the hint in the answer's Retry-After).
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// DisableHedge turns off hedged requests (they default on).
@@ -46,8 +46,6 @@ type Config struct {
 	// 10ms, 1s). Until enough latency samples exist the delay is HedgeMax.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
-	// QueueDepth bounds the degraded-mode local queue (default 64).
-	QueueDepth int
 	// Client is the HTTP client for proxied requests (default: 30s
 	// timeout).
 	Client *http.Client
@@ -89,9 +87,6 @@ func (c *Config) withDefaults() error {
 	if c.HedgeMax < c.HedgeMin {
 		c.HedgeMax = c.HedgeMin
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -121,15 +116,14 @@ type coordJob struct {
 	hash         string
 	body         []byte // the spec as submitted (not normalized), replayable to any backend
 	reqID        string
-	backendIdx   int    // -1 while queued degraded
-	backendJobID string // backend-local j-NNNNNN once placed
+	backendIdx   int    // the shard that last accepted it
+	backendJobID string // that shard's j-NNNNNN
 	done         bool
-	enqueued     time.Time
 }
 
 // Coordinator fronts N simserve backends: it owns the ring, the breakers,
-// the health probers, the hedging machinery, the degraded-mode queue, and
-// the job table that maps coordinator job IDs onto backend jobs. It is an
+// the health probers, the hedging machinery, and the job table that maps
+// coordinator job IDs onto backend jobs. It is an
 // http.Handler serving the same API surface as a single simserve, so
 // clients cannot tell one shard from a cluster.
 type Coordinator struct {
@@ -144,15 +138,9 @@ type Coordinator struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	// flushMu serializes degraded-queue flushes: the ticker loop and Drain
-	// both call flushPending, and two concurrent flushes could pop a job
-	// the other one placed.
-	flushMu sync.Mutex
-
 	mu       sync.Mutex
 	jobs     map[string]*coordJob
 	order    []string // insertion order of the ids in jobs, for bounded eviction
-	pending  []string // degraded-queue job IDs, FIFO
 	seq      int64
 	draining bool
 
@@ -161,8 +149,7 @@ type Coordinator struct {
 	evictVisited int64
 }
 
-// New builds a coordinator and starts its health probers and the
-// degraded-queue flush loop.
+// New builds a coordinator and starts its health probers.
 func New(cfg Config) (*Coordinator, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -193,8 +180,6 @@ func New(cfg Config) (*Coordinator, error) {
 		c.wg.Add(1)
 		go c.probeLoop(b)
 	}
-	c.wg.Add(1)
-	go c.flushLoop()
 	return c, nil
 }
 
@@ -438,12 +423,13 @@ func (c *Coordinator) reportOutcome(o outcome) {
 // (hedging each leg against its successor), skipping open breakers; after
 // each full failed pass, back off with jitter — honoring the largest
 // Retry-After any backend returned, capped at RetryMax — and try again.
-// When MaxPasses passes produce nothing, degrade: queue locally and tell
-// the client 202 (accepted, will be placed) so accepted work survives even
-// a whole-chain outage.
+// When MaxPasses passes produce nothing, the returned outcome is not usable:
+// its status is 429 only if every attempt answered 429 (0 if no breaker let
+// an attempt through), and its retryAfter is the largest hint any backend
+// sent.
 func (c *Coordinator) submit(ctx context.Context, hash string, body []byte, reqID string) outcome {
 	chain := c.chain(hash)
-	var last outcome
+	var last outcome // the first attempt that was not a 429, else the latest 429
 	for pass := 0; pass < c.cfg.MaxPasses; pass++ {
 		for i, b := range chain {
 			if !b.up() {
@@ -468,7 +454,7 @@ func (c *Coordinator) submit(ctx context.Context, hash string, body []byte, reqI
 			if o.retryAfter > last.retryAfter {
 				last.retryAfter = o.retryAfter
 			}
-			if o.status != 0 || last.status == 0 {
+			if last.b == nil || last.status == http.StatusTooManyRequests {
 				last.b, last.status, last.body, last.err = o.b, o.status, o.body, o.err
 			}
 			c.m.reroutes.Inc()
@@ -488,8 +474,8 @@ func (c *Coordinator) submit(ctx context.Context, hash string, body []byte, reqI
 
 // sleepBackoff waits out one inter-pass delay: capped exponential backoff
 // with full jitter, floored by the backends' own Retry-After hint (itself
-// capped at RetryMax — a 30s hint belongs to the degraded queue's clock,
-// not a client-facing request). Returns false if ctx expired first.
+// capped at RetryMax — a 30s hint is the client's to wait out, and
+// handleSubmit passes it on). Returns false if ctx expired first.
 func (c *Coordinator) sleepBackoff(ctx context.Context, pass int, retryAfterSec int) bool {
 	d := simsvc.RetryDelay(c.cfg.RetryBase, c.cfg.RetryMax, pass)
 	if ra := time.Duration(retryAfterSec) * time.Second; ra > d {
@@ -507,9 +493,8 @@ func (c *Coordinator) sleepBackoff(ctx context.Context, pass int, retryAfterSec 
 	}
 }
 
-// register mints a coordinator job ID and records the placement; bIdx is
-// -1 for a degraded (locally queued) job, which also joins the pending
-// FIFO. Callers hold c.mu.
+// register mints a coordinator job ID and records the placement. Callers
+// hold c.mu.
 func (c *Coordinator) register(hash string, body []byte, reqID string, bIdx int, backendJobID string) *coordJob {
 	c.seq++
 	j := &coordJob{
@@ -518,13 +503,9 @@ func (c *Coordinator) register(hash string, body []byte, reqID string, bIdx int,
 		body:       body,
 		reqID:      reqID,
 		backendIdx: bIdx, backendJobID: backendJobID,
-		enqueued: time.Now(),
 	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
-	if bIdx < 0 {
-		c.pending = append(c.pending, j.id)
-	}
 	c.evictLocked()
 	return j
 }
@@ -562,80 +543,19 @@ func (c *Coordinator) evictLocked() {
 	}
 }
 
-// flushLoop drains the degraded queue: whenever backends might have
-// recovered (every probe interval), it re-runs the normal placement for
-// the oldest pending jobs. Jobs placed here keep their coordinator IDs, so
-// a client polling an ID it got during an outage sees the job progress
-// normally once capacity returns.
-func (c *Coordinator) flushLoop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-		}
-		c.flushPending(context.Background())
-	}
-}
-
-// flushPending attempts to place every currently-pending degraded job,
-// stopping at the first placement failure (the cluster is still down —
-// later entries would fail the same way).
-func (c *Coordinator) flushPending(ctx context.Context) {
-	c.flushMu.Lock()
-	defer c.flushMu.Unlock()
-	for {
-		c.mu.Lock()
-		if len(c.pending) == 0 {
-			c.mu.Unlock()
-			return
-		}
-		id := c.pending[0]
-		j, ok := c.jobs[id]
-		c.mu.Unlock()
-		if !ok {
-			c.mu.Lock()
-			c.pending = c.pending[1:]
-			c.mu.Unlock()
-			continue
-		}
-
-		o := c.placeOnce(ctx, j)
-		if !o.usable() {
-			return
-		}
-		c.mu.Lock()
-		c.pending = c.pending[1:]
-		c.mu.Unlock()
-		c.m.degradedFlushed.Inc()
-	}
-}
-
-// placeOnce tries one placement pass for a degraded job (no hedging — the
-// queue's clock is patient) and updates the job record on success.
-func (c *Coordinator) placeOnce(ctx context.Context, j *coordJob) outcome {
+// placeOnce replays a job's retained body down its replica chain, one
+// unhedged attempt per live shard, and moves the job record to the first
+// shard that accepts it. It reports the accepting shard's view, or false if
+// no shard took the job.
+func (c *Coordinator) placeOnce(ctx context.Context, j *coordJob) (simsvc.JobView, bool) {
 	for _, b := range c.chain(j.hash) {
 		if !b.up() {
 			continue
 		}
 		o := c.submitOnce(ctx, b, j.body, j.reqID)
 		c.reportOutcome(o)
-		if !o.usable() {
-			continue
-		}
-		if o.status == http.StatusBadRequest {
-			// Can't happen for a spec that validated at enqueue time, but
-			// never leave a poisoned entry clogging the queue head.
-			c.mu.Lock()
-			j.done = true
-			c.mu.Unlock()
-			return o
-		}
 		var v simsvc.JobView
-		if err := json.Unmarshal(o.body, &v); err != nil {
+		if (o.status != http.StatusOK && o.status != http.StatusAccepted) || json.Unmarshal(o.body, &v) != nil {
 			continue
 		}
 		c.mu.Lock()
@@ -645,10 +565,9 @@ func (c *Coordinator) placeOnce(ctx context.Context, j *coordJob) outcome {
 			j.done = true
 		}
 		c.mu.Unlock()
-		c.cfg.Logger.Printf("simring: degraded job %s placed on %s as %s", j.id, b.url, v.ID)
-		return o
+		return v, true
 	}
-	return outcome{}
+	return simsvc.JobView{}, false
 }
 
 // Draining reports whether Drain has begun.
@@ -658,41 +577,21 @@ func (c *Coordinator) Draining() bool {
 	return c.draining
 }
 
-// Drain begins graceful shutdown: new submissions are refused with 503,
-// and the degraded queue is flushed to whatever backends remain until it
-// empties or ctx expires. In-flight proxied requests are the HTTP server's
-// to finish (http.Server.Shutdown waits for handlers); Drain then stops
-// the probe and flush loops.
+// Drain begins graceful shutdown: new submissions are refused with 503 and
+// the probe loops stop. Every accepted job already lives on a shard, so
+// there is nothing to hand over and ctx is not waited on; in-flight proxied
+// requests are the HTTP server's to finish (http.Server.Shutdown waits for
+// handlers).
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	already := c.draining
 	c.draining = true
 	c.mu.Unlock()
-	if already {
-		return nil
+	if !already {
+		close(c.stop)
+		c.wg.Wait()
 	}
-
-	var err error
-	for {
-		c.mu.Lock()
-		n := len(c.pending)
-		c.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if ctx.Err() != nil {
-			err = fmt.Errorf("cluster: drain abandoned %d queued jobs: %w", n, ctx.Err())
-			break
-		}
-		c.flushPending(ctx)
-		select {
-		case <-time.After(c.cfg.RetryBase):
-		case <-ctx.Done():
-		}
-	}
-	close(c.stop)
-	c.wg.Wait()
-	return err
+	return nil
 }
 
 // LiveBackends counts backends whose breaker is not open.

@@ -31,6 +31,7 @@ type testBackend struct {
 	store  *simsvc.Store
 	api    atomic.Pointer[simsvc.Server]
 	down   atomic.Bool                   // respond 503 to everything
+	busy   atomic.Int64                  // while > 0, answer submissions 429 with Retry-After busy
 	slowMS atomic.Int64                  // delay every request
 	hang   atomic.Pointer[chan struct{}] // while set, every request waits for it to close
 	execs  atomic.Int64                  // simulations this backend ran
@@ -73,6 +74,11 @@ func newTestBackend(t *testing.T, execDelay time.Duration) *testBackend {
 		}
 		if tb.down.Load() {
 			http.Error(w, "injected outage", http.StatusServiceUnavailable)
+			return
+		}
+		if ra := tb.busy.Load(); ra > 0 && r.Method == http.MethodPost {
+			w.Header().Set("Retry-After", fmt.Sprint(ra))
+			http.Error(w, "injected full queue", http.StatusTooManyRequests)
 			return
 		}
 		if rid := r.Header.Get("X-Request-ID"); rid != "" && r.URL.Path != "/readyz" && r.URL.Path != "/healthz" {
@@ -130,7 +136,6 @@ func testCluster(t *testing.T, n int, execDelay time.Duration, mod func(*Config)
 		RetryMax:      100 * time.Millisecond,
 		HedgeMin:      5 * time.Millisecond,
 		HedgeMax:      100 * time.Millisecond,
-		QueueDepth:    8,
 		Client:        &http.Client{Timeout: 2 * time.Second},
 		Logger:        log.New(io.Discard, "", 0),
 	}
@@ -360,86 +365,134 @@ func TestHedgedRequestBeatsSlowOwner(t *testing.T) {
 	pollDone(t, coord, v.ID, 5*time.Second)
 }
 
-// TestDegradedModeQueuesAndFlushes: with every backend down the
-// coordinator still answers 202 (accepted, queued locally, Retry-After
-// attached) and 429 past the local queue depth; once a backend recovers,
-// the queue flushes and the job completes under its original ID.
-func TestDegradedModeQueuesAndFlushes(t *testing.T) {
-	coord, backends := testCluster(t, 2, 0, func(c *Config) {
-		c.QueueDepth = 2
-		c.MaxPasses = 1
-		c.DisableHedge = true
-	})
+// waitLive waits until exactly n backends' breakers are closed.
+func waitLive(t *testing.T, coord *Coordinator, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); coord.LiveBackends() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d live backends, want %d", coord.LiveBackends(), n)
+		}
+	}
+}
+
+// TestUnplaceableSubmissionAnswersLikeAFullShard: a spec no replica will take
+// is refused as one shard refuses it, with a Retry-After. Every breaker open:
+// submit and sweep answer 503 and readyz 503. Every replica answering 429:
+// the submission answers 429 with the largest hint a backend sent.
+func TestUnplaceableSubmissionAnswersLikeAFullShard(t *testing.T) {
+	coord, backends := testCluster(t, 2, 0, func(c *Config) { c.DisableHedge = true })
+	refused := func(what string, resp *http.Response, body []byte, status int, retryAfter string) {
+		t.Helper()
+		if resp.StatusCode != status {
+			t.Fatalf("%s: %d %s, want %d", what, resp.StatusCode, body, status)
+		}
+		if got := resp.Header.Get("Retry-After"); got == "" || (retryAfter != "" && got != retryAfter) {
+			t.Errorf("%s: Retry-After %q, want %q", what, got, retryAfter)
+		}
+	}
+
 	for _, tb := range backends {
 		tb.down.Store(true)
 	}
-	// Let the probers notice.
-	deadline := time.Now().Add(2 * time.Second)
-	for coord.LiveBackends() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("breakers never opened for downed backends")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
+	waitLive(t, coord, 0)
 	resp, body := doPost(t, coord, "/v1/runs", specJSON(100), nil)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("degraded submit: %d %s, want 202", resp.StatusCode, body)
+	refused("submit, every breaker open", resp, body, http.StatusServiceUnavailable, "")
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&simsvc.APIError{}); err != nil {
+		t.Errorf("503 body is not an API error: %v\n%s", err, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("degraded 202 carries no Retry-After")
-	}
-	var v simsvc.JobView
-	json.Unmarshal(body, &v)
-	if !strings.HasPrefix(v.ID, "r-") || v.Status != simsvc.StatusQueued {
-		t.Fatalf("degraded view: %s", body)
-	}
-	if want := normalizedSpec(t, specJSON(100)); !reflect.DeepEqual(v.Spec, want) {
-		t.Errorf("degraded view's spec %+v, a shard's would be %+v", v.Spec, want)
-	}
+	sweep := `{"spec":{"scheme":"PR","pattern":"PAT271","radix":[2,2],"warmup":-1,"measure":500},"from":0.01,"to":0.02,"steps":2}`
+	resp, body = doPost(t, coord, "/v1/sweeps", sweep, nil)
+	refused("sweep, every breaker open", resp, body, http.StatusServiceUnavailable, "")
+	resp, body = doGet(t, coord, "/readyz")
+	refused("readyz, every breaker open", resp, body, http.StatusServiceUnavailable, "")
 
-	// A poll while degraded reports the queued job, not an error.
-	resp, body = doGet(t, coord, "/v1/runs/"+v.ID)
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"queued"`) {
-		t.Fatalf("degraded poll: %d %s", resp.StatusCode, body)
-	}
-
-	// Fill the local queue: overflow is 429 with Retry-After — the
-	// backpressure contract survives total backend loss.
-	resp, body = doPost(t, coord, "/v1/runs", specJSON(101), nil)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("second degraded submit: %d", resp.StatusCode)
-	}
-	var second simsvc.JobView
-	json.Unmarshal(body, &second)
-	resp, body = doPost(t, coord, "/v1/runs", specJSON(102), nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("degraded overflow: %d %s, want 429", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("degraded 429 carries no Retry-After")
-	}
-
-	// readyz mirrors the outage.
-	if resp, _ := doGet(t, coord, "/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz with zero live backends: %d, want 503", resp.StatusCode)
-	}
-
-	// Recovery: probes close the breaker, the flush loop places the
-	// queued jobs, and the original IDs complete.
+	backends[0].busy.Store(7)
+	backends[1].busy.Store(9)
 	for _, tb := range backends {
 		tb.down.Store(false)
 	}
-	// The flush places the jobs one at a time and counts each after popping it
-	// from the queue, so the first can be polled done before the second is
-	// placed, or before its own increment: wait for both IDs, then give the
-	// counter a deadline of its own.
-	pollDone(t, coord, v.ID, 10*time.Second)
-	pollDone(t, coord, second.ID, 10*time.Second)
-	for deadline := time.Now().Add(2 * time.Second); coord.m.degradedFlushed.Value() < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("degraded_flushed = %v, want >= 2", coord.m.degradedFlushed.Value())
+	waitLive(t, coord, 2)
+	resp, body = doPost(t, coord, "/v1/runs", specJSON(101), nil)
+	refused("submit, every replica 429", resp, body, http.StatusTooManyRequests, "9")
+	coord.mu.Lock()
+	tracked := len(coord.jobs)
+	coord.mu.Unlock()
+	if tracked != 0 {
+		t.Errorf("refused submissions left %d jobs in the table", tracked)
+	}
+}
+
+// TestAcceptedJobOutlivesWholeChainOutage: a job a shard accepted, polled
+// while every replica is down, answers queued under its own ID with the spec
+// a shard would show; once the shards are back, polling alone completes it.
+// Nothing runs in the background to get it there.
+func TestAcceptedJobOutlivesWholeChainOutage(t *testing.T) {
+	coord, backends := testCluster(t, 2, 200*time.Millisecond, func(c *Config) { c.DisableHedge = true })
+	resp, body := doPost(t, coord, "/v1/runs", specJSON(100), nil)
+	var v simsvc.JobView
+	if err := json.Unmarshal(body, &v); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	for _, tb := range backends {
+		tb.down.Store(true)
+	}
+	waitLive(t, coord, 0)
+
+	for i := 0; i < 2; i++ { // a failed placement leaves the job as it found it
+		resp, body = doGet(t, coord, "/v1/runs/"+v.ID)
+		var q simsvc.JobView
+		if err := json.Unmarshal(body, &q); err != nil || resp.StatusCode != http.StatusOK ||
+			q.ID != v.ID || q.Status != simsvc.StatusQueued || q.SpecHash != specHash(t, 100) {
+			t.Fatalf("poll %d during the outage: %d %s", i, resp.StatusCode, body)
 		}
+		if want := normalizedSpec(t, specJSON(100)); !reflect.DeepEqual(q.Spec, want) {
+			t.Errorf("queued view's spec %+v, a shard's would be %+v", q.Spec, want)
+		}
+	}
+
+	for _, tb := range backends {
+		tb.down.Store(false)
+	}
+	waitLive(t, coord, 2)
+	done := pollDone(t, coord, v.ID, 5*time.Second)
+	if !strings.Contains(string(done.Result), specHash(t, 100)) {
+		t.Fatalf("job %s: wrong result %s", v.ID, done.Result)
+	}
+}
+
+// TestRestartedShardsJobIDIsNotAdopted: a restarted shard numbers its jobs
+// from j-000001 again. Once it has taken another spec under the ID a job
+// polled through the coordinator was placed as, the poll must still answer
+// that job's own spec and result, not the other spec's.
+func TestRestartedShardsJobIDIsNotAdopted(t *testing.T) {
+	coord, backends := testCluster(t, 1, 0, func(c *Config) { c.DisableHedge = true })
+	resp, body := doPost(t, coord, "/v1/runs", specJSON(1), nil)
+	var v simsvc.JobView
+	if err := json.Unmarshal(body, &v); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	pollDone(t, coord, v.ID, 5*time.Second)
+
+	backends[0].restart(t, 0)
+	shard, err := http.Post(backends[0].srv.URL+"/v1/runs", "application/json", strings.NewReader(specJSON(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var other simsvc.JobView
+	err = json.NewDecoder(shard.Body).Decode(&other)
+	shard.Body.Close()
+	coord.mu.Lock()
+	placedAs := coord.jobs[v.ID].backendJobID
+	coord.mu.Unlock()
+	if err != nil || other.ID != placedAs {
+		t.Fatalf("the restarted shard took the other spec as %q (%v), the job was placed as %q", other.ID, err, placedAs)
+	}
+
+	got := pollDone(t, coord, v.ID, 5*time.Second)
+	if got.ID != v.ID || got.SpecHash != specHash(t, 1) || !strings.Contains(string(got.Result), specHash(t, 1)) {
+		t.Fatalf("poll of %s answers spec %s with result %s, want spec %s", v.ID, got.SpecHash, got.Result, specHash(t, 1))
 	}
 }
 

@@ -11,8 +11,6 @@ type ringMetrics struct {
 	hedgeWins          *telemetry.Counter
 	reroutes           *telemetry.Counter
 	retrySleeps        *telemetry.Counter
-	degradedEnqueued   *telemetry.Counter
-	degradedFlushed    *telemetry.Counter
 	resurrected        *telemetry.Counter
 }
 
@@ -38,10 +36,6 @@ func newRingMetrics(c *Coordinator) (*telemetry.Registry, *ringMetrics) {
 			"Submissions moved past a backend (breaker open, 429/503, or transport failure)."),
 		retrySleeps: reg.Counter("simring_retry_sleeps_total",
 			"Inter-pass backoff sleeps during submission routing."),
-		degradedEnqueued: reg.Counter("simring_degraded_enqueued_total",
-			"Submissions queued locally because every replica was unavailable."),
-		degradedFlushed: reg.Counter("simring_degraded_flushed_total",
-			"Degraded-queue jobs later placed on a recovered backend."),
 		resurrected: reg.Counter("simring_jobs_resurrected_total",
 			"Jobs replayed onto another shard after their backend was lost."),
 	}
@@ -58,12 +52,6 @@ func newRingMetrics(c *Coordinator) (*telemetry.Registry, *ringMetrics) {
 	})
 	reg.GaugeFunc("simring_live_backends", "Backends whose breaker is not open.",
 		func() float64 { return float64(c.LiveBackends()) })
-	reg.GaugeFunc("simring_degraded_queue_depth", "Jobs waiting in the degraded-mode local queue.",
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(len(c.pending))
-		})
 	reg.GaugeFunc("simring_hedge_delay_seconds", "Current p95-derived hedge delay.",
 		func() float64 { return c.hedgeDelay().Seconds() })
 	reg.GaugeFunc("simring_draining", "1 while graceful shutdown is in progress.",

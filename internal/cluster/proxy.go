@@ -21,7 +21,7 @@ import (
 //	                   result content-addressed by 16-hex spec hash
 //	POST /v1/sweeps    expand the rate ladder and scatter each point to the
 //	                   shard owning its spec hash
-//	GET  /v1/cluster   ring topology, breaker states, degraded-queue depth
+//	GET  /v1/cluster   ring topology, breaker states, jobs tracked
 //	GET  /metrics      Prometheus text exposition
 //	GET  /metrics.json the /v1/cluster document (JSON scrapers)
 //	GET  /healthz      coordinator liveness
@@ -133,25 +133,18 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Every replica is down, open, or saturated: degrade instead of
-	// erroring. The local queue preserves the accepted-work guarantee;
-	// its overflow preserves the 429 contract.
+	// No replica took the spec: answer as one full shard would. A local
+	// queue smaller than everything the clients can send would only delay
+	// this answer.
 	retryAfter := o.retryAfter
 	if retryAfter <= 0 {
 		retryAfter = c.defaultRetryAfter()
 	}
-	c.mu.Lock()
-	if len(c.pending) >= c.cfg.QueueDepth {
-		c.mu.Unlock()
-		c.writeJSON(w, http.StatusTooManyRequests,
-			simsvc.APIError{Error: "simring: cluster saturated and degraded queue full"}, retryAfter)
-		return
+	status, msg := http.StatusServiceUnavailable, "simring: no replica is available"
+	if o.status == http.StatusTooManyRequests {
+		status, msg = http.StatusTooManyRequests, "simring: every replica is saturated"
 	}
-	j := c.register(hash, body, reqID, -1, "")
-	c.mu.Unlock()
-	c.m.degradedEnqueued.Inc()
-	c.cfg.Logger.Printf("simring: degraded: queued %s (hash=%s) locally", j.id, hash)
-	c.writeJSON(w, http.StatusAccepted, c.pendingView(j), retryAfter)
+	c.writeJSON(w, status, simsvc.APIError{Error: msg}, retryAfter)
 }
 
 // adoptJobView records an accepted backend job under a coordinator-minted
@@ -181,8 +174,9 @@ func (j *coordJob) spec() simsvc.RunSpec {
 	return norm
 }
 
-// pendingView synthesizes the queued JobView for a degraded job. Callers
-// need not hold c.mu (fields used are written once at registration).
+// pendingView synthesizes the queued JobView for a job no shard holds right
+// now. Callers need not hold c.mu (fields used are written once at
+// registration).
 func (c *Coordinator) pendingView(j *coordJob) simsvc.JobView {
 	return simsvc.JobView{
 		ID:        j.id,
@@ -226,19 +220,15 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if bIdx < 0 {
-		// Still in the degraded queue.
-		c.writeJSON(w, http.StatusOK, c.pendingView(j), 0)
-		return
-	}
-
 	// A down shard is not asked: a hung one would hold the poll for the
-	// whole client timeout.
+	// whole client timeout. A shard's view counts only for this job's spec:
+	// a restarted shard numbers its jobs from j-000001 again, so the ID it
+	// accepted this job under may now name another spec's job.
 	if b := c.backends[bIdx]; b.up() {
 		o := c.roundTrip(r.Context(), b, http.MethodGet, "/v1/runs/"+backendJobID, nil, reqID)
 		if o.status == http.StatusOK {
 			var v simsvc.JobView
-			if uerr := json.Unmarshal(o.body, &v); uerr == nil {
+			if uerr := json.Unmarshal(o.body, &v); uerr == nil && v.SpecHash == j.hash {
 				if v.Status == simsvc.StatusDone || v.Status == simsvc.StatusFailed {
 					c.mu.Lock()
 					j.done = true
@@ -253,10 +243,10 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The shard that accepted this job is down, unreachable, or restarted
-	// and forgot it. The job is NOT lost: results are content-addressed, so
-	// first look for the payload on any replica, and failing that replay
-	// the retained spec body onto a live shard under the same coordinator
-	// ID. A 404 is a live shard's answer and leaves its breaker closed.
+	// and forgot it (or reuses its ID). The job is NOT lost: results are
+	// content-addressed, so first look for the payload on any replica, and
+	// failing that replay the retained spec body onto a live shard under the
+	// same coordinator ID. A 404 is a live shard's answer and leaves its breaker closed.
 	for _, b := range c.chain(j.hash) {
 		if !b.up() {
 			continue
@@ -280,27 +270,16 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	o := c.placeOnce(r.Context(), j)
-	if o.usable() && o.status != http.StatusBadRequest {
+	if v, ok := c.placeOnce(r.Context(), j); ok {
 		c.m.resurrected.Inc()
 		c.cfg.Logger.Printf("simring: job %s resurrected after backend loss", j.id)
-		var v simsvc.JobView
-		if json.Unmarshal(o.body, &v) == nil {
-			v.ID = j.id
-			c.writeJSON(w, http.StatusOK, v, 0)
-			return
-		}
+		v.ID = j.id
+		c.writeJSON(w, http.StatusOK, v, 0)
+		return
 	}
 
-	// Nowhere to place it right now: move it (back) into the degraded
-	// queue and report it queued — accepted work is never dropped.
-	c.mu.Lock()
-	if j.backendIdx >= 0 {
-		j.backendIdx, j.backendJobID = -1, ""
-		c.pending = append(c.pending, j.id)
-		c.m.degradedEnqueued.Inc()
-	}
-	c.mu.Unlock()
+	// Nowhere to place it right now: it stays accepted and answers queued,
+	// and the next poll tries again.
 	c.writeJSON(w, http.StatusOK, c.pendingView(j), 0)
 }
 
@@ -375,13 +354,12 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // ClusterStatus is the /v1/cluster document.
 type ClusterStatus struct {
-	Backends      []BackendStatus `json:"backends"`
-	Replicas      int             `json:"replicas"`
-	LiveBackends  int             `json:"live_backends"`
-	DegradedQueue int             `json:"degraded_queue"`
-	Draining      bool            `json:"draining"`
-	HedgeDelayMS  float64         `json:"hedge_delay_ms"`
-	JobsTracked   int             `json:"jobs_tracked"`
+	Backends     []BackendStatus `json:"backends"`
+	Replicas     int             `json:"replicas"`
+	LiveBackends int             `json:"live_backends"`
+	Draining     bool            `json:"draining"`
+	HedgeDelayMS float64         `json:"hedge_delay_ms"`
+	JobsTracked  int             `json:"jobs_tracked"`
 }
 
 // BackendStatus is one ring member's view.
@@ -403,7 +381,6 @@ func (c *Coordinator) status() ClusterStatus {
 		}
 	}
 	c.mu.Lock()
-	st.DegradedQueue = len(c.pending)
 	st.Draining = c.draining
 	st.JobsTracked = len(c.jobs)
 	c.mu.Unlock()

@@ -3,9 +3,10 @@
 // perfect routing and cache key — results are content-addressed and
 // byte-deterministic) across N simserve backends, with health-probe-driven
 // circuit breakers, capped-backoff retries that re-route around open or
-// draining backends, hedged requests against the ring successor for tail
-// latency, and a degraded-mode local queue so the 429/503 backpressure
-// contract survives every replica of a key being down at once.
+// draining backends, and hedged requests against the ring successor for tail
+// latency. A spec no replica will take is answered 429 or 503 with
+// Retry-After, as one full shard answers it: the coordinator queues nothing
+// of its own.
 package cluster
 
 import (

@@ -71,8 +71,9 @@ func RetryDelay(base, limit time.Duration, attempt int) time.Duration {
 // forgotten (their IDs answer 404; the result still answers by spec hash from
 // the cache); queued and running jobs are never evicted. The cluster
 // coordinator applies the same cap one hop up, so a shard remembers a job as
-// long as its coordinator does: a shard's 404 counts against the
-// coordinator's breaker.
+// long as its coordinator does. A shard's 404 for a job it forgot leaves the
+// coordinator's breaker closed (only transport errors and 5xx open it); the
+// coordinator then fetches the result by hash or replays the job.
 const JobTableCap = 16384
 
 // job is a queued or running job; a finished one is a record (table.go). Its

@@ -3,17 +3,21 @@
 # simring coordinator, deployed as the README does it, driven by 8
 # closed-loop simload clients (submit only, 400 keys drawn Zipf(1.2)) for
 # 14 s, with every process pinned to one core. Four seconds in, shard 2
-# suffers SCENARIO:
+# (every shard, for down) suffers SCENARIO:
 #
 #   none     nothing happens
 #   hang     SIGSTOP, never resumed within the run (a hung shard)
 #   slow     paused 200 ms out of every 400 ms until the end (a slow shard)
 #   restart  SIGKILL, started again over the same address 4 s later
+#   down     all three shards SIGSTOPped, resumed together 3 s later
 #
-# Prints one line: completed requests, p99 and max submit latency, the
-# requests still in flight at close and the oldest one's age, how many of the
-# ten seconds from the fault on had a request complete, and the simulations
-# run cluster-wide.
+# Prints one line: completed requests, of them the 429/503 answers, p99 and
+# max submit latency, the requests still in flight at close and the oldest
+# one's age, how many of the ten seconds from the fault on had a request
+# complete, the simulations run cluster-wide, and the jobs the shards still
+# held unfinished up to 10 s after the load (0: every job a shard accepted
+# completed). Against a coordinator that still has a degraded-mode local
+# queue, the line ends with simring_degraded_enqueued_total.
 #
 # Usage: scripts/ring_faults.sh SCENARIO [SEED]
 #   BIN=dir          simserve and simring binaries (default: built from here)
@@ -26,7 +30,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SCENARIO="${1:?usage: ring_faults.sh none|hang|slow|restart [SEED]}"
+SCENARIO="${1:?usage: ring_faults.sh none|hang|slow|restart|down [SEED]}"
 SEED="${2:-1}"
 CPU="${CPU:-0}"
 PORT_BASE="${PORT_BASE:-19200}"
@@ -84,9 +88,19 @@ wait_ready() { # wait_ready URL
 for a in "${ADDRS[@]}"; do wait_ready "http://$a"; done
 wait_ready "$RING"
 
-# executed: simulations a shard has run, from its /metrics.json.
-executed() {
-  curl -fsS -m 5 "http://$1/metrics.json" | sed -n 's/.*"executed": \([0-9]*\).*/\1/p' | head -1
+# shard_stat ADDR NAME: one counter from a shard's /metrics.json.
+shard_stat() {
+  curl -fsS -m 5 "http://$1/metrics.json" | sed -n "s/.*\"$2\": \([0-9]*\).*/\1/p" | head -1
+}
+# executed: simulations a shard has run.
+executed() { shard_stat "$1" executed; }
+# unfinished: jobs the shards have accepted and not yet finished.
+unfinished() {
+  local n=0 a
+  for a in "${ADDRS[@]}"; do
+    n=$((n + $(shard_stat "$a" jobs_accepted) - $(shard_stat "$a" jobs_done) - $(shard_stat "$a" jobs_failed)))
+  done
+  echo "$n"
 }
 
 taskset -c "$CPU" "$LOADGEN" -target "$RING" -duration 14s -concurrency 8 \
@@ -112,6 +126,11 @@ case "$SCENARIO" in
     SHARDS[1]="$(start_shard 1)"
     PIDS+=("${SHARDS[1]}")
     ;;
+  down)
+    kill -STOP "${SHARDS[@]}"
+    sleep 3
+    kill -CONT "${SHARDS[@]}"
+    ;;
   *) echo "ring_faults: unknown scenario $SCENARIO" >&2; exit 1 ;;
 esac
 wait "$LOAD_PID" || true # exit 2 reports transport errors; the JSON has them
@@ -120,6 +139,12 @@ kill -CONT "${SHARDS[1]}" 2>/dev/null || true
 
 EXEC="$LOST"
 for a in "${ADDRS[@]}"; do EXEC=$((EXEC + $(executed "$a"))); done
+for _ in $(seq 1 100); do
+  UNFINISHED="$(unfinished)"
+  [[ "$UNFINISHED" == 0 ]] && break
+  sleep 0.1
+done
+DEGRADED="$(curl -fsS -m 5 "$RING/metrics" | sed -n 's/^simring_degraded_enqueued_total \([0-9.e+]*\)$/\1/p')"
 
 field() { sed -n "s/^  \"$1\": \([0-9]*\).*/\1/p" "$TMP/load.json" | head -1; }
 P99="$(sed -n '/"latency_us"/,/}/s/.*"p99": \([0-9]*\).*/\1/p' "$TMP/load.json" | head -1)"
@@ -129,6 +154,8 @@ MAX="$(sed -n '/"latency_us"/,/}/s/.*"max": \([0-9]*\).*/\1/p' "$TMP/load.json" 
 SERVED="$(awk '/"s":/ {s = $2 + 0; per = 1}
                /"requests":/ && per {if (s >= 4 && $2 + 0 > 0) n++; per = 0}
                END {print n + 0}' "$TMP/load.json")"
-echo "scenario=$SCENARIO seed=$SEED requests=$(field requests) p99_us=$P99 max_us=$MAX" \
+echo "scenario=$SCENARIO seed=$SEED requests=$(field requests)" \
+  "backpressure_429_503=$(sed -n 's/.*"backpressure_429_503": \([0-9]*\).*/\1/p' "$TMP/load.json" | head -1)" \
+  "p99_us=$P99 max_us=$MAX" \
   "in_flight_at_close=$(field in_flight_at_close) oldest_in_flight_us=$(field oldest_in_flight_us)" \
-  "served_secs_after_fault=$SERVED/10 simulations=$EXEC"
+  "served_secs_after_fault=$SERVED/10 simulations=$EXEC unfinished=$UNFINISHED${DEGRADED:+ degraded_enqueued=$DEGRADED}"

@@ -7,6 +7,9 @@
 #   SIGSTOP one shard mid-load   -> breaker opens, submissions keep answering,
 #                                   and after SIGCONT it closes again and
 #                                   every accepted job completes
+#   SIGSTOP every shard          -> every breaker opens and a submission
+#                                   answers 503 + Retry-After; after SIGCONT
+#                                   the breakers close and the spec completes
 #   SIGKILL one shard mid-load   -> breaker opens, traffic re-routes, and
 #                                   every accepted job still completes
 #   SIGTERM                -> graceful drain
@@ -144,6 +147,24 @@ for ID in "${IDS[@]}"; do
   poll_done "$ID" "$TMP/pause_poll.json"
 done
 echo "simring_smoke: shard 2 back up; all ${#IDS[@]} accepted jobs completed"
+
+# --- chaos: SIGSTOP every shard ---------------------------------------------
+# With no replica to take a spec the coordinator answers as one full shard
+# would, 503 with Retry-After, and holds nothing of its own. Once the shards
+# resume, the breakers close and the same spec is accepted and completes.
+kill -STOP "$B1_PID" "$B2_PID" "$B3_PID"
+for A in "$B1_ADDR" "$B2_ADDR" "$B3_ADDR"; do wait_breaker "$A" open; done
+curl -sS -m 10 -X POST "$RING/v1/runs" -d "$(spec 200 3000)" -D "$TMP/down.hdr" -o "$TMP/down.json" \
+     -w '%{http_code}' > "$TMP/down.code" || fail "every shard stopped: no answer within 10s"
+[[ "$(cat "$TMP/down.code")" == 503 ]] || fail "every shard stopped: HTTP $(cat "$TMP/down.code"), want 503: $(cat "$TMP/down.json")"
+grep -qi '^retry-after: [0-9]' "$TMP/down.hdr" || fail "every shard stopped: 503 without Retry-After"
+echo "simring_smoke: every shard stopped; submission answered 503 with Retry-After"
+kill -CONT "$B1_PID" "$B2_PID" "$B3_PID"
+for A in "$B1_ADDR" "$B2_ADDR" "$B3_ADDR"; do wait_breaker "$A" closed; done
+IDS=()
+submit_wave 200 200
+poll_done "${IDS[0]}" "$TMP/down_poll.json"
+echo "simring_smoke: shards resumed; the refused spec completed as ${IDS[0]}"
 
 # --- chaos: SIGKILL one shard mid-load --------------------------------------
 # Accept a wave of jobs, hard-kill shard 3 (no drain, no goodbye), keep
