@@ -378,7 +378,8 @@ func waitLive(t *testing.T, coord *Coordinator, n int) {
 // TestUnplaceableSubmissionAnswersLikeAFullShard: a spec no replica will take
 // is refused as one shard refuses it, with a Retry-After. Every breaker open:
 // submit and sweep answer 503 and readyz 503. Every replica answering 429:
-// the submission answers 429 with the largest hint a backend sent.
+// the submission and the sweep answer 429 with the largest hint a backend
+// sent.
 func TestUnplaceableSubmissionAnswersLikeAFullShard(t *testing.T) {
 	coord, backends := testCluster(t, 2, 0, func(c *Config) { c.DisableHedge = true })
 	refused := func(what string, resp *http.Response, body []byte, status int, retryAfter string) {
@@ -416,6 +417,8 @@ func TestUnplaceableSubmissionAnswersLikeAFullShard(t *testing.T) {
 	waitLive(t, coord, 2)
 	resp, body = doPost(t, coord, "/v1/runs", specJSON(101), nil)
 	refused("submit, every replica 429", resp, body, http.StatusTooManyRequests, "9")
+	resp, body = doPost(t, coord, "/v1/sweeps", sweep, nil)
+	refused("sweep, every replica 429", resp, body, http.StatusTooManyRequests, "9")
 	coord.mu.Lock()
 	tracked := len(coord.jobs)
 	coord.mu.Unlock()

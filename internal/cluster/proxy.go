@@ -136,15 +136,20 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// No replica took the spec: answer as one full shard would. A local
 	// queue smaller than everything the clients can send would only delay
 	// this answer.
-	retryAfter := o.retryAfter
-	if retryAfter <= 0 {
-		retryAfter = c.defaultRetryAfter()
-	}
 	status, msg := http.StatusServiceUnavailable, "simring: no replica is available"
 	if o.status == http.StatusTooManyRequests {
 		status, msg = http.StatusTooManyRequests, "simring: every replica is saturated"
 	}
-	c.writeJSON(w, status, simsvc.APIError{Error: msg}, retryAfter)
+	c.writeJSON(w, status, simsvc.APIError{Error: msg}, c.retryHint(o.retryAfter))
+}
+
+// retryHint is the Retry-After of a refusal: the largest hint a backend sent,
+// or defaultRetryAfter if none sent one.
+func (c *Coordinator) retryHint(largest int) int {
+	if largest <= 0 {
+		return c.defaultRetryAfter()
+	}
+	return largest
 }
 
 // adoptJobView records an accepted backend job under a coordinator-minted
@@ -301,7 +306,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	reqID := telemetry.RequestID(r.Context())
 	resp := simsvc.SweepResponse{Jobs: make([]simsvc.SweepEntry, 0, len(rates))}
-	accepted := 0
+	accepted, largestHint := 0, 0
 	worst := http.StatusAccepted
 	for _, rate := range rates {
 		spec := req.Spec
@@ -316,7 +321,8 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// survive this round-trip, where a normalized spec's zeros would be
 		// dropped by omitempty and re-defaulted differently by the backend.
 		body, _ := json.Marshal(spec)
-		o := c.submit(r.Context(), norm.Hash(), body, reqID)
+		hash := norm.Hash()
+		o := c.submit(r.Context(), hash, body, reqID)
 		if !o.usable() || (o.status != http.StatusOK && o.status != http.StatusAccepted) {
 			msg := "unreachable"
 			if o.err != nil {
@@ -328,9 +334,10 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if o.status == http.StatusTooManyRequests {
 				worst = http.StatusTooManyRequests
 			}
+			largestHint = max(largestHint, o.retryAfter)
 			continue
 		}
-		_, j, err := c.adoptJobView(o, norm.Hash(), body, reqID)
+		_, j, err := c.adoptJobView(o, hash, body, reqID)
 		if err != nil {
 			resp.Jobs = append(resp.Jobs, simsvc.SweepEntry{Rate: rate, Error: err.Error()})
 			continue
@@ -347,7 +354,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	ra := 0
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		ra = c.defaultRetryAfter()
+		ra = c.retryHint(largestHint)
 	}
 	c.writeJSON(w, status, resp, ra)
 }

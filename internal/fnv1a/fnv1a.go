@@ -19,6 +19,14 @@ func String(h uint64, s string) uint64 {
 	return h
 }
 
+// Bytes folds b into h, as String folds the same bytes.
+func Bytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime
+	}
+	return h
+}
+
 // Uint64 folds the eight bytes of v, least significant first, into h.
 func Uint64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {

@@ -32,3 +32,13 @@ func TestUint64IsLittleEndianBytes(t *testing.T) {
 		t.Errorf("Uint64 = %#x, bytewise = %#x", got, want)
 	}
 }
+
+// TestBytesIsString: folding a byte slice equals folding the same bytes as a
+// string.
+func TestBytesIsString(t *testing.T) {
+	for _, s := range []string{"", "a", "foobar", "scheme=PR\npattern=PAT271\n"} {
+		if got, want := Bytes(Offset, []byte(s)), String(Offset, s); got != want {
+			t.Errorf("Bytes(Offset, %q) = %#x, String = %#x", s, got, want)
+		}
+	}
+}

@@ -41,6 +41,10 @@ type entry struct {
 	// (Put is given none). It is every job's of that hash, because equal
 	// hashes mean equal normalized specs (TestCanonicalCoversEveryField).
 	spec RunSpec
+	// echo is spec as a job's reply carries it (renderSpec): nil until the
+	// lookup that first gives the entry both rendered and spec makes it,
+	// dropped with the entry. A hit's reply encodes neither it nor the payload.
+	echo []byte
 	// err is a failed job's error. Such an entry is the job's own; no store
 	// holds it.
 	err string
@@ -81,7 +85,8 @@ func (s *Store) Get(hash string) ([]byte, bool) {
 }
 
 // lookup is Get returning the entry, rendered, and carrying spec if spec is
-// not nil. An entry's first hit renders it, which is also where a payload is
+// not nil, and then its echo too. An entry's first hit renders it (and the
+// echo, once the entry has a spec), which is also where a payload is
 // found not to be one JSON document — a file truncated or damaged on disk, or
 // whatever an executor handed Put. Such a payload is a miss, not a hit nobody
 // can encode: the entry is dropped, its file renamed <hash>.json.corrupt and
@@ -122,6 +127,9 @@ func (s *Store) lookup(hash string, spec *RunSpec) (*entry, bool) {
 	}
 	if spec != nil && !fresh.hasSpec() {
 		fresh.spec = *spec
+	}
+	if fresh.hasSpec() && fresh.echo == nil {
+		fresh.echo = renderSpec(fresh.spec)
 	}
 	s.insert(fresh)
 	return fresh, true

@@ -1,12 +1,15 @@
 package simsvc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"strconv"
+
+	"repro/internal/telemetry"
 )
 
 // Server is the HTTP JSON API over a Scheduler.
@@ -123,10 +126,56 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // writeJob writes a job. Its result, if it has one, is a stored payload and
 // goes out by the shell's writeResult, the encoder seeing the job without it.
+// A job whose store entry holds both its renderings — every cache hit — has
+// the encoder write only what is the request's own: the members before "spec"
+// and those after it, between which goes the entry's spec echo.
 func (s *Server) writeJob(w http.ResponseWriter, status int, job JobView) {
 	payload := job.Result
 	job.Result = nil
-	s.shell.writeResult(w, status, job, payload, job.rendered)
+	if job.echo == nil {
+		s.shell.writeResult(w, status, job, payload, job.rendered)
+		return
+	}
+	r := replyPool.Get().(*reply)
+	defer r.free()
+	err := r.begin(jobHead{job.ID, job.SpecHash})
+	if err == nil {
+		r.buf.Write(job.echo)
+		err = r.extend(jobTail{job.Status, job.Cached, job.Error, job.RequestID, job.Spans})
+	}
+	if err == nil {
+		err = r.end(payload, job.rendered)
+	}
+	s.shell.send(w, status, r, err)
+}
+
+// jobHead and jobTail are a JobView's members before "spec" and after it, up
+// to "result".
+type jobHead struct {
+	ID       string `json:"id"`
+	SpecHash string `json:"spec_hash"`
+}
+
+type jobTail struct {
+	Status    Status           `json:"status"`
+	Cached    bool             `json:"cached"`
+	Error     string           `json:"error,omitempty"`
+	RequestID string           `json:"request_id,omitempty"`
+	Spans     []telemetry.Span `json:"spans,omitempty"`
+}
+
+// renderSpec is a JobView's member "spec" as writeJob places it — a comma and
+// the member, as the encoder writes it one level deep — or nil if spec does
+// not encode.
+func renderSpec(spec RunSpec) []byte {
+	r := replyPool.Get().(*reply)
+	defer r.free()
+	if r.extend(struct {
+		Spec RunSpec `json:"spec"`
+	}{spec}) != nil {
+		return nil
+	}
+	return bytes.Clone(r.buf.Bytes())
 }
 
 // CachedView is the body of a content-addressed GET /v1/runs/{hash}: the

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -76,7 +77,7 @@ type replyServer struct {
 	api   *Server
 }
 
-func newReplyServer(t *testing.T, cfg SchedConfig) *replyServer {
+func newReplyServer(t testing.TB, cfg SchedConfig) *replyServer {
 	t.Helper()
 	if cfg.Store == nil {
 		cfg.Store, _ = NewStore(64, "")
@@ -346,6 +347,71 @@ func FuzzRenderedResult(f *testing.F) {
 		got := "{\n  \"result\": " + string(rendered) + replyEnd
 		if want := encoderBytes(t, carrier{payload}); got != string(want) {
 			t.Fatalf("rendered form is not the encoder's\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// FuzzHitReply: for any spec the API admits and any X-Request-ID, the body of
+// a POST the cache answers, and of a GET of the job it made, is the encoder's
+// output for that job's whole JobView: the reply writes the spec echo and the
+// result from the store entry, and encodes only the rest.
+func FuzzHitReply(f *testing.F) {
+	f.Add("PR", "PAT271", "", []byte{2, 2}, false, 0, 0, 0, 0, "", 0, 0.02, 0, uint64(0),
+		int64(-1), int64(500), int64(0), int64(0), false, "", int64(0), "rid-1", uint8(0))
+	f.Add("dr", "PAT280", "", []byte{4, 4}, true, 2, 8, 4, 32, "class", 7, 0.0125, -1, uint64(1<<63),
+		int64(0), int64(0), int64(-1), int64(-1), true, "token-loss", int64(800), "<a href=\"&\">\u2028\u2029", uint8(1))
+	f.Add("SA", "PAT100", "", []byte{2, 3, 4}, false, 1, 6, 2, 16, "type", 40, 1e-05, 16, uint64(7),
+		int64(100), int64(3000), int64(200), int64(25), false, "", int64(0), "\xff\xfe<&>", uint8(2))
+	f.Add("PR", "", "FFT", []byte{}, false, 0, 0, 0, 0, "", 0, 0.0, 0, uint64(3),
+		int64(0), int64(3000), int64(0), int64(0), false, "", int64(0), "", uint8(5))
+	store, _ := NewStore(64, "")
+	srv := newReplyServer(f, SchedConfig{Workers: 1, QueueDepth: 4, Store: store, Exec: payloadExec})
+	f.Fuzz(func(t *testing.T, scheme, pattern, traceApp string, radix []byte, mesh bool,
+		bristling, vcs, flitBuf, queueCap int, queueMode string, serviceTime int, rate float64,
+		maxOutstanding int, seed uint64, warmup, measure, maxDrain, cwgInterval int64, check bool,
+		faultKind string, faultAt int64, reqID string, payload uint8) {
+		spec := RunSpec{Scheme: scheme, Pattern: pattern, TraceApp: traceApp, Mesh: mesh,
+			Bristling: bristling, VCs: vcs, FlitBuf: flitBuf, QueueCap: queueCap, QueueMode: queueMode,
+			ServiceTime: serviceTime, Rate: rate, MaxOutstanding: maxOutstanding, Seed: seed,
+			Warmup: warmup, Measure: measure, MaxDrain: maxDrain, CWGInterval: cwgInterval, Check: check}
+		for _, r := range radix {
+			spec.Radix = append(spec.Radix, int(r))
+		}
+		if faultKind != "" {
+			spec.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.EventKind(faultKind), At: faultAt}}}
+		}
+		norm, err := spec.Normalized()
+		if err != nil {
+			return
+		}
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(norm.Hash(), []byte(replyPayloads[int(payload)%len(replyPayloads)])); err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body))
+		req.Header.Set("X-Request-ID", reqID)
+		w := httptest.NewRecorder()
+		srv.api.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d, want a hit: %s", body, w.Code, w.Body)
+		}
+		var posted JobView
+		if err := json.Unmarshal(w.Body.Bytes(), &posted); err != nil {
+			t.Fatalf("POST %s: %v\n%s", body, err, w.Body)
+		}
+		job, ok := srv.sched.Job(posted.ID)
+		if !ok {
+			t.Fatalf("no job %s", posted.ID)
+		}
+		want := encoderBytes(t, job)
+		if !bytes.Equal(w.Body.Bytes(), want) {
+			t.Fatalf("POST hit is not the encoder's bytes for its job\n got %q\nwant %q", w.Body, want)
+		}
+		if w := srv.do(http.MethodGet, "/v1/runs/"+posted.ID, ""); !bytes.Equal(w.Body.Bytes(), want) {
+			t.Fatalf("GET of a hit job is not the encoder's bytes for it\n got %q\nwant %q", w.Body, want)
 		}
 	})
 }

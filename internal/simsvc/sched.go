@@ -117,8 +117,9 @@ type JobView struct {
 	// the others.
 	Result json.RawMessage `json:"result,omitempty"`
 
-	// rendered is Result as a reply carries it, when the store had it.
-	rendered []byte
+	// rendered is Result as a reply carries it, and echo Spec, when the
+	// store had them.
+	rendered, echo []byte
 }
 
 // Scheduler owns the worker pool, the bounded FIFO queue, and the job

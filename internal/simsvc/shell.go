@@ -205,17 +205,56 @@ func renderResult(payload []byte) ([]byte, error) {
 func (h *HTTPShell) writeResult(w http.ResponseWriter, status int, v any, payload, rendered []byte) {
 	r := replyPool.Get().(*reply)
 	defer r.free()
-	err := r.enc.Encode(v)
-	if err == nil && len(payload) != 0 {
-		r.buf.Truncate(r.buf.Len() - len(replyEnd))
+	err := r.begin(v)
+	if err == nil {
+		err = r.end(payload, rendered)
+	}
+	h.send(w, status, r, err)
+}
+
+// begin has the encoder write v, which encodes to an object with at least one
+// member, and leaves the object open after its last member.
+func (r *reply) begin(v any) error {
+	if err := r.enc.Encode(v); err != nil {
+		return err
+	}
+	r.buf.Truncate(r.buf.Len() - len(replyEnd))
+	return nil
+}
+
+// extend has the encoder write the members of v, which encodes to an object
+// with at least one, after those of the object open in r.buf, and leaves it
+// open: the encoder's opening brace becomes the comma after the member before.
+// Members are written at the depth of the top-level object's.
+func (r *reply) extend(v any) error {
+	at := r.buf.Len()
+	if err := r.enc.Encode(v); err != nil {
+		return err
+	}
+	r.buf.Bytes()[at] = ','
+	r.buf.Truncate(r.buf.Len() - len(replyEnd))
+	return nil
+}
+
+// end closes the object open in r.buf, after the member "result": payload,
+// unless payload is empty (writeResult says how).
+func (r *reply) end(payload, rendered []byte) error {
+	var err error
+	if len(payload) != 0 {
 		r.buf.WriteString(resultMember)
 		if rendered != nil {
 			r.buf.Write(rendered)
 		} else {
 			err = appendResult(&r.buf, &r.esc, payload)
 		}
-		r.buf.WriteString(replyEnd)
 	}
+	r.buf.WriteString(replyEnd)
+	return err
+}
+
+// send writes the body built in r under status or, if err says it could not be
+// built, an APIError saying why under 500.
+func (h *HTTPShell) send(w http.ResponseWriter, status int, r *reply, err error) {
 	if err != nil {
 		h.Logger.Printf("%s: encode %d response: %v", h.name, status, err)
 		status = http.StatusInternalServerError

@@ -84,7 +84,7 @@ func (r *record) view() JobView {
 	if r.failed {
 		v.Status, v.Error = StatusFailed, r.ent.err
 	} else {
-		v.Result, v.rendered = r.ent.payload, r.ent.rendered
+		v.Result, v.rendered, v.echo = r.ent.payload, r.ent.rendered, r.ent.echo
 	}
 	return v
 }
