@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -139,6 +141,35 @@ func TestCanonical(t *testing.T) {
 	}
 	if !strings.Contains(a.Canonical(), "token-loss at=5") {
 		t.Fatalf("canonical missing event: %s", a.Canonical())
+	}
+}
+
+// TestCanonicalIsItsFormat: Canonical writes what the format string it was
+// first defined by writes, for every event kind, the largest and most negative
+// values of every field and the floats %g spells specially, so no spec hash
+// moved when it stopped formatting through fmt.
+func TestCanonicalIsItsFormat(t *testing.T) {
+	ref := func(p *Plan) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "seed=%d", p.Normalized().Seed)
+		for _, e := range p.Events {
+			fmt.Fprintf(&b, ";%s at=%d until=%d router=%d dir=%d endpoint=%d vc=%d cycles=%d rate=%g drop=%v",
+				e.Kind, e.At, e.Until, e.Router, e.Dir, e.Endpoint, e.VC, e.Cycles, e.Rate, e.Drop)
+		}
+		return b.String()
+	}
+	p := &Plan{Seed: math.MaxUint64}
+	for _, k := range []EventKind{LinkDown, LinkFlaky, RouterFreeze, NIStall, CreditLoss, TokenLoss, TokenResurface, "<&>"} {
+		p.Events = append(p.Events, Event{Kind: k, At: 1, Until: 2, Router: 3, Dir: 4, Endpoint: 5, VC: 6, Cycles: 7, Rate: 0.25, Drop: true})
+	}
+	for _, r := range []float64{0, math.Copysign(0, -1), 1e-07, 1e21, 123456789, 5e-324, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		p.Events = append(p.Events, Event{Kind: LinkFlaky, At: math.MaxInt64, Until: math.MinInt64,
+			Router: math.MinInt, Dir: math.MaxInt, Endpoint: -1, VC: math.MinInt, Cycles: math.MinInt64, Rate: r})
+	}
+	for _, q := range []*Plan{p, {Events: p.Events[:1]}} {
+		if got, want := q.Canonical(), ref(q); got != want {
+			t.Errorf("canonical\n%s\nwant\n%s", got, want)
+		}
 	}
 }
 

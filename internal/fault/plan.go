@@ -20,6 +20,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -105,11 +106,15 @@ func ParsePlan(data []byte) (*Plan, error) {
 
 // Normalized returns a copy with defaults applied (seed 0 → 1).
 func (p *Plan) Normalized() *Plan {
-	q := &Plan{Seed: p.Seed, Events: append([]Event(nil), p.Events...)}
-	if q.Seed == 0 {
-		q.Seed = 1
+	return &Plan{Seed: p.seed(), Events: append([]Event(nil), p.Events...)}
+}
+
+// seed is the plan's seed normalized.
+func (p *Plan) seed() uint64 {
+	if p.Seed == 0 {
+		return 1
 	}
-	return q
+	return p.Seed
 }
 
 // Empty reports whether the plan injects nothing.
@@ -192,16 +197,27 @@ func checkLink(i int, e Event, routers, dirs int) error {
 // Canonical renders the plan as a fixed-order, self-delimiting string for
 // spec hashing: every field of every event appears, defaults included, so
 // two plans hash alike exactly when they inject identically.
-func (p *Plan) Canonical() string {
+func (p *Plan) Canonical() string { return string(p.AppendCanonical(nil)) }
+
+// AppendCanonical appends Canonical's bytes to dst: "none" for an empty plan,
+// else the normalized seed and one ";kind key=value ..." group per event, the
+// rate as %g formats it.
+func (p *Plan) AppendCanonical(dst []byte) []byte {
 	if p.Empty() {
-		return "none"
+		return append(dst, "none"...)
 	}
-	n := p.Normalized()
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d", n.Seed)
-	for _, e := range n.Events {
-		fmt.Fprintf(&b, ";%s at=%d until=%d router=%d dir=%d endpoint=%d vc=%d cycles=%d rate=%g drop=%v",
-			e.Kind, e.At, e.Until, e.Router, e.Dir, e.Endpoint, e.VC, e.Cycles, e.Rate, e.Drop)
+	dst = strconv.AppendUint(append(dst, "seed="...), p.seed(), 10)
+	for _, e := range p.Events {
+		dst = append(append(dst, ';'), e.Kind...)
+		dst = strconv.AppendInt(append(dst, " at="...), e.At, 10)
+		dst = strconv.AppendInt(append(dst, " until="...), e.Until, 10)
+		dst = strconv.AppendInt(append(dst, " router="...), int64(e.Router), 10)
+		dst = strconv.AppendInt(append(dst, " dir="...), int64(e.Dir), 10)
+		dst = strconv.AppendInt(append(dst, " endpoint="...), int64(e.Endpoint), 10)
+		dst = strconv.AppendInt(append(dst, " vc="...), int64(e.VC), 10)
+		dst = strconv.AppendInt(append(dst, " cycles="...), e.Cycles, 10)
+		dst = strconv.AppendFloat(append(dst, " rate="...), e.Rate, 'g', -1, 64)
+		dst = strconv.AppendBool(append(dst, " drop="...), e.Drop)
 	}
-	return b.String()
+	return dst
 }

@@ -273,7 +273,7 @@ func (s RunSpec) appendCanonical(dst []byte) []byte {
 	dst = strconv.AppendInt(append(dst, "\nmax_drain="...), s.MaxDrain, 10)
 	dst = strconv.AppendInt(append(dst, "\ncwg_interval="...), s.CWGInterval, 10)
 	dst = strconv.AppendBool(append(dst, "\ncheck="...), s.Check)
-	dst = append(append(dst, "\nfaults="...), s.Faults.Canonical()...)
+	dst = s.Faults.AppendCanonical(append(dst, "\nfaults="...))
 	return append(dst, '\n')
 }
 
