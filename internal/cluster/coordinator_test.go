@@ -539,6 +539,32 @@ func TestForgottenJobKeepsBreakerClosed(t *testing.T) {
 	}
 }
 
+// TestForgottenJobSpecAfterTrailingData: a shard, like encoding/json's
+// Decoder, reads a submitted spec up to the end of its object and ignores what
+// follows. The spec the coordinator reports for a job whose shard forgot it is
+// that same spec, not the defaults that decoding the whole body as one value
+// fails back to.
+func TestForgottenJobSpecAfterTrailingData(t *testing.T) {
+	coord, backends := testCluster(t, 1, 0, func(c *Config) { c.DisableHedge = true })
+	body := specJSON(9) + ` {"seed":1}`
+	resp, raw := doPost(t, coord, "/v1/runs", body, nil)
+	var v simsvc.JobView
+	if err := json.Unmarshal(raw, &v); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
+	}
+	pollDone(t, coord, v.ID, 5*time.Second)
+
+	backends[0].restart(t, 0)
+	resp, raw = doGet(t, coord, "/v1/runs/"+v.ID)
+	var got simsvc.JobView
+	if err := json.Unmarshal(raw, &got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET of the forgotten job: %d %s", resp.StatusCode, raw)
+	}
+	if want := normalizedSpec(t, specJSON(9)); got.SpecHash != specHash(t, 9) || !reflect.DeepEqual(got.Spec, want) {
+		t.Errorf("the coordinator reports spec %+v under hash %s, want %+v under %s", got.Spec, got.SpecHash, want, specHash(t, 9))
+	}
+}
+
 // TestSweepScattersAcrossShards: the coordinator expands the ladder and
 // each point lands on the shard owning its spec hash.
 func TestSweepScattersAcrossShards(t *testing.T) {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -85,15 +84,12 @@ func (c *Coordinator) writeRaw(w http.ResponseWriter, status int, body []byte) {
 // run the identical Normalize(original) computation, so the coordinator's
 // routing hash and every backend's job hash agree.
 func readSpec(r *http.Request, w http.ResponseWriter) (hash string, body []byte, err error) {
-	r.Body = http.MaxBytesReader(w, r.Body, simsvc.MaxBodyBytes)
-	body, err = io.ReadAll(r.Body)
+	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, simsvc.MaxBodyBytes))
 	if err != nil {
 		return "", nil, fmt.Errorf("bad spec: %w", err)
 	}
-	var spec simsvc.RunSpec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := simsvc.DecodeSpec(body)
+	if err != nil {
 		return "", nil, fmt.Errorf("bad spec: %w", err)
 	}
 	norm, err := spec.Normalized()
@@ -173,8 +169,7 @@ func (c *Coordinator) adoptJobView(o outcome, hash string, body []byte, reqID st
 // spec is the job's spec as a shard reports it: the submitted body decoded and
 // normalized, which cannot fail for a body readSpec accepted.
 func (j *coordJob) spec() simsvc.RunSpec {
-	var spec simsvc.RunSpec
-	json.Unmarshal(j.body, &spec)
+	spec, _ := simsvc.DecodeSpec(j.body)
 	norm, _ := spec.Normalized()
 	return norm
 }

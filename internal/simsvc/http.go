@@ -8,8 +8,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-
-	"repro/internal/telemetry"
 )
 
 // Server is the HTTP JSON API over a Scheduler.
@@ -107,8 +105,8 @@ func submitStatus(err error) int {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec RunSpec
-	if err := decodeBody(w, r, &spec); err != nil {
+	spec, err := readSpec(w, r)
+	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, APIError{Error: "bad spec: " + err.Error()})
 		return
 	}
@@ -124,11 +122,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.writeJob(w, status, job)
 }
 
+// readSpec reads a request body of at most MaxBodyBytes into a pooled buffer
+// and decodes it with DecodeSpec, which keeps none of it.
+func readSpec(w http.ResponseWriter, r *http.Request) (RunSpec, error) {
+	body := replyPool.Get().(*reply)
+	defer body.free()
+	if _, err := body.buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		return RunSpec{}, err
+	}
+	return DecodeSpec(body.buf.Bytes())
+}
+
 // writeJob writes a job. Its result, if it has one, is a stored payload and
 // goes out by the shell's writeResult, the encoder seeing the job without it.
-// A job whose store entry holds both its renderings — every cache hit — has
-// the encoder write only what is the request's own: the members before "spec"
-// and those after it, between which goes the entry's spec echo.
+// A job whose store entry holds both its renderings — every cache hit — is
+// written without the encoder: its own members are appended here as the
+// indenting encoder writes them, around the entry's spec echo.
 func (s *Server) writeJob(w http.ResponseWriter, status int, job JobView) {
 	payload := job.Result
 	job.Result = nil
@@ -138,30 +147,31 @@ func (s *Server) writeJob(w http.ResponseWriter, status int, job JobView) {
 	}
 	r := replyPool.Get().(*reply)
 	defer r.free()
-	err := r.begin(jobHead{job.ID, job.SpecHash})
-	if err == nil {
-		r.buf.Write(job.echo)
-		err = r.extend(jobTail{job.Status, job.Cached, job.Error, job.RequestID, job.Spans})
+	b := appendJSONString(append(r.buf.AvailableBuffer(), "{\n  \"id\": "...), job.ID)
+	b = appendJSONString(append(b, ",\n  \"spec_hash\": "...), job.SpecHash)
+	b = append(b, job.echo...)
+	b = appendJSONString(append(b, ",\n  \"status\": "...), string(job.Status))
+	b = strconv.AppendBool(append(b, ",\n  \"cached\": "...), job.Cached)
+	if job.Error != "" {
+		b = appendJSONString(append(b, ",\n  \"error\": "...), job.Error)
 	}
-	if err == nil {
-		err = r.end(payload, job.rendered)
+	if job.RequestID != "" {
+		b = appendJSONString(append(b, ",\n  \"request_id\": "...), job.RequestID)
 	}
-	s.shell.send(w, status, r, err)
-}
-
-// jobHead and jobTail are a JobView's members before "spec" and after it, up
-// to "result".
-type jobHead struct {
-	ID       string `json:"id"`
-	SpecHash string `json:"spec_hash"`
-}
-
-type jobTail struct {
-	Status    Status           `json:"status"`
-	Cached    bool             `json:"cached"`
-	Error     string           `json:"error,omitempty"`
-	RequestID string           `json:"request_id,omitempty"`
-	Spans     []telemetry.Span `json:"spans,omitempty"`
+	if len(job.Spans) > 0 {
+		b = append(b, ",\n  \"spans\": ["...)
+		for i, sp := range job.Spans {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(append(b, "\n    {\n      \"name\": "...), sp.Name)
+			b = strconv.AppendInt(append(b, ",\n      \"dur_us\": "...), sp.DurUS, 10)
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	r.buf.Write(b)
+	s.shell.send(w, status, r, r.end(payload, job.rendered))
 }
 
 // renderSpec is a JobView's member "spec" as writeJob places it — a comma and

@@ -412,15 +412,22 @@ func TestHTTPRetryAfter(t *testing.T) {
 
 // TestHTTPOversizedBodyRejected: request bodies beyond the 1 MiB cap must be
 // rejected with 400 instead of buffered without bound — and the server must
-// stay healthy afterwards.
+// stay healthy afterwards. A valid spec padded past the cap is refused too, as
+// the ring coordinator refuses it: the body is read whole before it is
+// decoded. (The Decoder used to stop at the end of the spec's object and
+// accept it.)
 func TestHTTPOversizedBodyRejected(t *testing.T) {
 	srv, _ := newTestServer(t, SchedConfig{Workers: 1, QueueDepth: 4})
-	huge := `{"scheme":"PR","pattern":"` + strings.Repeat("x", MaxBodyBytes+1) + `"}`
-	resp, _ := postJSON(t, srv.URL+"/v1/runs", huge)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)
+	for what, huge := range map[string]string{
+		"long string":     `{"scheme":"PR","pattern":"` + strings.Repeat("x", MaxBodyBytes+1) + `"}`,
+		"trailing spaces": tinySpecJSON + strings.Repeat(" ", MaxBodyBytes),
+	} {
+		resp, b := postJSON(t, srv.URL+"/v1/runs", huge)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "request body too large") {
+			t.Fatalf("oversized body, %s: status %d, want 400: %s", what, resp.StatusCode, b)
+		}
 	}
-	resp, _ = getJSON(t, srv.URL+"/healthz")
+	resp, _ := getJSON(t, srv.URL+"/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after oversized body: %d", resp.StatusCode)
 	}
