@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -116,5 +117,52 @@ func TestHungBackendIsRoutedAround(t *testing.T) {
 	releasedAt := time.Now()
 	if d := waitBreaker(t, coord, hung, "closed", time.Second).Sub(releasedAt); d > probeInterval+slack {
 		t.Errorf("released backend marked up after %v, want within %v + %v", d, probeInterval, slack)
+	}
+}
+
+// TestInFlightLegEndsWhenBreakerOpens: a backend that hangs while a
+// submission is in flight to it does not hold the submission for the client
+// timeout. When the probes open its breaker, the leg is cancelled like a
+// transport error and the next replica answers, within one probe interval plus
+// one probe timeout of the submission. With hedging on, the leg's failure
+// fires the hedge at once instead of at the hedge delay.
+func TestInFlightLegEndsWhenBreakerOpens(t *testing.T) {
+	const (
+		probeInterval = 50 * time.Millisecond
+		probeTimeout  = 250 * time.Millisecond
+		slack         = 200 * time.Millisecond
+	)
+	for _, hedge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			coord, backends := testCluster(t, 3, 0, func(c *Config) {
+				c.ProbeInterval, c.ProbeTimeout = probeInterval, probeTimeout
+				c.Client = &http.Client{Timeout: 10 * time.Second}
+				c.DisableHedge = !hedge
+				c.HedgeMin, c.HedgeMax = 5*time.Second, 5*time.Second
+			})
+			seed := uint64(1)
+			for coord.Ring().Owner(specHash(t, seed)) != 0 {
+				seed++
+			}
+			gate := make(chan struct{})
+			t.Cleanup(func() { close(gate) }) // before the server closes: it waits for its handlers
+			backends[0].hang.Store(&gate)
+
+			start := time.Now()
+			resp, body := doPost(t, coord, "/v1/runs", specJSON(seed), nil)
+			if d := time.Since(start); d > probeInterval+probeTimeout+slack {
+				t.Errorf("submission answered after %v, want within %v + %v", d, probeInterval+probeTimeout, slack)
+			}
+			var v simsvc.JobView
+			if err := json.Unmarshal(body, &v); err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: %d %s", resp.StatusCode, body)
+			}
+			coord.mu.Lock()
+			on := coord.jobs[v.ID].backendIdx
+			coord.mu.Unlock()
+			if on == 0 {
+				t.Errorf("job %s placed on the hung backend", v.ID)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -101,10 +102,40 @@ type backend struct {
 	idx     int
 	url     string
 	breaker Breaker
+
+	mu   sync.Mutex
+	life context.Context // ends when the breaker opens, and with it every request in flight
+	end  context.CancelFunc
 }
 
 // up reports whether requests may go to the backend.
 func (b *backend) up() bool { return b.breaker.State() == BreakerClosed }
+
+// errBreakerOpen is why a request in flight to a backend was cancelled.
+var errBreakerOpen = errors.New("cluster: the backend's breaker opened while the request was in flight")
+
+// lifetime is a context that ends when the breaker next opens; it has ended if
+// the breaker is open.
+func (b *backend) lifetime() context.Context {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.life
+}
+
+// track makes the lifetime match the breaker: it ends it if the breaker is
+// open and begins a new one if it is closed and the last has ended. It reads
+// the breaker rather than being told the transition, so that the hooks of
+// racing transitions, whatever order they run in, leave the two agreeing.
+func (b *backend) track() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case !b.up():
+		b.end()
+	case b.life == nil || b.life.Err() != nil:
+		b.life, b.end = context.WithCancel(context.Background())
+	}
+}
 
 // coordJob is the coordinator's record of one accepted submission: enough
 // to re-route polling and, because the body is retained, to resurrect the
@@ -168,8 +199,10 @@ func New(cfg Config) (*Coordinator, error) {
 	c.reg, c.m = newRingMetrics(c)
 	for i, url := range cfg.Backends {
 		b := &backend{idx: i, url: url}
+		b.track()
 		name := b.url
 		b.breaker.onChange = func(from, to BreakerState) {
+			b.track()
 			c.m.breakerTransitions.With(name, to.String()).Inc()
 			c.cfg.Logger.Printf("simring: breaker %s: %s -> %s", name, from, to)
 		}
@@ -302,9 +335,15 @@ func (o outcome) usable() bool {
 }
 
 // roundTrip sends one request to one backend, carrying the request ID across
-// the hop, and counts it by backend and status (or "error").
+// the hop, and counts it by backend and status (or "error"). If the backend's
+// breaker opens before it answers, the request is cancelled and fails with
+// errBreakerOpen, as a transport error would: a hung backend does not hold it
+// for the client timeout.
 func (c *Coordinator) roundTrip(ctx context.Context, b *backend, method, path string, body []byte, reqID string) outcome {
 	o := outcome{b: b}
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	defer context.AfterFunc(b.lifetime(), func() { cancel(errBreakerOpen) })()
 	req, err := http.NewRequestWithContext(ctx, method, b.url+path, bytes.NewReader(body))
 	if err != nil {
 		o.err = err
@@ -320,6 +359,9 @@ func (c *Coordinator) roundTrip(ctx context.Context, b *backend, method, path st
 		resp.Body.Close()
 	}
 	if err != nil {
+		if cause := context.Cause(ctx); cause == errBreakerOpen {
+			err = cause
+		}
 		c.m.proxied.With(b.url, "error").Inc()
 		o.err = err
 		return o
