@@ -140,7 +140,8 @@ func (h *HTTPShell) WriteJSON(w http.ResponseWriter, status int, v any) {
 
 // reply is what a response body is built in before any of it is written — so
 // a value that fails to encode can still change the status — and the indenting
-// encoder that fills it. esc is appendResult's scratch.
+// encoder that fills it. esc is appendResult's scratch. A submitted spec is
+// read into a reply's buf too (readSpec).
 type reply struct {
 	buf, esc bytes.Buffer
 	enc      *json.Encoder
