@@ -352,7 +352,7 @@ func (c *Coordinator) roundTrip(ctx context.Context, b *backend, method, path st
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("X-Request-ID", reqID)
+	req.Header.Set(simsvc.RequestIDHeader, reqID)
 	resp, err := c.cfg.Client.Do(req)
 	if err == nil {
 		o.body, err = io.ReadAll(io.LimitReader(resp.Body, 8<<20))

@@ -205,20 +205,20 @@ func (c *Config) checkSize() error {
 		return over("Radix")
 	}
 	total := 0
-	for _, term := range []struct {
+	for _, term := range [...]struct {
 		field   string
-		factors []int
+		factors [4]int
 	}{
 		// A row per (combo, destination endpoint, router): its offset and its
 		// share of the slab. The last factor is small: Validate has bounded
 		// VCs, and the router count just bounded the dimensions.
-		{"Radix x Bristling", []int{routers, c.Bristling, routers, 2 * int(message.NumTypes) * (1 + c.VCs*len(c.Radix))}},
+		{"Radix x Bristling", [4]int{routers, c.Bristling, routers, 2 * int(message.NumTypes) * (1 + c.VCs*len(c.Radix))}},
 		// A router has a link per direction plus an injection and an
 		// ejection channel per local endpoint.
-		{"FlitBuf", []int{routers, 2*len(c.Radix) + 2*c.Bristling, c.VCs, c.FlitBuf}},
-		{"QueueCap", []int{routers, c.Bristling, 2, c.QueueCap}},
+		{"FlitBuf", [4]int{routers, 2*len(c.Radix) + 2*c.Bristling, c.VCs, c.FlitBuf}},
+		{"QueueCap", [4]int{routers, c.Bristling, 2, c.QueueCap}},
 	} {
-		n, ok := slots(term.factors...)
+		n, ok := slots(term.factors[:]...)
 		if total += n; !ok || total > MaxSystemSlots {
 			return over(term.field)
 		}

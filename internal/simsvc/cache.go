@@ -77,24 +77,25 @@ func NewStore(maxEntries int, dir string) (*Store, error) {
 // then disk (promoting a disk hit back into the LRU). The returned slice
 // is shared — callers must not mutate it.
 func (s *Store) Get(hash string) ([]byte, bool) {
-	e, ok := s.lookup(hash, nil)
+	e, ok := s.lookup([]byte(hash), nil)
 	if !ok {
 		return nil, false
 	}
 	return e.payload, true
 }
 
-// lookup is Get returning the entry, rendered, and carrying spec if spec is
-// not nil, and then its echo too. An entry's first hit renders it (and the
+// lookup is Get of the hash spelled in key returning the entry, rendered, and
+// carrying spec if spec is not nil, and then its echo too. A hit answered from
+// memory builds no string of the hash: the entry holds one. An entry's first hit renders it (and the
 // echo, once the entry has a spec), which is also where a payload is
 // found not to be one JSON document — a file truncated or damaged on disk, or
 // whatever an executor handed Put. Such a payload is a miss, not a hit nobody
 // can encode: the entry is dropped, its file renamed <hash>.json.corrupt and
 // kept for inspection, and the caller executes the spec again, whose Put
 // replaces the file. Every later hit costs one map lookup, as before.
-func (s *Store) lookup(hash string, spec *RunSpec) (*entry, bool) {
+func (s *Store) lookup(key []byte, spec *RunSpec) (*entry, bool) {
 	s.mu.Lock()
-	el, ok := s.items[hash]
+	el, ok := s.items[string(key)]
 	var e *entry
 	if ok {
 		s.order.MoveToFront(el)
@@ -104,6 +105,7 @@ func (s *Store) lookup(hash string, spec *RunSpec) (*entry, bool) {
 	if ok && e.rendered != nil && (spec == nil || e.hasSpec()) {
 		return e, true
 	}
+	hash := string(key)
 	fresh := &entry{hash: hash}
 	if ok {
 		*fresh = *e

@@ -221,7 +221,7 @@ func IsSpecHash(id string) bool {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if IsSpecHash(id) {
-		e, ok := s.sched.cfg.Store.lookup(id, nil)
+		e, ok := s.sched.cfg.Store.lookup([]byte(id), nil)
 		if !ok {
 			s.writeJSON(w, http.StatusNotFound, APIError{Error: "no cached result for spec " + id})
 			return

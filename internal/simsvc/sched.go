@@ -185,11 +185,12 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 	if err != nil {
 		return JobView{}, err
 	}
-	hash := norm.Hash()
+	var digits [16]byte
+	key := norm.appendHash(digits[:0])
 	reqID := telemetry.RequestID(ctx)
 
 	lookup := time.Now()
-	if e, ok := s.cfg.Store.lookup(hash, &norm); ok {
+	if e, ok := s.cfg.Store.lookup(key, &norm); ok {
 		r := record{reqID: reqID, ent: e, cached: true}
 		r.addSpan(cacheLookup, time.Since(lookup).Microseconds())
 		s.mu.Lock()
@@ -201,7 +202,7 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 		s.cfg.Trace.job(v)
 		return v, nil
 	}
-	j := &job{hash: hash, spec: norm, reqID: reqID, spans: telemetry.NewSpans(), enqueued: lookup}
+	j := &job{hash: string(key), spec: norm, reqID: reqID, spans: telemetry.NewSpans(), enqueued: lookup}
 	j.spans.Add("cache-lookup", time.Since(lookup))
 
 	s.mu.Lock()
@@ -340,7 +341,7 @@ func (s *Scheduler) runJob(j *job) {
 	j.spans.Add("queue-wait", started.Sub(j.enqueued))
 
 	lookup := time.Now()
-	e, ok := s.cfg.Store.lookup(j.hash, &j.spec)
+	e, ok := s.cfg.Store.lookup([]byte(j.hash), &j.spec)
 	j.spans.Add("cache-lookup", time.Since(lookup))
 	if ok {
 		s.finish(j, started, e, true, nil)

@@ -206,11 +206,16 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 	return n, nil
 }
 
+// defaultConfig is what config starts from: network.DefaultConfig, built once
+// rather than with a Radix per call that config replaces.
+var defaultConfig = network.DefaultConfig()
+
 // config maps a spec whose defaults are resolved onto the simulator
 // configuration; it fails only on a name it cannot resolve. What a trace run
 // implies beyond that is tracegen.NewNetwork's.
 func (s RunSpec) config() (network.Config, error) {
-	cfg := network.DefaultConfig()
+	cfg := defaultConfig
+	cfg.Radix = s.Radix
 	var err error
 	if cfg.Scheme, err = schemes.KindByName(s.Scheme); err != nil {
 		return cfg, err
@@ -221,7 +226,6 @@ func (s RunSpec) config() (network.Config, error) {
 	if cfg.QueueMode, err = netiface.QueueModeByName(s.QueueMode); err != nil {
 		return cfg, err
 	}
-	cfg.Radix = s.Radix
 	cfg.Mesh = s.Mesh
 	cfg.Bristling = s.Bristling
 	cfg.VCs = s.VCs
@@ -282,9 +286,14 @@ func (s RunSpec) appendCanonical(dst []byte) []byte {
 // significant digit first. The bytes are built in a stack buffer, which only
 // a long fault plan outgrows.
 func (s RunSpec) Hash() string {
+	var digits [16]byte
+	return string(s.appendHash(digits[:0]))
+}
+
+// appendHash appends Hash's 16 digits to dst.
+func (s RunSpec) appendHash(dst []byte) []byte {
 	var canon [512]byte
 	var sum [8]byte
 	binary.BigEndian.PutUint64(sum[:], fnv1a.Bytes(fnv1a.Offset, s.appendCanonical(canon[:0])))
-	var digits [16]byte
-	return string(hex.AppendEncode(digits[:0], sum[:]))
+	return hex.AppendEncode(dst, sum[:])
 }

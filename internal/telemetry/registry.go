@@ -162,12 +162,22 @@ func (f *family) get(values []string) *series {
 		panic(fmt.Sprintf("telemetry: metric %s wants %d label values, got %d",
 			f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	// The key is built in a stack buffer and looked up without a string of
+	// its own; only a new series copies it.
+	var buf [128]byte
+	b := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			b = append(b, 0)
+		}
+		b = append(b, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.series[key]; ok {
+	if s, ok := f.series[string(b)]; ok {
 		return s
 	}
+	key := string(b)
 	s := &series{labelValues: append([]string(nil), values...)}
 	switch f.typ {
 	case typeCounter:

@@ -27,7 +27,9 @@ func NewRequestID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		binary.BigEndian.PutUint64(b[:], uint64(time.Now().UnixNano())+reqFallback.Add(1)<<40)
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // WithRequestID stamps ctx with a request ID.
