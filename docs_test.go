@@ -190,9 +190,10 @@ func TestMetricsTable(t *testing.T) {
 }
 
 // TestRequestCounterCardinality: the request counter is labelled by the route
-// pattern that matched, not the path asked for, so 10,000 distinct specs and
-// 10,000 paths that exist nowhere leave it with at most routes x methods x
-// codes series, on either server.
+// pattern that matched, not the path asked for, and by a method the patterns
+// name or "other", not the method sent, so 10,000 distinct specs, 10,000
+// paths that exist nowhere and 10,000 methods no route takes leave it with at
+// most routes x methods x codes series, on either server.
 func TestRequestCounterCardinality(t *testing.T) {
 	srv, coord := servers(t)
 	for name, h := range map[string]http.Handler{"simsvc": srv, "simring": coord} {
@@ -200,6 +201,7 @@ func TestRequestCounterCardinality(t *testing.T) {
 			serve(h, "POST", "/v1/runs", fmt.Sprintf(`{"scheme":"PR","pattern":"PAT271","radix":[2,2],"warmup":-1,"measure":500,"seed":%d}`, i+1))
 			serve(h, "GET", fmt.Sprintf("/v1/runs/j-%d", 900000+i), "")
 			serve(h, "GET", fmt.Sprintf("/no/such/%d", i), "")
+			serve(h, fmt.Sprintf("JUNK%d", i), "/v1/runs", "")
 		}
 		text := serve(h, "GET", "/metrics", "").Body.String()
 		series := regexp.MustCompile(`(?m)^`+name+`_http_requests_total\{method="(\w+)",route="([^"]*)",code="(\d+)"\} (\d+)$`).FindAllStringSubmatch(text, -1)
@@ -214,7 +216,12 @@ func TestRequestCounterCardinality(t *testing.T) {
 				t.Errorf("%s: route label %q is not a route pattern", name, r)
 			}
 		}
-		if total != 30000 || len(series) > len(methods)*len(routes)*len(codes) || len(series) > 12 {
+		for m := range methods {
+			if m != "GET" && m != "POST" && m != "other" {
+				t.Errorf("%s: method label %q is not a method a route names", name, m)
+			}
+		}
+		if total != 40000 || len(series) > len(methods)*len(routes)*len(codes) || len(series) > 12 {
 			t.Errorf("%s: %d requests in %d series (%d methods, %d routes, %d codes):\n%v",
 				name, total, len(series), len(methods), len(routes), len(codes), series)
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,6 +27,7 @@ type HTTPShell struct {
 
 	name     string
 	routes   []string // route labels; a recorder holds an index, 0 is "other"
+	methods  []string // the methods the routes' patterns name
 	mux      *http.ServeMux
 	requests *telemetry.CounterVec
 	duration *telemetry.Histogram
@@ -75,12 +77,18 @@ func (h *HTTPShell) HandleMetrics(reg *telemetry.Registry, asJSON http.HandlerFu
 }
 
 // HandleFunc registers fn under a ServeMux pattern of the form "METHOD /path".
-// The path, as the pattern spells it, is the request counter's route label; a
-// request no pattern matches counts under "other", so the label takes one
-// value more than there are routes, whatever clients ask for.
+// The path, as the pattern spells it, is the request counter's route label,
+// and the method is one value of its method label; a request no pattern
+// matches counts under route "other", and one whose method no pattern names
+// under method "other", so each label takes one value more than the patterns
+// spell, whatever clients ask for.
 func (h *HTTPShell) HandleFunc(pattern string, fn http.HandlerFunc) {
 	route := int32(len(h.routes))
-	h.routes = append(h.routes, pattern[strings.IndexByte(pattern, ' ')+1:])
+	method, path, _ := strings.Cut(pattern, " ")
+	h.routes = append(h.routes, path)
+	if !slices.Contains(h.methods, method) {
+		h.methods = append(h.methods, method)
+	}
 	h.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		w.(*statusRecorder).route = route
 		fn(w, r)
@@ -122,11 +130,19 @@ func (h *HTTPShell) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(rec, r)
 
 	elapsed := time.Since(start)
-	h.requests.With(r.Method, h.routes[rec.route], codeLabel(rec.status)).Inc()
+	h.requests.With(h.methodLabel(r.Method), h.routes[rec.route], codeLabel(rec.status)).Inc()
 	h.duration.Observe(elapsed.Seconds())
 	var line [256]byte
 	h.Logger.Output(1, string(appendAccessLog(line[:0], h.name, r.RemoteAddr, r.Method, r.URL.Path,
 		int(rec.status), rec.bytes, elapsed, rid)))
+}
+
+// methodLabel is method if a registered pattern names it, else "other".
+func (h *HTTPShell) methodLabel(method string) string {
+	if slices.Contains(h.methods, method) {
+		return method
+	}
+	return "other"
 }
 
 // codeLabels spells every status code net/http lets a handler write, 100 to
