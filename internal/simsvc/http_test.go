@@ -383,6 +383,39 @@ func TestHTTPRequestID(t *testing.T) {
 	if spans["execute"] <= 0 {
 		t.Errorf("execute span not timed: %v", done.Spans)
 	}
+
+	// A client ID is kept up to 64 bytes; a longer one is replaced by a
+	// minted ID, in the reply's header and in the job it submits.
+	for _, c := range []struct {
+		sent string
+		kept bool
+	}{{strings.Repeat("a", 64), true}, {strings.Repeat("b", 65), false}, {strings.Repeat("c", 64<<10), false}} {
+		req, _ := http.NewRequest("POST", srv.URL+"/v1/runs", strings.NewReader(tinySpecJSON))
+		req.Header.Set("X-Request-ID", c.sent)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v JobView
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.sent
+		if !c.kept {
+			want = resp.Header.Get("X-Request-ID")
+			if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(want) {
+				t.Errorf("a %d-byte client ID was answered with %.20q, want a minted 16-hex ID", len(c.sent), want)
+			}
+		}
+		if got := resp.Header.Get("X-Request-ID"); got != want {
+			t.Errorf("a %d-byte client ID: header %.20q, want %.20q", len(c.sent), got, want)
+		}
+		if v.RequestID != want {
+			t.Errorf("a %d-byte client ID: job request id %.20q, want %.20q", len(c.sent), v.RequestID, want)
+		}
+	}
 }
 
 // TestHTTPRetryAfter: overload rejections carry a Retry-After hint.

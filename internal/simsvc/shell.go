@@ -37,6 +37,11 @@ type HTTPShell struct {
 // neither reading nor writing it canonicalises the key again.
 const RequestIDHeader = "X-Request-Id"
 
+// maxRequestIDLen bounds the client request IDs the shell keeps. The ID is
+// echoed, logged and kept in the record of every job it submits, so a longer
+// one is replaced by a minted ID rather than held.
+const maxRequestIDLen = 64
+
 // NewHTTPShell builds a shell that logs as name, registers
 // <name>_http_requests_total and <name>_http_request_duration_seconds on reg,
 // and serves GET /healthz: liveness, 200 while the process serves at all.
@@ -120,7 +125,7 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 func (h *HTTPShell) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rid := r.Header.Get(RequestIDHeader)
-	if rid == "" {
+	if rid == "" || len(rid) > maxRequestIDLen {
 		rid = telemetry.NewRequestID()
 	}
 	w.Header().Set(RequestIDHeader, rid)
