@@ -350,7 +350,6 @@ func (s *Scheduler) runJob(j *job) {
 	flightStart := time.Now()
 	e, err, sharedRun := s.flight.do(s.baseCtx, j.hash, func() (*entry, error) {
 		ctx := telemetry.WithSpans(s.baseCtx, j.spans)
-		ctx = telemetry.WithRequestID(ctx, j.reqID)
 		var cancel context.CancelFunc = func() {}
 		if s.cfg.JobTimeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
