@@ -60,13 +60,13 @@ func TestNetworkFootprint(t *testing.T) {
 	// 384 x 64 B = 24,576 in 96 slabs for serve_miss.
 	type pin struct{ mallocs, bytes uint64 }
 	pins := map[string]struct{ warm, cold pin }{
-		"DR/PAT271":  {pin{2437, 266640}, pin{2444, 335496}},
-		"DR/PAT721":  {pin{2437, 266640}, pin{2444, 335496}},
-		"PR/PAT271":  {pin{2436, 262664}, pin{2442, 380032}},
-		"PR/PAT721":  {pin{2436, 262664}, pin{2442, 380032}},
-		"SA/PAT271":  {pin{2447, 387696}, pin{2456, 519432}},
-		"SA/PAT721":  {pin{2447, 387696}, pin{2456, 519432}},
-		"serve_miss": {pin{658, 68696}, pin{664, 76624}},
+		"DR/PAT271":  {pin{2434, 266544}, pin{2441, 335400}},
+		"DR/PAT721":  {pin{2434, 266544}, pin{2441, 335400}},
+		"PR/PAT271":  {pin{2433, 262568}, pin{2439, 379936}},
+		"PR/PAT721":  {pin{2433, 262568}, pin{2439, 379936}},
+		"SA/PAT271":  {pin{2444, 387600}, pin{2453, 519336}},
+		"SA/PAT721":  {pin{2444, 387600}, pin{2453, 519336}},
+		"serve_miss": {pin{655, 68600}, pin{661, 76528}},
 	}
 	for name, want := range pins {
 		for _, c := range []struct {
