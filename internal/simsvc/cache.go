@@ -86,13 +86,14 @@ func (s *Store) Get(hash string) ([]byte, bool) {
 
 // lookup is Get of the hash spelled in key returning the entry, rendered, and
 // carrying spec if spec is not nil, and then its echo too. A hit answered from
-// memory builds no string of the hash: the entry holds one. An entry's first hit renders it (and the
-// echo, once the entry has a spec), which is also where a payload is
-// found not to be one JSON document — a file truncated or damaged on disk, or
-// whatever an executor handed Put. Such a payload is a miss, not a hit nobody
-// can encode: the entry is dropped, its file renamed <hash>.json.corrupt and
-// kept for inspection, and the caller executes the spec again, whose Put
-// replaces the file. Every later hit costs one map lookup, as before.
+// memory builds no string of the hash: the entry holds one. An entry's first
+// hit renders it (and the echo, once the entry has a spec), which is also
+// where a payload is found not to be one JSON document — a file truncated or
+// damaged on disk, or whatever an executor handed Put. Such a payload is a
+// miss, not a hit nobody can encode: the entry is dropped, its file renamed
+// <hash>.json.corrupt and kept for inspection, and the caller executes the
+// spec again, whose Put replaces the file. Every later hit costs one map
+// lookup, as before.
 func (s *Store) lookup(key []byte, spec *RunSpec) (*entry, bool) {
 	s.mu.Lock()
 	el, ok := s.items[string(key)]
