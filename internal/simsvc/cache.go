@@ -106,14 +106,14 @@ func (s *Store) lookup(key []byte, spec *RunSpec) (*entry, bool) {
 	if ok && e.rendered != nil && (spec == nil || e.hasSpec()) {
 		return e, true
 	}
+	if !ok && s.dir == "" {
+		return nil, false
+	}
 	hash := string(key)
 	fresh := &entry{hash: hash}
 	if ok {
 		*fresh = *e
 	} else {
-		if s.dir == "" {
-			return nil, false
-		}
 		var err error
 		if fresh.payload, err = os.ReadFile(s.path(hash)); err != nil {
 			return nil, false

@@ -53,6 +53,20 @@ func TestLRUUpdateExisting(t *testing.T) {
 	}
 }
 
+// TestMemoryMissAllocatesNothing: a memory store's miss, which every job a
+// server executes pays on submission and again on its worker's recheck,
+// returns before building an entry or a hash string for it.
+func TestMemoryMissAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator pads")
+	}
+	s, _ := NewStore(2, "")
+	spec, key := tinySpec(), []byte("0123456789abcdef")
+	if got := testing.AllocsPerRun(100, func() { s.lookup(key, &spec) }); got != 0 {
+		t.Errorf("a memory miss makes %v allocations, want 0", got)
+	}
+}
+
 func TestDiskRoundTripAndPromotion(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(1, dir)
