@@ -8,54 +8,69 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/network"
 	"repro/internal/simsvc"
 )
 
-// jsonKeys lists a struct's JSON keys in field order.
-func jsonKeys(t reflect.Type) []string {
-	var keys []string
-	for i := 0; i < t.NumField(); i++ {
-		keys = append(keys, strings.Split(t.Field(i).Tag.Get("json"), ",")[0])
-	}
-	return keys
+// observerFlags are the netsim flags that are not RunSpec keys: each watches,
+// reports or replays a run and changes nothing in it.
+var observerFlags = map[string]bool{
+	"trace": true, "trace-format": true, "metrics-csv": true, "metrics-window": true,
+	"episodes": true, "episodes-json": true, "digest": true,
+	"profile": true, "profile-json": true, "profile-sample": true,
+	"replay": true, "version": true,
 }
 
-// TestSpellingTable holds the README's "One parameter, four spellings" table
-// to the code: one row per network.Config field, in field order, whose
-// counterexample key is the field's JSON tag and whose RunSpec key and netsim
-// flag, where given, exist. Mutation check: renaming -queue, retagging
-// FlitBuf, or adding a Config field without a row each fail it.
-func TestSpellingTable(t *testing.T) {
-	readme, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	section := string(readme)
-	section = section[strings.Index(section, "### One parameter, four spellings"):]
-	rows := regexp.MustCompile(`(?m)^\| (\w+) \| (\S+) \| (\S+) \| (\S+) \|$`).FindAllStringSubmatch(section, -1)
+// netsimCommand finds a netsim command in a document. In inline code it runs
+// to the closing backtick; elsewhere to the end of the line, on across a
+// trailing backslash, and up to a pipe, separator, comment or redirection.
+var netsimCommand = regexp.MustCompile("`(?:go run \\./cmd/netsim|/tmp/netsim|netsim)( +-[^`]*)`|" +
+	"(?:go run \\./cmd/netsim|/tmp/netsim|(?:^|[\\s(])netsim)( +-(?:\\\\\n|[^\n`|;&#>])*)")
 
-	specKeys := map[string]bool{}
-	for _, k := range jsonKeys(reflect.TypeOf(simsvc.RunSpec{})) {
-		specKeys[k] = true
-	}
-	flags := map[string]bool{}
-	flag.VisitAll(func(f *flag.Flag) { flags["-"+f.Name] = true })
+// commandFlag finds the flags a command names.
+var commandFlag = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
 
-	cfg := reflect.TypeOf(network.Config{})
-	if len(rows) != cfg.NumField() {
-		t.Fatalf("the table has %d rows, network.Config %d fields", len(rows), cfg.NumField())
-	}
-	for i, key := range jsonKeys(cfg) {
-		row := rows[i]
-		if row[1] != cfg.Field(i).Name || row[4] != key {
-			t.Errorf("row %d is %v; Config field %d is %s with key %q", i, row[1:], i, cfg.Field(i).Name, key)
-		}
-		if row[2] != "—" && !specKeys[row[2]] {
-			t.Errorf("%s: RunSpec has no key %q", row[1], row[2])
-		}
-		if row[3] != "—" && !flags[row[3]] {
-			t.Errorf("%s: netsim has no flag %s", row[1], row[3])
+// TestFlagsAndDocs: netsim's run flags are the RunSpec keys — every key is a
+// flag, and every flag that is not an observer flag is a key — and every flag
+// a netsim command spells in the documentation and CI is one netsim defines.
+// Mutation check: putting -drain back in one README command fails it.
+func TestFlagsAndDocs(t *testing.T) {
+	keys := map[string]bool{}
+	rt := reflect.TypeOf(simsvc.RunSpec{})
+	for i := 0; i < rt.NumField(); i++ {
+		key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		keys[key] = true
+		if flag.Lookup(key) == nil {
+			t.Errorf("RunSpec key %q is not a netsim flag", key)
 		}
 	}
+	flags := map[string]bool{"h": true, "help": true} // the flag package's own
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") || f.Name == "update" {
+			return // the test binary's
+		}
+		flags[f.Name] = true
+		if !keys[f.Name] && !observerFlags[f.Name] {
+			t.Errorf("-%s is neither a RunSpec key nor an observer flag", f.Name)
+		}
+	})
+
+	commands := 0
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
+		text, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cmd := range netsimCommand.FindAllStringSubmatch(string(text), -1) {
+			commands++
+			for _, f := range commandFlag.FindAllStringSubmatch(cmd[1]+cmd[2], -1) {
+				if !flags[f[1]] {
+					t.Errorf("%s: netsim has no flag -%s:%s%s", doc, f[1], cmd[1], cmd[2])
+				}
+			}
+		}
+	}
+	if commands < 40 {
+		t.Errorf("found %d netsim commands in the documents; the pattern no longer finds them", commands)
+	}
+	t.Logf("%d netsim commands", commands)
 }

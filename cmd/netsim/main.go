@@ -3,9 +3,13 @@
 // message-dependent deadlock handling scheme (SA, DR, or PR), transaction
 // pattern, and applied load.
 //
+// The run is a simsvc.RunSpec: each run flag is its JSON key, with the key's
+// meaning and default, so a run served by simserve replays here.
+//
 // Example:
 //
 //	netsim -scheme PR -pattern PAT271 -vcs 4 -rate 0.012 -measure 30000
+//	netsim -trace_app FFT -measure 15000 -digest
 //
 // Observability:
 //
@@ -21,7 +25,7 @@
 //
 // Fault injection (deterministic plan file, see internal/fault):
 //
-//	netsim -scheme PR -rate 0.01 -fault-plan plan.json
+//	netsim -scheme PR -rate 0.01 -faults plan.json
 //
 // Counterexample replay (schedules produced by cmd/modelcheck):
 //
@@ -33,58 +37,75 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 
-	"repro"
-	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/mc"
-	"repro/internal/netiface"
 	"repro/internal/obs"
-	"repro/internal/protocol"
-	"repro/internal/schemes"
+	"repro/internal/simsvc"
 	"repro/internal/telemetry"
 )
 
-// The flags are package-level so the documentation test can list them.
+// spec is the run. Each flag of runFlags is named by a RunSpec key and writes
+// that key here; Normalized fills in every key no flag set.
 var (
-	schemeName  = flag.String("scheme", "PR", "handling scheme: SA, DR, PR, SQ, or AB")
-	patternName = flag.String("pattern", "PAT271", "transaction pattern: PAT100, PAT721, PAT451, PAT271, PAT280")
-	radix       = flag.String("radix", "8x8", "torus radix, e.g. 8x8 or 4x4x4")
-	mesh        = flag.Bool("mesh", false, "use a mesh (no wraparound links) instead of a torus")
-	bristling   = flag.Int("bristling", 1, "processors per router")
-	vcs         = flag.Int("vcs", 4, "virtual channels per link")
-	flitBuf     = flag.Int("flitbuf", 2, "flit buffers per virtual channel")
-	queueCap    = flag.Int("queue", 16, "message queue size")
-	queueMode   = flag.String("qmode", "default", "queue allocation: default, shared, class, type")
-	service     = flag.Int("service", 40, "message service time in cycles")
-	rate        = flag.Float64("rate", 0.01, "request generation probability per node per cycle")
-	outstanding = flag.Int("outstanding", 16, "max outstanding transactions per node (0 = unlimited)")
-	warmup      = flag.Int64("warmup", 5000, "warmup cycles")
-	measure     = flag.Int64("measure", 30000, "measured cycles")
-	drain       = flag.Int64("drain", 30000, "max drain cycles")
-	seed        = flag.Uint64("seed", 1, "random seed")
-	cwg         = flag.Int64("cwg", 50, "CWG scan interval (0 disables)")
-	detector    = flag.String("detector", "threshold", "recovery trigger: threshold (endpoint persistence counter) or probe (distributed edge chasing)")
+	spec       simsvc.RunSpec
+	radix      string // the radix key, spelled 8x8 or 4x4x4
+	faultsPath string // a file holding the faults key's plan
+	runFlags   = flag.NewFlagSet("run", flag.ExitOnError)
+)
 
+func init() {
+	f := runFlags
+	f.StringVar(&spec.Scheme, "scheme", "", "handling scheme: SA, DR, PR, SQ, or AB")
+	f.StringVar(&spec.Pattern, "pattern", "", "transaction pattern: PAT100, PAT721, PAT451, PAT271, PAT280")
+	f.StringVar(&spec.TraceApp, "trace_app", "", "replay a synthetic trace of FFT, LU, Radix or Water instead of a pattern: MSI, no warmup, -measure is the trace length, and radix and measure have their own defaults (simsvc.RunSpec)")
+	f.StringVar(&radix, "radix", "", "torus radix, e.g. 8x8 or 4x4x4")
+	f.BoolVar(&spec.Mesh, "mesh", false, "use a mesh (no wraparound links) instead of a torus")
+	f.IntVar(&spec.Bristling, "bristling", 0, "processors per router")
+	f.IntVar(&spec.VCs, "vcs", 0, "virtual channels per link")
+	f.IntVar(&spec.FlitBuf, "flitbuf", 0, "flit buffers per virtual channel")
+	f.IntVar(&spec.QueueCap, "queue_cap", 0, "message queue size")
+	f.StringVar(&spec.QueueMode, "queue_mode", "", "queue allocation: default, shared, class, type")
+	f.IntVar(&spec.ServiceTime, "service_time", 0, "message service time in cycles")
+	f.Float64Var(&spec.Rate, "rate", 0, "request generation probability per node per cycle")
+	f.IntVar(&spec.MaxOutstanding, "max_outstanding", 0, "max outstanding transactions per node (-1 = unlimited)")
+	f.Uint64Var(&spec.Seed, "seed", 0, "random seed")
+	f.Int64Var(&spec.Warmup, "warmup", 0, "warmup cycles (-1 = none)")
+	f.Int64Var(&spec.Measure, "measure", 0, "measured cycles")
+	f.Int64Var(&spec.MaxDrain, "max_drain", 0, "max drain cycles (-1 = none)")
+	f.Int64Var(&spec.CWGInterval, "cwg_interval", 0, "CWG scan interval (-1 disables)")
+	f.StringVar(&spec.Detector, "detector", "", "recovery trigger: threshold (the default: endpoint persistence counter) or probe (distributed edge chasing)")
+	f.BoolVar(&spec.Check, "check", false, "run the runtime invariant checker; violations exit with status 3")
+	f.StringVar(&faultsPath, "faults", "", "inject faults from this JSON plan file (see internal/fault)")
+
+	// Each flag joins the command line while spec holds the defaults, so -h
+	// shows them; then every flag starts from zero, which a spec reads as
+	// "use the default".
+	spec, _ = simsvc.RunSpec{}.Normalized()
+	radix = strings.Trim(strings.ReplaceAll(fmt.Sprint(spec.Radix), " ", "x"), "[]")
+	f.VisitAll(func(f *flag.Flag) { flag.Var(f.Value, f.Name, f.Usage) })
+	spec, radix = simsvc.RunSpec{}, ""
+}
+
+// The observer flags watch or report the run and change nothing in it.
+var (
 	tracePath    = flag.String("trace", "", "write a structured event trace to this file")
 	traceFormat  = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (chrome://tracing / Perfetto)")
 	metricsCSV   = flag.String("metrics-csv", "", "write windowed time-series metrics as CSV to this file")
 	metricsWin   = flag.Int64("metrics-window", 100, "metrics sampling window in cycles")
-	episodes     = flag.Bool("episodes", false, "record deadlock episodes (needs -cwg > 0) and print them")
+	episodes     = flag.Bool("episodes", false, "record deadlock episodes (needs CWG scanning) and print them")
 	episodesJSON = flag.String("episodes-json", "", "write deadlock episodes as JSONL to this file (implies -episodes)")
 
-	checkOn       = flag.Bool("check", false, "run the runtime invariant checker; violations exit with status 3")
-	checkInterval = flag.Int64("check-interval", 64, "cycles between invariant sweeps (with -check)")
-	digest        = flag.Bool("digest", false, "print a 64-bit digest of the full delivery log (regression fingerprint)")
-
-	faultPlan = flag.String("fault-plan", "", "inject faults from this JSON plan file (see internal/fault)")
+	digest = flag.Bool("digest", false, "print a 64-bit digest of the full delivery log (regression fingerprint)")
 
 	profile       = flag.Bool("profile", false, "attribute wall time to simulation pipeline phases and print the breakdown")
 	profileJSON   = flag.String("profile-json", "", "write the phase breakdown as JSON to this file (implies -profile)")
@@ -106,46 +127,29 @@ func main() {
 		return
 	}
 
-	// Only flags that are not Config fields are range-checked here; every
-	// other value is copied into the Config, whose Validate (reached through
-	// NewSimulator) is the one admission check and names the field at fault.
-	if *checkInterval < 1 {
-		fatal(fmt.Errorf("-check-interval must be at least 1 cycle, got %d", *checkInterval))
-	}
+	// Only observer flags are range-checked here; the spec's Normalized is
+	// the one admission check of the run and names the Config field at fault.
 	if *metricsWin < 1 {
 		fatal(fmt.Errorf("-metrics-window must be at least 1 cycle, got %d", *metricsWin))
 	}
-
-	cfg := repro.DefaultConfig()
-	kind, err := schemes.KindByName(*schemeName)
-	fatal(err)
-	cfg.Scheme = kind
-	pat, err := protocol.PatternByName(*patternName)
-	fatal(err)
-	cfg.Pattern = pat
-	cfg.Radix, err = parseRadix(*radix)
-	fatal(err)
-	cfg.QueueMode, err = netiface.QueueModeByName(*queueMode)
-	fatal(err)
-	cfg.Mesh = *mesh
-	cfg.Bristling = *bristling
-	cfg.VCs = *vcs
-	cfg.FlitBuf = *flitBuf
-	cfg.QueueCap = *queueCap
-	cfg.ServiceTime = *service
-	cfg.Rate = *rate
-	cfg.MaxOutstanding = *outstanding
-	cfg.Warmup, cfg.Measure, cfg.MaxDrain = *warmup, *measure, *drain
-	cfg.Seed = *seed
-	cfg.CWGInterval = *cwg
-	cfg.Detector = *detector
-
-	sim, err := repro.NewSimulator(cfg)
+	flag.Visit(func(f *flag.Flag) { fatal(refuseDefault(f)) })
+	var err error
+	if radix != "" {
+		spec.Radix, err = parseRadix(radix)
+		fatal(err)
+	}
+	if faultsPath != "" {
+		data, err := os.ReadFile(faultsPath)
+		fatal(err)
+		spec.Faults, err = fault.ParsePlan(data)
+		fatal(err)
+	}
+	norm, err := spec.Normalized()
 	fatal(err)
 
 	// Observability attachments. Files are closed (and stream sinks
 	// finalized) after the run, before the process exits.
-	net := sim.Network()
+	var bus *obs.Bus
 	var files []io.Closer
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -153,13 +157,16 @@ func main() {
 		files = append(files, f)
 		switch *traceFormat {
 		case "jsonl":
-			net.AttachObs(obs.NewBus(obs.NewJSONLSink(f)))
+			bus = obs.NewBus(obs.NewJSONLSink(f))
 		case "chrome":
-			net.AttachObs(obs.NewBus(obs.NewChromeTraceSink(f)))
+			bus = obs.NewBus(obs.NewChromeTraceSink(f))
 		default:
 			fatal(fmt.Errorf("unknown trace format %q (want jsonl or chrome)", *traceFormat))
 		}
 	}
+	run, err := simsvc.NewRun(norm, bus)
+	fatal(err)
+	net := run.Net
 	if *metricsCSV != "" {
 		f, err := os.Create(*metricsCSV)
 		fatal(err)
@@ -171,24 +178,6 @@ func main() {
 		tracker = &obs.EpisodeTracker{}
 		fatal(net.AttachEpisodes(tracker))
 	}
-
-	var checker *check.Checker
-	if *checkOn {
-		checker = check.Attach(net, check.Options{Interval: *checkInterval})
-	}
-	var injector *fault.Injector
-	if *faultPlan != "" {
-		data, err := os.ReadFile(*faultPlan)
-		fatal(err)
-		plan, err := fault.ParsePlan(data)
-		fatal(err)
-		injector, err = fault.Attach(net, plan)
-		fatal(err)
-	}
-	var dig *check.Digest
-	if *digest {
-		dig = check.AttachDigest(net)
-	}
 	var prof *telemetry.CycleProfiler
 	if *profile || *profileJSON != "" {
 		if *profileSample < 1 {
@@ -198,7 +187,7 @@ func main() {
 		net.AttachProfiler(prof)
 	}
 
-	res := sim.Run()
+	net.Run()
 	if bus := net.Bus(); bus != nil {
 		fatal(bus.Close())
 		for _, f := range files {
@@ -206,7 +195,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("config: %s %s on %v torus, %d VCs, rate=%.4f\n", kind, pat.Name, cfg.Radix, cfg.VCs, cfg.Rate)
+	cfg, res := net.Cfg, run.Summary()
+	fmt.Printf("config: %s %s on %v torus, %d VCs, rate=%.4f\n", cfg.Scheme, cfg.Pattern.Name, cfg.Radix, cfg.VCs, cfg.Rate)
 	fmt.Printf("throughput:            %.4f flits/node/cycle\n", res.Throughput)
 	fmt.Printf("avg message latency:   %.1f cycles\n", res.AvgLatency)
 	fmt.Printf("latency p50/p95/p99:   %d / %d / %d cycles\n", res.LatencyP50, res.LatencyP95, res.LatencyP99)
@@ -244,14 +234,14 @@ func main() {
 		}
 	}
 
-	if injector != nil {
-		fmt.Println(injector.Report())
+	if res.Fault != nil {
+		fmt.Println(res.Fault)
 	}
-	if checker != nil {
-		fmt.Printf("invariant sweeps:      %d\n", checker.Checks())
+	if run.Checker != nil {
+		fmt.Printf("invariant sweeps:      %d\n", res.InvariantChecks)
 	}
-	if dig != nil {
-		fmt.Printf("delivery digest:       %s (%d deliveries)\n", dig, dig.Count())
+	if *digest {
+		fmt.Printf("delivery digest:       %s (%d deliveries)\n", res.Digest, res.Deliveries)
 	}
 	if prof != nil {
 		b := prof.Breakdown()
@@ -268,8 +258,8 @@ func main() {
 
 	// Violations outrank a drain timeout: partial statistics are still
 	// meaningful, corrupted ones are not.
-	if checker != nil && len(checker.Violations()) > 0 {
-		for _, v := range checker.Violations() {
+	if run.Checker != nil && len(run.Checker.Violations()) > 0 {
+		for _, v := range run.Checker.Violations() {
 			fmt.Fprintln(os.Stderr, "netsim:", v.Format())
 		}
 		os.Exit(3)
@@ -280,6 +270,24 @@ func main() {
 			cfg.MaxDrain, net.Table.Len())
 		os.Exit(2)
 	}
+}
+
+// refuseDefault refuses a run flag set to the zero number or empty string its
+// key reads as "use the default": a command line means what it names.
+func refuseDefault(f *flag.Flag) error {
+	g, ok := f.Value.(flag.Getter)
+	if !ok || runFlags.Lookup(f.Name) == nil {
+		return nil
+	}
+	if v := reflect.ValueOf(g.Get()); v.Kind() == reflect.Bool || !v.Equal(reflect.Zero(v.Type())) {
+		return nil
+	}
+	hint := "leave the flag out for it"
+	switch f.Name {
+	case "warmup", "max_drain", "cwg_interval", "max_outstanding":
+		hint = "-1 means zero"
+	}
+	return fmt.Errorf("-%s %s means the default; %s", f.Name, cmp.Or(f.Value.String(), `""`), hint)
 }
 
 // replay loads a model-checker counterexample, drives its network down the

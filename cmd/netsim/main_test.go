@@ -102,7 +102,10 @@ func TestNaNRateIsAFlagError(t *testing.T) {
 // status 1 with a single netsim:-prefixed line that names the field (as Config
 // spells it) or, for flags that are not Config fields, the flag. Some used to
 // run as something else (a negative -outstanding was unbounded); the rest were
-// checked in main in a second copy of the rule.
+// checked in main in a second copy of the rule. A run flag set to the zero a
+// RunSpec reads as "use the default" is refused too, naming the flag, and -1
+// where that asks for zero: before netsim took a RunSpec, -warmup 0 meant no
+// warmup.
 func TestBadFlagsAreOneLineErrors(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -111,23 +114,33 @@ func TestBadFlagsAreOneLineErrors(t *testing.T) {
 		{[]string{"-rate", "1.5"}, "Rate"},
 		{[]string{"-radix", "8x1"}, "Radix"},
 		{[]string{"-radix", "1048576x1048576"}, "Radix"},
-		{[]string{"-bristling", "0"}, "Bristling"},
-		{[]string{"-warmup", "-1"}, "Warmup"},
-		{[]string{"-measure", "0"}, "Measure"},
-		{[]string{"-drain", "-1"}, "MaxDrain"},
-		{[]string{"-cwg", "-5"}, "CWGInterval"},
-		{[]string{"-outstanding", "-4"}, "MaxOutstanding"},
+		{[]string{"-radix", "axb"}, "bad radix"},
+		{[]string{"-bristling", "-1"}, "Bristling"},
+		{[]string{"-warmup", "-2"}, "Warmup"},
+		{[]string{"-measure", "-5"}, "Measure"},
+		{[]string{"-max_drain", "-2"}, "MaxDrain"},
+		{[]string{"-cwg_interval", "-5"}, "CWGInterval"},
+		{[]string{"-max_outstanding", "-4"}, "MaxOutstanding"},
 		{[]string{"-flitbuf", "2000000000"}, "FlitBuf"},
 		{[]string{"-radix", "2x2", "-flitbuf", "65536"}, "FlitBuf: 65536-flit VC buffers exceed the limit of 65535"},
-		{[]string{"-queue", "2000000000"}, "QueueCap"},
-		{[]string{"-qmode", "heap"}, "queue mode"},
+		{[]string{"-queue_cap", "2000000000"}, "QueueCap"},
+		{[]string{"-queue_mode", "heap"}, "queue mode"},
 		{[]string{"-detector", "bogus"}, "Detector"},
 		{[]string{"-detector", "cwg"}, "Detector"}, // the scan is the oracle, not a trigger
 		{[]string{"-detector", "probe", "-scheme", "SA", "-pattern", "PAT100"}, "Detector"},
 		{[]string{"-scheme", "DR", "-pattern", "PAT100"}, "DR is not valid"},
-		{[]string{"-check-interval", "0"}, "-check-interval"},
 		{[]string{"-metrics-window", "0"}, "-metrics-window"},
 		{[]string{"-profile", "-profile-sample", "0"}, "-profile-sample"},
+		{[]string{"-warmup", "0"}, "-warmup 0 means the default; -1 means zero"},
+		{[]string{"-max_drain", "0"}, "-1 means zero"},
+		{[]string{"-cwg_interval", "0"}, "-1 means zero"},
+		{[]string{"-max_outstanding", "0"}, "-1 means zero"},
+		{[]string{"-measure", "0"}, "-measure 0 means the default"},
+		{[]string{"-bristling", "0"}, "-bristling 0 means the default"},
+		{[]string{"-rate", "0"}, "-rate 0 means the default"},
+		{[]string{"-seed", "0"}, "-seed 0 means the default"},
+		{[]string{"-scheme", ""}, `-scheme "" means the default`},
+		{[]string{"-faults", ""}, `-faults "" means the default`},
 	} {
 		out, code := runNetsim(t, c.args...)
 		if code != 1 || !strings.HasPrefix(out, "netsim: ") || !strings.Contains(out, c.want) || strings.Count(out, "\n") != 1 {
@@ -194,8 +207,8 @@ func TestOutputGolden(t *testing.T) {
 			dir := t.TempDir()
 			at := func(name string) string { return filepath.Join(dir, name) }
 			run := []string{"-scheme", c.scheme, "-pattern", c.pattern, "-vcs", c.vcs,
-				"-radix", "2x2", "-queue", "2", "-rate", "0.08", "-seed", "3",
-				"-warmup", "0", "-measure", "400", "-drain", "300", "-cwg", "50"}
+				"-radix", "2x2", "-queue_cap", "2", "-rate", "0.08", "-seed", "3",
+				"-warmup", "-1", "-measure", "400", "-max_drain", "300", "-cwg_interval", "50"}
 			stdout, code := runNetsim(t, append(run, "-digest", "-episodes",
 				"-trace", at("trace.jsonl"), "-metrics-csv", at("metrics.csv"),
 				"-metrics-window", "50", "-episodes-json", at("episodes.jsonl"))...)

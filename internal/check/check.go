@@ -84,9 +84,6 @@ type Options struct {
 	// (default 64). Zero or negative uses the default; delivery-order
 	// checks run on every delivery regardless.
 	Interval int64
-	// OnViolation, when set, is called for each violation as it is found
-	// (the cmds print and exit; tests collect).
-	OnViolation func(Violation)
 	// FailFast panics on the first violation with the formatted report.
 	FailFast bool
 }
@@ -245,9 +242,6 @@ func (c *Checker) report(now int64, rule, detail string) {
 	if bus := c.n.Bus(); bus != nil {
 		bus.Emit(obs.Event{Cycle: now, Kind: obs.KindInvariant, Node: -1,
 			Note: rule + ": " + detail + "\n" + v.Snapshot})
-	}
-	if c.opts.OnViolation != nil {
-		c.opts.OnViolation(v)
 	}
 	if c.opts.FailFast {
 		panic("check: invariant violation\n" + v.Format())

@@ -49,8 +49,8 @@ func (m QueueMode) String() string {
 // QueueDefault asks for the handling scheme's canonical arrangement.
 const QueueDefault QueueMode = -1
 
-// queueModeNames is the one table of the names front ends accept (netsim
-// -qmode, RunSpec queue_mode), indexed by mode+1.
+// queueModeNames is the one table of the names front ends accept (the
+// RunSpec key queue_mode, which is netsim's -queue_mode), indexed by mode+1.
 var queueModeNames = [...]string{"default", "shared", "class", "type"}
 
 // QueueModeByName parses a front-end queue-mode name.

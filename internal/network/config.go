@@ -22,9 +22,9 @@ import (
 // one description of a run's configuration: Validate is the only admission
 // check (New builds whatever it passes), and the JSON form — the "cfg" object
 // of a model-checker counterexample file, scheme and pattern by canonical
-// name — is the only text form. The command-line flags of netsim and the keys
-// of simsvc.RunSpec are front ends that fill in a Config (README, "One
-// parameter, four spellings").
+// name — is the only text form. A simsvc.RunSpec, which netsim's flags and
+// the service's API spell, is the front end that fills in a Config (README,
+// "One run description").
 type Config struct {
 	// Radix gives per-dimension router counts (default 8x8 torus).
 	Radix []int `json:"radix"`

@@ -250,11 +250,17 @@ type SweepRequest struct {
 	Steps int       `json:"steps,omitempty"`
 }
 
-// Expand resolves the rate ladder.
+// Expand resolves the rate ladder. Every rate is in (0, 1]: a listed 0 would
+// run the spec's default rate while the sweep reports it as 0.
 func (r SweepRequest) Expand() ([]float64, error) {
 	if len(r.Rates) > 0 {
 		if r.From != 0 || r.To != 0 || r.Steps != 0 {
 			return nil, fmt.Errorf("simsvc: give either rates or from/to/steps, not both")
+		}
+		for _, rate := range r.Rates {
+			if !(rate > 0) || rate > 1 {
+				return nil, fmt.Errorf("simsvc: sweep rates want 0 < rate <= 1, got %g", rate)
+			}
 		}
 		return r.Rates, nil
 	}

@@ -228,10 +228,12 @@ func TestHTTPSweep(t *testing.T) {
 	}
 
 	for name, body := range map[string]string{
-		"rates and range": `{"spec":` + tinySpecJSON + `,"rates":[0.01],"from":0.01,"to":0.1,"steps":3}`,
-		"one step":        `{"spec":` + tinySpecJSON + `,"from":0.01,"to":0.1,"steps":1}`,
-		"inverted range":  `{"spec":` + tinySpecJSON + `,"from":0.2,"to":0.1,"steps":3}`,
-		"trace sweep":     `{"spec":{"trace_app":"FFT"},"from":0.01,"to":0.1,"steps":3}`,
+		"rates and range":  `{"spec":` + tinySpecJSON + `,"rates":[0.01],"from":0.01,"to":0.1,"steps":3}`,
+		"one step":         `{"spec":` + tinySpecJSON + `,"from":0.01,"to":0.1,"steps":1}`,
+		"inverted range":   `{"spec":` + tinySpecJSON + `,"from":0.2,"to":0.1,"steps":3}`,
+		"trace sweep":      `{"spec":{"trace_app":"FFT"},"from":0.01,"to":0.1,"steps":3}`,
+		"listed zero rate": `{"spec":{},"rates":[0,0.02]}`,
+		"listed rate > 1":  `{"spec":{},"rates":[0.02,1.5]}`,
 	} {
 		resp, b := postJSON(t, srv.URL+"/v1/sweeps", body)
 		if resp.StatusCode != http.StatusBadRequest {

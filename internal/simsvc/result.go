@@ -41,22 +41,65 @@ type Result struct {
 	Summary  Summary `json:"summary"`
 }
 
-// buildNetwork constructs the network a normalized spec describes,
-// including the trace-driven source for TraceApp specs.
-func buildNetwork(spec RunSpec) (*network.Network, error) {
+// A Run is the simulation a normalized spec describes, built and not yet
+// stepped. Execute steps one for the service, netsim one with its observers.
+type Run struct {
+	Net *network.Network
+	// Checker is the invariant checker Check asks for, else nil.
+	Checker  *check.Checker
+	injector *fault.Injector // nil without a fault plan
+	digest   *check.Digest
+}
+
+// NewRun builds the run a normalized spec describes. A non-nil bus is
+// attached first and receives the run's trace events.
+func NewRun(spec RunSpec, bus *obs.Bus) (*Run, error) {
 	cfg, err := spec.config()
 	if err != nil {
 		return nil, err
 	}
+	var n *network.Network
 	if spec.TraceApp == "" {
-		return network.New(cfg)
-	}
-	app, ok := tracegen.AppByName(spec.TraceApp)
-	if !ok {
+		n, err = network.New(cfg)
+	} else if app, ok := tracegen.AppByName(spec.TraceApp); !ok {
 		return nil, fmt.Errorf("simsvc: unknown trace app %q", spec.TraceApp)
+	} else {
+		n, _, err = tracegen.NewNetwork(cfg, app)
 	}
-	n, _, err := tracegen.NewNetwork(cfg, app)
-	return n, err
+	if err != nil {
+		return nil, err
+	}
+	if bus != nil {
+		n.AttachObs(bus)
+	}
+	r := &Run{Net: n}
+	if spec.Check {
+		r.Checker = check.Attach(n, check.Options{})
+	}
+	if spec.Faults != nil {
+		if r.injector, err = fault.Attach(n, spec.Faults); err != nil {
+			return nil, err
+		}
+	}
+	r.digest = check.AttachDigest(n)
+	return r, nil
+}
+
+// Summary is the outcome of a stepped run.
+func (r *Run) Summary() Summary {
+	s := Summary{
+		Summary:    r.Net.Stats.Summary(r.Net.Quiescent()),
+		Digest:     r.digest.String(),
+		Deliveries: r.digest.Count(),
+	}
+	if r.Checker != nil {
+		s.InvariantChecks = r.Checker.Checks()
+	}
+	if r.injector != nil {
+		rep := r.injector.Report()
+		s.Fault = &rep
+	}
+	return s
 }
 
 // Execute runs a normalized spec to completion and returns the marshalled
@@ -65,54 +108,21 @@ func buildNetwork(spec RunSpec) (*network.Network, error) {
 // invariant-violating runs return an error and must not be cached. A
 // non-nil bus receives the run's trace events.
 func Execute(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
-	n, err := buildNetwork(spec)
+	r, err := NewRun(spec, bus)
 	if err != nil {
 		return nil, err
 	}
-	if bus != nil {
-		n.AttachObs(bus)
-	}
-	var checker *check.Checker
-	if spec.Check {
-		checker = check.Attach(n, check.Options{})
-	}
-	var injector *fault.Injector
-	if spec.Faults != nil {
-		injector, err = fault.Attach(n, spec.Faults)
-		if err != nil {
-			return nil, err
-		}
-	}
-	dig := check.AttachDigest(n)
-	if err := n.RunContext(ctx); err != nil {
+	if err := r.Net.RunContext(ctx); err != nil {
 		return nil, err
 	}
-	if checker != nil {
-		if vs := checker.Violations(); len(vs) > 0 {
+	if r.Checker != nil {
+		if vs := r.Checker.Violations(); len(vs) > 0 {
 			return nil, fmt.Errorf("simsvc: invariant violation: %s", vs[0].Format())
 		}
 	}
-	res := Result{
-		SpecHash: spec.Hash(),
-		Spec:     spec,
-		Summary: Summary{
-			Summary:    n.Stats.Summary(n.Quiescent()),
-			Digest:     dig.String(),
-			Deliveries: dig.Count(),
-		},
-	}
-	if checker != nil {
-		res.Summary.InvariantChecks = checker.Checks()
-	}
-	if injector != nil {
-		rep := injector.Report()
-		res.Summary.Fault = &rep
-	}
+	res := Result{SpecHash: spec.Hash(), Spec: spec, Summary: r.Summary()}
 	encodeStart := time.Now()
 	payload, err := json.Marshal(res)
 	telemetry.AddSpan(ctx, "encode", time.Since(encodeStart))
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
+	return payload, err
 }

@@ -8,6 +8,7 @@
 package simsvc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -23,14 +24,15 @@ import (
 )
 
 // RunSpec is the canonical description of one simulation run. JSON field
-// names are the wire format of the HTTP API. Zero values mean "use the
-// default" (listed per field); the sentinel -1 requests the literal zero
-// where that is meaningful (warmup, drain, CWG scanning, outstanding
-// bound). Normalized resolves every default, so two specs that differ only
-// in explicitness hash identically.
+// names are the wire format of the HTTP API and netsim's flag names. Zero
+// values mean "use the default"; the sentinel -1 requests the literal zero
+// where that is meaningful (warmup, drain, CWG scanning, outstanding bound).
+// Where a field is a network.Config field its default is
+// network.DefaultConfig's; the spec's own choices are listed per field.
+// Normalized resolves every default, so two specs that differ only in
+// explicitness hash identically.
 type RunSpec struct {
 	// Scheme is the deadlock-handling technique: SA, DR, PR, SQ, or AB.
-	// Default PR.
 	Scheme string `json:"scheme,omitempty"`
 	// Pattern names a synthetic transaction pattern (PAT100, PAT721,
 	// PAT451, PAT271, PAT280, MSI). Default PAT271. Mutually exclusive
@@ -41,31 +43,29 @@ type RunSpec struct {
 	// Section 4.2.1 detector settings are implied; Measure is the trace
 	// length in cycles.
 	TraceApp string `json:"trace_app,omitempty"`
-	// Radix gives per-dimension router counts. Default [8,8]; trace runs
-	// default [4,4].
+	// Radix gives per-dimension router counts. Trace runs default to [4,4].
 	Radix []int `json:"radix,omitempty"`
 	// Mesh drops the wraparound links.
 	Mesh bool `json:"mesh,omitempty"`
-	// Bristling is processors per router (default 1).
+	// Bristling is processors per router.
 	Bristling int `json:"bristling,omitempty"`
-	// VCs is virtual channels per link (default 4).
+	// VCs is virtual channels per link.
 	VCs int `json:"vcs,omitempty"`
-	// FlitBuf is flit buffers per VC (default 2).
+	// FlitBuf is flit buffers per VC.
 	FlitBuf int `json:"flitbuf,omitempty"`
-	// QueueCap is the endpoint message-queue size (default 16).
+	// QueueCap is the endpoint message-queue size.
 	QueueCap int `json:"queue_cap,omitempty"`
 	// QueueMode overrides the scheme's canonical queue arrangement:
 	// "default", "shared", "class", or "type".
 	QueueMode string `json:"queue_mode,omitempty"`
-	// ServiceTime is memory-controller occupancy per message (default 40).
+	// ServiceTime is memory-controller occupancy per message.
 	ServiceTime int `json:"service_time,omitempty"`
 	// Rate is the request-generation probability per node per cycle
 	// (default 0.01). Must be 0 for trace runs.
 	Rate float64 `json:"rate,omitempty"`
-	// MaxOutstanding bounds in-flight transactions per node (default 16;
-	// -1 unbounded).
+	// MaxOutstanding bounds in-flight transactions per node (-1 unbounded).
 	MaxOutstanding int `json:"max_outstanding,omitempty"`
-	// Seed drives all randomness (default 1).
+	// Seed drives all randomness.
 	Seed uint64 `json:"seed,omitempty"`
 	// Warmup, Measure, MaxDrain are the run phases in cycles. Defaults
 	// 2000/8000/10000 for synthetic runs; trace runs force Warmup 0 and
@@ -73,9 +73,12 @@ type RunSpec struct {
 	Warmup   int64 `json:"warmup,omitempty"`
 	Measure  int64 `json:"measure,omitempty"`
 	MaxDrain int64 `json:"max_drain,omitempty"`
-	// CWGInterval is the channel-wait-for-graph scan period (default 50;
-	// -1 disables scanning).
+	// CWGInterval is the channel-wait-for-graph scan period (-1 disables
+	// scanning).
 	CWGInterval int64 `json:"cwg_interval,omitempty"`
+	// Detector is the recovery trigger, "threshold" or "probe". The default,
+	// threshold, normalizes to "", so it moves no hash and no echo.
+	Detector string `json:"detector,omitempty"`
 	// Check attaches the runtime invariant checker; a violation fails the
 	// job instead of caching a corrupted result.
 	Check bool `json:"check,omitempty"`
@@ -89,13 +92,10 @@ type RunSpec struct {
 // resolveSentinel maps the 0-means-default / -1-means-zero convention. Any
 // other negative value passes through for Config.Validate to refuse.
 func resolveSentinel(v, def int64) int64 {
-	switch v {
-	case 0:
-		return def
-	case -1:
+	if v == -1 {
 		return 0
 	}
-	return v
+	return cmp.Or(v, def)
 }
 
 // Normalized resolves every default and validates the spec, returning the
@@ -107,11 +107,8 @@ func resolveSentinel(v, def int64) int64 {
 // a trace run implies, canonical spellings for the hash, the fault plan;
 // every range and validity-envelope rule is network.Config.Validate's.
 func (s RunSpec) Normalized() (RunSpec, error) {
-	n := s
-
-	if n.Scheme == "" {
-		n.Scheme = "PR"
-	}
+	n, d := s, &defaultConfig
+	n.Scheme = cmp.Or(n.Scheme, d.Scheme.String())
 	if n.TraceApp != "" {
 		if s.Pattern != "" && s.Pattern != protocol.MSI.Name {
 			return n, fmt.Errorf("simsvc: trace run implies the MSI pattern, got %q", s.Pattern)
@@ -129,53 +126,34 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 			return n, fmt.Errorf("simsvc: trace runs have no warmup phase")
 		}
 		n.Warmup = 0
-	} else {
-		if n.Pattern == "" {
-			n.Pattern = protocol.PAT271.Name
-		}
-		if n.Rate == 0 {
-			n.Rate = 0.01
-		}
-		n.Warmup = resolveSentinel(n.Warmup, 2000)
-	}
-
-	if len(n.Radix) == 0 {
-		if n.TraceApp != "" {
+		if len(n.Radix) == 0 {
 			n.Radix = []int{4, 4}
-		} else {
-			n.Radix = []int{8, 8}
 		}
-	}
-	if n.Bristling == 0 {
-		n.Bristling = 1
-	}
-	if n.VCs == 0 {
-		n.VCs = 4
-	}
-	if n.FlitBuf == 0 {
-		n.FlitBuf = 2
-	}
-	if n.QueueCap == 0 {
-		n.QueueCap = 16
-	}
-	if n.ServiceTime == 0 {
-		n.ServiceTime = 40
-	}
-	if n.QueueMode == "" {
-		n.QueueMode = "default"
-	}
-	n.MaxOutstanding = int(resolveSentinel(int64(n.MaxOutstanding), 16))
-	if n.Seed == 0 {
-		n.Seed = 1
-	}
-	if n.Measure == 0 {
-		n.Measure = 8000
-		if n.TraceApp != "" {
-			n.Measure = 50000
-		}
+		n.Measure = cmp.Or(n.Measure, 50000)
+	} else {
+		n.Pattern = cmp.Or(n.Pattern, protocol.PAT271.Name)
+		n.Rate = cmp.Or(n.Rate, 0.01)
+		n.Warmup = resolveSentinel(n.Warmup, 2000)
+		n.Measure = cmp.Or(n.Measure, 8000)
 	}
 	n.MaxDrain = resolveSentinel(n.MaxDrain, 10000)
-	n.CWGInterval = resolveSentinel(n.CWGInterval, 50)
+
+	// The rest of the defaults are network.DefaultConfig's.
+	if len(n.Radix) == 0 {
+		n.Radix = append([]int(nil), d.Radix...)
+	}
+	n.Bristling = cmp.Or(n.Bristling, d.Bristling)
+	n.VCs = cmp.Or(n.VCs, d.VCs)
+	n.FlitBuf = cmp.Or(n.FlitBuf, d.FlitBuf)
+	n.QueueCap = cmp.Or(n.QueueCap, d.QueueCap)
+	n.ServiceTime = cmp.Or(n.ServiceTime, d.ServiceTime)
+	n.QueueMode = cmp.Or(n.QueueMode, "default")
+	n.MaxOutstanding = int(resolveSentinel(int64(n.MaxOutstanding), int64(d.MaxOutstanding)))
+	n.Seed = cmp.Or(n.Seed, d.Seed)
+	n.CWGInterval = resolveSentinel(n.CWGInterval, d.CWGInterval)
+	if n.Detector == network.DetectorThreshold {
+		n.Detector = ""
+	}
 
 	// Resolving the names is what rejects an unknown one; the scheme comes
 	// back in its canonical spelling (patterns and queue modes only match
@@ -206,8 +184,9 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 	return n, nil
 }
 
-// defaultConfig is what config starts from: network.DefaultConfig, built once
-// rather than with a Radix per call that config replaces.
+// defaultConfig is what config starts from and where Normalized takes every
+// default a spec shares with network.DefaultConfig: built once rather than
+// with a Radix per call that config replaces.
 var defaultConfig = network.DefaultConfig()
 
 // config maps a spec whose defaults are resolved onto the simulator
@@ -226,17 +205,11 @@ func (s RunSpec) config() (network.Config, error) {
 	if cfg.QueueMode, err = netiface.QueueModeByName(s.QueueMode); err != nil {
 		return cfg, err
 	}
-	cfg.Mesh = s.Mesh
-	cfg.Bristling = s.Bristling
-	cfg.VCs = s.VCs
-	cfg.FlitBuf = s.FlitBuf
-	cfg.QueueCap = s.QueueCap
-	cfg.ServiceTime = s.ServiceTime
-	cfg.Rate = s.Rate
-	cfg.MaxOutstanding = s.MaxOutstanding
-	cfg.Seed = s.Seed
+	cfg.Mesh, cfg.Bristling, cfg.VCs, cfg.FlitBuf = s.Mesh, s.Bristling, s.VCs, s.FlitBuf
+	cfg.QueueCap, cfg.ServiceTime = s.QueueCap, s.ServiceTime
+	cfg.Rate, cfg.MaxOutstanding, cfg.Seed = s.Rate, s.MaxOutstanding, s.Seed
 	cfg.Warmup, cfg.Measure, cfg.MaxDrain = s.Warmup, s.Measure, s.MaxDrain
-	cfg.CWGInterval = s.CWGInterval
+	cfg.CWGInterval, cfg.Detector = s.CWGInterval, s.Detector
 	return cfg, nil
 }
 
@@ -276,6 +249,9 @@ func (s RunSpec) appendCanonical(dst []byte) []byte {
 	dst = strconv.AppendInt(append(dst, "\nmeasure="...), s.Measure, 10)
 	dst = strconv.AppendInt(append(dst, "\nmax_drain="...), s.MaxDrain, 10)
 	dst = strconv.AppendInt(append(dst, "\ncwg_interval="...), s.CWGInterval, 10)
+	if s.Detector != "" {
+		dst = append(append(dst, "\ndetector="...), s.Detector...)
+	}
 	dst = strconv.AppendBool(append(dst, "\ncheck="...), s.Check)
 	dst = s.Faults.AppendCanonical(append(dst, "\nfaults="...))
 	return append(dst, '\n')

@@ -277,6 +277,8 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		`{"radix":[4,4],"faults":{"events":[{"kind":"link-down","at":0,"router":9,"dir":0},{"kind":"token-loss","at":800}]}}`,
 		`{"faults":{"seed":3,"events":[{"kind":"link-flaky","at":5,"until":50,"router":1,"dir":2,"rate":0.25,"drop":true}]}}`,
 		`{"faults":{"events":[]}}`,
+		`{"radix":[4,4],"detector":"probe","check":true}`,
+		`{"detector":"threshold"}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -344,6 +346,7 @@ func TestSpecHashesPinned(t *testing.T) {
 		{"every -1 sentinel", RunSpec{Warmup: -1, MaxDrain: -1, CWGInterval: -1, MaxOutstanding: -1}, "64a5fb732012d831"},
 		{"a hash with leading zeros", RunSpec{Seed: 716}, "009684f49a2b7223"},
 		{"three dimensions", RunSpec{Radix: []int{2, 3, 4}, Measure: 123456}, "c4f9ddac2e36ef86"},
+		{"probe detector", RunSpec{Detector: "probe"}, "857255748c7d5273"},
 	} {
 		n, err := c.spec.Normalized()
 		if err != nil {
@@ -352,6 +355,25 @@ func TestSpecHashesPinned(t *testing.T) {
 		if got := n.Hash(); got != c.hash {
 			t.Errorf("%s: hash %s, pinned at %s:\n%s", c.what, got, c.hash, n.Canonical())
 		}
+	}
+}
+
+// TestThresholdDetectorIsTheDefault: the threshold trigger, spelled out, is
+// the spec with no detector key: the same hash and the same echo, so no cache
+// entry or served payload moved when the key came in.
+func TestThresholdDetectorIsTheDefault(t *testing.T) {
+	plain, err := RunSpec{}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold, err := RunSpec{Detector: "threshold"}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, _ := json.Marshal(plain)
+	te, _ := json.Marshal(threshold)
+	if threshold.Hash() != plain.Hash() || !bytes.Equal(te, pe) {
+		t.Errorf("threshold spec hashes %s and echoes %s; {} hashes %s and echoes %s", threshold.Hash(), te, plain.Hash(), pe)
 	}
 }
 

@@ -101,6 +101,8 @@ func (p *specParser) member(s *RunSpec, key []byte) (ok bool) {
 		s.MaxDrain, ok = p.signed(64)
 	case "cwg_interval":
 		s.CWGInterval, ok = p.signed(64)
+	case "detector":
+		s.Detector, ok = p.str()
 	case "check":
 		s.Check, ok = p.boolean()
 	}

@@ -98,6 +98,8 @@ func FuzzDecodeSpec(f *testing.F) {
 		` `,
 		`{"radix":[4,4],"faults":{"events":[{"kind":"link-down","at":0,"router":9,"dir":0},{"kind":"token-loss","at":800}]}}`,
 		`{"faults":null}`,
+		`{"detector":"probe"}`,
+		`{"detector":"threshold","radix":[4,4]}`,
 	} {
 		f.Add([]byte(body))
 	}
