@@ -33,12 +33,14 @@
 //
 // A drain phase that times out with undelivered messages still prints the
 // collected statistics but exits with status 2; invariant violations under
-// -check exit with status 3.
+// -check exit with status 3. A flag error, a value that does not parse among
+// them, is one netsim: line and status 1.
 package main
 
 import (
 	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -117,7 +119,17 @@ var (
 )
 
 func main() {
-	flag.Parse()
+	// A value a flag cannot parse is a flag error like any other: one line and
+	// exit 1, never the usage and exit 2, netsim's drain-timeout status.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	err := flag.CommandLine.Parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.Usage()
+		return
+	}
+	fatal(err)
 	if *version {
 		fmt.Println(telemetry.VersionString("netsim"))
 		return
@@ -133,7 +145,6 @@ func main() {
 		fatal(fmt.Errorf("-metrics-window must be at least 1 cycle, got %d", *metricsWin))
 	}
 	flag.Visit(func(f *flag.Flag) { fatal(refuseDefault(f)) })
-	var err error
 	if radix != "" {
 		spec.Radix, err = parseRadix(radix)
 		fatal(err)

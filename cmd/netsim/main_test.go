@@ -105,7 +105,8 @@ func TestNaNRateIsAFlagError(t *testing.T) {
 // checked in main in a second copy of the rule. A run flag set to the zero a
 // RunSpec reads as "use the default" is refused too, naming the flag, and -1
 // where that asks for zero: before netsim took a RunSpec, -warmup 0 meant no
-// warmup.
+// warmup. A value that does not parse, or a flag netsim does not have, used to
+// print the whole usage and exit 2, the status of a drain that timed out.
 func TestBadFlagsAreOneLineErrors(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -141,6 +142,9 @@ func TestBadFlagsAreOneLineErrors(t *testing.T) {
 		{[]string{"-seed", "0"}, "-seed 0 means the default"},
 		{[]string{"-scheme", ""}, `-scheme "" means the default`},
 		{[]string{"-faults", ""}, `-faults "" means the default`},
+		{[]string{"-vcs", "abc"}, `invalid value "abc" for flag -vcs`},
+		{[]string{"-rate", "x"}, `invalid value "x" for flag -rate`},
+		{[]string{"-bogus"}, "flag provided but not defined: -bogus"},
 	} {
 		out, code := runNetsim(t, c.args...)
 		if code != 1 || !strings.HasPrefix(out, "netsim: ") || !strings.Contains(out, c.want) || strings.Count(out, "\n") != 1 {

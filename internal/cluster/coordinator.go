@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
@@ -519,7 +520,7 @@ func (c *Coordinator) submit(ctx context.Context, hash string, body []byte, reqI
 // capped at RetryMax — a 30s hint is the client's to wait out, and
 // handleSubmit passes it on). Returns false if ctx expired first.
 func (c *Coordinator) sleepBackoff(ctx context.Context, pass int, retryAfterSec int) bool {
-	d := simsvc.RetryDelay(c.cfg.RetryBase, c.cfg.RetryMax, pass)
+	d := retryDelay(c.cfg.RetryBase, c.cfg.RetryMax, pass)
 	if ra := time.Duration(retryAfterSec) * time.Second; ra > d {
 		d = ra
 		if d > c.cfg.RetryMax {
@@ -533,6 +534,18 @@ func (c *Coordinator) sleepBackoff(ctx context.Context, pass int, retryAfterSec 
 	case <-ctx.Done():
 		return false
 	}
+}
+
+// retryDelay is the capped exponential backoff with jitter that placement
+// passes sleep on: base doubled per attempt (attempt 0 = base) up to limit,
+// plus uniform jitter of up to half that, so callers that failed together
+// spread out instead of stampeding back in lockstep.
+func retryDelay(base, limit time.Duration, attempt int) time.Duration {
+	d := base << uint(attempt)
+	if d > limit || d <= 0 {
+		d = limit
+	}
+	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
 // register mints a coordinator job ID and records the placement. Callers

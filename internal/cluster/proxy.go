@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/simsvc"
-	"repro/internal/telemetry"
 )
 
 // The coordinator serves the same API surface as a single simserve — a
@@ -46,8 +45,8 @@ func (c *Coordinator) routes() {
 }
 
 // ServeHTTP implements http.Handler through the shell simserve uses: the
-// request ID it stamps travels the proxied hop, so one ID joins client →
-// coordinator → shard.
+// handlers read the request ID it sets in the response header and send it on
+// the proxied hop, so one ID joins client → coordinator → shard.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.shell.ServeHTTP(w, r) }
 
 // defaultRetryAfter is the hint when no backend supplied one: one probe
@@ -110,7 +109,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		c.writeJSON(w, http.StatusBadRequest, simsvc.APIError{Error: err.Error()}, 0)
 		return
 	}
-	reqID := telemetry.RequestID(r.Context())
+	reqID := w.Header().Get(simsvc.RequestIDHeader)
 
 	o := c.submit(r.Context(), hash, body, reqID)
 	if o.usable() {
@@ -189,7 +188,7 @@ func (c *Coordinator) pendingView(j *coordJob) simsvc.JobView {
 
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	reqID := telemetry.RequestID(r.Context())
+	reqID := w.Header().Get(simsvc.RequestIDHeader)
 
 	if simsvc.IsSpecHash(id) {
 		// Content-addressed: any replica's copy is the answer.
@@ -299,7 +298,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		c.writeJSON(w, http.StatusBadRequest, simsvc.APIError{Error: err.Error()}, 0)
 		return
 	}
-	reqID := telemetry.RequestID(r.Context())
+	reqID := w.Header().Get(simsvc.RequestIDHeader)
 	resp := simsvc.SweepResponse{Jobs: make([]simsvc.SweepEntry, 0, len(rates))}
 	accepted, largestHint := 0, 0
 	worst := http.StatusAccepted

@@ -211,7 +211,7 @@ func TestSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := sched.Submit(context.Background(), spec)
+			v, err := sched.Submit(spec, "")
 			mu.Lock()
 			views[i], errs[i] = v, err
 			mu.Unlock()
@@ -244,7 +244,7 @@ func TestSingleflightDedup(t *testing.T) {
 // mustFinish submits a spec and waits for the job to complete.
 func mustFinish(t *testing.T, sched *Scheduler, spec RunSpec) JobView {
 	t.Helper()
-	v, err := sched.Submit(context.Background(), spec)
+	v, err := sched.Submit(spec, "")
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}

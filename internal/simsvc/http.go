@@ -29,9 +29,9 @@ import (
 //	                   load balancers stop routing here before requests fail
 //
 // Every response carries an X-Request-ID header — echoing the client's, or
-// minted here — and the same ID is propagated through the request context
-// into the scheduler for job-trace correlation. One access-log line is
-// emitted per request.
+// minted here — and the submit and sweep handlers read the ID back from it
+// and hand it to Scheduler.Submit, which keeps it on the job for trace
+// correlation. One access-log line is emitted per request.
 type Server struct {
 	sched *Scheduler
 	shell *HTTPShell
@@ -110,7 +110,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, APIError{Error: "bad spec: " + err.Error()})
 		return
 	}
-	job, err := s.sched.Submit(r.Context(), spec)
+	job, err := s.sched.Submit(spec, w.Header().Get(RequestIDHeader))
 	if err != nil {
 		s.writeJSON(w, submitStatus(err), APIError{Error: err.Error()})
 		return
@@ -310,12 +310,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, APIError{Error: err.Error()})
 		return
 	}
+	reqID := w.Header().Get(RequestIDHeader)
 	resp := SweepResponse{Jobs: make([]SweepEntry, 0, len(rates))}
 	status := http.StatusAccepted
 	for i, rate := range rates {
 		spec := req.Spec
 		spec.Rate = rate
-		job, err := s.sched.Submit(r.Context(), spec)
+		job, err := s.sched.Submit(spec, reqID)
 		if err != nil {
 			status = submitStatus(err)
 			for _, rest := range rates[i:] {

@@ -94,13 +94,13 @@ func TestReadyzSplitsFromHealthz(t *testing.T) {
 // shape: one job running (off the queue) plus two queued.
 func fillBacklog(t *testing.T, sched *Scheduler) {
 	t.Helper()
-	first, err := sched.Submit(context.Background(), seededSpec(1))
+	first, err := sched.Submit(seededSpec(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, sched, first.ID)
 	for seed := uint64(2); seed <= 3; seed++ {
-		if _, err := sched.Submit(context.Background(), seededSpec(seed)); err != nil {
+		if _, err := sched.Submit(seededSpec(seed), ""); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestRetryAfterClamp(t *testing.T) {
 	defer deep.Drain(context.Background())
 	defer close(release)
 	for seed := uint64(1); seed <= 40; seed++ {
-		if _, err := deep.Submit(context.Background(), seededSpec(seed)); err != nil {
+		if _, err := deep.Submit(seededSpec(seed), ""); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

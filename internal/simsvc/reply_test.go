@@ -309,7 +309,7 @@ func checkRetainedHitReplies(t *testing.T) (*replyServer, string) {
 
 	last := len(replyPayloads)
 	for range JobTableCap - 1 {
-		if _, err := srv.sched.Submit(context.Background(), seededSpec(uint64(last))); err != nil {
+		if _, err := srv.sched.Submit(seededSpec(uint64(last)), ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/tracegen"
 )
 
@@ -108,21 +107,27 @@ func (r *Run) Summary() Summary {
 // invariant-violating runs return an error and must not be cached. A
 // non-nil bus receives the run's trace events.
 func Execute(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error) {
+	payload, _, err := execute(ctx, spec, bus)
+	return payload, err
+}
+
+// execute is Execute returning also the time it spent encoding the payload, 0
+// if the run did not get that far.
+func execute(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, time.Duration, error) {
 	r, err := NewRun(spec, bus)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := r.Net.RunContext(ctx); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if r.Checker != nil {
 		if vs := r.Checker.Violations(); len(vs) > 0 {
-			return nil, fmt.Errorf("simsvc: invariant violation: %s", vs[0].Format())
+			return nil, 0, fmt.Errorf("simsvc: invariant violation: %s", vs[0].Format())
 		}
 	}
 	res := Result{SpecHash: spec.Hash(), Spec: spec, Summary: r.Summary()}
 	encodeStart := time.Now()
 	payload, err := json.Marshal(res)
-	telemetry.AddSpan(ctx, "encode", time.Since(encodeStart))
-	return payload, err
+	return payload, time.Since(encodeStart), err
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -55,18 +54,6 @@ type SchedConfig struct {
 	Exec func(ctx context.Context, spec RunSpec, bus *obs.Bus) ([]byte, error)
 }
 
-// RetryDelay is the capped exponential backoff with jitter that the cluster
-// coordinator's placement passes sleep on: base doubled per attempt (attempt
-// 0 = base) up to limit, plus uniform jitter of up to half that, so callers
-// that failed together spread out instead of stampeding back in lockstep.
-func RetryDelay(base, limit time.Duration, attempt int) time.Duration {
-	d := base << uint(attempt)
-	if d > limit || d <= 0 {
-		d = limit
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
 // JobTableCap bounds the job table. Past it the oldest finished jobs are
 // forgotten (their IDs answer 404; the result still answers by spec hash from
 // the cache); queued and running jobs are never evicted. The cluster
@@ -76,23 +63,15 @@ func RetryDelay(base, limit time.Duration, attempt int) time.Duration {
 // coordinator then fetches the result by hash or replays the job.
 const JobTableCap = 16384
 
-// job is a queued or running job; a finished one is a record (table.go). Its
-// seq and id are written under Scheduler.mu as it is registered, which a
-// worker takes before reading them, status under it too, and the rest before
-// the job is enqueued.
+// job is a queued or running job: the record it becomes when it finishes
+// (table.go), whose ent is the job's own entry, holding its hash and spec. The
+// record is written under Scheduler.mu once the job is registered, which a
+// worker takes before reading its seq; the entry and enqueued are written
+// before the job is enqueued and do not change while it is live.
 type job struct {
-	seq   int64
-	id    string
-	hash  string
-	spec  RunSpec
-	reqID string
-	// spans accumulates the job's phase timings (queue wait, cache lookup,
-	// coalesce, execute, encode); the collector is internally locked, so
-	// workers and view snapshots need no extra coordination.
-	spans    *telemetry.Spans
+	record
+	entry
 	enqueued time.Time
-
-	status Status // guarded by Scheduler.mu
 }
 
 // JobView is the API-facing snapshot of a job.
@@ -177,22 +156,21 @@ func NewScheduler(cfg SchedConfig) *Scheduler {
 // Submit normalizes and admits one spec. A spec whose result is already
 // cached completes immediately without consuming a queue slot; otherwise
 // the job joins the FIFO queue, failing fast with ErrQueueFull at the
-// depth limit or ErrDraining during shutdown. The request ID stamped on
-// ctx (if any) is carried onto the job for trace correlation; ctx does not
-// otherwise govern the job, whose execution outlives the request.
-func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
+// depth limit or ErrDraining during shutdown. reqID, the ID of the request
+// that submitted the spec ("" for none), is kept on the job for trace
+// correlation.
+func (s *Scheduler) Submit(spec RunSpec, reqID string) (JobView, error) {
 	norm, err := spec.Normalized()
 	if err != nil {
 		return JobView{}, err
 	}
 	var digits [16]byte
 	key := norm.appendHash(digits[:0])
-	reqID := telemetry.RequestID(ctx)
 
 	lookup := time.Now()
 	if e, ok := s.cfg.Store.lookup(key, &norm); ok {
-		r := record{reqID: reqID, ent: e, cached: true}
-		r.addSpan(cacheLookup, time.Since(lookup).Microseconds())
+		r := record{reqID: reqID, ent: e, status: jobDone, cached: true}
+		r.addSpan(spanCacheLookup, time.Since(lookup))
 		s.mu.Lock()
 		s.hits++
 		s.done++
@@ -202,8 +180,9 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 		s.cfg.Trace.job(v)
 		return v, nil
 	}
-	j := &job{hash: string(key), spec: norm, reqID: reqID, spans: telemetry.NewSpans(), enqueued: lookup}
-	j.spans.Add("cache-lookup", time.Since(lookup))
+	j := &job{record: record{reqID: reqID}, entry: entry{hash: string(key), spec: norm}, enqueued: lookup}
+	j.ent = &j.entry
+	j.addSpan(spanCacheLookup, time.Since(lookup))
 
 	s.mu.Lock()
 	if s.draining {
@@ -218,8 +197,6 @@ func (s *Scheduler) Submit(ctx context.Context, spec RunSpec) (JobView, error) {
 	}
 	s.misses++
 	j.seq = s.register()
-	j.id = jobID(j.seq)
-	j.status = StatusQueued
 	s.live[j.seq] = j
 	v := j.view()
 	s.mu.Unlock()
@@ -295,18 +272,6 @@ func (s *Scheduler) Job(id string) (JobView, bool) {
 	return JobView{}, false
 }
 
-// view snapshots a queued or running job; callers hold s.mu.
-func (j *job) view() JobView {
-	return JobView{
-		ID:        j.id,
-		SpecHash:  j.hash,
-		Spec:      j.spec,
-		Status:    j.status,
-		RequestID: j.reqID,
-		Spans:     j.spans.List(),
-	}
-}
-
 // worker drains the queue until it is closed, executing (or deduplicating)
 // one job at a time.
 func (s *Scheduler) worker() {
@@ -335,22 +300,21 @@ func (s *Scheduler) safeRun(j *job) {
 func (s *Scheduler) runJob(j *job) {
 	started := time.Now()
 	s.mu.Lock()
-	j.status = StatusRunning
+	j.status = jobRunning
 	s.running++
+	j.addSpan(spanQueueWait, started.Sub(j.enqueued))
 	s.mu.Unlock()
-	j.spans.Add("queue-wait", started.Sub(j.enqueued))
 
 	lookup := time.Now()
 	e, ok := s.cfg.Store.lookup([]byte(j.hash), &j.spec)
-	j.spans.Add("cache-lookup", time.Since(lookup))
+	s.addSpan(j, spanCacheLookup, time.Since(lookup))
 	if ok {
 		s.finish(j, started, e, true, nil)
 		return
 	}
 	flightStart := time.Now()
 	e, err, sharedRun := s.flight.do(s.baseCtx, j.hash, func() (*entry, error) {
-		ctx := telemetry.WithSpans(s.baseCtx, j.spans)
-		var cancel context.CancelFunc = func() {}
+		ctx, cancel := s.baseCtx, func() {}
 		if s.cfg.JobTimeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
 		}
@@ -359,22 +323,35 @@ func (s *Scheduler) runJob(j *job) {
 		s.executed++
 		s.mu.Unlock()
 		execStart := time.Now()
-		p, err := s.execSafe(ctx, j)
-		j.spans.Add("execute", time.Since(execStart))
+		p, encode, err := s.execSafe(ctx, j)
+		elapsed := time.Since(execStart)
+		s.mu.Lock()
+		if encode > 0 {
+			j.addSpan(spanEncode, encode)
+		}
+		j.addSpan(spanExecute, elapsed)
+		s.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
 		putStart := time.Now()
 		e := s.store(j, p)
-		j.spans.Add("cache-store", time.Since(putStart))
+		s.addSpan(j, spanCacheStore, time.Since(putStart))
 		return e, nil
 	})
 	if sharedRun {
 		// This job piggybacked on an identical in-flight run: what it
 		// spent was the wait for that run, not its own execution.
-		j.spans.Add("coalesce", time.Since(flightStart))
+		s.addSpan(j, spanCoalesce, time.Since(flightStart))
 	}
 	s.finish(j, started, e, sharedRun, err)
+}
+
+// addSpan adds d to j's span name under s.mu, where views read it.
+func (s *Scheduler) addSpan(j *job, name int, d time.Duration) {
+	s.mu.Lock()
+	j.addSpan(name, d)
+	s.mu.Unlock()
 }
 
 // store caches a job's payload under its hash and returns the entry. A failed
@@ -383,7 +360,7 @@ func (s *Scheduler) runJob(j *job) {
 func (s *Scheduler) store(j *job, p []byte) *entry {
 	e, err := s.cfg.Store.put(j.hash, p, &j.spec)
 	if err != nil {
-		log.Printf("simsvc: job %s (hash=%s): result not persisted: %v", j.id, j.hash, err)
+		log.Printf("simsvc: job %s (hash=%s): result not persisted: %v", jobID(j.seq), j.hash, err)
 	}
 	return e
 }
@@ -392,49 +369,46 @@ func (s *Scheduler) store(j *job, p []byte) *entry {
 // a plain job failure so one poisoned spec cannot take a worker goroutine —
 // and with it a fraction of the service's capacity — down with it. With a
 // trace writer configured the simulation gets a bus of its own whose one sink
-// stamps every event with j's ID.
-func (s *Scheduler) execSafe(ctx context.Context, j *job) (payload []byte, err error) {
+// stamps every event with j's ID. encode is the time execute spent encoding
+// the payload, 0 if it did not get that far or an Exec override ran instead.
+func (s *Scheduler) execSafe(ctx context.Context, j *job) (payload []byte, encode time.Duration, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			payload, err = nil, fmt.Errorf("simsvc: job panicked: %v", r)
+			payload, encode, err = nil, 0, fmt.Errorf("simsvc: job panicked: %v", r)
 		}
 	}()
-	exec := s.cfg.Exec
-	if exec == nil {
-		exec = Execute
-	}
 	var bus *obs.Bus
 	if s.cfg.Trace != nil {
-		bus = obs.NewBus(jobSink{s.cfg.Trace, j.id})
+		bus = obs.NewBus(jobSink{s.cfg.Trace, jobID(j.seq)})
 	}
-	return exec(ctx, j.spec, bus)
+	if s.cfg.Exec != nil {
+		payload, err = s.cfg.Exec(ctx, j.spec, bus)
+		return payload, 0, err
+	}
+	return execute(ctx, j.spec, bus)
 }
 
 // finish moves a job from the live map to the finished table with its outcome:
 // the store entry its hash resolved to, answered from the store or a shared
 // run when cached, or err. started is when a worker picked the job up, zero if
-// the worker panicked; a job already finished stays as it finished.
+// the worker panicked; a job already finished stays as it finished. A failed
+// job's record keeps the job's own entry, with the error in it.
 func (s *Scheduler) finish(j *job, started time.Time, e *entry, cached bool, err error) {
-	r := record{reqID: j.reqID, seq: j.seq}
-	if err != nil {
-		r.ent, r.failed = &entry{hash: j.hash, spec: j.spec, err: err.Error()}, true
-	} else {
-		r.ent, r.cached = e, cached
-	}
-	r.setSpans(j.spans.List())
 	s.mu.Lock()
 	if s.live[j.seq] != j {
 		s.mu.Unlock()
 		return
 	}
 	delete(s.live, j.seq)
-	if j.status == StatusRunning {
+	if j.status == jobRunning {
 		s.running--
 	}
 	if err != nil {
 		s.failed++
+		j.err, j.status = err.Error(), jobFailed
 	} else {
 		s.done++
+		j.ent, j.status, j.cached = e, jobDone, cached
 		if cached {
 			// A queued job answered without its own simulation: either the
 			// cache filled while it waited, or it piggybacked on an
@@ -445,7 +419,7 @@ func (s *Scheduler) finish(j *job, started time.Time, e *entry, cached bool, err
 	if !started.IsZero() {
 		s.latency.Add(time.Since(started).Microseconds())
 	}
-	rec := s.finished.push(r)
+	rec := s.finished.push(j.record)
 	var v JobView
 	if s.cfg.Trace != nil {
 		v = rec.view()

@@ -31,20 +31,20 @@ func TestQueueFullRejection(t *testing.T) {
 	// One slow job occupies the single worker; once it is off the queue
 	// and running, two more fill the queue to its depth limit.
 	ids := make([]string, 0, 3)
-	first, err := sched.Submit(context.Background(), slowSpec(1))
+	first, err := sched.Submit(slowSpec(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids = append(ids, first.ID)
 	waitRunning(t, sched, first.ID)
 	for seed := uint64(2); seed <= 3; seed++ {
-		v, err := sched.Submit(context.Background(), slowSpec(seed))
+		v, err := sched.Submit(slowSpec(seed), "")
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		ids = append(ids, v.ID)
 	}
-	if _, err := sched.Submit(context.Background(), slowSpec(4)); !errors.Is(err, ErrQueueFull) {
+	if _, err := sched.Submit(slowSpec(4), ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit beyond depth limit: err = %v, want ErrQueueFull", err)
 	}
 	// A cached spec still completes while the queue is full: cache hits
@@ -58,7 +58,7 @@ func TestQueueFullRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Put(warm.Hash(), payload)
-	v, err := sched.Submit(context.Background(), tinySpec())
+	v, err := sched.Submit(tinySpec(), "")
 	if err != nil || v.Status != StatusDone || !v.Cached {
 		t.Errorf("cached submit during backpressure: %+v, %v", v, err)
 	}
@@ -91,7 +91,7 @@ func TestDrainRejectsNewAndLosesNothing(t *testing.T) {
 	const jobs = 5
 	ids := make([]string, jobs)
 	for i := range ids {
-		v, err := sched.Submit(context.Background(), slowSpec(uint64(100+i)))
+		v, err := sched.Submit(slowSpec(uint64(100+i)), "")
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -101,7 +101,7 @@ func TestDrainRejectsNewAndLosesNothing(t *testing.T) {
 	if err := sched.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if _, err := sched.Submit(context.Background(), slowSpec(999)); !errors.Is(err, ErrDraining) {
+	if _, err := sched.Submit(slowSpec(999), ""); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain: err = %v, want ErrDraining", err)
 	}
 	// Every job accepted before the drain completed; none were dropped.
@@ -138,7 +138,7 @@ func TestJobTimeoutFails(t *testing.T) {
 	})
 	defer sched.Drain(context.Background())
 
-	v, err := sched.Submit(context.Background(), slowSpec(7))
+	v, err := sched.Submit(slowSpec(7), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSubmitInvalidSpec(t *testing.T) {
 	sched := NewScheduler(SchedConfig{Workers: 1, QueueDepth: 2, Store: store})
 	defer sched.Drain(context.Background())
 
-	if _, err := sched.Submit(context.Background(), RunSpec{Scheme: "bogus"}); err == nil {
+	if _, err := sched.Submit(RunSpec{Scheme: "bogus"}, ""); err == nil {
 		t.Error("invalid spec accepted")
 	}
 	if m := sched.Metrics(); m.JobsAccepted != 0 {
@@ -211,7 +211,7 @@ func TestExpiredDrainCancelsInFlight(t *testing.T) {
 	store, _ := NewStore(8, "")
 	sched := NewScheduler(SchedConfig{Workers: 1, QueueDepth: 4, Store: store})
 
-	v, err := sched.Submit(context.Background(), slowSpec(11))
+	v, err := sched.Submit(slowSpec(11), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestJobIDsAreSequential(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		spec := tinySpec()
 		spec.Seed = uint64(i)
-		v, err := sched.Submit(context.Background(), spec)
+		v, err := sched.Submit(spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestPanickingJobFailsWorkerSurvives(t *testing.T) {
 
 	bad := tinySpec()
 	bad.Seed = 666
-	bv, err := sched.Submit(context.Background(), bad)
+	bv, err := sched.Submit(bad, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestPanickingJobFailsWorkerSurvives(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		good := tinySpec()
 		good.Seed = seed
-		gv, err := sched.Submit(context.Background(), good)
+		gv, err := sched.Submit(good, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestDeterministicFailureNotRetried(t *testing.T) {
 	})
 	defer sched.Drain(context.Background())
 
-	v, err := sched.Submit(context.Background(), tinySpec())
+	v, err := sched.Submit(tinySpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,12 +360,12 @@ func TestJobTableEvictsOldestFinished(t *testing.T) {
 		}})
 	defer sched.Drain(context.Background())
 
-	running, err := sched.Submit(context.Background(), slowSpec(1))
+	running, err := sched.Submit(slowSpec(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, sched, running.ID)
-	queued, err := sched.Submit(context.Background(), slowSpec(2))
+	queued, err := sched.Submit(slowSpec(2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestJobTableEvictsOldestFinished(t *testing.T) {
 	store.Put(warm.Hash(), []byte(`{"warm":true}`))
 	var first, last JobView
 	for i := 0; i < 3*JobTableCap; i++ {
-		v, err := sched.Submit(context.Background(), tinySpec())
+		v, err := sched.Submit(tinySpec(), "")
 		if err != nil || v.Status != StatusDone || !v.Cached {
 			t.Fatalf("cached submit %d: %+v, %v", i, v, err)
 		}

@@ -18,9 +18,9 @@ import (
 
 // HTTPShell is the layer every server in the repository (Server here,
 // cluster.Coordinator) wraps around its routes. Per request it echoes or mints
-// the X-Request-ID and carries it in the request context, routes, then counts
-// the request by method, route and status code, observes its duration and
-// writes one access-log line.
+// the X-Request-ID and sets it in the response header, where handlers read it
+// (w.Header().Get(RequestIDHeader)), routes, then counts the request by method,
+// route and status code, observes its duration and writes one access-log line.
 type HTTPShell struct {
 	// Logger receives the access log and response-encoding errors.
 	Logger *log.Logger
@@ -129,7 +129,6 @@ func (h *HTTPShell) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rid = telemetry.NewRequestID()
 	}
 	w.Header().Set(RequestIDHeader, rid)
-	r = r.WithContext(telemetry.WithRequestID(r.Context(), rid))
 
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	h.mux.ServeHTTP(rec, r)

@@ -3,33 +3,50 @@ package simsvc
 import (
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/telemetry"
 )
 
-// record is a finished job: one fixed-size slot of the job table. It owns
+// record is a job as the job table keeps it: one fixed-size slot. A queued or
+// running job holds the record it becomes when it finishes. A record owns
 // nothing on the heap but its request ID. Everything else a view of it shows
-// is reached through ent, the entry the job's hash resolved to — the store's,
-// shared by every job of that hash and kept alive by them after the store has
-// dropped it, or, for a failed job, one of its own with its spec and error —
-// so the collector follows two pointers per record, and the second mostly to
-// an entry it has marked already.
+// is reached through ent: for a live job its own entry with its hash and spec;
+// for a finished one the entry its hash resolved to — the store's, shared by
+// every job of that hash and kept alive by them after the store has dropped it,
+// or, for a failed job, its own with its error too — so the collector follows
+// two pointers per record, and the second mostly to an entry it has marked
+// already.
 type record struct {
 	reqID  string
 	ent    *entry
 	seq    int64
 	spans  [maxSpans]span // in recorded order; 0 ends the list
+	status uint8          // the job's Status, as its index in statuses
 	cached bool
-	failed bool
 }
 
-// spanNames are the names a job records spans under, in the order it records
-// them; a record keeps a span as its name's index and its microseconds. A
-// span under any other name is not kept.
+// statuses are the Status values a record holds, by index.
+var statuses = [...]Status{jobQueued: StatusQueued, jobRunning: StatusRunning, jobDone: StatusDone, jobFailed: StatusFailed}
+
+const (
+	jobQueued = iota
+	jobRunning
+	jobDone
+	jobFailed
+)
+
+// spanNames are the names a job records spans under; a record keeps a span as
+// its name's index and its microseconds.
 var spanNames = [...]string{"queue-wait", "cache-lookup", "encode", "execute", "cache-store", "coalesce"}
 
 const (
-	cacheLookup = 1 // spanNames[cacheLookup] is "cache-lookup"
+	spanQueueWait = iota
+	spanCacheLookup
+	spanEncode
+	spanExecute
+	spanCacheStore
+	spanCoalesce
 	// maxSpans is the most spans one job records: every name but "coalesce",
 	// which a job records instead of running the simulation itself.
 	maxSpans = len(spanNames) - 1
@@ -39,35 +56,30 @@ const (
 // holding its name's index in spanNames plus one, so that no span is 0.
 type span int64
 
-func (r *record) addSpan(name int, us int64) {
-	for i := range r.spans {
-		if r.spans[i] == 0 {
+// addSpan adds d to the record's span of that name, or records it as the next
+// span if it has none. A live job's record is added to under Scheduler.mu.
+func (r *record) addSpan(name int, d time.Duration) {
+	us := d.Microseconds()
+	for i, sp := range r.spans {
+		switch {
+		case sp == 0:
 			r.spans[i] = span(us<<3 | int64(name+1))
+			return
+		case int(sp&7) == name+1:
+			r.spans[i] += span(us << 3)
 			return
 		}
 	}
 }
 
-// setSpans keeps a running job's spans in the record.
-func (r *record) setSpans(list []telemetry.Span) {
-	for _, sp := range list {
-		for name, n := range spanNames {
-			if n == sp.Name {
-				r.addSpan(name, sp.DurUS)
-				break
-			}
-		}
-	}
-}
-
-// view rebuilds the JobView the job had when it finished; callers hold the
-// scheduler's lock.
+// view is the JobView of the job the record is; callers hold the scheduler's
+// lock.
 func (r *record) view() JobView {
 	v := JobView{
 		ID:        jobID(r.seq),
 		SpecHash:  r.ent.hash,
 		Spec:      r.ent.spec,
-		Status:    StatusDone,
+		Status:    statuses[r.status],
 		Cached:    r.cached,
 		RequestID: r.reqID,
 	}
@@ -81,8 +93,8 @@ func (r *record) view() JobView {
 			v.Spans[i] = telemetry.Span{Name: spanNames[sp&7-1], DurUS: int64(sp >> 3)}
 		}
 	}
-	if r.failed {
-		v.Status, v.Error = StatusFailed, r.ent.err
+	if r.status == jobFailed {
+		v.Error = r.ent.err
 	} else {
 		v.Result, v.rendered, v.echo = r.ent.payload, r.ent.rendered, r.ent.echo
 	}

@@ -151,18 +151,18 @@ func TestTraceRecordsCacheHitsAndFailures(t *testing.T) {
 		}
 	}
 	ok := tinySpec()
-	first, err := sched.Submit(context.Background(), ok)
+	first, err := sched.Submit(ok, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	wait(first.ID)
-	hit, err := sched.Submit(context.Background(), ok) // answered from the cache in Submit
+	hit, err := sched.Submit(ok, "") // answered from the cache in Submit
 	if err != nil || !hit.Cached {
 		t.Fatalf("resubmission: %+v, %v", hit, err)
 	}
 	bad := tinySpec()
 	bad.Seed = 2
-	failed, err := sched.Submit(context.Background(), bad)
+	failed, err := sched.Submit(bad, "")
 	if err != nil {
 		t.Fatal(err)
 	}

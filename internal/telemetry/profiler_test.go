@@ -15,15 +15,20 @@ func spin(d time.Duration) {
 	}
 }
 
+// TestProfilerAttribution checks only what preemption cannot break: being
+// descheduled adds wall time to whichever phase is open, so a phase may get
+// more than it spun, and one phase may overtake another, but none gets less,
+// and a phase no mark names gets nothing.
 func TestProfilerAttribution(t *testing.T) {
+	spins := map[string]time.Duration{"source": 50 * time.Microsecond, "routing": 200 * time.Microsecond, "arbitration": 100 * time.Microsecond}
 	p := NewCycleProfiler(1)
 	for i := 0; i < 10; i++ {
 		p.BeginCycle()
-		spin(50 * time.Microsecond)
+		spin(spins["source"])
 		p.Mark(PhaseSource)
-		spin(200 * time.Microsecond)
+		spin(spins["routing"])
 		p.Mark(PhaseRouting)
-		spin(100 * time.Microsecond)
+		spin(spins["arbitration"])
 		p.Mark(PhaseArbitration)
 		p.EndCycle()
 	}
@@ -38,20 +43,16 @@ func TestProfilerAttribution(t *testing.T) {
 	if b.AccountedFraction != 1 {
 		t.Errorf("accounted fraction %v, want 1", b.AccountedFraction)
 	}
-	// Phases sorted by descending cost: routing (200µs) beats arbitration
-	// (100µs) beats source (50µs).
-	if b.Phases[0].Phase != "routing" {
-		t.Errorf("heaviest phase %q, want routing\n%+v", b.Phases[0].Phase, b.Phases)
-	}
-	byName := map[string]int64{}
-	for _, ph := range b.Phases {
-		byName[ph.Phase] = ph.Ns
-	}
-	if byName["routing"] <= byName["arbitration"] || byName["arbitration"] <= byName["source"] {
-		t.Errorf("phase ordering wrong: %v", byName)
-	}
-	if byName["routing"] < int64(10*150*time.Microsecond) {
-		t.Errorf("routing undercounted: %v", byName["routing"])
+	for i, ph := range b.Phases {
+		if i > 0 && ph.Ns > b.Phases[i-1].Ns {
+			t.Errorf("phases not in descending order: %+v", b.Phases)
+		}
+		switch d, spun := spins[ph.Phase]; {
+		case spun && ph.Ns < int64(10*d):
+			t.Errorf("%s got %v over 10 cycles, less than the %v it spun", ph.Phase, time.Duration(ph.Ns), 10*d)
+		case !spun && ph.Phase != "obs" && ph.Ns != 0:
+			t.Errorf("%s, which no mark names, got %v", ph.Phase, time.Duration(ph.Ns))
+		}
 	}
 }
 
