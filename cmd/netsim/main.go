@@ -18,6 +18,10 @@
 //	netsim -scheme PR -rate 0.03 -episodes
 //	netsim -scheme PR -rate 0.03 -profile        # per-phase cycle-time table
 //
+// A profiled run steps exactly what the same run steps unprofiled (the
+// active-set sweep, idle cycles included) and prints the same statistics
+// and digest; the table times that engine.
+//
 // Verification:
 //
 //	netsim -scheme PR -rate 0.03 -check            # runtime invariant checker

@@ -101,7 +101,7 @@ type Network struct {
 
 	// prof is the optional cycle-level phase profiler, installed by
 	// AttachProfiler (obs.go); nil in a plain run, one branch per phase
-	// boundary in Step.
+	// boundary in Step. It times the regime the run would take without it.
 	prof *telemetry.CycleProfiler
 
 	// OnCycle, when non-nil, runs at the end of every cycle (used by the
@@ -150,8 +150,7 @@ type Network struct {
 	chEP    []int
 
 	// forceDense selects the dense regime (see Step), set by tests and the
-	// benchmark's verify for differential runs. An attached profiler also
-	// forces dense so phase accounting stays exact.
+	// benchmark's verify for differential runs; nothing else does.
 	forceDense bool
 
 	// rescueDefer suppresses the recovery engine's step for that many
@@ -645,9 +644,6 @@ func (n *Network) scanDue(now int64) bool {
 // Step advances the system one cycle. Two regimes run the same sweep
 // (below) with identical semantics:
 //
-//   - dense (profiler attached or SetDense): every NI and router steps and
-//     every channel commits, whatever the wake hooks and the dirty list say,
-//     which makes a dense run an independent reference for the other regime.
 //   - active: only components in the active sets step, after an O(1)
 //     SkipIdle catch-up replaying the round-robin rotations of the cycles
 //     they slept through; only dirty channels commit, and each commit wakes
@@ -657,21 +653,29 @@ func (n *Network) scanDue(now int64) bool {
 //     no scan is due, the sweep is skipped altogether and only the per-cycle
 //     housekeeping runs — traffic generation (the source is told of every
 //     cycle), the rescue token walk, sampler, fault stage, OnCycle, clock.
+//   - dense (SetDense only): every NI and router steps and every channel
+//     commits, whatever the wake hooks and the dirty list say, which makes a
+//     dense run an independent reference for the active regime.
 //
 // Either way the cycle starts by moving the NIs whose timer expires now from
 // the wake ring into the active set.
 //
-// The phase-profiler marks sit on the pipeline boundaries that already exist
-// (routing and arbitration mark themselves inside Router.Step); since an
-// attached profiler forces the dense regime, its phase accounting is exact.
+// An attached profiler times whichever path the cycle takes: it opens the
+// cycle here, endCycle closes it, and the phase marks sit on the pipeline
+// boundaries that already exist (routing and arbitration mark themselves
+// inside Router.Step), the idle fast path included. A component's SkipIdle
+// catch-up is charged to the phase it runs in.
 func (n *Network) Step() {
+	if n.prof != nil {
+		n.prof.BeginCycle()
+	}
 	now := n.Clock.Now()
 	slot := n.wakeRing[int(now&(wakeSlots-1))*len(n.activeNIW):][:len(n.activeNIW)]
 	for wi, w := range slot {
 		n.activeNIW[wi] |= w
 		slot[wi] = 0
 	}
-	if n.prof != nil || n.forceDense {
+	if n.forceDense {
 		n.sweep(now, true, true)
 		return
 	}
@@ -679,10 +683,12 @@ func (n *Network) Step() {
 		len(n.dirtyCh) == 0 && !n.scanDue(now) &&
 		(n.Probe == nil || n.Probe.Idle()) {
 		n.generate(now)
+		n.mark(telemetry.PhaseSource)
 		if maskEmpty(n.activeNIW) {
 			if n.Rescue != nil {
 				n.stepRescue(now)
 			}
+			n.mark(telemetry.PhaseRescue)
 			n.endCycle(now)
 			n.idleCycles++
 			n.Clock.Tick()
@@ -714,9 +720,6 @@ func (n *Network) mark(ph telemetry.Phase) {
 // dense cycle after a regime switch, and the activity flags and wakes are
 // maintained all the same so a switch back resumes from exact state.
 func (n *Network) sweep(now int64, gen, dense bool) {
-	if n.prof != nil {
-		n.prof.BeginCycle()
-	}
 	if gen {
 		n.generate(now)
 	}
@@ -797,14 +800,12 @@ func (n *Network) sweep(now int64, gen, dense bool) {
 	}
 	n.mark(telemetry.PhaseDeadlock)
 	n.endCycle(now)
-	if n.prof != nil {
-		n.prof.EndCycle()
-	}
 	n.Clock.Tick()
 }
 
 // endCycle runs the end-of-cycle observers and the fault stage, in the order
-// sampler, faults, OnCycle.
+// sampler, faults, OnCycle, then closes the profiler's cycle, which charges
+// them to the observability phase.
 func (n *Network) endCycle(now int64) {
 	if n.sampler != nil {
 		n.sampler.Tick(now)
@@ -814,6 +815,9 @@ func (n *Network) endCycle(now int64) {
 	}
 	if n.OnCycle != nil {
 		n.OnCycle(now)
+	}
+	if n.prof != nil {
+		n.prof.EndCycle()
 	}
 }
 

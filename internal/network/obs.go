@@ -105,7 +105,8 @@ func (n *Network) AttachEpisodes(t *obs.EpisodeTracker) error {
 // routing/arbitration boundary so per-phase attribution matches the real
 // pipeline order. Attach-on-demand like the checker and the fault
 // injector — a network without a profiler pays one nil check per phase
-// boundary and simulates bit-identically.
+// boundary, and one with it steps exactly what it would step without: the
+// profile times the active-set engine, idle cycles included.
 func (n *Network) AttachProfiler(p *telemetry.CycleProfiler) {
 	n.prof = p
 	for _, r := range n.Routers {

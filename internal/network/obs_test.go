@@ -152,11 +152,11 @@ func TestChromeTraceFromRunIsValidJSON(t *testing.T) {
 }
 
 // TestObservabilityDoesNotPerturbSimulation runs the same seeded deadlocking
-// configuration bare, with every watcher attached (a trace sink, the sampler,
-// the episode tracker, the invariant checker) and with the cycle profiler
-// alone (it forces dense stepping, so it is its own row), once per recovery
-// path, and requires the delivery digest, the final clock and the run's
-// counters to be identical: observing must never steer. The watched run must
+// configuration bare and with every watcher attached (a trace sink, the
+// sampler, the episode tracker, the invariant checker, the cycle profiler),
+// once per recovery path, and requires the delivery digest, the final clock,
+// the run's counters and the sweep's work counters to be identical: observing
+// must never steer, nor change what the engine steps. The watched run must
 // also have something to watch: at least one episode closed the way its scheme
 // recovers.
 func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
@@ -164,6 +164,7 @@ func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
 		Digest                                                  string
 		Deliveries, Clock                                       int64
 		Flits, Detects, Deflections, Rescues, Knots, Txns, Open int64
+		RouterSteps, NISteps, IdleCycles                        int64
 	}
 	for _, c := range []struct {
 		scheme     schemes.Kind
@@ -187,9 +188,11 @@ func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
 			attach(n)
 			dig := check.AttachDigest(n)
 			st := n.Run()
+			routerSteps, niSteps, idleCycles := n.StepCounts()
 			return outcome{dig.String(), dig.Count(), n.Clock.Now(),
 				st.DeliveredFlits, st.DetectEvents, st.Deflections, st.Rescues,
-				st.CWGDeadlocks, st.TxnCompleted, int64(n.Table.Len())}
+				st.CWGDeadlocks, st.TxnCompleted, int64(n.Table.Len()),
+				routerSteps, niSteps, idleCycles}
 		}
 		bare := run(func(*network.Network) {})
 		if bare.Deliveries == 0 || bare.Knots == 0 {
@@ -200,6 +203,7 @@ func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
 		var checker *check.Checker
 		var csv bytes.Buffer
 		var bus *obs.Bus
+		prof := telemetry.NewCycleProfiler(1)
 		watched := run(func(n *network.Network) {
 			bus = obs.NewBus(obs.NewRingSink(1024))
 			n.AttachObs(bus)
@@ -208,6 +212,7 @@ func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 			checker = check.Attach(n, check.Options{})
+			n.AttachProfiler(prof)
 		})
 		if watched != bare {
 			t.Errorf("%s: observing perturbed the run:\nbare    %+v\nwatched %+v", c.scheme, bare, watched)
@@ -228,15 +233,60 @@ func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
 			t.Errorf("%s: no episode closed by %s among %d", c.scheme, c.resolution, len(tracker.Episodes()))
 		}
 		t.Logf("%s: %d of %d episodes closed by %s; %+v", c.scheme, closed, len(tracker.Episodes()), c.resolution, bare)
-
-		prof := telemetry.NewCycleProfiler(1)
-		profiled := run(func(n *network.Network) { n.AttachProfiler(prof) })
-		if profiled != bare {
-			t.Errorf("%s: profiling perturbed the run:\nbare     %+v\nprofiled %+v", c.scheme, bare, profiled)
-		}
 		if prof.Breakdown().Cycles != bare.Clock {
 			t.Errorf("%s: profiled %d cycles of %d", c.scheme, prof.Breakdown().Cycles, bare.Clock)
 		}
+	}
+}
+
+// TestProfilerDoesNotPerturbSimulation: a profiled run steps exactly what an
+// unprofiled one steps (the same deliveries, sweep work and allocation work)
+// at low load, where most cycles take the idle fast path, and at the knee.
+// The profiler must also time every one of those cycles, sampling every cycle
+// or every 16th: it counts the cycles the clock counts, and its marks account
+// for all of each sampled cycle, idle ones included.
+func TestProfilerDoesNotPerturbSimulation(t *testing.T) {
+	type outcome struct {
+		Digest                           string
+		Deliveries, Clock                int64
+		RouterSteps, NISteps, IdleCycles int64
+		VAAttempts, VAGrants             int64
+	}
+	for _, rate := range []float64{0.001, 0.02} {
+		run := func(prof *telemetry.CycleProfiler) outcome {
+			cfg := network.DefaultConfig()
+			cfg.Radix = []int{4, 4}
+			cfg.Scheme, cfg.Pattern, cfg.VCs, cfg.Rate = schemes.PR, protocol.PAT271, 4, rate
+			cfg.Warmup, cfg.Measure, cfg.MaxDrain = 500, 3000, 8000
+			n, err := network.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prof != nil {
+				n.AttachProfiler(prof)
+			}
+			dig := check.AttachDigest(n)
+			n.Run()
+			o := outcome{Digest: dig.String(), Deliveries: dig.Count(), Clock: n.Clock.Now()}
+			o.RouterSteps, o.NISteps, o.IdleCycles = n.StepCounts()
+			o.VAAttempts, o.VAGrants = n.VACounts()
+			return o
+		}
+		plain := run(nil)
+		if plain.Deliveries == 0 || rate == 0.001 && plain.IdleCycles == 0 {
+			t.Fatalf("rate %v: the plain run delivers %d messages with %d idle cycles", rate, plain.Deliveries, plain.IdleCycles)
+		}
+		for _, every := range []int64{1, 16} {
+			prof := telemetry.NewCycleProfiler(every)
+			if profiled := run(prof); profiled != plain {
+				t.Errorf("rate %v, sampling every %d: profiler perturbed the run:\nplain    %+v\nprofiled %+v", rate, every, plain, profiled)
+			}
+			if b := prof.Breakdown(); b.Cycles != plain.Clock || b.AccountedFraction != 1 {
+				t.Errorf("rate %v, sampling every %d: profiled %d of %d cycles, %v of their time accounted\n%s",
+					rate, every, b.Cycles, plain.Clock, b.AccountedFraction, b.Format())
+			}
+		}
+		t.Logf("rate %v: %+v", rate, plain)
 	}
 }
 

@@ -66,25 +66,3 @@ func TestProfilerSampledRun(t *testing.T) {
 		t.Fatalf("sampled accounting %.1f%%, want >= 90%%", 100*b.AccountedFraction)
 	}
 }
-
-// TestProfilerDoesNotPerturbSimulation: a profiled run must be
-// bit-identical to an unprofiled one — the profiler only reads the clock.
-func TestProfilerDoesNotPerturbSimulation(t *testing.T) {
-	cfg := smallConfig(schemes.PR, protocol.PAT271, 4, 0.02)
-
-	plain := mustNet(t, cfg)
-	plain.Run()
-
-	profiled := mustNet(t, cfg)
-	profiled.AttachProfiler(telemetry.NewCycleProfiler(1))
-	profiled.Run()
-
-	if plain.Stats.DeliveredMsgs != profiled.Stats.DeliveredMsgs ||
-		plain.Stats.DeliveredFlits != profiled.Stats.DeliveredFlits ||
-		plain.Stats.TxnCompleted != profiled.Stats.TxnCompleted ||
-		plain.Stats.Deflections != profiled.Stats.Deflections ||
-		plain.Stats.Rescues != profiled.Stats.Rescues {
-		t.Fatalf("profiler perturbed the run:\nplain    %+v\nprofiled %+v",
-			plain.Stats, profiled.Stats)
-	}
-}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -45,8 +46,9 @@ func (w *Window) Count() int {
 	return w.n
 }
 
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1, nearest-rank on the sorted
-// live samples); ok is false while the window is empty.
+// Quantile returns the q-th quantile by nearest rank: the ⌈q·n⌉-th smallest
+// of the n live samples, q clamped to [0, 1] (q = 0 reads the smallest); ok
+// is false while the window is empty.
 func (w *Window) Quantile(q float64) (v float64, ok bool) {
 	w.mu.Lock()
 	if w.n == 0 {
@@ -57,12 +59,6 @@ func (w *Window) Quantile(q float64) (v float64, ok bool) {
 	copy(s, w.buf[:w.n])
 	w.mu.Unlock()
 	sort.Float64s(s)
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	idx := int(q * float64(len(s)-1))
-	return s[idx], true
+	idx := int(math.Ceil(q*float64(len(s)))) - 1
+	return s[min(max(idx, 0), len(s)-1)], true
 }

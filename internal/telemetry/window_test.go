@@ -25,6 +25,17 @@ func TestWindowQuantile(t *testing.T) {
 	if v, _ := w.Quantile(1); v != 100 {
 		t.Fatalf("p100 = %v, want 100", v)
 	}
+	// The coordinator's hedge window: ⌈0.95·256⌉ = 244, so p95 is the 244th
+	// smallest sample, not the 243rd that indexing by q·(n−1) reads.
+	w = NewWindow(256)
+	for i := 1; i <= 256; i++ {
+		w.Add(float64(i))
+	}
+	for _, c := range []struct{ q, want float64 }{{-1, 1}, {0.5, 128}, {0.95, 244}, {0.99, 254}, {2, 256}} {
+		if v, _ := w.Quantile(c.q); v != c.want {
+			t.Errorf("256 samples: q%v = %v, want %v", c.q, v, c.want)
+		}
+	}
 }
 
 // TestWindowSlides pins the forgetting property that distinguishes a
